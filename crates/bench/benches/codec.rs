@@ -6,7 +6,7 @@
 //! machine-readable output in `results/bench_codec.json`. Run:
 //! `cargo bench -p vcu-bench --bench codec --offline`
 
-use vcu_bench::timing::{host_cores, results_path, smoke, Harness};
+use vcu_bench::timing::{host_cores, output_path, smoke, Harness};
 use vcu_codec::entropy::{AdaptiveModel, BoolDecoder, BoolEncoder};
 use vcu_codec::kernels;
 use vcu_codec::motion::{satd, search, SearchParams};
@@ -95,8 +95,8 @@ fn bench_motion(h: &mut Harness) {
 
 /// Per-kernel micro-bench rows, one per available SIMD backend, so the
 /// macro speedups can be attributed. Row naming (`codec/kern_<k>_<be>`)
-/// is load-bearing: `check_bench.sh` gates each SIMD row against its
-/// `_scalar` sibling when the host reports the feature. Every row calls
+/// is load-bearing: `vcu_bench::gates::bench` gates each committed SIMD
+/// row against its `_scalar` sibling. Every row calls
 /// the `*_with` dispatch variant, leaving the process-global backend
 /// untouched.
 fn bench_kernels(h: &mut Harness) {
@@ -263,13 +263,6 @@ fn main() {
     let (pframes, pchunk) = if smoke { (4, 2) } else { (12, 3) };
     bench_parallel_encode(&mut h, pframes, pchunk);
     bench_unbalanced_batch(&mut h, smoke);
-    let path = if smoke {
-        std::env::temp_dir()
-            .join("bench_codec_smoke.json")
-            .to_string_lossy()
-            .into_owned()
-    } else {
-        results_path("bench_codec.json")
-    };
-    h.write_json(&path).expect("write bench_codec results");
+    h.write_json(&output_path("bench_codec"))
+        .expect("write bench_codec results");
 }

@@ -21,7 +21,7 @@
 //! Set `VCU_BENCH_SMOKE=1` for a seconds-long CI configuration that
 //! writes to a temp directory instead of `results/`.
 
-use vcu_bench::timing::{results_path, Harness};
+use vcu_bench::timing::{output_path, smoke, Harness};
 use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
 use vcu_cluster::{
     ClusterConfig, ClusterReport, ClusterSim, JobSpec, PlacementMode, Priority, Scheduler,
@@ -36,19 +36,8 @@ use vcu_media::Resolution;
 /// where a linear scan degrades to O(n) per placement.
 fn fleet_jobs(vcus: usize, jobs_per_vcu: usize, target_util: f64) -> Vec<JobSpec> {
     let job = TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0);
-    let d = VcuModel::new().job_demand(&job);
-    let cap = ResourceDemand::vcu_capacity();
     // Jobs one worker fits concurrently (binding dimension).
-    let per_worker = [
-        cap.millidecode / d.millidecode.max(1),
-        cap.milliencode / d.milliencode.max(1),
-        cap.dram_mib / d.dram_mib.max(1),
-        cap.host_mcpu / d.host_mcpu.max(1),
-    ]
-    .into_iter()
-    .min()
-    .unwrap()
-    .max(1) as f64;
+    let per_worker = VcuModel::new().job_demand(&job).slots_per_vcu() as f64;
     let in_flight_target = (vcus as f64 * per_worker * target_util).max(1.0);
     let spacing = job.duration_s / in_flight_target;
     let n = vcus * jobs_per_vcu;
@@ -141,7 +130,7 @@ fn placement_churn(h: &mut Harness, vcus: usize, mode: PlacementMode, ops: u64) 
 }
 
 fn main() {
-    let smoke = std::env::var("VCU_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = smoke();
     let (scales, jobs_per_vcu, churn_ops): (&[usize], usize, u64) = if smoke {
         (&[16, 64], 10, 64)
     } else {
@@ -230,13 +219,6 @@ fn main() {
         );
     }
 
-    let path = if smoke {
-        std::env::temp_dir()
-            .join("bench_cluster_scale_smoke.json")
-            .to_string_lossy()
-            .into_owned()
-    } else {
-        results_path("bench_cluster_scale.json")
-    };
-    h.write_json(&path).expect("write bench json");
+    h.write_json(&output_path("bench_cluster_scale"))
+        .expect("write bench json");
 }

@@ -9,6 +9,7 @@
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+use vcu_telemetry::json::{render_table, JsonObj};
 
 /// Target wall-clock per repetition during calibration.
 const TARGET_REP: Duration = Duration::from_millis(40);
@@ -184,42 +185,37 @@ impl Harness {
     }
 
     /// Writes all records as JSON to `path` (creating parent dirs) and
-    /// prints where they went. Hand-rolled serialization — the
-    /// workspace is dependency-free by design.
+    /// prints where they went, in the one table shape of
+    /// `vcu_telemetry::json::render_table`.
     ///
-    /// The top-level value is an object: `host_cores` records the
-    /// capture machine's parallelism (so downstream gates like
-    /// `scripts/check_bench.sh` can tell "flat scaling because the
-    /// host has one core" from "flat scaling because parallelism is
-    /// broken"), and `records` holds one row per benchmark.
+    /// The header's `host_cores` records the capture machine's
+    /// parallelism (so the scaling gate in [`crate::gates`] can tell
+    /// "flat scaling because the host has one core" from "flat scaling
+    /// because parallelism is broken"), and `records` holds one row
+    /// per benchmark.
     ///
     /// A telemetry snapshot (`<stem>_telemetry.json`) is written next
     /// to the raw records, so bench runs and simulator runs share one
     /// observability format for downstream tooling.
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let mut out = format!(
-            "{{\n  \"host_cores\": {},\n  \"records\": [\n",
-            host_cores()
-        );
-        for (i, r) in self.records.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": {:?}, \"iters\": {}, \"reps\": {}, \
-                 \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"mean_ns\": {:.1}",
-                r.name, r.iters, r.reps, r.median_ns, r.min_ns, r.mean_ns
-            ));
+        let rows = self.records.iter().map(|r| {
+            let mut row = JsonObj::new()
+                .str("name", &r.name)
+                .u64("iters", r.iters)
+                .u64("reps", r.reps as u64)
+                .fixed("median_ns", r.median_ns, 1)
+                .fixed("min_ns", r.min_ns, 1)
+                .fixed("mean_ns", r.mean_ns, 1);
             if let Some(e) = r.elements {
-                out.push_str(&format!(", \"elements\": {e}"));
+                row = row.u64("elements", e);
             }
             if let Some(t) = r.elems_per_s() {
-                out.push_str(&format!(", \"throughput\": {t:.1}"));
+                row = row.fixed("throughput", t, 1);
             }
-            out.push('}');
-            if i + 1 < self.records.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
+            row
+        });
+        let header = JsonObj::new().u64("host_cores", host_cores() as u64);
+        let out = render_table(header, "records", rows.collect());
         if let Some(parent) = std::path::Path::new(path).parent() {
             std::fs::create_dir_all(parent)?;
         }
@@ -269,6 +265,24 @@ fn telemetry_sibling(path: &str) -> String {
 /// relative `results/` would land inside `crates/bench`).
 pub fn results_path(file: &str) -> String {
     format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Where a smoke run writes the artifact `stem`: never `results/`.
+pub fn smoke_path(stem: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("{stem}_smoke.json"))
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// Where this run writes the artifact `stem`: `results/<stem>.json`,
+/// or [`smoke_path`] under [`smoke`].
+pub fn output_path(stem: &str) -> String {
+    if smoke() {
+        smoke_path(stem)
+    } else {
+        results_path(&format!("{stem}.json"))
+    }
 }
 
 fn time_iters<R>(iters: u64, f: &mut impl FnMut() -> R) -> Duration {

@@ -213,6 +213,19 @@ impl ResourceDemand {
             host_mcpu: 5_000,
         }
     }
+
+    /// Concurrent copies of this demand one healthy VCU fits: capacity
+    /// over demand on the binding scheduler dimension, at least 1.
+    pub fn slots_per_vcu(self) -> u64 {
+        let cap = Self::vcu_capacity();
+        let slots = [
+            cap.millidecode / self.millidecode.max(1),
+            cap.milliencode / self.milliencode.max(1),
+            cap.dram_mib / self.dram_mib.max(1),
+            cap.host_mcpu / self.host_mcpu.max(1),
+        ];
+        slots.into_iter().min().map_or(1, |s| u64::from(s.max(1)))
+    }
 }
 
 #[cfg(test)]
@@ -307,6 +320,19 @@ mod tests {
         assert!(a.fits_in(cap));
         assert!(!cap.plus(a).fits_in(cap));
         assert_eq!(cap.minus(cap), ResourceDemand::default());
+    }
+
+    #[test]
+    fn slots_follow_the_binding_dimension() {
+        let cap = ResourceDemand::vcu_capacity();
+        let d = ResourceDemand {
+            millidecode: 1,
+            milliencode: cap.milliencode / 3,
+            dram_mib: 1,
+            host_mcpu: 1,
+        };
+        assert_eq!(d.slots_per_vcu(), 3, "encode millicores bind");
+        assert_eq!(cap.plus(cap).slots_per_vcu(), 1, "oversized still gets 1");
     }
 
     #[test]

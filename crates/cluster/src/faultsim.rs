@@ -7,15 +7,15 @@
 //! graceful-degradation ladder. Every cell derives its RNG stream,
 //! fault schedule, and cluster seed from the campaign seed through
 //! [`vcu_rng::mix64`], so a campaign is a replayable artifact: the
-//! same seed produces a byte-identical JSON report, which is what
-//! `results/fault_campaign.json` pins in CI.
+//! same seed produces identical cells, which `vcu-bench` renders into
+//! the byte-pinned `results/fault_campaign.json`.
 
 use crate::pools::DegradePolicy;
 use crate::sim::{
     ClusterConfig, ClusterSim, FaultInjection, FaultKind, HealthPolicy, JobSpec, Priority,
     RetryPolicy, WatchdogPolicy,
 };
-use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
+use vcu_chip::{TranscodeJob, VcuModel};
 use vcu_codec::Profile;
 use vcu_media::Resolution;
 use vcu_rng::{mix64, Rng};
@@ -113,18 +113,7 @@ pub fn campaign_job() -> TranscodeJob {
 /// Concurrent campaign chunks one healthy worker fits (the binding
 /// scheduler dimension).
 pub fn slots_per_worker() -> u64 {
-    let d = VcuModel::new().job_demand(&campaign_job());
-    let cap = ResourceDemand::vcu_capacity();
-    [
-        cap.millidecode / d.millidecode.max(1),
-        cap.milliencode / d.milliencode.max(1),
-        cap.dram_mib / d.dram_mib.max(1),
-        cap.host_mcpu / d.host_mcpu.max(1),
-    ]
-    .into_iter()
-    .min()
-    .unwrap()
-    .max(1) as u64
+    VcuModel::new().job_demand(&campaign_job()).slots_per_vcu()
 }
 
 /// Time span over which the cell's jobs arrive, seconds: the offered
@@ -363,59 +352,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Vec<CampaignCell> {
     )
 }
 
-/// Fixed-precision float for byte-stable JSON ({:.6} is lossless at
-/// the magnitudes involved and avoids shortest-repr jitter).
-fn f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Renders a campaign as deterministic JSON (one cell object per
-/// line inside the array, stable key order). Two same-seed runs
-/// produce byte-identical output.
-pub fn render_json(cfg: &CampaignConfig, cells: &[CampaignCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"campaign\": {{\"vcus\": {}, \"jobs_per_vcu\": {}, \"seed\": {}}},\n",
-        cfg.vcus, cfg.jobs_per_vcu, cfg.seed
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fault_rate\": {}, \"mttr_s\": {}, \"jobs\": {}, \"goodput_frac\": {}, \
-             \"black_holed\": {}, \"blast_radius\": {}, \"mean_wait_s\": {}, \
-             \"p99_wait_s\": {}, \"stranded\": {}, \"shed\": {}, \"watchdog_fired\": {}, \
-             \"crash_aborts\": {}, \"repairs\": {}, \"quarantined_workers\": {}, \
-             \"degrade_time_frac\": [{}, {}, {}, {}]}}{}\n",
-            f(c.fault_rate),
-            f(c.mttr_s),
-            c.jobs,
-            f(c.goodput_frac),
-            c.black_holed,
-            f(c.blast_radius),
-            f(c.mean_wait_s),
-            f(c.p99_wait_s),
-            c.stranded,
-            c.shed,
-            c.watchdog_fired,
-            c.crash_aborts,
-            c.repairs,
-            c.quarantined_workers,
-            f(c.degrade_time_frac[0]),
-            f(c.degrade_time_frac[1]),
-            f(c.degrade_time_frac[2]),
-            f(c.degrade_time_frac[3]),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,15 +364,6 @@ mod tests {
             fault_rates: vec![0.0, 0.25],
             mttr_s: vec![60.0],
         }
-    }
-
-    #[test]
-    fn campaign_is_byte_deterministic() {
-        let cfg = tiny();
-        let a = render_json(&cfg, &run_campaign(&cfg));
-        let b = render_json(&cfg, &run_campaign(&cfg));
-        assert_eq!(a, b, "same-seed campaigns must be byte-identical");
-        assert!(a.contains("\"goodput_frac\""));
     }
 
     #[test]
@@ -540,16 +467,5 @@ mod tests {
         // capacity dip is bounded to one wave.
         let touched: std::collections::BTreeSet<usize> = faults.iter().map(|f| f.worker).collect();
         assert_eq!(touched.len(), 10);
-    }
-
-    #[test]
-    fn infinite_mttr_renders_as_null() {
-        let cfg = CampaignConfig {
-            fault_rates: vec![0.25],
-            mttr_s: vec![f64::INFINITY],
-            ..tiny()
-        };
-        let json = render_json(&cfg, &run_campaign(&cfg));
-        assert!(json.contains("\"mttr_s\": null"));
     }
 }

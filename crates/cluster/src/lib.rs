@@ -22,8 +22,8 @@ pub mod tco;
 
 pub use des::{EventQueue, ShardedEventQueue};
 pub use faultsim::{
-    cell_cluster_config, correlated_domain_faults, fault_schedule, render_json, run_campaign,
-    run_cell, upgrade_wave_faults, CampaignCell, CampaignConfig,
+    cell_cluster_config, correlated_domain_faults, fault_schedule, run_campaign, run_cell,
+    upgrade_wave_faults, CampaignCell, CampaignConfig,
 };
 pub use pools::{DegradePolicy, PoolId, PoolManager, UseCase};
 pub use scheduler::{PlacementMode, Scheduler, SchedulerKind};

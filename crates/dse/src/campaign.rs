@@ -1,6 +1,6 @@
 //! The design-space sweep: grid construction, candidate evaluation on
-//! the cluster simulator, frontier extraction, anchor gate, and the
-//! byte-stable JSON artifact.
+//! the cluster simulator, frontier extraction, and the anchor gate
+//! (`vcu-bench` renders the candidates as `results/dse_frontier.json`).
 //!
 //! Methodology (the V&V-in-the-loop shape): every candidate chip is
 //! evaluated against the *same* deterministic workload and fault
@@ -36,8 +36,7 @@ use vcu_rng::{mix64, Rng};
 
 /// Default anchor tolerance: a frontier point may beat the shipped
 /// design on *every* objective by up to this relative margin before
-/// the anchor gate calls the model miscalibrated (overridable via
-/// `VCU_DSE_ANCHOR_TOL` in the bench binary and artifact gate).
+/// the anchor gate calls the model miscalibrated.
 pub const DEFAULT_ANCHOR_TOL: f64 = 0.02;
 
 /// Offered load as a fraction of the shipped anchor's steady capacity
@@ -48,7 +47,7 @@ pub const DEFAULT_ANCHOR_TOL: f64 = 0.02;
 /// the fault leg is where headroom earns its keep: capacity dips push
 /// a right-sized fleet past saturation while overprovisioned fleets
 /// absorb them.
-const OFFERED_LOAD: f64 = 1.02;
+pub const OFFERED_LOAD: f64 = 1.02;
 
 /// Design-space sweep configuration. The grid is the cross product of
 /// the four axis vectors and must contain the shipped point.
@@ -431,66 +430,6 @@ pub fn check_anchor(candidates: &[DseCandidate], tol: f64) -> Result<(), String>
     Ok(())
 }
 
-/// Fixed-precision float for byte-stable JSON ({:.6} is lossless at
-/// the magnitudes involved and avoids shortest-repr jitter).
-fn f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Renders the sweep as deterministic JSON: stable key order, one
-/// candidate per line. Two same-seed runs are byte-identical.
-pub fn render_dse_json(cfg: &DseConfig, candidates: &[DseCandidate]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"campaign\": {{\"seed\": {}, \"vcus\": {}, \"jobs_per_vcu\": {}, \"load\": {}, \
-         \"fault_rate\": {}, \"mttr_s\": {}, \"candidates\": {}}},\n",
-        cfg.seed,
-        cfg.vcus,
-        cfg.jobs_per_vcu,
-        f(OFFERED_LOAD),
-        f(cfg.fault_rate),
-        f(cfg.mttr_s),
-        candidates.len()
-    ));
-    out.push_str("  \"candidates\": [\n");
-    for (i, c) in candidates.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"encoder_cores\": {}, \"decoder_cores\": {}, \"dram_gib_s\": {}, \
-             \"refstore_kpix\": {}, \"area_mm2\": {}, \"card_power_w\": {}, \
-             \"card_capex_usd\": {}, \"fleet_tco_usd\": {}, \"traffic_factor\": {}, \
-             \"bandwidth_pressure\": {}, \"util_steady\": {}, \"goodput_steady\": {}, \
-             \"goodput_fault\": {}, \"p99_wait_s\": {}, \"perf_mpix_s_per_vcu\": {}, \
-             \"perf_per_tco\": {}, \"anchor\": {}, \"on_frontier\": {}}}{}\n",
-            c.design.encoder_cores,
-            c.design.decoder_cores,
-            f(c.design.dram_raw_gib_s),
-            c.design.refstore_pixels / 1024,
-            f(c.area_mm2),
-            f(c.card_power_w),
-            f(c.card_capex_usd),
-            f(c.fleet_tco_usd),
-            f(c.traffic_factor),
-            f(c.bandwidth_pressure),
-            f(c.util_steady),
-            f(c.goodput_steady),
-            f(c.goodput_fault),
-            f(c.p99_wait_s),
-            f(c.perf_mpix_s_per_vcu),
-            f(c.perf_per_tco),
-            u8::from(c.anchor),
-            u8::from(c.on_frontier),
-            if i + 1 == candidates.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,21 +504,14 @@ mod tests {
     }
 
     #[test]
-    fn render_is_stable_and_parallelism_invariant() {
-        let cfg = tiny();
-        let a = render_dse_json(&cfg, &run_dse(&cfg, 1));
-        let b = render_dse_json(&cfg, &run_dse(&cfg, 4));
-        assert_eq!(a, b, "candidate fan-out must reassemble in index order");
-        assert!(a.contains("\"anchor\": 1"));
-    }
-
-    #[test]
     fn seed_steers_the_campaign() {
         let cfg_a = tiny();
         let cfg_b = DseConfig { seed: 8, ..tiny() };
-        let a = render_dse_json(&cfg_a, &run_dse(&cfg_a, 1));
-        let b = render_dse_json(&cfg_b, &run_dse(&cfg_b, 1));
-        assert_ne!(a, b, "different seeds must produce different campaigns");
+        assert_ne!(
+            run_dse(&cfg_a, 1),
+            run_dse(&cfg_b, 1),
+            "different seeds must produce different campaigns"
+        );
     }
 
     #[test]

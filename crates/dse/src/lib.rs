@@ -21,8 +21,8 @@
 //!   model says a strictly better chip was left on the table, the model
 //!   is broken, and CI fails.
 //!
-//! Determinism contract: same seed ⇒ byte-identical
-//! [`campaign::render_dse_json`] output at any `VCU_THREADS` — the
+//! Determinism contract: same seed ⇒ identical [`run_dse`] candidates
+//! (so byte-identical artifact) at any `VCU_THREADS` — the
 //! candidate fan-out over [`vcu_exec::pool`] reassembles in index
 //! order and every simulation seed derives from the campaign seed, not
 //! from which thread ran the cell.
@@ -31,7 +31,7 @@ pub mod campaign;
 pub mod pareto;
 
 pub use campaign::{
-    arrival_span_s, check_anchor, render_dse_json, run_dse, DseCandidate, DseConfig,
-    DEFAULT_ANCHOR_TOL,
+    arrival_span_s, check_anchor, run_dse, DseCandidate, DseConfig, DEFAULT_ANCHOR_TOL,
+    OFFERED_LOAD,
 };
 pub use pareto::{dominates, frontier_flags};

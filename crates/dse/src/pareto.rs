@@ -3,7 +3,7 @@
 //! The frontier computation is deliberately the O(n²) textbook
 //! definition — candidate counts are in the hundreds, and the simple
 //! form is what the property tests in `tests/properties.rs` and the
-//! `check_bench.sh` artifact gate independently re-implement and
+//! artifact gate in `vcu_bench::gates` independently re-implement and
 //! cross-check.
 
 /// True if `a` Pareto-dominates `b`: at least as good on every

@@ -1,5 +1,5 @@
 //! The region campaign: a sweep of [`PlanetSim`] runs over regions ×
-//! fleet size × traffic growth, rendered as byte-stable JSON.
+//! fleet size × traffic growth (`vcu-bench` renders the cells as JSON).
 //!
 //! Every campaign cell runs its planet **twice** from the same seed —
 //! overflow routing enabled, then disabled — so the artifact carries
@@ -12,7 +12,7 @@
 
 use crate::planet::{OverflowPolicy, PlanetConfig, PlanetReport, PlanetSim};
 use crate::region::{region_job, RegionSpec};
-use vcu_chip::{ResourceDemand, VcuModel};
+use vcu_chip::VcuModel;
 use vcu_rng::mix64;
 
 /// One cell of the sweep: a planet shape plus a traffic multiplier.
@@ -60,18 +60,9 @@ pub struct RegionCampaignConfig {
 /// Concurrent region-campaign chunks one healthy worker fits (the
 /// binding scheduler dimension) — sizes the offered load.
 pub fn slots_per_worker(chunk_s: f64) -> u64 {
-    let d = VcuModel::new().job_demand(&region_job(chunk_s));
-    let cap = ResourceDemand::vcu_capacity();
-    [
-        cap.millidecode / d.millidecode.max(1),
-        cap.milliencode / d.milliencode.max(1),
-        cap.dram_mib / d.dram_mib.max(1),
-        cap.host_mcpu / d.host_mcpu.max(1),
-    ]
-    .into_iter()
-    .min()
-    .unwrap()
-    .max(1) as u64
+    VcuModel::new()
+        .job_demand(&region_job(chunk_s))
+        .slots_per_vcu()
 }
 
 impl RegionCampaignConfig {
@@ -281,65 +272,6 @@ pub fn run_region_campaign(cfg: &RegionCampaignConfig) -> Vec<RegionCampaignCell
         .collect()
 }
 
-/// Fixed-precision float for byte-stable JSON ({:.6} is lossless at
-/// the magnitudes involved and avoids shortest-repr jitter).
-fn f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Renders the sweep as deterministic JSON: stable key order, one cell
-/// per line. Two same-seed runs are byte-identical.
-pub fn render_region_json(cfg: &RegionCampaignConfig, cells: &[RegionCampaignCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"campaign\": {{\"seed\": {}, \"horizon_s\": {}, \"epoch_s\": {}, \
-         \"chunk_s\": {}, \"util\": {}, \"amplitude\": {}, \"cells\": {}}},\n",
-        cfg.seed,
-        f(cfg.horizon_s),
-        f(cfg.epoch_s),
-        f(cfg.chunk_s),
-        f(cfg.util),
-        f(cfg.amplitude),
-        cells.len()
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"regions\": {}, \"cells_per_region\": {}, \"vcus_per_cell\": {}, \
-             \"total_vcus\": {}, \"traffic_scale\": {}, \"jobs\": {}, \"routed_jobs\": {}, \
-             \"routed_frac\": {}, \"goodput_overflow\": {}, \"goodput_isolated\": {}, \
-             \"p99_wait_overflow_s\": {}, \"p99_wait_isolated_s\": {}, \"blast_radius\": {}, \
-             \"perf_mpix_per_s\": {}, \"tco_usd\": {}, \"perf_per_tco\": {}, \
-             \"merge_digest\": {}}}{}\n",
-            c.regions,
-            c.cells_per_region,
-            c.vcus_per_cell,
-            c.total_vcus,
-            f(c.traffic_scale),
-            c.jobs,
-            c.routed_jobs,
-            f(c.routed_frac),
-            f(c.goodput_overflow),
-            f(c.goodput_isolated),
-            f(c.p99_wait_overflow_s),
-            f(c.p99_wait_isolated_s),
-            f(c.blast_radius),
-            f(c.perf_mpix_per_s),
-            f(c.tco_usd),
-            f(c.perf_per_tco),
-            c.merge_digest,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,15 +299,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn campaign_is_byte_deterministic() {
-        let cfg = tiny();
-        let a = render_region_json(&cfg, &run_region_campaign(&cfg));
-        let b = render_region_json(&cfg, &run_region_campaign(&cfg));
-        assert_eq!(a, b, "same-seed campaigns must be byte-identical");
-        assert!(a.contains("\"goodput_overflow\""));
     }
 
     #[test]

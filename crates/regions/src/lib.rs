@@ -23,7 +23,7 @@ pub mod planet;
 pub mod region;
 
 pub use campaign::{
-    render_region_json, run_region_campaign, run_region_cell, slots_per_worker, RegionCampaignCell,
+    run_region_campaign, run_region_cell, slots_per_worker, RegionCampaignCell,
     RegionCampaignConfig, RegionCellSpec,
 };
 pub use planet::{OverflowPolicy, PlanetConfig, PlanetReport, PlanetSim};

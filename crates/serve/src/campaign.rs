@@ -1,5 +1,5 @@
 //! The serving campaign: a sweep of [`ServeSim`] cells over cache
-//! size and fleet scale, rendered as byte-stable JSON.
+//! size and fleet scale (`vcu-bench` renders the cells as JSON).
 //!
 //! Mirrors the fault-campaign harness in `vcu_cluster::faultsim`: each
 //! cell derives everything from `mix64(campaign_seed, cell_idx)` and
@@ -209,64 +209,6 @@ pub fn run_serve_campaign(cfg: &ServeCampaignConfig) -> Vec<ServeCampaignCell> {
     )
 }
 
-/// Fixed-precision float for byte-stable JSON ({:.6} is lossless at
-/// the magnitudes involved and avoids shortest-repr jitter).
-fn f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Renders the sweep as deterministic JSON: stable key order, one cell
-/// per line. Two same-seed runs are byte-identical.
-pub fn render_serve_json(cfg: &ServeCampaignConfig, cells: &[ServeCampaignCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"campaign\": {{\"seed\": {}, \"cells\": {}}},\n",
-        cfg.seed,
-        cells.len()
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"viewers\": {}, \"vcus\": {}, \"cache_segments\": {}, \"arrivals\": {}, \
-             \"admitted\": {}, \"shed\": {}, \"completed\": {}, \"aborted\": {}, \
-             \"peak_concurrent\": {}, \"ttff_p50_s\": {}, \"ttff_p99_s\": {}, \
-             \"rebuffer_ratio\": {}, \"rebuffer_events\": {}, \"hit_ratio\": {}, \
-             \"transcodes\": {}, \"transcode_failures\": {}, \"segments_served\": {}, \
-             \"egress_gb\": {}, \"egress_cost_usd\": {}, \"transcode_cost_usd\": {}, \
-             \"degraded_frac\": {}}}{}\n",
-            c.viewers,
-            c.vcus,
-            c.cache_segments,
-            c.arrivals,
-            c.admitted,
-            c.shed,
-            c.completed,
-            c.aborted,
-            c.peak_concurrent,
-            f(c.ttff_p50_s),
-            f(c.ttff_p99_s),
-            f(c.rebuffer_ratio),
-            c.rebuffer_events,
-            f(c.hit_ratio),
-            c.transcodes,
-            c.transcode_failures,
-            c.segments_served,
-            f(c.egress_gb),
-            f(c.egress_cost_usd),
-            f(c.transcode_cost_usd),
-            f(c.degraded_frac),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,15 +233,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn campaign_is_byte_deterministic() {
-        let cfg = tiny();
-        let a = render_serve_json(&cfg, &run_serve_campaign(&cfg));
-        let b = render_serve_json(&cfg, &run_serve_campaign(&cfg));
-        assert_eq!(a, b, "same-seed campaigns must be byte-identical");
-        assert!(a.contains("\"ttff_p99_s\""));
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod sim;
 
 pub use cache::{key_video, seg_key, SegmentCache};
 pub use campaign::{
-    render_serve_json, run_serve_campaign, run_serve_cell, ServeCampaignCell, ServeCampaignConfig,
-    ServeCellSpec,
+    run_serve_campaign, run_serve_cell, ServeCampaignCell, ServeCampaignConfig, ServeCellSpec,
 };
 pub use sim::{AdmissionPolicy, ServeConfig, ServeReport, ServeSim};

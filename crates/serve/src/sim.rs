@@ -27,7 +27,7 @@
 
 use crate::cache::{key_video, seg_key, SegmentCache};
 use std::collections::HashMap;
-use vcu_chip::{ResourceDemand, System, TranscodeJob, VcuModel};
+use vcu_chip::{System, TranscodeJob, VcuModel};
 use vcu_cluster::des::EventQueue;
 use vcu_cluster::sim::{
     ClusterConfig, ClusterReport, ClusterSim, JobResolution, JobSpec, Priority,
@@ -139,18 +139,9 @@ impl ServeConfig {
     /// Concurrent transcode jobs one healthy VCU fits (the binding
     /// scheduler dimension), for capacity and cost math.
     pub fn slots_per_worker(&self) -> u64 {
-        let d = VcuModel::new().job_demand(&self.transcode_job());
-        let cap = ResourceDemand::vcu_capacity();
-        [
-            cap.millidecode / d.millidecode.max(1),
-            cap.milliencode / d.milliencode.max(1),
-            cap.dram_mib / d.dram_mib.max(1),
-            cap.host_mcpu / d.host_mcpu.max(1),
-        ]
-        .into_iter()
-        .min()
-        .unwrap()
-        .max(1) as u64
+        VcuModel::new()
+            .job_demand(&self.transcode_job())
+            .slots_per_vcu()
     }
 }
 

@@ -60,53 +60,45 @@ stage_examples() {
     done
 }
 
-# Smoke-run every bench binary in its seconds-long configuration
-# (tiny fleets, temp-dir JSON) so the binaries and their built-in
-# gates (indexed-vs-linear equivalence, graceful-degradation curve,
-# thread-count byte-identity) can't rot.
+# Smoke-run the cluster-scale bench in its seconds-long configuration
+# (tiny fleets, temp-dir JSON) so the binary and its built-in
+# indexed-vs-linear equivalence check can't rot. (The codec bench's
+# smoke run is the first half of bench_gate.)
 stage_bench_smoke() {
-    echo "--> bench_cluster_scale"
     VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_cluster_scale \
         | tail -n 2
-    echo "--> bench_fault_campaign"
-    VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_fault_campaign \
-        | tail -n 3
-    echo "--> bench codec"
-    VCU_BENCH_SMOKE=1 cargo bench -q -p vcu-bench --offline --bench codec \
-        | tail -n 2
 }
 
-# Smoke-run the serving campaign: a seconds-long cache sweep whose
-# in-binary gates (exact session accounting, monotone hit ratio, no
-# TTFF p99 cliff) keep the serving layer honest.
-stage_serve_smoke() {
-    VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_serve \
-        | tail -n 3
+# Smoke-run the four deterministic campaigns through the one harness
+# (vcu_bench::campaign): each renders its artifact, parses the bytes
+# back and runs the artifact's gate on them before writing to the temp
+# directory, so a campaign whose fresh output would fail check_results
+# fails here.
+stage_campaign_smoke() {
+    local bin
+    for bin in bench_fault_campaign bench_serve bench_region_campaign bench_dse; do
+        echo "--> $bin"
+        VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin "$bin" \
+            | tail -n 2
+    done
 }
 
-# Smoke-run the region campaign: a seconds-long two-region sweep whose
-# in-binary gates (overflow routing never loses goodput vs isolated
-# regions, anti-phased peaks actually route) keep the planet layer
-# honest.
-stage_region_smoke() {
-    VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_region_campaign \
-        | tail -n 3
-}
-
-# Smoke-run the chip design-space exploration: a seconds-long 3x3
-# sweep (encoder cores x DRAM bandwidth through the shipped point)
-# whose in-binary gates (byte-identity across executor parallelism,
-# shipped-VCU-on-frontier, no dominated point reported) keep the
-# co-design loop honest.
-stage_dse_smoke() {
-    VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_dse \
-        | tail -n 3
-}
-
-# Compare a fresh smoke bench run against the committed results: a
-# >3x throughput regression on any stable row fails the build.
+# Gate the committed results/: a fresh smoke run of the codec bench,
+# then check_results — the four campaign artifacts through the same
+# gates their drivers run, and bench_codec.json against the fresh rows
+# (>3x throughput regression, vanished rows, SIMD-vs-scalar, scaling).
+# Reads results/, never writes it.
 stage_bench_gate() {
-    scripts/check_bench.sh
+    VCU_BENCH_SMOKE=1 cargo bench -q -p vcu-bench --offline --bench codec | tail -n 2
+    cargo run -q -p vcu-bench --release --offline --bin check_results
+}
+
+# benchmark/ is a separate package with its own lockfile, which records
+# each workspace crate's dependency list; a crate-graph change here
+# would stale it. Fail now, not in the benchmark pipeline.
+stage_benchmark_lock() {
+    cargo metadata --locked --offline --manifest-path benchmark/Cargo.toml \
+        --format-version 1 >/dev/null
 }
 
 # The determinism suite must hold at any thread count: run it once
@@ -137,15 +129,14 @@ run_stage test stage_test
 run_stage clippy stage_clippy
 run_stage examples stage_examples
 run_stage bench_smoke stage_bench_smoke
-run_stage serve_smoke stage_serve_smoke
-run_stage region_smoke stage_region_smoke
-run_stage dse_smoke stage_dse_smoke
+run_stage campaign_smoke stage_campaign_smoke
 run_stage bench_gate stage_bench_gate
+run_stage benchmark_lock stage_benchmark_lock
 run_stage determinism stage_determinism
 run_stage simd_off stage_simd_off
 
 if [[ "$STAGES_RUN" -eq 0 ]]; then
-    echo "no stage named '$STAGE_FILTER' (stages: fmt build test clippy examples bench_smoke serve_smoke region_smoke dse_smoke bench_gate determinism simd_off)" >&2
+    echo "no stage named '$STAGE_FILTER' (stages: fmt build test clippy examples bench_smoke campaign_smoke bench_gate benchmark_lock determinism simd_off)" >&2
     exit 1
 fi
 echo "tier-1 verify: OK ($STAGES_RUN stages)"

@@ -286,12 +286,13 @@ fn traffic_generation_is_deterministic() {
     assert_ne!(a, c, "different traffic seeds must differ");
 }
 
-/// The fault-campaign artifact is a replayable build product: two
-/// same-seed campaigns render byte-identical JSON (what CI pins for
-/// `results/fault_campaign.json`), and the seed is load-bearing.
+/// The fault campaign is a replayable build product: two same-seed
+/// campaigns produce identical cells (which `vcu-bench` renders into
+/// the byte-pinned `results/fault_campaign.json`; rendered-bytes
+/// identity is asserted there), and the seed is load-bearing.
 #[test]
-fn fault_campaign_json_is_byte_identical() {
-    use vcu_cluster::{render_json, run_campaign, CampaignConfig};
+fn fault_campaign_is_deterministic() {
+    use vcu_cluster::{run_campaign, CampaignConfig};
     let cfg = CampaignConfig {
         vcus: 24,
         jobs_per_vcu: 16,
@@ -299,27 +300,18 @@ fn fault_campaign_json_is_byte_identical() {
         fault_rates: vec![0.0, 0.2],
         mttr_s: vec![15.0, f64::INFINITY],
     };
-    let a = render_json(&cfg, &run_campaign(&cfg));
-    let b = render_json(&cfg, &run_campaign(&cfg));
-    assert_eq!(a, b, "same-seed campaign JSON must be byte-identical");
-    let c = render_json(
-        &CampaignConfig {
-            seed: 4321,
-            ..cfg.clone()
-        },
-        &run_campaign(&CampaignConfig { seed: 4321, ..cfg }),
-    );
+    let a = run_campaign(&cfg);
+    assert_eq!(a, run_campaign(&cfg), "same-seed campaigns must agree");
+    let c = run_campaign(&CampaignConfig { seed: 4321, ..cfg });
     assert_ne!(a, c, "campaign seed must steer the fault schedule");
 }
 
-/// The serve-campaign artifact pins like the fault campaign: two
-/// same-seed sweeps render byte-identical JSON and byte-identical
-/// telemetry snapshots (what CI pins for `results/serve_campaign.json`),
-/// the seed is load-bearing, and the result is invariant under the
-/// work-stealing pool's thread count.
+/// The serve campaign pins like the fault campaign: two same-seed
+/// sweeps produce identical cells, the seed is load-bearing, and the
+/// result is invariant under the work-stealing pool's thread count.
 #[test]
-fn serve_campaign_json_is_byte_identical() {
-    use vcu_serve::{render_serve_json, run_serve_campaign, ServeCampaignConfig, ServeCellSpec};
+fn serve_campaign_is_deterministic() {
+    use vcu_serve::{run_serve_campaign, ServeCampaignConfig, ServeCellSpec};
     let cfg = ServeCampaignConfig {
         seed: 1234,
         cells: vec![
@@ -339,19 +331,9 @@ fn serve_campaign_json_is_byte_identical() {
             },
         ],
     };
-    let a = render_serve_json(&cfg, &run_serve_campaign(&cfg));
-    let b = render_serve_json(&cfg, &run_serve_campaign(&cfg));
-    assert_eq!(a, b, "same-seed serve campaigns must be byte-identical");
-    let c = render_serve_json(
-        &ServeCampaignConfig {
-            seed: 4321,
-            ..cfg.clone()
-        },
-        &run_serve_campaign(&ServeCampaignConfig {
-            seed: 4321,
-            ..cfg.clone()
-        }),
-    );
+    let a = run_serve_campaign(&cfg);
+    assert_eq!(a, run_serve_campaign(&cfg), "same-seed sweeps must agree");
+    let c = run_serve_campaign(&ServeCampaignConfig { seed: 4321, ..cfg });
     assert_ne!(a, c, "campaign seed must steer the serving trace");
 }
 
@@ -361,13 +343,10 @@ fn serve_campaign_is_thread_invariant() {
     // parallelism; pin the 1-thread and 4-thread fan-outs against each
     // other directly (the verify script additionally runs this suite
     // under VCU_THREADS=1 and VCU_THREADS=4).
-    use vcu_serve::{render_serve_json, run_serve_cell, ServeCampaignConfig};
-    let cfg = ServeCampaignConfig {
-        seed: 77,
-        ..ServeCampaignConfig::smoke(77)
-    };
+    use vcu_serve::{run_serve_cell, ServeCampaignConfig};
+    let cfg = ServeCampaignConfig::smoke(77);
     let sweep = |threads: usize| {
-        let cells = vcu_exec::pool().run_batch(
+        vcu_exec::pool().run_batch(
             threads,
             cfg.cells
                 .iter()
@@ -377,13 +356,12 @@ fn serve_campaign_is_thread_invariant() {
                     move || run_serve_cell(cfg, spec, i as u64)
                 })
                 .collect(),
-        );
-        render_serve_json(&cfg, &cells)
+        )
     };
     assert_eq!(
         sweep(1),
         sweep(4),
-        "VCU_THREADS must not change the campaign bytes"
+        "VCU_THREADS must not change the campaign cells"
     );
 }
 
@@ -418,19 +396,16 @@ fn serve_telemetry_snapshot_is_byte_identical() {
     );
 }
 
-/// The region-campaign artifact pins like the fault and serve
-/// campaigns: two same-seed sweeps — each running every planet twice
-/// for the overflow/isolated counterfactual — render byte-identical
-/// JSON (what CI pins for `results/region_campaign.json`), and the
-/// seed is load-bearing. The verify script runs this suite under
-/// VCU_THREADS=1 and VCU_THREADS=4; every planet advance fans out
-/// through the work-stealing pool, so those two runs double as the
-/// thread-invariance check.
+/// The region campaign pins like the fault and serve campaigns: two
+/// same-seed sweeps — each running every planet twice for the
+/// overflow/isolated counterfactual — produce identical cells, merge
+/// digest included, and the seed is load-bearing. The verify script
+/// runs this suite under VCU_THREADS=1 and VCU_THREADS=4; every planet
+/// advance fans out through the work-stealing pool, so those two runs
+/// double as the thread-invariance check.
 #[test]
-fn region_campaign_json_is_byte_identical() {
-    use vcu_regions::{
-        render_region_json, run_region_campaign, RegionCampaignConfig, RegionCellSpec,
-    };
+fn region_campaign_is_deterministic() {
+    use vcu_regions::{run_region_campaign, RegionCampaignConfig, RegionCellSpec};
     let cfg = RegionCampaignConfig {
         seed: 1234,
         horizon_s: 60.0,
@@ -445,16 +420,10 @@ fn region_campaign_json_is_byte_identical() {
             traffic_scale: 1.0,
         }],
     };
-    let a = render_region_json(&cfg, &run_region_campaign(&cfg));
-    let b = render_region_json(&cfg, &run_region_campaign(&cfg));
-    assert_eq!(a, b, "same-seed region campaigns must be byte-identical");
-    let other = RegionCampaignConfig {
-        seed: 4321,
-        ..cfg.clone()
-    };
-    let c = render_region_json(&other, &run_region_campaign(&other));
+    let a = run_region_campaign(&cfg);
+    assert_eq!(a, run_region_campaign(&cfg), "same-seed sweeps must agree");
+    let c = run_region_campaign(&RegionCampaignConfig { seed: 4321, ..cfg });
     assert_ne!(a, c, "campaign seed must steer the planet");
-    assert!(a.contains("\"merge_digest\""), "digest must land in JSON");
 }
 
 /// The cross-shard merge digest is order-sensitive, so equality across
@@ -516,19 +485,23 @@ fn tiny_dse(seed: u64) -> vcu_dse::DseConfig {
 }
 
 #[test]
-fn dse_sweep_json_is_byte_identical() {
-    use vcu_dse::{render_dse_json, run_dse};
-    let cfg = tiny_dse(9);
-    let a = render_dse_json(&cfg, &run_dse(&cfg, 1));
-    let b = render_dse_json(&cfg, &run_dse(&cfg, 1));
-    assert_eq!(a, b, "same-seed design sweeps must be byte-identical");
+fn dse_sweep_is_deterministic() {
+    use vcu_dse::run_dse;
+    let a = run_dse(&tiny_dse(9), 1);
+    assert_eq!(a, run_dse(&tiny_dse(9), 1), "same-seed sweeps must agree");
     assert!(
-        a.contains("\"anchor\": 1"),
+        a.iter().any(|c| c.anchor),
         "the shipped design must appear in every grid"
     );
-    let other = tiny_dse(10);
-    let c = render_dse_json(&other, &run_dse(&other, 1));
-    assert_ne!(a, c, "campaign seed must steer the sweep");
+    // Cells, not rendered bytes: the artifact's header carries the
+    // seed, so comparing bytes could never fail. At this toy scale
+    // some seed pairs do coincide (9 and 10 draw fault schedules with
+    // the same outcome); 11 does not.
+    assert_ne!(
+        a,
+        run_dse(&tiny_dse(11), 1),
+        "campaign seed must steer the sweep"
+    );
 }
 
 #[test]
@@ -538,12 +511,12 @@ fn dse_sweep_is_thread_invariant() {
     // directly, honoring VCU_THREADS when the suite runs under the
     // varied leg (the verify script runs this suite at VCU_THREADS=1
     // and VCU_THREADS=4).
-    use vcu_dse::{render_dse_json, run_dse};
+    use vcu_dse::run_dse;
     let cfg = tiny_dse(9);
     let wide = vcu_exec::env_threads().max(4);
     assert_eq!(
-        render_dse_json(&cfg, &run_dse(&cfg, 1)),
-        render_dse_json(&cfg, &run_dse(&cfg, wide)),
-        "VCU_THREADS must not change the sweep bytes"
+        run_dse(&cfg, 1),
+        run_dse(&cfg, wide),
+        "VCU_THREADS must not change the sweep"
     );
 }

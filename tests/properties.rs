@@ -939,9 +939,9 @@ mod region_scale {
 // Pareto-frontier properties: the design-space sweep's dominance
 // relation and frontier extraction must behave like the textbook
 // definitions on arbitrary point sets, because the committed
-// `dse_frontier.json` flags are re-derived by an independent awk gate
-// in scripts/check_bench.sh — any disagreement between implementations
-// fails CI.
+// `dse_frontier.json` flags are re-derived by an independent dominance
+// check in `vcu_bench::gates::dse` — any disagreement between
+// implementations fails CI.
 mod dse_pareto {
     use vcu_dse::{dominates, frontier_flags};
     use vcu_rng::{prop_cases, Rng};

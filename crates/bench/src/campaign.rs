@@ -331,9 +331,11 @@ mod tests {
 
     /// Runs `cfg` twice and asserts the artifacts are the same bytes
     /// (the one place per campaign where rendered-bytes identity is
-    /// pinned; `tests/determinism.rs` compares cells) and that they
-    /// parse.
-    fn rendered<C: Campaign>(cfg: &C::Config) -> Value {
+    /// pinned; `tests/determinism.rs` compares cells), that those bytes
+    /// are the ones pinned across commits (`fnv1a64`, the hash
+    /// `tests/golden.rs` uses — a deliberate behaviour change
+    /// re-captures it and says so), and that they parse.
+    fn rendered<C: Campaign>(cfg: &C::Config, fnv1a64: u64) -> Value {
         let json = C::render(cfg, &(C::RUN)(cfg));
         assert_eq!(
             json,
@@ -341,18 +343,25 @@ mod tests {
             "{}: same-seed artifacts must be byte-identical",
             C::NAME
         );
+        assert_eq!(
+            vcu_chip::faults::checksum(json.as_bytes()),
+            fnv1a64,
+            "{}: artifact bytes drifted from the pinned run",
+            C::NAME
+        );
         parse(&json).expect("rendered artifacts must parse")
     }
 
     #[test]
     fn fault_artifact_is_byte_deterministic() {
-        let doc = rendered::<Fault>(&CampaignConfig {
+        let cfg = CampaignConfig {
             vcus: 8,
             jobs_per_vcu: 4,
             seed: 7,
             fault_rates: vec![0.0, 0.25],
             mttr_s: vec![60.0, f64::INFINITY],
-        });
+        };
+        let doc = rendered::<Fault>(&cfg, 0x4E683DA65DDFEDE7);
         let cells = doc.get("cells").unwrap().as_array().unwrap();
         assert_eq!(cells.len(), 4);
         assert_eq!(cells[0].get("mttr_s").unwrap().as_f64(), Some(60.0));
@@ -366,7 +375,7 @@ mod tests {
 
     #[test]
     fn serve_artifact_is_byte_deterministic() {
-        rendered::<Serve>(&ServeCampaignConfig {
+        let cfg = ServeCampaignConfig {
             seed: 11,
             cells: vec![ServeCellSpec {
                 viewers: 300,
@@ -375,12 +384,13 @@ mod tests {
                 catalog_videos: 200,
                 horizon_s: 20.0,
             }],
-        });
+        };
+        rendered::<Serve>(&cfg, 0xAADD947B3AA52F83);
     }
 
     #[test]
     fn region_artifact_is_byte_deterministic() {
-        let doc = rendered::<Region>(&RegionCampaignConfig {
+        let cfg = RegionCampaignConfig {
             seed: 13,
             horizon_s: 60.0,
             epoch_s: 15.0,
@@ -393,7 +403,8 @@ mod tests {
                 vcus_per_cell: 8,
                 traffic_scale: 1.0,
             }],
-        });
+        };
+        let doc = rendered::<Region>(&cfg, 0xCAC38D5E9DC72A69);
         let digest = doc.get("cells").unwrap().as_array().unwrap()[0].get("merge_digest");
         assert!(
             digest.unwrap().as_u64().is_some(),
@@ -403,7 +414,7 @@ mod tests {
 
     #[test]
     fn dse_artifact_is_byte_deterministic() {
-        let doc = rendered::<Dse>(&DseConfig {
+        let cfg = DseConfig {
             seed: 7,
             vcus: 8,
             jobs_per_vcu: 12,
@@ -413,7 +424,8 @@ mod tests {
             decoder_cores: vec![3],
             dram_gib_s: vec![27.0, 36.0],
             refstore_pixels: vec![147_456],
-        });
+        };
+        let doc = rendered::<Dse>(&cfg, 0x429F818308E2ED0E);
         let anchors = doc.get("candidates").unwrap().as_array().unwrap().iter();
         assert_eq!(
             anchors

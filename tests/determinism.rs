@@ -3,7 +3,15 @@
 //! bit-stable for a fixed seed. Every randomness source is the
 //! vendored `vcu-rng` stream, so two runs with the same seed produce
 //! byte-identical reports, and different seeds genuinely differ.
+//!
+//! The simulators are also pinned *across commits*: the tests that
+//! already compute a report, a telemetry snapshot or a campaign's cells
+//! compare its FNV-1a64 (the function `tests/golden.rs` uses) against a
+//! constant. A refactor must leave every constant alone; a deliberate
+//! behaviour change re-captures them and says so, as for the golden
+//! bitstreams.
 
+use vcu_chip::faults::checksum as fnv1a64;
 use vcu_chip::{System, WorkloadShape};
 use vcu_cluster::tco::{perf_per_tco_normalized, system_tco};
 use vcu_cluster::{ClusterConfig, ClusterReport, ClusterSim, FaultInjection, FaultKind, JobSpec};
@@ -101,6 +109,11 @@ fn same_seed_is_byte_identical() {
         "job-completion traces must be identical"
     );
     assert_eq!(
+        fnv1a64(format!("{a:?}").as_bytes()),
+        0xE5C0E9FDC6F729CF,
+        "seed-42 faulted report drifted from the pinned run"
+    );
+    assert_eq!(
         a.mean_wait_s.to_bits(),
         b.mean_wait_s.to_bits(),
         "mean wait must be bit-identical"
@@ -142,6 +155,11 @@ fn telemetry_snapshot_is_byte_identical_for_same_seed() {
     let a = snapshot(42);
     let b = snapshot(42);
     assert_eq!(a, b, "same-seed telemetry snapshots must be byte-identical");
+    assert_eq!(
+        fnv1a64(a.as_bytes()),
+        0xC767FF0775E7D478,
+        "seed-42 telemetry snapshot drifted from the pinned bytes"
+    );
     // The snapshot is substantive, not vacuously equal: it carries
     // counters, utilization series, and fault events from the run.
     assert!(a.contains("\"cluster.jobs.completed\""));
@@ -241,6 +259,112 @@ fn warehouse_scale_run_is_byte_identical() {
     );
 }
 
+/// Every §4.4 mechanism in one small pinned run: the fault set
+/// `examples/chaos.rs` injects (all six fault kinds, two field repairs)
+/// against an overloaded fleet, with jittered retry backoff, periodic
+/// golden screening, an armed degradation ladder, opportunistic
+/// software decode and consistent-hash placement all live. The report
+/// and the telemetry snapshot are pinned across commits; the asserts
+/// before the hashes prove the run still reaches the paths it is there
+/// to pin.
+#[test]
+fn chaos_run_is_pinned() {
+    use vcu_cluster::{DegradePolicy, HealthPolicy, Priority, RetryPolicy, WatchdogPolicy};
+    use vcu_media::Resolution;
+
+    let jobs: Vec<JobSpec> = (0..600)
+        .map(|i| JobSpec {
+            arrival_s: i as f64 * 0.05,
+            job: if i % 2 == 0 {
+                vcu_chip::TranscodeJob::sot(
+                    Resolution::R2160,
+                    Resolution::R240,
+                    Profile::Vp9Sim,
+                    30.0,
+                    5.0,
+                )
+            } else {
+                vcu_chip::TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0)
+            },
+            priority: match i % 4 {
+                0 => Priority::Critical,
+                3 => Priority::Batch,
+                _ => Priority::Normal,
+            },
+            video_id: (i / 4) as u64,
+        })
+        .collect();
+    let fault = |time_s, worker, kind| FaultInjection {
+        time_s,
+        worker,
+        kind,
+    };
+    let faults = vec![
+        fault(5.0, 0, FaultKind::SilentCorruption),
+        fault(10.0, 1, FaultKind::FirmwareHang),
+        fault(15.0, 2, FaultKind::SlowCore { factor_pct: 1600 }),
+        fault(
+            20.0,
+            3,
+            FaultKind::EccStorm {
+                correctable_per_tick: 200,
+            },
+        ),
+        fault(25.0, 4, FaultKind::CrashLoop),
+        fault(30.0, 5, FaultKind::Dead),
+        fault(70.0, 1, FaultKind::Repair),
+        fault(90.0, 5, FaultKind::Repair),
+    ];
+    let cfg = ClusterConfig {
+        vcus: 8,
+        detection_rate: 0.7,
+        opportunistic_sw_decode: true,
+        consistent_hash_window: 5,
+        retry: RetryPolicy {
+            base_s: 2.0,
+            jitter_frac: 0.1,
+            ..RetryPolicy::default()
+        },
+        watchdog: WatchdogPolicy {
+            grace_s: 5.0,
+            service_factor: 4.0,
+        },
+        health: HealthPolicy {
+            strike_threshold: 3,
+            max_recoveries: 1,
+            golden_period_s: 30.0,
+        },
+        degrade: DegradePolicy {
+            enabled: true,
+            backlog_per_worker: [1.0, 2.0, 4.0],
+            ..DegradePolicy::default()
+        },
+        sample_period_s: 10.0,
+        seed: 11,
+        ..ClusterConfig::default()
+    };
+    let reg = Registry::new();
+    let r = ClusterSim::new(cfg, jobs, faults)
+        .with_telemetry(reg.clone())
+        .run();
+    assert_eq!(r.completed + r.failed, 600);
+    assert_eq!(r.repairs, 2);
+    assert!(r.watchdog_fired > 0 && r.crash_aborts > 0 && r.retries > 0);
+    assert!(r.caught_corruptions > 0 && r.quarantined_workers > 0);
+    assert!(r.shed > 0 && r.sw_decoded_jobs > 0 && r.sw_encoded_jobs > 0 && r.sw_full_jobs > 0);
+    assert!(r.degrade_time_frac.iter().all(|&f| f > 0.0));
+    assert_eq!(
+        fnv1a64(format!("{r:?}").as_bytes()),
+        0xDCC88323EBD83067,
+        "chaos report drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(reg.snapshot_json(&[]).as_bytes()),
+        0xE01BCC617EFA50A4,
+        "chaos telemetry snapshot drifted from the pinned bytes"
+    );
+}
+
 #[test]
 fn chunk_parallel_encode_honors_vcu_threads_deterministically() {
     // The verify script runs this suite under VCU_THREADS=1 and
@@ -302,6 +426,11 @@ fn fault_campaign_is_deterministic() {
     };
     let a = run_campaign(&cfg);
     assert_eq!(a, run_campaign(&cfg), "same-seed campaigns must agree");
+    assert_eq!(
+        fnv1a64(format!("{a:?}").as_bytes()),
+        0x00A873A83491AF3F,
+        "fault-campaign cells drifted from the pinned sweep"
+    );
     let c = run_campaign(&CampaignConfig { seed: 4321, ..cfg });
     assert_ne!(a, c, "campaign seed must steer the fault schedule");
 }
@@ -388,6 +517,11 @@ fn serve_telemetry_snapshot_is_byte_identical() {
     };
     let a = snap(9);
     assert_eq!(a, snap(9), "same-seed snapshots must be byte-identical");
+    assert_eq!(
+        fnv1a64(a.as_bytes()),
+        0x0A5E346715D2414F,
+        "serve telemetry snapshot drifted from the pinned bytes"
+    );
     assert_ne!(a, snap(10), "seed must steer the snapshot");
     assert!(a.contains("serve.ttff_s"), "TTFF histogram must land");
     assert!(
@@ -465,6 +599,10 @@ fn region_merge_is_shard_count_invariant() {
     assert_eq!(one, four, "merge_shards=4 changed the planet report");
     assert_eq!(one, seven, "merge_shards=7 changed the planet report");
     assert_eq!(one.merge_digest, four.merge_digest);
+    assert_eq!(
+        one.merge_digest, 0xEEDDB01F6F9D339D,
+        "tiny planet's merged event order drifted from the pinned run"
+    );
 }
 
 /// A seconds-long design-space sweep for the determinism suite: four

@@ -10,10 +10,9 @@
 //! same seed produces identical cells, which `vcu-bench` renders into
 //! the byte-pinned `results/fault_campaign.json`.
 
-use crate::pools::DegradePolicy;
 use crate::sim::{
-    ClusterConfig, ClusterSim, FaultInjection, FaultKind, HealthPolicy, JobSpec, Priority,
-    RetryPolicy, WatchdogPolicy,
+    ClusterConfig, ClusterSim, DegradePolicy, FaultInjection, FaultKind, HealthPolicy, JobSpec,
+    Priority, RetryPolicy, WatchdogPolicy,
 };
 use vcu_chip::{TranscodeJob, VcuModel};
 use vcu_codec::Profile;
@@ -143,19 +142,25 @@ fn cell_jobs(vcus: usize, jobs_per_vcu: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Deterministic fault schedule for one cell: `fault_rate` of the
-/// fleet (chosen by a seeded shuffle) faults at a seeded time in the
-/// first half of the arrival span, cycling through
-/// [`CAMPAIGN_FAULTS`]; each fault is followed by a repair `mttr_s`
-/// later when MTTR is finite.
-fn cell_faults(
-    vcus: usize,
-    jobs_per_vcu: usize,
-    fault_rate: f64,
-    mttr_s: f64,
-    rng: &mut Rng,
-) -> Vec<FaultInjection> {
-    fault_schedule(vcus, arrival_span_s(jobs_per_vcu), fault_rate, mttr_s, rng)
+/// `kind` hits `worker` at `time_s`; a field repair follows at
+/// `repaired_at_s`, if ever.
+fn push_outage(
+    faults: &mut Vec<FaultInjection>,
+    worker: usize,
+    time_s: f64,
+    kind: FaultKind,
+    repaired_at_s: Option<f64>,
+) {
+    faults.push(FaultInjection {
+        time_s,
+        worker,
+        kind,
+    });
+    faults.extend(repaired_at_s.map(|time_s| FaultInjection {
+        time_s,
+        worker,
+        kind: FaultKind::Repair,
+    }));
 }
 
 /// The campaign's representative fault mix over an explicit time span:
@@ -174,22 +179,12 @@ pub fn fault_schedule(
     let n_faulted = ((vcus as f64 * fault_rate).round() as usize).min(vcus);
     let mut workers: Vec<usize> = (0..vcus).collect();
     rng.shuffle(&mut workers);
-    let span = span_s;
     let mut faults = Vec::with_capacity(n_faulted * 2);
     for (k, &w) in workers.iter().take(n_faulted).enumerate() {
-        let time_s = rng.gen_range(10.0..(span * 0.5).max(11.0));
-        faults.push(FaultInjection {
-            time_s,
-            worker: w,
-            kind: CAMPAIGN_FAULTS[k % CAMPAIGN_FAULTS.len()],
-        });
-        if mttr_s.is_finite() {
-            faults.push(FaultInjection {
-                time_s: time_s + mttr_s,
-                worker: w,
-                kind: FaultKind::Repair,
-            });
-        }
+        let time_s = rng.gen_range(10.0..(span_s * 0.5).max(11.0));
+        let kind = CAMPAIGN_FAULTS[k % CAMPAIGN_FAULTS.len()];
+        let repaired_at_s = mttr_s.is_finite().then(|| time_s + mttr_s);
+        push_outage(&mut faults, w, time_s, kind, repaired_at_s);
     }
     faults
 }
@@ -219,16 +214,13 @@ pub fn correlated_domain_faults(
     for &d in domains.iter().take(domains_hit.min(n_domains)) {
         let time_s = rng.gen_range(10.0..(span_s * 0.6).max(11.0));
         for w in (d * domain_workers)..((d + 1) * domain_workers).min(vcus) {
-            faults.push(FaultInjection {
+            push_outage(
+                &mut faults,
+                w,
                 time_s,
-                worker: w,
-                kind: FaultKind::Dead,
-            });
-            faults.push(FaultInjection {
-                time_s: time_s + outage_s,
-                worker: w,
-                kind: FaultKind::Repair,
-            });
+                FaultKind::Dead,
+                Some(time_s + outage_s),
+            );
         }
     }
     faults
@@ -254,16 +246,13 @@ pub fn upgrade_wave_faults(
     for w in 0..vcus {
         let wave = (w / wave_workers) as f64;
         let time_s = start_s + wave * wave_gap_s;
-        faults.push(FaultInjection {
+        push_outage(
+            &mut faults,
+            w,
             time_s,
-            worker: w,
-            kind: FaultKind::Dead,
-        });
-        faults.push(FaultInjection {
-            time_s: time_s + outage_s,
-            worker: w,
-            kind: FaultKind::Repair,
-        });
+            FaultKind::Dead,
+            Some(time_s + outage_s),
+        );
     }
     faults
 }
@@ -308,7 +297,8 @@ pub fn run_cell(cfg: &CampaignConfig, fault_rate: f64, mttr_s: f64, cell: u64) -
     let mut rng = Rng::seed_from_u64(cell_seed);
     let jobs = cell_jobs(cfg.vcus, cfg.jobs_per_vcu);
     let n_jobs = jobs.len() as u64;
-    let faults = cell_faults(cfg.vcus, cfg.jobs_per_vcu, fault_rate, mttr_s, &mut rng);
+    let span_s = arrival_span_s(cfg.jobs_per_vcu);
+    let faults = fault_schedule(cfg.vcus, span_s, fault_rate, mttr_s, &mut rng);
     let report = ClusterSim::new(cell_cluster_config(cfg.vcus, cell_seed), jobs, faults).run();
     CampaignCell {
         fault_rate,
@@ -374,7 +364,13 @@ mod tests {
         let cfg = tiny();
         let schedule = |seed: u64| {
             let mut rng = Rng::seed_from_u64(mix64(seed, 1));
-            cell_faults(cfg.vcus, cfg.jobs_per_vcu, 0.25, 60.0, &mut rng)
+            fault_schedule(
+                cfg.vcus,
+                arrival_span_s(cfg.jobs_per_vcu),
+                0.25,
+                60.0,
+                &mut rng,
+            )
         };
         let a = schedule(cfg.seed);
         assert_eq!(a, schedule(cfg.seed), "same seed, same schedule");

@@ -5,9 +5,11 @@
 //! - [`scheduler`]: the §3.3.3 multi-dimensional bin-packing work
 //!   scheduler with a sharded availability cache (plus the legacy
 //!   single-slot baseline for ablations),
-//! - [`sim`]: the cluster simulator tying scheduler, VCU fault models,
-//!   retries, black-holing mitigation and opportunistic software
-//!   decode together,
+//! - [`sim`]: the cluster simulator — a dispatch core (event loop,
+//!   pending queues, placement, the open-world stepping API) over
+//!   state-owning components for retry backoff, fleet health
+//!   (watchdog strikes, draining, golden screening, quarantine), the
+//!   graceful-degradation ladder, and accounting,
 //! - [`faultsim`]: the deterministic fault-campaign harness sweeping
 //!   fault rate × MTTR over a fleet (§4.4's failure management under
 //!   load),
@@ -15,7 +17,6 @@
 //!   perf/TCO column.
 pub mod des;
 pub mod faultsim;
-pub mod pools;
 pub mod scheduler;
 pub mod sim;
 pub mod tco;
@@ -25,10 +26,10 @@ pub use faultsim::{
     cell_cluster_config, correlated_domain_faults, fault_schedule, run_campaign, run_cell,
     upgrade_wave_faults, CampaignCell, CampaignConfig,
 };
-pub use pools::{DegradePolicy, PoolId, PoolManager, UseCase};
 pub use scheduler::{PlacementMode, Scheduler, SchedulerKind};
 pub use sim::{
-    AttemptMode, ClusterConfig, ClusterReport, ClusterSim, FaultInjection, FaultKind, HealthPolicy,
-    JobResolution, JobSpec, Priority, RetryPolicy, Sample, WatchdogPolicy, WorkerMgmtState,
+    AttemptMode, ClusterConfig, ClusterReport, ClusterSim, ConfigError, DegradePolicy,
+    FaultInjection, FaultKind, HealthPolicy, JobResolution, JobSpec, Priority, RetryPolicy, Sample,
+    WatchdogPolicy, WorkerMgmtState,
 };
 pub use tco::{perf_per_tco, perf_per_tco_normalized, system_tco, vcu_host_tco_for, Tco};

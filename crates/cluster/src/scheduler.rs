@@ -423,17 +423,6 @@ impl Scheduler {
         }
         self.used_decode as f64 / denom
     }
-
-    /// Workers that are fully idle (candidates for pool reallocation;
-    /// Figure 6's "Worker N … is a candidate for being stopped").
-    pub fn idle_workers(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.jobs == 0 && w.accepting)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -542,13 +531,6 @@ mod tests {
         assert!((s.encode_utilization() - 0.5).abs() < 1e-9);
         s.place(demand(3000, 0), 0);
         assert!((s.decode_utilization() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn idle_worker_detection() {
-        let mut s = Scheduler::new(SchedulerKind::MultiDim, 3, 1);
-        s.place(demand(100, 100), 0);
-        assert_eq!(s.idle_workers(), vec![1, 2]);
     }
 
     #[test]

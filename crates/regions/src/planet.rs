@@ -313,11 +313,6 @@ impl PlanetSim {
         );
     }
 
-    /// Test/diagnostic hook: per-region backlog pressures right now.
-    pub fn pressures(&self) -> Vec<f64> {
-        self.regions.iter().map(RegionSim::pressure).collect()
-    }
-
     fn reduce(self, drained_at_s: f64, routed_jobs: u64) -> PlanetReport {
         let reports: Vec<RegionReport> = self.regions.into_iter().map(RegionSim::finish).collect();
         let jobs: u64 = reports.iter().map(|r| r.jobs).sum();

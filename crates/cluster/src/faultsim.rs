@@ -142,27 +142,6 @@ fn cell_jobs(vcus: usize, jobs_per_vcu: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-/// `kind` hits `worker` at `time_s`; a field repair follows at
-/// `repaired_at_s`, if ever.
-fn push_outage(
-    faults: &mut Vec<FaultInjection>,
-    worker: usize,
-    time_s: f64,
-    kind: FaultKind,
-    repaired_at_s: Option<f64>,
-) {
-    faults.push(FaultInjection {
-        time_s,
-        worker,
-        kind,
-    });
-    faults.extend(repaired_at_s.map(|time_s| FaultInjection {
-        time_s,
-        worker,
-        kind: FaultKind::Repair,
-    }));
-}
-
 /// The campaign's representative fault mix over an explicit time span:
 /// `fault_rate` of the fleet (seeded shuffle) faults at a seeded time
 /// in the first half of `span_s`, cycling through the six
@@ -182,9 +161,18 @@ pub fn fault_schedule(
     let mut faults = Vec::with_capacity(n_faulted * 2);
     for (k, &w) in workers.iter().take(n_faulted).enumerate() {
         let time_s = rng.gen_range(10.0..(span_s * 0.5).max(11.0));
-        let kind = CAMPAIGN_FAULTS[k % CAMPAIGN_FAULTS.len()];
-        let repaired_at_s = mttr_s.is_finite().then(|| time_s + mttr_s);
-        push_outage(&mut faults, w, time_s, kind, repaired_at_s);
+        faults.push(FaultInjection {
+            time_s,
+            worker: w,
+            kind: CAMPAIGN_FAULTS[k % CAMPAIGN_FAULTS.len()],
+        });
+        if mttr_s.is_finite() {
+            faults.push(FaultInjection {
+                time_s: time_s + mttr_s,
+                worker: w,
+                kind: FaultKind::Repair,
+            });
+        }
     }
     faults
 }
@@ -214,13 +202,16 @@ pub fn correlated_domain_faults(
     for &d in domains.iter().take(domains_hit.min(n_domains)) {
         let time_s = rng.gen_range(10.0..(span_s * 0.6).max(11.0));
         for w in (d * domain_workers)..((d + 1) * domain_workers).min(vcus) {
-            push_outage(
-                &mut faults,
-                w,
+            faults.push(FaultInjection {
                 time_s,
-                FaultKind::Dead,
-                Some(time_s + outage_s),
-            );
+                worker: w,
+                kind: FaultKind::Dead,
+            });
+            faults.push(FaultInjection {
+                time_s: time_s + outage_s,
+                worker: w,
+                kind: FaultKind::Repair,
+            });
         }
     }
     faults
@@ -246,13 +237,16 @@ pub fn upgrade_wave_faults(
     for w in 0..vcus {
         let wave = (w / wave_workers) as f64;
         let time_s = start_s + wave * wave_gap_s;
-        push_outage(
-            &mut faults,
-            w,
+        faults.push(FaultInjection {
             time_s,
-            FaultKind::Dead,
-            Some(time_s + outage_s),
-        );
+            worker: w,
+            kind: FaultKind::Dead,
+        });
+        faults.push(FaultInjection {
+            time_s: time_s + outage_s,
+            worker: w,
+            kind: FaultKind::Repair,
+        });
     }
     faults
 }

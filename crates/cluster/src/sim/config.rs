@@ -148,9 +148,8 @@ impl ClusterConfig {
     ///
     /// Returns the first offending field as a [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let rule = |ok: bool, field, requirement| match ok {
-            true => Ok(()),
-            false => Err(ConfigError { field, requirement }),
+        let rule = |ok: bool, field, requirement| {
+            ok.then_some(()).ok_or(ConfigError { field, requirement })
         };
         let (retry, watchdog) = (&self.retry, &self.watchdog);
         rule(self.vcus >= 1, "vcus", "at least 1")?;

@@ -337,7 +337,7 @@ impl ClusterSim {
         };
         let spec = &job.spec;
         let duration_s = spec.job.duration_s;
-        let wait_s = (a.number == 1).then(|| now - spec.arrival_s);
+        let wait_s = (a.number == 1).then_some(now - spec.arrival_s);
         self.tally.placed(w, spec.video_id, wait_s);
         self.running_per_pool[spec.priority.index()] += 1;
         self.telemetry.counter_inc("cluster.attempts");

@@ -237,7 +237,7 @@ impl Fleet {
             return [None, None];
         }
         wk.mgmt = WorkerMgmtState::Draining;
-        let drained = idle.then(|| self.finish_drain(w)).flatten();
+        let drained = if idle { self.finish_drain(w) } else { None };
         [Some(WorkerEvent::Draining), drained]
     }
 

@@ -15,8 +15,8 @@
 //!   many corrupted chunks escape the integrity checks.
 //!
 //! [`ClusterSim`] is a small **dispatch core**: the event queue, the
-//! pending queues, placement, and the open-world stepping API (this
-//! file), with the event handlers in `dispatch`. The mechanisms it
+//! pending queues and the open-world stepping API (this file), with
+//! the event handlers and placement in `dispatch`. The mechanisms it
 //! dispatches to each own their state in a sibling module and never
 //! touch the queue, the scheduler, the RNG or telemetry — they return
 //! what happened and the core acts on it, so event `seq` assignment,

@@ -51,6 +51,9 @@ stage_clippy() {
 # Smoke-run every example with its built-in fixed seed (VCU_SEED
 # unset → defaults), offline; `set -e` fails the stage on any
 # non-zero exit. Each prints a one-line JSON summary at the end.
+# `observe` rewrites its committed telemetry snapshots; they must come
+# out byte-identical, which pins the cluster's series, counters and
+# event order across commits.
 stage_examples() {
     local ex
     for ex in quickstart upload_pipeline live_streaming cloud_gaming failure_drill observe chaos serve; do
@@ -58,6 +61,9 @@ stage_examples() {
         env -u VCU_SEED cargo run -q -p vcu-bench --release --offline --example "$ex" \
             | tail -n 1
     done
+    git diff --exit-code -- results/observe_telemetry_hw.json \
+        results/observe_telemetry_node.json results/observe_telemetry_sw_offload.json \
+        results/observe_utilization.txt
 }
 
 # Smoke-run the cluster-scale bench in its seconds-long configuration
@@ -95,10 +101,12 @@ stage_bench_gate() {
 
 # benchmark/ is a separate package with its own lockfile, which records
 # each workspace crate's dependency list; a crate-graph change here
-# would stale it. Fail now, not in the benchmark pipeline.
+# would stale it, and a change to the public surface it consumes would
+# stop it compiling. Fail now, not in the benchmark pipeline.
 stage_benchmark_lock() {
     cargo metadata --locked --offline --manifest-path benchmark/Cargo.toml \
         --format-version 1 >/dev/null
+    cargo check --locked --offline --manifest-path benchmark/Cargo.toml
 }
 
 # The determinism suite must hold at any thread count: run it once

@@ -365,6 +365,151 @@ fn chaos_run_is_pinned() {
     );
 }
 
+/// The regime the DSE sweep, the planet and the serve campaign live
+/// in: the DSE four-shape job mix (live 1080p one-pass → Critical,
+/// decode-bound 4K60→360p and 4K30 MOT → Normal, 1080p MOT → Batch)
+/// offered at ~1.3× what a 12-VCU fleet can carry on its most-loaded
+/// dimension, with faults and a repair, an armed ladder, opportunistic
+/// software decode and jittered backoff. Nearly every scheduling pass
+/// of this run ends on the head-of-line miss cap. Returns the report
+/// and the telemetry snapshot.
+fn saturated_mix_run(consistent_hash_window: usize) -> (ClusterReport, String) {
+    use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
+    use vcu_cluster::{DegradePolicy, Priority, RetryPolicy};
+    use vcu_media::Resolution;
+
+    const VCUS: usize = 12;
+    const JOBS: usize = 1920;
+    const OFFERED_LOAD: f64 = 1.3;
+    let mix = [
+        TranscodeJob::sot(
+            Resolution::R1080,
+            Resolution::R1080,
+            Profile::Vp9Sim,
+            30.0,
+            2.0,
+        )
+        .low_latency(),
+        TranscodeJob::sot(
+            Resolution::R2160,
+            Resolution::R360,
+            Profile::Vp9Sim,
+            60.0,
+            12.0,
+        ),
+        TranscodeJob::mot(Resolution::R2160, Profile::Vp9Sim, 30.0, 5.0),
+        TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0),
+    ];
+    // VCU-seconds one pass through the mix puts on the most-loaded
+    // scheduler dimension; the arrival span follows from the load.
+    let cap = ResourceDemand::vcu_capacity();
+    let model = VcuModel::new();
+    let mut work = [0.0f64; 4];
+    for job in &mix {
+        let d = model.job_demand(job);
+        work[0] += job.duration_s * d.millidecode as f64 / cap.millidecode as f64;
+        work[1] += job.duration_s * d.milliencode as f64 / cap.milliencode as f64;
+        work[2] += job.duration_s * d.dram_mib as f64 / cap.dram_mib as f64;
+        work[3] += job.duration_s * d.host_mcpu as f64 / cap.host_mcpu as f64;
+    }
+    let busiest = work.iter().cloned().fold(0.0, f64::max);
+    let span_s = (JOBS / VCUS) as f64 * busiest / (mix.len() as f64 * OFFERED_LOAD);
+    let jobs: Vec<JobSpec> = (0..JOBS)
+        .map(|i| JobSpec {
+            arrival_s: i as f64 * span_s / JOBS as f64,
+            job: mix[i % mix.len()].clone(),
+            priority: match i % 4 {
+                0 => Priority::Critical,
+                3 => Priority::Batch,
+                _ => Priority::Normal,
+            },
+            video_id: (i / 4) as u64,
+        })
+        .collect();
+    let fault = |time_s, worker, kind| FaultInjection {
+        time_s,
+        worker,
+        kind,
+    };
+    let faults = vec![
+        fault(8.0, 2, FaultKind::Dead),
+        fault(12.0, 5, FaultKind::SilentCorruption),
+        fault(16.0, 7, FaultKind::CrashLoop),
+        fault(20.0, 9, FaultKind::FirmwareHang),
+        fault(0.6 * span_s, 2, FaultKind::Repair),
+    ];
+    let cfg = ClusterConfig {
+        vcus: VCUS,
+        detection_rate: 0.9,
+        opportunistic_sw_decode: true,
+        consistent_hash_window,
+        retry: RetryPolicy {
+            base_s: 2.0,
+            jitter_frac: 0.1,
+            ..RetryPolicy::default()
+        },
+        degrade: DegradePolicy {
+            enabled: true,
+            backlog_per_worker: [2.0, 4.0, 8.0],
+            ..DegradePolicy::default()
+        },
+        sample_period_s: 5.0,
+        seed: 15,
+        ..ClusterConfig::default()
+    };
+    let reg = Registry::new();
+    let r = ClusterSim::new(cfg, jobs, faults)
+        .with_telemetry(reg.clone())
+        .run();
+    assert_eq!(r.completed + r.failed, JOBS as u64);
+    assert_eq!(r.repairs, 1);
+    let deepest = r.samples.iter().map(|s| s.queued).max().unwrap_or(0);
+    assert!(
+        deepest >= 48,
+        "the queue must outgrow the miss cap: {deepest}"
+    );
+    let rungs = r.degrade_time_frac.iter().filter(|&&f| f > 0.0).count();
+    assert!(
+        rungs >= 2,
+        "the ladder must move: {:?}",
+        r.degrade_time_frac
+    );
+    assert!(r.shed > 0, "the top rung must shed Batch work");
+    (r, reg.snapshot_json(&[]))
+}
+
+#[test]
+fn saturated_mix_run_is_pinned() {
+    let (r, snapshot) = saturated_mix_run(0);
+    assert_eq!(
+        fnv1a64(format!("{r:?}").as_bytes()),
+        0x8EFDD5E7704C9127,
+        "saturated report drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(snapshot.as_bytes()),
+        0x47A9DE4700AECDBE,
+        "saturated telemetry snapshot drifted from the pinned bytes"
+    );
+}
+
+/// The same run with consistent-hash placement: bounded windows are
+/// the queries the blocked-demand memo must not generalise over.
+#[test]
+fn saturated_mix_run_with_hash_windows_is_pinned() {
+    let (r, snapshot) = saturated_mix_run(5);
+    assert_eq!(
+        fnv1a64(format!("{r:?}").as_bytes()),
+        0xCA2281DE6D314EB9,
+        "hash-window saturated report drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(snapshot.as_bytes()),
+        0x04A80B725AEB0B9A,
+        "hash-window saturated telemetry snapshot drifted from the pinned bytes"
+    );
+}
+
 #[test]
 fn chunk_parallel_encode_honors_vcu_threads_deterministically() {
     // The verify script runs this suite under VCU_THREADS=1 and

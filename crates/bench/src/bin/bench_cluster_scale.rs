@@ -13,7 +13,11 @@
 //!    the headline number (target ≥10×).
 //! 2. **Full-simulation runs** — proportional load (50 jobs/VCU, 500k
 //!    jobs at 10k VCUs) through `ClusterSim`, recording jobs/sec.
-//! 3. **Equivalence gate** — at every scale the indexed and linear
+//! 3. **Saturated run** — the same fleet offered 1.3× what it can carry
+//!    with the degradation ladder armed: the regime the DSE sweep, the
+//!    planet and the serve campaign run in, where nearly every
+//!    scheduling pass ends on the head-of-line miss cap.
+//! 4. **Equivalence gate** — at every scale the indexed and linear
 //!    paths must produce *identical* `ClusterReport`s (first-fit order
 //!    is observable behaviour); the bench aborts if they diverge.
 //!
@@ -24,8 +28,8 @@
 use vcu_bench::timing::{output_path, smoke, Harness};
 use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
 use vcu_cluster::{
-    ClusterConfig, ClusterReport, ClusterSim, JobSpec, PlacementMode, Priority, Scheduler,
-    SchedulerKind,
+    ClusterConfig, ClusterReport, ClusterSim, DegradePolicy, JobSpec, PlacementMode, Priority,
+    Scheduler, SchedulerKind,
 };
 use vcu_codec::Profile;
 use vcu_media::Resolution;
@@ -55,23 +59,69 @@ fn fleet_jobs(vcus: usize, jobs_per_vcu: usize, target_util: f64) -> Vec<JobSpec
         .collect()
 }
 
-fn run_sim(vcus: usize, jobs: Vec<JobSpec>, placement: PlacementMode) -> ClusterReport {
+/// `saturated` arms the degradation ladder and samples often enough
+/// for it to climb while the overload lasts.
+fn run_sim(
+    vcus: usize,
+    jobs: Vec<JobSpec>,
+    placement: PlacementMode,
+    saturated: bool,
+) -> ClusterReport {
     let cfg = ClusterConfig {
         vcus,
         placement,
-        sample_period_s: 60.0,
+        sample_period_s: if saturated { 5.0 } else { 60.0 },
+        degrade: DegradePolicy {
+            enabled: saturated,
+            ..DegradePolicy::default()
+        },
         ..ClusterConfig::default()
     };
     ClusterSim::new(cfg, jobs, vec![]).run()
 }
 
+/// One timed whole-simulation rep recorded as `name`; returns its
+/// report.
+fn timed_sim(
+    h: &mut Harness,
+    name: &str,
+    vcus: usize,
+    jobs: &[JobSpec],
+    placement: PlacementMode,
+    saturated: bool,
+) -> ClusterReport {
+    let n_jobs = jobs.len() as u64;
+    // bench_reps closures are Fn + Sync (they may fan out across the
+    // pool), so the result slot sits behind a lock.
+    let slot = std::sync::Mutex::new(None);
+    let r = h.bench_reps(name, Some(n_jobs), 1, || {
+        *slot.lock().unwrap() = Some(run_sim(vcus, jobs.to_vec(), placement, saturated))
+    });
+    println!(
+        "  {vcus:>6} VCUs ({name}): {n_jobs} jobs at {:.0} jobs/s",
+        r.elems_per_s().unwrap_or(0.0)
+    );
+    let report: ClusterReport = slot.into_inner().unwrap().expect("bench ran at least once");
+    assert_eq!(
+        report.completed + report.failed,
+        n_jobs,
+        "every job must resolve"
+    );
+    report
+}
+
 /// The observable placement behaviour both paths must share exactly.
-fn fingerprint(r: &ClusterReport) -> (u64, u64, u64, u64, &[u64]) {
+fn fingerprint(r: &ClusterReport) -> ([u64; 7], &[u64]) {
     (
-        r.completed,
-        r.failed,
-        r.retries,
-        r.sw_decoded_jobs,
+        [
+            r.completed,
+            r.failed,
+            r.retries,
+            r.shed,
+            r.sw_decoded_jobs,
+            r.sw_encoded_jobs,
+            r.sw_full_jobs,
+        ],
         &r.attempts_per_worker,
     )
 }
@@ -154,7 +204,6 @@ fn main() {
     println!("full simulation: proportional load, both placement paths\n");
     for &vcus in scales {
         let jobs = fleet_jobs(vcus, jobs_per_vcu, 0.9);
-        let n_jobs = jobs.len() as u64;
         // One timed rep per mode (a whole-sim macro-run), plus the
         // equivalence gate on the reports.
         let mut reports: Vec<ClusterReport> = Vec::new();
@@ -170,7 +219,7 @@ fn main() {
                 let gn = gate_jobs.len() as u64;
                 let mut gate_reports = Vec::new();
                 for m in [PlacementMode::Indexed, PlacementMode::LinearScan] {
-                    gate_reports.push(run_sim(vcus, gate_jobs.clone(), m));
+                    gate_reports.push(run_sim(vcus, gate_jobs.clone(), m, false));
                 }
                 assert_eq!(
                     fingerprint(&gate_reports[0]),
@@ -180,26 +229,8 @@ fn main() {
                 println!("  {vcus:>6} VCUs: linear full run skipped (gate on {gn} jobs passed)");
                 continue;
             }
-            let jobs_clone = jobs.clone();
-            let rep = {
-                // bench_reps closures are Fn + Sync (they may fan out
-                // across the pool), so the result slot sits behind a
-                // lock.
-                let slot = std::sync::Mutex::new(None);
-                let r = h.bench_reps(
-                    &format!("cluster_scale/sim_{tag}_{vcus}"),
-                    Some(n_jobs),
-                    1,
-                    || *slot.lock().unwrap() = Some(run_sim(vcus, jobs_clone.clone(), mode)),
-                );
-                println!(
-                    "  {vcus:>6} VCUs ({tag}): {n_jobs} jobs at {:.0} jobs/s",
-                    r.elems_per_s().unwrap_or(0.0)
-                );
-                slot.into_inner().unwrap().expect("bench ran at least once")
-            };
-            assert_eq!(rep.completed + rep.failed, n_jobs, "every job must resolve");
-            reports.push(rep);
+            let name = format!("cluster_scale/sim_{tag}_{vcus}");
+            reports.push(timed_sim(&mut h, &name, vcus, &jobs, mode, false));
         }
         if reports.len() == 2 {
             assert_eq!(
@@ -210,6 +241,30 @@ fn main() {
         }
         println!();
     }
+
+    println!("saturated simulation: 1.3x offered load, ladder armed\n");
+    let vcus = if smoke { 64 } else { 1_000 };
+    // Four times the jobs of the runs above: the backlog has to
+    // outgrow the miss cap and hold long enough for the ladder to move.
+    let jobs = fleet_jobs(vcus, 4 * jobs_per_vcu, 1.3);
+    let name = format!("cluster_scale/sim_saturated_{vcus}");
+    let indexed = timed_sim(&mut h, &name, vcus, &jobs, PlacementMode::Indexed, true);
+    let deepest = indexed.samples.iter().map(|s| s.queued).max().unwrap_or(0);
+    assert!(
+        deepest >= 48,
+        "the queue must outgrow the miss cap: {deepest}"
+    );
+    assert!(
+        indexed.degrade_time_frac[0] < 1.0,
+        "1.3x load must move the ladder"
+    );
+    let linear = run_sim(vcus, jobs, PlacementMode::LinearScan, true);
+    assert_eq!(
+        fingerprint(&indexed),
+        fingerprint(&linear),
+        "placement paths diverged on the saturated {vcus}-VCU run"
+    );
+    println!();
 
     if !smoke {
         assert!(

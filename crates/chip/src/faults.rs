@@ -8,6 +8,7 @@
 //! encode whose output checksum is compared against a known-good value,
 //! "relying on the core's deterministic behavior".
 
+use std::sync::OnceLock;
 use vcu_codec::{encode, EncoderConfig, Profile, Qp, TuningLevel};
 use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::Resolution;
@@ -160,12 +161,10 @@ impl FaultyVcu {
         self.crash_loop = false;
     }
 
-    /// Cheap periodic screening check against pre-computed golden
-    /// bytes: passes the cached golden payload through this VCU's data
-    /// path and compares checksums. Unlike [`golden_test`] this does
-    /// not re-encode the golden clip, so a cluster can screen thousands
-    /// of workers on a cadence. A hung or crash-looping VCU fails
-    /// screening outright — the probe job would never return cleanly.
+    /// Periodic screening check: passes the golden payload through
+    /// this VCU's data path and compares checksums. Unlike
+    /// [`golden_test`], a hung or crash-looping VCU fails screening
+    /// outright — the probe job would never return cleanly.
     pub fn screen(&self, golden: &[u8], expected: u64) -> bool {
         if !self.accepts_work() || self.hung || self.crash_loop {
             return false;
@@ -189,10 +188,35 @@ impl FaultyVcu {
     }
 }
 
+/// The golden transcode and its checksum.
+#[derive(Debug)]
+pub struct Golden {
+    /// The encoded golden clip.
+    pub bytes: Vec<u8>,
+    /// FNV-1a checksum of `bytes` on known-good hardware.
+    pub checksum: u64,
+}
+
 /// The golden transcode: a short, deterministic hardware-toolset encode
 /// of a fixed synthetic clip. Both the expected checksum and the check
 /// itself use the real codec, so any corruption in the data path shows.
-pub fn golden_transcode_bytes() -> Vec<u8> {
+///
+/// The clip takes no argument and the encoder is deterministic, so it
+/// is encoded once per process and shared. The first caller may be a
+/// `vcu-exec` worker (a simulator built inside a batch task): `encode`
+/// is the sequential encoder and submits no batch of its own.
+pub fn golden() -> &'static Golden {
+    static GOLDEN: OnceLock<Golden> = OnceLock::new();
+    GOLDEN.get_or_init(|| {
+        let bytes = encode_golden();
+        Golden {
+            checksum: checksum(&bytes),
+            bytes,
+        }
+    })
+}
+
+fn encode_golden() -> Vec<u8> {
     let video =
         SynthSpec::new(Resolution::R144, 2, ContentClass::screen_content(), 0x601D).generate();
     let cfg =
@@ -213,20 +237,20 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Runs the golden self-test against a VCU: encodes the golden clip,
-/// passes the result through the VCU's data path, and compares
-/// checksums. Returns `true` if the VCU is clean.
+/// Runs the golden self-test against a VCU: passes the golden clip
+/// through the VCU's data path and compares checksums. Returns `true`
+/// if the VCU is clean.
 pub fn golden_test(vcu: &FaultyVcu, expected: u64) -> bool {
     if !vcu.accepts_work() {
         return false;
     }
-    let out = vcu.taint(golden_transcode_bytes());
+    let out = vcu.taint(golden().bytes.clone());
     checksum(&out) == expected
 }
 
-/// Computes the expected golden checksum on known-good hardware.
+/// The expected golden checksum on known-good hardware.
 pub fn golden_expected() -> u64 {
-    checksum(&golden_transcode_bytes())
+    golden().checksum
 }
 
 #[cfg(test)]
@@ -282,8 +306,10 @@ mod tests {
 
     #[test]
     fn golden_transcode_is_stable() {
-        // Same bytes every time — determinism is the whole point.
-        assert_eq!(golden_expected(), golden_expected());
+        // Same bytes every time — determinism is the whole point, and
+        // what lets one encode per process stand in for all of them.
+        assert_eq!(encode_golden(), golden().bytes);
+        assert_eq!(golden_expected(), checksum(&golden().bytes));
     }
 
     #[test]
@@ -336,30 +362,29 @@ mod tests {
 
     #[test]
     fn screen_matches_golden_test_without_reencoding() {
-        let golden = golden_transcode_bytes();
-        let expected = checksum(&golden);
+        let (clip, expected) = (&golden().bytes[..], golden().checksum);
         let healthy = FaultyVcu::new(7);
-        assert!(healthy.screen(&golden, expected));
+        assert!(healthy.screen(clip, expected));
 
         let mut corrupting = FaultyVcu::new(7);
         corrupting.inject_silent_corruption();
-        assert!(!corrupting.screen(&golden, expected));
+        assert!(!corrupting.screen(clip, expected));
 
         let mut hung = FaultyVcu::new(8);
         hung.inject_hang();
         assert!(
-            !hung.screen(&golden, expected),
+            !hung.screen(clip, expected),
             "probe never returns from a hung core"
         );
 
         let mut looping = FaultyVcu::new(9);
         looping.inject_crash_loop();
-        assert!(!looping.screen(&golden, expected));
+        assert!(!looping.screen(clip, expected));
 
         let mut slow = FaultyVcu::new(10);
         slow.inject_slow(4.0);
         assert!(
-            slow.screen(&golden, expected),
+            slow.screen(clip, expected),
             "slow output is still correct output"
         );
     }

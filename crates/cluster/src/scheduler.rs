@@ -186,6 +186,8 @@ pub struct Scheduler {
     used_encode: u64,
     /// Cluster-wide placed decode millicores.
     used_decode: u64,
+    /// See [`Scheduler::capacity_epoch`].
+    capacity_epoch: u64,
     /// Statistics: placements attempted/succeeded.
     pub placements: u64,
     /// Requests that found no worker.
@@ -226,6 +228,7 @@ impl Scheduler {
             capacity,
             used_encode: 0,
             used_decode: 0,
+            capacity_epoch: 0,
             placements: 0,
             rejections: 0,
         };
@@ -254,7 +257,20 @@ impl Scheduler {
     /// pool reallocation).
     pub fn set_accepting(&mut self, w: usize, accepting: bool) {
         self.workers[w].accepting = accepting;
+        if accepting {
+            self.capacity_epoch += 1;
+        }
         self.sync_index(w);
+    }
+
+    /// Counts the operations that can turn a rejection into a
+    /// placement: [`Scheduler::release`] and re-accepting a worker.
+    /// Everything else only takes capacity away, so while this stands
+    /// still a demand that [`Scheduler::place_from`] rejected over some
+    /// window is still rejected over it — and so is any demand at
+    /// least as large in every dimension.
+    pub fn capacity_epoch(&self) -> u64 {
+        self.capacity_epoch
     }
 
     /// Worker `w`'s leaf in the availability index.
@@ -312,16 +328,7 @@ impl Scheduler {
         start: usize,
         window: usize,
     ) -> Option<usize> {
-        let n = self.workers.len();
-        if n == 0 || window == 0 {
-            self.rejections += 1;
-            return None;
-        }
-        let found = match self.placement {
-            PlacementMode::LinearScan => self.scan_linear(demand, start, window),
-            PlacementMode::Indexed => self.scan_indexed(demand, start, window),
-        };
-        match found {
+        match self.probe_from(demand, start, window) {
             Some(w) => {
                 debug_assert!(
                     self.can_place(w, demand),
@@ -335,6 +342,18 @@ impl Scheduler {
                 self.rejections += 1;
                 None
             }
+        }
+    }
+
+    /// The worker [`Scheduler::place_from`] would choose, without
+    /// placing anything or touching the statistics.
+    pub fn probe_from(&self, demand: ResourceDemand, start: usize, window: usize) -> Option<usize> {
+        if self.workers.is_empty() || window == 0 {
+            return None;
+        }
+        match self.placement {
+            PlacementMode::LinearScan => self.scan_linear(demand, start, window),
+            PlacementMode::Indexed => self.scan_indexed(demand, start, window),
         }
     }
 
@@ -399,6 +418,7 @@ impl Scheduler {
         wk.jobs = wk.jobs.saturating_sub(1);
         self.used_encode = self.used_encode.saturating_sub(demand.milliencode as u64);
         self.used_decode = self.used_decode.saturating_sub(demand.millidecode as u64);
+        self.capacity_epoch += 1;
         self.sync_index(w);
     }
 

@@ -12,6 +12,7 @@ use super::degrade::AttemptMode;
 use super::fleet::{FaultKind, WorkerEvent};
 use super::tally::{Incident, Sample};
 use super::{Attempt, ClusterSim, Event, JobResolution, Priority};
+use std::collections::VecDeque;
 use vcu_chip::faults::HealthState;
 use vcu_chip::ResourceDemand;
 use vcu_telemetry::Scope;
@@ -19,6 +20,58 @@ use vcu_telemetry::Scope;
 /// How far a crash-looping firmware gets into an attempt before
 /// aborting, seconds (capped at the attempt's own service time).
 const CRASH_ABORT_S: f64 = 2.0;
+
+/// What the scheduling passes since capacity last grew have learned
+/// cannot be placed, so a saturated cluster does not re-ask the
+/// scheduler the same unanswerable question on every event.
+///
+/// A failed placement is monotone. Until capacity is freed
+/// ([`Scheduler::capacity_epoch`](crate::scheduler::Scheduler::capacity_epoch)
+/// moves) or the ladder changes rung (a different candidate set), a
+/// job that missed still misses — and so does any job whose hardware
+/// demand is at least as large in every dimension, asked over the same
+/// workers: each [`AttemptMode`]'s demand is monotone in the hardware
+/// demand, and `decode_hot` reorders the candidates without changing
+/// the set. Release builds trust this; debug builds re-check every
+/// skipped job against the real index (`ClusterSim::still_misses`).
+#[derive(Debug, Default)]
+pub(super) struct Blocked {
+    /// `(capacity epoch, ladder level)` the facts below hold under.
+    key: (u64, u8),
+    /// Hardware demands that missed over the whole fleet, none at
+    /// least as large as another. Bounded windows (consistent-hash
+    /// placement) look at different workers and are never generalised.
+    demands: Vec<ResourceDemand>,
+    /// Per priority class, how many jobs at the head of the pending
+    /// queue are known to miss, whatever their window. Entries only
+    /// leave a pending queue from behind this prefix, or all at once
+    /// through `ClusterSim::drain_pending`, which resets it.
+    prefix: [usize; 3],
+}
+
+impl Blocked {
+    /// Forgets everything unless `key` is the one the facts were
+    /// learned under.
+    fn sync(&mut self, key: (u64, u8)) {
+        if self.key != key {
+            self.key = key;
+            self.demands.clear();
+            self.prefix = [0; 3];
+        }
+    }
+
+    /// Whether a job with hardware demand `hw`, asked over the whole
+    /// fleet, is known to miss.
+    fn covers(&self, hw: ResourceDemand) -> bool {
+        self.demands.iter().any(|blocked| blocked.fits_in(hw))
+    }
+
+    /// Records that `hw` (not yet covered) missed over the whole fleet.
+    fn record(&mut self, hw: ResourceDemand) {
+        self.demands.retain(|&larger| !hw.fits_in(larger));
+        self.demands.push(hw);
+    }
+}
 
 impl ClusterSim {
     pub(super) fn handle_event(&mut self, now: f64, event: Event) {
@@ -153,7 +206,7 @@ impl ClusterSim {
         let degrade_level = self.ladder.observe(backlog);
         if degrade_level == 3 {
             // The top rung sheds every queued Batch job.
-            for j in std::mem::take(&mut self.pending[Priority::Batch.index()]) {
+            for j in self.drain_pending(Priority::Batch.index()) {
                 self.shed_job(now, j);
             }
         }
@@ -242,9 +295,28 @@ impl ClusterSim {
     }
 
     fn try_schedule_capped(&mut self, now: f64, max_misses: usize) {
+        if self.backlog_jobs() == 0 {
+            return;
+        }
+        let shard_len = self.cfg.vcus.div_ceil(self.cfg.shards.max(1)).max(1);
+        // Whether hardware decoders run hot. O(1) — the scheduler
+        // maintains cluster-wide used millicores incrementally — but a
+        // float divide, and only a placement moves it: worked out when
+        // a job is first asked about and again after each placement.
+        let mut decode_hot: Option<bool> = None;
+        self.blocked.sync(self.blocked_key());
         let mut misses = 0;
         'classes: for class in 0..self.pending.len() {
-            let mut i = 0;
+            // Remembered misses count toward the cap exactly as if they
+            // had been asked again, so the jobs tried below — and their
+            // order — are the ones a pass without the memo would try.
+            let known = self.blocked.prefix[class].min(max_misses - misses);
+            debug_assert!(self.pending[class]
+                .iter()
+                .take(known)
+                .all(|&j| self.still_misses(j, shard_len)));
+            misses += known;
+            let mut i = known;
             while i < self.pending[class].len() {
                 if misses >= max_misses {
                     break 'classes;
@@ -258,33 +330,49 @@ impl ClusterSim {
                         d
                     }
                 };
-                let (start, window) = self.placement_window(j);
-                // The hot check is O(1): the scheduler maintains
-                // cluster-wide used millicores incrementally.
-                let decode_hot = self.scheduler.decode_utilization() > 0.9;
-                let sw_decode = self.cfg.opportunistic_sw_decode;
-                let candidates = self.ladder.candidates(hw_demand, sw_decode, decode_hot);
-                let placed = candidates.into_iter().flatten().find_map(|(mode, demand)| {
-                    let w = self.scheduler.place_from(demand, start, window)?;
-                    Some((w, mode, demand))
-                });
+                let (start, window) = self.placement_window(j, shard_len);
+                let full_window = window >= self.cfg.vcus;
+                let placed = if full_window && self.blocked.covers(hw_demand) {
+                    debug_assert!(self.still_misses(j, shard_len));
+                    None
+                } else {
+                    let sw_decode = self.cfg.opportunistic_sw_decode;
+                    let hot = *decode_hot
+                        .get_or_insert_with(|| self.scheduler.decode_utilization() > 0.9);
+                    let candidates = self.ladder.candidates(hw_demand, sw_decode, hot);
+                    let placed = candidates.into_iter().flatten().find_map(|(mode, demand)| {
+                        let w = self.scheduler.place_from(demand, start, window)?;
+                        Some((w, mode, demand))
+                    });
+                    if placed.is_none() && full_window {
+                        self.blocked.record(hw_demand);
+                    }
+                    placed
+                };
                 match placed {
                     Some((w, mode, demand)) if self.fleet.usable(w) => {
                         // `i` is bounded by the miss cap, so this
                         // removal shifts at most `max_misses` entries.
                         self.pending[class].remove(i);
                         self.start_job(now, j, w, demand, mode);
+                        decode_hot = None;
                     }
                     Some((w, _, demand)) => {
                         // Worker exists but its VCU is quarantined or
                         // disabled; release and stop it from accepting
                         // further work. Retry the same job in the next
-                        // loop iteration.
+                        // loop iteration. The release moved the
+                        // capacity epoch: forget what was learned.
                         self.scheduler.release(w, demand);
                         self.scheduler.set_accepting(w, false);
+                        self.blocked.sync(self.blocked_key());
                     }
                     None => {
-                        i += 1; // job stays queued; try next job
+                        // Job stays queued; try the next one.
+                        if i == self.blocked.prefix[class] {
+                            self.blocked.prefix[class] += 1;
+                        }
+                        i += 1;
                         misses += 1;
                     }
                 }
@@ -292,12 +380,39 @@ impl ClusterSim {
         }
     }
 
+    /// What [`Blocked`]'s facts are valid under.
+    fn blocked_key(&self) -> (u64, u8) {
+        (self.scheduler.capacity_epoch(), self.ladder.level())
+    }
+
+    /// Debug oracle for [`Blocked`]: asks the real availability index,
+    /// read-only, whether queued job `j` (tried before, so its demand
+    /// is cached) still has no candidate that places.
+    fn still_misses(&self, j: usize, shard_len: usize) -> bool {
+        let hw_demand = self.jobs[j].demand.expect("a job that missed was asked");
+        let (start, window) = self.placement_window(j, shard_len);
+        // `decode_hot` orders the candidates; it never changes the set.
+        let sw_decode = self.cfg.opportunistic_sw_decode;
+        let candidates = self.ladder.candidates(hw_demand, sw_decode, false);
+        candidates
+            .into_iter()
+            .flatten()
+            .all(|(_, demand)| self.scheduler.probe_from(demand, start, window).is_none())
+    }
+
+    /// Takes every queued job of `class` out of its pending queue.
+    fn drain_pending(&mut self, class: usize) -> VecDeque<usize> {
+        self.blocked.prefix[class] = 0;
+        std::mem::take(&mut self.pending[class])
+    }
+
     /// Where the scheduler may look for job `j`: `(first worker,
     /// window length)`. With consistent-hash placement (§4.4 future
     /// work) chunks of a video only consider a bounded worker subset
     /// keyed by the video id; otherwise the scan starts at the job's
-    /// availability-cache shard and covers the fleet.
-    fn placement_window(&self, j: usize) -> (usize, usize) {
+    /// availability-cache shard (`shard_len` workers each) and covers
+    /// the fleet.
+    fn placement_window(&self, j: usize, shard_len: usize) -> (usize, usize) {
         let n = self.cfg.vcus;
         if self.cfg.consistent_hash_window > 0 {
             let h = self.jobs[j]
@@ -308,8 +423,7 @@ impl ClusterSim {
                 .wrapping_mul(0xBF58476D1CE4E5B9);
             ((h % n as u64) as usize, self.cfg.consistent_hash_window)
         } else {
-            let shards = self.cfg.shards.max(1);
-            ((j % shards) * n.div_ceil(shards).max(1), n)
+            ((j % self.cfg.shards.max(1)) * shard_len, n)
         }
     }
 
@@ -461,7 +575,7 @@ impl ClusterSim {
     fn strand_pending(&mut self, now: f64) {
         let mut count: u64 = 0;
         for class in 0..self.pending.len() {
-            for j in std::mem::take(&mut self.pending[class]) {
+            for j in self.drain_pending(class) {
                 self.resolve_job(now, j, None, true, false);
                 count += 1;
             }
@@ -1133,5 +1247,215 @@ mod tests {
             "no Normal-priority collapse: {}",
             report.completed
         );
+    }
+
+    /// Placement questions the scheduler has been asked so far.
+    fn asks(sim: &ClusterSim) -> u64 {
+        sim.scheduler.placements + sim.scheduler.rejections
+    }
+
+    /// `n` identical long-running 1080p MOT jobs arriving at `at_s`.
+    fn long_jobs(n: usize, at_s: f64, priority: Priority) -> Vec<JobSpec> {
+        (0..n)
+            .map(|i| JobSpec {
+                arrival_s: at_s,
+                job: TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 100.0),
+                priority,
+                video_id: i as u64,
+            })
+            .collect()
+    }
+
+    /// A job small enough to fit beside a VCU full of `long_jobs`.
+    fn small_job(at_s: f64, priority: Priority) -> JobSpec {
+        JobSpec {
+            arrival_s: at_s,
+            job: TranscodeJob::sot(
+                Resolution::R360,
+                Resolution::R240,
+                Profile::H264Sim,
+                30.0,
+                1.0,
+            ),
+            priority,
+            video_id: 999,
+        }
+    }
+
+    #[test]
+    fn a_blocked_queue_is_asked_once_and_again_after_a_release() {
+        let cfg = ClusterConfig {
+            vcus: 1,
+            ..ClusterConfig::default()
+        };
+        let mut jobs = long_jobs(12, 0.0, Priority::Normal);
+        jobs[0].job.duration_s = 5.0; // the first release
+        let mut sim = ClusterSim::new(cfg, jobs, vec![]);
+        sim.run_until(0.0);
+        let running = sim.scheduler.placements;
+        let queued = sim.pending[1].len();
+        assert_eq!(running as usize + queued, 12);
+        assert!(queued >= 3, "the VCU must saturate: {queued} queued");
+        // The first job that did not fit asked and missed; every later
+        // arrival asks for at least as much and was answered from memory.
+        assert_eq!(sim.scheduler.rejections, 1);
+        assert_eq!(sim.blocked.prefix, [0, queued, 0]);
+        // The completion frees capacity: the head of the queue places,
+        // the next job is asked afresh and misses, the rest follow it.
+        sim.run_until(5.0);
+        assert_eq!(sim.scheduler.placements, running + 1);
+        assert_eq!(sim.scheduler.rejections, 2);
+        assert_eq!(sim.blocked.prefix, [0, queued - 1, 0]);
+    }
+
+    #[test]
+    fn a_repair_re_asks_the_blocked_queue() {
+        let cfg = ClusterConfig {
+            vcus: 1,
+            ..ClusterConfig::default()
+        };
+        let fault = |time_s, kind| FaultInjection {
+            time_s,
+            worker: 0,
+            kind,
+        };
+        let faults = vec![fault(0.0, FaultKind::Dead), fault(50.0, FaultKind::Repair)];
+        let mut sim = ClusterSim::new(cfg, long_jobs(4, 1.0, Priority::Normal), faults);
+        sim.run_until(49.0);
+        assert_eq!((sim.scheduler.placements, sim.scheduler.rejections), (0, 1));
+        assert_eq!(sim.blocked.prefix, [0, 4, 0]);
+        sim.run_until(50.0);
+        assert_eq!(
+            sim.scheduler.placements, 4,
+            "the repaired VCU takes the queue"
+        );
+        assert_eq!(sim.blocked.prefix, [0, 0, 0]);
+    }
+
+    #[test]
+    fn a_ladder_step_re_asks_the_blocked_queue() {
+        let cfg = ClusterConfig {
+            vcus: 1,
+            sample_period_s: 10.0,
+            degrade: DegradePolicy {
+                enabled: true,
+                backlog_per_worker: [1.0, 100.0, 100.0],
+                ..DegradePolicy::default()
+            },
+            ..ClusterConfig::default()
+        };
+        let mut jobs = long_jobs(12, 0.0, Priority::Normal);
+        jobs.push(small_job(15.0, Priority::Batch));
+        let mut sim = ClusterSim::new(cfg, jobs, vec![]);
+        sim.run_until(10.0);
+        assert_eq!(sim.ladder.level(), 1, "the backlog arms rung 1");
+        let queued = sim.pending[1].len();
+        assert_eq!(sim.blocked.prefix, [0, queued, 0]);
+        let placed = sim.scheduler.placements;
+        // No capacity was freed, but rung 1 offers software encode:
+        // the next pass must ask the remembered jobs again.
+        sim.run_until(15.0);
+        assert!(
+            sim.scheduler.placements > placed + 1,
+            "queued jobs must place on the software-encode path"
+        );
+        assert!(sim.pending[1].len() < queued);
+    }
+
+    #[test]
+    fn a_critical_arrival_is_tried_past_a_blocked_queue() {
+        let cfg = ClusterConfig {
+            vcus: 1,
+            ..ClusterConfig::default()
+        };
+        let mut jobs = long_jobs(12, 0.0, Priority::Normal);
+        jobs.push(small_job(1.0, Priority::Critical));
+        let mut sim = ClusterSim::new(cfg, jobs, vec![]);
+        sim.run_until(0.0);
+        let (placed, asked) = (sim.scheduler.placements, asks(&sim));
+        sim.run_until(1.0);
+        assert_eq!(sim.scheduler.placements, placed + 1);
+        assert_eq!(asks(&sim), asked + 1, "only the new job is asked about");
+        assert!(sim.pending[0].is_empty());
+    }
+
+    #[test]
+    fn remembered_misses_count_toward_the_head_of_line_cap() {
+        // A small job that would fit, queued behind `blocked` jobs that
+        // do not: tried when fewer than 48 misses precede it, never
+        // reached once 48 do — remembered or not.
+        let run = |blocked: usize| {
+            let cfg = ClusterConfig {
+                vcus: 1,
+                ..ClusterConfig::default()
+            };
+            let mut jobs = long_jobs(blocked, 0.0, Priority::Normal);
+            jobs.push(small_job(1.0, Priority::Normal));
+            let mut sim = ClusterSim::new(cfg, jobs, vec![]);
+            sim.run_until(0.0);
+            let placed = sim.scheduler.placements;
+            let queued = sim.pending[1].len();
+            sim.run_until(1.0);
+            (queued, sim.scheduler.placements - placed)
+        };
+        let (queued, placed) = run(50);
+        assert!(
+            queued < 48 && placed == 1,
+            "{queued} queued, {placed} placed"
+        );
+        let (queued, placed) = run(70);
+        assert!(
+            queued >= 48 && placed == 0,
+            "{queued} queued, {placed} placed"
+        );
+    }
+
+    #[test]
+    fn shedding_and_stranding_forget_the_queue_prefix() {
+        // Shed: Batch jobs wait behind a full VCU until rung 3 drains
+        // their queue.
+        let cfg = ClusterConfig {
+            vcus: 1,
+            sample_period_s: 1.0,
+            degrade: DegradePolicy {
+                enabled: true,
+                backlog_per_worker: [1.0, 1.0, 1.0],
+                ..DegradePolicy::default()
+            },
+            ..ClusterConfig::default()
+        };
+        let mut sim = ClusterSim::new(cfg, long_jobs(40, 0.0, Priority::Batch), vec![]);
+        sim.run_until(2.0);
+        assert!(sim.blocked.prefix[2] > 0 && sim.ladder.level() == 2);
+        sim.run_until(3.0);
+        assert!(sim.tally.resolved() > 0, "rung 3 sheds the Batch queue");
+        assert_eq!(sim.blocked.prefix, [0, 0, 0]);
+
+        // Strand: an open-world cell whose lone VCU is dead fails its
+        // queue at the next sample. A job injected afterwards is at the
+        // head of an empty queue and must be asked about, not skipped
+        // as part of a prefix that no longer exists.
+        let cfg = ClusterConfig {
+            vcus: 1,
+            ..ClusterConfig::default()
+        };
+        let dead = vec![FaultInjection {
+            time_s: 0.0,
+            worker: 0,
+            kind: FaultKind::Dead,
+        }];
+        let mut sim = ClusterSim::new(cfg, vec![], dead).open_world();
+        for job in long_jobs(3, 1.0, Priority::Normal) {
+            sim.inject_job(job);
+        }
+        sim.run_until(1.0);
+        assert_eq!(sim.blocked.prefix, [0, 3, 0]);
+        sim.run_until(60.0);
+        assert_eq!(sim.unresolved_jobs(), 0, "the queue was stranded");
+        assert_eq!(sim.blocked.prefix, [0, 0, 0]);
+        let asked = asks(&sim);
+        sim.inject_job(small_job(61.0, Priority::Normal));
+        sim.run_until(61.0);
+        assert_eq!(asks(&sim), asked + 1);
     }
 }

@@ -8,7 +8,7 @@
 //! core turns that into `set_accepting`, scheduled events and trace
 //! records.
 
-use vcu_chip::faults::{checksum, golden_transcode_bytes, FaultyVcu};
+use vcu_chip::faults::{golden, FaultyVcu};
 
 /// Per-job watchdog deadline: an attempt that has not completed by
 /// `grace_s + nominal_service * service_factor` is declared lost, its
@@ -158,14 +158,10 @@ struct Worker {
     recoveries: u32,
 }
 
-/// The fleet: every worker, plus what screening them needs.
+/// The fleet: every worker and the health policy they are scored by.
 #[derive(Debug)]
 pub(super) struct Fleet {
     workers: Vec<Worker>,
-    /// Golden-clip bytes, encoded once; every screen passes these
-    /// through the VCU's data path instead of re-encoding the clip.
-    golden_bytes: Vec<u8>,
-    golden: u64,
     policy: HealthPolicy,
 }
 
@@ -174,7 +170,6 @@ impl Fleet {
     /// full SplitMix64 mix of (seed, worker), so no two workers (and no
     /// two base seeds) share a corruption stream.
     pub(super) fn new(n: usize, seed: u64, policy: HealthPolicy) -> Self {
-        let golden_bytes = golden_transcode_bytes();
         let worker = |w| Worker {
             vcu: FaultyVcu::new(vcu_rng::mix64(seed, w as u64)),
             mgmt: WorkerMgmtState::Active,
@@ -183,8 +178,6 @@ impl Fleet {
         };
         Fleet {
             workers: (0..n).map(worker).collect(),
-            golden: checksum(&golden_bytes),
-            golden_bytes,
             policy,
         }
     }
@@ -263,8 +256,11 @@ impl Fleet {
         (was != WorkerMgmtState::Quarantined).then_some(WorkerEvent::Quarantined)
     }
 
+    /// Passes the process-wide golden clip through worker `w`'s data
+    /// path.
     fn screen(&self, w: usize) -> bool {
-        self.workers[w].vcu.screen(&self.golden_bytes, self.golden)
+        let golden = golden();
+        self.workers[w].vcu.screen(&golden.bytes, golden.checksum)
     }
 
     /// A fresh worker attach: functional reset, then the golden screen.

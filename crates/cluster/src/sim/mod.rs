@@ -48,6 +48,7 @@ pub use tally::{ClusterReport, Sample};
 use crate::des::EventQueue;
 use crate::scheduler::Scheduler;
 use degrade::Ladder;
+use dispatch::Blocked;
 use fleet::Fleet;
 use std::collections::VecDeque;
 use tally::Tally;
@@ -147,6 +148,9 @@ pub struct ClusterSim {
     /// cross-class order is positional and within-class order is
     /// enqueue order.
     pending: [VecDeque<usize>; 3],
+    /// Placements known to fail until capacity grows or the ladder
+    /// moves (see [`dispatch::Blocked`]).
+    blocked: Blocked,
     rng: Rng,
     /// Events still in the queue that can hand work to the cluster
     /// (arrivals, backoff retries, fault injections — a pending
@@ -206,6 +210,7 @@ impl ClusterSim {
             reviving_events: jobs.len() + faults.len(),
             jobs: jobs.into_iter().map(JobState::new).collect(),
             pending: Default::default(),
+            blocked: Blocked::default(),
             rng: Rng::seed_from_u64(cfg.seed),
             running_per_pool: [0; 3],
             open_world: false,

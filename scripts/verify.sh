@@ -111,11 +111,15 @@ stage_benchmark_lock() {
 
 # The determinism suite must hold at any thread count: run it once
 # sequential and once with 4 encode workers. Byte-identical bitstreams
-# and telemetry snapshots are asserted inside the tests.
+# and telemetry snapshots are asserted inside the tests. This is a
+# debug build on purpose (no --release): the simulator pins, the
+# saturated ones included, then run with ClusterSim's debug_assert!
+# oracle re-checking every placement the blocked-placement memo skips
+# against the real availability index.
 stage_determinism() {
     local t
     for t in 1 4; do
-        echo "--> VCU_THREADS=$t"
+        echo "--> VCU_THREADS=$t (debug build: memo oracle on)"
         VCU_THREADS=$t cargo test -q -p vcu-system --offline --test determinism \
             | tail -n 2
     done

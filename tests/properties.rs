@@ -438,6 +438,73 @@ prop_cases! {
         }
     }
 
+    /// The two facts `ClusterSim`'s blocked-placement memo rests on,
+    /// in both placement modes, over random place / release /
+    /// `set_accepting` streams: (a) a demand rejected over the whole
+    /// fleet stays rejected, from any start, until the capacity epoch
+    /// moves — which only a release or a re-accept does; (b) in that
+    /// state every demand at least as large in each dimension is
+    /// rejected too.
+    #[cases(96)]
+    fn rejections_are_monotone_until_capacity_grows(rng) {
+        for placement in [PlacementMode::Indexed, PlacementMode::LinearScan] {
+            let n = rng.gen_range(1usize..10);
+            let kind = if rng.gen_bool(0.7) {
+                SchedulerKind::MultiDim
+            } else {
+                SchedulerKind::SingleSlot { slots: rng.gen_range(1u32..4) }
+            };
+            let mut s = Scheduler::with_placement(kind, n, 1, placement);
+            let mut live: Vec<(usize, ResourceDemand)> = Vec::new();
+            // Demands rejected since the capacity epoch last moved.
+            let mut rejected: Vec<ResourceDemand> = Vec::new();
+            for _ in 0..rng.gen_range(1usize..300) {
+                let epoch = s.capacity_epoch();
+                match rng.gen_range(0u32..10) {
+                    0..=6 => {
+                        let mut d = ResourceDemand {
+                            millidecode: rng.gen_range(0u32..2_000),
+                            milliencode: rng.gen_range(0u32..6_000),
+                            dram_mib: rng.gen_range(0u32..4_000),
+                            host_mcpu: rng.gen_range(0u32..3_000),
+                        };
+                        if !rejected.is_empty() && rng.gen_bool(0.3) {
+                            d = d.plus(rejected[rng.gen_range(0usize..rejected.len())]);
+                        }
+                        let covered = rejected.iter().any(|r| r.fits_in(d));
+                        match s.place_from(d, rng.gen_range(0usize..3 * n), n) {
+                            Some(w) => {
+                                assert!(!covered, "{d:?} placed past a smaller rejection");
+                                live.push((w, d));
+                            }
+                            None => rejected.push(d),
+                        }
+                        assert_eq!(s.capacity_epoch(), epoch, "asking frees nothing");
+                    }
+                    7 => {
+                        if !live.is_empty() {
+                            let (w, d) = live.swap_remove(rng.gen_range(0usize..live.len()));
+                            s.release(w, d);
+                            assert!(s.capacity_epoch() > epoch);
+                        }
+                    }
+                    _ => {
+                        let on = rng.gen_bool(0.5);
+                        s.set_accepting(rng.gen_range(0usize..n), on);
+                        assert_eq!(s.capacity_epoch() > epoch, on);
+                    }
+                }
+                if s.capacity_epoch() != epoch {
+                    rejected.clear();
+                }
+                for &r in &rejected {
+                    let start = rng.gen_range(0usize..3 * n);
+                    assert_eq!(s.probe_from(r, start, n), None, "{r:?} un-rejected itself");
+                }
+            }
+        }
+    }
+
     /// Release restores the exact pre-place scheduler state: place a
     /// job, release it, and every observable (per-worker availability,
     /// utilization aggregates, and the next placement decision) matches

@@ -510,6 +510,186 @@ fn saturated_mix_run_with_hash_windows_is_pinned() {
     );
 }
 
+/// A small faulted cluster for the two event-order pins below: every
+/// recurring event sits on whole seconds (samples every 5 s, golden
+/// screens every 10 s, unjittered 1 s retry backoff, watchdog deadlines
+/// `2 + 2 × duration`), so arrivals on whole seconds tie with all of
+/// them and the `(time, seq)` tie-break decides the run.
+fn tie_heavy_cluster() -> (ClusterConfig, Vec<FaultInjection>) {
+    use vcu_cluster::{HealthPolicy, RetryPolicy, WatchdogPolicy};
+    let cfg = ClusterConfig {
+        vcus: 6,
+        detection_rate: 0.7,
+        retry: RetryPolicy {
+            base_s: 1.0,
+            ..RetryPolicy::default()
+        },
+        watchdog: WatchdogPolicy {
+            grace_s: 2.0,
+            service_factor: 2.0,
+        },
+        health: HealthPolicy {
+            golden_period_s: 10.0,
+            ..HealthPolicy::default()
+        },
+        sample_period_s: 5.0,
+        seed: 16,
+        ..ClusterConfig::default()
+    };
+    let fault = |time_s, worker, kind| FaultInjection {
+        time_s,
+        worker,
+        kind,
+    };
+    let faults = vec![
+        fault(5.0, 1, FaultKind::SilentCorruption),
+        fault(11.0, 2, FaultKind::FirmwareHang),
+        fault(15.0, 3, FaultKind::Dead),
+        fault(21.0, 4, FaultKind::CrashLoop),
+        fault(35.0, 3, FaultKind::Repair),
+    ];
+    (cfg, faults)
+}
+
+/// Job `i` of the tie-heavy pins: three shapes with three service times
+/// (so watchdog deadlines are not monotone in placement order) over the
+/// three priority classes.
+fn tie_heavy_job(i: usize, arrival_s: f64) -> JobSpec {
+    use vcu_chip::TranscodeJob;
+    use vcu_cluster::Priority;
+    use vcu_media::Resolution;
+    JobSpec {
+        arrival_s,
+        job: match i % 3 {
+            0 => TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0),
+            1 => TranscodeJob::sot(
+                Resolution::R1080,
+                Resolution::R720,
+                Profile::Vp9Sim,
+                30.0,
+                2.0,
+            ),
+            _ => TranscodeJob::mot(Resolution::R2160, Profile::Vp9Sim, 30.0, 10.0),
+        },
+        priority: match i % 5 {
+            0 => Priority::Critical,
+            4 => Priority::Batch,
+            _ => Priority::Normal,
+        },
+        video_id: (i / 4) as u64,
+    }
+}
+
+/// A batch job vector that is *not* sorted by arrival: whole-second
+/// arrival times, each held by several jobs far apart in the vector,
+/// colliding with samples, golden screens, faults, completions,
+/// watchdog deadlines and backoff retries. Arrivals at one instant run
+/// in vector order, before every other event of that instant. The vector
+/// also holds a `-0.0` arrival behind a `0.0` one: the queue has always
+/// ordered times by `f64::total_cmp`, under which `-0.0` is earlier.
+#[test]
+fn unsorted_batch_arrivals_with_time_ties_are_pinned() {
+    const JOBS: usize = 360;
+    let mut jobs: Vec<JobSpec> = (0..JOBS)
+        .map(|i| tie_heavy_job(i, ((i * 7) % 45) as f64))
+        .collect();
+    jobs[45].arrival_s = -0.0;
+    assert_eq!(jobs[0].arrival_s.to_bits(), 0.0f64.to_bits());
+    assert!(jobs.windows(2).any(|w| w[0].arrival_s > w[1].arrival_s));
+    let (cfg, faults) = tie_heavy_cluster();
+    let reg = Registry::new();
+    let r = ClusterSim::new(cfg, jobs, faults)
+        .with_telemetry(reg.clone())
+        .run();
+    assert_eq!(r.completed + r.failed, JOBS as u64);
+    assert_eq!(r.repairs, 1);
+    assert!(r.watchdog_fired > 0 && r.crash_aborts > 0 && r.retries > 0);
+    assert!(r.caught_corruptions > 0);
+    let deepest = r.samples.iter().map(|s| s.queued).max().unwrap_or(0);
+    assert!(deepest > 0, "arrivals must queue behind one another");
+    assert_eq!(
+        fnv1a64(format!("{r:?}").as_bytes()),
+        0x5CA5F2BC64455A29,
+        "unsorted-batch report drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(reg.snapshot_json(&[]).as_bytes()),
+        0xEB78BAD6F8762A61,
+        "unsorted-batch telemetry snapshot drifted from the pinned bytes"
+    );
+}
+
+/// A simulator built over a batch job vector, switched to open-world
+/// mode, then fed `inject_job` arrivals between `run_until` epochs:
+/// earlier than batch arrivals still to come, equal to pending arrival,
+/// sample, fault, completion and golden-screen times, and three times
+/// out of order (a later injection with an earlier time). A batch
+/// arrival beats an injected one at the same instant; injected ones run
+/// in injection order. The resolution log (order included), the report
+/// and the telemetry snapshot are pinned.
+#[test]
+fn open_world_injection_over_a_batch_vector_is_pinned() {
+    const BATCH: usize = 180;
+    let batch: Vec<JobSpec> = (0..BATCH)
+        .map(|i| tie_heavy_job(i, (i / 6) as f64 * 1.5))
+        .collect();
+    let (cfg, faults) = tie_heavy_cluster();
+    let reg = Registry::new();
+    let mut sim = ClusterSim::new(cfg, batch, faults)
+        .open_world()
+        .with_telemetry(reg.clone());
+    // (advance to, arrival times injected there, in this order).
+    let epochs: [(f64, &[f64]); 5] = [
+        // 3.0 = now and a handled batch arrival; 4.5 and 6.0 = batch
+        // arrivals to come; 3.5 is earlier than both and out of order;
+        // 5.0 = the first sample and the first fault; 8.0 = a pending
+        // completion (the 5 s job placed at 3.0).
+        (3.0, &[3.0, 4.5, 6.0, 3.5, 5.0, 8.0]),
+        // 10.0 = sample + golden screen + fault, injected twice.
+        (9.0, &[10.0, 10.0, 9.0, 12.0, 12.0]),
+        (20.0, &[20.0, 26.0, 25.0, 25.0, 30.0, 44.5]),
+        // Past the last batch arrival (43.5): the queue alone.
+        (50.0, &[50.0, 50.0, 55.0, 52.5, 60.0]),
+        (70.0, &[]),
+    ];
+    let mut injected = 0;
+    let mut resolutions = Vec::new();
+    for (t, arrivals) in epochs {
+        sim.run_until(t);
+        assert!(sim.now() <= t);
+        resolutions.extend(sim.drain_resolutions());
+        for &arrival_s in arrivals {
+            let j = sim.inject_job(tie_heavy_job(injected, arrival_s));
+            assert_eq!(j, BATCH + injected);
+            injected += 1;
+        }
+    }
+    while sim.unresolved_jobs() > 0 {
+        assert!(sim.step(), "queue exhausted with jobs outstanding");
+    }
+    resolutions.extend(sim.drain_resolutions());
+    let r = sim.finish();
+    assert_eq!(injected, 22);
+    assert_eq!(r.completed + r.failed, (BATCH + injected) as u64);
+    assert_eq!(resolutions.len(), BATCH + injected);
+    assert!(r.watchdog_fired > 0 && r.retries > 0);
+    assert_eq!(
+        fnv1a64(format!("{resolutions:?}").as_bytes()),
+        0x5D00BB9E68B65887,
+        "open-world resolution log drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(format!("{r:?}").as_bytes()),
+        0xA43F55DC25044904,
+        "open-world report drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(reg.snapshot_json(&[]).as_bytes()),
+        0x026DC9C40C192AF5,
+        "open-world telemetry snapshot drifted from the pinned bytes"
+    );
+}
+
 #[test]
 fn chunk_parallel_encode_honors_vcu_threads_deterministically() {
     // The verify script runs this suite under VCU_THREADS=1 and

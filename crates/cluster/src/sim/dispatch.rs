@@ -11,7 +11,7 @@
 use super::degrade::AttemptMode;
 use super::fleet::{FaultKind, WorkerEvent};
 use super::tally::{Incident, Sample};
-use super::{Attempt, ClusterSim, Event, JobResolution, Priority};
+use super::{Attempt, ClusterSim, Event, JobResolution, Priority, WATCHDOG_LANE};
 use std::collections::VecDeque;
 use vcu_chip::faults::HealthState;
 use vcu_chip::ResourceDemand;
@@ -484,7 +484,8 @@ impl ClusterSim {
         // A hung VCU schedules nothing: only this deadline notices.
         let watchdog = &self.cfg.watchdog;
         let deadline = now + watchdog.grace_s + nominal * watchdog.service_factor;
-        self.queue.schedule(deadline, Event::Watchdog(a));
+        self.queue
+            .schedule_on(WATCHDOG_LANE, deadline, Event::Watchdog(a));
     }
 
     /// Releases the resources of live attempt `a`; if that was a

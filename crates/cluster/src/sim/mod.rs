@@ -15,8 +15,9 @@
 //!   many corrupted chunks escape the integrity checks.
 //!
 //! [`ClusterSim`] is a small **dispatch core**: the event queue, the
-//! pending queues and the open-world stepping API (this file), with
-//! the event handlers and placement in `dispatch`. The mechanisms it
+//! cursor over batch arrivals merged with it, the pending queues and
+//! the open-world stepping API (this file), with the event handlers
+//! and placement in `dispatch`. The mechanisms it
 //! dispatches to each own their state in a sibling module and never
 //! touch the queue, the scheduler, the RNG or telemetry — they return
 //! what happened and the core acts on it, so event `seq` assignment,
@@ -117,6 +118,64 @@ impl JobState {
     }
 }
 
+/// The batch arrivals still to come: a cursor over the job vector the
+/// simulator was built with, in the order the event queue would have
+/// popped them had each been scheduled — by arrival time, then by
+/// position in the vector (their reserved sequence numbers are
+/// `0..n`, so at equal times they precede every other event).
+#[derive(Debug)]
+struct Arrivals {
+    /// Job indices sorted by `(arrival_s, index)`; empty when the job
+    /// vector already is, and the cursor walks it directly.
+    order: Vec<u32>,
+    /// Arrivals handled so far.
+    next: usize,
+    /// Jobs in the batch vector.
+    len: usize,
+}
+
+impl Arrivals {
+    /// Reserves the batch's place in `queue`'s order, which also runs
+    /// every arrival time past the queue's door checks.
+    fn new(jobs: &[JobSpec], queue: &mut EventQueue<Event>) -> Self {
+        for (i, j) in jobs.iter().enumerate() {
+            let seq = queue.reserve(j.arrival_s);
+            debug_assert_eq!(seq, i as u64, "batch arrivals are reserved first");
+        }
+        let earlier = |a: &JobSpec, b: &JobSpec| a.arrival_s.total_cmp(&b.arrival_s);
+        let mut order = Vec::new();
+        if !jobs.is_sorted_by(|a, b| earlier(a, b).is_le()) {
+            let n = u32::try_from(jobs.len()).expect("a batch holds at most u32::MAX jobs");
+            order.extend(0..n);
+            // Stable: equal times keep vector order.
+            order.sort_by(|&a, &b| earlier(&jobs[a as usize], &jobs[b as usize]));
+        }
+        Arrivals {
+            order,
+            next: 0,
+            len: jobs.len(),
+        }
+    }
+
+    /// Index of the next job to arrive, if any remain.
+    fn peek(&self) -> Option<usize> {
+        (self.next < self.len).then(|| match self.order.get(self.next) {
+            Some(&j) => j as usize,
+            None => self.next,
+        })
+    }
+}
+
+/// [`EventQueue`] lane for arrivals injected into an open world: drivers
+/// submit them in time order.
+const ARRIVAL_LANE: usize = 0;
+/// [`EventQueue`] lane for watchdog deadlines: a fixed grace plus a
+/// multiple of the service time past a clock that only rises, so they
+/// are in order whenever service times are alike — and each outlives
+/// its attempt's completion several times over, which made them most of
+/// what a heap had to hold.
+const WATCHDOG_LANE: usize = 1;
+
 /// One job reaching its terminal state, reported through
 /// [`ClusterSim::drain_resolutions`] so an open-world driver (the
 /// serving front end) can react to transcode outcomes as they happen.
@@ -136,7 +195,10 @@ pub struct JobResolution {
 #[derive(Debug)]
 pub struct ClusterSim {
     cfg: ClusterConfig,
+    /// Every pending event but the batch arrivals.
     queue: EventQueue<Event>,
+    /// The batch arrivals, merged with `queue` in [`ClusterSim::step`].
+    arrivals: Arrivals,
     scheduler: Scheduler,
     fleet: Fleet,
     ladder: Ladder,
@@ -183,12 +245,10 @@ impl ClusterSim {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
-        // Every arrival and fault is scheduled up front; sizing the
-        // heap once avoids rehash-style growth at 500k+ jobs.
-        let mut queue = EventQueue::with_capacity(jobs.len() + faults.len() + 1);
-        for (i, j) in jobs.iter().enumerate() {
-            queue.schedule(j.arrival_s, Event::Arrival(i));
-        }
+        // The heap holds the faults, the two recurring events and
+        // whatever is in flight — never the arrivals.
+        let mut queue = EventQueue::with_capacity(faults.len() + 2);
+        let arrivals = Arrivals::new(&jobs, &mut queue);
         for f in &faults {
             queue.schedule(f.time_s, Event::Fault(f.worker, f.kind));
         }
@@ -198,6 +258,7 @@ impl ClusterSim {
         }
         ClusterSim {
             queue,
+            arrivals,
             scheduler: Scheduler::with_placement(
                 cfg.scheduler,
                 cfg.vcus,
@@ -259,7 +320,8 @@ impl ClusterSim {
     /// used in [`JobResolution::job`].
     pub fn inject_job(&mut self, spec: JobSpec) -> usize {
         let j = self.jobs.len();
-        self.queue.schedule(spec.arrival_s, Event::Arrival(j));
+        self.queue
+            .schedule_on(ARRIVAL_LANE, spec.arrival_s, Event::Arrival(j));
         self.reviving_events += 1;
         self.tally.submitted(spec.video_id);
         self.jobs.push(JobState::new(spec));
@@ -269,7 +331,11 @@ impl ClusterSim {
     /// Time of the next pending event, if any — the merge point for a
     /// driver interleaving this queue with its own.
     pub fn next_event_time(&self) -> Option<f64> {
-        self.queue.next_time()
+        let arrival = self.arrivals.peek().map(|j| self.jobs[j].spec.arrival_s);
+        match (arrival, self.queue.next_time()) {
+            (Some(a), Some(q)) => Some(if q.total_cmp(&a).is_lt() { q } else { a }),
+            (a, q) => a.or(q),
+        }
     }
 
     /// Current sim time (time of the last processed event).
@@ -285,7 +351,22 @@ impl ClusterSim {
     /// Processes exactly one event. Returns false when the queue is
     /// exhausted.
     pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
+        let popped = match self.arrivals.peek() {
+            // Batch arrival `j` was reserved as `(arrival_s, j)`.
+            Some(j) => {
+                let (time, seq) = (self.jobs[j].spec.arrival_s, j as u64);
+                let popped = self.queue.pop_before(time, seq);
+                if popped.is_none() {
+                    self.queue.advance_to(time, seq);
+                    self.arrivals.next += 1;
+                    self.handle_event(time, Event::Arrival(j));
+                    return true;
+                }
+                popped
+            }
+            None => self.queue.pop(),
+        };
+        match popped {
             Some(ev) => {
                 self.handle_event(ev.time, ev.event);
                 true
@@ -485,7 +566,19 @@ mod tests {
             ..ClusterConfig::default()
         };
         let jobs = upload_jobs(40, 0.5, true);
-        let batch = ClusterSim::new(cfg.clone(), jobs.clone(), vec![]).run();
+        // The batch arrivals never enter the event queue, yet the clock
+        // and `next_event_time` follow them like any other event: the
+        // first completion is at 5.0, so the second event is the
+        // arrival at 0.5.
+        let mut batch = ClusterSim::new(cfg.clone(), jobs.clone(), vec![]);
+        assert_eq!(batch.next_event_time(), Some(0.0));
+        assert!(batch.step() && batch.step());
+        assert_eq!(batch.now(), 0.5);
+        while let Some(next) = batch.next_event_time() {
+            assert!(batch.step());
+            assert_eq!(batch.now(), next);
+        }
+        let batch = batch.finish();
 
         let mut sim = ClusterSim::new(cfg, vec![], vec![]).open_world();
         let mut resolutions = Vec::new();
@@ -516,6 +609,52 @@ mod tests {
         assert!(resolutions.iter().all(|r| r.completed));
         // Resolutions surface in event order.
         assert!(resolutions.windows(2).all(|w| w[0].time_s <= w[1].time_s));
+    }
+
+    #[test]
+    #[should_panic(expected = "event time is NaN")]
+    fn a_nan_batch_arrival_is_rejected() {
+        let mut jobs = upload_jobs(3, 1.0, true);
+        jobs[1].arrival_s = f64::NAN;
+        ClusterSim::new(ClusterConfig::default(), jobs, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past: -1 < 0")]
+    fn a_negative_batch_arrival_is_rejected() {
+        let mut jobs = upload_jobs(3, 1.0, true);
+        jobs[2].arrival_s = -1.0;
+        ClusterSim::new(ClusterConfig::default(), jobs, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past: 1.5 < 2")]
+    fn injecting_behind_a_batch_arrival_is_rejected() {
+        // Nothing but batch arrivals has happened by 2.0, so the clock
+        // the door check reads was moved by the cursor alone.
+        let mut sim = ClusterSim::new(ClusterConfig::default(), upload_jobs(4, 1.0, true), vec![])
+            .open_world();
+        sim.run_until(2.0);
+        let mut late = upload_jobs(1, 0.0, true).remove(0);
+        late.arrival_s = 1.5;
+        sim.inject_job(late);
+    }
+
+    #[test]
+    fn an_unsorted_batch_runs_like_its_sorted_self() {
+        // Arrival order, not vector order, decides the run: reversing
+        // the vector (distinct times, one shape) changes job indices
+        // and nothing else.
+        let cfg = ClusterConfig {
+            vcus: 2,
+            sample_period_s: 5.0,
+            ..ClusterConfig::default()
+        };
+        let sorted = upload_jobs(30, 0.4, true);
+        let reversed: Vec<JobSpec> = sorted.iter().rev().cloned().collect();
+        let a = ClusterSim::new(cfg.clone(), sorted, vec![]).run();
+        let b = ClusterSim::new(cfg, reversed, vec![]).run();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

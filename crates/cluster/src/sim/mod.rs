@@ -147,7 +147,7 @@ impl Arrivals {
         if !jobs.is_sorted_by(|a, b| earlier(a, b).is_le()) {
             let n = u32::try_from(jobs.len()).expect("a batch holds at most u32::MAX jobs");
             order.extend(0..n);
-            // Stable: equal times keep vector order.
+            // Stable: equal times keep vector order, which is `seq` order.
             order.sort_by(|&a, &b| earlier(&jobs[a as usize], &jobs[b as usize]));
         }
         Arrivals {
@@ -348,31 +348,30 @@ impl ClusterSim {
         self.jobs.len() as u64 - self.tally.resolved()
     }
 
-    /// Processes exactly one event. Returns false when the queue is
-    /// exhausted.
+    /// Processes exactly one event, the earliest of the next batch
+    /// arrival and the queue's head. Returns false when neither is
+    /// left.
     pub fn step(&mut self) -> bool {
-        let popped = match self.arrivals.peek() {
+        let (time, event) = match self.arrivals.peek() {
             // Batch arrival `j` was reserved as `(arrival_s, j)`.
             Some(j) => {
                 let (time, seq) = (self.jobs[j].spec.arrival_s, j as u64);
-                let popped = self.queue.pop_before(time, seq);
-                if popped.is_none() {
-                    self.queue.advance_to(time, seq);
-                    self.arrivals.next += 1;
-                    self.handle_event(time, Event::Arrival(j));
-                    return true;
+                match self.queue.pop_before(time, seq) {
+                    Some(ev) => (ev.time, ev.event),
+                    None => {
+                        self.queue.advance_to(time, seq);
+                        self.arrivals.next += 1;
+                        (time, Event::Arrival(j))
+                    }
                 }
-                popped
             }
-            None => self.queue.pop(),
+            None => match self.queue.pop() {
+                Some(ev) => (ev.time, ev.event),
+                None => return false,
+            },
         };
-        match popped {
-            Some(ev) => {
-                self.handle_event(ev.time, ev.event);
-                true
-            }
-            None => false,
-        }
+        self.handle_event(time, event);
+        true
     }
 
     /// Takes the job resolutions accumulated since the last call
@@ -635,9 +634,7 @@ mod tests {
         let mut sim = ClusterSim::new(ClusterConfig::default(), upload_jobs(4, 1.0, true), vec![])
             .open_world();
         sim.run_until(2.0);
-        let mut late = upload_jobs(1, 0.0, true).remove(0);
-        late.arrival_s = 1.5;
-        sim.inject_job(late);
+        sim.inject_job(upload_jobs(2, 1.5, true).remove(1));
     }
 
     #[test]

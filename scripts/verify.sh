@@ -109,17 +109,30 @@ stage_benchmark_lock() {
     cargo check --locked --offline --manifest-path benchmark/Cargo.toml
 }
 
+# The external benchmark's own correctness checks, on every push and not
+# only in the benchmark pipeline: all five workloads at tiny sizes,
+# untraced then traced, seconds in all. Each run fails unless every
+# repetition returns the first one's report, completed + failed = jobs,
+# session accounting balances and the 1-thread legs equal the N-thread
+# ones. Builds into benchmark/target and writes benchmark/out/smoke
+# (both ignored); no file under benchmark/ changes.
+stage_benchmark_smoke() {
+    benchmark/run.sh --smoke | grep -E '^# ([a-z]+ seed=|wrote )'
+}
+
 # The determinism suite must hold at any thread count: run it once
 # sequential and once with 4 encode workers. Byte-identical bitstreams
 # and telemetry snapshots are asserted inside the tests. This is a
-# debug build on purpose (no --release): the simulator pins, the
-# saturated ones included, then run with ClusterSim's debug_assert!
-# oracle re-checking every placement the blocked-placement memo skips
-# against the real availability index.
+# debug build on purpose (no --release), so the simulator pins run
+# with both debug oracles on: ClusterSim re-checks every placement the
+# blocked-placement memo skips against the real availability index,
+# and EventQueue checks every event that leaves it — from the heap, a
+# FIFO lane or the batch-arrival cursor — against a shadow heap of all
+# pending (time, seq) keys.
 stage_determinism() {
     local t
     for t in 1 4; do
-        echo "--> VCU_THREADS=$t (debug build: memo oracle on)"
+        echo "--> VCU_THREADS=$t (debug build: memo and event-order oracles on)"
         VCU_THREADS=$t cargo test -q -p vcu-system --offline --test determinism \
             | tail -n 2
     done
@@ -144,11 +157,12 @@ run_stage bench_smoke stage_bench_smoke
 run_stage campaign_smoke stage_campaign_smoke
 run_stage bench_gate stage_bench_gate
 run_stage benchmark_lock stage_benchmark_lock
+run_stage benchmark_smoke stage_benchmark_smoke
 run_stage determinism stage_determinism
 run_stage simd_off stage_simd_off
 
 if [[ "$STAGES_RUN" -eq 0 ]]; then
-    echo "no stage named '$STAGE_FILTER' (stages: fmt build test clippy examples bench_smoke campaign_smoke bench_gate benchmark_lock determinism simd_off)" >&2
+    echo "no stage named '$STAGE_FILTER' (stages: fmt build test clippy examples bench_smoke campaign_smoke bench_gate benchmark_lock benchmark_smoke determinism simd_off)" >&2
     exit 1
 fi
 echo "tier-1 verify: OK ($STAGES_RUN stages)"

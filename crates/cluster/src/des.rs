@@ -43,9 +43,10 @@ pub struct Scheduled<E> {
 }
 
 impl<E> Scheduled<E> {
-    /// True if this event pops before one keyed `(time, seq)`.
-    fn precedes(&self, time: f64, seq: u64) -> bool {
-        self.time.total_cmp(&time).then(self.seq.cmp(&seq)).is_lt()
+    /// The pop order: this event against one keyed `(time, seq)` —
+    /// earlier time first, ties by insertion order (FIFO).
+    fn key_cmp(&self, time: f64, seq: u64) -> Ordering {
+        self.time.total_cmp(&time).then(self.seq.cmp(&seq))
     }
 }
 
@@ -58,12 +59,8 @@ impl<E> Eq for Scheduled<E> {}
 
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first;
-        // ties break by insertion order (FIFO).
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed: BinaryHeap is a max-heap, we want earliest first.
+        other.key_cmp(self.time, self.seq)
     }
 }
 impl<E> PartialOrd for Scheduled<E> {
@@ -120,7 +117,17 @@ impl<E> EventQueue<E> {
 
     /// The door every event passes, wherever it is stored: refuses NaN
     /// and the past, and hands out the next sequence number.
-    fn admit(&mut self, time: f64) -> u64 {
+    ///
+    /// Called on its own it gives an event the caller stores itself
+    /// its place in the order. The caller keeps such reserved events in
+    /// `(time, seq)` order and, when [`EventQueue::pop_before`] declines
+    /// to pop ahead of the earliest, calls [`EventQueue::advance_to`]
+    /// and handles it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is NaN or earlier than the current time.
+    pub(crate) fn reserve(&mut self, time: f64) -> u64 {
         assert!(!time.is_nan(), "event time is NaN");
         assert!(
             time >= self.now,
@@ -145,7 +152,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is NaN or earlier than the current time.
     pub fn schedule(&mut self, time: f64, event: E) {
-        let seq = self.admit(time);
+        let seq = self.reserve(time);
         self.heap.push(Scheduled { time, seq, event });
     }
 
@@ -173,7 +180,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is NaN or earlier than the current time.
     pub fn schedule_on(&mut self, lane: usize, time: f64, event: E) {
-        let seq = self.admit(time);
+        let seq = self.reserve(time);
         let s = Scheduled { time, seq, event };
         if lane >= self.lanes.len() {
             self.lanes.resize_with(lane + 1, VecDeque::new);
@@ -183,20 +190,6 @@ impl<E> EventQueue<E> {
             Some(tail) if time.total_cmp(&tail.time).is_lt() => self.heap.push(s),
             _ => lane.push_back(s),
         }
-    }
-
-    /// Gives an event the caller stores itself its place in the order:
-    /// checks `time` at the door and returns the sequence number
-    /// `schedule` would have used. The caller keeps its reserved events
-    /// in `(time, seq)` order and, when [`EventQueue::pop_before`]
-    /// declines to pop ahead of the earliest, calls
-    /// [`EventQueue::advance_to`] and handles it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is NaN or earlier than the current time.
-    pub(crate) fn reserve(&mut self, time: f64) -> u64 {
-        self.admit(time)
     }
 
     /// Pops the earliest stored event, advancing the clock.
@@ -209,7 +202,7 @@ impl<E> EventQueue<E> {
     /// earliest reserved event, keyed `(time, seq)`.
     pub(crate) fn pop_before(&mut self, time: f64, seq: u64) -> Option<Scheduled<E>> {
         let (from, head) = self.head()?;
-        head.precedes(time, seq).then(|| self.take(from))
+        head.key_cmp(time, seq).is_lt().then(|| self.take(from))
     }
 
     /// Time of the earliest stored event without popping it — the
@@ -235,7 +228,7 @@ impl<E> EventQueue<E> {
         let mut best = self.heap.peek().map(|s| (None, s));
         for (i, lane) in self.lanes.iter().enumerate() {
             if let Some(s) = lane.front() {
-                if best.is_none_or(|(_, b)| s.precedes(b.time, b.seq)) {
+                if best.is_none_or(|(_, b)| s.key_cmp(b.time, b.seq).is_lt()) {
                     best = Some((Some(i), s));
                 }
             }

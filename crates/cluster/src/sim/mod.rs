@@ -172,8 +172,8 @@ const ARRIVAL_LANE: usize = 0;
 /// [`EventQueue`] lane for watchdog deadlines: a fixed grace plus a
 /// multiple of the service time past a clock that only rises, so they
 /// are in order whenever service times are alike — and each outlives
-/// its attempt's completion several times over, which made them most of
-/// what a heap had to hold.
+/// its attempt's completion several times over, so they are most of
+/// what is pending.
 const WATCHDOG_LANE: usize = 1;
 
 /// One job reaching its terminal state, reported through

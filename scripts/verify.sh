@@ -111,13 +111,14 @@ stage_benchmark_lock() {
 
 # The external benchmark's own correctness checks, on every push and not
 # only in the benchmark pipeline: all five workloads at tiny sizes,
-# untraced then traced, seconds in all. Each run fails unless every
+# untraced then traced, one second of timed repetitions each (at least
+# five; ~20 s in all once built). Each run fails unless every
 # repetition returns the first one's report, completed + failed = jobs,
 # session accounting balances and the 1-thread legs equal the N-thread
 # ones. Builds into benchmark/target and writes benchmark/out/smoke
 # (both ignored); no file under benchmark/ changes.
 stage_benchmark_smoke() {
-    benchmark/run.sh --smoke | grep -E '^# ([a-z]+ seed=|wrote )'
+    benchmark/run.sh --smoke --seconds 1 | grep -E '^# ([a-z]+ seed=|wrote )'
 }
 
 # The determinism suite must hold at any thread count: run it once

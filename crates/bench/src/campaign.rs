@@ -442,17 +442,26 @@ mod tests {
 
     #[test]
     fn every_committed_json_parses_and_the_artifacts_pass_their_gates() {
-        let dir = results_path("");
-        let mut parsed = 0;
-        for entry in std::fs::read_dir(&dir).unwrap() {
+        for entry in std::fs::read_dir(results_path("")).unwrap() {
             let path = entry.unwrap().path();
             if path.extension().is_some_and(|e| e == "json") {
                 let text = std::fs::read_to_string(&path).unwrap();
                 parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                parsed += 1;
             }
         }
-        assert!(parsed >= 10, "only {parsed} JSON files under {dir}");
+        for stem in [
+            Fault::NAME,
+            Serve::NAME,
+            Region::NAME,
+            Dse::NAME,
+            "bench_cluster_scale",
+            "observe_telemetry_hw",
+            "observe_telemetry_node",
+            "observe_telemetry_sw_offload",
+        ] {
+            let path = results_path(&format!("{stem}.json"));
+            assert!(std::path::Path::new(&path).exists(), "{path} is missing");
+        }
         Fault::check(&committed::<Fault>(), true).unwrap();
         Serve::check(&committed::<Serve>(), true).unwrap();
         Region::check(&committed::<Region>(), true).unwrap();

@@ -27,14 +27,6 @@ const TTFF_CLIFF_SLACK_S: f64 = 0.05;
 const FULL_PEAK_FLOOR: u64 = 1_000_000;
 /// Region: fleet size the full sweep's largest planet must reach.
 const FULL_FLEET_FLOOR: u64 = 100_000;
-/// Bench rows: committed / fresh throughput above this fails.
-const REGRESSION_FACTOR: f64 = 3.0;
-/// Bench rows: committed medians under 100 µs are too noisy to compare.
-const MIN_MEDIAN_NS: f64 = 100_000.0;
-/// Bench rows: `encode_vp9_sw_t4` over `_t1` throughput on ≥ 4 cores.
-const MIN_SCALING: f64 = 2.0;
-/// Bench rows: each SIMD kernel row over its `_scalar` sibling.
-const KERNEL_MIN_SPEEDUP: f64 = 1.5;
 
 /// One record of an artifact's array, with its index for messages.
 struct Row<'a> {
@@ -300,146 +292,12 @@ pub fn dse(doc: &Value, _full: bool) -> GateResult {
     finish(fails, summary)
 }
 
-/// `("codec/kern_sad", "avx2")` for a per-backend SIMD kernel row.
-fn simd_kernel(name: &str) -> Option<(&str, &str)> {
-    let (stem, backend) = name.rsplit_once('_')?;
-    (stem.starts_with("codec/kern_") && matches!(backend, "sse2" | "avx2"))
-        .then_some((stem, backend))
-}
-
-/// `bench_codec.json` against a `fresh` smoke run of the same bench on
-/// a host with `host_cores` cores and the SIMD `host_backends` (what
-/// `kernels::available_backends` reports). Three checks, each printing
-/// the rows it compares and the reason for every row it skips:
-///
-/// - *regression*: rows compare by throughput (smoke runs encode fewer
-///   frames, so raw medians differ by shape) where both sides have one
-///   and the committed median is above the noise floor; a committed
-///   row the fresh run lacks fails, unless it is a SIMD kernel row
-///   this host cannot produce; comparing nothing fails.
-/// - *scaling*: committed `encode_vp9_sw_t4` over `_t1`, armed only
-///   when the capture host and this one both have ≥ 4 cores.
-/// - *kernels*: each committed SIMD kernel row over its `_scalar`
-///   sibling (full calibrated runs, so stable where smoke rows are
-///   noise).
-pub fn bench(
-    committed: &Value,
-    fresh: &Value,
-    host_cores: usize,
-    host_backends: &[&str],
-) -> GateResult {
-    struct BenchRow<'a> {
-        name: &'a str,
-        median_ns: f64,
-        throughput: Option<f64>,
-    }
-    let rows = |doc| {
-        read_rows("bench", doc, "records", |r| {
-            Ok(BenchRow {
-                name: r.read("name", Value::as_str)?,
-                median_ns: r.read("median_ns", Value::as_f64)?,
-                throughput: r.value.get("throughput").and_then(Value::as_f64),
-            })
-        })
-    };
-    let (committed_rows, fresh) = (rows(committed)?, rows(fresh)?);
-    let throughput = |name: &str| committed_rows.iter().find(|r| r.name == name)?.throughput;
-    let mut fails = Vec::new();
-
-    let (mut compared, mut skipped, mut worst) = (0, 0, 0.0f64);
-    for row in &committed_rows {
-        let (name, median_ns) = (row.name, row.median_ns);
-        let now = fresh.iter().find(|f| f.name == name).map(|f| f.throughput);
-        let skip = match (now, row.throughput, simd_kernel(name)) {
-            (None, _, Some((_, backend))) if !host_backends.contains(&backend) => {
-                format!("host has no {backend}, row cannot exist here")
-            }
-            (None, ..) => {
-                fails.push(format!("bench.missing_row: {name} not in the fresh run"));
-                continue;
-            }
-            (_, None, _) => "committed row has no throughput".to_owned(),
-            (Some(None), ..) => "fresh row has no throughput".to_owned(),
-            _ if median_ns < MIN_MEDIAN_NS => {
-                format!("committed median {median_ns:.0} ns is noise")
-            }
-            (Some(Some(is)), Some(was), _) => {
-                let ratio = was / is;
-                (compared, worst) = (compared + 1, worst.max(ratio));
-                println!(
-                    "    {name:<40} committed {was:>12.0}/s  fresh {is:>12.0}/s  ({ratio:.2}x)"
-                );
-                if ratio > REGRESSION_FACTOR {
-                    fails.push(format!("bench.regression: {name} is {ratio:.2}x slower"));
-                }
-                continue;
-            }
-        };
-        println!("    {name:<40} SKIPPED: {skip}");
-        skipped += 1;
-    }
-    if compared == 0 {
-        fails.push("bench.comparable: no row comparable with the fresh run".to_owned());
-    }
-    let mut summary = format!(
-        "bench: {compared} rows compared, {skipped} skipped, worst {worst:.2}x (budget \
-         {REGRESSION_FACTOR}x)"
-    );
-
-    let cores = committed.get("host_cores").and_then(Value::as_u64);
-    let t1 = throughput("codec/encode_vp9_sw_t1");
-    let t4 = throughput("codec/encode_vp9_sw_t4");
-    match (cores, t1.zip(t4).map(|(t1, t4)| t4 / t1)) {
-        (None, _) => fails.push("bench.keys: \"host_cores\" missing or mistyped".to_owned()),
-        (Some(cores), _) if cores < 4 || host_cores < 4 => {
-            summary += &format!(
-                "\nbench: *** SCALING GATE DISARMED *** (committed host_cores={cores}, this \
-                 host={host_cores}; both must be >= 4 — multi-core scaling is NOT being checked)"
-            )
-        }
-        (_, None) => fails.push("bench.scaling: no encode_vp9_sw_t1/_t4 throughput".to_owned()),
-        (_, Some(x)) if x < MIN_SCALING => fails.push(format!(
-            "bench.scaling: t4 is {x:.2}x t1, floor {MIN_SCALING}x"
-        )),
-        (_, Some(x)) => summary += &format!("\nbench: scaling t4/t1 = {x:.2}x"),
-    }
-
-    let mut pairs = 0;
-    for row in &committed_rows {
-        let name = row.name;
-        let Some((stem, _)) = simd_kernel(name) else {
-            continue;
-        };
-        let scalar = format!("{stem}_scalar");
-        let pair = row.throughput.zip(throughput(&scalar));
-        let Some(speedup) = pair.map(|(simd, scalar)| simd / scalar) else {
-            println!("    {name:<40} SKIPPED: no throughput pair with {scalar}");
-            continue;
-        };
-        pairs += 1;
-        println!("    {name:<40} {speedup:.2}x over {scalar}");
-        if speedup < KERNEL_MIN_SPEEDUP {
-            fails.push(format!(
-                "bench.kernel: {name} is {speedup:.2}x its scalar sibling"
-            ));
-        }
-    }
-    summary += &match pairs {
-        0 => "\nbench: *** KERNEL GATE DISARMED *** (no committed codec/kern_*_{sse2,avx2} rows — \
-              vectorized speedups are NOT being checked)"
-            .to_owned(),
-        _ => format!("\nbench: {pairs} SIMD kernel rows >= {KERNEL_MIN_SPEEDUP}x scalar"),
-    };
-    finish(fails, summary)
-}
-
 #[cfg(test)]
 mod tests {
     //! Every gate is shown a passing artifact and then the same
     //! artifact with exactly one property sabotaged: a gate that cannot
     //! go red is not a gate.
     use super::*;
-    use vcu_telemetry::json::{parse, render_table, JsonObj};
 
     type Cells = Vec<Vec<(&'static str, f64)>>;
 
@@ -674,96 +532,5 @@ mod tests {
             assert_fails(gate(&Value::Null, true), &[&format!("{name}.rows")]);
         }
         assert_fails(dse(&table("cells", &dse_cells()), true), &["dse.rows"]);
-    }
-
-    /// `(name, median_ns, throughput)` rows through the real writer.
-    fn bench_doc(host_cores: u64, rows: &[(&str, f64, Option<f64>)]) -> Value {
-        let records = rows.iter().map(|&(name, median_ns, throughput)| {
-            let row = JsonObj::new()
-                .str("name", name)
-                .fixed("median_ns", median_ns, 1);
-            match throughput {
-                Some(t) => row.fixed("throughput", t, 1),
-                None => row,
-            }
-        });
-        let header = JsonObj::new().u64("host_cores", host_cores);
-        parse(&render_table(header, "records", records.collect())).unwrap()
-    }
-
-    const BENCH: [(&str, f64, Option<f64>); 7] = [
-        ("codec/encode_vp9_sw_t1", 6e7, Some(100.0)),
-        ("codec/encode_vp9_sw_t4", 2e7, Some(300.0)),
-        ("codec/kern_sad_scalar", 600.0, Some(1e9)),
-        ("codec/kern_sad_sse2", 80.0, Some(8e9)),
-        ("codec/kern_sad_avx2", 60.0, Some(9e9)),
-        ("motion/satd16", 2e5, None),
-        ("transform/fwd_inv/8", 500.0, Some(1e8)),
-    ];
-    const ALL: [&str; 3] = ["scalar", "sse2", "avx2"];
-
-    /// `BENCH` committed on four cores, with one row's throughput set.
-    fn bench_with(row: usize, throughput: Option<f64>) -> Value {
-        let mut rows = BENCH;
-        rows[row].2 = throughput;
-        bench_doc(4, &rows)
-    }
-
-    #[test]
-    fn bench_gate_trips_on_slow_missing_and_incomparable_rows() {
-        let committed = bench_doc(4, &BENCH);
-        let summary = bench(&committed, &committed, 4, &ALL).unwrap();
-        assert!(summary.contains("2 rows compared, 5 skipped"), "{summary}");
-        // 3x slower is the budget; past it fails.
-        assert!(bench(&committed, &bench_with(1, Some(100.0)), 4, &ALL).is_ok());
-        assert_fails(
-            bench(&committed, &bench_with(1, Some(99.0)), 4, &ALL),
-            &["bench.regression"],
-        );
-        // A committed row absent from the fresh run fails…
-        let without = |name: &str| {
-            let rows: Vec<_> = BENCH.into_iter().filter(|r| r.0 != name).collect();
-            bench_doc(4, &rows)
-        };
-        assert_fails(
-            bench(&committed, &without("motion/satd16"), 4, &ALL),
-            &["bench.missing_row"],
-        );
-        // …unless it is a SIMD kernel row this host cannot produce.
-        let no_avx2 = without("codec/kern_sad_avx2");
-        assert_fails(bench(&committed, &no_avx2, 4, &ALL), &["bench.missing_row"]);
-        assert!(bench(&committed, &no_avx2, 4, &["scalar", "sse2"]).is_ok());
-        // Nothing above the noise floor on both sides: no comparison
-        // (and, with no t1/t4 rows, no scaling either).
-        let fast_only = bench_doc(4, &BENCH[2..]);
-        assert_fails(
-            bench(&fast_only, &fast_only, 4, &ALL),
-            &["bench.comparable", "bench.scaling"],
-        );
-    }
-
-    #[test]
-    fn bench_scaling_check_arms_only_with_cores_on_both_sides() {
-        let committed = bench_doc(4, &BENCH);
-        let summary = bench(&committed, &committed, 4, &ALL).unwrap();
-        assert!(summary.contains("scaling t4/t1 = 3.00x"), "{summary}");
-        for (doc, host) in [(&committed, 2), (&bench_doc(1, &BENCH), 8)] {
-            let summary = bench(doc, doc, host, &ALL).unwrap();
-            assert!(summary.contains("SCALING GATE DISARMED"), "{summary}");
-        }
-        let flat = bench_with(1, Some(199.0));
-        assert_fails(bench(&flat, &flat, 4, &ALL), &["bench.scaling"]);
-    }
-
-    #[test]
-    fn bench_kernel_check_trips_on_simd_slower_than_scalar() {
-        let committed = bench_doc(4, &BENCH);
-        let summary = bench(&committed, &committed, 4, &ALL).unwrap();
-        assert!(summary.contains("2 SIMD kernel rows"), "{summary}");
-        let slow = bench_with(3, Some(1.4e9));
-        assert_fails(bench(&slow, &slow, 4, &ALL), &["bench.kernel"]);
-        let no_simd = bench_doc(1, &[BENCH[0], BENCH[1], BENCH[2]]);
-        let summary = bench(&no_simd, &no_simd, 1, &ALL).unwrap();
-        assert!(summary.contains("KERNEL GATE DISARMED"), "{summary}");
     }
 }

@@ -1,11 +1,11 @@
 //! Experiment harness crate: see the `bin/` targets (one per paper
-//! table/figure, one per campaign, and `check_results`) and `benches/`
-//! (plain `fn main` wall-clock microbenchmarks writing JSON to
-//! `results/`; run with `cargo bench -p vcu-bench --offline`). The
-//! library provides [`timing`], the dependency-free median-of-K
-//! measurement harness the benches share; [`campaign`], the one driver
-//! and artifact format of the four deterministic campaigns; and
-//! [`gates`], the CI gates over everything under `results/`.
+//! table/figure, one per campaign, `bench_cluster_scale` and
+//! `check_results`). The library provides [`campaign`], the one driver
+//! and artifact format of the four deterministic campaigns; [`gates`],
+//! the CI gates over the campaign artifacts under `results/`; and
+//! [`timing`], the median-of-K wall-clock harness `bench_cluster_scale`
+//! uses plus the `results/` and smoke-mode paths. Host timings that
+//! judge a change live in `benchmark/`, not here.
 
 pub mod campaign;
 pub mod gates;

@@ -1,11 +1,12 @@
-//! Plain wall-clock benchmark harness (the in-repo `criterion`
-//! replacement).
+//! Plain wall-clock timing for `bench_cluster_scale`, plus the
+//! `results/` and smoke-mode paths every bin and campaign shares.
 //!
 //! Each benchmark auto-calibrates an iteration count so one repetition
 //! takes a measurable slice of wall-clock time, runs K repetitions,
-//! and records the median per-iteration time — the statistic future
-//! PRs diff to track the perf trajectory. Reports are printed as a
-//! table and written as machine-readable JSON under `results/`.
+//! and records the median per-iteration time. Reports are printed as a
+//! table and written as machine-readable JSON under `results/`. The
+//! rows describe the host that wrote them and nothing gates them;
+//! regressions are judged by `benchmark/`, same host on both sides.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -19,7 +20,7 @@ const DEFAULT_REPS: usize = 9;
 /// One benchmark's measurements.
 #[derive(Debug, Clone)]
 pub struct Record {
-    /// Benchmark name, e.g. `"codec/encode_vp9_sw"`.
+    /// Benchmark name, e.g. `"cluster/sim_indexed_1000"`.
     pub name: String,
     /// Iterations per repetition (after calibration).
     pub iters: u64,
@@ -69,15 +70,10 @@ impl Harness {
         }
     }
 
-    /// Times `f`, printing and recording the result. The closure's
-    /// return value is passed through [`black_box`] so the work cannot
-    /// be optimized away.
-    pub fn bench<R>(&mut self, name: &str, f: impl FnMut() -> R) -> &Record {
-        self.bench_elements(name, None, f)
-    }
-
-    /// Like [`Harness::bench`] with an elements-per-iteration count
-    /// for throughput reporting (pixels, bits, events…).
+    /// Times `f`, printing and recording the result, with an optional
+    /// elements-per-iteration count for throughput reporting (jobs,
+    /// events…). The closure's return value is passed through
+    /// [`black_box`] so the work cannot be optimized away.
     pub fn bench_elements<R>(
         &mut self,
         name: &str,
@@ -99,33 +95,10 @@ impl Harness {
             }
         }
         let reps = if self.quick { 3 } else { DEFAULT_REPS };
-        let mut per_iter_ns: Vec<f64> = (0..reps)
+        let per_iter_ns = (0..reps)
             .map(|_| time_iters(iters, &mut f).as_nanos() as f64 / iters as f64)
             .collect();
-        per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-        let median_ns = per_iter_ns[per_iter_ns.len() / 2];
-        let record = Record {
-            name: name.to_string(),
-            iters,
-            reps,
-            median_ns,
-            min_ns: per_iter_ns[0],
-            mean_ns: per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64,
-            elements,
-        };
-        let throughput = record
-            .elems_per_s()
-            .map(|t| format!("  ({:.3} Melem/s)", t / 1e6))
-            .unwrap_or_default();
-        println!(
-            "{:<40} median {:>12}  min {:>12}{}",
-            record.name,
-            fmt_ns(record.median_ns),
-            fmt_ns(record.min_ns),
-            throughput
-        );
-        self.records.push(record);
-        self.records.last().expect("just pushed")
+        self.record(name, iters, elements, per_iter_ns)
     }
 
     /// Times `reps` single-shot runs of `f` — no calibration, one
@@ -147,7 +120,7 @@ impl Harness {
     ) -> &Record {
         let reps = reps.max(1);
         let f = &f;
-        let mut per_iter_ns: Vec<f64> = vcu_exec::pool().run_batch(
+        let per_iter_ns = vcu_exec::pool().run_batch(
             vcu_exec::env_threads().min(reps),
             (0..reps)
                 .map(|_| {
@@ -159,11 +132,23 @@ impl Harness {
                 })
                 .collect(),
         );
+        self.record(name, 1, elements, per_iter_ns)
+    }
+
+    /// Reduces one benchmark's per-repetition times (ns per iteration,
+    /// at least one) to a [`Record`], prints its row and keeps it.
+    fn record(
+        &mut self,
+        name: &str,
+        iters: u64,
+        elements: Option<u64>,
+        mut per_iter_ns: Vec<f64>,
+    ) -> &Record {
         per_iter_ns.sort_by(|a, b| a.total_cmp(b));
         let record = Record {
             name: name.to_string(),
-            iters: 1,
-            reps,
+            iters,
+            reps: per_iter_ns.len(),
             median_ns: per_iter_ns[per_iter_ns.len() / 2],
             min_ns: per_iter_ns[0],
             mean_ns: per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64,
@@ -188,11 +173,10 @@ impl Harness {
     /// prints where they went, in the one table shape of
     /// `vcu_telemetry::json::render_table`.
     ///
-    /// The header's `host_cores` records the capture machine's
-    /// parallelism (so the scaling gate in [`crate::gates`] can tell
-    /// "flat scaling because the host has one core" from "flat scaling
-    /// because parallelism is broken"), and `records` holds one row
-    /// per benchmark.
+    /// The header's `host_cores` stamps the capture machine's
+    /// parallelism on the rows (a reader comparing two files sees
+    /// whether they came from like hosts), and `records` holds one
+    /// row per benchmark.
     ///
     /// A telemetry snapshot (`<stem>_telemetry.json`) is written next
     /// to the raw records, so bench runs and simulator runs share one
@@ -245,8 +229,8 @@ impl Harness {
 }
 
 /// The capture machine's available parallelism, recorded in every
-/// bench JSON so scaling expectations can be conditioned on it.
-pub fn host_cores() -> usize {
+/// bench JSON.
+fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -267,19 +251,15 @@ pub fn results_path(file: &str) -> String {
     format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"))
 }
 
-/// Where a smoke run writes the artifact `stem`: never `results/`.
-pub fn smoke_path(stem: &str) -> String {
-    std::env::temp_dir()
-        .join(format!("{stem}_smoke.json"))
-        .to_string_lossy()
-        .into_owned()
-}
-
 /// Where this run writes the artifact `stem`: `results/<stem>.json`,
-/// or [`smoke_path`] under [`smoke`].
+/// or `$TMPDIR/<stem>_smoke.json` under [`smoke`] — a smoke run never
+/// writes `results/`.
 pub fn output_path(stem: &str) -> String {
     if smoke() {
-        smoke_path(stem)
+        std::env::temp_dir()
+            .join(format!("{stem}_smoke.json"))
+            .to_string_lossy()
+            .into_owned()
     } else {
         results_path(&format!("{stem}.json"))
     }
@@ -337,7 +317,7 @@ mod tests {
     #[test]
     fn json_is_written() {
         let mut h = Harness::new();
-        h.bench("smoke/nop", || 1u8);
+        h.bench_elements("smoke/nop", None, || 1u8);
         h.bench_elements("smoke/elems", Some(64), || 1u8);
         let path = std::env::temp_dir().join("vcu_bench_smoke.json");
         let path = path.to_str().unwrap();

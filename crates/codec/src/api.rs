@@ -759,6 +759,26 @@ mod tests {
     }
 
     #[test]
+    fn unbalanced_batch_is_thread_count_invariant() {
+        // One clip four times its siblings' length: with stealing, the
+        // small clips finish on whichever worker is free, in any order.
+        // The results must still come back per input, byte for byte.
+        let mut videos =
+            vec![SynthSpec::new(Resolution::R144, 4, ContentClass::ugc(), 9).generate()];
+        for seed in 30..34 {
+            videos.push(SynthSpec::new(Resolution::R144, 1, ContentClass::ugc(), seed).generate());
+        }
+        let base = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(32));
+        let streams = |threads: usize| -> Vec<Vec<u8>> {
+            let batch = encode_batch(&base.with_threads(threads), &videos).unwrap();
+            batch.into_iter().map(|e| e.bytes).collect()
+        };
+        let seq = streams(1);
+        assert_eq!(seq.len(), videos.len());
+        assert!(seq == streams(4), "threads=4 changed a bitstream");
+    }
+
+    #[test]
     fn batch_worker_panic_joins_all_siblings_then_propagates_lowest_index() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::{AtomicUsize, Ordering};

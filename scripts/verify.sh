@@ -68,8 +68,8 @@ stage_examples() {
 
 # Smoke-run the cluster-scale bench in its seconds-long configuration
 # (tiny fleets, temp-dir JSON) so the binary and its built-in
-# indexed-vs-linear equivalence check can't rot. (The codec bench's
-# smoke run is the first half of bench_gate.)
+# indexed-vs-linear equivalence check can't rot. (Codec and kernel
+# timings live in benchmark/; benchmark_smoke runs them.)
 stage_bench_smoke() {
     VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_cluster_scale \
         | tail -n 2
@@ -89,13 +89,10 @@ stage_campaign_smoke() {
     done
 }
 
-# Gate the committed results/: a fresh smoke run of the codec bench,
-# then check_results — the four campaign artifacts through the same
-# gates their drivers run, and bench_codec.json against the fresh rows
-# (>3x throughput regression, vanished rows, SIMD-vs-scalar, scaling).
+# Gate the committed results/: check_results runs the four campaign
+# artifacts through the same gates their drivers run on fresh bytes.
 # Reads results/, never writes it.
-stage_bench_gate() {
-    VCU_BENCH_SMOKE=1 cargo bench -q -p vcu-bench --offline --bench codec | tail -n 2
+stage_results_gate() {
     cargo run -q -p vcu-bench --release --offline --bin check_results
 }
 
@@ -156,14 +153,14 @@ run_stage clippy stage_clippy
 run_stage examples stage_examples
 run_stage bench_smoke stage_bench_smoke
 run_stage campaign_smoke stage_campaign_smoke
-run_stage bench_gate stage_bench_gate
+run_stage results_gate stage_results_gate
 run_stage benchmark_lock stage_benchmark_lock
 run_stage benchmark_smoke stage_benchmark_smoke
 run_stage determinism stage_determinism
 run_stage simd_off stage_simd_off
 
 if [[ "$STAGES_RUN" -eq 0 ]]; then
-    echo "no stage named '$STAGE_FILTER' (stages: fmt build test clippy examples bench_smoke campaign_smoke bench_gate benchmark_lock benchmark_smoke determinism simd_off)" >&2
+    echo "no stage named '$STAGE_FILTER' (stages: fmt build test clippy examples bench_smoke campaign_smoke results_gate benchmark_lock benchmark_smoke determinism simd_off)" >&2
     exit 1
 fi
 echo "tier-1 verify: OK ($STAGES_RUN stages)"

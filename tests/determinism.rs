@@ -510,6 +510,109 @@ fn saturated_mix_run_with_hash_windows_is_pinned() {
     );
 }
 
+/// Wide blast radius under periodic screening: 64 VCUs with
+/// consistent-hash placement off, 48-chunk videos offered faster than
+/// the fleet drains them (so a video's chunks land wherever capacity
+/// frees and its set of touching workers passes 32), and a golden
+/// screen every 10 s that meets one worker of each kind — a corruptor
+/// it quarantines, a hung core a functional reset cures, a dead worker
+/// it must skip, a crash-looping core. The asserts before the hashes
+/// prove those outcomes; the snapshot carries the blast-radius series,
+/// so the mean is pinned sample by sample.
+#[test]
+fn wide_blast_radius_under_periodic_screening_is_pinned() {
+    use vcu_cluster::{HealthPolicy, Priority};
+    use vcu_media::Resolution;
+
+    const VIDEOS: usize = 32;
+    const CHUNKS: usize = 48;
+    let jobs: Vec<JobSpec> = (0..VIDEOS * CHUNKS)
+        .map(|i| JobSpec {
+            arrival_s: i as f64 * 0.03,
+            job: vcu_chip::TranscodeJob::mot(
+                Resolution::R2160,
+                Profile::Vp9Sim,
+                60.0,
+                [4.0, 5.0, 6.5][i % 3],
+            ),
+            priority: Priority::Normal,
+            video_id: (i / CHUNKS) as u64,
+        })
+        .collect();
+    let fault = |time_s, worker, kind| FaultInjection {
+        time_s,
+        worker,
+        kind,
+    };
+    let (corruptor, hung, dead, looping) = (3, 5, 9, 7);
+    let faults = vec![
+        fault(12.0, hung, FaultKind::FirmwareHang),
+        fault(15.0, dead, FaultKind::Dead),
+        // Lands between a screen and the first completion a corrupting
+        // core could report: only the 20 s screen can catch it.
+        fault(19.5, corruptor, FaultKind::SilentCorruption),
+        fault(25.0, looping, FaultKind::CrashLoop),
+        fault(45.0, dead, FaultKind::Repair),
+    ];
+    let cfg = ClusterConfig {
+        vcus: 64,
+        consistent_hash_window: 0,
+        health: HealthPolicy {
+            golden_period_s: 10.0,
+            ..HealthPolicy::default()
+        },
+        sample_period_s: 5.0,
+        seed: 22,
+        ..ClusterConfig::default()
+    };
+    let reg = Registry::new();
+    let r = ClusterSim::new(cfg, jobs, faults)
+        .with_telemetry(reg.clone())
+        .run();
+    assert_eq!(r.completed + r.failed, (VIDEOS * CHUNKS) as u64);
+    assert_eq!(r.repairs, 1);
+    assert!(
+        r.mean_vcus_per_video > 32.0,
+        "blast-radius sets must pass 32 workers: {}",
+        r.mean_vcus_per_video
+    );
+    let quarantines = reg.events_named("cluster.quarantine");
+    let quarantined_at = |w: u32| {
+        let of_w = |e: &&vcu_telemetry::TraceEvent| e.scope.vcu == Some(w);
+        quarantines.iter().find(of_w).map(|e| e.start_s)
+    };
+    assert_eq!(
+        quarantined_at(corruptor as u32),
+        Some(20.0),
+        "the periodic screen, not an integrity check, finds the corruptor"
+    );
+    assert_eq!(
+        reg.counter("cluster.screen.reset_recovered"),
+        1,
+        "a functional reset cures the hung core"
+    );
+    assert_eq!(
+        quarantined_at(dead as u32),
+        None,
+        "an unusable worker is not screened"
+    );
+    assert!(quarantined_at(looping as u32).is_some());
+    let series = reg
+        .series("cluster.blast_radius.mean_vcus_per_video")
+        .expect("series recorded");
+    assert_eq!(series.len(), r.samples.len());
+    assert_eq!(
+        fnv1a64(format!("{r:?}").as_bytes()),
+        0x57C909682BBC3654,
+        "wide-blast-radius report drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(reg.snapshot_json(&[]).as_bytes()),
+        0x449A0F9C1B09C379,
+        "wide-blast-radius telemetry snapshot drifted from the pinned bytes"
+    );
+}
+
 /// A small faulted cluster for the two event-order pins below: every
 /// recurring event sits on whole seconds (samples every 5 s, golden
 /// screens every 10 s, unjittered 1 s retry backoff, watchdog deadlines

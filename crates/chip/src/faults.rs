@@ -161,15 +161,29 @@ impl FaultyVcu {
         self.crash_loop = false;
     }
 
-    /// Periodic screening check: passes the golden payload through
-    /// this VCU's data path and compares checksums. Unlike
-    /// [`golden_test`], a hung or crash-looping VCU fails screening
-    /// outright — the probe job would never return cleanly.
-    pub fn screen(&self, golden: &[u8], expected: u64) -> bool {
+    /// Periodic screening check: passes the golden clip through this
+    /// VCU's data path and compares checksums. Unlike [`golden_test`],
+    /// a hung or crash-looping VCU fails screening outright — the probe
+    /// job would never return cleanly.
+    pub fn screen(&self, golden: &Golden, expected: u64) -> bool {
         if !self.accepts_work() || self.hung || self.crash_loop {
             return false;
         }
-        checksum(&self.taint(golden.to_vec())) == expected
+        self.returns_golden(golden, expected)
+    }
+
+    /// Whether `golden` comes out of this VCU's data path with checksum
+    /// `expected`. Only a corrupting VCU alters what passes through it,
+    /// so for every other the output's checksum is the clip's own,
+    /// already known: no copy, no hash. Debug builds still push the
+    /// clip through [`FaultyVcu::taint`] to check that.
+    fn returns_golden(&self, golden: &Golden, expected: u64) -> bool {
+        let through_data_path = || checksum(&self.taint(golden.bytes.clone()));
+        if self.state == HealthState::SilentlyCorrupting {
+            return through_data_path() == expected;
+        }
+        debug_assert_eq!(through_data_path(), golden.checksum);
+        golden.checksum == expected
     }
 
     /// Passes encoded output through the (possibly faulty) hardware:
@@ -178,7 +192,8 @@ impl FaultyVcu {
         if self.state == HealthState::SilentlyCorrupting && !payload.is_empty() {
             // Deterministic corruption pattern derived from the seed.
             let step = (self.corruption_seed % 97 + 50) as usize;
-            let mut i = (self.corruption_seed % 31) as usize;
+            // Starts inside the payload, however short it is.
+            let mut i = (self.corruption_seed % payload.len().min(31) as u64) as usize;
             while i < payload.len() {
                 payload[i] ^= 0x5A;
                 i += step;
@@ -241,11 +256,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// through the VCU's data path and compares checksums. Returns `true`
 /// if the VCU is clean.
 pub fn golden_test(vcu: &FaultyVcu, expected: u64) -> bool {
-    if !vcu.accepts_work() {
-        return false;
-    }
-    let out = vcu.taint(golden().bytes.clone());
-    checksum(&out) == expected
+    vcu.accepts_work() && vcu.returns_golden(golden(), expected)
 }
 
 /// The expected golden checksum on known-good hardware.
@@ -360,32 +371,70 @@ mod tests {
         assert_eq!(vcu.slow_factor(), 1.0, "a fault cannot speed the core up");
     }
 
+    /// `screen` gives the answer of the full path — copy the clip, pass
+    /// it through `taint`, hash it — whichever way it gets there, and
+    /// `golden_test` differs only in ignoring hangs and crash-loops.
     #[test]
     fn screen_matches_golden_test_without_reencoding() {
-        let (clip, expected) = (&golden().bytes[..], golden().checksum);
-        let healthy = FaultyVcu::new(7);
-        assert!(healthy.screen(clip, expected));
+        let fresh = |seed, inject: &dyn Fn(&mut FaultyVcu)| {
+            let mut vcu = FaultyVcu::new(seed);
+            inject(&mut vcu);
+            vcu
+        };
+        let table = [
+            ("healthy", fresh(7, &|_| {}), true),
+            // Slow output is still correct output.
+            ("slow", fresh(10, &|v| v.inject_slow(4.0)), true),
+            // The probe never returns from a hung core.
+            ("hung", fresh(8, &|v| v.inject_hang()), false),
+            ("crash-looping", fresh(9, &|v| v.inject_crash_loop()), false),
+            ("disabled", fresh(11, &|v| v.disable()), false),
+            (
+                "corrupting",
+                fresh(7, &|v| v.inject_silent_corruption()),
+                false,
+            ),
+            (
+                "repaired after corrupting",
+                fresh(7, &|v| {
+                    v.inject_silent_corruption();
+                    v.repair();
+                }),
+                true,
+            ),
+        ];
+        let clip = golden();
+        for (name, vcu, passes) in table {
+            // A checksum that is not the clip's must fail everywhere.
+            for expected in [clip.checksum, !clip.checksum] {
+                let full_path = vcu.accepts_work()
+                    && !vcu.is_hung()
+                    && !vcu.is_crash_looping()
+                    && checksum(&vcu.taint(clip.bytes.clone())) == expected;
+                assert_eq!(vcu.screen(clip, expected), full_path, "{name}");
+                if !vcu.is_hung() && !vcu.is_crash_looping() {
+                    assert_eq!(golden_test(&vcu, expected), full_path, "{name}");
+                }
+                assert_eq!(full_path, passes && expected == clip.checksum, "{name}");
+            }
+        }
+    }
 
-        let mut corrupting = FaultyVcu::new(7);
-        corrupting.inject_silent_corruption();
-        assert!(!corrupting.screen(clip, expected));
-
-        let mut hung = FaultyVcu::new(8);
-        hung.inject_hang();
-        assert!(
-            !hung.screen(clip, expected),
-            "probe never returns from a hung core"
-        );
-
-        let mut looping = FaultyVcu::new(9);
-        looping.inject_crash_loop();
-        assert!(!looping.screen(clip, expected));
-
-        let mut slow = FaultyVcu::new(10);
-        slow.inject_slow(4.0);
-        assert!(
-            slow.screen(clip, expected),
-            "slow output is still correct output"
-        );
+    #[test]
+    fn a_corrupting_vcu_corrupts_payloads_of_every_length() {
+        for seed in 0..200 {
+            let healthy = FaultyVcu::new(seed);
+            let mut corrupting = FaultyVcu::new(seed);
+            corrupting.inject_silent_corruption();
+            for len in 1..64 {
+                let payload: Vec<u8> = (0..len).collect();
+                assert_eq!(healthy.taint(payload.clone()), payload);
+                assert_ne!(
+                    corrupting.taint(payload.clone()),
+                    payload,
+                    "seed {seed}, {len} bytes"
+                );
+            }
+        }
     }
 }

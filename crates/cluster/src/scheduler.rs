@@ -77,7 +77,7 @@ pub struct WorkerAvailability {
 /// One segment-tree node: the component-wise max of remaining capacity
 /// over all *accepting* workers in its subtree, the max free slot count
 /// (single-slot ablation), and whether any worker below accepts work.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IndexNode {
     avail: ResourceDemand,
     free_slots: u32,
@@ -120,13 +120,33 @@ impl AvailabilityIndex {
         }
     }
 
-    /// Replaces worker `w`'s leaf and recomputes its ancestors.
+    /// What internal node `i` must hold: the merge of its children.
+    fn merged(&self, i: usize) -> IndexNode {
+        IndexNode::merge(self.tree[2 * i], self.tree[2 * i + 1])
+    }
+
+    /// Replaces worker `w`'s leaf and repairs its ancestors, stopping
+    /// at the first whose aggregate the new leaf does not move: a node
+    /// is a function of its two children, so above an unchanged node
+    /// every ancestor still holds what a walk to the root would write.
+    /// A leaf below its siblings' maximum costs one merge, not one per
+    /// level.
     fn set(&mut self, w: usize, leaf: IndexNode) {
         let mut i = self.size + w;
         self.tree[i] = leaf;
         while i > 1 {
             i /= 2;
-            self.tree[i] = IndexNode::merge(self.tree[2 * i], self.tree[2 * i + 1]);
+            let merged = self.merged(i);
+            if self.tree[i] == merged {
+                debug_assert!(
+                    std::iter::successors(Some(i / 2), |&a| Some(a / 2))
+                        .take_while(|&a| a >= 1)
+                        .all(|a| self.tree[a] == self.merged(a)),
+                    "stale ancestor above node {i}"
+                );
+                return;
+            }
+            self.tree[i] = merged;
         }
     }
 
@@ -609,6 +629,56 @@ mod tests {
     fn indexed_matches_linear_scan_single_slot() {
         for n in [1, 2, 5, 32] {
             assert_modes_agree(SchedulerKind::SingleSlot { slots: 3 }, n);
+        }
+    }
+
+    vcu_rng::prop_cases! {
+        /// The index a stream of early-exiting repairs leaves behind is
+        /// the one a bottom-up rebuild from the workers' leaves gives:
+        /// after every `place_from` / `release` / `set_accepting` over
+        /// 1–300 workers, under both policies, each internal node is
+        /// the merge of its children, root included.
+        #[cases(96)]
+        fn repaired_index_equals_a_rebuild_from_the_leaves(rng) {
+            let n = rng.gen_range(1usize..=300);
+            let kind = if rng.gen_bool(0.5) {
+                SchedulerKind::MultiDim
+            } else {
+                SchedulerKind::SingleSlot { slots: rng.gen_range(1u32..4) }
+            };
+            let mut s = Scheduler::new(kind, n, 1);
+            let mut live: Vec<(usize, ResourceDemand)> = Vec::new();
+            for op in 0..rng.gen_range(1usize..300) {
+                match rng.gen_range(0u32..10) {
+                    0..=5 => {
+                        // Every dimension free, zero included: an
+                        // ancestor's slot count or accepting bit can
+                        // then move while its capacity maxima do not.
+                        let d = ResourceDemand {
+                            millidecode: rng.gen_range(0u32..2_000),
+                            milliencode: rng.gen_range(0u32..6_000),
+                            dram_mib: rng.gen_range(0u32..4_000),
+                            host_mcpu: rng.gen_range(0u32..3_000),
+                        };
+                        let start = rng.gen_range(0usize..3 * n);
+                        let window = rng.gen_range(0usize..2 * n + 1);
+                        live.extend(s.place_from(d, start, window).map(|w| (w, d)));
+                    }
+                    6..=7 if !live.is_empty() => {
+                        let (w, d) = live.swap_remove(rng.gen_range(0usize..live.len()));
+                        s.release(w, d);
+                    }
+                    _ => s.set_accepting(rng.gen_range(0usize..n), rng.gen_bool(0.5)),
+                }
+                let mut rebuilt = AvailabilityIndex::new(n);
+                for w in 0..n {
+                    rebuilt.tree[rebuilt.size + w] = s.leaf_of(w);
+                }
+                for i in (1..rebuilt.size).rev() {
+                    rebuilt.tree[i] = rebuilt.merged(i);
+                }
+                assert_eq!(s.index.tree, rebuilt.tree, "op {op} (n={n}, {kind:?})");
+            }
         }
     }
 

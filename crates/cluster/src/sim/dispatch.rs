@@ -222,10 +222,7 @@ impl ClusterSim {
             usable_workers,
         };
         self.tally.sample(s);
-        // Guarded: the blast-radius mean is O(videos) to compute.
-        if self.telemetry.is_enabled() {
-            self.record_sample(&s);
-        }
+        self.record_sample(&s);
         // Stranded-jobs guard: with jobs queued, nothing in flight, and
         // no event left that could hand the cluster work (no arrival,
         // no backoff retry, no fault — a pending Repair counts as
@@ -452,7 +449,7 @@ impl ClusterSim {
         let spec = &job.spec;
         let duration_s = spec.job.duration_s;
         let wait_s = (a.number == 1).then_some(now - spec.arrival_s);
-        self.tally.placed(w, spec.video_id, wait_s);
+        self.tally.placed(w, job.video_slot, wait_s);
         self.running_per_pool[spec.priority.index()] += 1;
         self.telemetry.counter_inc("cluster.attempts");
         if let Some(wait) = wait_s {

@@ -260,7 +260,7 @@ impl Fleet {
     /// path.
     fn screen(&self, w: usize) -> bool {
         let golden = golden();
-        self.workers[w].vcu.screen(&golden.bytes, golden.checksum)
+        self.workers[w].vcu.screen(golden, golden.checksum)
     }
 
     /// A fresh worker attach: functional reset, then the golden screen.

@@ -93,6 +93,8 @@ enum Event {
 #[derive(Debug, Clone)]
 struct JobState {
     spec: JobSpec,
+    /// The blast-radius slot [`Tally::submitted`] gave this job's video.
+    video_slot: u32,
     attempts: u32,
     /// Codec path of the *most recent* attempt — rewritten at every
     /// placement, so at resolution it reads as the final attempt's
@@ -107,9 +109,10 @@ struct JobState {
 }
 
 impl JobState {
-    fn new(spec: JobSpec) -> Self {
+    fn new(spec: JobSpec, video_slot: u32) -> Self {
         JobState {
             spec,
+            video_slot,
             attempts: 0,
             mode: AttemptMode::Hw,
             live_attempt: None,
@@ -256,6 +259,11 @@ impl ClusterSim {
         if cfg.health.golden_period_s > 0.0 {
             queue.schedule(cfg.health.golden_period_s, Event::GoldenScreen);
         }
+        let mut tally = Tally::new(cfg.vcus);
+        let submit = |spec: JobSpec| {
+            let video_slot = tally.submitted(spec.video_id);
+            JobState::new(spec, video_slot)
+        };
         ClusterSim {
             queue,
             arrivals,
@@ -267,9 +275,9 @@ impl ClusterSim {
             ),
             fleet: Fleet::new(cfg.vcus, cfg.seed, cfg.health),
             ladder: Ladder::new(cfg.degrade.clone()),
-            tally: Tally::new(cfg.vcus, jobs.iter().map(|j| j.video_id)),
             reviving_events: jobs.len() + faults.len(),
-            jobs: jobs.into_iter().map(JobState::new).collect(),
+            jobs: jobs.into_iter().map(submit).collect(),
+            tally,
             pending: Default::default(),
             blocked: Blocked::default(),
             rng: Rng::seed_from_u64(cfg.seed),
@@ -323,8 +331,8 @@ impl ClusterSim {
         self.queue
             .schedule_on(ARRIVAL_LANE, spec.arrival_s, Event::Arrival(j));
         self.reviving_events += 1;
-        self.tally.submitted(spec.video_id);
-        self.jobs.push(JobState::new(spec));
+        let video_slot = self.tally.submitted(spec.video_id);
+        self.jobs.push(JobState::new(spec, video_slot));
         j
     }
 

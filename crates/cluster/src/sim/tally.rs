@@ -1,5 +1,6 @@
 //! Accounting: every counter, the wait distribution, the blast-radius
-//! sets, the periodic samples, and the final [`ClusterReport`].
+//! slots and pair count, the periodic samples, and the final
+//! [`ClusterReport`].
 //!
 //! [`Tally`] accumulates directly in report shape, so finishing a run
 //! fills in the derived fields instead of copying counters one by one.
@@ -8,7 +9,7 @@
 //! the registry cannot disagree.
 
 use super::AttemptMode;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// One metrics sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,44 +130,64 @@ pub(super) struct Tally {
     wait_sum: f64,
     /// Sim time of the most recent job resolution (horizon input).
     last_resolution_s: f64,
-    /// Distinct VCUs that touched each video (blast radius), maintained
-    /// incrementally so samples can expose it as a time series.
-    touched_per_video: HashMap<u64, BTreeSet<usize>>,
+    /// The dense slot [`Tally::submitted`] gave each video id.
+    video_slots: HashMap<u64, u32>,
+    /// Per video slot, the distinct VCUs that touched it (blast
+    /// radius), sorted.
+    touched: Vec<Vec<u32>>,
+    /// Distinct (video, VCU) pairs: the sum of `touched`'s lengths,
+    /// kept so samples can expose the mean as a time series in O(1).
+    pairs: u64,
 }
 
 impl Tally {
-    /// Accounts for `workers` workers and the `videos` submitted up
-    /// front.
-    pub(super) fn new(workers: usize, videos: impl Iterator<Item = u64>) -> Self {
+    /// Accounts for `workers` workers.
+    pub(super) fn new(workers: usize) -> Self {
+        assert!(
+            u32::try_from(workers).is_ok(),
+            "a fleet holds at most u32::MAX workers"
+        );
         Tally {
             report: ClusterReport {
                 attempts_per_worker: vec![0; workers],
                 ..ClusterReport::default()
             },
-            touched_per_video: videos.map(|v| (v, BTreeSet::new())).collect(),
             ..Tally::default()
         }
     }
 
-    /// A chunk of `video` was submitted. Every submitted video
-    /// participates in the blast-radius mean, even if none of its
-    /// chunks ever reach a VCU.
-    pub(super) fn submitted(&mut self, video: u64) {
-        self.touched_per_video.entry(video).or_default();
+    /// A chunk of `video` was submitted; returns the video's slot, the
+    /// handle [`Tally::placed`] takes, so the id is hashed once per job
+    /// and never per placement. Every submitted video participates in
+    /// the blast-radius mean, even if none of its chunks ever reach a
+    /// VCU.
+    pub(super) fn submitted(&mut self, video: u64) -> u32 {
+        *self.video_slots.entry(video).or_insert_with(|| {
+            let slot =
+                u32::try_from(self.touched.len()).expect("a run holds at most u32::MAX videos");
+            self.touched.push(Vec::new());
+            slot
+        })
     }
 
-    /// An attempt of a `video` chunk was placed on worker `w`; `wait_s`
-    /// is the arrival → placement delay on the job's *first* placement
-    /// and `None` on retries, so queueing delay is counted once per
-    /// job and retried jobs do not re-enter the mean with ever-growing
-    /// waits.
-    pub(super) fn placed(&mut self, w: usize, video: u64, wait_s: Option<f64>) {
+    /// An attempt of a chunk of the video in `slot` was placed on
+    /// worker `w`; `wait_s` is the arrival → placement delay on the
+    /// job's *first* placement and `None` on retries, so queueing delay
+    /// is counted once per job and retried jobs do not re-enter the
+    /// mean with ever-growing waits.
+    pub(super) fn placed(&mut self, w: usize, slot: u32, wait_s: Option<f64>) {
         self.report.attempts_per_worker[w] += 1;
         if let Some(wait) = wait_s {
             self.wait_sum += wait;
             self.waits.push(wait);
         }
-        self.touched_per_video.entry(video).or_default().insert(w);
+        // `new` checked that every worker index fits.
+        let w = w as u32;
+        let touched = &mut self.touched[slot as usize];
+        if let Err(at) = touched.binary_search(&w) {
+            touched.insert(at, w);
+            self.pairs += 1;
+        }
     }
 
     /// Counts one incident; returns its telemetry counter name.
@@ -239,16 +260,12 @@ impl Tally {
     }
 
     /// Mean number of distinct VCUs that touched each video's chunks so
-    /// far (§4.4 blast radius). O(videos).
+    /// far (§4.4 blast radius).
     pub(super) fn mean_blast_radius(&self) -> f64 {
-        if self.touched_per_video.is_empty() {
+        if self.touched.is_empty() {
             return 0.0;
         }
-        self.touched_per_video
-            .values()
-            .map(|s| s.len() as f64)
-            .sum::<f64>()
-            / self.touched_per_video.len() as f64
+        self.pairs as f64 / self.touched.len() as f64
     }
 
     /// Closes the accounts. The quarantine census comes from the fleet,
@@ -292,11 +309,12 @@ mod tests {
 
     #[test]
     fn first_placement_wait_is_counted_once_per_job() {
-        let mut t = Tally::new(2, [7].into_iter());
-        t.placed(0, 7, Some(3.0));
+        let mut t = Tally::new(2);
+        let video = t.submitted(7);
+        t.placed(0, video, Some(3.0));
         // The retry lands elsewhere, later: no second wait.
-        t.placed(1, 7, None);
-        t.placed(1, 7, None);
+        t.placed(1, video, None);
+        t.placed(1, video, None);
         let r = t.into_report(0);
         assert_eq!(r.mean_wait_s, 3.0);
         assert_eq!(r.p99_wait_s, 3.0);
@@ -306,19 +324,19 @@ mod tests {
 
     #[test]
     fn never_placed_jobs_contribute_no_wait_but_count_in_blast_radius() {
-        let mut t = Tally::new(1, [1].into_iter());
-        t.submitted(2);
-        t.submitted(2);
-        t.placed(0, 1, Some(0.0));
+        let mut t = Tally::new(1);
+        let placed = t.submitted(1);
+        assert_eq!(t.submitted(2), t.submitted(2));
+        t.placed(0, placed, Some(0.0));
         assert_eq!(t.mean_blast_radius(), 0.5);
-        let empty = Tally::new(1, [].into_iter()).into_report(0);
+        let empty = Tally::new(1).into_report(0);
         assert_eq!((empty.mean_wait_s, empty.p99_wait_s), (0.0, 0.0));
         assert_eq!(empty.mean_vcus_per_video, 0.0);
     }
 
     #[test]
     fn codec_path_tallies_follow_the_final_attempts_mode() {
-        let mut t = Tally::new(1, [].into_iter());
+        let mut t = Tally::new(1);
         // The caller passes the mode of the attempt that resolved the
         // job; earlier attempts' modes never reach the tally.
         assert_eq!(t.resolve(1.0, false, false, AttemptMode::Hw, 2.0), None);
@@ -352,11 +370,12 @@ mod tests {
     #[test]
     fn p99_is_the_ceil_rank_order_statistic() {
         let p99_of = |n: usize| {
-            let mut t = Tally::new(1, [].into_iter());
+            let mut t = Tally::new(1);
+            let video = t.submitted(0);
             // Placed in descending order: the percentile sorts, the
             // mean does not care.
             for i in (1..=n).rev() {
-                t.placed(0, 0, Some(i as f64));
+                t.placed(0, video, Some(i as f64));
             }
             t.into_report(0).p99_wait_s
         };
@@ -369,7 +388,7 @@ mod tests {
 
     #[test]
     fn incidents_land_in_their_report_field_and_name_their_counter() {
-        let mut t = Tally::new(1, [].into_iter());
+        let mut t = Tally::new(1);
         let names = [
             Incident::Retry,
             Incident::Retry,
@@ -416,9 +435,10 @@ mod tests {
         assert_eq!(r.degrade_time_frac, [1.0, 0.0, 0.0, 0.0]);
         assert_eq!(r.horizon_s, 30.0, "the last sample ends an idle run");
     }
+
     #[test]
     fn rung_time_fractions_partition_the_samples() {
-        let mut t = Tally::new(1, [].into_iter());
+        let mut t = Tally::new(1);
         for (i, degrade_level) in [0, 1, 1, 3].into_iter().enumerate() {
             t.sample(Sample {
                 time_s: i as f64,
@@ -434,7 +454,41 @@ mod tests {
         let r = t.into_report(0);
         assert_eq!(r.degrade_time_frac, [0.25, 0.5, 0.0, 0.25]);
         // No samples, no fractions (and no 0/0).
-        let empty = Tally::new(1, [].into_iter()).into_report(0);
+        let empty = Tally::new(1).into_report(0);
         assert_eq!(empty.degrade_time_frac, [0.0; 4]);
+    }
+
+    vcu_rng::prop_cases! {
+        /// The slots and the pair count give the mean the sets gave:
+        /// over random streams of submissions and placements — videos
+        /// never placed, workers repeated, videos first seen only after
+        /// placements began, as `inject_job` submits them — the bits of
+        /// `mean_blast_radius()` are those of the mean set size in a
+        /// `BTreeMap<u64, BTreeSet<usize>>`, summed as the old code did.
+        #[cases(128)]
+        fn blast_radius_mean_matches_a_set_per_video(rng) {
+            use std::collections::{BTreeMap, BTreeSet};
+            let workers = rng.gen_range(1usize..=80);
+            let ids = rng.gen_range(1u64..=40);
+            let mut t = Tally::new(workers);
+            let mut model: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+            let mut slots: Vec<(u64, u32)> = Vec::new();
+            for _ in 0..rng.gen_range(0usize..400) {
+                if slots.is_empty() || rng.gen_bool(0.3) {
+                    // Sparse ids: slots are dense, ids are not.
+                    let video = rng.gen_range(0..ids).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    slots.push((video, t.submitted(video)));
+                    model.entry(video).or_default();
+                } else {
+                    let (video, slot) = slots[rng.gen_range(0usize..slots.len())];
+                    let w = rng.gen_range(0usize..workers);
+                    t.placed(w, slot, None);
+                    model.get_mut(&video).expect("submitted").insert(w);
+                }
+                let sizes = model.values().map(|s| s.len() as f64);
+                let expected = sizes.sum::<f64>() / model.len() as f64;
+                assert_eq!(t.mean_blast_radius().to_bits(), expected.to_bits());
+            }
+        }
     }
 }

@@ -108,7 +108,9 @@ pub struct RegionReport {
 #[derive(Debug)]
 pub struct RegionSim {
     spec: RegionSpec,
-    chunk_s: f64,
+    /// The chunk every arrival transcodes ([`region_job`]), built once
+    /// and cloned per job.
+    job: TranscodeJob,
     cells: Vec<ClusterSim>,
     /// Cross-shard merge of cell resolutions, keyed by cell index.
     merge: ShardedEventQueue<(usize, JobResolution)>,
@@ -150,7 +152,7 @@ impl RegionSim {
             .collect();
         RegionSim {
             spec,
-            chunk_s,
+            job: region_job(chunk_s),
             cells,
             merge: ShardedEventQueue::new(merge_shards),
             merge_digest: 0x9E37_79B9_7F4A_7C15,
@@ -200,7 +202,7 @@ impl RegionSim {
             let cell = (i % self.cells.len() as u64) as usize;
             self.cells[cell].inject_job(JobSpec {
                 arrival_s,
-                job: region_job(self.chunk_s),
+                job: self.job.clone(),
                 priority: match i % 4 {
                     0 => Priority::Critical,
                     3 => Priority::Batch,

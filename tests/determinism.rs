@@ -793,6 +793,140 @@ fn open_world_injection_over_a_batch_vector_is_pinned() {
     );
 }
 
+/// An open world fed three job shapes interleaved A,A,B,A,C,B,… — a
+/// 1080p MOT of 5 s, a 720p MOT of 10 s and a one-pass 1080p→480p SOT
+/// of 5 s (A's length, another ladder) — so equal shapes both follow
+/// one another and alternate, injected an epoch at a time between
+/// `run_until` calls. The ladder is armed and a slow core, a corruptor
+/// and a hung core (repaired later) are in the fleet, so attempts end
+/// at the nominal service time, at 1.5× it, at 0.2× it and at the
+/// software rungs' multiples of it. The asserts before the hashes prove
+/// each of those happened.
+#[test]
+fn interleaved_shapes_in_an_open_world_are_pinned() {
+    use vcu_chip::TranscodeJob;
+    use vcu_cluster::{DegradePolicy, Priority, RetryPolicy};
+    use vcu_media::Resolution;
+
+    const JOBS: usize = 900;
+    const EPOCH_S: f64 = 7.5;
+    let (slow, corruptor, hung) = (1u32, 4, 6);
+    let shapes = [
+        TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0),
+        TranscodeJob::mot(Resolution::R720, Profile::Vp9Sim, 30.0, 10.0),
+        TranscodeJob::sot(
+            Resolution::R1080,
+            Resolution::R480,
+            Profile::H264Sim,
+            30.0,
+            5.0,
+        )
+        .low_latency(),
+    ];
+    let job = |i: usize| JobSpec {
+        // Slow, a burst that outruns the fleet, slow again.
+        arrival_s: match i {
+            0..300 => i as f64 * 0.1,
+            300..700 => 30.0 + (i - 300) as f64 * 0.02,
+            _ => 38.0 + (i - 700) as f64 * 0.15,
+        },
+        job: shapes[[0, 0, 1, 0, 2, 1][i % 6]].clone(),
+        priority: match i % 4 {
+            0 => Priority::Critical,
+            3 => Priority::Batch,
+            _ => Priority::Normal,
+        },
+        video_id: (i / 5) as u64,
+    };
+    let fault = |time_s, worker: u32, kind| FaultInjection {
+        time_s,
+        worker: worker as usize,
+        kind,
+    };
+    let faults = vec![
+        fault(2.0, slow, FaultKind::SlowCore { factor_pct: 150 }),
+        fault(6.0, corruptor, FaultKind::SilentCorruption),
+        fault(9.0, hung, FaultKind::FirmwareHang),
+        fault(55.0, hung, FaultKind::Repair),
+    ];
+    let cfg = ClusterConfig {
+        vcus: 8,
+        detection_rate: 0.8,
+        blackhole_mitigation: false,
+        retry: RetryPolicy {
+            base_s: 1.0,
+            jitter_frac: 0.1,
+            ..RetryPolicy::default()
+        },
+        degrade: DegradePolicy {
+            enabled: true,
+            backlog_per_worker: [1.0, 2.0, 6.0],
+            ..DegradePolicy::default()
+        },
+        sample_period_s: 2.5,
+        seed: 23,
+        ..ClusterConfig::default()
+    };
+    let reg = Registry::new();
+    let mut sim = ClusterSim::new(cfg, Vec::new(), faults)
+        .open_world()
+        .with_telemetry(reg.clone());
+    let mut resolutions = Vec::new();
+    let mut next = 0;
+    let mut t = 0.0;
+    while next < JOBS || sim.unresolved_jobs() > 0 {
+        t += EPOCH_S;
+        while next < JOBS && job(next).arrival_s < t {
+            assert_eq!(sim.inject_job(job(next)), next);
+            next += 1;
+        }
+        sim.run_until(t);
+        resolutions.extend(sim.drain_resolutions());
+    }
+    let r = sim.finish();
+    assert_eq!(r.completed + r.failed, JOBS as u64);
+    assert_eq!(resolutions.len(), JOBS);
+    assert_eq!(r.repairs, 1);
+    assert!(r.watchdog_fired > 0, "the hung core strands attempts");
+    assert!(
+        r.caught_corruptions > 0 && r.escaped_corruptions > 0,
+        "attempts complete at 0.2x on the corruptor"
+    );
+    assert!(
+        r.sw_encoded_jobs > 0 && r.sw_full_jobs > 0,
+        "attempts complete at the software rungs' service times"
+    );
+    let spans = reg.events_named("cluster.job");
+    let on_slow = |e: &vcu_telemetry::TraceEvent| e.scope.vcu == Some(slow) && e.start_s > 2.0;
+    assert!(
+        spans.iter().any(on_slow),
+        "attempts complete at 1.5x on the slow core"
+    );
+    assert!(
+        r.completed
+            > r.sw_encoded_jobs
+                + r.sw_full_jobs
+                + r.attempts_per_worker[slow as usize]
+                + r.attempts_per_worker[corruptor as usize],
+        "attempts complete at the nominal service time"
+    );
+    assert_eq!(
+        fnv1a64(format!("{resolutions:?}").as_bytes()),
+        0x6F96706DBEA2EF87,
+        "interleaved-shapes resolution log drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(format!("{r:?}").as_bytes()),
+        0x4425E6FE3BB81736,
+        "interleaved-shapes report drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(reg.snapshot_json(&[]).as_bytes()),
+        0x77637B480628DAB7,
+        "interleaved-shapes telemetry snapshot drifted from the pinned bytes"
+    );
+}
+
 #[test]
 fn chunk_parallel_encode_honors_vcu_threads_deterministically() {
     // The verify script runs this suite under VCU_THREADS=1 and
@@ -1030,6 +1164,71 @@ fn region_merge_is_shard_count_invariant() {
     assert_eq!(
         one.merge_digest, 0xEEDDB01F6F9D339D,
         "tiny planet's merged event order drifted from the pinned run"
+    );
+}
+
+/// A planet of two regions and three cells (two and one), anti-phased
+/// so each region overflows into the other in turn. When region 0 is
+/// the hot one, region 1 takes the routed tail of region 0's epoch —
+/// times `+rtt_s` past it — *before* its own arrivals of the same
+/// epoch, which start back at the epoch's beginning: two injections
+/// ahead of one `advance_to`, the second behind the first. The verify
+/// script runs this suite at `VCU_THREADS` 1 and 4.
+#[test]
+fn routed_arrivals_ahead_of_a_regions_own_are_pinned() {
+    use vcu_regions::{OverflowPolicy, PlanetConfig, PlanetSim, RegionSpec};
+    let cfg = PlanetConfig {
+        seed: 23,
+        horizon_s: 90.0,
+        epoch_s: 15.0,
+        period_s: 90.0,
+        chunk_s: 10.0,
+        traffic_scale: 1.0,
+        merge_shards: 3,
+        overflow: OverflowPolicy {
+            pressure_threshold: 1.0,
+            ..OverflowPolicy::default()
+        },
+        upgrades: true,
+        domain_failures: true,
+        regions: [(2, 6.0), (1, 18.0)]
+            .into_iter()
+            .enumerate()
+            .map(|(r, (cells, peak_hour))| RegionSpec {
+                name: format!("r{r}"),
+                cells,
+                vcus_per_cell: 8,
+                peak_hour,
+                mean_rate_per_s: 5.0 * cells as f64,
+                amplitude: 0.9,
+            })
+            .collect(),
+    };
+    let planet = PlanetSim::new(cfg).run();
+    let [r0, r1] = &planet.regions[..] else {
+        panic!("two regions");
+    };
+    assert!(
+        r1.routed_in > 0 && r1.routed_in == r0.routed_out,
+        "region 0 must overflow into region 1, ahead of region 1's own arrivals"
+    );
+    assert!(
+        r0.routed_in > 0 && r0.routed_in == r1.routed_out,
+        "region 1 must overflow into region 0, behind region 0's own arrivals"
+    );
+    assert_eq!(planet.routed_jobs, r0.routed_in + r1.routed_in);
+    assert_eq!(
+        planet.completed + planet.regions.iter().map(|r| r.failed).sum::<u64>(),
+        planet.jobs
+    );
+    assert_eq!(
+        planet.merge_digest, 0x8ED3A218E6A249B4,
+        "routed planet's merged event order drifted from the pinned run"
+    );
+    assert_eq!(
+        fnv1a64(format!("{planet:?}").as_bytes()),
+        0xD556059EDB2ECFCC,
+        "routed planet's report drifted from the pinned run"
     );
 }
 

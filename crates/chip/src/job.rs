@@ -6,6 +6,8 @@
 //! jobs and report time/throughput; the cluster scheduler consumes
 //! their resource demands.
 
+use std::fmt;
+use std::ops::Deref;
 use vcu_codec::{PassMode, Profile};
 use vcu_media::Resolution;
 
@@ -18,6 +20,58 @@ pub struct OutputVariant {
     pub profile: Profile,
 }
 
+/// The output variants of one job, held inline: a length and room for
+/// one full ladder, so a job is plain data — it clones by copy and
+/// frees nothing. Reads as the slice of its variants (`iter()`,
+/// `len()`, `[0]`, `==` and `{:?}` all go through [`Deref`]). Only
+/// [`TranscodeJob::sot`] and [`TranscodeJob::mot`] build one, and both
+/// put at least one variant in it.
+#[derive(Clone)]
+pub struct Outputs {
+    len: u8,
+    /// The variants, then filler past `len` that nothing reads.
+    slots: [OutputVariant; Resolution::ALL.len()],
+}
+
+impl Outputs {
+    /// `first`, then one variant of the same profile per ladder rung
+    /// in `rest`.
+    fn new(first: OutputVariant, rest: impl Iterator<Item = Resolution>) -> Self {
+        let mut outputs = Outputs {
+            len: 1,
+            slots: [first; Resolution::ALL.len()],
+        };
+        for resolution in rest {
+            outputs.slots[outputs.len as usize] = OutputVariant {
+                resolution,
+                ..first
+            };
+            outputs.len += 1;
+        }
+        outputs
+    }
+}
+
+impl Deref for Outputs {
+    type Target = [OutputVariant];
+
+    fn deref(&self) -> &[OutputVariant] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl PartialEq for Outputs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Outputs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A transcode work item.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranscodeJob {
@@ -28,7 +82,7 @@ pub struct TranscodeJob {
     /// Length of the chunk in seconds.
     pub duration_s: f64,
     /// Outputs to produce. One element = SOT; several = MOT.
-    pub outputs: Vec<OutputVariant>,
+    pub outputs: Outputs,
     /// Whether a second encoding pass runs (offline/lagged two-pass).
     pub two_pass: bool,
     /// Latency class of the request.
@@ -48,10 +102,13 @@ impl TranscodeJob {
             input,
             fps,
             duration_s,
-            outputs: vec![OutputVariant {
-                resolution: output,
-                profile,
-            }],
+            outputs: Outputs::new(
+                OutputVariant {
+                    resolution: output,
+                    profile,
+                },
+                std::iter::empty(),
+            ),
             two_pass: true,
             pass_mode: PassMode::TwoPassOffline,
         }
@@ -64,14 +121,13 @@ impl TranscodeJob {
             input,
             fps,
             duration_s,
-            outputs: input
-                .ladder()
-                .into_iter()
-                .map(|r| OutputVariant {
-                    resolution: r,
+            outputs: Outputs::new(
+                OutputVariant {
+                    resolution: input,
                     profile,
-                })
-                .collect(),
+                },
+                input.rungs().skip(1),
+            ),
             two_pass: true,
             pass_mode: PassMode::TwoPassOffline,
         }
@@ -137,6 +193,42 @@ mod tests {
         assert_eq!(j.outputs.len(), 6);
         assert_eq!(j.outputs[0].resolution, Resolution::R1080);
         assert_eq!(j.outputs[5].resolution, Resolution::R144);
+    }
+
+    #[test]
+    fn inline_outputs_read_like_the_vec_they_replace() {
+        for input in Resolution::ALL {
+            for profile in [Profile::H264Sim, Profile::Vp9Sim] {
+                let expected: Vec<OutputVariant> = input
+                    .ladder()
+                    .into_iter()
+                    .map(|resolution| OutputVariant {
+                        resolution,
+                        profile,
+                    })
+                    .collect();
+                let mot = TranscodeJob::mot(input, profile, 30.0, 5.0);
+                assert_eq!(mot.outputs.len(), expected.len());
+                for (got, want) in mot.outputs.iter().zip(&expected) {
+                    assert_eq!(got, want);
+                }
+                assert_eq!(format!("{:?}", mot.outputs), format!("{expected:?}"));
+                assert_eq!(format!("{:#?}", mot.outputs), format!("{expected:#?}"));
+                for output in Resolution::ALL {
+                    let sot = TranscodeJob::sot(input, output, profile, 30.0, 5.0);
+                    let only = OutputVariant {
+                        resolution: output,
+                        profile,
+                    };
+                    assert_eq!(sot.outputs[..], [only]);
+                    // Equality reads the variants, never the filler
+                    // behind them.
+                    assert_eq!(sot.outputs == mot.outputs, expected == [only]);
+                }
+            }
+        }
+        // The parent's job was 64 bytes, 24 of them a `Vec` header.
+        assert!(std::mem::size_of::<TranscodeJob>() <= 64);
     }
 
     #[test]

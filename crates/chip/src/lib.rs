@@ -31,5 +31,5 @@ pub mod vcu;
 
 pub use design::DesignPoint;
 pub use devices::System;
-pub use job::{OutputVariant, TranscodeJob};
+pub use job::{OutputVariant, Outputs, TranscodeJob};
 pub use vcu::{ResourceDemand, VcuModel, WorkloadShape};

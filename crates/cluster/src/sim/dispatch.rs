@@ -11,7 +11,7 @@
 use super::degrade::AttemptMode;
 use super::fleet::{FaultKind, WorkerEvent};
 use super::tally::{Incident, Sample};
-use super::{Attempt, ClusterSim, Event, JobResolution, Priority, WATCHDOG_LANE};
+use super::{Attempt, ClusterSim, Event, JobResolution, Priority, COMPLETION_LANE, WATCHDOG_LANE};
 use std::collections::VecDeque;
 use vcu_chip::faults::HealthState;
 use vcu_chip::ResourceDemand;
@@ -267,7 +267,7 @@ impl ClusterSim {
     }
 
     fn enqueue_pending(&mut self, now: f64, j: usize) {
-        let priority = self.jobs[j].spec.priority;
+        let priority = self.jobs[j].priority;
         // Ladder level 3: Batch work is shed at the door instead of
         // queueing into a cluster that cannot keep up.
         if self.ladder.level() == 3 && priority == Priority::Batch {
@@ -319,14 +319,7 @@ impl ClusterSim {
                     break 'classes;
                 }
                 let j = self.pending[class][i];
-                let hw_demand = match self.jobs[j].demand {
-                    Some(d) => d,
-                    None => {
-                        let d = self.cfg.model.job_demand(&self.jobs[j].spec.job);
-                        self.jobs[j].demand = Some(d);
-                        d
-                    }
-                };
+                let hw_demand = self.jobs[j].shape.demand;
                 let (start, window) = self.placement_window(j, shard_len);
                 let full_window = window >= self.cfg.vcus;
                 let placed = if full_window && self.blocked.covers(hw_demand) {
@@ -383,10 +376,10 @@ impl ClusterSim {
     }
 
     /// Debug oracle for [`Blocked`]: asks the real availability index,
-    /// read-only, whether queued job `j` (tried before, so its demand
-    /// is cached) still has no candidate that places.
+    /// read-only, whether queued job `j` still has no candidate that
+    /// places.
     fn still_misses(&self, j: usize, shard_len: usize) -> bool {
-        let hw_demand = self.jobs[j].demand.expect("a job that missed was asked");
+        let hw_demand = self.jobs[j].shape.demand;
         let (start, window) = self.placement_window(j, shard_len);
         // `decode_hot` orders the candidates; it never changes the set.
         let sw_decode = self.cfg.opportunistic_sw_decode;
@@ -413,7 +406,6 @@ impl ClusterSim {
         let n = self.cfg.vcus;
         if self.cfg.consistent_hash_window > 0 {
             let h = self.jobs[j]
-                .spec
                 .video_id
                 .wrapping_mul(0x9E3779B97F4A7C15)
                 .rotate_left(17)
@@ -446,11 +438,10 @@ impl ClusterSim {
             worker: w,
             demand,
         };
-        let spec = &job.spec;
-        let duration_s = spec.job.duration_s;
-        let wait_s = (a.number == 1).then_some(now - spec.arrival_s);
+        let duration_s = job.shape.duration_s;
+        let wait_s = (a.number == 1).then_some(now - job.arrival_s);
         self.tally.placed(w, job.video_slot, wait_s);
-        self.running_per_pool[spec.priority.index()] += 1;
+        self.running_per_pool[job.priority.index()] += 1;
         self.telemetry.counter_inc("cluster.attempts");
         if let Some(wait) = wait_s {
             self.telemetry.observe("cluster.wait_s", wait);
@@ -475,8 +466,12 @@ impl ClusterSim {
             self.queue.schedule(abort_at, Event::CrashAbort(a));
         } else if !vcu.is_hung() {
             let done_at = now + service.max(0.01);
-            self.queue
-                .schedule(done_at, Event::Completion(a, corrupting));
+            let done = Event::Completion(a, corrupting);
+            if service == nominal {
+                self.queue.schedule_on(COMPLETION_LANE, done_at, done);
+            } else {
+                self.queue.schedule(done_at, done);
+            }
         }
         // A hung VCU schedules nothing: only this deadline notices.
         let watchdog = &self.cfg.watchdog;
@@ -492,7 +487,7 @@ impl ClusterSim {
     fn end_attempt(&mut self, now: f64, a: Attempt) {
         let job = &mut self.jobs[a.job];
         job.live_attempt = None;
-        self.running_per_pool[job.spec.priority.index()] -= 1;
+        self.running_per_pool[job.priority.index()] -= 1;
         self.scheduler.release(a.worker, a.demand);
         if self.scheduler.worker(a.worker).jobs == 0 {
             if let Some(ev) = self.fleet.idle(a.worker) {
@@ -522,7 +517,7 @@ impl ClusterSim {
     /// Telemetry scope for job `j`, optionally pinned to the worker `w`
     /// that ran its final attempt (stranded jobs never had one).
     fn job_scope(&self, j: usize, w: Option<usize>) -> Scope {
-        let scope = Scope::job(j as u64).with_video(self.jobs[j].spec.video_id);
+        let scope = Scope::job(j as u64).with_video(self.jobs[j].video_id);
         match w {
             Some(w) => scope.with_vcu(w as u32),
             None => scope,
@@ -542,10 +537,9 @@ impl ClusterSim {
             });
         }
         let job = &self.jobs[j];
-        let output_mpix = job.spec.job.output_pixels() / 1e6;
         let sw_path = self
             .tally
-            .resolve(now, failed, escaped, job.mode, output_mpix);
+            .resolve(now, failed, escaped, job.mode, job.shape.output_mpix);
         // Guarded: a span allocates its name before the registry can
         // decline it, and this runs once per job.
         if self.telemetry.is_enabled() {
@@ -563,7 +557,7 @@ impl ClusterSim {
             }
             let scope = self.job_scope(j, w);
             self.telemetry
-                .span(span, scope, job.spec.arrival_s, now, job.attempts as f64);
+                .span(span, scope, job.arrival_s, now, job.attempts as f64);
         }
     }
 

@@ -53,7 +53,7 @@ use dispatch::Blocked;
 use fleet::Fleet;
 use std::collections::VecDeque;
 use tally::Tally;
-use vcu_chip::ResourceDemand;
+use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
 use vcu_rng::Rng;
 use vcu_telemetry::Registry;
 
@@ -90,33 +90,86 @@ enum Event {
     GoldenScreen,
 }
 
+/// What the simulator reads of a job's work — a function of its
+/// [`TranscodeJob`] and the fleet's [`VcuModel`], not of the individual
+/// chunk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Shape {
+    duration_s: f64,
+    /// Output delivered by a completed job, Mpix.
+    output_mpix: f64,
+    /// Full-hardware resource demand.
+    demand: ResourceDemand,
+}
+
+impl Shape {
+    fn of(job: &TranscodeJob, model: &VcuModel) -> Self {
+        Shape {
+            duration_s: job.duration_s,
+            output_mpix: job.output_pixels() / 1e6,
+            demand: model.job_demand(job),
+        }
+    }
+}
+
+/// The last job submitted and its [`Shape`]. Streams are mostly runs of
+/// one shape (a campaign's uniform chunk, a video's chunks), so one
+/// entry turns a run into one [`VcuModel::job_demand`]; a stream where
+/// every job differs computes one per job, as it would without the
+/// memo, and nothing grows with the number of shapes. Debug builds
+/// check every remembered shape against a fresh one.
+#[derive(Debug, Default)]
+struct ShapeMemo(Option<(TranscodeJob, Shape)>);
+
+impl ShapeMemo {
+    fn shape_of(&mut self, job: &TranscodeJob, model: &VcuModel) -> Shape {
+        match &self.0 {
+            // A NaN field is unequal to itself and simply recomputes.
+            Some((last, shape)) if last == job => {
+                debug_assert_eq!(*shape, Shape::of(job, model));
+                *shape
+            }
+            _ => {
+                let shape = Shape::of(job, model);
+                self.0 = Some((job.clone(), shape));
+                shape
+            }
+        }
+    }
+}
+
+/// A submitted job: what the simulator reads of its [`JobSpec`], and
+/// where its attempts stand.
 #[derive(Debug, Clone)]
 struct JobState {
-    spec: JobSpec,
+    arrival_s: f64,
+    video_id: u64,
+    shape: Shape,
     /// The blast-radius slot [`Tally::submitted`] gave this job's video.
     video_slot: u32,
     attempts: u32,
-    /// Codec path of the *most recent* attempt — rewritten at every
-    /// placement, so at resolution it reads as the final attempt's
-    /// mode.
-    mode: AttemptMode,
     /// Attempt number currently holding resources, if any. Completion,
     /// watchdog, and crash-abort events all race to resolve an attempt;
     /// whichever matches this number first wins and the rest are stale.
     live_attempt: Option<u32>,
-    /// Cached hardware resource demand (deterministic per job).
-    demand: Option<ResourceDemand>,
+    priority: Priority,
+    /// Codec path of the *most recent* attempt — rewritten at every
+    /// placement, so at resolution it reads as the final attempt's
+    /// mode.
+    mode: AttemptMode,
 }
 
 impl JobState {
-    fn new(spec: JobSpec, video_slot: u32) -> Self {
+    fn new(spec: &JobSpec, shape: Shape, video_slot: u32) -> Self {
         JobState {
-            spec,
+            arrival_s: spec.arrival_s,
+            video_id: spec.video_id,
+            shape,
             video_slot,
             attempts: 0,
-            mode: AttemptMode::Hw,
             live_attempt: None,
-            demand: None,
+            priority: spec.priority,
+            mode: AttemptMode::Hw,
         }
     }
 }
@@ -178,6 +231,14 @@ const ARRIVAL_LANE: usize = 0;
 /// its attempt's completion several times over, so they are most of
 /// what is pending.
 const WATCHDOG_LANE: usize = 1;
+/// [`EventQueue`] lane for completions at the nominal service time — a
+/// healthy core on the hardware path, which is nearly all of them: the
+/// chunk's length past a clock that only rises, in order whenever
+/// chunk lengths are alike. Every other completion (slow core,
+/// corrupting core at 0.2×, software rungs) goes to the heap: one
+/// slowed attempt on the lane would park a far-future tail there and
+/// send every nominal completion behind it to the heap anyway.
+const COMPLETION_LANE: usize = 2;
 
 /// One job reaching its terminal state, reported through
 /// [`ClusterSim::drain_resolutions`] so an open-world driver (the
@@ -207,6 +268,7 @@ pub struct ClusterSim {
     ladder: Ladder,
     tally: Tally,
     jobs: Vec<JobState>,
+    shapes: ShapeMemo,
     /// Pending job indices, one FIFO ring per priority class (indexed
     /// by [`Priority::index`]): O(1) enqueue and O(1) per-class depth.
     /// Scheduling visits classes Critical → Normal → Batch, so
@@ -260,9 +322,10 @@ impl ClusterSim {
             queue.schedule(cfg.health.golden_period_s, Event::GoldenScreen);
         }
         let mut tally = Tally::new(cfg.vcus);
+        let mut shapes = ShapeMemo::default();
         let submit = |spec: JobSpec| {
-            let video_slot = tally.submitted(spec.video_id);
-            JobState::new(spec, video_slot)
+            let shape = shapes.shape_of(&spec.job, &cfg.model);
+            JobState::new(&spec, shape, tally.submitted(spec.video_id))
         };
         ClusterSim {
             queue,
@@ -277,6 +340,7 @@ impl ClusterSim {
             ladder: Ladder::new(cfg.degrade.clone()),
             reviving_events: jobs.len() + faults.len(),
             jobs: jobs.into_iter().map(submit).collect(),
+            shapes,
             tally,
             pending: Default::default(),
             blocked: Blocked::default(),
@@ -331,15 +395,16 @@ impl ClusterSim {
         self.queue
             .schedule_on(ARRIVAL_LANE, spec.arrival_s, Event::Arrival(j));
         self.reviving_events += 1;
+        let shape = self.shapes.shape_of(&spec.job, &self.cfg.model);
         let video_slot = self.tally.submitted(spec.video_id);
-        self.jobs.push(JobState::new(spec, video_slot));
+        self.jobs.push(JobState::new(&spec, shape, video_slot));
         j
     }
 
     /// Time of the next pending event, if any — the merge point for a
     /// driver interleaving this queue with its own.
     pub fn next_event_time(&self) -> Option<f64> {
-        let arrival = self.arrivals.peek().map(|j| self.jobs[j].spec.arrival_s);
+        let arrival = self.arrivals.peek().map(|j| self.jobs[j].arrival_s);
         match (arrival, self.queue.next_time()) {
             (Some(a), Some(q)) => Some(if q.total_cmp(&a).is_lt() { q } else { a }),
             (a, q) => a.or(q),
@@ -363,7 +428,7 @@ impl ClusterSim {
         let (time, event) = match self.arrivals.peek() {
             // Batch arrival `j` was reserved as `(arrival_s, j)`.
             Some(j) => {
-                let (time, seq) = (self.jobs[j].spec.arrival_s, j as u64);
+                let (time, seq) = (self.jobs[j].arrival_s, j as u64);
                 match self.queue.pop_before(time, seq) {
                     Some(ev) => (ev.time, ev.event),
                     None => {
@@ -673,6 +738,82 @@ mod tests {
         assert!(sim.drain_resolutions().is_empty());
         let report = sim.finish();
         assert_eq!(report.completed, 10);
+    }
+
+    vcu_rng::prop_cases! {
+        /// The memo is storage, never a different answer: over random
+        /// streams of 1–6 shapes — runs, alternations, pairs that differ
+        /// only in `fps` or only in `pass_mode`, a per-job chunk length,
+        /// and a NaN `fps` that is unequal even to itself — submitted
+        /// partly as the batch vector and partly through `inject_job`,
+        /// every job holds exactly the `Shape` computed for it alone.
+        #[cases(128)]
+        fn stored_shapes_match_fresh_ones(rng) {
+            let base = || TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0);
+            let mut pool = [
+                base(),
+                TranscodeJob { fps: 60.0, ..base() },
+                base().low_latency_two_pass(),
+                TranscodeJob { fps: f64::NAN, ..base() },
+                TranscodeJob::sot(
+                    Resolution::R1080,
+                    Resolution::R480,
+                    Profile::H264Sim,
+                    30.0,
+                    5.0,
+                )
+                .low_latency(),
+                TranscodeJob::mot(Resolution::R720, Profile::Vp9Sim, 30.0, 10.0),
+            ];
+            rng.shuffle(&mut pool);
+            let shapes = &pool[..rng.gen_range(1usize..=pool.len())];
+            let per_job_length = rng.gen_bool(0.25);
+            let (mut last, mut before) = (0, 0);
+            let stream: Vec<JobSpec> = (0..rng.gen_range(1usize..200))
+                .map(|i| {
+                    let pick = match rng.gen_range(0..4) {
+                        0 | 1 => last,
+                        2 => before,
+                        _ => rng.gen_range(0..shapes.len()),
+                    };
+                    (before, last) = (last, pick);
+                    let mut job = shapes[pick].clone();
+                    if per_job_length {
+                        job.duration_s = rng.gen_range(1.0..20.0);
+                    }
+                    JobSpec {
+                        arrival_s: i as f64 * 0.25,
+                        job,
+                        priority: Priority::Normal,
+                        video_id: rng.gen_range(0u64..8),
+                    }
+                })
+                .collect();
+            let batch = rng.gen_range(0..=stream.len());
+            let cfg = ClusterConfig::default();
+            let mut sim = ClusterSim::new(cfg.clone(), stream[..batch].to_vec(), vec![]).open_world();
+            for spec in &stream[batch..] {
+                sim.inject_job(spec.clone());
+            }
+            assert_eq!(sim.jobs.len(), stream.len());
+            for (state, spec) in sim.jobs.iter().zip(&stream) {
+                let Shape { duration_s, output_mpix, demand } = state.shape;
+                assert_eq!(duration_s.to_bits(), spec.job.duration_s.to_bits());
+                assert_eq!(
+                    output_mpix.to_bits(),
+                    (spec.job.output_pixels() / 1e6).to_bits()
+                );
+                assert_eq!(demand, cfg.model.job_demand(&spec.job));
+            }
+        }
+    }
+
+    #[test]
+    fn a_job_state_fits_72_bytes() {
+        // 128 when it held the whole `JobSpec` (64 of them the
+        // `TranscodeJob` and its `Vec` header) and an
+        // `Option<ResourceDemand>`.
+        assert!(std::mem::size_of::<JobState>() <= 72);
     }
 
     #[test]

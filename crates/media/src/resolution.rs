@@ -98,19 +98,23 @@ impl Resolution {
     /// rung and every smaller one, largest first — e.g. for a 1080p
     /// input: 1080p, 720p, 480p, 360p, 240p, 144p (paper §3.1).
     pub fn ladder(self) -> Vec<Resolution> {
+        self.rungs().collect()
+    }
+
+    /// The rungs of [`Resolution::ladder`], in its order, without the
+    /// `Vec`.
+    pub fn rungs(self) -> impl Iterator<Item = Resolution> {
         Resolution::ALL
-            .iter()
-            .copied()
-            .filter(|r| *r <= self)
+            .into_iter()
             .rev()
-            .collect()
+            .filter(move |r| *r <= self)
     }
 
     /// Total pixels across the full MOT ladder for this input. The
     /// paper notes this approximates a geometric series: the sum of all
     /// rungs below roughly equals the top rung again (§3.1 footnote 2).
     pub fn ladder_pixels(self) -> u64 {
-        self.ladder().iter().map(|r| r.pixels()).sum()
+        self.rungs().map(Resolution::pixels).sum()
     }
 
     /// Parses "144p"-style names.
@@ -203,6 +207,7 @@ mod tests {
         let top = Resolution::R1080.pixels();
         let ratio = below as f64 / top as f64;
         assert!((0.6..1.1).contains(&ratio), "ratio {ratio}");
+        assert_eq!(Resolution::R1080.ladder_pixels(), top + below);
     }
 
     #[test]

@@ -104,6 +104,16 @@ pub struct RegionReport {
     pub merge_digest: u64,
 }
 
+/// One cell shard and the arrivals staged for it since it last
+/// advanced.
+#[derive(Debug)]
+struct Cell {
+    sim: ClusterSim,
+    /// In injection order; the cell's own thread injects them, just
+    /// before it next runs.
+    staged: Vec<JobSpec>,
+}
+
 /// One region at runtime: cell shards plus the cross-shard merge.
 #[derive(Debug)]
 pub struct RegionSim {
@@ -111,7 +121,7 @@ pub struct RegionSim {
     /// The chunk every arrival transcodes ([`region_job`]), built once
     /// and cloned per job.
     job: TranscodeJob,
-    cells: Vec<ClusterSim>,
+    cells: Vec<Cell>,
     /// Cross-shard merge of cell resolutions, keyed by cell index.
     merge: ShardedEventQueue<(usize, JobResolution)>,
     merge_digest: u64,
@@ -142,12 +152,15 @@ impl RegionSim {
         let cells = (0..spec.cells)
             .map(|i| {
                 let cell_seed = mix64(seed, i as u64);
-                ClusterSim::new(
+                let sim = ClusterSim::new(
                     cell_cluster_config(spec.vcus_per_cell, cell_seed),
                     Vec::new(),
                     std::mem::take(&mut faults_per_cell[i]),
-                )
-                .open_world()
+                );
+                Cell {
+                    sim: sim.open_world(),
+                    staged: Vec::new(),
+                }
             })
             .collect();
         RegionSim {
@@ -178,8 +191,8 @@ impl RegionSim {
     /// admission signal the planet's overflow router reads at each
     /// epoch boundary.
     pub fn pressure(&self) -> f64 {
-        let backlog: usize = self.cells.iter().map(ClusterSim::backlog_jobs).sum();
-        let usable: usize = self.cells.iter().map(ClusterSim::usable_worker_count).sum();
+        let backlog: usize = self.cells.iter().map(|c| c.sim.backlog_jobs()).sum();
+        let usable: usize = self.cells.iter().map(|c| c.sim.usable_worker_count()).sum();
         backlog as f64 / usable.max(1) as f64
     }
 
@@ -190,9 +203,10 @@ impl RegionSim {
         }
     }
 
-    /// Injects one epoch of arrivals (sorted, strictly after every
-    /// cell's current clock). Jobs round-robin across cells on a
-    /// global counter — the deterministic pool/cell sharding — with
+    /// Stages one epoch of arrivals (sorted, strictly after every
+    /// cell's current clock) for the next [`RegionSim::advance_to`],
+    /// where each cell injects its own. Jobs round-robin across cells on
+    /// a global counter — the deterministic pool/cell sharding — with
     /// the fault-campaign priority mix (1 Critical : 2 Normal :
     /// 1 Batch) and four chunks per video. `routed` marks jobs
     /// absorbed from another region.
@@ -200,7 +214,7 @@ impl RegionSim {
         for &arrival_s in arrivals {
             let i = self.injected;
             let cell = (i % self.cells.len() as u64) as usize;
-            self.cells[cell].inject_job(JobSpec {
+            self.cells[cell].staged.push(JobSpec {
                 arrival_s,
                 job: self.job.clone(),
                 priority: match i % 4 {
@@ -225,7 +239,10 @@ impl RegionSim {
     /// Advances every cell to sim time `t` — in parallel across the
     /// work-stealing pool (results reassemble in cell-index order, so
     /// the outcome is `VCU_THREADS`-invariant) — then merges the
-    /// resolutions that surfaced into the region timeline.
+    /// resolutions that surfaced into the region timeline. A cell
+    /// first injects what was staged for it, in staging order: the
+    /// calls it sees are the ones a serial injection would have made,
+    /// off the submitting thread.
     pub fn advance_to(&mut self, t: f64) {
         let cells = std::mem::take(&mut self.cells);
         self.cells = vcu_exec::pool().run_batch(
@@ -234,7 +251,10 @@ impl RegionSim {
                 .into_iter()
                 .map(|mut c| {
                     move || {
-                        c.run_until(t);
+                        for spec in c.staged.drain(..) {
+                            c.sim.inject_job(spec);
+                        }
+                        c.sim.run_until(t);
                         c
                     }
                 })
@@ -249,7 +269,7 @@ impl RegionSim {
     /// merge whose order the digest pins.
     fn merge_resolutions(&mut self) {
         for cell in 0..self.cells.len() {
-            for r in self.cells[cell].drain_resolutions() {
+            for r in self.cells[cell].sim.drain_resolutions() {
                 self.merge.schedule(cell, r.time_s, (cell, r));
             }
         }
@@ -266,16 +286,17 @@ impl RegionSim {
         }
     }
 
-    /// True while any injected job is unresolved.
+    /// True while any injected job is unresolved, staged ones included.
     pub fn busy(&self) -> bool {
-        self.cells.iter().any(|c| c.unresolved_jobs() > 0)
+        let busy = |c: &Cell| !c.staged.is_empty() || c.sim.unresolved_jobs() > 0;
+        self.cells.iter().any(busy)
     }
 
     /// Finishes every cell and reduces the region. Call once the
     /// planet's drain loop reports no cell busy.
     pub fn finish(mut self) -> RegionReport {
         self.merge_resolutions();
-        let reports: Vec<ClusterReport> = self.cells.drain(..).map(ClusterSim::finish).collect();
+        let reports: Vec<ClusterReport> = self.cells.drain(..).map(|c| c.sim.finish()).collect();
         let sum = |f: fn(&ClusterReport) -> u64| reports.iter().map(f).sum::<u64>();
         let completed = sum(|r| r.completed);
         let failed = sum(|r| r.failed);
@@ -314,5 +335,123 @@ impl RegionSim {
             merged_resolutions: self.merged,
             merge_digest: self.merge_digest,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vcu_cluster::FaultKind;
+
+    /// Three 2-VCU cells, one of which hangs a core and repairs it,
+    /// offered more than they carry.
+    fn region() -> RegionSim {
+        let spec = RegionSpec {
+            name: "r".into(),
+            cells: 3,
+            vcus_per_cell: 2,
+            peak_hour: 0.0,
+            mean_rate_per_s: 0.0,
+            amplitude: 0.0,
+        };
+        let fault = |time_s, kind| FaultInjection {
+            time_s,
+            worker: 1,
+            kind,
+        };
+        let faults = vec![
+            Vec::new(),
+            vec![
+                fault(12.0, FaultKind::FirmwareHang),
+                fault(70.0, FaultKind::Repair),
+            ],
+        ];
+        RegionSim::new(spec, 29, 10.0, 2, faults)
+    }
+
+    /// Epoch `e`'s two injections, in the order the planet makes them
+    /// when this region absorbs overflow: the routed tail of another
+    /// region's epoch first, then its own arrivals, which start earlier.
+    fn epoch(e: usize) -> (f64, Vec<f64>, Vec<f64>) {
+        let t0 = e as f64 * 15.0;
+        let routed = (0..7 + e).map(|k| t0 + 9.15 + k as f64 * 0.5).collect();
+        let own = (0..40 + 3 * e).map(|k| t0 + 0.1 + k as f64 * 0.3).collect();
+        (t0 + 15.0, routed, own)
+    }
+
+    /// What `inject_epoch` was before it staged: every arrival injected
+    /// into its cell on the calling thread, there and then.
+    fn inject_serially(region: &mut RegionSim, arrivals: &[f64], routed: bool) {
+        for &arrival_s in arrivals {
+            let i = region.injected;
+            let cell = (i % region.cells.len() as u64) as usize;
+            region.cells[cell].sim.inject_job(JobSpec {
+                arrival_s,
+                job: region.job.clone(),
+                priority: match i % 4 {
+                    0 => Priority::Critical,
+                    3 => Priority::Batch,
+                    _ => Priority::Normal,
+                },
+                video_id: i / 4,
+            });
+            region.injected += 1;
+        }
+        if routed {
+            region.routed_in += arrivals.len() as u64;
+        }
+    }
+
+    fn drive(inject: fn(&mut RegionSim, &[f64], bool)) -> RegionSim {
+        let mut region = region();
+        let mut t = 0.0;
+        for e in 0..4 {
+            let (t1, routed, own) = epoch(e);
+            inject(&mut region, &routed, true);
+            inject(&mut region, &own, false);
+            assert!(region.busy(), "arrivals are outstanding, staged or not");
+            region.advance_to(t1);
+            assert!(region.cells.iter().all(|c| c.staged.is_empty()));
+            t = t1;
+        }
+        while region.busy() {
+            t += 15.0;
+            region.advance_to(t);
+        }
+        region
+    }
+
+    #[test]
+    fn staged_injection_matches_injecting_serially() {
+        let (mut staged, mut serial) = (drive(RegionSim::inject_epoch), drive(inject_serially));
+        assert_eq!(staged.injected, serial.injected);
+        assert_eq!(
+            (staged.merged, staged.merge_digest),
+            (serial.merged, serial.merge_digest)
+        );
+        let cell_reports = |r: &mut RegionSim| -> Vec<String> {
+            let cells = r.cells.drain(..);
+            cells.map(|c| format!("{:?}", c.sim.finish())).collect()
+        };
+        assert_eq!(cell_reports(&mut staged), cell_reports(&mut serial));
+        let (staged, serial) = (drive(RegionSim::inject_epoch), drive(inject_serially));
+        let report = staged.finish();
+        assert_eq!(report, serial.finish());
+        assert_eq!(report.completed + report.failed, report.jobs);
+        assert!(report.watchdog_fired > 0 && report.repairs == 1);
+    }
+
+    #[test]
+    fn staged_arrivals_keep_a_region_busy() {
+        let mut region = region();
+        assert!(!region.busy());
+        region.inject_epoch(&[1.0], false);
+        assert!(region.busy(), "one arrival staged, none injected");
+        assert_eq!(region.injected(), 1);
+        assert_eq!(region.cells[0].sim.unresolved_jobs(), 0);
+        region.advance_to(5.0);
+        assert!(region.busy(), "injected and in service");
+        region.advance_to(30.0);
+        assert!(!region.busy());
     }
 }

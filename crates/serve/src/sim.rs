@@ -208,6 +208,10 @@ impl ServeReport {
     }
 }
 
+/// [`EventQueue`] lane for [`Ev::Deliver`]: always the fixed edge
+/// latency past the lockstep clock, which only rises.
+const DELIVER_LANE: usize = 0;
+
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// One viewer arrives (chains the next arrival).
@@ -243,6 +247,9 @@ struct InFlight {
 /// attach telemetry, then [`ServeSim::run`].
 pub struct ServeSim {
     cfg: ServeConfig,
+    /// The transcode every cache miss injects
+    /// ([`ServeConfig::transcode_job`]), built once.
+    job: TranscodeJob,
     catalog: Catalog,
     arrivals_model: ViewerSessions,
     cache: SegmentCache,
@@ -317,6 +324,7 @@ impl ServeSim {
         let slots = cfg.slots_per_worker() as f64;
         let admit_limit = cfg.vcus as f64 * (slots + cfg.admission.max_queued_per_worker);
         ServeSim {
+            job: cfg.transcode_job(),
             cfg,
             catalog,
             arrivals_model,
@@ -470,7 +478,8 @@ impl ServeSim {
         let video = self.sessions[sid as usize].video;
         let key = seg_key(video, segment);
         if self.cache.lookup(key) {
-            self.queue.schedule(
+            self.queue.schedule_on(
+                DELIVER_LANE,
                 now + self.cfg.hit_latency_s,
                 Ev::Deliver {
                     session: sid,
@@ -493,7 +502,7 @@ impl ServeSim {
         };
         let job = self.cluster.inject_job(JobSpec {
             arrival_s: now,
-            job: self.cfg.transcode_job(),
+            job: self.job.clone(),
             priority,
             video_id: video as u64,
         });
@@ -569,7 +578,8 @@ impl ServeSim {
         if r.completed {
             self.cache.insert(key, self.catalog.is_head(key_video(key)));
             for sid in fl.waiters {
-                self.queue.schedule(
+                self.queue.schedule_on(
+                    DELIVER_LANE,
                     r.time_s + self.cfg.hit_latency_s,
                     Ev::Deliver {
                         session: sid,
@@ -659,7 +669,7 @@ impl ServeSim {
         // encoded bytes. Transcode: each job holds 1/slots of a VCU
         // for the segment's real-time duration; a VCU-second costs its
         // share of the host's 3-year TCO.
-        let seg_bytes = self.cfg.transcode_job().output_pixels() * BITS_PER_PIXEL / 8.0;
+        let seg_bytes = self.job.output_pixels() * BITS_PER_PIXEL / 8.0;
         let egress_gb = self.segments_served as f64 * seg_bytes / 1e9;
         let egress_cost_usd = egress_gb * EGRESS_USD_PER_GB;
         let vcus_per_host = 20usize;

@@ -122,18 +122,20 @@ stage_benchmark_smoke() {
 # sequential and once with 4 encode workers. Byte-identical bitstreams
 # and telemetry snapshots are asserted inside the tests. This is a
 # debug build on purpose (no --release), so the simulator pins run
-# with all four debug oracles on: ClusterSim re-checks every placement
+# with all five debug oracles on: ClusterSim re-checks every placement
 # the blocked-placement memo skips against the real availability index;
 # EventQueue checks every event that leaves it — from the heap, a FIFO
 # lane or the batch-arrival cursor — against a shadow heap of all
 # pending (time, seq) keys; FaultyVcu::screen still copies, taints and
-# hashes the golden clip for every VCU it answers for in O(1); and
+# hashes the golden clip for every VCU it answers for in O(1);
 # AvailabilityIndex::set, where it stops repairing early, walks the
-# ancestors it skipped and checks each is the merge of its children.
+# ancestors it skipped and checks each is the merge of its children;
+# and ClusterSim checks every demand its job-shape memo hands out
+# against a fresh VcuModel::job_demand.
 stage_determinism() {
     local t
     for t in 1 4; do
-        echo "--> VCU_THREADS=$t (debug build: memo, event-order, screen and index-repair oracles on)"
+        echo "--> VCU_THREADS=$t (debug build: memo, event-order, screen, index-repair and job-shape oracles on)"
         VCU_THREADS=$t cargo test -q -p vcu-system --offline --test determinism \
             | tail -n 2
     done

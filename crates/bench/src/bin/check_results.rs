@@ -2,8 +2,7 @@
 //! through the same `Campaign::check` their drivers run on fresh
 //! bytes. Reads only; exits non-zero naming each failed gate and cell.
 
-use vcu_bench::campaign::{report, Campaign, Dse, Fault, Region, Serve};
-use vcu_bench::timing::results_path;
+use vcu_bench::campaign::{report, results_path, Campaign, Dse, Fault, Region, Serve};
 use vcu_telemetry::json::{parse, Value};
 
 fn load(path: &str) -> Result<Value, Vec<String>> {

@@ -5,8 +5,8 @@
 //! suite. Run with: `cargo run --release -p vcu-bench --bin fig7`
 
 use vcu_codec::{EncoderConfig, Profile, Qp, TuningLevel};
-use vcu_media::bdrate::RdPoint;
-use vcu_system::experiments::{bd, clip_rd_curve};
+use vcu_media::bdrate::{bd_rate, RdPoint};
+use vcu_system::experiments::clip_rd_curve;
 use vcu_workloads::{suite, SuiteScale};
 
 const QPS: [u8; 4] = [18, 26, 34, 42];
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut acc = 0.0;
         let mut n = 0;
         for per_cfg in &curves {
-            if let Ok(v) = bd(&per_cfg[anchor], &per_cfg[test]) {
+            if let Ok(v) = bd_rate(&per_cfg[anchor], &per_cfg[test]) {
                 acc += v;
                 n += 1;
             }

@@ -12,7 +12,6 @@
 //! cell structs and `run_*`; the artifact format lives here, once.
 
 use crate::gates::{self, GateResult};
-use crate::timing::{output_path, smoke};
 use vcu_cluster::{run_campaign, CampaignCell, CampaignConfig};
 use vcu_dse::{run_dse, DseCandidate, DseConfig, OFFERED_LOAD};
 use vcu_regions::{run_region_campaign, RegionCampaignCell, RegionCampaignConfig};
@@ -97,6 +96,19 @@ pub trait Campaign {
     }
 }
 
+/// True when `VCU_BENCH_SMOKE` requests the seconds-long CI
+/// configuration (any non-empty value other than `"0"`).
+fn smoke() -> bool {
+    std::env::var("VCU_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
+}
+
+/// Absolute path of `file` inside the workspace-level `results/`
+/// directory (bench binaries run with the package dir as CWD, so a
+/// relative `results/` would land inside `crates/bench`).
+pub fn results_path(file: &str) -> String {
+    format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
 /// Prints a gate's verdict; true if it passed.
 pub fn report(result: GateResult) -> bool {
     match &result {
@@ -123,7 +135,13 @@ pub fn drive<C: Campaign>() {
     if !report(C::check(&doc, !quick)) {
         std::process::exit(1);
     }
-    let path = output_path(C::NAME);
+    // A smoke run never writes `results/`.
+    let path = if quick {
+        let file = format!("{}_smoke.json", C::NAME);
+        std::env::temp_dir().join(file).display().to_string()
+    } else {
+        results_path(&format!("{}.json", C::NAME))
+    };
     std::fs::write(&path, json).expect("write campaign json");
     println!("wrote {path}");
 }
@@ -325,7 +343,6 @@ impl Campaign for Dse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::results_path;
     use vcu_regions::RegionCellSpec;
     use vcu_serve::ServeCellSpec;
 
@@ -454,7 +471,6 @@ mod tests {
             Serve::NAME,
             Region::NAME,
             Dse::NAME,
-            "bench_cluster_scale",
             "observe_telemetry_hw",
             "observe_telemetry_node",
             "observe_telemetry_sw_offload",

@@ -57,10 +57,6 @@ pub mod stage_cycles {
 /// Mpix/s for the 20-VCU system).
 pub const VP9_HW_EFFICIENCY: f64 = 1.025;
 
-/// Throughput multiplier for two-pass encoding on the VCU: every
-/// output frame passes through an encoder core twice.
-pub const TWO_PASS_FACTOR: f64 = 0.5;
-
 /// Fraction of peak core throughput reachable in a loaded system
 /// (queueing, stream switch overheads, host I/O) — calibrated so a
 /// 20-VCU host lands near Table 1's 14.9 Gpix/s for offline two-pass
@@ -108,8 +104,6 @@ pub mod millicores {
 
 /// CPU baseline: dual-socket Skylake, both sockets (Table 1 note 8).
 pub mod cpu {
-    /// Usable logical cores (Appendix A: "~100 usable logical cores").
-    pub const LOGICAL_CORES: usize = 100;
     /// Offline two-pass H.264 software encode throughput of the whole
     /// machine (Table 1: 714 Mpix/s).
     pub const H264_MPIX_S: f64 = 714.0;
@@ -122,9 +116,6 @@ pub mod cpu {
     /// Active power draw of the dual-socket host under transcode load,
     /// watts (idle subtracted, as the paper's perf/W comparison does).
     pub const ACTIVE_POWER_W: f64 = 400.0;
-    /// Software decode throughput per logical core, Mpix/s. Decode is
-    /// roughly 10× cheaper than encode.
-    pub const DECODE_MPIX_S_PER_CORE: f64 = 60.0;
 }
 
 /// GPU baseline: Nvidia T4 with NVENC-style fixed-function encoders.

@@ -147,11 +147,6 @@ impl DramModel {
     pub fn bandwidth_utilization(&self) -> f64 {
         self.streams_bw_gib_s / self.bandwidth_budget_gib_s()
     }
-
-    /// Current capacity utilization in [0, 1].
-    pub fn capacity_utilization(&self) -> f64 {
-        self.used_mib / self.capacity_budget_mib()
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@
 //! the process-per-transcode model.
 
 use std::collections::VecDeque;
-use vcu_telemetry::Registry;
 
 /// A firmware command (§3.3.2's four-verb interface).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,8 +80,6 @@ pub struct Firmware {
     busy_ticks: u64,
     /// Total ticks simulated.
     ticks: u64,
-    /// Observability sink (disabled by default: zero cost).
-    telemetry: Registry,
 }
 
 impl Firmware {
@@ -97,15 +94,7 @@ impl Firmware {
             next_queue: 0,
             busy_ticks: 0,
             ticks: 0,
-            telemetry: Registry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry registry; every tick then feeds the
-    /// `chip.firmware.queue_depth` histogram and `run_to_completion`
-    /// publishes the final `chip.firmware.utilization` gauge.
-    pub fn attach_telemetry(&mut self, telemetry: Registry) {
-        self.telemetry = telemetry;
     }
 
     /// Access a queue.
@@ -193,15 +182,6 @@ impl Firmware {
                 q.starved_ticks += 1;
             }
         }
-        if self.telemetry.is_enabled() {
-            let depth: usize = self
-                .queues
-                .iter()
-                .map(|q| q.pending.len() + q.in_flight)
-                .sum();
-            self.telemetry
-                .observe("chip.firmware.queue_depth", depth as f64);
-        }
     }
 
     /// Runs until all queues drain or `max_ticks` elapse; returns the
@@ -213,10 +193,6 @@ impl Firmware {
                 break;
             }
             self.tick();
-        }
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .gauge_set("chip.firmware.utilization", self.utilization());
         }
         self.ticks - start
     }
@@ -312,30 +288,6 @@ mod tests {
         assert_eq!(fw.queues()[0].completed_ops, 0);
         fw.run_to_completion(1000);
         assert_eq!(fw.queues()[0].completed_ops, 2);
-    }
-
-    #[test]
-    fn telemetry_tracks_queue_depth_and_utilization() {
-        let reg = Registry::new();
-        let mut fw = Firmware::new(2, 2);
-        fw.attach_telemetry(reg.clone());
-        load_queue(&mut fw, 0, 10, 5);
-        load_queue(&mut fw, 1, 10, 5);
-        fw.run_to_completion(10_000);
-        let depth = reg
-            .histogram("chip.firmware.queue_depth")
-            .expect("queue depth histogram recorded");
-        assert!(depth.count > 0);
-        assert!(
-            depth.max >= 1.0,
-            "some tick saw pending work: {}",
-            depth.max
-        );
-        let util = reg
-            .gauge("chip.firmware.utilization")
-            .expect("utilization gauge");
-        assert!((0.0..=1.0).contains(&util));
-        assert!((util - fw.utilization()).abs() < 1e-12);
     }
 
     #[test]

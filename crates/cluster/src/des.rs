@@ -298,11 +298,6 @@ impl<E> ShardedEventQueue<E> {
         }
     }
 
-    /// Number of shard partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Current simulation time (the time of the last popped event).
     pub fn now(&self) -> f64 {
         self.now

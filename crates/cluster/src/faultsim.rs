@@ -102,36 +102,36 @@ const CAMPAIGN_FAULTS: [FaultKind; 6] = [
 /// low enough that a healthy fleet keeps up with slack.
 const TARGET_UTIL: f64 = 0.97;
 
-/// The uniform campaign chunk: 1080p30, 5 s, VP9 MOT — the same heavy
-/// chunk `bench_cluster_scale` drives, so one worker holds only a few
-/// concurrently and losing workers moves the needle.
+/// The uniform campaign chunk: 1080p30, 5 s, VP9 MOT — heavy enough
+/// that one worker holds only a few concurrently and losing workers
+/// moves the needle.
 pub fn campaign_job() -> TranscodeJob {
     TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0)
 }
 
-/// Concurrent campaign chunks one healthy worker fits (the binding
-/// scheduler dimension).
-pub fn slots_per_worker() -> u64 {
-    VcuModel::new().job_demand(&campaign_job()).slots_per_vcu()
+/// Concurrent copies of `job` one healthy shipped VCU fits (the
+/// binding scheduler dimension) — what every campaign sizes its
+/// offered load against.
+pub fn slots_per_worker(job: &TranscodeJob) -> u64 {
+    VcuModel::new().job_demand(job).slots_per_vcu()
 }
 
 /// Time span over which the cell's jobs arrive, seconds: the offered
 /// load holds the healthy fleet at [`TARGET_UTIL`] of its true
 /// multi-slot capacity.
 pub fn arrival_span_s(jobs_per_vcu: usize) -> f64 {
-    jobs_per_vcu as f64 * campaign_job().duration_s / (slots_per_worker() as f64 * TARGET_UTIL)
+    let job = campaign_job();
+    jobs_per_vcu as f64 * job.duration_s / (slots_per_worker(&job) as f64 * TARGET_UTIL)
 }
 
-/// Deterministic job list for one cell: uniform 1080p30 5-second MOT
-/// chunks, four chunks per video, with the §3.3.3 priority mix
-/// (1 Critical : 2 Normal : 1 Batch).
-fn cell_jobs(vcus: usize, jobs_per_vcu: usize) -> Vec<JobSpec> {
-    let total = vcus * jobs_per_vcu;
-    let span = arrival_span_s(jobs_per_vcu);
+/// Deterministic job list of a campaign: `total` jobs cycling through
+/// `mix`, evenly spaced over `span_s`, four chunks per video, with the
+/// §3.3.3 priority mix (1 Critical : 2 Normal : 1 Batch).
+pub fn uniform_stream(mix: &[TranscodeJob], total: usize, span_s: f64) -> Vec<JobSpec> {
     (0..total)
         .map(|i| JobSpec {
-            arrival_s: i as f64 * span / total as f64,
-            job: campaign_job(),
+            arrival_s: i as f64 * span_s / total as f64,
+            job: mix[i % mix.len()].clone(),
             priority: match i % 4 {
                 0 => Priority::Critical,
                 3 => Priority::Batch,
@@ -289,9 +289,9 @@ pub fn cell_cluster_config(vcus: usize, seed: u64) -> ClusterConfig {
 pub fn run_cell(cfg: &CampaignConfig, fault_rate: f64, mttr_s: f64, cell: u64) -> CampaignCell {
     let cell_seed = mix64(cfg.seed, cell);
     let mut rng = Rng::seed_from_u64(cell_seed);
-    let jobs = cell_jobs(cfg.vcus, cfg.jobs_per_vcu);
-    let n_jobs = jobs.len() as u64;
     let span_s = arrival_span_s(cfg.jobs_per_vcu);
+    let jobs = uniform_stream(&[campaign_job()], cfg.vcus * cfg.jobs_per_vcu, span_s);
+    let n_jobs = jobs.len() as u64;
     let faults = fault_schedule(cfg.vcus, span_s, fault_rate, mttr_s, &mut rng);
     let report = ClusterSim::new(cell_cluster_config(cfg.vcus, cell_seed), jobs, faults).run();
     CampaignCell {

@@ -24,7 +24,7 @@ pub mod tco;
 pub use des::{EventQueue, ShardedEventQueue};
 pub use faultsim::{
     cell_cluster_config, correlated_domain_faults, fault_schedule, run_campaign, run_cell,
-    upgrade_wave_faults, CampaignCell, CampaignConfig,
+    slots_per_worker, uniform_stream, upgrade_wave_faults, CampaignCell, CampaignConfig,
 };
 pub use scheduler::{PlacementMode, Scheduler, SchedulerKind};
 pub use sim::{

@@ -263,11 +263,6 @@ impl Scheduler {
         self.workers.len()
     }
 
-    /// The placement mode this scheduler searches with.
-    pub fn placement_mode(&self) -> PlacementMode {
-        self.placement
-    }
-
     /// Read a worker's availability.
     pub fn worker(&self, w: usize) -> &WorkerAvailability {
         &self.workers[w]

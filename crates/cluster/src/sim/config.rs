@@ -54,8 +54,6 @@ pub struct ClusterConfig {
     /// Placement search path: the O(log n) availability index, or the
     /// O(n) linear-scan oracle it is differential-tested against.
     pub placement: PlacementMode,
-    /// Availability-cache shards.
-    pub shards: usize,
     /// §4.4 black-holing mitigation: on a detected hardware failure the
     /// worker aborts and the VCU must pass a golden test before reuse.
     pub blackhole_mitigation: bool,
@@ -99,7 +97,6 @@ impl Default for ClusterConfig {
             vcus: 20,
             scheduler: SchedulerKind::MultiDim,
             placement: PlacementMode::Indexed,
-            shards: 1,
             blackhole_mitigation: true,
             integrity_checks: true,
             opportunistic_sw_decode: false,

@@ -295,7 +295,6 @@ impl ClusterSim {
         if self.backlog_jobs() == 0 {
             return;
         }
-        let shard_len = self.cfg.vcus.div_ceil(self.cfg.shards.max(1)).max(1);
         // Whether hardware decoders run hot. O(1) — the scheduler
         // maintains cluster-wide used millicores incrementally — but a
         // float divide, and only a placement moves it: worked out when
@@ -311,7 +310,7 @@ impl ClusterSim {
             debug_assert!(self.pending[class]
                 .iter()
                 .take(known)
-                .all(|&j| self.still_misses(j, shard_len)));
+                .all(|&j| self.still_misses(j)));
             misses += known;
             let mut i = known;
             while i < self.pending[class].len() {
@@ -320,10 +319,10 @@ impl ClusterSim {
                 }
                 let j = self.pending[class][i];
                 let hw_demand = self.jobs[j].shape.demand;
-                let (start, window) = self.placement_window(j, shard_len);
+                let (start, window) = self.placement_window(j);
                 let full_window = window >= self.cfg.vcus;
                 let placed = if full_window && self.blocked.covers(hw_demand) {
-                    debug_assert!(self.still_misses(j, shard_len));
+                    debug_assert!(self.still_misses(j));
                     None
                 } else {
                     let sw_decode = self.cfg.opportunistic_sw_decode;
@@ -378,9 +377,9 @@ impl ClusterSim {
     /// Debug oracle for [`Blocked`]: asks the real availability index,
     /// read-only, whether queued job `j` still has no candidate that
     /// places.
-    fn still_misses(&self, j: usize, shard_len: usize) -> bool {
+    fn still_misses(&self, j: usize) -> bool {
         let hw_demand = self.jobs[j].shape.demand;
-        let (start, window) = self.placement_window(j, shard_len);
+        let (start, window) = self.placement_window(j);
         // `decode_hot` orders the candidates; it never changes the set.
         let sw_decode = self.cfg.opportunistic_sw_decode;
         let candidates = self.ladder.candidates(hw_demand, sw_decode, false);
@@ -399,10 +398,9 @@ impl ClusterSim {
     /// Where the scheduler may look for job `j`: `(first worker,
     /// window length)`. With consistent-hash placement (§4.4 future
     /// work) chunks of a video only consider a bounded worker subset
-    /// keyed by the video id; otherwise the scan starts at the job's
-    /// availability-cache shard (`shard_len` workers each) and covers
-    /// the fleet.
-    fn placement_window(&self, j: usize, shard_len: usize) -> (usize, usize) {
+    /// keyed by the video id; otherwise the scan covers the fleet from
+    /// worker 0.
+    fn placement_window(&self, j: usize) -> (usize, usize) {
         let n = self.cfg.vcus;
         if self.cfg.consistent_hash_window > 0 {
             let h = self.jobs[j]
@@ -412,7 +410,7 @@ impl ClusterSim {
                 .wrapping_mul(0xBF58476D1CE4E5B9);
             ((h % n as u64) as usize, self.cfg.consistent_hash_window)
         } else {
-            ((j % self.cfg.shards.max(1)) * shard_len, n)
+            (0, n)
         }
     }
 

@@ -127,11 +127,6 @@ impl BoolEncoder {
         }
     }
 
-    /// Number of bits written so far (approximate until `finish`).
-    pub fn bit_count(&self) -> u64 {
-        (self.out.len() as u64 + self.cache_size) * 8
-    }
-
     /// Flushes and returns the coded bytes.
     pub fn finish(mut self) -> Vec<u8> {
         for _ in 0..5 {

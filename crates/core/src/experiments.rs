@@ -7,10 +7,9 @@
 use vcu_chip::TranscodeJob;
 use vcu_cluster::{ClusterConfig, ClusterSim, JobSpec, Priority};
 use vcu_codec::{decode, encode, EncoderConfig, Profile, Qp, RateControl, TuningLevel};
-use vcu_media::bdrate::{bd_rate, BdRateError, RdPoint};
+use vcu_media::bdrate::{bd_rate, RdPoint};
 use vcu_media::quality::psnr_y_video;
 use vcu_media::{Resolution, Video};
-use vcu_workloads::{PopularityBucket, Request, WorkloadFamily};
 
 /// Generates a saturating production-like chunk-job stream for `vcus`
 /// workers over `horizon_s` seconds.
@@ -420,28 +419,6 @@ pub fn clip_rd_curve(
         points.push(RdPoint::new(e.bitrate_bps(), psnr_y_video(video, &d.video)));
     }
     Ok(points)
-}
-
-/// BD-rate with a readable error context.
-///
-/// # Errors
-///
-/// Propagates [`BdRateError`].
-pub fn bd(anchor: &[RdPoint], test: &[RdPoint]) -> Result<f64, BdRateError> {
-    bd_rate(anchor, test)
-}
-
-/// A one-pass low-latency request shaped like §4.5's Stadia workload:
-/// 2160p60 low-latency two-pass VP9.
-pub fn stadia_request() -> Request {
-    Request {
-        arrival_s: 0.0,
-        family: WorkloadFamily::Gaming,
-        resolution: Resolution::R2160,
-        fps: 60.0,
-        duration_s: 60.0,
-        popularity: PopularityBucket::Head,
-    }
 }
 
 #[cfg(test)]

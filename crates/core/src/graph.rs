@@ -8,8 +8,6 @@
 //! post-processing steps — and provides ready-order iteration for the
 //! scheduler.
 
-use std::collections::VecDeque;
-
 /// Kind of work a step performs (the worker types of §3.3.3).
 #[derive(Debug, Clone, PartialEq)]
 pub enum StepKind {
@@ -31,13 +29,6 @@ pub enum StepKind {
     Fingerprint,
     /// Notify serving systems the video is ready.
     Notify,
-}
-
-impl StepKind {
-    /// Whether the step can run on a VCU worker.
-    pub fn vcu_eligible(&self) -> bool {
-        matches!(self, StepKind::TranscodeChunk { .. })
-    }
 }
 
 /// One node of the dependency graph.
@@ -93,13 +84,6 @@ impl TaskGraph {
         self.steps.is_empty()
     }
 
-    /// Returns step ids in a valid execution order (topological).
-    pub fn topo_order(&self) -> Vec<usize> {
-        // Construction guarantees deps point backwards, so identity
-        // order is already topological; keep the explicit check cheap.
-        (0..self.steps.len()).collect()
-    }
-
     /// Returns the "waves" of steps that can run concurrently: wave 0
     /// has no dependencies, wave k+1 depends only on waves ≤ k. This is
     /// the parallelism the chunked pipeline exploits.
@@ -153,49 +137,30 @@ impl TaskGraph {
         g.add(StepKind::Notify, vec![assemble, thumb, fp]);
         g
     }
-
-    /// Simulates ready-order execution with unbounded workers, checking
-    /// that every step's dependencies complete first. Returns the
-    /// number of sequential waves (critical-path length in steps).
-    pub fn execute_check(&self) -> usize {
-        let mut done = vec![false; self.steps.len()];
-        let mut remaining: VecDeque<usize> = self.topo_order().into();
-        let mut waves = 0;
-        while !remaining.is_empty() {
-            let mut progressed = Vec::new();
-            for &id in &remaining {
-                if self.steps[id].deps.iter().all(|&d| done[d]) {
-                    progressed.push(id);
-                }
-            }
-            assert!(!progressed.is_empty(), "graph wedged — cycle?");
-            for id in &progressed {
-                done[*id] = true;
-            }
-            remaining.retain(|id| !done[*id]);
-            waves += 1;
-        }
-        waves
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn transcode_steps(g: &TaskGraph) -> usize {
+        let is_transcode = |s: &&Step| matches!(s.kind, StepKind::TranscodeChunk { .. });
+        g.steps().iter().filter(is_transcode).count()
+    }
+
     #[test]
     fn upload_graph_shape_mot() {
         let g = TaskGraph::upload(4, true, 6);
         // analyze + 4 transcodes + assemble + thumb + fp + notify = 9.
         assert_eq!(g.len(), 9);
-        let transcodes = g.steps().iter().filter(|s| s.kind.vcu_eligible()).count();
+        let transcodes = transcode_steps(&g);
         assert_eq!(transcodes, 4);
     }
 
     #[test]
     fn upload_graph_shape_sot_multiplies() {
         let g = TaskGraph::upload(4, false, 6);
-        let transcodes = g.steps().iter().filter(|s| s.kind.vcu_eligible()).count();
+        let transcodes = transcode_steps(&g);
         assert_eq!(transcodes, 24, "one SOT step per chunk per rung");
     }
 
@@ -208,7 +173,7 @@ mod tests {
         assert_eq!(waves.len(), 4);
         let transcode_wave: Vec<_> = waves[1]
             .iter()
-            .filter(|&&id| g.steps()[id].kind.vcu_eligible())
+            .filter(|&&id| matches!(g.steps()[id].kind, StepKind::TranscodeChunk { .. }))
             .collect();
         assert_eq!(transcode_wave.len(), 8, "all chunks parallel");
     }
@@ -216,7 +181,14 @@ mod tests {
     #[test]
     fn execution_respects_dependencies() {
         let g = TaskGraph::upload(5, true, 6);
-        assert_eq!(g.execute_check(), 4);
+        let waves = g.waves();
+        assert_eq!(waves.len(), 4);
+        for (k, wave) in waves.iter().enumerate() {
+            for &id in wave {
+                let earlier = |d: &usize| waves[..k].iter().any(|w| w.contains(d));
+                assert!(g.steps()[id].deps.iter().all(earlier), "step {id}");
+            }
+        }
     }
 
     #[test]

@@ -62,55 +62,51 @@ pub fn transcode_mot(
     })
 }
 
-/// The SOT alternative: one task per output, each decoding the input
-/// again (Figure 2a). Returns the same outputs plus the duplicated
-/// decode work.
-///
-/// # Errors
-///
-/// Propagates decode/encode failures.
-pub fn transcode_sot_fan(
-    input: &[u8],
-    max_out: Resolution,
-    cfg: &EncoderConfig,
-) -> Result<MotOutputs, CodecError> {
-    let mut stats = CodingStats::new();
-    let mut outputs = Vec::new();
-    let mut decodes = 0;
-    for rung in max_out.ladder() {
-        let decoded = decode(input)?; // re-decoded per output
-        decodes += 1;
-        stats += decoded.stats;
-        let (w, h) = rung.dims();
-        let scaled = if (w, h) == (decoded.video.width(), decoded.video.height()) {
-            decoded.video
-        } else {
-            Video::new(
-                decoded
-                    .video
-                    .frames
-                    .iter()
-                    .map(|f| scale_frame(f, w, h))
-                    .collect(),
-                decoded.video.fps,
-            )
-        };
-        let e = encode(cfg, &scaled)?;
-        stats += e.stats;
-        outputs.push((rung, e));
-    }
-    Ok(MotOutputs {
-        outputs,
-        stats,
-        decodes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vcu_codec::{Profile, Qp};
     use vcu_media::synth::{ContentClass, SynthSpec};
+
+    /// The SOT alternative: one task per output, each decoding the input
+    /// again (Figure 2a). Returns the same outputs plus the duplicated
+    /// decode work — the comparator `transcode_mot` is measured against.
+    fn transcode_sot_fan(
+        input: &[u8],
+        max_out: Resolution,
+        cfg: &EncoderConfig,
+    ) -> Result<MotOutputs, CodecError> {
+        let mut stats = CodingStats::new();
+        let mut outputs = Vec::new();
+        let mut decodes = 0;
+        for rung in max_out.ladder() {
+            let decoded = decode(input)?; // re-decoded per output
+            decodes += 1;
+            stats += decoded.stats;
+            let (w, h) = rung.dims();
+            let scaled = if (w, h) == (decoded.video.width(), decoded.video.height()) {
+                decoded.video
+            } else {
+                Video::new(
+                    decoded
+                        .video
+                        .frames
+                        .iter()
+                        .map(|f| scale_frame(f, w, h))
+                        .collect(),
+                    decoded.video.fps,
+                )
+            };
+            let e = encode(cfg, &scaled)?;
+            stats += e.stats;
+            outputs.push((rung, e));
+        }
+        Ok(MotOutputs {
+            outputs,
+            stats,
+            decodes,
+        })
+    }
 
     fn encoded_input() -> Vec<u8> {
         let v = SynthSpec::new(Resolution::R240, 4, ContentClass::talking_head(), 8).generate();

@@ -159,6 +159,7 @@ pub fn live_latency_s(chunk_s: f64, encode_speed_factor: f64, buffer_chunks: f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::StepKind;
     use vcu_media::Resolution;
     use vcu_workloads::PopularityBucket;
 
@@ -214,7 +215,10 @@ mod tests {
         let p = Platform::default();
         let req = upload_req(12.0);
         let g = p.graph_for(&req);
-        let transcode_steps = g.steps().iter().filter(|s| s.kind.vcu_eligible()).count();
+        let steps = g.steps().iter();
+        let transcode_steps = steps
+            .filter(|s| matches!(s.kind, StepKind::TranscodeChunk { .. }))
+            .count();
         assert_eq!(transcode_steps, 3, "3 chunks → 3 MOT steps");
     }
 

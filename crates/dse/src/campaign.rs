@@ -27,8 +27,8 @@ use crate::pareto;
 use vcu_chip::{DesignPoint, ResourceDemand, TranscodeJob, VcuModel};
 use vcu_cluster::tco::OPEX_PER_WATT_3YR;
 use vcu_cluster::{
-    cell_cluster_config, fault_schedule, vcu_host_tco_for, ClusterConfig, ClusterReport,
-    ClusterSim, FaultInjection, JobSpec, Priority,
+    cell_cluster_config, fault_schedule, uniform_stream, vcu_host_tco_for, ClusterConfig,
+    ClusterReport, ClusterSim, FaultInjection, JobSpec,
 };
 use vcu_codec::Profile;
 use vcu_media::Resolution;
@@ -254,25 +254,6 @@ pub fn arrival_span_s(cfg: &DseConfig) -> f64 {
     cfg.jobs_per_vcu as f64 * agg / (job_mix().len() as f64 * OFFERED_LOAD)
 }
 
-/// Deterministic job list shared by every candidate.
-fn dse_jobs(cfg: &DseConfig) -> Vec<JobSpec> {
-    let mix = job_mix();
-    let total = cfg.vcus * cfg.jobs_per_vcu;
-    let span = arrival_span_s(cfg);
-    (0..total)
-        .map(|i| JobSpec {
-            arrival_s: i as f64 * span / total as f64,
-            job: mix[i % mix.len()].clone(),
-            priority: match i % 4 {
-                0 => Priority::Critical,
-                3 => Priority::Batch,
-                _ => Priority::Normal,
-            },
-            video_id: (i / 4) as u64,
-        })
-        .collect()
-}
-
 /// The cluster configuration a candidate runs under: the PR-5 cell
 /// policies (backoff, watchdogs, screening, degradation ladder) with
 /// the candidate's silicon substituted.
@@ -364,7 +345,8 @@ fn evaluate_candidate(
 /// `parallelism`.
 pub fn run_dse(cfg: &DseConfig, parallelism: usize) -> Vec<DseCandidate> {
     let designs = cfg.design_grid();
-    let jobs = dse_jobs(cfg);
+    // The job list every candidate shares.
+    let jobs = uniform_stream(&job_mix(), cfg.vcus * cfg.jobs_per_vcu, arrival_span_s(cfg));
     // One fault schedule, shared: every candidate sees the same
     // workers fault at the same times with the same kinds.
     let mut fault_rng = Rng::seed_from_u64(mix64(cfg.seed, 3));

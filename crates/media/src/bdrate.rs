@@ -161,10 +161,6 @@ impl Poly3 {
         })
     }
 
-    fn eval(&self, x: f64) -> f64 {
-        self.c[0] + x * (self.c[1] + x * (self.c[2] + x * self.c[3]))
-    }
-
     /// Definite integral over [lo, hi].
     fn integral(&self, lo: f64, hi: f64) -> f64 {
         let anti = |x: f64| {
@@ -217,17 +213,6 @@ fn unshift(q: [f64; 4], m: f64) -> [f64; 4] {
         q2 - 3.0 * q3 * m,
         q3,
     ]
-}
-
-/// Evaluates the fitted log-rate curve of an RD point set at a given
-/// PSNR — exposed for plotting/debugging RD fits.
-///
-/// # Errors
-///
-/// Same conditions as [`bd_rate`] for a single curve.
-pub fn fitted_log_rate(points: &[RdPoint], psnr: f64) -> Result<f64, BdRateError> {
-    let c = prepare(points)?;
-    Ok(c.poly.eval(psnr))
 }
 
 #[cfg(test)]
@@ -306,7 +291,9 @@ mod tests {
         // At psnr of the middle point, fitted log rate should be close
         // to the actual log rate.
         let mid = &a[2];
-        let lr = fitted_log_rate(&a, mid.psnr).unwrap();
+        let c = prepare(&a).unwrap().poly.c;
+        let x = mid.psnr;
+        let lr = c[0] + x * (c[1] + x * (c[2] + x * c[3]));
         assert!((lr - mid.bitrate.log10()).abs() < 0.05);
     }
 }

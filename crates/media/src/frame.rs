@@ -158,11 +158,6 @@ impl Video {
         self.frames[0].height()
     }
 
-    /// Duration in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        self.frames.len() as f64 / self.fps
-    }
-
     /// Total luma pixels across all frames.
     pub fn total_pixels(&self) -> u64 {
         self.frames.iter().map(Frame::pixels).sum()
@@ -203,7 +198,6 @@ mod tests {
     #[test]
     fn video_invariants() {
         let v = Video::new(vec![Frame::new(8, 8); 30], 30.0);
-        assert!((v.duration_secs() - 1.0).abs() < 1e-12);
         assert_eq!(v.total_pixels(), 30 * 64);
     }
 

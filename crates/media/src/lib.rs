@@ -7,7 +7,7 @@
 //!   block access and edge-clamped sampling,
 //! - [`Resolution`]: the standard 16:9 output ladder (144p … 4320p)
 //!   used by the paper's multiple-output transcoding (MOT) pipelines,
-//! - [`quality`]: MSE / PSNR / SSIM distortion metrics,
+//! - [`quality`]: MSE / PSNR distortion metrics,
 //! - [`bdrate`]: Bjøntegaard delta-rate between rate-distortion curves
 //!   (the metric behind the paper's "30% BD-rate improvement" claims),
 //! - [`scale`]: area-average downscaling and bilinear upscaling,

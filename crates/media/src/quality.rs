@@ -1,4 +1,4 @@
-//! Distortion metrics: MSE, PSNR, and a block-based SSIM.
+//! Distortion metrics: MSE and PSNR.
 //!
 //! The paper reports encoder quality as PSNR rate-distortion curves
 //! (Fig. 7) with a 45 dB "perceptual ceiling". These functions are the
@@ -37,19 +37,6 @@ pub fn psnr_y(a: &Frame, b: &Frame) -> f64 {
     psnr_from_mse(mse_plane(a.y(), b.y()))
 }
 
-/// Combined-plane PSNR with the conventional 4:1:1 plane weighting
-/// (luma dominates; chroma planes each carry one quarter the pixels).
-///
-/// # Panics
-///
-/// Panics if frame dimensions differ.
-pub fn psnr_yuv(a: &Frame, b: &Frame) -> f64 {
-    let y_n = (a.y().width() * a.y().height()) as f64;
-    let c_n = (a.u().width() * a.u().height()) as f64;
-    let total_sse = a.y().sse(b.y()) as f64 + a.u().sse(b.u()) as f64 + a.v().sse(b.v()) as f64;
-    psnr_from_mse(total_sse / (y_n + 2.0 * c_n))
-}
-
 /// Sequence-level luma PSNR: computed from the *pooled* MSE over all
 /// frames (the standard for video, avoiding infinite per-frame values
 /// dominating an average).
@@ -66,66 +53,6 @@ pub fn psnr_y_video(a: &Video, b: &Video) -> f64 {
         n += fa.pixels();
     }
     psnr_from_mse(sse as f64 / n as f64)
-}
-
-/// Mean structural similarity (SSIM) over 8×8 luma windows.
-///
-/// A straightforward non-overlapping-window SSIM; enough to rank
-/// encodes, not a bit-exact reimplementation of any reference tool.
-///
-/// # Panics
-///
-/// Panics if frame dimensions differ.
-pub fn ssim_y(a: &Frame, b: &Frame) -> f64 {
-    assert_eq!(a.width(), b.width(), "frame width mismatch");
-    assert_eq!(a.height(), b.height(), "frame height mismatch");
-    const C1: f64 = 6.5025; // (0.01 * 255)^2
-    const C2: f64 = 58.5225; // (0.03 * 255)^2
-    const W: usize = 8;
-    let (pw, ph) = (a.width(), a.height());
-    let mut total = 0.0;
-    let mut windows = 0u64;
-    let mut ba = vec![0u8; W * W];
-    let mut bb = vec![0u8; W * W];
-    let mut y = 0;
-    while y + W <= ph {
-        let mut x = 0;
-        while x + W <= pw {
-            a.y()
-                .copy_block_clamped(x as isize, y as isize, W, W, &mut ba);
-            b.y()
-                .copy_block_clamped(x as isize, y as isize, W, W, &mut bb);
-            total += ssim_window(&ba, &bb, C1, C2);
-            windows += 1;
-            x += W;
-        }
-        y += W;
-    }
-    if windows == 0 {
-        1.0
-    } else {
-        total / windows as f64
-    }
-}
-
-fn ssim_window(a: &[u8], b: &[u8], c1: f64, c2: f64) -> f64 {
-    let n = a.len() as f64;
-    let ma = a.iter().map(|&v| v as f64).sum::<f64>() / n;
-    let mb = b.iter().map(|&v| v as f64).sum::<f64>() / n;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    let mut cov = 0.0;
-    for (&pa, &pb) in a.iter().zip(b) {
-        let da = pa as f64 - ma;
-        let db = pb as f64 - mb;
-        va += da * da;
-        vb += db * db;
-        cov += da * db;
-    }
-    va /= n - 1.0;
-    vb /= n - 1.0;
-    cov /= n - 1.0;
-    ((2.0 * ma * mb + c1) * (2.0 * cov + c2)) / ((ma * ma + mb * mb + c1) * (va + vb + c2))
 }
 
 #[cfg(test)]
@@ -146,7 +73,6 @@ mod tests {
     fn identical_frames_infinite_psnr() {
         let f = textured(0);
         assert!(psnr_y(&f, &f).is_infinite());
-        assert!(psnr_yuv(&f, &f).is_infinite());
     }
 
     #[test]
@@ -167,17 +93,6 @@ mod tests {
         b1.y_mut().fill(2);
         b2.y_mut().fill(8);
         assert!(psnr_y(&a, &b1) > psnr_y(&a, &b2));
-    }
-
-    #[test]
-    fn ssim_bounds() {
-        let f = textured(0);
-        let g = textured(90);
-        let s_same = ssim_y(&f, &f);
-        let s_diff = ssim_y(&f, &g);
-        assert!((s_same - 1.0).abs() < 1e-9);
-        assert!(s_diff < s_same);
-        assert!(s_diff > -1.0);
     }
 
     #[test]

@@ -88,12 +88,6 @@ impl Resolution {
         (w as u64) * (h as u64)
     }
 
-    /// Megapixels per frame (10^6 pixels, matching the paper's Mpix/s
-    /// throughput metric).
-    pub fn mpix(self) -> f64 {
-        self.pixels() as f64 / 1e6
-    }
-
     /// The MOT output ladder for an input of this resolution: this
     /// rung and every smaller one, largest first — e.g. for a 1080p
     /// input: 1080p, 720p, 480p, 360p, 240p, 144p (paper §3.1).
@@ -223,7 +217,7 @@ mod tests {
     #[test]
     fn mpix_matches_paper_example() {
         // Paper: "1080p is approximately 2 megapixels per frame".
-        assert!((Resolution::R1080.mpix() - 2.07).abs() < 0.01);
+        assert!((Resolution::R1080.pixels() as f64 / 1e6 - 2.07).abs() < 0.01);
         // "each raw [2160p] frame is 11.9 MiB" => 8.3 Mpix * 1.5 bytes.
         let bytes = Resolution::R2160.pixels() as f64 * 1.5;
         assert!((bytes / (1024.0 * 1024.0) - 11.86).abs() < 0.1);

@@ -12,7 +12,7 @@
 
 use crate::planet::{OverflowPolicy, PlanetConfig, PlanetReport, PlanetSim};
 use crate::region::{region_job, RegionSpec};
-use vcu_chip::VcuModel;
+use vcu_cluster::slots_per_worker;
 use vcu_rng::mix64;
 
 /// One cell of the sweep: a planet shape plus a traffic multiplier.
@@ -55,14 +55,6 @@ pub struct RegionCampaignConfig {
     pub amplitude: f64,
     /// Cells, run in order.
     pub cells: Vec<RegionCellSpec>,
-}
-
-/// Concurrent region-campaign chunks one healthy worker fits (the
-/// binding scheduler dimension) — sizes the offered load.
-pub fn slots_per_worker(chunk_s: f64) -> u64 {
-    VcuModel::new()
-        .job_demand(&region_job(chunk_s))
-        .slots_per_vcu()
 }
 
 impl RegionCampaignConfig {
@@ -152,7 +144,8 @@ impl RegionCampaignConfig {
     ) -> PlanetConfig {
         let region_vcus = spec.cells_per_region * spec.vcus_per_cell;
         let mean_rate_per_s =
-            self.util * region_vcus as f64 * slots_per_worker(self.chunk_s) as f64 / self.chunk_s;
+            self.util * region_vcus as f64 * slots_per_worker(&region_job(self.chunk_s)) as f64
+                / self.chunk_s;
         PlanetConfig {
             seed: mix64(self.seed, cell),
             horizon_s: self.horizon_s,

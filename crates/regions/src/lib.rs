@@ -23,8 +23,7 @@ pub mod planet;
 pub mod region;
 
 pub use campaign::{
-    run_region_campaign, run_region_cell, slots_per_worker, RegionCampaignCell,
-    RegionCampaignConfig, RegionCellSpec,
+    run_region_campaign, run_region_cell, RegionCampaignCell, RegionCampaignConfig, RegionCellSpec,
 };
 pub use planet::{OverflowPolicy, PlanetConfig, PlanetReport, PlanetSim};
 pub use region::{region_job, RegionReport, RegionSim, RegionSpec};

@@ -140,11 +140,6 @@ impl Lru {
         self.free.push(idx);
         Some(self.nodes[idx as usize].key)
     }
-
-    fn remove(&mut self, idx: u32) {
-        self.unlink(idx);
-        self.free.push(idx);
-    }
 }
 
 /// The segment cache. Capacity is in segments (uniform-duration
@@ -252,17 +247,6 @@ impl SegmentCache {
             self.main.push_front(key)
         };
         self.map.insert(key, (protected, idx));
-    }
-
-    /// Drops `key` if present (segment invalidation).
-    pub fn invalidate(&mut self, key: u64) {
-        if let Some((protected, idx)) = self.map.remove(&key) {
-            if protected {
-                self.protected.remove(idx);
-            } else {
-                self.main.remove(idx);
-            }
-        }
     }
 
     /// Presence check without touching recency or counters.
@@ -428,17 +412,6 @@ mod tests {
         z.insert(7, true);
         assert!(!z.contains(7));
         assert_eq!(z.len(), 0);
-    }
-
-    #[test]
-    fn invalidate_frees_space() {
-        let mut c = SegmentCache::new(2, 0.0);
-        c.insert(1, false);
-        c.insert(2, false);
-        c.invalidate(1);
-        assert_eq!(c.len(), 1);
-        c.insert(3, false);
-        assert!(c.contains(2) && c.contains(3));
     }
 
     #[test]

@@ -27,8 +27,9 @@
 
 use crate::cache::{key_video, seg_key, SegmentCache};
 use std::collections::HashMap;
-use vcu_chip::{System, TranscodeJob, VcuModel};
+use vcu_chip::{System, TranscodeJob};
 use vcu_cluster::des::EventQueue;
+use vcu_cluster::faultsim::slots_per_worker;
 use vcu_cluster::sim::{
     ClusterConfig, ClusterReport, ClusterSim, JobResolution, JobSpec, Priority,
 };
@@ -135,14 +136,6 @@ impl ServeConfig {
     pub fn transcode_job(&self) -> TranscodeJob {
         TranscodeJob::mot(self.resolution, Profile::Vp9Sim, self.fps, self.segment_s)
     }
-
-    /// Concurrent transcode jobs one healthy VCU fits (the binding
-    /// scheduler dimension), for capacity and cost math.
-    pub fn slots_per_worker(&self) -> u64 {
-        VcuModel::new()
-            .job_demand(&self.transcode_job())
-            .slots_per_vcu()
-    }
 }
 
 /// End-of-run report.
@@ -194,18 +187,6 @@ pub struct ServeReport {
     pub transcode_cost_usd: f64,
     /// The underlying cluster's report.
     pub cluster: ClusterReport,
-}
-
-impl ServeReport {
-    /// First sample time at which the cluster's degradation ladder sat
-    /// above rung 0, if it ever engaged.
-    pub fn first_degrade_s(&self) -> Option<f64> {
-        self.cluster
-            .samples
-            .iter()
-            .find(|s| s.degrade_level > 0)
-            .map(|s| s.time_s)
-    }
 }
 
 /// [`EventQueue`] lane for [`Ev::Deliver`]: always the fixed edge
@@ -321,10 +302,11 @@ impl ServeSim {
         .open_world();
         let cache = SegmentCache::new(cfg.cache_segments, cfg.protected_frac);
         let rng = Rng::seed_from_u64(mix64(cfg.seed, 3));
-        let slots = cfg.slots_per_worker() as f64;
+        let job = cfg.transcode_job();
+        let slots = slots_per_worker(&job) as f64;
         let admit_limit = cfg.vcus as f64 * (slots + cfg.admission.max_queued_per_worker);
         ServeSim {
-            job: cfg.transcode_job(),
+            job,
             cfg,
             catalog,
             arrivals_model,
@@ -680,7 +662,7 @@ impl ServeSim {
             / vcus_per_host as f64
             / THREE_YEARS_S;
         let transcode_cost_usd = self.transcodes as f64 * self.cfg.segment_s
-            / self.cfg.slots_per_worker() as f64
+            / slots_per_worker(&self.job) as f64
             * usd_per_vcu_s;
         if self.telemetry.is_enabled() {
             self.telemetry
@@ -822,12 +804,13 @@ mod tests {
         assert!(r.shed_sessions > 0, "overload must shed");
         assert!(reg.counter("serve.shed") == r.shed_sessions);
         let first_shed = r.first_shed_s.expect("shed recorded");
-        match r.first_degrade_s() {
-            None => {} // ladder never engaged: shed-before-degrade holds trivially
-            Some(t) => assert!(
+        // Holds trivially if the ladder never left rung 0.
+        if let Some(s) = r.cluster.samples.iter().find(|s| s.degrade_level > 0) {
+            let t = s.time_s;
+            assert!(
                 first_shed < t,
                 "shed at {first_shed} must precede degrade at {t}"
-            ),
+            );
         }
         // The same ordering is visible in telemetry: the first
         // serve.shed trace event precedes the first nonzero point of

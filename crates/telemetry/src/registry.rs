@@ -145,12 +145,6 @@ impl Registry {
             .flatten()
     }
 
-    /// Names of all recorded series (sorted).
-    pub fn series_names(&self) -> Vec<String> {
-        self.with_store(|s| s.series.keys().cloned().collect())
-            .unwrap_or_default()
-    }
-
     // ---- traces ---------------------------------------------------
 
     /// Records a point trace event at `time_s`.
@@ -274,7 +268,6 @@ mod tests {
         r.series_record("util", 60.0, 0.8);
         r.series_record("util", 120.0, 0.9);
         assert_eq!(r.series("util").unwrap().len(), 2);
-        assert_eq!(r.series_names(), vec!["util".to_string()]);
     }
 
     #[test]

@@ -73,19 +73,6 @@ impl TimeSeries {
     pub fn to_vec(&self) -> Vec<(f64, f64)> {
         self.iter().collect()
     }
-
-    /// Largest value in the window, if any.
-    pub fn max_value(&self) -> Option<f64> {
-        self.iter().map(|(_, v)| v).reduce(f64::max)
-    }
-
-    /// Mean value over the window, if any.
-    pub fn mean_value(&self) -> Option<f64> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(self.iter().map(|(_, v)| v).sum::<f64>() / self.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -116,16 +103,6 @@ mod tests {
         let v = s.to_vec();
         assert_eq!(v.first().unwrap().0, 6.0, "oldest surviving point");
         assert_eq!(v.last().unwrap().0, 9.0, "newest point");
-    }
-
-    #[test]
-    fn window_stats() {
-        let mut s = TimeSeries::new(16);
-        s.record(0.0, 1.0);
-        s.record(1.0, 3.0);
-        assert_eq!(s.max_value(), Some(3.0));
-        assert_eq!(s.mean_value(), Some(2.0));
-        assert_eq!(TimeSeries::new(4).max_value(), None);
     }
 
     #[test]

@@ -65,16 +65,6 @@ impl DiurnalCurve {
         self.mean_rate_per_s * (1.0 + self.amplitude)
     }
 
-    /// Expected arrivals in `[t0, t1)` — the closed-form integral of
-    /// `rate_at`, for sizing fleets against offered load.
-    pub fn expected_arrivals(&self, t0: f64, t1: f64) -> f64 {
-        let peak_s = self.peak_hour / 24.0 * self.period_s;
-        let sin = |t: f64| ((t - peak_s) / self.period_s * std::f64::consts::TAU).sin();
-        self.mean_rate_per_s
-            * ((t1 - t0)
-                + self.amplitude * self.period_s / std::f64::consts::TAU * (sin(t1) - sin(t0)))
-    }
-
     /// Arrival times in `[t0, t1)` by thinning: candidates arrive as a
     /// homogeneous Poisson process at [`DiurnalCurve::peak_rate`]; each
     /// survives with probability `rate(t) / peak`. Output is sorted
@@ -105,13 +95,21 @@ impl DiurnalCurve {
 mod tests {
     use super::*;
 
+    /// Expected arrivals in `[t0, t1)`: `rate_at` integrated by the
+    /// midpoint rule.
+    fn expected_arrivals(c: &DiurnalCurve, t0: f64, t1: f64) -> f64 {
+        let dt = (t1 - t0) / 1440.0;
+        let mid = |i: u32| t0 + (i as f64 + 0.5) * dt;
+        (0..1440).map(|i| c.rate_at(mid(i)) * dt).sum()
+    }
+
     #[test]
     fn rate_peaks_at_peak_hour_and_averages_to_mean() {
         let c = DiurnalCurve::new(10.0, 0.6, 20.0);
         assert!((c.rate_at(20.0 / 24.0 * DAY_S) - 16.0).abs() < 1e-9);
         assert!((c.rate_at(8.0 / 24.0 * DAY_S) - 4.0).abs() < 1e-9);
         // Mean over a full day is the configured mean.
-        let mean = c.expected_arrivals(0.0, DAY_S) / DAY_S;
+        let mean = expected_arrivals(&c, 0.0, DAY_S) / DAY_S;
         assert!((mean - 10.0).abs() < 1e-9, "mean {mean}");
     }
 
@@ -135,7 +133,7 @@ mod tests {
         let trough_window = c
             .arrivals_in(DAY_S * 0.45, DAY_S * 0.45 + 3_600.0, &mut rng)
             .len() as f64;
-        let exp_peak = c.expected_arrivals(0.0, 3_600.0);
+        let exp_peak = expected_arrivals(&c, 0.0, 3_600.0);
         assert!(
             (peak_window - exp_peak).abs() < exp_peak * 0.15,
             "peak window: {peak_window} vs expected {exp_peak}"

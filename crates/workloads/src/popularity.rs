@@ -84,14 +84,6 @@ impl PopularityModel {
             premium_analysis: bucket == PopularityBucket::Head,
         }
     }
-
-    /// Treatment in the software-only world: VP9 reserved for the head.
-    pub fn treatment_software_only(&self, bucket: PopularityBucket) -> Treatment {
-        Treatment {
-            vp9: bucket == PopularityBucket::Head,
-            premium_analysis: false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +150,5 @@ mod tests {
         ] {
             assert!(m.treatment_with_vcu(b).vp9);
         }
-        assert!(m.treatment_software_only(PopularityBucket::Head).vp9);
-        assert!(!m.treatment_software_only(PopularityBucket::Tail).vp9);
     }
 }

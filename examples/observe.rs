@@ -16,7 +16,7 @@
 //! Run with: `cargo run --release --example observe`
 //! (set `VCU_SEED` to vary detection coin-flips and content).
 
-use vcu_bench::timing::results_path;
+use vcu_bench::campaign::results_path;
 use vcu_chip::encoder_core::PipelineSim;
 use vcu_chip::TranscodeJob;
 use vcu_cluster::{ClusterConfig, ClusterReport, ClusterSim, JobSpec, Priority};

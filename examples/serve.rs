@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.viewers, cfg.vcus, cfg.cache_segments, seed
     );
 
-    let slots = cfg.slots_per_worker();
+    let slots = vcu_cluster::slots_per_worker(&cfg.transcode_job());
     let report = ServeSim::new(cfg).run();
 
     println!(

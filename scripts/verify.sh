@@ -15,11 +15,13 @@ export CARGO_NET_OFFLINE=true
 STAGE_FILTER="${VCU_VERIFY_STAGE:-}"
 CURRENT_STAGE=""
 STAGES_RUN=0
+STAGE_NAMES=()
 trap '[[ -n "$CURRENT_STAGE" ]] && echo "stage $CURRENT_STAGE: FAILED" >&2' ERR
 
 run_stage() {
     local name="$1"
     shift
+    STAGE_NAMES+=("$name")
     if [[ -n "$STAGE_FILTER" && "$STAGE_FILTER" != "$name" ]]; then
         return 0
     fi
@@ -64,15 +66,6 @@ stage_examples() {
     git diff --exit-code -- results/observe_telemetry_hw.json \
         results/observe_telemetry_node.json results/observe_telemetry_sw_offload.json \
         results/observe_utilization.txt
-}
-
-# Smoke-run the cluster-scale bench in its seconds-long configuration
-# (tiny fleets, temp-dir JSON) so the binary and its built-in
-# indexed-vs-linear equivalence check can't rot. (Codec and kernel
-# timings live in benchmark/; benchmark_smoke runs them.)
-stage_bench_smoke() {
-    VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin bench_cluster_scale \
-        | tail -n 2
 }
 
 # Smoke-run the four deterministic campaigns through the one harness
@@ -156,7 +149,6 @@ run_stage build stage_build
 run_stage test stage_test
 run_stage clippy stage_clippy
 run_stage examples stage_examples
-run_stage bench_smoke stage_bench_smoke
 run_stage campaign_smoke stage_campaign_smoke
 run_stage results_gate stage_results_gate
 run_stage benchmark_lock stage_benchmark_lock
@@ -165,7 +157,7 @@ run_stage determinism stage_determinism
 run_stage simd_off stage_simd_off
 
 if [[ "$STAGES_RUN" -eq 0 ]]; then
-    echo "no stage named '$STAGE_FILTER' (stages: fmt build test clippy examples bench_smoke campaign_smoke results_gate benchmark_lock benchmark_smoke determinism simd_off)" >&2
+    echo "no stage named '$STAGE_FILTER' (stages: ${STAGE_NAMES[*]})" >&2
     exit 1
 fi
 echo "tier-1 verify: OK ($STAGES_RUN stages)"

@@ -14,7 +14,10 @@
 use vcu_chip::faults::checksum as fnv1a64;
 use vcu_chip::{System, WorkloadShape};
 use vcu_cluster::tco::{perf_per_tco_normalized, system_tco};
-use vcu_cluster::{ClusterConfig, ClusterReport, ClusterSim, FaultInjection, FaultKind, JobSpec};
+use vcu_cluster::{
+    uniform_stream, ClusterConfig, ClusterReport, ClusterSim, FaultInjection, FaultKind, JobSpec,
+    PlacementMode,
+};
 use vcu_codec::Profile;
 use vcu_system::platform::Platform;
 use vcu_telemetry::Registry;
@@ -213,7 +216,7 @@ fn warehouse_scale_run_is_byte_identical() {
     // index must stay exactly as deterministic as the 6-VCU runs above
     // — and exactly as deterministic as the linear-scan oracle, since
     // first-fit order is observable behaviour.
-    use vcu_cluster::{PlacementMode, Priority};
+    use vcu_cluster::Priority;
     use vcu_codec::Profile as P;
     use vcu_media::Resolution;
 
@@ -257,6 +260,72 @@ fn warehouse_scale_run_is_byte_identical() {
         trace(&c),
         "index and linear oracle must agree at warehouse scale"
     );
+}
+
+/// First-fit order is observable behaviour, so the O(log n)
+/// availability index and the linear-scan oracle must produce the same
+/// run, whole report: 1080p MOT chunks holding the fleet at 90 % of
+/// its slots at 16, 64 and 1,000 VCUs (first-fit from worker 0 pools
+/// the free capacity at the high indices, where a scan pays O(n) per
+/// placement), and 64 VCUs offered 1.3× what they carry with the
+/// ladder armed, where nearly every scheduling pass ends on the
+/// head-of-line miss cap.
+#[test]
+fn placement_index_and_linear_oracle_agree_on_whole_reports() {
+    use vcu_cluster::{slots_per_worker, DegradePolicy};
+    use vcu_media::Resolution;
+
+    let job = vcu_chip::TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0);
+    let run = |vcus: usize, jobs_per_vcu: usize, load: f64, placement| {
+        let saturated = load > 1.0;
+        let in_flight = vcus as f64 * slots_per_worker(&job) as f64 * load;
+        let total = vcus * jobs_per_vcu;
+        let span_s = total as f64 * job.duration_s / in_flight;
+        let cfg = ClusterConfig {
+            vcus,
+            placement,
+            sample_period_s: if saturated { 5.0 } else { 60.0 },
+            degrade: DegradePolicy {
+                enabled: saturated,
+                ..DegradePolicy::default()
+            },
+            ..ClusterConfig::default()
+        };
+        let jobs = uniform_stream(std::slice::from_ref(&job), total, span_s);
+        let r = ClusterSim::new(cfg, jobs, vec![]).run();
+        assert_eq!(r.completed + r.failed, total as u64, "every job resolves");
+        r
+    };
+    for (vcus, jobs_per_vcu, load) in [
+        (16, 50, 0.9),
+        (64, 50, 0.9),
+        (1_000, 50, 0.9),
+        (64, 200, 1.3),
+    ] {
+        let indexed = run(vcus, jobs_per_vcu, load, PlacementMode::Indexed);
+        if load > 1.0 {
+            let deepest = indexed.samples.iter().map(|s| s.queued).max().unwrap_or(0);
+            assert!(
+                deepest >= 48,
+                "the queue must outgrow the miss cap: {deepest}"
+            );
+            assert!(
+                indexed.degrade_time_frac[0] < 1.0,
+                "{load}x load must move the ladder"
+            );
+        }
+        let linear = run(vcus, jobs_per_vcu, load, PlacementMode::LinearScan);
+        // Not `assert_eq!`: a failure would print two whole reports.
+        let (a, b) = (format!("{indexed:?}"), format!("{linear:?}"));
+        let at = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
+        let near = |s: &str| s[at.saturating_sub(60)..s.len().min(at + 60)].to_owned();
+        assert!(
+            a == b,
+            "placement paths diverged at {vcus} VCUs, {load}x load, byte {at}:\n indexed …{}…\n linear  …{}…",
+            near(&a),
+            near(&b)
+        );
+    }
 }
 
 /// Every §4.4 mechanism in one small pinned run: the fault set
@@ -372,10 +441,14 @@ fn chaos_run_is_pinned() {
 /// dimension, with faults and a repair, an armed ladder, opportunistic
 /// software decode and jittered backoff. Nearly every scheduling pass
 /// of this run ends on the head-of-line miss cap. Returns the report
-/// and the telemetry snapshot.
-fn saturated_mix_run(consistent_hash_window: usize) -> (ClusterReport, String) {
+/// and the telemetry snapshot, which first-fit order makes the same
+/// under either `placement`.
+fn saturated_mix_run(
+    consistent_hash_window: usize,
+    placement: PlacementMode,
+) -> (ClusterReport, String) {
     use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
-    use vcu_cluster::{DegradePolicy, Priority, RetryPolicy};
+    use vcu_cluster::{DegradePolicy, RetryPolicy};
     use vcu_media::Resolution;
 
     const VCUS: usize = 12;
@@ -414,18 +487,7 @@ fn saturated_mix_run(consistent_hash_window: usize) -> (ClusterReport, String) {
     }
     let busiest = work.iter().cloned().fold(0.0, f64::max);
     let span_s = (JOBS / VCUS) as f64 * busiest / (mix.len() as f64 * OFFERED_LOAD);
-    let jobs: Vec<JobSpec> = (0..JOBS)
-        .map(|i| JobSpec {
-            arrival_s: i as f64 * span_s / JOBS as f64,
-            job: mix[i % mix.len()].clone(),
-            priority: match i % 4 {
-                0 => Priority::Critical,
-                3 => Priority::Batch,
-                _ => Priority::Normal,
-            },
-            video_id: (i / 4) as u64,
-        })
-        .collect();
+    let jobs = uniform_stream(&mix, JOBS, span_s);
     let fault = |time_s, worker, kind| FaultInjection {
         time_s,
         worker,
@@ -440,6 +502,7 @@ fn saturated_mix_run(consistent_hash_window: usize) -> (ClusterReport, String) {
     ];
     let cfg = ClusterConfig {
         vcus: VCUS,
+        placement,
         detection_rate: 0.9,
         opportunistic_sw_decode: true,
         consistent_hash_window,
@@ -478,36 +541,33 @@ fn saturated_mix_run(consistent_hash_window: usize) -> (ClusterReport, String) {
     (r, reg.snapshot_json(&[]))
 }
 
+/// Asserts the saturated run's two pins under both placement modes.
+fn assert_saturated_pins(consistent_hash_window: usize, report: u64, snapshot: u64) {
+    for placement in [PlacementMode::Indexed, PlacementMode::LinearScan] {
+        let (r, snap) = saturated_mix_run(consistent_hash_window, placement);
+        assert_eq!(
+            fnv1a64(format!("{r:?}").as_bytes()),
+            report,
+            "saturated report drifted from the pinned run ({placement:?})"
+        );
+        assert_eq!(
+            fnv1a64(snap.as_bytes()),
+            snapshot,
+            "saturated telemetry snapshot drifted from the pinned bytes ({placement:?})"
+        );
+    }
+}
+
 #[test]
 fn saturated_mix_run_is_pinned() {
-    let (r, snapshot) = saturated_mix_run(0);
-    assert_eq!(
-        fnv1a64(format!("{r:?}").as_bytes()),
-        0x8EFDD5E7704C9127,
-        "saturated report drifted from the pinned run"
-    );
-    assert_eq!(
-        fnv1a64(snapshot.as_bytes()),
-        0x47A9DE4700AECDBE,
-        "saturated telemetry snapshot drifted from the pinned bytes"
-    );
+    assert_saturated_pins(0, 0x8EFDD5E7704C9127, 0x47A9DE4700AECDBE);
 }
 
 /// The same run with consistent-hash placement: bounded windows are
 /// the queries the blocked-demand memo must not generalise over.
 #[test]
 fn saturated_mix_run_with_hash_windows_is_pinned() {
-    let (r, snapshot) = saturated_mix_run(5);
-    assert_eq!(
-        fnv1a64(format!("{r:?}").as_bytes()),
-        0xCA2281DE6D314EB9,
-        "hash-window saturated report drifted from the pinned run"
-    );
-    assert_eq!(
-        fnv1a64(snapshot.as_bytes()),
-        0x04A80B725AEB0B9A,
-        "hash-window saturated telemetry snapshot drifted from the pinned bytes"
-    );
+    assert_saturated_pins(5, 0xCA2281DE6D314EB9, 0x04A80B725AEB0B9A);
 }
 
 /// Wide blast radius under periodic screening: 64 VCUs with

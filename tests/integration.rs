@@ -7,11 +7,12 @@ use vcu_cluster::{
     ClusterConfig, ClusterSim, FaultInjection, FaultKind, JobSpec, Priority, SchedulerKind,
 };
 use vcu_codec::{decode, encode, EncoderConfig, PassMode, Profile, Qp, TuningLevel};
+use vcu_media::bdrate::bd_rate;
 use vcu_media::quality::psnr_y_video;
 use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::Resolution;
 use vcu_system::chunking::{assemble, encode_chunks, split, ChunkPlan};
-use vcu_system::experiments::{bd, clip_rd_curve, fig8, mean, tuning_schedule};
+use vcu_system::experiments::{clip_rd_curve, fig8, mean, tuning_schedule};
 use vcu_system::platform::{live_latency_s, Platform};
 use vcu_telemetry::Registry;
 use vcu_workloads::{suite, PopularityBucket, Request, SuiteScale, WorkloadFamily};
@@ -104,7 +105,7 @@ fn vp9_bd_rate_win_on_predictable_content() {
         &qps,
     )
     .expect("vp9 curve");
-    let d = bd(&h, &g).expect("bd-rate");
+    let d = bd_rate(&h, &g).expect("bd-rate");
     assert!(d < -25.0, "VP9 should save >25% on screen content: {d:.1}%");
 }
 
@@ -126,7 +127,7 @@ fn tuning_closes_hardware_gap() {
             &qps,
         )
         .expect("hw curve");
-        bd(&sw, &hw).expect("bd")
+        bd_rate(&sw, &hw).expect("bd")
     };
     let launch = gap(TuningLevel::LAUNCH);
     let mature = gap(TuningLevel::MATURE);

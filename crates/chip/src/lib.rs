@@ -11,8 +11,7 @@
 //!   [`calib`] from numbers the paper states — encoder-core pipeline
 //!   ([`encoder_core`]), DRAM bandwidth/footprints ([`dram`]),
 //!   whole-chip capacity and the §3.3.3 millicore resource mapping
-//!   ([`vcu`]), firmware queue dispatch ([`firmware`]), and the
-//!   Table-1 contender systems ([`devices`]).
+//!   ([`vcu`]), and the Table-1 contender systems ([`devices`]).
 //!
 //! The timing layer is parameterized by a [`DesignPoint`] (encoder
 //! cores × decoder cores × DRAM bandwidth × reference-store SRAM,
@@ -24,7 +23,6 @@ pub mod devices;
 pub mod dram;
 pub mod encoder_core;
 pub mod faults;
-pub mod firmware;
 pub mod job;
 pub mod refstore;
 pub mod vcu;

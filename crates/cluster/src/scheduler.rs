@@ -258,11 +258,6 @@ impl Scheduler {
         s
     }
 
-    /// Number of workers.
-    pub fn n_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Read a worker's availability.
     pub fn worker(&self, w: usize) -> &WorkerAvailability {
         &self.workers[w]

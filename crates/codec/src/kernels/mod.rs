@@ -7,28 +7,28 @@
 //!
 //! - a portable scalar reference in [`scalar`] (the exact pre-kernel
 //!   loop, moved not rewritten), and
-//! - optional x86_64 SSE2/AVX2 implementations in `x86` that are
-//!   **bit-identical** to the scalar reference (see the per-kernel
-//!   proofs in `x86.rs`).
+//! - an x86_64 AVX2 implementation in `x86` that is **bit-identical**
+//!   to the scalar reference (see the per-kernel proofs in `x86.rs`).
 //!
 //! The active backend is a process-wide dispatch table initialised
 //! lazily from the `VCU_SIMD` environment variable:
 //!
 //! | value          | meaning                                          |
 //! |----------------|--------------------------------------------------|
-//! | `off`/`scalar` | portable scalar kernels                          |
-//! | `sse2`         | SSE2 (falls back to scalar if unavailable)       |
-//! | `avx2`         | AVX2 (falls back to sse2, then scalar)           |
-//! | `auto` / unset | best backend the CPU reports (default)           |
+//! | `off`          | portable scalar kernels                          |
+//! | `auto` / unset | AVX2 if the CPU reports it, else scalar (default)|
 //!
-//! Because every backend is byte-identical, the choice is invisible in
+//! Because both backends are byte-identical, the choice is invisible in
 //! golden bitstreams, work-unit counters, and telemetry snapshots —
 //! `VCU_SIMD` only moves wall-clock time. Tests pin this by running
 //! whole encodes and per-kernel differential sweeps across backends.
 //!
 //! Each dispatched kernel also has a `*_with(backend, ...)` variant so
 //! tests and micro-benches can exercise a specific backend without
-//! mutating process-global state.
+//! mutating process-global state. The `_with` wrappers are the safety
+//! boundary for the `unsafe` AVX2 arms: they assert, in every build
+//! profile, that the CPU has AVX2 and that the slices cover every
+//! element the kernel reads or writes through raw pointers.
 
 pub(crate) mod scalar;
 #[cfg(target_arch = "x86_64")]
@@ -43,18 +43,15 @@ use vcu_media::Plane;
 pub enum Backend {
     /// Portable scalar reference kernels.
     Scalar = 1,
-    /// 128-bit SSE2 kernels (baseline on every x86_64 CPU).
-    Sse2 = 2,
     /// 256-bit AVX2 kernels.
-    Avx2 = 3,
+    Avx2 = 2,
 }
 
 impl Backend {
-    /// Stable lower-case name, matching the `VCU_SIMD` vocabulary.
+    /// Stable lower-case name (recorded in benchmark host stamps).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
         }
     }
@@ -68,8 +65,7 @@ static ACTIVE: AtomicU8 = AtomicU8::new(0);
 fn from_u8(v: u8) -> Backend {
     match v {
         1 => Backend::Scalar,
-        2 => Backend::Sse2,
-        3 => Backend::Avx2,
+        2 => Backend::Avx2,
         _ => unreachable!("invalid backend discriminant {v}"),
     }
 }
@@ -78,52 +74,37 @@ fn cpu_has(b: Backend) -> bool {
     match b {
         Backend::Scalar => true,
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => is_x86_feature_detected!("sse2"),
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => is_x86_feature_detected!("avx2"),
         #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
+        Backend::Avx2 => false,
     }
+}
+
+/// Panics unless the CPU runs `b`. Every `_with` wrapper below calls
+/// this on entry: it is the CPU-feature half of each `unsafe` block's
+/// precondition (the slice lengths the wrapper asserts are the other).
+#[inline]
+fn assert_supported(b: Backend) {
+    assert!(cpu_has(b), "backend {} not supported by this CPU", b.name());
 }
 
 /// Backends usable on this CPU, in ascending preference order
 /// (`Scalar` first). `Scalar` is always present.
 pub fn available_backends() -> Vec<Backend> {
-    [Backend::Scalar, Backend::Sse2, Backend::Avx2]
+    [Backend::Scalar, Backend::Avx2]
         .into_iter()
         .filter(|&b| cpu_has(b))
         .collect()
 }
 
-fn best_available() -> Backend {
-    *available_backends().last().unwrap_or(&Backend::Scalar)
-}
-
-/// Resolves `VCU_SIMD` against CPU features. A requested SIMD level the
-/// CPU lacks degrades gracefully (`avx2` → `sse2` → `scalar`); an
-/// unknown value is a hard error so typos can't silently change what a
-/// benchmark measured.
-fn default_backend() -> Backend {
-    match std::env::var("VCU_SIMD").unwrap_or_default().as_str() {
-        "off" | "scalar" => Backend::Scalar,
-        "sse2" => {
-            if cpu_has(Backend::Sse2) {
-                Backend::Sse2
-            } else {
-                Backend::Scalar
-            }
-        }
-        "avx2" => {
-            if cpu_has(Backend::Avx2) {
-                Backend::Avx2
-            } else if cpu_has(Backend::Sse2) {
-                Backend::Sse2
-            } else {
-                Backend::Scalar
-            }
-        }
-        "" | "auto" => best_available(),
-        other => panic!("unknown VCU_SIMD value {other:?}; expected off|sse2|avx2|auto"),
+/// Resolves a `VCU_SIMD` value against CPU features. An unknown value
+/// is a hard error so typos can't silently change what a benchmark
+/// measured.
+fn backend_for(simd: &str) -> Backend {
+    match simd {
+        "off" => Backend::Scalar,
+        "" | "auto" => *available_backends().last().unwrap_or(&Backend::Scalar),
+        other => panic!("unknown VCU_SIMD value {other:?}; expected off|auto"),
     }
 }
 
@@ -132,7 +113,7 @@ fn default_backend() -> Backend {
 pub fn backend() -> Backend {
     match ACTIVE.load(Ordering::Relaxed) {
         0 => {
-            let b = default_backend();
+            let b = backend_for(&std::env::var("VCU_SIMD").unwrap_or_default());
             ACTIVE.store(b as u8, Ordering::Relaxed);
             b
         }
@@ -146,14 +127,15 @@ pub fn backend() -> Backend {
 ///
 /// Panics if the CPU does not support `b`.
 pub fn set_backend(b: Backend) {
-    assert!(cpu_has(b), "backend {} not supported by this CPU", b.name());
+    assert_supported(b);
     ACTIVE.store(b as u8, Ordering::Relaxed);
 }
 
 // ----------------------------------------------------------------
 // Dispatched kernels. Each `foo` reads the global backend and calls
 // `foo_with`; the `_with` variant is the test/bench entry point.
-// On non-x86_64 targets every backend resolves to the scalar path.
+// On non-x86_64 targets only `Scalar` is available, so every call
+// takes the scalar path.
 // ----------------------------------------------------------------
 
 /// Plain SAD over two equal-length slices.
@@ -164,14 +146,14 @@ pub fn sad_slice(a: &[u8], b: &[u8]) -> u64 {
 
 #[inline]
 pub fn sad_slice_with(bk: Backend, a: &[u8], b: &[u8]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_supported(bk);
+    assert_eq!(a.len(), b.len());
     match bk {
-        Backend::Scalar => scalar::sad_slice(a, b),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::sad_slice_sse2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::sad_slice_avx2(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; `b` is as long as `a`, the extent loaded from both.
+            unsafe { x86::sad_slice_avx2(a, b) }
+        }
         _ => scalar::sad_slice(a, b),
     }
 }
@@ -192,14 +174,14 @@ pub fn sad_rows_thresholded_with(
     bw: usize,
     threshold: u64,
 ) -> (u64, u64) {
-    debug_assert_eq!(a.len(), b.len());
+    assert_supported(bk);
+    assert_eq!(a.len(), b.len());
     match bk {
-        Backend::Scalar => scalar::sad_rows_thresholded(a, b, bw, threshold),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::sad_rows_thresholded_sse2(a, b, bw, threshold) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::sad_rows_thresholded_avx2(a, b, bw, threshold) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; rows are `chunks_exact(bw)` of both slices, equal length.
+            unsafe { x86::sad_rows_thresholded_avx2(a, b, bw, threshold) }
+        }
         _ => scalar::sad_rows_thresholded(a, b, bw, threshold),
     }
 }
@@ -233,31 +215,20 @@ pub fn plane_sad_block_thresholded_with(
     other: &[u8],
     threshold: u64,
 ) -> (u64, u64) {
+    assert_supported(bk);
+    assert_eq!(other.len(), bw * bh, "block length mismatch");
     let in_bounds = x >= 0
         && y >= 0
         && (x as usize) + bw <= plane.width()
         && (y as usize) + bh <= plane.height();
-    if !in_bounds {
+    match bk {
         // Edge-clamped fetch: a clamped row decomposes into a
         // replicated left border + contiguous middle + replicated
-        // right border, so SIMD backends stay exact here too.
-        return match bk {
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 => unsafe {
-                x86::sad_block_clamped_sse2(
-                    plane.data(),
-                    plane.width(),
-                    plane.height(),
-                    x,
-                    y,
-                    bw,
-                    bh,
-                    other,
-                    threshold,
-                )
-            },
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe {
+        // right border, so the AVX2 backend stays exact here too.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if !in_bounds => {
+            // SAFETY: AVX2 asserted; every row and block slice is taken with checked indexing.
+            unsafe {
                 x86::sad_block_clamped_avx2(
                     plane.data(),
                     plane.width(),
@@ -269,43 +240,25 @@ pub fn plane_sad_block_thresholded_with(
                     other,
                     threshold,
                 )
-            },
-            _ => plane.sad_block_thresholded(x, y, bw, bh, other, threshold),
-        };
-    }
-    let (x, y) = (x as usize, y as usize);
-    match bk {
-        Backend::Scalar => {
-            plane.sad_block_thresholded(x as isize, y as isize, bw, bh, other, threshold)
+            }
         }
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe {
-            x86::sad_block_thresholded_sse2(
-                plane.data(),
-                plane.width(),
-                x,
-                y,
-                bw,
-                bh,
-                other,
-                threshold,
-            )
-        },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
-            x86::sad_block_thresholded_avx2(
-                plane.data(),
-                plane.width(),
-                x,
-                y,
-                bw,
-                bh,
-                other,
-                threshold,
-            )
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => plane.sad_block_thresholded(x as isize, y as isize, bw, bh, other, threshold),
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; every row and block slice is taken with checked indexing.
+            unsafe {
+                x86::sad_block_thresholded_avx2(
+                    plane.data(),
+                    plane.width(),
+                    x as usize,
+                    y as usize,
+                    bw,
+                    bh,
+                    other,
+                    threshold,
+                )
+            }
+        }
+        _ => plane.sad_block_thresholded(x, y, bw, bh, other, threshold),
     }
 }
 
@@ -317,15 +270,15 @@ pub fn satd(cur: &[u8], pred: &[u8], bw: usize, bh: usize) -> u64 {
 
 #[inline]
 pub fn satd_with(bk: Backend, cur: &[u8], pred: &[u8], bw: usize, bh: usize) -> u64 {
-    debug_assert_eq!(cur.len(), bw * bh);
-    debug_assert_eq!(pred.len(), bw * bh);
+    assert_supported(bk);
+    assert_eq!(cur.len(), bw * bh);
+    assert_eq!(pred.len(), bw * bh);
     match bk {
-        Backend::Scalar => scalar::satd(cur, pred, bw, bh),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::satd_sse2(cur, pred, bw, bh) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::satd_avx2(cur, pred, bw, bh) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; both slices hold `bw * bh`, every 8×8 cell the kernel loads.
+            unsafe { x86::satd_avx2(cur, pred, bw, bh) }
+        }
         _ => scalar::satd(cur, pred, bw, bh),
     }
 }
@@ -362,13 +315,13 @@ pub fn plane_copy_block_hpel_with(
     bh: usize,
     dst: &mut [u8],
 ) {
+    assert_supported(bk);
     assert_eq!(dst.len(), bw * bh, "destination length mismatch");
     assert!(fx <= 1 && fy <= 1, "fractions are half-pel numerators");
     if (fx == 0 && fy == 0) || bk == Backend::Scalar {
         return plane.copy_block_hpel(x, y, fx, fy, bw, bh, dst);
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    plane.copy_block_hpel(x, y, fx, fy, bw, bh, dst);
+    // Only `Avx2` reaches here, and it exists only on x86_64.
     #[cfg(target_arch = "x86_64")]
     {
         let need_w = bw + fx as usize;
@@ -378,18 +331,20 @@ pub fn plane_copy_block_hpel_with(
             && (x as usize) + need_w <= plane.width()
             && (y as usize) + need_h <= plane.height();
         if interior {
-            return hpel_dispatch(
-                bk,
-                plane.data(),
-                plane.width(),
-                x as usize,
-                y as usize,
-                fx,
-                fy,
-                bw,
-                bh,
-                dst,
-            );
+            // SAFETY: AVX2 asserted; rows are checked slices of the plane, `dst` is `bw * bh`.
+            return unsafe {
+                x86::hpel_avx2(
+                    plane.data(),
+                    plane.width(),
+                    x as usize,
+                    y as usize,
+                    fx,
+                    fy,
+                    bw,
+                    bh,
+                    dst,
+                )
+            };
         }
         // Border-touching fractional fetch: materialize the clamped
         // (bw+fx) x (bh+fy) support once, then run the same interior
@@ -402,52 +357,20 @@ pub fn plane_copy_block_hpel_with(
         }
         let mut support = [0u8; MAX_SUPPORT];
         plane.copy_block_clamped(x, y, need_w, need_h, &mut support[..need_w * need_h]);
-        hpel_dispatch(
-            bk,
-            &support[..need_w * need_h],
-            need_w,
-            0,
-            0,
-            fx,
-            fy,
-            bw,
-            bh,
-            dst,
-        );
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn hpel_dispatch(
-    bk: Backend,
-    data: &[u8],
-    stride: usize,
-    x: usize,
-    y: usize,
-    fx: u8,
-    fy: u8,
-    bw: usize,
-    bh: usize,
-    dst: &mut [u8],
-) {
-    match bk {
-        Backend::Sse2 => unsafe {
-            match (fx, fy) {
-                (1, 0) => x86::hpel_h_sse2(data, stride, x, y, bw, bh, dst),
-                (0, 1) => x86::hpel_v_sse2(data, stride, x, y, bw, bh, dst),
-                _ => x86::hpel_hv_sse2(data, stride, x, y, bw, bh, dst),
-            }
-        },
-        Backend::Avx2 => unsafe {
-            match (fx, fy) {
-                (1, 0) => x86::hpel_h_avx2(data, stride, x, y, bw, bh, dst),
-                (0, 1) => x86::hpel_v_avx2(data, stride, x, y, bw, bh, dst),
-                _ => x86::hpel_hv_avx2(data, stride, x, y, bw, bh, dst),
-            }
-        },
-        Backend::Scalar => unreachable!("scalar backend is handled by the caller"),
+        // SAFETY: AVX2 asserted; rows are checked slices of `support`, `dst` is `bw * bh`.
+        unsafe {
+            x86::hpel_avx2(
+                &support[..need_w * need_h],
+                need_w,
+                0,
+                0,
+                fx,
+                fy,
+                bw,
+                bh,
+                dst,
+            )
+        };
     }
 }
 
@@ -459,15 +382,15 @@ pub fn compute_residual(cur: &[u8], pred: &[u8], out: &mut [i16]) {
 
 #[inline]
 pub fn compute_residual_with(bk: Backend, cur: &[u8], pred: &[u8], out: &mut [i16]) {
-    debug_assert_eq!(cur.len(), pred.len());
-    debug_assert_eq!(cur.len(), out.len());
+    assert_supported(bk);
+    assert_eq!(cur.len(), pred.len());
+    assert_eq!(cur.len(), out.len());
     match bk {
-        Backend::Scalar => scalar::compute_residual(cur, pred, out),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::compute_residual_sse2(cur, pred, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::compute_residual_avx2(cur, pred, out) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; `pred` and `out` are as long as `cur`, the extent touched.
+            unsafe { x86::compute_residual_avx2(cur, pred, out) }
+        }
         _ => scalar::compute_residual(cur, pred, out),
     }
 }
@@ -480,15 +403,15 @@ pub fn add_residual_clamp(pred: &[u8], resid: &[i16], out: &mut [u8]) {
 
 #[inline]
 pub fn add_residual_clamp_with(bk: Backend, pred: &[u8], resid: &[i16], out: &mut [u8]) {
-    debug_assert_eq!(pred.len(), resid.len());
-    debug_assert_eq!(pred.len(), out.len());
+    assert_supported(bk);
+    assert_eq!(pred.len(), resid.len());
+    assert_eq!(pred.len(), out.len());
     match bk {
-        Backend::Scalar => scalar::add_residual_clamp(pred, resid, out),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::add_residual_clamp_sse2(pred, resid, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::add_residual_clamp_avx2(pred, resid, out) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; `resid` and `out` are as long as `pred`, the extent touched.
+            unsafe { x86::add_residual_clamp_avx2(pred, resid, out) }
+        }
         _ => scalar::add_residual_clamp(pred, resid, out),
     }
 }
@@ -501,14 +424,14 @@ pub fn avg_u8_inplace(a: &mut [u8], b: &[u8]) {
 
 #[inline]
 pub fn avg_u8_inplace_with(bk: Backend, a: &mut [u8], b: &[u8]) {
-    debug_assert_eq!(a.len(), b.len());
+    assert_supported(bk);
+    assert_eq!(a.len(), b.len());
     match bk {
-        Backend::Scalar => scalar::avg_u8_inplace(a, b),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::avg_u8_inplace_sse2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::avg_u8_inplace_avx2(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; `b` is as long as `a`, the extent loaded and stored.
+            unsafe { x86::avg_u8_inplace_avx2(a, b) }
+        }
         _ => scalar::avg_u8_inplace(a, b),
     }
 }
@@ -522,24 +445,25 @@ pub fn blend_accumulate(acc: &mut [f64], src: &[u8], weight: f64) {
 
 #[inline]
 pub fn blend_accumulate_with(bk: Backend, acc: &mut [f64], src: &[u8], weight: f64) {
-    debug_assert_eq!(acc.len(), src.len());
+    assert_supported(bk);
+    assert_eq!(acc.len(), src.len());
     match bk {
-        Backend::Scalar => scalar::blend_accumulate(acc, src, weight),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::blend_accumulate_sse2(acc, src, weight) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::blend_accumulate_avx2(acc, src, weight) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; `src` is as long as `acc`, the extent loaded and stored.
+            unsafe { x86::blend_accumulate_avx2(acc, src, weight) }
+        }
         _ => scalar::blend_accumulate(acc, src, weight),
     }
 }
 
 /// Separable-transform pass with strided output: `out[q*n + j] = Σ_s
 /// m_rows[q*n + s] * input[j*n + s]`. `m_cols` must be the transpose of
-/// `m_rows` (SIMD backends load matrix columns contiguously; scalar
+/// `m_rows` (the AVX2 backend loads matrix columns contiguously; scalar
 /// reads `m_rows` exactly as the pre-kernel code did). Per-output
 /// accumulation order is ascending `s` in every backend, so f64 results
-/// are bit-identical.
+/// are bit-identical. Every real transform size (4/8/16/32) takes the
+/// AVX2 path; other sizes run the scalar reference.
 #[inline]
 pub fn tx_pass_strided(m_rows: &[f64], m_cols: &[f64], input: &[f64], n: usize, out: &mut [f64]) {
     tx_pass_strided_with(backend(), m_rows, m_cols, input, n, out)
@@ -554,27 +478,22 @@ pub fn tx_pass_strided_with(
     n: usize,
     out: &mut [f64],
 ) {
+    assert_supported(bk);
     debug_assert!(n.is_multiple_of(2), "transform sizes are even");
+    assert_tx_lengths(m_rows, m_cols, input, n, out);
     match bk {
-        Backend::Scalar => scalar::tx_pass_strided(m_rows, input, n, out),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::tx_pass_strided_sse2(m_cols, input, n, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
-            if n.is_multiple_of(4) {
-                x86::tx_pass_strided_avx2(m_cols, input, n, out)
-            } else {
-                x86::tx_pass_strided_sse2(m_cols, input, n, out)
-            }
-        },
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 if n.is_multiple_of(4) => {
+            // SAFETY: AVX2 asserted, 4 divides `n` (guard), every operand holds `n * n` (asserted).
+            unsafe { x86::tx_pass_strided_avx2(m_cols, input, n, out) }
+        }
         _ => scalar::tx_pass_strided(m_rows, input, n, out),
     }
 }
 
 /// Separable-transform pass with contiguous output: `out[j*n + q] = Σ_s
-/// input[j*n + s] * m_rows[q*n + s]`. Same `m_cols` contract as
-/// [`tx_pass_strided`].
+/// input[j*n + s] * m_rows[q*n + s]`. Same `m_cols` contract and size
+/// dispatch as [`tx_pass_strided`].
 #[inline]
 pub fn tx_pass_contig(m_rows: &[f64], m_cols: &[f64], input: &[f64], n: usize, out: &mut [f64]) {
     tx_pass_contig_with(backend(), m_rows, m_cols, input, n, out)
@@ -589,28 +508,30 @@ pub fn tx_pass_contig_with(
     n: usize,
     out: &mut [f64],
 ) {
+    assert_supported(bk);
     debug_assert!(n.is_multiple_of(2), "transform sizes are even");
+    assert_tx_lengths(m_rows, m_cols, input, n, out);
     match bk {
-        Backend::Scalar => scalar::tx_pass_contig(m_rows, input, n, out),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::tx_pass_contig_sse2(m_cols, input, n, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
-            if n.is_multiple_of(4) {
-                x86::tx_pass_contig_avx2(m_cols, input, n, out)
-            } else {
-                x86::tx_pass_contig_sse2(m_cols, input, n, out)
-            }
-        },
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 if n.is_multiple_of(4) => {
+            // SAFETY: AVX2 asserted, 4 divides `n` (guard), every operand holds `n * n` (asserted).
+            unsafe { x86::tx_pass_contig_avx2(m_cols, input, n, out) }
+        }
         _ => scalar::tx_pass_contig(m_rows, input, n, out),
     }
 }
 
+/// Every operand of a transform pass is one `n × n` matrix.
+#[inline]
+fn assert_tx_lengths(m_rows: &[f64], m_cols: &[f64], input: &[f64], n: usize, out: &[f64]) {
+    for len in [m_rows.len(), m_cols.len(), input.len(), out.len()] {
+        assert_eq!(len, n * n, "transform operand is not n * n");
+    }
+}
+
 /// Rounds each f64 half-away-from-zero, clamps to the i16 range, and
-/// narrows — the inverse transform's final store. SSE2 lacks the
-/// truncating `round_pd` the exact vector decomposition needs, so only
-/// AVX2 diverges from the scalar loop (bit-identically; see `x86.rs`).
+/// narrows — the inverse transform's final store. The AVX2 form is
+/// bit-identical to the scalar loop (see `x86.rs`).
 #[inline]
 pub fn round_clamp_i16(src: &[f64], out: &mut [i16]) {
     round_clamp_i16_with(backend(), src, out)
@@ -618,10 +539,14 @@ pub fn round_clamp_i16(src: &[f64], out: &mut [i16]) {
 
 #[inline]
 pub fn round_clamp_i16_with(bk: Backend, src: &[f64], out: &mut [i16]) {
-    debug_assert_eq!(src.len(), out.len());
+    assert_supported(bk);
+    assert_eq!(src.len(), out.len());
     match bk {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::round_clamp_i16_avx2(src, out) },
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; `out` is as long as `src`, the extent loaded and stored.
+            unsafe { x86::round_clamp_i16_avx2(src, out) }
+        }
         _ => scalar::round_clamp_i16(src, out),
     }
 }
@@ -631,8 +556,7 @@ pub fn round_clamp_i16_with(bk: Backend, src: &[f64], out: &mut [i16]) {
 /// finite inputs the AVX2 path is bit-identical — `vdivpd` is the
 /// same correctly-rounded division, `floor` maps to `round_pd`
 /// toward negative infinity, and the magnitude cap commutes with the
-/// f64→i32 conversion (see `x86.rs`). SSE2 lacks `round_pd`, so only
-/// AVX2 diverges from the scalar loop.
+/// f64→i32 conversion (see `x86.rs`).
 #[inline]
 pub fn quantize_levels(coeffs: &[f64], step: f64, deadzone: f64, levels: &mut [i32]) {
     quantize_levels_with(backend(), coeffs, step, deadzone, levels)
@@ -646,10 +570,14 @@ pub fn quantize_levels_with(
     deadzone: f64,
     levels: &mut [i32],
 ) {
-    debug_assert_eq!(coeffs.len(), levels.len());
+    assert_supported(bk);
+    assert_eq!(coeffs.len(), levels.len());
     match bk {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::quantize_levels_avx2(coeffs, step, deadzone, levels) },
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; `levels` is as long as `coeffs`, the extent loaded and stored.
+            unsafe { x86::quantize_levels_avx2(coeffs, step, deadzone, levels) }
+        }
         _ => scalar::quantize_levels(coeffs, step, deadzone, levels),
     }
 }
@@ -664,10 +592,14 @@ pub fn dequantize_coeffs(levels: &[i32], step: f64, coeffs: &mut [f64]) {
 
 #[inline]
 pub fn dequantize_coeffs_with(bk: Backend, levels: &[i32], step: f64, coeffs: &mut [f64]) {
-    debug_assert_eq!(levels.len(), coeffs.len());
+    assert_supported(bk);
+    assert_eq!(levels.len(), coeffs.len());
     match bk {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::dequantize_coeffs_avx2(levels, step, coeffs) },
+        Backend::Avx2 => {
+            // SAFETY: AVX2 asserted; `coeffs` is as long as `levels`, the extent loaded and stored.
+            unsafe { x86::dequantize_coeffs_avx2(levels, step, coeffs) }
+        }
         _ => scalar::dequantize_coeffs(levels, step, coeffs),
     }
 }
@@ -688,16 +620,22 @@ mod tests {
 
     #[test]
     fn backend_names_roundtrip() {
-        for b in [Backend::Scalar, Backend::Sse2, Backend::Avx2] {
+        for b in [Backend::Scalar, Backend::Avx2] {
             assert_eq!(from_u8(b as u8), b);
             assert!(!b.name().is_empty());
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn sse2_is_baseline_on_x86_64() {
-        // SSE2 is architecturally guaranteed on x86_64.
-        assert!(available_backends().contains(&Backend::Sse2));
+    fn vcu_simd_accepts_off_and_auto_only() {
+        assert_eq!(backend_for("off"), Backend::Scalar);
+        let best = *available_backends().last().unwrap();
+        assert_eq!(backend_for("auto"), best);
+        assert_eq!(backend_for(""), best);
+        for retired in ["scalar", "sse2", "avx2", "Auto"] {
+            let err = std::panic::catch_unwind(|| backend_for(retired)).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("expected off|auto"), "{retired}: {msg}");
+        }
     }
 }

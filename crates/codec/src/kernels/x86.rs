@@ -1,4 +1,16 @@
-//! x86_64 SSE2/AVX2 kernel implementations via `core::arch` intrinsics.
+//! x86_64 AVX2 kernel implementations via `core::arch` intrinsics.
+//!
+//! Scalar (`scalar.rs`) is the reference and AVX2 the one SIMD backend.
+//! The 128-bit helpers left here (`sad_const_sse2`,
+//! `hadamard8_abs_sum_sse2`, `hpel_hv16`, …) are the AVX2 kernels' own
+//! tails (AVX2 implies SSE2); nothing dispatches to them directly.
+//!
+//! # Safety
+//!
+//! Every `unsafe fn` here needs a CPU with AVX2 and slices covering
+//! what it touches: equal lengths for the element-wise kernels, `bw * bh`
+//! blocks for SAD/SATD, `n * n` operands for the transform passes. The
+//! safe `_with` wrappers in `mod.rs` assert both before calling in.
 //!
 //! Every function here is *bit-identical* to its scalar reference in
 //! `scalar.rs` — not approximately equal. The per-kernel arguments:
@@ -40,40 +52,6 @@ unsafe fn hsum_epi64x2(v: __m128i) -> u64 {
 }
 
 #[inline]
-#[target_feature(enable = "sse2")]
-unsafe fn sad_row_sse2(a: &[u8], b: &[u8]) -> u64 {
-    let n = a.len();
-    let mut i = 0;
-    let mut acc = _mm_setzero_si128();
-    while i + 16 <= n {
-        acc = _mm_add_epi64(
-            acc,
-            _mm_sad_epu8(
-                _mm_loadu_si128(a.as_ptr().add(i) as *const __m128i),
-                _mm_loadu_si128(b.as_ptr().add(i) as *const __m128i),
-            ),
-        );
-        i += 16;
-    }
-    let mut sad = hsum_epi64x2(acc);
-    if i + 8 <= n {
-        // 8-byte tail via the low half of psadbw — covers the common
-        // 8-wide block rows that would otherwise be fully scalar.
-        let s = _mm_sad_epu8(
-            _mm_loadl_epi64(a.as_ptr().add(i) as *const __m128i),
-            _mm_loadl_epi64(b.as_ptr().add(i) as *const __m128i),
-        );
-        sad += _mm_cvtsi128_si64(s) as u64;
-        i += 8;
-    }
-    while i < n {
-        sad += (a[i] as i32 - b[i] as i32).unsigned_abs() as u64;
-        i += 1;
-    }
-    sad
-}
-
-#[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn sad_row_avx2(a: &[u8], b: &[u8]) -> u64 {
     let n = a.len();
@@ -101,6 +79,8 @@ unsafe fn sad_row_avx2(a: &[u8], b: &[u8]) -> u64 {
         i += 16;
     }
     if i + 8 <= n {
+        // 8-byte tail via the low half of psadbw — covers the common
+        // 8-wide block rows that would otherwise be fully scalar.
         let s = _mm_sad_epu8(
             _mm_loadl_epi64(a.as_ptr().add(i) as *const __m128i),
             _mm_loadl_epi64(b.as_ptr().add(i) as *const __m128i),
@@ -115,33 +95,9 @@ unsafe fn sad_row_avx2(a: &[u8], b: &[u8]) -> u64 {
     sad
 }
 
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn sad_slice_sse2(a: &[u8], b: &[u8]) -> u64 {
-    sad_row_sse2(a, b)
-}
-
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn sad_slice_avx2(a: &[u8], b: &[u8]) -> u64 {
     sad_row_avx2(a, b)
-}
-
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn sad_rows_thresholded_sse2(
-    a: &[u8],
-    b: &[u8],
-    bw: usize,
-    threshold: u64,
-) -> (u64, u64) {
-    let mut sad = 0u64;
-    let mut examined = 0u64;
-    for (ra, rb) in a.chunks_exact(bw).zip(b.chunks_exact(bw)) {
-        sad += sad_row_sse2(ra, rb);
-        examined += bw as u64;
-        if sad >= threshold {
-            return (sad, examined);
-        }
-    }
-    (sad, examined)
 }
 
 #[target_feature(enable = "avx2")]
@@ -197,20 +153,6 @@ unsafe fn sad_const_sse2(v: u8, b: &[u8]) -> u64 {
 /// replicated left border, a contiguous in-bounds middle, and a
 /// replicated right border — each exactly vectorizable.
 #[inline]
-#[target_feature(enable = "sse2")]
-unsafe fn sad_row_clamped_sse2(row: &[u8], x: isize, other: &[u8]) -> u64 {
-    let (w, bw) = (row.len(), other.len());
-    let left = (-x).clamp(0, bw as isize) as usize;
-    let right_start = (w as isize - x).clamp(left as isize, bw as isize) as usize;
-    let mut sad = sad_const_sse2(row[0], &other[..left]);
-    if right_start > left {
-        let mid = &row[(x + left as isize) as usize..(x + right_start as isize) as usize];
-        sad += sad_row_sse2(mid, &other[left..right_start]);
-    }
-    sad + sad_const_sse2(row[w - 1], &other[right_start..])
-}
-
-#[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn sad_row_clamped_avx2(row: &[u8], x: isize, other: &[u8]) -> u64 {
     let (w, bw) = (row.len(), other.len());
@@ -222,32 +164,6 @@ unsafe fn sad_row_clamped_avx2(row: &[u8], x: isize, other: &[u8]) -> u64 {
         sad += sad_row_avx2(mid, &other[left..right_start]);
     }
     sad + sad_const_sse2(row[w - 1], &other[right_start..])
-}
-
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn sad_block_clamped_sse2(
-    data: &[u8],
-    width: usize,
-    height: usize,
-    x: isize,
-    y: isize,
-    bw: usize,
-    bh: usize,
-    other: &[u8],
-    threshold: u64,
-) -> (u64, u64) {
-    let mut sad = 0u64;
-    let mut examined = 0u64;
-    for by in 0..bh {
-        let cy = (y + by as isize).clamp(0, height as isize - 1) as usize;
-        let row = &data[cy * width..(cy + 1) * width];
-        sad += sad_row_clamped_sse2(row, x, &other[by * bw..(by + 1) * bw]);
-        examined += bw as u64;
-        if sad >= threshold {
-            return (sad, examined);
-        }
-    }
-    (sad, examined)
 }
 
 #[target_feature(enable = "avx2")]
@@ -268,30 +184,6 @@ pub(crate) unsafe fn sad_block_clamped_avx2(
         let cy = (y + by as isize).clamp(0, height as isize - 1) as usize;
         let row = &data[cy * width..(cy + 1) * width];
         sad += sad_row_clamped_avx2(row, x, &other[by * bw..(by + 1) * bw]);
-        examined += bw as u64;
-        if sad >= threshold {
-            return (sad, examined);
-        }
-    }
-    (sad, examined)
-}
-
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn sad_block_thresholded_sse2(
-    data: &[u8],
-    stride: usize,
-    x: usize,
-    y: usize,
-    bw: usize,
-    bh: usize,
-    other: &[u8],
-    threshold: u64,
-) -> (u64, u64) {
-    let mut sad = 0u64;
-    let mut examined = 0u64;
-    for by in 0..bh {
-        let base = (y + by) * stride + x;
-        sad += sad_row_sse2(&data[base..base + bw], &other[by * bw..(by + 1) * bw]);
         examined += bw as u64;
         if sad >= threshold {
             return (sad, examined);
@@ -462,27 +354,6 @@ unsafe fn hadamard8_pair_avx2(cur: *const u8, pred: *const u8, stride: usize) ->
     left / 8 + right / 8
 }
 
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn satd_sse2(cur: &[u8], pred: &[u8], bw: usize, bh: usize) -> u64 {
-    let mut total = 0u64;
-    let mut y = 0;
-    while y < bh {
-        let mut x = 0;
-        while x < bw {
-            if x + 8 <= bw && y + 8 <= bh {
-                let off = y * bw + x;
-                total +=
-                    hadamard8_abs_sum_sse2(cur.as_ptr().add(off), pred.as_ptr().add(off), bw) / 8;
-            } else {
-                scalar::satd_partial(cur, pred, bw, bh, x, y, &mut total);
-            }
-            x += 8;
-        }
-        y += 8;
-    }
-    total
-}
-
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn satd_avx2(cur: &[u8], pred: &[u8], bw: usize, bh: usize) -> u64 {
     let mut total = 0u64;
@@ -512,36 +383,35 @@ pub(crate) unsafe fn satd_avx2(cur: &[u8], pred: &[u8], bw: usize, bh: usize) ->
 
 // -------------------------------------------------------- half-pel MC
 
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn hpel_h_sse2(
+/// Half-pel fetch of an interior `bw × bh` block at fraction
+/// `(fx, fy)` (not both zero): the 2-tap horizontal or vertical kernel,
+/// or the 4-tap corner.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Rows of `data` and `dst` are taken with
+/// checked slicing, so a short slice panics rather than overruns.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn hpel_avx2(
     data: &[u8],
     stride: usize,
     x: usize,
     y: usize,
+    fx: u8,
+    fy: u8,
     bw: usize,
     bh: usize,
     dst: &mut [u8],
 ) {
-    for by in 0..bh {
-        let base = (y + by) * stride + x;
-        let row = &data[base..base + bw + 1];
-        let out = &mut dst[by * bw..(by + 1) * bw];
-        let mut i = 0;
-        while i + 16 <= bw {
-            let a = _mm_loadu_si128(row.as_ptr().add(i) as *const __m128i);
-            let b = _mm_loadu_si128(row.as_ptr().add(i + 1) as *const __m128i);
-            _mm_storeu_si128(out.as_mut_ptr().add(i) as *mut __m128i, _mm_avg_epu8(a, b));
-            i += 16;
-        }
-        while i < bw {
-            out[i] = ((row[i] as u16 + row[i + 1] as u16 + 1) >> 1) as u8;
-            i += 1;
-        }
+    match (fx, fy) {
+        (1, 0) => hpel_h_avx2(data, stride, x, y, bw, bh, dst),
+        (0, 1) => hpel_v_avx2(data, stride, x, y, bw, bh, dst),
+        _ => hpel_hv_avx2(data, stride, x, y, bw, bh, dst),
     }
 }
 
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn hpel_h_avx2(
+unsafe fn hpel_h_avx2(
     data: &[u8],
     stride: usize,
     x: usize,
@@ -577,37 +447,8 @@ pub(crate) unsafe fn hpel_h_avx2(
     }
 }
 
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn hpel_v_sse2(
-    data: &[u8],
-    stride: usize,
-    x: usize,
-    y: usize,
-    bw: usize,
-    bh: usize,
-    dst: &mut [u8],
-) {
-    for by in 0..bh {
-        let base = (y + by) * stride + x;
-        let r0 = &data[base..base + bw];
-        let r1 = &data[base + stride..base + stride + bw];
-        let out = &mut dst[by * bw..(by + 1) * bw];
-        let mut i = 0;
-        while i + 16 <= bw {
-            let a = _mm_loadu_si128(r0.as_ptr().add(i) as *const __m128i);
-            let b = _mm_loadu_si128(r1.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(out.as_mut_ptr().add(i) as *mut __m128i, _mm_avg_epu8(a, b));
-            i += 16;
-        }
-        while i < bw {
-            out[i] = ((r0[i] as u16 + r1[i] as u16 + 1) >> 1) as u8;
-            i += 1;
-        }
-    }
-}
-
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn hpel_v_avx2(
+unsafe fn hpel_v_avx2(
     data: &[u8],
     stride: usize,
     x: usize,
@@ -669,40 +510,8 @@ unsafe fn hpel_hv16(r0: *const u8, r1: *const u8, out: *mut u8) {
     _mm_storeu_si128(out as *mut __m128i, _mm_packus_epi16(lo, hi));
 }
 
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn hpel_hv_sse2(
-    data: &[u8],
-    stride: usize,
-    x: usize,
-    y: usize,
-    bw: usize,
-    bh: usize,
-    dst: &mut [u8],
-) {
-    for by in 0..bh {
-        let base = (y + by) * stride + x;
-        let r0 = &data[base..base + bw + 1];
-        let r1 = &data[base + stride..base + stride + bw + 1];
-        let out = &mut dst[by * bw..(by + 1) * bw];
-        let mut i = 0;
-        while i + 16 <= bw {
-            hpel_hv16(
-                r0.as_ptr().add(i),
-                r1.as_ptr().add(i),
-                out.as_mut_ptr().add(i),
-            );
-            i += 16;
-        }
-        while i < bw {
-            let s = r0[i] as u16 + r0[i + 1] as u16 + r1[i] as u16 + r1[i + 1] as u16;
-            out[i] = ((s + 2) >> 2) as u8;
-            i += 1;
-        }
-    }
-}
-
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn hpel_hv_avx2(
+unsafe fn hpel_hv_avx2(
     data: &[u8],
     stride: usize,
     x: usize,
@@ -760,26 +569,6 @@ pub(crate) unsafe fn hpel_hv_avx2(
 
 // ----------------------------------------------- residual / recon
 
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn compute_residual_sse2(cur: &[u8], pred: &[u8], out: &mut [i16]) {
-    let n = cur.len();
-    let zero = _mm_setzero_si128();
-    let mut i = 0;
-    while i + 16 <= n {
-        let c = _mm_loadu_si128(cur.as_ptr().add(i) as *const __m128i);
-        let p = _mm_loadu_si128(pred.as_ptr().add(i) as *const __m128i);
-        let lo = _mm_sub_epi16(_mm_unpacklo_epi8(c, zero), _mm_unpacklo_epi8(p, zero));
-        let hi = _mm_sub_epi16(_mm_unpackhi_epi8(c, zero), _mm_unpackhi_epi8(p, zero));
-        _mm_storeu_si128(out.as_mut_ptr().add(i) as *mut __m128i, lo);
-        _mm_storeu_si128(out.as_mut_ptr().add(i + 8) as *mut __m128i, hi);
-        i += 16;
-    }
-    while i < n {
-        out[i] = cur[i] as i16 - pred[i] as i16;
-        i += 1;
-    }
-}
-
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn compute_residual_avx2(cur: &[u8], pred: &[u8], out: &mut [i16]) {
     let n = cur.len();
@@ -799,29 +588,6 @@ pub(crate) unsafe fn compute_residual_avx2(cur: &[u8], pred: &[u8], out: &mut [i
     }
 }
 
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn add_residual_clamp_sse2(pred: &[u8], resid: &[i16], out: &mut [u8]) {
-    let n = pred.len();
-    let zero = _mm_setzero_si128();
-    let mut i = 0;
-    while i + 16 <= n {
-        let p = _mm_loadu_si128(pred.as_ptr().add(i) as *const __m128i);
-        let rlo = _mm_loadu_si128(resid.as_ptr().add(i) as *const __m128i);
-        let rhi = _mm_loadu_si128(resid.as_ptr().add(i + 8) as *const __m128i);
-        let slo = _mm_adds_epi16(_mm_unpacklo_epi8(p, zero), rlo);
-        let shi = _mm_adds_epi16(_mm_unpackhi_epi8(p, zero), rhi);
-        _mm_storeu_si128(
-            out.as_mut_ptr().add(i) as *mut __m128i,
-            _mm_packus_epi16(slo, shi),
-        );
-        i += 16;
-    }
-    while i < n {
-        out[i] = (pred[i] as i32 + resid[i] as i32).clamp(0, 255) as u8;
-        i += 1;
-    }
-}
-
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn add_residual_clamp_avx2(pred: &[u8], resid: &[i16], out: &mut [u8]) {
     let n = pred.len();
@@ -836,22 +602,6 @@ pub(crate) unsafe fn add_residual_clamp_avx2(pred: &[u8], resid: &[i16], out: &m
     }
     while i < n {
         out[i] = (pred[i] as i32 + resid[i] as i32).clamp(0, 255) as u8;
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn avg_u8_inplace_sse2(a: &mut [u8], b: &[u8]) {
-    let n = a.len();
-    let mut i = 0;
-    while i + 16 <= n {
-        let x = _mm_loadu_si128(a.as_ptr().add(i) as *const __m128i);
-        let y = _mm_loadu_si128(b.as_ptr().add(i) as *const __m128i);
-        _mm_storeu_si128(a.as_mut_ptr().add(i) as *mut __m128i, _mm_avg_epu8(x, y));
-        i += 16;
-    }
-    while i < n {
-        a[i] = (a[i] as u16 + b[i] as u16).div_ceil(2) as u8;
         i += 1;
     }
 }
@@ -880,34 +630,6 @@ pub(crate) unsafe fn avg_u8_inplace_avx2(a: &mut [u8], b: &[u8]) {
 
 // ------------------------------------------------- f64 blend / tx
 
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn blend_accumulate_sse2(acc: &mut [f64], src: &[u8], weight: f64) {
-    let n = acc.len();
-    let zero = _mm_setzero_si128();
-    let wv = _mm_set1_pd(weight);
-    let mut i = 0;
-    while i + 4 <= n {
-        let raw = u32::from_le_bytes([src[i], src[i + 1], src[i + 2], src[i + 3]]);
-        let v32 = _mm_unpacklo_epi16(_mm_unpacklo_epi8(_mm_cvtsi32_si128(raw as i32), zero), zero);
-        let lo = _mm_cvtepi32_pd(v32);
-        let hi = _mm_cvtepi32_pd(_mm_shuffle_epi32(v32, 0b0000_1110));
-        // Separate mul + add — FMA contraction would change rounding.
-        _mm_storeu_pd(
-            acc.as_mut_ptr().add(i),
-            _mm_add_pd(_mm_loadu_pd(acc.as_ptr().add(i)), _mm_mul_pd(lo, wv)),
-        );
-        _mm_storeu_pd(
-            acc.as_mut_ptr().add(i + 2),
-            _mm_add_pd(_mm_loadu_pd(acc.as_ptr().add(i + 2)), _mm_mul_pd(hi, wv)),
-        );
-        i += 4;
-    }
-    while i < n {
-        acc[i] += src[i] as f64 * weight;
-        i += 1;
-    }
-}
-
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn blend_accumulate_avx2(acc: &mut [f64], src: &[u8], weight: f64) {
     let n = acc.len();
@@ -916,6 +638,7 @@ pub(crate) unsafe fn blend_accumulate_avx2(acc: &mut [f64], src: &[u8], weight: 
     while i + 4 <= n {
         let raw = u32::from_le_bytes([src[i], src[i + 1], src[i + 2], src[i + 3]]);
         let v = _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(raw as i32)));
+        // Separate mul + add — FMA contraction would change rounding.
         _mm256_storeu_pd(
             acc.as_mut_ptr().add(i),
             _mm256_add_pd(_mm256_loadu_pd(acc.as_ptr().add(i)), _mm256_mul_pd(v, wv)),
@@ -929,48 +652,13 @@ pub(crate) unsafe fn blend_accumulate_avx2(acc: &mut [f64], src: &[u8], weight: 
 }
 
 /// Computes one row of a transform pass into `vals[..n]`: `vals[q] =
-/// Σ_s m_cols[s*n + q] * row[s]`, SSE2. Outputs are grouped eight at a
-/// time (four xmm accumulators) so the CPU has four independent
+/// Σ_s m_cols[s*n + q] * row[s]`. Outputs are grouped sixteen at a
+/// time (four ymm accumulators) so the CPU has four independent
 /// `addpd` dependency chains in flight; each output's own accumulation
 /// still runs in ascending `s` order — the exact scalar arithmetic.
 /// One `set1` broadcast per `s` is amortized over all four vectors.
-#[inline]
-#[target_feature(enable = "sse2")]
-unsafe fn tx_row_sse2(m_cols: &[f64], row: &[f64], n: usize, vals: &mut [f64]) {
-    let mut q = 0;
-    while q + 8 <= n {
-        let mut a0 = _mm_setzero_pd();
-        let mut a1 = _mm_setzero_pd();
-        let mut a2 = _mm_setzero_pd();
-        let mut a3 = _mm_setzero_pd();
-        for (s, &r) in row.iter().enumerate() {
-            let w = _mm_set1_pd(r);
-            let base = m_cols.as_ptr().add(s * n + q);
-            a0 = _mm_add_pd(a0, _mm_mul_pd(_mm_loadu_pd(base), w));
-            a1 = _mm_add_pd(a1, _mm_mul_pd(_mm_loadu_pd(base.add(2)), w));
-            a2 = _mm_add_pd(a2, _mm_mul_pd(_mm_loadu_pd(base.add(4)), w));
-            a3 = _mm_add_pd(a3, _mm_mul_pd(_mm_loadu_pd(base.add(6)), w));
-        }
-        let p = vals.as_mut_ptr().add(q);
-        _mm_storeu_pd(p, a0);
-        _mm_storeu_pd(p.add(2), a1);
-        _mm_storeu_pd(p.add(4), a2);
-        _mm_storeu_pd(p.add(6), a3);
-        q += 8;
-    }
-    while q < n {
-        let mut acc = _mm_setzero_pd();
-        for (s, &r) in row.iter().enumerate() {
-            let m = _mm_loadu_pd(m_cols.as_ptr().add(s * n + q));
-            acc = _mm_add_pd(acc, _mm_mul_pd(m, _mm_set1_pd(r)));
-        }
-        _mm_storeu_pd(vals.as_mut_ptr().add(q), acc);
-        q += 2;
-    }
-}
-
-/// AVX2 variant of [`tx_row_sse2`]: sixteen outputs (four ymm chains)
-/// per block, with 8- and 4-wide tails for the smaller transforms.
+/// 8- and 4-wide tails cover the smaller transforms, so `n` must be a
+/// multiple of 4.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn tx_row_avx2(m_cols: &[f64], row: &[f64], n: usize, vals: &mut [f64]) {
@@ -1020,26 +708,9 @@ unsafe fn tx_row_avx2(m_cols: &[f64], row: &[f64], n: usize, vals: &mut [f64]) {
     }
 }
 
-/// Strided transform pass, SSE2: `out[q*n + j] = Σ_s m_cols[s*n + q] *
+/// Strided transform pass: `out[q*n + j] = Σ_s m_cols[s*n + q] *
 /// input[j*n + s]`. `m_cols` is the transposed matrix (`m_cols[s*n + q]
 /// == m_rows[q*n + s]`), giving contiguous lane loads.
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn tx_pass_strided_sse2(
-    m_cols: &[f64],
-    input: &[f64],
-    n: usize,
-    out: &mut [f64],
-) {
-    let mut vals = [0.0f64; 32];
-    for j in 0..n {
-        let row = &input[j * n..(j + 1) * n];
-        tx_row_sse2(m_cols, row, n, &mut vals[..n]);
-        for (q, &v) in vals[..n].iter().enumerate() {
-            out[q * n + j] = v;
-        }
-    }
-}
-
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn tx_pass_strided_avx2(
     m_cols: &[f64],
@@ -1054,18 +725,6 @@ pub(crate) unsafe fn tx_pass_strided_avx2(
         for (q, &v) in vals[..n].iter().enumerate() {
             out[q * n + j] = v;
         }
-    }
-}
-
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn tx_pass_contig_sse2(m_cols: &[f64], input: &[f64], n: usize, out: &mut [f64]) {
-    for j in 0..n {
-        let (row, dst) = {
-            let row = &input[j * n..(j + 1) * n];
-            let dst = &mut out[j * n..(j + 1) * n];
-            (row, dst)
-        };
-        tx_row_sse2(m_cols, row, n, dst);
     }
 }
 

@@ -11,6 +11,8 @@
 //! The encoder additionally meters its own work ([`stats::CodingStats`])
 //! so the chip/CPU timing models in `vcu-chip` can price software and
 //! hardware transcodes from the same measured operation counts.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod api;
 pub(crate) mod block;
 pub mod config;

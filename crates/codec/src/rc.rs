@@ -209,11 +209,6 @@ impl RateController {
             self.excess *= 0.9;
         }
     }
-
-    /// Current base QP (for tests/diagnostics).
-    pub fn base_qp(&self) -> f64 {
-        self.base_qp
-    }
 }
 
 #[cfg(test)]
@@ -279,22 +274,22 @@ mod tests {
     fn feedback_raises_qp_on_overshoot() {
         let cfg = EncoderConfig::bitrate(Profile::H264Sim, 300_000, PassMode::OnePassLowLatency);
         let mut rc = RateController::new(&cfg, 30.0, Vec::new());
-        let q0 = rc.base_qp();
+        let q0 = rc.base_qp;
         for _ in 0..10 {
             rc.update(100_000); // 10x over the 10k target
         }
-        assert!(rc.base_qp() > q0 + 3.0, "qp {} -> {}", q0, rc.base_qp());
+        assert!(rc.base_qp > q0 + 3.0, "qp {} -> {}", q0, rc.base_qp);
     }
 
     #[test]
     fn feedback_lowers_qp_on_undershoot() {
         let cfg = EncoderConfig::bitrate(Profile::H264Sim, 300_000, PassMode::OnePassLowLatency);
         let mut rc = RateController::new(&cfg, 30.0, Vec::new());
-        let q0 = rc.base_qp();
+        let q0 = rc.base_qp;
         for _ in 0..10 {
             rc.update(100);
         }
-        assert!(rc.base_qp() < q0 - 2.0);
+        assert!(rc.base_qp < q0 - 2.0);
     }
 
     #[test]

@@ -133,11 +133,6 @@ pub fn temporal_filter_with_stats(
     (out, FilterStats { mean_weight })
 }
 
-/// Convenience: filters the middle frame of a window.
-pub fn filter_window(frames: &[&Frame], stats: &mut CodingStats) -> Frame {
-    temporal_filter(frames, frames.len() / 2, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

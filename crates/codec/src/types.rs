@@ -129,11 +129,6 @@ impl MotionVector {
     pub fn full_pel(x: i16, y: i16) -> Self {
         MotionVector { x: x * 2, y: y * 2 }
     }
-
-    /// True if both components land on integer pixels.
-    pub fn is_full_pel(self) -> bool {
-        self.x % 2 == 0 && self.y % 2 == 0
-    }
 }
 
 /// How a frame is coded.
@@ -212,8 +207,7 @@ mod tests {
 
     #[test]
     fn mv_full_pel() {
-        assert!(MotionVector::full_pel(3, -2).is_full_pel());
-        assert!(!MotionVector::new(1, 0).is_full_pel());
+        assert_eq!(MotionVector::full_pel(3, -2), MotionVector::new(6, -4));
         assert_eq!(MotionVector::ZERO, MotionVector::default());
     }
 

@@ -45,6 +45,7 @@
 //! implicitly; call [`Pool::record_telemetry`] to dump them into a
 //! registry whose snapshot is allowed to vary run-to-run (the bench
 //! harness does this for every `*_telemetry.json` sibling).
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -183,7 +184,7 @@ impl Default for Pool {
 /// Writes `Some(result)` into a result slot it does not own by Rust
 /// lifetime rules; soundness is the batch barrier (see `run_batch`).
 struct SlotPtr<T>(*const Mutex<Option<std::thread::Result<T>>>);
-// Safety: the pointee is only accessed by the one task holding the
+// SAFETY: the pointee is only accessed by the one task holding the
 // pointer (unique index) and by the submitter strictly after the
 // completion latch, so sending the pointer across threads is safe
 // whenever the result itself is.
@@ -282,13 +283,13 @@ impl Pool {
                 let slot = slot;
                 let _core = core; // keep the batch alive through the task
                 let result = catch_unwind(AssertUnwindSafe(task));
-                // Safety: unique writer (one task per slot); the
+                // SAFETY: unique writer (one task per slot); the
                 // submitter reads only after the completion latch.
                 unsafe {
                     *(*slot.0).lock().expect("result slot") = Some(result);
                 }
             });
-            // Safety: `WaitGuard` below guarantees this frame does not
+            // SAFETY: `WaitGuard` below guarantees this frame does not
             // return (normally or by unwinding) until every job has run
             // and dropped, so the non-'static borrows captured by
             // `task` and `slot` strictly outlive all uses.

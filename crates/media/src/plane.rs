@@ -67,21 +67,6 @@ impl Plane {
         p
     }
 
-    /// Creates a plane from raw row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != width * height` or either dimension is zero.
-    pub fn from_data(width: usize, height: usize, data: Vec<u8>) -> Self {
-        assert!(width > 0 && height > 0, "plane dimensions must be nonzero");
-        assert_eq!(data.len(), width * height, "data length mismatch");
-        Plane {
-            width,
-            height,
-            data,
-        }
-    }
-
     /// Plane width in pixels.
     pub fn width(&self) -> usize {
         self.width
@@ -472,19 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn from_data_round_trips() {
-        let p = Plane::from_data(2, 2, vec![1, 2, 3, 4]);
-        assert_eq!(p.get(0, 0), 1);
-        assert_eq!(p.get(1, 1), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "data length mismatch")]
-    fn from_data_length_checked() {
-        Plane::from_data(2, 2, vec![1, 2, 3]);
-    }
-
-    #[test]
     fn clamped_access() {
         let p = Plane::from_fn(4, 4, |x, y| (x * 4 + y) as u8);
         assert_eq!(p.get_clamped(-3, 0), p.get(0, 0));
@@ -576,7 +548,7 @@ mod tests {
                 s.div_ceil(4) as u8,
             ];
             assert_eq!(q.iter().map(|&v| v as u16).sum::<u16>(), s);
-            let p = Plane::from_data(2, 2, q.to_vec());
+            let p = Plane::from_fn(2, 2, |x, y| q[y * 2 + x]);
             let mut out = [0u8];
             p.copy_block_hpel(0, 0, 1, 1, 1, 1, &mut out);
             assert_eq!(out[0], p.sample_bilinear(0.5, 0.5), "sum {s}");
@@ -590,7 +562,7 @@ mod tests {
                 (state >> 33) as u8
             };
             let q = [next(), next(), next(), next()];
-            let p = Plane::from_data(2, 2, q.to_vec());
+            let p = Plane::from_fn(2, 2, |x, y| q[y * 2 + x]);
             let mut out = [0u8];
             p.copy_block_hpel(0, 0, 1, 1, 1, 1, &mut out);
             assert_eq!(out[0], p.sample_bilinear(0.5, 0.5), "quad {q:?}");

@@ -154,7 +154,6 @@ pub struct SegmentCache {
     map: HashMap<u64, (bool, u32)>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl SegmentCache {
@@ -180,7 +179,6 @@ impl SegmentCache {
             map: HashMap::new(),
             hits: 0,
             misses: 0,
-            evictions: 0,
         }
     }
 
@@ -239,7 +237,6 @@ impl SegmentCache {
             }
             .expect("full tier has a tail");
             self.map.remove(&evicted);
-            self.evictions += 1;
         }
         let idx = if protected {
             self.protected.push_front(key)
@@ -287,11 +284,6 @@ impl SegmentCache {
     /// Lookup misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Hits / lookups (0 before any lookup).

@@ -69,11 +69,6 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// True when this is a point event rather than a span.
-    pub fn is_point(&self) -> bool {
-        self.start_s == self.end_s
-    }
-
     /// Span duration in seconds (0 for point events).
     pub fn duration_s(&self) -> f64 {
         self.end_s - self.start_s
@@ -103,7 +98,6 @@ mod tests {
             end_s: 2.0,
             value: 1.0,
         };
-        assert!(p.is_point());
         assert_eq!(p.duration_s(), 0.0);
         let s = TraceEvent {
             name: "job".into(),
@@ -111,7 +105,6 @@ mod tests {
             end_s: 4.5,
             ..p.clone()
         };
-        assert!(!s.is_point());
         assert!((s.duration_s() - 3.5).abs() < 1e-12);
     }
 }

@@ -35,8 +35,6 @@ pub struct Catalog {
     videos: Vec<CatalogVideo>,
     /// Cumulative weights; `cum[i]` = sum of weights `0..=i`.
     cum: Vec<f64>,
-    total_segments: u64,
-    head_count: usize,
 }
 
 impl Catalog {
@@ -56,28 +54,19 @@ impl Catalog {
         let mut videos = Vec::with_capacity(n_videos);
         let mut cum = Vec::with_capacity(n_videos);
         let mut acc = 0.0f64;
-        let mut total_segments = 0u64;
-        let mut head_count = 0usize;
         for _ in 0..n_videos {
             let views = model.sample_views(&mut rng);
             let head = model.bucket(views) == PopularityBucket::Head;
             let segments = rng.gen_range(seg_min..=seg_max);
             acc += views;
             cum.push(acc);
-            total_segments += segments as u64;
-            head_count += head as usize;
             videos.push(CatalogVideo {
                 weight: views,
                 segments,
                 head,
             });
         }
-        Catalog {
-            videos,
-            cum,
-            total_segments,
-            head_count,
-        }
+        Catalog { videos, cum }
     }
 
     /// Samples a video index with probability proportional to its
@@ -110,20 +99,10 @@ impl Catalog {
         self.videos.is_empty()
     }
 
-    /// Total segments across the catalog — the working-set size a
-    /// segment cache is sized against.
-    pub fn total_segments(&self) -> u64 {
-        self.total_segments
-    }
-
-    /// Videos in the head bucket.
-    pub fn head_count(&self) -> usize {
-        self.head_count
-    }
-
     /// Mean segments per video.
     pub fn mean_segments(&self) -> f64 {
-        self.total_segments as f64 / self.videos.len() as f64
+        let total: u64 = self.videos.iter().map(|v| v.segments as u64).sum();
+        total as f64 / self.videos.len() as f64
     }
 
     /// Direct access to an entry.
@@ -174,8 +153,6 @@ mod tests {
     fn generation_is_deterministic() {
         let a = catalog(9);
         let b = catalog(9);
-        assert_eq!(a.total_segments(), b.total_segments());
-        assert_eq!(a.head_count(), b.head_count());
         for v in 0..a.len() as u32 {
             assert_eq!(a.segments(v), b.segments(v));
             assert_eq!(a.is_head(v), b.is_head(v));
@@ -196,9 +173,10 @@ mod tests {
     #[test]
     fn head_is_small_but_heavily_sampled() {
         let c = catalog(7);
-        let head_frac = c.head_count() as f64 / c.len() as f64;
+        let head_count = (0..c.len() as u32).filter(|&v| c.is_head(v)).count();
+        let head_frac = head_count as f64 / c.len() as f64;
         assert!(head_frac < 0.05, "head fraction {head_frac}");
-        assert!(c.head_count() > 0, "a 5k catalog should have a head");
+        assert!(head_count > 0, "a 5k catalog should have a head");
 
         // Sampling follows the weights: head videos (a <5% sliver of
         // the catalog) should draw an outsized share of sessions.

@@ -136,11 +136,14 @@ stage_determinism() {
 
 # The pixel-kernel dispatch layer must be byte-invisible: with the
 # dispatcher pinned to the scalar reference (VCU_SIMD=off), the golden
-# bitstream hashes and the scalar<->SIMD differential suite must pass
+# bitstream hashes and the scalar<->AVX2 differential suite must pass
 # exactly as they do under the best backend (the plain test stage).
+# A release build on purpose: the kernel wrappers' slice-length and
+# CPU-feature asserts guard raw-pointer AVX2 code, so the short-slice
+# test in tests/simd.rs must see them live where debug_assert! is not.
 stage_simd_off() {
-    echo "--> VCU_SIMD=off"
-    VCU_SIMD=off cargo test -q -p vcu-system --offline --test golden --test simd \
+    echo "--> VCU_SIMD=off (release build)"
+    VCU_SIMD=off cargo test -q -p vcu-system --release --offline --test golden --test simd \
         | tail -n 4
 }
 

@@ -4,13 +4,17 @@
 //! block geometries (including non-multiple-of-lane-width tails),
 //! unaligned slice offsets, and saturating-edge pixel values (0, 255),
 //! asserting *exact* equality — output bytes, f64 bit patterns, and
-//! work-metering counters — between the scalar reference and every
-//! backend the host supports. On a machine without AVX2 the sweep
-//! degrades gracefully to whatever `available_backends()` reports.
+//! work-metering counters — between the scalar reference and AVX2. On a
+//! machine without AVX2 the sweep degrades gracefully to whatever
+//! `available_backends()` reports. Block geometry oversamples the
+//! edges: blocks flush with a plane's last row or column, 1×N and N×1
+//! planes, and block widths one byte either side of a 16- or 32-byte
+//! vector.
 //!
 //! A failing case prints the exact seed; replay it with
 //! `VCU_PROP_SEED=<seed> cargo test <name>`.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use vcu_codec::kernels::{self, Backend};
 use vcu_codec::{encode, encode_parallel, EncoderConfig, Profile, Qp};
 use vcu_media::synth::{ContentClass, SynthSpec};
@@ -34,6 +38,33 @@ fn px_buf(rng: &mut Rng, len: usize) -> (Vec<u8>, usize) {
     let off = rng.gen_range(0usize..8);
     let buf: Vec<u8> = (0..off + len).map(|_| px(rng)).collect();
     (buf, off)
+}
+
+/// Block width in `1..hi`, with one draw in four 15, 17, 31 or 33 —
+/// where a 16- or 32-byte loop hands over to its tail.
+fn block_w(rng: &mut Rng, hi: usize) -> usize {
+    match rng.gen_range(0u32..8) {
+        0 | 1 => [15, 17, 31, 33][rng.gen_range(0usize..4)],
+        _ => rng.gen_range(1usize..hi),
+    }
+}
+
+/// Plane side in `lo..hi`, or 1 (a 1×N or N×1 plane) one time in eight.
+fn plane_dim(rng: &mut Rng, lo: usize, hi: usize) -> usize {
+    match rng.gen_range(0u32..8) {
+        0 => 1,
+        _ => rng.gen_range(lo..hi),
+    }
+}
+
+/// Block origin on one axis: one draw in four is flush with the far
+/// edge (`extent - need`, the last origin the interior path takes),
+/// otherwise uniform in `lo..hi`.
+fn block_pos(rng: &mut Rng, extent: usize, need: usize, lo: i64, hi: i64) -> isize {
+    match rng.gen_range(0u32..4) {
+        0 => extent as isize - need as isize,
+        _ => rng.gen_range(lo..hi) as isize,
+    }
 }
 
 fn random_plane(rng: &mut Rng, w: usize, h: usize) -> Plane {
@@ -66,7 +97,7 @@ prop_cases! {
     /// exactly, and `examined` must honor the row-granular contract.
     #[cases(512)]
     fn sad_rows_thresholded_matches_scalar(rng) {
-        let bw = rng.gen_range(1usize..67);
+        let bw = block_w(rng, 67);
         let bh = rng.gen_range(1usize..33);
         let (a, ao) = px_buf(rng, bw * bh);
         let (b, bo) = px_buf(rng, bw * bh);
@@ -94,13 +125,13 @@ prop_cases! {
     /// edge-clamped scalar oracle, pixel meter included.
     #[cases(512)]
     fn plane_sad_block_matches_plane_oracle(rng) {
-        let w = rng.gen_range(8usize..80);
-        let h = rng.gen_range(8usize..60);
+        let w = plane_dim(rng, 8, 80);
+        let h = plane_dim(rng, 8, 60);
         let plane = random_plane(rng, w, h);
-        let bw = rng.gen_range(1usize..49);
+        let bw = block_w(rng, 49);
         let bh = rng.gen_range(1usize..49);
-        let x = rng.gen_range(-(2 * w as i64)..2 * w as i64) as isize;
-        let y = rng.gen_range(-(2 * h as i64)..2 * h as i64) as isize;
+        let x = block_pos(rng, w, bw, -(2 * w as i64), 2 * w as i64);
+        let y = block_pos(rng, h, bh, -(2 * h as i64), 2 * h as i64);
         let (cur, co) = px_buf(rng, bw * bh);
         let cur = &cur[co..co + bw * bh];
         let threshold = match rng.gen_range(0u32..3) {
@@ -121,7 +152,7 @@ prop_cases! {
     /// fast grid and the partial edge cells.
     #[cases(384)]
     fn satd_matches_scalar(rng) {
-        let bw = rng.gen_range(1usize..41);
+        let bw = block_w(rng, 41);
         let bh = rng.gen_range(1usize..41);
         let (a, ao) = px_buf(rng, bw * bh);
         let (b, bo) = px_buf(rng, bw * bh);
@@ -136,15 +167,16 @@ prop_cases! {
     /// blocks hanging off the clamped border.
     #[cases(384)]
     fn copy_block_hpel_matches_plane_oracle(rng) {
-        let w = rng.gen_range(8usize..80);
-        let h = rng.gen_range(8usize..60);
+        let w = plane_dim(rng, 8, 80);
+        let h = plane_dim(rng, 8, 60);
         let plane = random_plane(rng, w, h);
-        let bw = rng.gen_range(1usize..49);
+        let bw = block_w(rng, 49);
         let bh = rng.gen_range(1usize..49);
-        let x = rng.gen_range(-(w as i64 + 8)..w as i64 + 8) as isize;
-        let y = rng.gen_range(-(h as i64 + 8)..h as i64 + 8) as isize;
         let fx = rng.gen_range(0u32..2) as u8;
         let fy = rng.gen_range(0u32..2) as u8;
+        // A fractional fetch reads one pixel past the block on that axis.
+        let x = block_pos(rng, w, bw + fx as usize, -(w as i64 + 8), w as i64 + 8);
+        let y = block_pos(rng, h, bh + fy as usize, -(h as i64 + 8), h as i64 + 8);
         let mut want = vec![0u8; bw * bh];
         plane.copy_block_hpel(x, y, fx, fy, bw, bh, &mut want);
         let mut got = vec![0u8; bw * bh];
@@ -393,6 +425,109 @@ fn encode_is_byte_identical_across_backends() {
                     "{bk:?}: chunked bitstream differs"
                 );
             }
+        }
+    }
+}
+
+/// The safe `_with` wrappers are what stands between a caller and the
+/// AVX2 kernels' raw-pointer loads and stores, so each must reject an
+/// input or output one element short on every backend — in release
+/// builds too (the `simd_off` verify stage runs this file with
+/// `--release`), where a `debug_assert!` would not.
+#[test]
+fn short_slices_panic_in_every_backend() {
+    // An 8×8 transform operand, and one a single element short.
+    const M: &[f64] = &[0.0; 64];
+    const SHORT: &[f64] = &[0.0; 63];
+    type Case = (&'static str, fn(Backend));
+    let cases: &[Case] = &[
+        ("sad_slice b", |bk| {
+            kernels::sad_slice_with(bk, &[0; 32], &[0; 31]);
+        }),
+        ("sad_rows_thresholded b", |bk| {
+            kernels::sad_rows_thresholded_with(bk, &[0; 64], &[0; 63], 16, u64::MAX);
+        }),
+        ("plane_sad_block_thresholded other", |bk| {
+            kernels::plane_sad_block_thresholded_with(
+                bk,
+                &Plane::new(16, 16),
+                0,
+                0,
+                8,
+                8,
+                &[0; 63],
+                u64::MAX,
+            );
+        }),
+        ("satd cur", |bk| {
+            kernels::satd_with(bk, &[0; 255], &[0; 256], 16, 16);
+        }),
+        ("satd pred", |bk| {
+            kernels::satd_with(bk, &[0; 256], &[0; 255], 16, 16);
+        }),
+        ("plane_copy_block_hpel dst", |bk| {
+            kernels::plane_copy_block_hpel_with(
+                bk,
+                &Plane::new(16, 16),
+                2,
+                2,
+                1,
+                1,
+                8,
+                8,
+                &mut [0; 63],
+            );
+        }),
+        ("compute_residual pred", |bk| {
+            kernels::compute_residual_with(bk, &[0; 32], &[0; 31], &mut [0; 32]);
+        }),
+        ("compute_residual out", |bk| {
+            kernels::compute_residual_with(bk, &[0; 32], &[0; 32], &mut [0; 16]);
+        }),
+        ("add_residual_clamp resid", |bk| {
+            kernels::add_residual_clamp_with(bk, &[0; 32], &[0; 31], &mut [0; 32]);
+        }),
+        ("add_residual_clamp out", |bk| {
+            kernels::add_residual_clamp_with(bk, &[0; 32], &[0; 32], &mut [0; 31]);
+        }),
+        ("avg_u8_inplace b", |bk| {
+            kernels::avg_u8_inplace_with(bk, &mut [0; 32], &[0; 31]);
+        }),
+        ("blend_accumulate src", |bk| {
+            kernels::blend_accumulate_with(bk, &mut [0.0; 32], &[0; 31], 0.5);
+        }),
+        ("tx_pass_strided m_cols", |bk| {
+            kernels::tx_pass_strided_with(bk, M, SHORT, M, 8, &mut [0.0; 64]);
+        }),
+        ("tx_pass_strided input", |bk| {
+            kernels::tx_pass_strided_with(bk, M, M, SHORT, 8, &mut [0.0; 64]);
+        }),
+        ("tx_pass_strided out", |bk| {
+            kernels::tx_pass_strided_with(bk, M, M, M, 8, &mut [0.0; 63]);
+        }),
+        ("tx_pass_contig m_cols", |bk| {
+            kernels::tx_pass_contig_with(bk, M, SHORT, M, 8, &mut [0.0; 64]);
+        }),
+        ("tx_pass_contig input", |bk| {
+            kernels::tx_pass_contig_with(bk, M, M, SHORT, 8, &mut [0.0; 64]);
+        }),
+        ("tx_pass_contig out", |bk| {
+            kernels::tx_pass_contig_with(bk, M, M, M, 8, &mut [0.0; 63]);
+        }),
+        ("round_clamp_i16 out", |bk| {
+            kernels::round_clamp_i16_with(bk, &[0.0; 32], &mut [0; 31]);
+        }),
+        ("quantize_levels levels", |bk| {
+            kernels::quantize_levels_with(bk, &[0.0; 32], 4.0, 0.5, &mut [0; 31]);
+        }),
+        ("dequantize_coeffs coeffs", |bk| {
+            kernels::dequantize_coeffs_with(bk, &[0; 32], 4.0, &mut [0.0; 31]);
+        }),
+    ];
+    for bk in kernels::available_backends() {
+        for (name, case) in cases {
+            let outcome = catch_unwind(AssertUnwindSafe(|| case(bk)));
+            assert!(outcome.is_err(), "{bk:?} {name}: short slice accepted");
         }
     }
 }

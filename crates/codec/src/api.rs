@@ -144,10 +144,7 @@ pub fn encode_traced(
     }
 
     // First pass: needed for bitrate two-pass modes and adaptive GOP.
-    let adaptive_gop = match cfg.toolset {
-        crate::config::Toolset::Software => true,
-        crate::config::Toolset::Hardware { tuning } => tuning.level() >= 1,
-    };
+    let adaptive_gop = cfg.toolset.adaptive_gop();
     let needs_fp = adaptive_gop
         || matches!(
             cfg.rc,
@@ -236,8 +233,7 @@ pub fn encode_traced(
         let base_qp = rc.frame_qp(i, kind, n);
         let qp = match kind {
             FrameKind::Key => base_qp.offset(cfg.toolset.keyframe_qp_boost()),
-            FrameKind::Inter => base_qp.offset(cfg.toolset.inter_qp_offset()),
-            FrameKind::AltRef => base_qp,
+            FrameKind::Inter | FrameKind::AltRef => base_qp,
         };
         let work_before = stats.work_units();
         let (payload, recon) = encode_frame(cfg, &video.frames[i], kind, qp, &refs, &mut stats);
@@ -502,7 +498,7 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, CodecError> {
         if fnv1a(payload) != checksum {
             return Err(CodecError::CorruptBitstream("frame checksum mismatch"));
         }
-        let recon = decode_frame(profile, payload, kind, qp, &refs, w, h, &mut stats)?;
+        let recon = decode_frame(profile, payload, kind, qp, &refs, (w, h), &mut stats)?;
         refs.apply_refresh(kind, &recon);
         if kind.is_displayable() {
             frames.push(recon);

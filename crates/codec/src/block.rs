@@ -181,11 +181,6 @@ fn reconstruct_tile(
     }
 }
 
-/// Computes the spatial residual `cur - pred` as i16 (dispatched).
-pub(crate) fn compute_residual(cur: &[u8], pred: &[u8], out: &mut [i16]) {
-    crate::kernels::compute_residual(cur, pred, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,7 +304,7 @@ mod tests {
         let cur = vec![100u8, 200, 0, 255];
         let pred = vec![90u8, 210, 5, 250];
         let mut res = vec![0i16; 4];
-        compute_residual(&cur, &pred, &mut res);
+        crate::kernels::compute_residual(&cur, &pred, &mut res);
         assert_eq!(res, vec![10, -10, -5, 5]);
     }
 }

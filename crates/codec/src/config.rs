@@ -37,62 +37,6 @@ impl TuningLevel {
     pub fn level(self) -> u8 {
         self.0
     }
-
-    /// Keyframe QP offset — launch rate control *starves* keyframes
-    /// (positive offset), degrading every frame predicted from them;
-    /// GOP-structure tuning removes the misallocation.
-    pub(crate) fn keyframe_qp_boost(self) -> i32 {
-        match self.0 {
-            0 => 2,
-            1 => 1,
-            _ => 0,
-        }
-    }
-
-    /// Whether altref frames are produced (level 2+, VP9 only).
-    pub(crate) fn altref_enabled(self) -> bool {
-        self.0 >= 2
-    }
-
-    /// Quantizer dead-zone (rounding bias). Launch firmware rounds to
-    /// nearest (0.5), which is *not* RD-optimal; tuning tightens the
-    /// dead zone towards the software encoders' ~0.38.
-    pub(crate) fn deadzone(self) -> f64 {
-        0.50 - 0.02 * self.0 as f64
-    }
-
-    /// Whether the greedy trellis-like level optimization runs
-    /// (imported from the software encoders at high maturity).
-    pub(crate) fn trellis(self) -> bool {
-        self.0 >= 5
-    }
-
-    /// Inter-frame QP offset relative to the base QP.
-    pub(crate) fn inter_qp_offset(self) -> i32 {
-        0
-    }
-
-    /// Whether mode decisions rank candidates by SATD (transform-domain
-    /// cost, a better rate proxy) instead of plain SAD — "better use of
-    /// hardware statistics" arrives with tuning (§4.3).
-    pub(crate) fn satd_ranking(self) -> bool {
-        self.0 >= 3
-    }
-
-    /// RDO Lagrange-multiplier miscalibration factor. Launch firmware
-    /// shipped with a lambda tuned on pre-silicon models; production
-    /// tuning ("importing rate control ideas from the equivalent
-    /// software encoders", §4.3) converges it to 1.0.
-    pub(crate) fn lambda_scale(self) -> f64 {
-        match self.0 {
-            0 => 1.6,
-            1 => 1.4,
-            2 => 1.25,
-            3 => 1.15,
-            4 => 1.05,
-            _ => 1.0,
-        }
-    }
 }
 
 /// Which encoder implementation style is in use.
@@ -117,59 +61,84 @@ impl Toolset {
         }
     }
 
-    /// Quantizer dead-zone.
+    /// Quantizer dead-zone (rounding bias). Launch firmware rounds to
+    /// nearest (0.5), which is *not* RD-optimal; tuning tightens the
+    /// dead zone towards the software encoders' ~0.38.
     pub fn deadzone(self) -> f64 {
         match self {
             Toolset::Software => 0.38,
-            Toolset::Hardware { tuning } => tuning.deadzone(),
+            Toolset::Hardware { tuning } => 0.50 - 0.02 * tuning.0 as f64,
         }
     }
 
-    /// Whether trellis-like level optimization is applied.
+    /// Whether the greedy trellis-like level optimization runs
+    /// (imported from the software encoders at high maturity).
     pub fn trellis(self) -> bool {
         match self {
             Toolset::Software => true,
-            Toolset::Hardware { tuning } => tuning.trellis(),
+            Toolset::Hardware { tuning } => tuning.0 >= 5,
         }
     }
 
-    /// Keyframe QP boost.
+    /// Keyframe QP offset — launch rate control *starves* keyframes
+    /// (positive offset), degrading every frame predicted from them;
+    /// GOP-structure tuning removes the misallocation.
     pub fn keyframe_qp_boost(self) -> i32 {
         match self {
             Toolset::Software => 0,
-            Toolset::Hardware { tuning } => tuning.keyframe_qp_boost(),
+            Toolset::Hardware { tuning } => match tuning.0 {
+                0 => 2,
+                1 => 1,
+                _ => 0,
+            },
         }
     }
 
-    /// Whether mode decisions use SATD candidate ranking.
+    /// Whether the GOP structure adapts to first-pass statistics
+    /// ("improved group-of-pictures structure selection", §4.3, from
+    /// level 1).
+    pub fn adaptive_gop(self) -> bool {
+        match self {
+            Toolset::Software => true,
+            Toolset::Hardware { tuning } => tuning.0 >= 1,
+        }
+    }
+
+    /// Whether mode decisions rank candidates by SATD (transform-domain
+    /// cost, a better rate proxy) instead of plain SAD — "better use of
+    /// hardware statistics" arrives with tuning (§4.3).
     pub fn satd_ranking(self) -> bool {
         match self {
             Toolset::Software => true,
-            Toolset::Hardware { tuning } => tuning.satd_ranking(),
+            Toolset::Hardware { tuning } => tuning.0 >= 3,
         }
     }
 
-    /// RDO lambda scale (1.0 = well calibrated).
+    /// RDO Lagrange-multiplier miscalibration factor (1.0 = well
+    /// calibrated). Launch firmware shipped with a lambda tuned on
+    /// pre-silicon models; production tuning ("importing rate control
+    /// ideas from the equivalent software encoders", §4.3) converges it
+    /// to 1.0.
     pub fn lambda_scale(self) -> f64 {
         match self {
             Toolset::Software => 1.0,
-            Toolset::Hardware { tuning } => tuning.lambda_scale(),
+            Toolset::Hardware { tuning } => match tuning.0 {
+                0 => 1.6,
+                1 => 1.4,
+                2 => 1.25,
+                3 => 1.15,
+                4 => 1.05,
+                _ => 1.0,
+            },
         }
     }
 
-    /// Inter-frame QP offset.
-    pub fn inter_qp_offset(self) -> i32 {
-        match self {
-            Toolset::Software => 0,
-            Toolset::Hardware { tuning } => tuning.inter_qp_offset(),
-        }
-    }
-
-    /// Whether altref production is allowed (profile permitting).
+    /// Whether altref frames are produced (profile permitting; level 2+
+    /// on hardware).
     pub fn altref_enabled(self) -> bool {
         match self {
             Toolset::Software => true,
-            Toolset::Hardware { tuning } => tuning.altref_enabled(),
+            Toolset::Hardware { tuning } => tuning.0 >= 2,
         }
     }
 }
@@ -310,16 +279,10 @@ impl EncoderConfig {
     }
 }
 
-/// Reads the `VCU_THREADS` environment variable: the fleet-style knob
-/// for chunk-parallel encoding. Unset, empty, unparsable, or zero all
-/// fall back to 1 (sequential).
-///
-/// Re-exported from [`vcu_exec::env_threads`], the executor that
-/// actually honors the knob — kept here so codec callers keep a local
-/// name for it.
-pub fn env_threads() -> usize {
-    vcu_exec::env_threads()
-}
+/// `VCU_THREADS`, the fleet-style knob for chunk-parallel encoding, as
+/// read by the executor that honors it — re-exported so codec callers
+/// keep a local name for it.
+pub use vcu_exec::env_threads;
 
 #[cfg(test)]
 mod tests {
@@ -328,19 +291,21 @@ mod tests {
     #[test]
     fn tuning_progression_is_monotone() {
         // Each knob should move towards the software value as level rises.
+        let hw = |tuning| Toolset::Hardware { tuning };
+        let (launch, mature) = (hw(TuningLevel::LAUNCH), hw(TuningLevel::MATURE));
         let mut prev_dz = 1.0;
         for l in 0..=6 {
-            let t = TuningLevel::new(l);
+            let t = hw(TuningLevel::new(l));
             assert!(t.deadzone() <= prev_dz);
             prev_dz = t.deadzone();
         }
-        assert!(TuningLevel::MATURE.deadzone() >= Toolset::Software.deadzone() - 1e-9);
-        assert!(TuningLevel::LAUNCH.keyframe_qp_boost() > TuningLevel::MATURE.keyframe_qp_boost());
-        assert!(!TuningLevel::LAUNCH.satd_ranking());
-        assert!(TuningLevel::MATURE.satd_ranking());
-        assert!(!TuningLevel::LAUNCH.altref_enabled());
-        assert!(TuningLevel::MATURE.altref_enabled());
-        assert!(TuningLevel::MATURE.trellis());
+        assert!(mature.deadzone() >= Toolset::Software.deadzone() - 1e-9);
+        assert!(launch.keyframe_qp_boost() > mature.keyframe_qp_boost());
+        assert!(!launch.satd_ranking());
+        assert!(mature.satd_ranking());
+        assert!(!launch.altref_enabled());
+        assert!(mature.altref_enabled());
+        assert!(mature.trellis());
     }
 
     #[test]

@@ -2,19 +2,24 @@
 //!
 //! [`encode_frame`] and [`decode_frame`] walk the identical superblock
 //! syntax; the encoder makes mode decisions and writes symbols, the
-//! decoder reads symbols and replays the reconstruction. Both end with
-//! the same in-loop deblocking pass, so the encoder's reconstruction
-//! (used as the next frame's reference) equals the decoder's output
+//! decoder reads symbols. Everything that happens once a leaf's mode is
+//! known is one path both sides call, `Recon`: prediction (intra,
+//! inter and compound, with its metering), tile reconstruction, and the
+//! frame tail (in-loop deblocking, then frame metering). Only the tile
+//! coder differs — the encoder's closure calls `encode_tile`, the
+//! decoder's calls `decode_tile` — so the encoder's reconstruction (used
+//! as the next frame's reference) equals the decoder's output
 //! bit-for-bit — the determinism the paper's golden-transcode fault
 //! screening depends on (§4.4).
 
-use crate::block::{compute_residual, decode_tile, encode_tile, for_each_tile, TileScratch};
+use crate::block::{decode_tile, encode_tile, for_each_tile, TileScratch};
 use crate::config::EncoderConfig;
 use crate::deblock::deblock_plane;
 use crate::entropy::{read_int, read_uint, write_int, write_uint, BoolDecoder, BoolEncoder};
 use crate::intra::{IntraMode, IntraNeighbors};
-use crate::models::Models;
-use crate::motion::{mc_block, satd, search_scratch, MotionScratch, SearchParams, SearchResult};
+use crate::kernels;
+use crate::models::{tx_class, Models};
+use crate::motion::{mc_block, search_scratch, MotionScratch, SearchParams, SearchResult};
 use crate::stats::CodingStats;
 use crate::types::{CodecError, FrameKind, MotionVector, Profile, Qp};
 use std::collections::HashMap;
@@ -74,11 +79,55 @@ fn max_tx(profile: Profile) -> usize {
     }
 }
 
+/// Chroma transform size for luma leaf `a`: half the leaf's
+/// power-of-two size within the profile's maximum, at least 4.
+fn chroma_tx(profile: Profile, a: Area) -> usize {
+    (a.w.min(a.h).next_power_of_two().min(max_tx(profile)) / 2).max(4)
+}
+
 /// Intra modes per profile.
 fn intra_modes(profile: Profile) -> &'static [IntraMode] {
     match profile {
         Profile::H264Sim => &IntraMode::H264_MODES,
         Profile::Vp9Sim => &IntraMode::VP9_MODES,
+    }
+}
+
+/// Plane `p` of `f`: 0 = Y, 1 = U, 2 = V.
+fn plane(f: &Frame, p: usize) -> &Plane {
+    match p {
+        0 => f.y(),
+        1 => f.u(),
+        _ => f.v(),
+    }
+}
+
+/// Top-left corners of the `sb`-sized superblocks covering a `w x h`
+/// frame, in raster order.
+fn superblocks(w: usize, h: usize, sb: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..h)
+        .step_by(sb)
+        .flat_map(move |y| (0..w).step_by(sb).map(move |x| (x, y)))
+}
+
+/// A block's position and size within one plane.
+#[derive(Debug, Clone, Copy)]
+struct Area {
+    x: usize,
+    y: usize,
+    w: usize,
+    h: usize,
+}
+
+impl Area {
+    /// The co-located block of a 4:2:0 chroma plane.
+    fn chroma(self) -> Area {
+        Area {
+            x: self.x / 2,
+            y: self.y / 2,
+            w: self.w.div_ceil(2),
+            h: self.h.div_ceil(2),
+        }
     }
 }
 
@@ -126,17 +175,40 @@ fn mv_bits_estimate(mv: MotionVector, pred: MotionVector) -> f64 {
     4.0 + 2.0 * ((dx + 1.0).log2() + (dy + 1.0).log2())
 }
 
-/// Frame-level scratch arena for the encoder: every per-block buffer
-/// the hot path needs, allocated once and grown to the largest block
-/// seen. Removes all heap allocation from the superblock walk.
+/// Writes `mv` as its difference from `base` in context `ctx`.
+fn write_mv(
+    enc: &mut BoolEncoder,
+    m: &mut Models,
+    ctx: usize,
+    mv: MotionVector,
+    base: MotionVector,
+) {
+    write_int(enc, &mut m.mv_x, ctx, (mv.x - base.x) as i32);
+    write_int(enc, &mut m.mv_y, ctx, (mv.y - base.y) as i32);
+}
+
+/// Reads a motion vector coded as its difference from `base` in context
+/// `ctx`, saturating to the `i16` range a corrupt stream can overflow.
+fn read_mv(
+    dec: &mut BoolDecoder<'_>,
+    m: &mut Models,
+    ctx: usize,
+    base: MotionVector,
+) -> MotionVector {
+    let dx = read_int(dec, &mut m.mv_x, ctx);
+    let dy = read_int(dec, &mut m.mv_y, ctx);
+    let add = |b: i16, d: i32| (b as i32 + d).clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+    MotionVector::new(add(base.x, dx), add(base.y, dy))
+}
+
+/// Frame-level scratch arena for the encoder's decisions: every
+/// per-block buffer the mode search and residual need, allocated once
+/// and grown to the largest block seen. With `Recon`'s buffers this
+/// removes all heap allocation from the superblock walk.
 #[derive(Debug, Default)]
 struct EncScratch {
     /// Current-block pixels (should_split / code_leaf / chroma).
     cur_blk: Vec<u8>,
-    /// Final prediction for the block being coded.
-    pred: Vec<u8>,
-    /// Second prediction for compound averaging.
-    pred2: Vec<u8>,
     /// Mode-decision prediction candidates.
     mode_pred: Vec<u8>,
     mode_p1: Vec<u8>,
@@ -145,22 +217,8 @@ struct EncScratch {
     residual: Vec<i16>,
     /// Residual gathered for one tile.
     tile_res: Vec<i16>,
-    /// Reconstructed block pixels before write-back.
-    recon_blk: Vec<u8>,
-    /// Tile transform/quantize/entropy buffers.
-    tile: TileScratch,
     /// Motion-search buffers.
     motion: MotionScratch,
-}
-
-/// Decoder-side scratch arena, mirroring [`EncScratch`] for the
-/// (smaller) set of buffers the decode walk needs.
-#[derive(Debug, Default)]
-struct DecScratch {
-    pred: Vec<u8>,
-    pred2: Vec<u8>,
-    recon_blk: Vec<u8>,
-    tile: TileScratch,
 }
 
 /// Key identifying one motion search: block geometry, predictor seed
@@ -238,6 +296,166 @@ enum BlockMode {
     },
 }
 
+/// The reconstruction both sides share: the frame being rebuilt, the
+/// state its syntax adapts, and everything a leaf does once its mode is
+/// known. The encoder and decoder each drive one through the same
+/// calls, so the decoder cannot drift from the encoder's reference.
+struct Recon<'a> {
+    profile: Profile,
+    qp: Qp,
+    /// References visible to this frame (none for a keyframe).
+    refs: Vec<&'a Frame>,
+    /// The frame being rebuilt.
+    frame: Frame,
+    models: Models,
+    /// Predictor for the next coded motion vector.
+    last_mv: MotionVector,
+    stats: &'a mut CodingStats,
+    /// Prediction for the block being coded.
+    pred: Vec<u8>,
+    /// Second prediction for compound averaging.
+    pred2: Vec<u8>,
+    /// Reconstructed block pixels before write-back.
+    blk: Vec<u8>,
+    /// Tile transform/quantize/entropy buffers.
+    tile: TileScratch,
+}
+
+impl<'a> Recon<'a> {
+    fn new(
+        profile: Profile,
+        kind: FrameKind,
+        qp: Qp,
+        refs: &'a RefSlots,
+        (width, height): (usize, usize),
+        stats: &'a mut CodingStats,
+    ) -> Self {
+        Recon {
+            profile,
+            qp,
+            refs: if kind == FrameKind::Key {
+                Vec::new()
+            } else {
+                refs.available(profile)
+            },
+            frame: Frame::new(width, height),
+            models: Models::new(),
+            last_mv: MotionVector::ZERO,
+            stats,
+            pred: Vec::new(),
+            pred2: Vec::new(),
+            blk: Vec::new(),
+            tile: TileScratch::default(),
+        }
+    }
+
+    /// Predicts block `a` of plane `p` (0 = Y, 1 = U, 2 = V; chroma
+    /// geometry already halved) into `self.pred`, and meters it. Luma
+    /// bills the block as intra (`intra_blocks`, `intra_pixels`) or
+    /// inter (`inter_blocks`, one `mc_pixels` per reference fetch);
+    /// chroma bills one fetch per block, compound or not.
+    fn predict(&mut self, p: usize, mode: &BlockMode, a: Area) {
+        let n = a.w * a.h;
+        self.pred.clear();
+        self.pred.resize(n, 0);
+        match *mode {
+            BlockMode::Intra(m) => {
+                if p == 0 {
+                    self.stats.intra_blocks += 1;
+                    self.stats.intra_pixels += n as u64;
+                }
+                IntraNeighbors::gather(plane(&self.frame, p), a.x, a.y, a.w, a.h)
+                    .predict(m, &mut self.pred);
+            }
+            BlockMode::Inter {
+                ref_idx,
+                mv,
+                compound,
+            } => {
+                // Chroma moves by the luma vector halved, truncating.
+                let scale = |mv: MotionVector| match p {
+                    0 => mv,
+                    _ => MotionVector::new(mv.x / 2, mv.y / 2),
+                };
+                let Area { x, y, w, h } = a;
+                let src = plane(self.refs[ref_idx], p);
+                mc_block(src, x, y, scale(mv), w, h, &mut self.pred);
+                let mut fetches = 1;
+                if let Some((r2, mv2)) = compound {
+                    self.pred2.clear();
+                    self.pred2.resize(n, 0);
+                    let src2 = plane(self.refs[r2], p);
+                    mc_block(src2, x, y, scale(mv2), w, h, &mut self.pred2);
+                    kernels::avg_u8_inplace(&mut self.pred, &self.pred2);
+                    fetches = 2;
+                }
+                if p == 0 {
+                    self.stats.inter_blocks += 1;
+                    self.stats.mc_pixels += fetches * n as u64;
+                    self.last_mv = mv;
+                } else {
+                    self.stats.mc_pixels += n as u64;
+                }
+            }
+        }
+    }
+
+    /// Codes block `a` of plane `p` as `t x t` residual tiles and writes
+    /// prediction plus residual back into the frame. `code_tile` codes
+    /// one tile (its area relative to the block) at the plane's
+    /// quantizer and leaves the tile's reconstructed residual in the
+    /// scratch — the encoder's closure writes the tile, the decoder's
+    /// reads it.
+    fn reconstruct(
+        &mut self,
+        p: usize,
+        a: Area,
+        t: usize,
+        mut code_tile: impl FnMut(&mut Models, &mut CodingStats, &mut TileScratch, Qp, Area),
+    ) {
+        // Chroma is quantized slightly coarser.
+        let qp = if p == 0 { self.qp } else { self.qp.offset(2) };
+        let Recon {
+            models,
+            stats,
+            pred,
+            blk,
+            tile,
+            ..
+        } = self;
+        blk.clear();
+        blk.resize(a.w * a.h, 0);
+        for_each_tile(a.w, a.h, t, |x, y, w, h| {
+            code_tile(models, stats, tile, qp, Area { x, y, w, h });
+            for r in 0..h {
+                let row = (y + r) * a.w + x;
+                kernels::add_residual_clamp(
+                    &pred[row..row + w],
+                    &tile.recon[r * w..(r + 1) * w],
+                    &mut blk[row..row + w],
+                );
+            }
+        });
+        let out = match p {
+            0 => self.frame.y_mut(),
+            1 => self.frame.u_mut(),
+            _ => self.frame.v_mut(),
+        };
+        out.write_block(a.x, a.y, a.w, a.h, &self.blk);
+    }
+
+    /// The frame tail: in-loop deblocking, then frame metering. Returns
+    /// the reconstruction that becomes reference state.
+    fn finish(self) -> Frame {
+        let mut frame = self.frame;
+        self.stats.deblock_pixels +=
+            deblock_plane(frame.y_mut(), deblock_grid(self.profile), self.qp);
+        self.stats.pixels += (frame.width() * frame.height()) as u64;
+        self.stats.frames += 1;
+        frame
+    }
+}
+
 /// Encodes one frame. Returns the arithmetic payload and the
 /// reconstruction (post-deblock) that becomes reference state.
 pub fn encode_frame(
@@ -248,61 +466,30 @@ pub fn encode_frame(
     refs: &RefSlots,
     stats: &mut CodingStats,
 ) -> (Vec<u8>, Frame) {
+    let (w, h) = (cur.width(), cur.height());
     let mut fe = FrameEnc {
         cfg,
         cur,
-        refs: if kind == FrameKind::Key {
-            Vec::new()
-        } else {
-            refs.available(cfg.profile)
-        },
-        qp,
         enc: BoolEncoder::new(),
-        models: Models::new(),
-        recon: Frame::new(cur.width(), cur.height()),
-        last_mv: MotionVector::ZERO,
         search: cfg.toolset.search_params(),
-        stats,
         scratch: EncScratch::default(),
         search_cache: HashMap::with_capacity_and_hasher(1024, SearchKeyHash),
+        rc: Recon::new(cfg.profile, kind, qp, refs, (w, h), stats),
     };
-
     let sb = cfg.profile.superblock_size();
-    let (w, h) = (cur.width(), cur.height());
-    let mut y = 0;
-    while y < h {
-        let mut x = 0;
-        while x < w {
-            fe.code_block(x, y, sb, 0);
-            x += sb;
-        }
-        y += sb;
+    for (x, y) in superblocks(w, h, sb) {
+        fe.code_block(x, y, sb, 0);
     }
-
-    // In-loop deblocking (identical on the decoder side).
-    let grid = deblock_grid(cfg.profile);
-    let touched = deblock_plane(fe.recon.y_mut(), grid, qp);
-    fe.stats.deblock_pixels += touched;
-
-    fe.stats.pixels += (w * h) as u64;
-    fe.stats.frames += 1;
     let payload = fe.enc.finish();
-    fe.stats.bits += payload.len() as u64 * 8;
-    let recon = fe.recon;
-    (payload, recon)
+    fe.rc.stats.bits += payload.len() as u64 * 8;
+    (payload, fe.rc.finish())
 }
 
 struct FrameEnc<'a> {
     cfg: &'a EncoderConfig,
     cur: &'a Frame,
-    refs: Vec<&'a Frame>,
-    qp: Qp,
     enc: BoolEncoder,
-    models: Models,
-    recon: Frame,
-    last_mv: MotionVector,
     search: SearchParams,
-    stats: &'a mut CodingStats,
     scratch: EncScratch,
     /// Per-frame motion-search memo for reference slot 0. The split
     /// heuristic and the leaf mode decision run the identical search;
@@ -310,6 +497,7 @@ struct FrameEnc<'a> {
     /// the live search charged, replaying it on a hit so metering (and
     /// thus the chip timing model) is byte-identical to searching twice.
     search_cache: HashMap<SearchKey, (SearchResult, CodingStats), SearchKeyHash>,
+    rc: Recon<'a>,
 }
 
 impl FrameEnc<'_> {
@@ -325,28 +513,28 @@ impl FrameEnc<'_> {
         bh: usize,
         params: &SearchParams,
     ) -> SearchResult {
-        let key = (x, y, bw, bh, self.last_mv.x, self.last_mv.y, *params);
+        let key = (x, y, bw, bh, self.rc.last_mv.x, self.rc.last_mv.y, *params);
         if ref_idx == 0 {
             if let Some(&(r, delta)) = self.search_cache.get(&key) {
-                *self.stats += delta;
+                *self.rc.stats += delta;
                 return r;
             }
         }
-        let before = *self.stats;
+        let before = *self.rc.stats;
         let r = search_scratch(
-            self.refs[ref_idx].y(),
+            self.rc.refs[ref_idx].y(),
             self.cur.y(),
             x,
             y,
             bw,
             bh,
-            self.last_mv,
+            self.rc.last_mv,
             params,
-            self.stats,
+            self.rc.stats,
             &mut self.scratch.motion,
         );
         if ref_idx == 0 {
-            self.search_cache.insert(key, (r, *self.stats - before));
+            self.search_cache.insert(key, (r, *self.rc.stats - before));
         }
         r
     }
@@ -358,7 +546,8 @@ impl FrameEnc<'_> {
         }
         if size > 16 {
             let split = self.should_split(x, y, size);
-            self.models
+            self.rc
+                .models
                 .partition
                 .encode(&mut self.enc, depth.min(1), split);
             if split {
@@ -383,20 +572,16 @@ impl FrameEnc<'_> {
         if bw < size || bh < size {
             return true;
         }
-        if self.refs.is_empty() {
+        if self.rc.refs.is_empty() {
             // Intra frame: split when spatial variance is high.
-            let blk = &mut self.scratch.cur_blk;
-            blk.clear();
-            blk.resize(bw * bh, 0);
-            self.cur
-                .y()
-                .copy_block_clamped(x as isize, y as isize, bw, bh, blk);
+            self.load_cur(0, Area { x, y, w: bw, h: bh });
+            let blk = &self.scratch.cur_blk;
             let mean = blk.iter().map(|&v| v as u64).sum::<u64>() / blk.len() as u64;
             let mad: u64 = blk
                 .iter()
                 .map(|&v| (v as i64 - mean as i64).unsigned_abs())
                 .sum();
-            return mad as f64 / (bw * bh) as f64 > self.qp.step() * 0.75;
+            return mad as f64 / (bw * bh) as f64 > self.rc.qp.step() * 0.75;
         }
         // Inter: the paper's "bounded recursive search" — compare the
         // whole-block motion-compensated SAD against the sum of the
@@ -410,7 +595,6 @@ impl FrameEnc<'_> {
         let bounded = SearchParams::hardware();
         let whole = self.cached_search(0, x, y, bw, bh, &bounded).sad;
         let half = size / 2;
-        let (w, h) = (self.cur.width(), self.cur.height());
         let mut subs = 0u64;
         for (qx, qy) in [(x, y), (x + half, y), (x, y + half), (x + half, y + half)] {
             if qx >= w || qy >= h {
@@ -420,113 +604,63 @@ impl FrameEnc<'_> {
             let sbh = half.min(h - qy);
             subs += self.cached_search(0, qx, qy, sbw, sbh, &bounded).sad;
         }
-        let lambda_sad = 0.9 * self.qp.step() * self.cfg.toolset.lambda_scale();
+        let lambda_sad = 0.9 * self.rc.qp.step() * self.cfg.toolset.lambda_scale();
         let split_overhead_bits = 36.0; // three extra mode/MV sets
         (subs as f64 + lambda_sad * split_overhead_bits) < whole as f64
     }
 
     fn code_leaf(&mut self, x: usize, y: usize, size: usize) {
         let (w, h) = (self.cur.width(), self.cur.height());
-        let bw = size.min(w - x);
-        let bh = size.min(h - y);
-        // Buffers crossing `&mut self` calls are taken out of the arena
-        // and restored at the end (no allocation either way).
-        let mut cur_blk = std::mem::take(&mut self.scratch.cur_blk);
-        cur_blk.clear();
-        cur_blk.resize(bw * bh, 0);
-        self.cur
-            .y()
-            .copy_block_clamped(x as isize, y as isize, bw, bh, &mut cur_blk);
-
-        let mode = self.choose_mode(x, y, bw, bh, &cur_blk);
+        let a = Area {
+            x,
+            y,
+            w: size.min(w - x),
+            h: size.min(h - y),
+        };
+        // `cur_blk` crosses a `&mut self` call, so it is taken out of
+        // the arena and restored (no allocation either way).
+        self.load_cur(0, a);
+        let cur_blk = std::mem::take(&mut self.scratch.cur_blk);
+        let mode = self.choose_mode(x, y, a.w, a.h, &cur_blk);
+        self.scratch.cur_blk = cur_blk;
 
         // Syntax: inter flag (when inter is possible), then mode details.
-        if !self.refs.is_empty() {
+        let (enc, m) = (&mut self.enc, &mut self.rc.models);
+        if !self.rc.refs.is_empty() {
             let is_inter = matches!(mode, BlockMode::Inter { .. });
-            self.models.is_inter.encode(&mut self.enc, 0, is_inter);
+            m.is_inter.encode(enc, 0, is_inter);
         }
-        let mut pred = std::mem::take(&mut self.scratch.pred);
-        pred.clear();
-        pred.resize(bw * bh, 0);
         match &mode {
-            BlockMode::Intra(m) => {
-                write_uint(
-                    &mut self.enc,
-                    &mut self.models.intra_mode,
-                    0,
-                    m.index() as u32,
-                );
-                self.stats.intra_blocks += 1;
-                self.stats.intra_pixels += (bw * bh) as u64;
-                let n = IntraNeighbors::gather(self.recon.y(), x, y, bw, bh);
-                n.predict(*m, &mut pred);
-            }
+            BlockMode::Intra(im) => write_uint(enc, &mut m.intra_mode, 0, im.index() as u32),
             BlockMode::Inter {
                 ref_idx,
                 mv,
                 compound,
             } => {
-                write_uint(&mut self.enc, &mut self.models.ref_idx, 0, *ref_idx as u32);
-                write_int(
-                    &mut self.enc,
-                    &mut self.models.mv_x,
-                    0,
-                    (mv.x - self.last_mv.x) as i32,
-                );
-                write_int(
-                    &mut self.enc,
-                    &mut self.models.mv_y,
-                    0,
-                    (mv.y - self.last_mv.y) as i32,
-                );
-                if self.cfg.profile.supports_compound() && self.refs.len() >= 2 {
-                    self.models
-                        .compound
-                        .encode(&mut self.enc, 0, compound.is_some());
+                write_uint(enc, &mut m.ref_idx, 0, *ref_idx as u32);
+                write_mv(enc, m, 0, *mv, self.rc.last_mv);
+                if self.cfg.profile.supports_compound() && self.rc.refs.len() >= 2 {
+                    m.compound.encode(enc, 0, compound.is_some());
                     if let Some((r2, mv2)) = compound {
-                        write_uint(&mut self.enc, &mut self.models.ref_idx, 4, *r2 as u32);
-                        write_int(
-                            &mut self.enc,
-                            &mut self.models.mv_x,
-                            4,
-                            (mv2.x - mv.x) as i32,
-                        );
-                        write_int(
-                            &mut self.enc,
-                            &mut self.models.mv_y,
-                            4,
-                            (mv2.y - mv.y) as i32,
-                        );
+                        write_uint(enc, &mut m.ref_idx, 4, *r2 as u32);
+                        write_mv(enc, m, 4, *mv2, *mv);
                     }
                 }
-                self.stats.inter_blocks += 1;
-                self.stats.mc_pixels += (bw * bh) as u64;
-                mc_block(self.refs[*ref_idx].y(), x, y, *mv, bw, bh, &mut pred);
-                if let Some((r2, mv2)) = compound {
-                    let p2 = &mut self.scratch.pred2;
-                    p2.clear();
-                    p2.resize(bw * bh, 0);
-                    mc_block(self.refs[*r2].y(), x, y, *mv2, bw, bh, p2);
-                    self.stats.mc_pixels += (bw * bh) as u64;
-                    crate::kernels::avg_u8_inplace(&mut pred, p2);
-                }
-                self.last_mv = *mv;
             }
-        };
+        }
 
         // Luma residual with adaptive transform size: sharp, spatially
         // concentrated residuals prefer the smaller transform (VP9's
         // adaptive TX size; H.264 High's 8x8/4x4 choice).
+        self.rc.predict(0, &mode, a);
+        self.residual();
         let t_full = size.min(max_tx(self.cfg.profile));
-        let mut residual = std::mem::take(&mut self.scratch.residual);
-        residual.clear();
-        residual.resize(bw * bh, 0);
-        compute_residual(&cur_blk, &pred, &mut residual);
         let t = if t_full > 4 {
-            let split_tx = tx_split_heuristic(&residual, bw, bh, t_full, self.qp);
-            self.models
+            let split_tx = tx_split_heuristic(&self.scratch.residual, a.w, a.h, t_full, self.rc.qp);
+            self.rc
+                .models
                 .tx_split
-                .encode(&mut self.enc, crate::models::tx_class(t_full), split_tx);
+                .encode(&mut self.enc, tx_class(t_full), split_tx);
             if split_tx {
                 t_full / 2
             } else {
@@ -535,141 +669,59 @@ impl FrameEnc<'_> {
         } else {
             t_full
         };
-        let deadzone = self.cfg.toolset.deadzone();
-        let trellis = self.cfg.toolset.trellis();
-        let mut recon_blk = std::mem::take(&mut self.scratch.recon_blk);
-        recon_blk.clear();
-        recon_blk.resize(bw * bh, 0);
-        {
-            let enc = &mut self.enc;
-            let models = &mut self.models;
-            let stats = &mut *self.stats;
-            let qp = self.qp;
-            let EncScratch { tile, tile_res, .. } = &mut self.scratch;
-            for_each_tile(bw, bh, t, |tx, ty, tw, th| {
-                tile_res.clear();
-                tile_res.resize(tw * th, 0);
-                for r in 0..th {
-                    for c in 0..tw {
-                        tile_res[r * tw + c] = residual[(ty + r) * bw + tx + c];
-                    }
-                }
-                encode_tile(
-                    enc, models, tile_res, tw, th, t, qp, deadzone, trellis, stats, tile,
-                );
-                for r in 0..th {
-                    let row = (ty + r) * bw + tx;
-                    crate::kernels::add_residual_clamp(
-                        &pred[row..row + tw],
-                        &tile.recon[r * tw..(r + 1) * tw],
-                        &mut recon_blk[row..row + tw],
-                    );
-                }
-            });
-        }
-        self.recon.y_mut().write_block(x, y, bw, bh, &recon_blk);
-        self.scratch.cur_blk = cur_blk;
-        self.scratch.pred = pred;
-        self.scratch.residual = residual;
-        self.scratch.recon_blk = recon_blk;
+        self.code_residual(0, a, t);
 
         // Chroma planes.
-        self.code_leaf_chroma(x, y, bw, bh, &mode);
+        let (ca, ct) = (a.chroma(), chroma_tx(self.cfg.profile, a));
+        for p in 1..3 {
+            self.load_cur(p, ca);
+            self.rc.predict(p, &mode, ca);
+            self.residual();
+            self.code_residual(p, ca, ct);
+        }
     }
 
-    fn code_leaf_chroma(&mut self, x: usize, y: usize, bw: usize, bh: usize, mode: &BlockMode) {
-        let (cx, cy) = (x / 2, y / 2);
-        let cbw = bw.div_ceil(2);
-        let cbh = bh.div_ceil(2);
-        let t = (bw.min(bh).next_power_of_two().min(max_tx(self.cfg.profile)) / 2).max(4);
+    /// Copies block `a` of source plane `p` into `scratch.cur_blk`.
+    fn load_cur(&mut self, p: usize, a: Area) {
+        let blk = &mut self.scratch.cur_blk;
+        blk.clear();
+        blk.resize(a.w * a.h, 0);
+        plane(self.cur, p).copy_block_clamped(a.x as isize, a.y as isize, a.w, a.h, blk);
+    }
+
+    /// `scratch.residual = scratch.cur_blk - pred` for the block just
+    /// predicted.
+    fn residual(&mut self) {
+        let EncScratch {
+            cur_blk, residual, ..
+        } = &mut self.scratch;
+        residual.clear();
+        residual.resize(cur_blk.len(), 0);
+        kernels::compute_residual(cur_blk, &self.rc.pred, residual);
+    }
+
+    /// Writes `scratch.residual` as the residual tiles of block `a` of
+    /// plane `p` and reconstructs the block.
+    fn code_residual(&mut self, p: usize, a: Area, t: usize) {
         let deadzone = self.cfg.toolset.deadzone();
-        let chroma_qp = self.qp.offset(2); // chroma slightly coarser
-        let mut cur_blk = std::mem::take(&mut self.scratch.cur_blk);
-        let mut pred = std::mem::take(&mut self.scratch.pred);
-        let mut residual = std::mem::take(&mut self.scratch.residual);
-        let mut recon_blk = std::mem::take(&mut self.scratch.recon_blk);
-        for plane_idx in 0..2 {
-            let (cur_p, refs_p): (&Plane, Vec<&Plane>) = if plane_idx == 0 {
-                (self.cur.u(), self.refs.iter().map(|f| f.u()).collect())
-            } else {
-                (self.cur.v(), self.refs.iter().map(|f| f.v()).collect())
-            };
-            cur_blk.clear();
-            cur_blk.resize(cbw * cbh, 0);
-            cur_p.copy_block_clamped(cx as isize, cy as isize, cbw, cbh, &mut cur_blk);
-
-            pred.clear();
-            pred.resize(cbw * cbh, 0);
-            match mode {
-                BlockMode::Intra(m) => {
-                    let recon_p = if plane_idx == 0 {
-                        self.recon.u()
-                    } else {
-                        self.recon.v()
-                    };
-                    let n = IntraNeighbors::gather(recon_p, cx, cy, cbw, cbh);
-                    n.predict(*m, &mut pred);
+        // The trellis runs on luma only.
+        let trellis = p == 0 && self.cfg.toolset.trellis();
+        let enc = &mut self.enc;
+        let EncScratch {
+            residual, tile_res, ..
+        } = &mut self.scratch;
+        self.rc.reconstruct(p, a, t, |models, stats, tile, qp, s| {
+            tile_res.clear();
+            tile_res.resize(s.w * s.h, 0);
+            for r in 0..s.h {
+                for c in 0..s.w {
+                    tile_res[r * s.w + c] = residual[(s.y + r) * a.w + s.x + c];
                 }
-                BlockMode::Inter {
-                    ref_idx,
-                    mv,
-                    compound,
-                } => {
-                    let cmv = MotionVector::new(mv.x / 2, mv.y / 2);
-                    mc_block(refs_p[*ref_idx], cx, cy, cmv, cbw, cbh, &mut pred);
-                    if let Some((r2, mv2)) = compound {
-                        let cmv2 = MotionVector::new(mv2.x / 2, mv2.y / 2);
-                        let p2 = &mut self.scratch.pred2;
-                        p2.clear();
-                        p2.resize(cbw * cbh, 0);
-                        mc_block(refs_p[*r2], cx, cy, cmv2, cbw, cbh, p2);
-                        crate::kernels::avg_u8_inplace(&mut pred, p2);
-                    }
-                    self.stats.mc_pixels += (cbw * cbh) as u64;
-                }
-            };
-
-            residual.clear();
-            residual.resize(cbw * cbh, 0);
-            compute_residual(&cur_blk, &pred, &mut residual);
-            recon_blk.clear();
-            recon_blk.resize(cbw * cbh, 0);
-            {
-                let enc = &mut self.enc;
-                let models = &mut self.models;
-                let stats = &mut *self.stats;
-                let EncScratch { tile, tile_res, .. } = &mut self.scratch;
-                for_each_tile(cbw, cbh, t, |tx, ty, tw, th| {
-                    tile_res.clear();
-                    tile_res.resize(tw * th, 0);
-                    for r in 0..th {
-                        for c in 0..tw {
-                            tile_res[r * tw + c] = residual[(ty + r) * cbw + tx + c];
-                        }
-                    }
-                    encode_tile(
-                        enc, models, tile_res, tw, th, t, chroma_qp, deadzone, false, stats, tile,
-                    );
-                    for r in 0..th {
-                        let row = (ty + r) * cbw + tx;
-                        crate::kernels::add_residual_clamp(
-                            &pred[row..row + tw],
-                            &tile.recon[r * tw..(r + 1) * tw],
-                            &mut recon_blk[row..row + tw],
-                        );
-                    }
-                });
             }
-            if plane_idx == 0 {
-                self.recon.u_mut().write_block(cx, cy, cbw, cbh, &recon_blk);
-            } else {
-                self.recon.v_mut().write_block(cx, cy, cbw, cbh, &recon_blk);
-            }
-        }
-        self.scratch.cur_blk = cur_blk;
-        self.scratch.pred = pred;
-        self.scratch.residual = residual;
-        self.scratch.recon_blk = recon_blk;
+            encode_tile(
+                enc, models, tile_res, s.w, s.h, t, qp, deadzone, trellis, stats, tile,
+            );
+        });
     }
 
     fn choose_mode(
@@ -680,27 +732,27 @@ impl FrameEnc<'_> {
         bh: usize,
         cur_blk: &[u8],
     ) -> BlockMode {
-        let lambda_sad = 0.9 * self.qp.step() * self.cfg.toolset.lambda_scale();
+        let lambda_sad = 0.9 * self.rc.qp.step() * self.cfg.toolset.lambda_scale();
         let use_satd = self.cfg.toolset.satd_ranking();
         let metric = |cur: &[u8], pred: &[u8], stats: &mut CodingStats| -> u64 {
             if use_satd {
                 stats.sad_pixels += 2 * (bw * bh) as u64; // SATD ~2x SAD cost
-                satd(cur, pred, bw, bh)
+                kernels::satd(cur, pred, bw, bh)
             } else {
-                crate::kernels::sad_slice(pred, cur)
+                kernels::sad_slice(pred, cur)
             }
         };
 
         // Intra candidates.
         let mut best_intra: Option<(IntraMode, u64)> = None;
-        let neighbors = IntraNeighbors::gather(self.recon.y(), x, y, bw, bh);
+        let neighbors = IntraNeighbors::gather(self.rc.frame.y(), x, y, bw, bh);
         let mut pred_buf = std::mem::take(&mut self.scratch.mode_pred);
         pred_buf.clear();
         pred_buf.resize(bw * bh, 0);
         for &m in intra_modes(self.cfg.profile) {
             neighbors.predict(m, &mut pred_buf);
-            self.stats.intra_pixels += (bw * bh) as u64;
-            let sad: u64 = metric(cur_blk, &pred_buf, self.stats);
+            self.rc.stats.intra_pixels += (bw * bh) as u64;
+            let sad: u64 = metric(cur_blk, &pred_buf, self.rc.stats);
             if best_intra.is_none_or(|(_, s)| sad < s) {
                 best_intra = Some((m, sad));
             }
@@ -709,15 +761,15 @@ impl FrameEnc<'_> {
         let (intra_mode, intra_sad) = best_intra.expect("at least one intra mode");
         let intra_cost = intra_sad as f64 + lambda_sad * 4.0;
 
-        if self.refs.is_empty() {
+        if self.rc.refs.is_empty() {
             return BlockMode::Intra(intra_mode);
         }
 
         // Inter candidates: one search per reference (slot 0 through
         // the memo, where the split heuristic usually primed it).
         let sp = self.search;
-        let mut per_ref = Vec::with_capacity(self.refs.len());
-        for ri in 0..self.refs.len() {
+        let mut per_ref = Vec::with_capacity(self.rc.refs.len());
+        for ri in 0..self.rc.refs.len() {
             per_ref.push(self.cached_search(ri, x, y, bw, bh, &sp));
         }
         let (best_ri, best_r) = per_ref
@@ -730,19 +782,19 @@ impl FrameEnc<'_> {
             let mut p = std::mem::take(&mut self.scratch.mode_p1);
             p.clear();
             p.resize(bw * bh, 0);
-            mc_block(self.refs[best_ri].y(), x, y, best_r.mv, bw, bh, &mut p);
-            let m = metric(cur_blk, &p, self.stats);
+            mc_block(self.rc.refs[best_ri].y(), x, y, best_r.mv, bw, bh, &mut p);
+            let m = metric(cur_blk, &p, self.rc.stats);
             self.scratch.mode_p1 = p;
             m
         } else {
             best_r.sad
         };
         let inter_cost =
-            inter_metric as f64 + lambda_sad * (2.0 + mv_bits_estimate(best_r.mv, self.last_mv));
+            inter_metric as f64 + lambda_sad * (2.0 + mv_bits_estimate(best_r.mv, self.rc.last_mv));
 
         // Compound: average the two best references.
         let mut compound_choice: Option<((usize, MotionVector), f64)> = None;
-        if self.cfg.profile.supports_compound() && self.refs.len() >= 2 {
+        if self.cfg.profile.supports_compound() && self.rc.refs.len() >= 2 {
             let mut order: Vec<usize> = (0..per_ref.len()).collect();
             order.sort_by_key(|&i| per_ref[i].sad);
             let (r1, r2) = (order[0], order[1]);
@@ -753,17 +805,17 @@ impl FrameEnc<'_> {
                 p1.resize(bw * bh, 0);
                 p2.clear();
                 p2.resize(bw * bh, 0);
-                mc_block(self.refs[r1].y(), x, y, per_ref[r1].mv, bw, bh, &mut p1);
-                mc_block(self.refs[r2].y(), x, y, per_ref[r2].mv, bw, bh, &mut p2);
-                self.stats.mc_pixels += 2 * (bw * bh) as u64;
-                crate::kernels::avg_u8_inplace(&mut p1, &p2);
-                let sad: u64 = metric(cur_blk, &p1, self.stats);
+                mc_block(self.rc.refs[r1].y(), x, y, per_ref[r1].mv, bw, bh, &mut p1);
+                mc_block(self.rc.refs[r2].y(), x, y, per_ref[r2].mv, bw, bh, &mut p2);
+                self.rc.stats.mc_pixels += 2 * (bw * bh) as u64;
+                kernels::avg_u8_inplace(&mut p1, &p2);
+                let sad: u64 = metric(cur_blk, &p1, self.rc.stats);
                 self.scratch.mode_p1 = p1;
                 self.scratch.mode_p2 = p2;
                 let cost = sad as f64
                     + lambda_sad
                         * (3.0
-                            + mv_bits_estimate(per_ref[r1].mv, self.last_mv)
+                            + mv_bits_estimate(per_ref[r1].mv, self.rc.last_mv)
                             + mv_bits_estimate(per_ref[r2].mv, per_ref[r1].mv));
                 if best_ri == r1 && cost < inter_cost {
                     compound_choice = Some(((r2, per_ref[r2].mv), cost));
@@ -791,64 +843,37 @@ impl FrameEnc<'_> {
 /// # Errors
 ///
 /// Returns [`CodecError::CorruptBitstream`] if syntax elements are out
-/// of range (truncated/corrupted payloads).
-#[allow(clippy::too_many_arguments)]
+/// of range (truncated/corrupted payloads). A payload that runs out
+/// stops decoding at the superblock where it ran out.
 pub fn decode_frame(
     profile: Profile,
     payload: &[u8],
     kind: FrameKind,
     qp: Qp,
     refs: &RefSlots,
-    width: usize,
-    height: usize,
+    (width, height): (usize, usize),
     stats: &mut CodingStats,
 ) -> Result<Frame, CodecError> {
     let mut fd = FrameDec {
-        profile,
         dec: BoolDecoder::new(payload),
-        models: Models::new(),
-        refs: if kind == FrameKind::Key {
-            Vec::new()
-        } else {
-            refs.available(profile)
-        },
-        qp,
-        recon: Frame::new(width, height),
-        last_mv: MotionVector::ZERO,
-        stats,
-        scratch: DecScratch::default(),
+        rc: Recon::new(profile, kind, qp, refs, (width, height), stats),
     };
     let sb = profile.superblock_size();
-    let mut y = 0;
-    while y < height {
-        let mut x = 0;
-        while x < width {
-            fd.code_block(x, y, sb, 0)?;
-            x += sb;
+    for (x, y) in superblocks(width, height, sb) {
+        fd.code_block(x, y, sb, 0)?;
+        // Past its end a payload reads as zero bytes forever, so without
+        // this check a truncated frame costs what its declared size
+        // says, not what its input holds.
+        if fd.dec.overrun() {
+            return Err(CodecError::CorruptBitstream("payload truncated"));
         }
-        y += sb;
     }
-    if fd.dec.overrun() {
-        return Err(CodecError::CorruptBitstream("payload truncated"));
-    }
-    let grid = deblock_grid(profile);
-    let touched = deblock_plane(fd.recon.y_mut(), grid, qp);
-    fd.stats.deblock_pixels += touched;
-    fd.stats.pixels += (width * height) as u64;
-    fd.stats.frames += 1;
-    Ok(fd.recon)
+    Ok(fd.rc.finish())
 }
 
 struct FrameDec<'a> {
-    profile: Profile,
     dec: BoolDecoder<'a>,
-    models: Models,
-    refs: Vec<&'a Frame>,
-    qp: Qp,
-    recon: Frame,
-    last_mv: MotionVector,
-    stats: &'a mut CodingStats,
-    scratch: DecScratch,
+    rc: Recon<'a>,
 }
 
 impl FrameDec<'_> {
@@ -859,12 +884,12 @@ impl FrameDec<'_> {
         size: usize,
         depth: usize,
     ) -> Result<(), CodecError> {
-        let (w, h) = (self.recon.width(), self.recon.height());
+        let (w, h) = (self.rc.frame.width(), self.rc.frame.height());
         if x >= w || y >= h {
             return Ok(());
         }
         if size > 16 {
-            let split = self.models.partition.decode(&mut self.dec, depth.min(1));
+            let split = self.rc.models.partition.decode(&mut self.dec, depth.min(1));
             if split {
                 let half = size / 2;
                 self.code_block(x, y, half, depth + 1)?;
@@ -878,206 +903,78 @@ impl FrameDec<'_> {
     }
 
     fn code_leaf(&mut self, x: usize, y: usize, size: usize) -> Result<(), CodecError> {
-        let (w, h) = (self.recon.width(), self.recon.height());
-        let bw = size.min(w - x);
-        let bh = size.min(h - y);
-
-        let is_inter = if self.refs.is_empty() {
-            false
-        } else {
-            self.models.is_inter.decode(&mut self.dec, 0)
+        let (w, h) = (self.rc.frame.width(), self.rc.frame.height());
+        let a = Area {
+            x,
+            y,
+            w: size.min(w - x),
+            h: size.min(h - y),
         };
-
+        let (dec, m) = (&mut self.dec, &mut self.rc.models);
+        let n_refs = self.rc.refs.len();
+        let is_inter = n_refs > 0 && m.is_inter.decode(dec, 0);
         let mode = if is_inter {
-            let ref_idx = read_uint(&mut self.dec, &mut self.models.ref_idx, 0) as usize;
-            if ref_idx >= self.refs.len() {
+            let ref_idx = read_uint(dec, &mut m.ref_idx, 0) as usize;
+            if ref_idx >= n_refs {
                 return Err(CodecError::CorruptBitstream("reference index out of range"));
             }
-            let dx = read_int(&mut self.dec, &mut self.models.mv_x, 0);
-            let dy = read_int(&mut self.dec, &mut self.models.mv_y, 0);
-            let mv = MotionVector::new(
-                (self.last_mv.x as i32 + dx).clamp(i16::MIN as i32, i16::MAX as i32) as i16,
-                (self.last_mv.y as i32 + dy).clamp(i16::MIN as i32, i16::MAX as i32) as i16,
-            );
-            let compound = if self.profile.supports_compound() && self.refs.len() >= 2 {
-                if self.models.compound.decode(&mut self.dec, 0) {
-                    let r2 = read_uint(&mut self.dec, &mut self.models.ref_idx, 4) as usize;
-                    if r2 >= self.refs.len() {
-                        return Err(CodecError::CorruptBitstream("compound ref out of range"));
-                    }
-                    let dx2 = read_int(&mut self.dec, &mut self.models.mv_x, 4);
-                    let dy2 = read_int(&mut self.dec, &mut self.models.mv_y, 4);
-                    let mv2 = MotionVector::new(
-                        (mv.x as i32 + dx2).clamp(i16::MIN as i32, i16::MAX as i32) as i16,
-                        (mv.y as i32 + dy2).clamp(i16::MIN as i32, i16::MAX as i32) as i16,
-                    );
-                    Some((r2, mv2))
-                } else {
-                    None
+            let mv = read_mv(dec, m, 0, self.rc.last_mv);
+            let compound = if self.rc.profile.supports_compound()
+                && n_refs >= 2
+                && m.compound.decode(dec, 0)
+            {
+                let r2 = read_uint(dec, &mut m.ref_idx, 4) as usize;
+                if r2 >= n_refs {
+                    return Err(CodecError::CorruptBitstream("compound ref out of range"));
                 }
+                Some((r2, read_mv(dec, m, 4, mv)))
             } else {
                 None
             };
-            self.last_mv = mv;
-            self.stats.inter_blocks += 1;
             BlockMode::Inter {
                 ref_idx,
                 mv,
                 compound,
             }
         } else {
-            let idx = read_uint(&mut self.dec, &mut self.models.intra_mode, 0) as usize;
-            let m = IntraMode::from_index(idx)
+            let idx = read_uint(dec, &mut m.intra_mode, 0) as usize;
+            let im = IntraMode::from_index(idx)
                 .ok_or(CodecError::CorruptBitstream("intra mode out of range"))?;
-            self.stats.intra_blocks += 1;
-            BlockMode::Intra(m)
+            BlockMode::Intra(im)
         };
 
-        // Luma prediction.
-        let mut pred = std::mem::take(&mut self.scratch.pred);
-        pred.clear();
-        pred.resize(bw * bh, 0);
-        match &mode {
-            BlockMode::Intra(m) => {
-                let n = IntraNeighbors::gather(self.recon.y(), x, y, bw, bh);
-                n.predict(*m, &mut pred);
-                self.stats.intra_pixels += (bw * bh) as u64;
-            }
-            BlockMode::Inter {
-                ref_idx,
-                mv,
-                compound,
-            } => {
-                mc_block(self.refs[*ref_idx].y(), x, y, *mv, bw, bh, &mut pred);
-                self.stats.mc_pixels += (bw * bh) as u64;
-                if let Some((r2, mv2)) = compound {
-                    let p2 = &mut self.scratch.pred2;
-                    p2.clear();
-                    p2.resize(bw * bh, 0);
-                    mc_block(self.refs[*r2].y(), x, y, *mv2, bw, bh, p2);
-                    self.stats.mc_pixels += (bw * bh) as u64;
-                    crate::kernels::avg_u8_inplace(&mut pred, p2);
-                }
-            }
-        };
-
-        // Luma residual: read the adaptive transform-size flag.
-        let t_full = size.min(max_tx(self.profile));
-        let t = if t_full > 4 {
-            let split_tx = self
+        // Luma: prediction, the adaptive transform-size flag, residual.
+        self.rc.predict(0, &mode, a);
+        let t_full = size.min(max_tx(self.rc.profile));
+        let t = if t_full > 4
+            && self
+                .rc
                 .models
                 .tx_split
-                .decode(&mut self.dec, crate::models::tx_class(t_full));
-            if split_tx {
-                t_full / 2
-            } else {
-                t_full
-            }
+                .decode(&mut self.dec, tx_class(t_full))
+        {
+            t_full / 2
         } else {
             t_full
         };
-        let mut recon_blk = std::mem::take(&mut self.scratch.recon_blk);
-        recon_blk.clear();
-        recon_blk.resize(bw * bh, 0);
-        {
-            let models = &mut self.models;
-            let dec = &mut self.dec;
-            let stats = &mut *self.stats;
-            let qp = self.qp;
-            let tile = &mut self.scratch.tile;
-            for_each_tile(bw, bh, t, |tx, ty, tw, th| {
-                decode_tile(dec, models, tw, th, t, qp, stats, tile);
-                for r in 0..th {
-                    let row = (ty + r) * bw + tx;
-                    crate::kernels::add_residual_clamp(
-                        &pred[row..row + tw],
-                        &tile.recon[r * tw..(r + 1) * tw],
-                        &mut recon_blk[row..row + tw],
-                    );
-                }
-            });
-        }
-        self.recon.y_mut().write_block(x, y, bw, bh, &recon_blk);
-        self.scratch.pred = pred;
-        self.scratch.recon_blk = recon_blk;
+        self.code_residual(0, a, t);
 
         // Chroma.
-        self.code_leaf_chroma(x, y, bw, bh, &mode);
+        let (ca, ct) = (a.chroma(), chroma_tx(self.rc.profile, a));
+        for p in 1..3 {
+            self.rc.predict(p, &mode, ca);
+            self.code_residual(p, ca, ct);
+        }
         Ok(())
     }
 
-    fn code_leaf_chroma(&mut self, x: usize, y: usize, bw: usize, bh: usize, mode: &BlockMode) {
-        let (cx, cy) = (x / 2, y / 2);
-        let cbw = bw.div_ceil(2);
-        let cbh = bh.div_ceil(2);
-        let t = (bw.min(bh).next_power_of_two().min(max_tx(self.profile)) / 2).max(4);
-        let chroma_qp = self.qp.offset(2);
-        let mut pred = std::mem::take(&mut self.scratch.pred);
-        let mut recon_blk = std::mem::take(&mut self.scratch.recon_blk);
-        for plane_idx in 0..2 {
-            let refs_p: Vec<&Plane> = if plane_idx == 0 {
-                self.refs.iter().map(|f| f.u()).collect()
-            } else {
-                self.refs.iter().map(|f| f.v()).collect()
-            };
-            pred.clear();
-            pred.resize(cbw * cbh, 0);
-            match mode {
-                BlockMode::Intra(m) => {
-                    let recon_p = if plane_idx == 0 {
-                        self.recon.u()
-                    } else {
-                        self.recon.v()
-                    };
-                    let n = IntraNeighbors::gather(recon_p, cx, cy, cbw, cbh);
-                    n.predict(*m, &mut pred);
-                }
-                BlockMode::Inter {
-                    ref_idx,
-                    mv,
-                    compound,
-                } => {
-                    let cmv = MotionVector::new(mv.x / 2, mv.y / 2);
-                    mc_block(refs_p[*ref_idx], cx, cy, cmv, cbw, cbh, &mut pred);
-                    if let Some((r2, mv2)) = compound {
-                        let cmv2 = MotionVector::new(mv2.x / 2, mv2.y / 2);
-                        let p2 = &mut self.scratch.pred2;
-                        p2.clear();
-                        p2.resize(cbw * cbh, 0);
-                        mc_block(refs_p[*r2], cx, cy, cmv2, cbw, cbh, p2);
-                        crate::kernels::avg_u8_inplace(&mut pred, p2);
-                    }
-                    self.stats.mc_pixels += (cbw * cbh) as u64;
-                }
-            };
-
-            recon_blk.clear();
-            recon_blk.resize(cbw * cbh, 0);
-            {
-                let models = &mut self.models;
-                let dec = &mut self.dec;
-                let stats = &mut *self.stats;
-                let tile = &mut self.scratch.tile;
-                for_each_tile(cbw, cbh, t, |tx, ty, tw, th| {
-                    decode_tile(dec, models, tw, th, t, chroma_qp, stats, tile);
-                    for r in 0..th {
-                        let row = (ty + r) * cbw + tx;
-                        crate::kernels::add_residual_clamp(
-                            &pred[row..row + tw],
-                            &tile.recon[r * tw..(r + 1) * tw],
-                            &mut recon_blk[row..row + tw],
-                        );
-                    }
-                });
-            }
-            if plane_idx == 0 {
-                self.recon.u_mut().write_block(cx, cy, cbw, cbh, &recon_blk);
-            } else {
-                self.recon.v_mut().write_block(cx, cy, cbw, cbh, &recon_blk);
-            }
-        }
-        self.scratch.pred = pred;
-        self.scratch.recon_blk = recon_blk;
+    /// Reads the residual tiles of block `a` of plane `p` and
+    /// reconstructs the block.
+    fn code_residual(&mut self, p: usize, a: Area, t: usize) {
+        let dec = &mut self.dec;
+        self.rc.reconstruct(p, a, t, |models, stats, tile, qp, s| {
+            decode_tile(dec, models, s.w, s.h, t, qp, stats, tile);
+        });
     }
 }
 
@@ -1117,8 +1014,7 @@ mod tests {
                 kind,
                 Qp::new(28),
                 &dec_refs,
-                f.width(),
-                f.height(),
+                (f.width(), f.height()),
                 &mut dstats,
             )
             .expect("decode");
@@ -1231,13 +1127,34 @@ mod tests {
             FrameKind::Key,
             Qp::new(30),
             &refs,
-            f.width(),
-            f.height(),
+            (f.width(), f.height()),
             &mut dstats,
         ) {
             Err(_) => {}
             Ok(decoded) => assert_ne!(decoded, recon, "corruption must not decode identically"),
         }
+    }
+
+    #[test]
+    fn truncated_payload_stops_at_the_superblock_that_runs_out() {
+        // An empty payload is past its end before the first symbol; the
+        // decode must stop after one superblock, not walk all 4,096.
+        let mut stats = CodingStats::new();
+        let r = decode_frame(
+            Profile::Vp9Sim,
+            &[],
+            FrameKind::Key,
+            Qp::new(30),
+            &RefSlots::new(),
+            (4096, 4096),
+            &mut stats,
+        );
+        assert!(matches!(r, Err(CodecError::CorruptBitstream(_))));
+        assert!(
+            stats.transform_pixels <= 2 * 64 * 64,
+            "decoded {} transform pixels past the end of the payload",
+            stats.transform_pixels
+        );
     }
 
     #[test]

@@ -262,7 +262,10 @@ pub fn plane_sad_block_thresholded_with(
     }
 }
 
-/// SATD over 8×8 Hadamard blocks (abs-diff fallback on partial edges).
+/// SATD over 8×8 Hadamard blocks (abs-diff fallback on partial edges)
+/// — a better rate proxy than SAD for mode decisions, because it prices
+/// residuals in (roughly) the transform domain the coder actually pays
+/// bits in.
 #[inline]
 pub fn satd(cur: &[u8], pred: &[u8], bw: usize, bh: usize) -> u64 {
     satd_with(backend(), cur, pred, bw, bh)

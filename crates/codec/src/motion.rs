@@ -423,19 +423,9 @@ mod tests {
     }
 }
 
-/// Sum of absolute transformed differences over 8×8 Hadamard blocks —
-/// a better rate proxy than SAD for mode decisions, because it prices
-/// residuals in (roughly) the transform domain the coder actually pays
-/// bits in. Partial edge blocks fall back to absolute differences.
-pub fn satd(cur: &[u8], pred: &[u8], bw: usize, bh: usize) -> u64 {
-    debug_assert_eq!(cur.len(), bw * bh);
-    debug_assert_eq!(pred.len(), bw * bh);
-    kernels::satd(cur, pred, bw, bh)
-}
-
 #[cfg(test)]
 mod satd_tests {
-    use super::*;
+    use crate::kernels::satd;
 
     #[test]
     fn satd_zero_for_identical() {

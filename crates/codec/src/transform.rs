@@ -85,20 +85,16 @@ impl TxScratch {
     }
 }
 
-/// Forward 2-D DCT of an `n x n` residual block (row-major).
-///
-/// # Panics
-///
-/// Panics if `n` is not one of [`TX_SIZES`] or `residual.len() != n*n`.
-pub fn forward(residual: &[i16], n: usize, out: &mut [f64]) {
-    forward_with(residual, n, out, &mut TxScratch::new());
-}
-
-/// [`forward`] with caller-provided scratch. Both passes run through
+/// Forward 2-D DCT of an `n x n` residual block (row-major), with
+/// caller-provided scratch. Both passes run through
 /// the dispatched [`kernels::tx_pass_strided`] over a transposed
 /// intermediate; each output coefficient accumulates in the same index
 /// order as the naive formulation in every backend, so results are
 /// bit-identical regardless of `VCU_SIMD`.
+///
+/// # Panics
+///
+/// Panics if `n` is not one of [`TX_SIZES`] or `residual.len() != n*n`.
 pub fn forward_with(residual: &[i16], n: usize, out: &mut [f64], scratch: &mut TxScratch) {
     assert_eq!(residual.len(), n * n, "residual size mismatch");
     assert_eq!(out.len(), n * n, "output size mismatch");
@@ -119,19 +115,15 @@ pub fn forward_with(residual: &[i16], n: usize, out: &mut [f64], scratch: &mut T
     kernels::tx_pass_strided(b, bt, t0, n, out);
 }
 
-/// Inverse 2-D DCT producing an `n x n` residual block, rounded to i16.
+/// Inverse 2-D DCT producing an `n x n` residual block rounded to i16,
+/// with caller-provided scratch. Transposes the coefficient
+/// block once so both passes are contiguous; per-output accumulation
+/// order matches the naive formulation, keeping reconstruction
+/// bit-exact with the encoder-side reference path.
 ///
 /// # Panics
 ///
 /// Panics if `n` is not one of [`TX_SIZES`] or sizes mismatch.
-pub fn inverse(coeffs: &[f64], n: usize, out: &mut [i16]) {
-    inverse_with(coeffs, n, out, &mut TxScratch::new());
-}
-
-/// [`inverse`] with caller-provided scratch. Transposes the coefficient
-/// block once so both passes are contiguous; per-output accumulation
-/// order matches the naive formulation, keeping reconstruction
-/// bit-exact with the encoder-side reference path.
 pub fn inverse_with(coeffs: &[f64], n: usize, out: &mut [i16], scratch: &mut TxScratch) {
     assert_eq!(coeffs.len(), n * n, "coeff size mismatch");
     assert_eq!(out.len(), n * n, "output size mismatch");
@@ -188,6 +180,14 @@ pub fn zigzag(n: usize) -> &'static [usize] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn forward(residual: &[i16], n: usize, out: &mut [f64]) {
+        forward_with(residual, n, out, &mut TxScratch::new());
+    }
+
+    fn inverse(coeffs: &[f64], n: usize, out: &mut [i16]) {
+        inverse_with(coeffs, n, out, &mut TxScratch::new());
+    }
 
     fn round_trip(n: usize) {
         let residual: Vec<i16> = (0..n * n)

@@ -7,7 +7,7 @@
 //! results into playable videos" (§2.2). Chunk boundaries land on
 //! keyframes, so each chunk decodes independently.
 
-use vcu_codec::{encode_batch, CodecError, EncoderConfig, FrameKind};
+use vcu_codec::{CodecError, FrameKind};
 use vcu_media::Video;
 
 /// A chunk boundary plan for a video of a given length.
@@ -67,22 +67,6 @@ pub fn split(video: &Video, plan: &ChunkPlan) -> Vec<Video> {
         .collect()
 }
 
-/// Encodes every chunk independently (each chunk starts with its own
-/// keyframe because the encoder always keys frame 0) and returns the
-/// per-chunk containers. Chunks fan out across `cfg.threads` worker
-/// threads; results are in chunk order and byte-identical for every
-/// thread count.
-///
-/// # Errors
-///
-/// Propagates encoder configuration errors.
-pub fn encode_chunks(
-    cfg: &EncoderConfig,
-    chunks: &[Video],
-) -> Result<Vec<vcu_codec::Encoded>, CodecError> {
-    encode_batch(cfg, chunks)
-}
-
 /// Reassembles decoded chunks into one video and runs the §4.4
 /// integrity check ("video length must match the input").
 ///
@@ -118,7 +102,7 @@ pub fn chunks_are_independent(encoded: &[vcu_codec::Encoded]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcu_codec::{decode, Profile, Qp};
+    use vcu_codec::{decode, encode_batch, EncoderConfig, Profile, Qp};
     use vcu_media::synth::{ContentClass, SynthSpec};
     use vcu_media::Resolution;
 
@@ -161,7 +145,7 @@ mod tests {
         let plan = ChunkPlan::uniform(9, 3);
         let chunks = split(&v, &plan);
         let cfg = EncoderConfig::const_qp(Profile::H264Sim, Qp::new(30));
-        let encoded = encode_chunks(&cfg, &chunks).unwrap();
+        let encoded = encode_batch(&cfg, &chunks).unwrap();
         assert!(chunks_are_independent(&encoded));
         let decoded: Vec<Video> = encoded
             .iter()
@@ -178,7 +162,7 @@ mod tests {
         let plan = ChunkPlan::uniform(8, 4);
         let chunks = split(&v, &plan);
         let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30));
-        let encoded = encode_chunks(&cfg, &chunks).unwrap();
+        let encoded = encode_batch(&cfg, &chunks).unwrap();
         // Decode only the second chunk.
         let d = decode(&encoded[1].bytes).unwrap();
         assert_eq!(d.video.frames.len(), 4);

@@ -279,7 +279,7 @@ mod tests {
         let q = r.events_named("quarantine");
         assert_eq!(q.len(), 1);
         assert_eq!(q[0].scope.vcu, Some(3));
-        assert_eq!(q[0].duration_s(), 0.0);
+        assert_eq!(q[0].end_s, q[0].start_s);
     }
 
     #[test]

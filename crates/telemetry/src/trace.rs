@@ -68,13 +68,6 @@ pub struct TraceEvent {
     pub value: f64,
 }
 
-impl TraceEvent {
-    /// Span duration in seconds (0 for point events).
-    pub fn duration_s(&self) -> f64 {
-        self.end_s - self.start_s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,13 +91,13 @@ mod tests {
             end_s: 2.0,
             value: 1.0,
         };
-        assert_eq!(p.duration_s(), 0.0);
+        assert_eq!(p.end_s, p.start_s);
         let s = TraceEvent {
             name: "job".into(),
             start_s: 1.0,
             end_s: 4.5,
             ..p.clone()
         };
-        assert!((s.duration_s() - 3.5).abs() < 1e-12);
+        assert!((s.end_s - s.start_s - 3.5).abs() < 1e-12);
     }
 }

@@ -14,11 +14,11 @@
 //! are byte-identical at any thread count).
 
 use vcu_cluster::{ClusterConfig, ClusterSim};
-use vcu_codec::{decode, EncoderConfig, Profile, Qp, TuningLevel};
+use vcu_codec::{decode, encode_batch, EncoderConfig, Profile, Qp, TuningLevel};
 use vcu_media::quality::psnr_y_video;
 use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::{Resolution, Video};
-use vcu_system::chunking::{assemble, chunks_are_independent, encode_chunks, split, ChunkPlan};
+use vcu_system::chunking::{assemble, chunks_are_independent, split, ChunkPlan};
 use vcu_system::platform::Platform;
 use vcu_telemetry::json::JsonObj;
 use vcu_workloads::{PopularityBucket, Request, WorkloadFamily};
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_hardware(TuningLevel::MATURE)
         .with_threads(threads);
     let enc_start = std::time::Instant::now();
-    let encoded = encode_chunks(&cfg, &chunks)?;
+    let encoded = encode_batch(&cfg, &chunks)?;
     let enc_elapsed = enc_start.elapsed().as_secs_f64();
     let chunks_per_s = plan.len() as f64 / enc_elapsed.max(1e-9);
     println!(

@@ -6,12 +6,12 @@ use vcu_cluster::tco::perf_per_tco_normalized;
 use vcu_cluster::{
     ClusterConfig, ClusterSim, FaultInjection, FaultKind, JobSpec, Priority, SchedulerKind,
 };
-use vcu_codec::{decode, encode, EncoderConfig, PassMode, Profile, Qp, TuningLevel};
+use vcu_codec::{decode, encode, encode_batch, EncoderConfig, PassMode, Profile, Qp, TuningLevel};
 use vcu_media::bdrate::bd_rate;
 use vcu_media::quality::psnr_y_video;
 use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::Resolution;
-use vcu_system::chunking::{assemble, encode_chunks, split, ChunkPlan};
+use vcu_system::chunking::{assemble, split, ChunkPlan};
 use vcu_system::experiments::{clip_rd_curve, fig8, mean, tuning_schedule};
 use vcu_system::platform::{live_latency_s, Platform};
 use vcu_telemetry::Registry;
@@ -41,7 +41,7 @@ fn upload_end_to_end_with_fault_screening() {
     let chunks = split(&video, &plan);
     let cfg =
         EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30)).with_hardware(TuningLevel::MATURE);
-    let encoded = encode_chunks(&cfg, &chunks).expect("encode");
+    let encoded = encode_batch(&cfg, &chunks).expect("encode");
 
     // A corrupting VCU taints one chunk; the container checksum (the
     // §4.4 integrity check) must catch it.

@@ -316,7 +316,7 @@ pub fn run_cell(cfg: &CampaignConfig, fault_rate: f64, mttr_s: f64, cell: u64) -
 
 /// Runs the full sweep: one cell per (MTTR, fault-rate) pair.
 ///
-/// Cells fan out across the process-wide work-stealing pool at
+/// Cells fan out across the process-wide `vcu-exec` pool at
 /// [`vcu_exec::env_threads`] parallelism. Each cell derives its RNG
 /// from `mix64(cfg.seed, cell_idx)` alone and the pool returns results
 /// in cell-index order, so the sweep is byte-identical to the

@@ -27,8 +27,6 @@ const HEADER_LEN: usize = 18;
 pub struct CodedFrameInfo {
     /// Frame kind.
     pub kind: FrameKind,
-    /// Quantizer used.
-    pub qp: Qp,
     /// Payload size in bytes (excluding per-frame container overhead).
     pub bytes: u32,
 }
@@ -36,12 +34,6 @@ pub struct CodedFrameInfo {
 /// A complete encoded video.
 #[derive(Debug, Clone)]
 pub struct Encoded {
-    /// Coding profile.
-    pub profile: Profile,
-    /// Luma width.
-    pub width: u16,
-    /// Luma height.
-    pub height: u16,
     /// Frame rate of the displayable sequence.
     pub fps: f64,
     /// Serialized container bytes.
@@ -214,7 +206,6 @@ pub fn encode_traced(
                         refs.apply_refresh(FrameKind::AltRef, &recon);
                         infos.push(CodedFrameInfo {
                             kind: FrameKind::AltRef,
-                            qp: aqp,
                             bytes: payload.len() as u32,
                         });
                         payloads.push((FrameKind::AltRef, aqp, payload));
@@ -258,7 +249,6 @@ pub fn encode_traced(
         }
         infos.push(CodedFrameInfo {
             kind,
-            qp,
             bytes: payload.len() as u32,
         });
         payloads.push((kind, qp, payload));
@@ -285,9 +275,6 @@ pub fn encode_traced(
     }
 
     Ok(Encoded {
-        profile: cfg.profile,
-        width: w as u16,
-        height: h as u16,
         fps: video.fps,
         bytes,
         frames: infos,
@@ -296,14 +283,14 @@ pub fn encode_traced(
 }
 
 /// Encodes several independent videos with one configuration on the
-/// process-wide work-stealing pool ([`vcu_exec::pool`]), at most
+/// process-wide worker pool ([`vcu_exec::pool`]), at most
 /// `cfg.threads` of them concurrently.
 ///
 /// Results come back in input order and each is byte-identical to a
 /// sequential [`encode`] of that video, for every thread count —
 /// workers share nothing, the per-video pipeline is deterministic, and
-/// the pool returns index-ordered result slots no matter how
-/// steal-heavy the schedule was.
+/// the pool returns index-ordered result slots whichever worker ran
+/// which video.
 ///
 /// # Errors
 ///
@@ -374,9 +361,6 @@ pub fn encode_parallel(
 /// mentions thread counts or worker identities, so same-seed runs
 /// produce byte-identical telemetry snapshots for **every**
 /// `cfg.threads` value, not just across schedules at one value.
-/// (Scheduler-side metering — steals, queue depths, busy time — is
-/// deliberately nondeterministic and lives behind
-/// `vcu_exec::Pool::record_telemetry` instead.)
 ///
 /// # Errors
 ///
@@ -441,9 +425,6 @@ pub fn encode_parallel_traced(
     }
 
     Ok(Encoded {
-        profile: cfg.profile,
-        width: video.width() as u16,
-        height: video.height() as u16,
         fps: video.fps,
         bytes,
         frames: infos,
@@ -756,8 +737,8 @@ mod tests {
 
     #[test]
     fn unbalanced_batch_is_thread_count_invariant() {
-        // One clip four times its siblings' length: with stealing, the
-        // small clips finish on whichever worker is free, in any order.
+        // One clip four times its siblings' length: the small clips
+        // finish on whichever worker is free, in any order.
         // The results must still come back per input, byte for byte.
         let mut videos =
             vec![SynthSpec::new(Resolution::R144, 4, ContentClass::ugc(), 9).generate()];

@@ -1,6 +1,6 @@
-//! `vcu-exec`: the persistent work-stealing executor behind every
-//! multi-core path in the workspace (chunk-parallel encoding, the
-//! fault-campaign cell sweep, bench repetitions).
+//! `vcu-exec`: the persistent worker pool behind every multi-core path
+//! in the workspace (chunk-parallel encoding, the campaign sweeps, the
+//! planet's region and cell fan-out).
 //!
 //! The paper's fleet throughput comes from keeping a fixed worker set
 //! saturated with independent chunks (§3), not from spawning threads
@@ -13,52 +13,40 @@
 //!
 //! # Architecture
 //!
-//! A batch of `n` tasks at parallelism `p` is seeded round-robin into
-//! `p` *lane* deques (task `i` starts in lane `i % p` — the old static
-//! assignment survives only as the initial distribution). The batch is
-//! then published to the shared injector, where idle workers claim
-//! lanes. Each participant pops its own lane **LIFO** (back) and, when
-//! empty, steals **FIFO** (front) from sibling lanes — oldest-first
-//! stealing moves the biggest remaining prefix of work, which is what
-//! erases the tail imbalance of static round-robin (the last partial
-//! chunk, the variable-cost fault-campaign cell).
+//! A batch of `n` tasks at parallelism `p` is one stack of unstarted
+//! tasks plus `p - 1` *seats* published to the shared injector, where
+//! idle workers claim them. The submitting thread and every seated
+//! worker pop the top of the stack until it is empty, so at most `p`
+//! tasks run at once and no participant idles while a task is still
+//! unstarted — the tail imbalance of a static round-robin (the last
+//! partial chunk, the variable-cost campaign cell) cannot arise.
 //!
-//! The submitting thread always participates as lane 0, which makes
-//! the pool deadlock-free by construction: even with zero free
-//! workers the caller drains its whole batch by stealing. It also
-//! means parallelism 1 never crosses a thread boundary.
+//! The top of the stack is the highest index, so task `n - 1` starts
+//! first. A sweep whose cells grow (the serve campaign ends on its
+//! largest cell) thus starts its longest task first; a front-first
+//! cursor would start it last and leave it alone on the critical path.
+//!
+//! The submitting thread always participates, which makes the pool
+//! deadlock-free by construction: even with zero free workers the
+//! caller drains its whole batch itself. It also means parallelism 1
+//! never crosses a thread boundary.
 //!
 //! # Determinism
 //!
 //! Tasks share nothing and every result lands in its own index-ordered
-//! slot, so scheduling order — however steal-heavy — cannot perturb
-//! what the caller observes. Panics are *joined*: the batch always
-//! runs to completion, then the panic of the lowest-index failed task
-//! is re-raised via [`std::panic::resume_unwind`].
-//!
-//! # Telemetry
-//!
-//! The pool meters itself (push/steal counters, queue-depth samples,
-//! per-worker busy time, wall-clock `exec.tasks` spans) into internal
-//! buffers. These are wall-clock facts and therefore *not*
-//! deterministic, so they are never written into a caller's registry
-//! implicitly; call [`Pool::record_telemetry`] to dump them into a
-//! registry whose snapshot is allowed to vary run-to-run (the bench
-//! harness does this for every `*_telemetry.json` sibling).
+//! slot, so which participant ran which task cannot perturb what the
+//! caller observes. Panics are *joined*: the batch always runs to
+//! completion, then the panic of the lowest-index failed task is
+//! re-raised via [`std::panic::resume_unwind`].
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
-use vcu_telemetry::{Registry, Scope};
 
 /// Hard ceiling on spawned worker threads (the caller thread is free).
 const MAX_WORKERS: usize = 64;
-/// Cap on detailed telemetry samples (spans, busy stints, depth
-/// samples) retained per pool; counters keep counting past it.
-const DETAIL_CAP: usize = 4096;
 
 /// Reads the `VCU_THREADS` environment variable: the fleet-style
 /// parallelism knob shared by chunk-parallel encoding, the campaign
@@ -80,14 +68,14 @@ pub fn pool() -> &'static Pool {
     POOL.get_or_init(Pool::new)
 }
 
-/// An erased, lifetime-laundered task plus its pool-lifetime id (used
-/// only to label telemetry spans).
-type Job = (u64, Box<dyn FnOnce() + Send + 'static>);
+/// An erased, lifetime-laundered task.
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One published batch: `p` lane deques plus completion bookkeeping.
+/// One published batch: its unstarted tasks plus completion
+/// bookkeeping.
 struct BatchCore {
-    /// Per-participant deques; own pops are LIFO, steals FIFO.
-    lanes: Vec<Mutex<VecDeque<Job>>>,
+    /// Unstarted tasks in index order; participants pop the top.
+    stack: Mutex<Vec<Job>>,
     /// Tasks not yet finished.
     remaining: AtomicUsize,
     /// Completion latch the submitter blocks on.
@@ -96,13 +84,10 @@ struct BatchCore {
 }
 
 impl BatchCore {
-    fn new(p: usize, n: usize) -> Self {
-        BatchCore {
-            lanes: (0..p).map(|_| Mutex::new(VecDeque::new())).collect(),
-            remaining: AtomicUsize::new(n),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        }
+    /// Takes the highest-index unstarted task. A method so the stack
+    /// lock is released before the task runs.
+    fn pop(&self) -> Option<Job> {
+        self.stack.lock().expect("batch stack").pop()
     }
 
     /// Marks one task finished; the last one flips the latch. The
@@ -123,54 +108,26 @@ impl BatchCore {
     }
 }
 
-/// A batch sitting in the shared injector with lanes still unclaimed.
-struct Pending {
-    batch: Arc<BatchCore>,
-    next_lane: usize,
-}
-
 struct PoolState {
-    /// The shared injector: batches whose lanes workers can still claim.
-    injector: VecDeque<Pending>,
-    /// Spawned worker threads (the submitting thread is id 0).
+    /// The shared injector: one entry per unclaimed seat.
+    injector: VecDeque<Arc<BatchCore>>,
+    /// Spawned worker threads.
     workers: usize,
     handles: Vec<std::thread::JoinHandle<()>>,
     shutdown: bool,
 }
 
-/// Pool-lifetime scheduler metering. Counters are cheap atomics on the
-/// per-task path; the detailed buffers are bounded by [`DETAIL_CAP`].
-struct Stats {
-    pushes: AtomicU64,
-    steals: AtomicU64,
-    own_pops: AtomicU64,
-    tasks: AtomicU64,
-    batches: AtomicU64,
-    next_task_id: AtomicU64,
-    /// Tasks pushed but not yet started, across all live batches.
-    queued: AtomicUsize,
-    detail: Mutex<Detail>,
-}
-
-#[derive(Default)]
-struct Detail {
-    /// (worker, busy ms) per lane stint.
-    busy_ms: Vec<(usize, f64)>,
-    /// (elapsed s since pool creation, queued tasks) at task starts.
-    depth: Vec<(f64, f64)>,
-    /// (task id, worker, start s, end s) wall-clock execution spans.
-    spans: Vec<(u64, usize, f64, f64)>,
-}
-
 struct Shared {
     state: Mutex<PoolState>,
     work_cv: Condvar,
-    epoch: Instant,
-    stats: Stats,
+    /// Tasks run, by anyone.
+    tasks: AtomicU64,
+    /// Tasks a pool worker ran instead of their submitter.
+    stolen: AtomicU64,
 }
 
-/// A persistent work-stealing worker pool. Most code should use the
-/// process-wide [`pool()`]; tests construct private instances.
+/// A persistent worker pool. Most code should use the process-wide
+/// [`pool()`]; tests construct private instances.
 pub struct Pool {
     shared: Arc<Shared>,
 }
@@ -215,17 +172,8 @@ impl Pool {
                     shutdown: false,
                 }),
                 work_cv: Condvar::new(),
-                epoch: Instant::now(),
-                stats: Stats {
-                    pushes: AtomicU64::new(0),
-                    steals: AtomicU64::new(0),
-                    own_pops: AtomicU64::new(0),
-                    tasks: AtomicU64::new(0),
-                    batches: AtomicU64::new(0),
-                    next_task_id: AtomicU64::new(0),
-                    queued: AtomicUsize::new(0),
-                    detail: Mutex::new(Detail::default()),
-                },
+                tasks: AtomicU64::new(0),
+                stolen: AtomicU64::new(0),
             }),
         }
     }
@@ -262,60 +210,56 @@ impl Pool {
             return tasks.into_iter().map(|t| t()).collect();
         }
         self.ensure_workers(p - 1);
-        let stats = &self.shared.stats;
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        stats.pushes.fetch_add(n as u64, Ordering::Relaxed);
-        stats.queued.fetch_add(n, Ordering::Relaxed);
-        let base_id = stats.next_task_id.fetch_add(n as u64, Ordering::Relaxed);
 
         type Slot<T> = Mutex<Option<std::thread::Result<T>>>;
         let slots: Vec<Slot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let batch = Arc::new(BatchCore::new(p, n));
-        for (i, task) in tasks.into_iter().enumerate() {
-            let slot = SlotPtr(&slots[i] as *const Slot<T>);
-            let core = Arc::clone(&batch);
-            // Completion is signalled by `run_lane` (not here) so that
-            // per-task metering lands before the batch latch flips —
-            // otherwise a telemetry dump could race lagging samples.
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                // Capture the whole wrapper, not its raw-pointer field
-                // (disjoint capture would sidestep SlotPtr's Send).
-                let slot = slot;
-                let _core = core; // keep the batch alive through the task
-                let result = catch_unwind(AssertUnwindSafe(task));
-                // SAFETY: unique writer (one task per slot); the
-                // submitter reads only after the completion latch.
-                unsafe {
-                    *(*slot.0).lock().expect("result slot") = Some(result);
-                }
-            });
-            // SAFETY: `WaitGuard` below guarantees this frame does not
-            // return (normally or by unwinding) until every job has run
-            // and dropped, so the non-'static borrows captured by
-            // `task` and `slot` strictly outlive all uses.
-            let job: Box<dyn FnOnce() + Send + 'static> = unsafe {
-                std::mem::transmute::<
-                    Box<dyn FnOnce() + Send + '_>,
-                    Box<dyn FnOnce() + Send + 'static>,
-                >(job)
-            };
-            batch.lanes[i % p]
-                .lock()
-                .expect("lane")
-                .push_back((base_id + i as u64, job));
-        }
+        let jobs: Vec<Job> = tasks
+            .into_iter()
+            .zip(&slots)
+            .map(|(task, slot)| {
+                let slot = SlotPtr(slot as *const Slot<T>);
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    // Capture the whole wrapper, not its raw-pointer
+                    // field (disjoint capture would sidestep SlotPtr's
+                    // Send).
+                    let slot = slot;
+                    let result = catch_unwind(AssertUnwindSafe(task));
+                    // SAFETY: unique writer (one job per slot, run at
+                    // most once); the submitter reads the slot only
+                    // after the completion latch, which this job's
+                    // `finish_one` precedes.
+                    unsafe {
+                        *(*slot.0).lock().expect("result slot") = Some(result);
+                    }
+                });
+                // SAFETY: the laundered job lives in the batch's
+                // `stack`, which the injector's `Arc`s may outlive.
+                // `WaitGuard` below keeps this frame from returning
+                // (normally or by unwinding) until `remaining` is 0, and
+                // the stack is empty by then: each job is popped, run
+                // and dropped before its `finish_one`. So the
+                // non-'static borrows captured by `task` and `slot`
+                // strictly outlive every use of them.
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) }
+            })
+            .collect();
+        let batch = Arc::new(BatchCore {
+            stack: Mutex::new(jobs),
+            remaining: AtomicUsize::new(n),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+        });
 
         {
             let _barrier = WaitGuard { batch: &batch };
-            {
-                let mut st = self.shared.state.lock().expect("pool state");
-                st.injector.push_back(Pending {
-                    batch: Arc::clone(&batch),
-                    next_lane: 1, // lane 0 is the submitter's
-                });
-            }
+            self.shared
+                .state
+                .lock()
+                .expect("pool state")
+                .injector
+                .extend((1..p).map(|_| Arc::clone(&batch)));
             self.shared.work_cv.notify_all();
-            run_lane(&self.shared, &batch, 0, 0);
+            run_tasks(&self.shared, &batch, false);
             // `_barrier` drops here, blocking until `remaining == 0`.
         }
 
@@ -349,68 +293,23 @@ impl Pool {
         let mut st = self.shared.state.lock().expect("pool state");
         while st.workers < needed {
             st.workers += 1;
-            let id = st.workers; // submitter is 0, workers are 1..
             let shared = Arc::clone(&self.shared);
             let handle = std::thread::Builder::new()
-                .name(format!("vcu-exec-{id}"))
-                .spawn(move || worker_main(&shared, id))
+                .name(format!("vcu-exec-{}", st.workers))
+                .spawn(move || worker_main(&shared))
                 .expect("spawn vcu-exec worker");
             st.handles.push(handle);
         }
     }
 
-    /// Worker threads currently alive (not counting submitters).
-    pub fn workers_spawned(&self) -> usize {
-        self.shared.state.lock().expect("pool state").workers
-    }
-
     /// Total tasks the pool has executed.
     pub fn tasks_executed(&self) -> u64 {
-        self.shared.stats.tasks.load(Ordering::Relaxed)
+        self.shared.tasks.load(Ordering::Relaxed)
     }
 
-    /// Tasks obtained by stealing from a sibling lane.
+    /// Tasks a pool worker ran instead of their submitter.
     pub fn tasks_stolen(&self) -> u64 {
-        self.shared.stats.steals.load(Ordering::Relaxed)
-    }
-
-    /// Dumps the pool's scheduler metering into `reg`:
-    /// `exec.{pushes,steals,pops.own,tasks.completed,batches}`
-    /// counters, an `exec.workers` gauge, the `exec.worker.busy_ms`
-    /// per-stint busy-time histogram, the `exec.queue.depth` series
-    /// (sampled at task starts, seconds since pool creation), and
-    /// wall-clock `exec.tasks` spans scoped by task id and worker.
-    ///
-    /// These are wall-clock measurements — **not** deterministic across
-    /// runs — which is why they are pulled explicitly instead of being
-    /// written into the registries that deterministic paths snapshot.
-    pub fn record_telemetry(&self, reg: &Registry) {
-        if !reg.is_enabled() {
-            return;
-        }
-        let s = &self.shared.stats;
-        reg.counter_add("exec.pushes", s.pushes.load(Ordering::Relaxed));
-        reg.counter_add("exec.steals", s.steals.load(Ordering::Relaxed));
-        reg.counter_add("exec.pops.own", s.own_pops.load(Ordering::Relaxed));
-        reg.counter_add("exec.tasks.completed", s.tasks.load(Ordering::Relaxed));
-        reg.counter_add("exec.batches", s.batches.load(Ordering::Relaxed));
-        reg.gauge_set("exec.workers", self.workers_spawned() as f64);
-        let d = s.detail.lock().expect("stats detail");
-        for &(_, ms) in &d.busy_ms {
-            reg.observe("exec.worker.busy_ms", ms);
-        }
-        for &(t, v) in &d.depth {
-            reg.series_record("exec.queue.depth", t, v);
-        }
-        for &(id, worker, start, end) in &d.spans {
-            reg.span(
-                "exec.tasks",
-                Scope::job(id).with_vcu(worker as u32),
-                start,
-                end,
-                1.0,
-            );
-        }
+        self.shared.stolen.load(Ordering::Relaxed)
     }
 }
 
@@ -428,90 +327,40 @@ impl Drop for Pool {
     }
 }
 
-/// Claims the next unclaimed lane from the injector, pruning batches
-/// that already completed.
-fn claim_lane(st: &mut PoolState) -> Option<(Arc<BatchCore>, usize)> {
-    while let Some(front) = st.injector.front_mut() {
-        if front.batch.remaining.load(Ordering::Acquire) == 0 {
-            st.injector.pop_front();
-            continue;
-        }
-        let lane = front.next_lane;
-        front.next_lane += 1;
-        let batch = Arc::clone(&front.batch);
-        if front.next_lane >= batch.lanes.len() {
-            st.injector.pop_front();
-        }
-        return Some((batch, lane));
-    }
-    None
-}
-
-fn worker_main(shared: &Arc<Shared>, worker_id: usize) {
+fn worker_main(shared: &Shared) {
     loop {
-        let (batch, lane) = {
+        let batch = {
             let mut st = shared.state.lock().expect("pool state");
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(claim) = claim_lane(&mut st) {
-                    break claim;
+                // Seats of batches that already completed are dropped.
+                if let Some(batch) = st.injector.pop_front() {
+                    if batch.remaining.load(Ordering::Acquire) > 0 {
+                        break batch;
+                    }
+                    continue;
                 }
                 st = shared.work_cv.wait(st).expect("pool state");
             }
         };
-        run_lane(shared, &batch, lane, worker_id);
+        run_tasks(shared, &batch, true);
     }
 }
 
-/// Works one lane of a batch to exhaustion: own lane LIFO, then steal
-/// FIFO from sibling lanes in cyclic order. Returns when no queued
-/// task remains anywhere in the batch (tasks still *running* on other
-/// participants are theirs to finish).
-fn run_lane(shared: &Shared, batch: &BatchCore, lane: usize, worker_id: usize) {
-    let p = batch.lanes.len();
-    let stint = Instant::now();
-    let mut ran = 0u64;
-    loop {
-        let mut job = batch.lanes[lane].lock().expect("lane").pop_back();
-        if job.is_some() {
-            shared.stats.own_pops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            for victim in (lane + 1..p).chain(0..lane) {
-                if let Some(j) = batch.lanes[victim].lock().expect("lane").pop_front() {
-                    shared.stats.steals.fetch_add(1, Ordering::Relaxed);
-                    job = Some(j);
-                    break;
-                }
-            }
-        }
-        let Some((task_id, job)) = job else { break };
-        let depth = shared.stats.queued.fetch_sub(1, Ordering::Relaxed) - 1;
-        let start_s = shared.epoch.elapsed().as_secs_f64();
+/// Pops and runs the batch's tasks until none is left unstarted (tasks
+/// still running on other participants are theirs to finish).
+fn run_tasks(shared: &Shared, batch: &BatchCore, by_worker: bool) {
+    while let Some(job) = batch.pop() {
         job();
-        let end_s = shared.epoch.elapsed().as_secs_f64();
-        ran += 1;
-        {
-            let mut d = shared.stats.detail.lock().expect("stats detail");
-            if d.depth.len() < DETAIL_CAP {
-                d.depth.push((start_s, depth as f64));
-            }
-            if d.spans.len() < DETAIL_CAP {
-                d.spans.push((task_id, worker_id, start_s, end_s));
-            }
+        shared.tasks.fetch_add(1, Ordering::Relaxed);
+        if by_worker {
+            shared.stolen.fetch_add(1, Ordering::Relaxed);
         }
-        shared.stats.tasks.fetch_add(1, Ordering::Relaxed);
         // Everything above must precede this: the submitter may return
-        // (and dump telemetry) the moment the last task finishes.
+        // (and read the counters) the moment the last task finishes.
         batch.finish_one();
-    }
-    if ran > 0 {
-        let mut d = shared.stats.detail.lock().expect("stats detail");
-        if d.busy_ms.len() < DETAIL_CAP {
-            d.busy_ms
-                .push((worker_id, stint.elapsed().as_secs_f64() * 1e3));
-        }
     }
 }
 
@@ -519,7 +368,14 @@ fn run_lane(shared: &Shared, batch: &BatchCore, lane: usize, worker_id: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+
+    impl Pool {
+        /// Worker threads currently alive (not counting submitters).
+        fn workers_spawned(&self) -> usize {
+            self.shared.state.lock().expect("pool state").workers
+        }
+    }
 
     #[test]
     fn results_come_back_in_index_order() {
@@ -558,6 +414,34 @@ mod tests {
         let out = pool.run_batch(8, (0..3usize).map(|i| move || i + 1).collect());
         assert_eq!(out, vec![1, 2, 3]);
         assert!(pool.workers_spawned() <= 2);
+    }
+
+    #[test]
+    fn parallelism_bounds_live_tasks_even_with_idle_workers() {
+        // Seven warm workers, a batch at parallelism 3: only two seats
+        // are published, so the submitter plus two workers are the only
+        // participants however many workers sit idle.
+        let pool = Pool::new();
+        pool.run_batch(8, (0..8u32).map(|i| move || i).collect());
+        assert_eq!(pool.workers_spawned(), 7);
+        let live = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        pool.run_batch(
+            3,
+            (0..24)
+                .map(|_| {
+                    let (live, peak) = (&live, &peak);
+                    move || {
+                        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(2));
+                        live.fetch_sub(1, Ordering::SeqCst);
+                    }
+                })
+                .collect(),
+        );
+        let peak = peak.into_inner();
+        assert!(peak <= 3, "{peak} tasks ran at once at parallelism 3");
     }
 
     #[test]
@@ -638,11 +522,12 @@ mod tests {
 
     #[test]
     fn unbalanced_batch_tracks_critical_path_not_static_share() {
-        // Thirteen tasks at parallelism 4: task 12 is 4x the others and
-        // pins lane 0 (LIFO pops it first), leaving three small tasks
-        // queued behind it. Static round-robin would serialize lane 0
-        // at 400 + 3x100 = 700 ms; stealing must redistribute the
-        // queued smalls so wall-clock tracks the ~400 ms critical
+        // Thirteen tasks at parallelism 4: task 12 is 4x the others.
+        // Static round-robin would queue three small tasks behind it on
+        // one participant (400 + 3x100 = 700 ms), and so would a stack
+        // drained front-first, which starts task 12 last. Top-first,
+        // task 12 starts at once and the other three participants
+        // drain the smalls, so wall-clock tracks the ~400 ms critical
         // path. Sleep-based work parallelizes even on a 1-core host,
         // so this regression test is host-independent.
         let pool = Pool::new();
@@ -666,7 +551,7 @@ mod tests {
         assert!(
             wall < Duration::from_millis(550),
             "wall-clock {wall:?} tracks the static share (~700 ms), not \
-             the critical path: lane 0's queued tasks were never stolen"
+             the critical path: the longest task did not start first"
         );
         assert!(pool.tasks_stolen() > 0, "the fix-up must be actual steals");
     }
@@ -704,38 +589,6 @@ mod tests {
             after_first,
             "batches reuse the persistent worker set"
         );
-    }
-
-    #[test]
-    fn telemetry_dump_carries_scheduler_metering() {
-        let pool = Pool::new();
-        pool.run_batch(
-            4,
-            (0..32u64)
-                .map(|i| {
-                    move || {
-                        std::thread::sleep(Duration::from_millis(1 + i % 3));
-                    }
-                })
-                .collect(),
-        );
-        let reg = Registry::new();
-        pool.record_telemetry(&reg);
-        assert_eq!(reg.counter("exec.pushes"), 32);
-        assert_eq!(reg.counter("exec.tasks.completed"), 32);
-        assert_eq!(reg.counter("exec.batches"), 1);
-        assert_eq!(
-            reg.counter("exec.pops.own") + reg.counter("exec.steals"),
-            32,
-            "every task was either an own pop or a steal"
-        );
-        let busy = reg.histogram("exec.worker.busy_ms").unwrap();
-        assert!(busy.count >= 1 && busy.sum > 0.0);
-        let depth = reg.series("exec.queue.depth").unwrap();
-        assert_eq!(depth.len(), 32, "one depth sample per task start");
-        assert_eq!(reg.events_named("exec.tasks").len(), 32);
-        // Disabled registries cost nothing and record nothing.
-        pool.record_telemetry(&Registry::disabled());
     }
 
     #[test]

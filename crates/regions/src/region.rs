@@ -237,7 +237,7 @@ impl RegionSim {
     }
 
     /// Advances every cell to sim time `t` — in parallel across the
-    /// work-stealing pool (results reassemble in cell-index order, so
+    /// `vcu-exec` pool (results reassemble in cell-index order, so
     /// the outcome is `VCU_THREADS`-invariant) — then merges the
     /// resolutions that surfaced into the region timeline. A cell
     /// first injects what was staged for it, in staging order: the

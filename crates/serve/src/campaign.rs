@@ -4,7 +4,7 @@
 //! Mirrors the fault-campaign harness in `vcu_cluster::faultsim`: each
 //! cell derives everything from `mix64(campaign_seed, cell_idx)` and
 //! runs independently, so the sweep fans out across the process-wide
-//! work-stealing pool and returns in cell-index order — byte-identical
+//! `vcu-exec` pool and returns in cell-index order — byte-identical
 //! output for every `VCU_THREADS` value. `results/serve_campaign.json`
 //! pins the full sweep in CI; the smoke variant runs in seconds.
 //!
@@ -196,7 +196,7 @@ pub fn run_serve_cell(
     }
 }
 
-/// Runs the sweep across the work-stealing pool; results come back in
+/// Runs the sweep across the `vcu-exec` pool; results come back in
 /// cell-index order regardless of `VCU_THREADS`.
 pub fn run_serve_campaign(cfg: &ServeCampaignConfig) -> Vec<ServeCampaignCell> {
     vcu_exec::pool().run_batch(

@@ -28,4 +28,4 @@ pub use cache::{key_video, seg_key, SegmentCache};
 pub use campaign::{
     run_serve_campaign, run_serve_cell, ServeCampaignCell, ServeCampaignConfig, ServeCellSpec,
 };
-pub use sim::{AdmissionPolicy, ServeConfig, ServeReport, ServeSim};
+pub use sim::{ServeConfig, ServeReport, ServeSim};

@@ -49,28 +49,14 @@ const EGRESS_USD_PER_GB: f64 = 0.02;
 /// Encoded bits per output pixel (≈2.5 Mb/s at 720p30).
 const BITS_PER_PIXEL: f64 = 0.09;
 
-/// Admission control: shed arriving sessions while the transcode
-/// backlog exceeds what the fleet can clear promptly.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionPolicy {
-    /// Master switch; disabled, overload falls through to the
-    /// cluster's degradation ladder instead.
-    pub enabled: bool,
-    /// Outstanding transcodes allowed per VCU *beyond* its concurrent
-    /// slots before arrivals shed. Must sit below the degradation
-    /// ladder's first backlog rung (4.0 queued per worker by default)
-    /// for shed-before-degrade to hold.
-    pub max_queued_per_worker: f64,
-}
+/// Edge delivery latency on a cache hit, seconds.
+const HIT_LATENCY_S: f64 = 0.05;
 
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy {
-            enabled: true,
-            max_queued_per_worker: 2.0,
-        }
-    }
-}
+/// Outstanding transcodes allowed per VCU *beyond* its concurrent slots
+/// before admission control sheds arrivals. Must sit below the
+/// degradation ladder's first backlog rung (4.0 queued per worker by
+/// default) for shed-before-degrade to hold.
+const MAX_QUEUED_PER_WORKER: f64 = 2.0;
 
 /// Serving-simulation configuration.
 #[derive(Debug, Clone)]
@@ -95,10 +81,10 @@ pub struct ServeConfig {
     pub protected_frac: f64,
     /// Transcode fleet size (VCUs).
     pub vcus: usize,
-    /// Admission control policy.
-    pub admission: AdmissionPolicy,
-    /// Edge delivery latency on a cache hit, seconds.
-    pub hit_latency_s: f64,
+    /// Admission control: shed arriving sessions while the transcode
+    /// backlog exceeds what the fleet can clear promptly. Off, overload
+    /// falls through to the cluster's degradation ladder instead.
+    pub admission: bool,
     /// Output resolution of on-demand transcodes.
     pub resolution: Resolution,
     /// Output frame rate.
@@ -121,8 +107,7 @@ impl Default for ServeConfig {
             cache_segments: 4_096,
             protected_frac: 0.2,
             vcus: 64,
-            admission: AdmissionPolicy::default(),
-            hit_latency_s: 0.05,
+            admission: true,
             resolution: Resolution::R720,
             fps: 30.0,
             sample_period_s: 5.0,
@@ -153,15 +138,11 @@ pub struct ServeReport {
     pub aborted_sessions: u64,
     /// Maximum concurrent in-playback sessions observed.
     pub peak_concurrent: u64,
-    /// Sim time of the first admission shed, if any.
-    pub first_shed_s: Option<f64>,
     /// Time-to-first-frame percentiles over admitted sessions that got
     /// a first segment, seconds.
     pub ttff_p50_s: f64,
     /// TTFF p99, seconds.
     pub ttff_p99_s: f64,
-    /// Mean TTFF, seconds.
-    pub ttff_mean_s: f64,
     /// Mid-stream deliveries that arrived after their playback
     /// deadline.
     pub rebuffer_events: u64,
@@ -255,9 +236,7 @@ pub struct ServeSim {
     aborted: u64,
     active: u64,
     peak_concurrent: u64,
-    first_shed_s: Option<f64>,
     ttff: Vec<f64>,
-    ttff_sum: f64,
     rebuffer_events: u64,
     stall_s_total: f64,
     watch_s_total: f64,
@@ -304,7 +283,7 @@ impl ServeSim {
         let rng = Rng::seed_from_u64(mix64(cfg.seed, 3));
         let job = cfg.transcode_job();
         let slots = slots_per_worker(&job) as f64;
-        let admit_limit = cfg.vcus as f64 * (slots + cfg.admission.max_queued_per_worker);
+        let admit_limit = cfg.vcus as f64 * (slots + MAX_QUEUED_PER_WORKER);
         ServeSim {
             job,
             cfg,
@@ -328,9 +307,7 @@ impl ServeSim {
             aborted: 0,
             active: 0,
             peak_concurrent: 0,
-            first_shed_s: None,
             ttff: Vec::new(),
-            ttff_sum: 0.0,
             rebuffer_events: 0,
             stall_s_total: 0.0,
             watch_s_total: 0.0,
@@ -415,9 +392,8 @@ impl ServeSim {
         }
         // Admission control: shed before the fleet's own ladder would
         // have to react.
-        if self.cfg.admission.enabled && self.outstanding as f64 > self.admit_limit {
+        if self.cfg.admission && self.outstanding as f64 > self.admit_limit {
             self.shed += 1;
-            self.first_shed_s.get_or_insert(now);
             if self.telemetry.is_enabled() {
                 self.telemetry.counter_inc("serve.shed");
                 self.telemetry
@@ -462,7 +438,7 @@ impl ServeSim {
         if self.cache.lookup(key) {
             self.queue.schedule_on(
                 DELIVER_LANE,
-                now + self.cfg.hit_latency_s,
+                now + HIT_LATENCY_S,
                 Ev::Deliver {
                     session: sid,
                     segment,
@@ -504,7 +480,6 @@ impl ServeSim {
             let ttff = now - s.arrival_s;
             s.next_due_s = now + self.cfg.segment_s;
             self.ttff.push(ttff);
-            self.ttff_sum += ttff;
             if self.telemetry.is_enabled() {
                 self.telemetry.observe("serve.ttff_s", ttff);
             }
@@ -549,9 +524,10 @@ impl ServeSim {
     /// coalesced waiters on success; abort the waiting sessions on
     /// permanent failure.
     fn on_resolution(&mut self, r: JobResolution) {
-        let Some(key) = self.job_seg.remove(&r.job) else {
-            return; // not ours (cannot happen: all jobs are injected here)
-        };
+        let key = self
+            .job_seg
+            .remove(&r.job)
+            .expect("every cluster job is injected by request_segment");
         self.outstanding -= 1;
         let fl = self
             .in_flight
@@ -562,7 +538,7 @@ impl ServeSim {
             for sid in fl.waiters {
                 self.queue.schedule_on(
                     DELIVER_LANE,
-                    r.time_s + self.cfg.hit_latency_s,
+                    r.time_s + HIT_LATENCY_S,
                     Ev::Deliver {
                         session: sid,
                         segment: key as u32,
@@ -637,11 +613,6 @@ impl ServeSim {
         };
         let ttff_p50_s = pct(&self.ttff, 0.50);
         let ttff_p99_s = pct(&self.ttff, 0.99);
-        let ttff_mean_s = if self.ttff.is_empty() {
-            0.0
-        } else {
-            self.ttff_sum / self.ttff.len() as f64
-        };
         let rebuffer_ratio = if self.watch_s_total > 0.0 {
             self.stall_s_total / self.watch_s_total
         } else {
@@ -684,10 +655,8 @@ impl ServeSim {
             completed_sessions: self.completed,
             aborted_sessions: self.aborted,
             peak_concurrent: self.peak_concurrent,
-            first_shed_s: self.first_shed_s,
             ttff_p50_s,
             ttff_p99_s,
-            ttff_mean_s,
             rebuffer_events: self.rebuffer_events,
             rebuffer_ratio,
             cache_hits: self.cache.hits(),
@@ -803,18 +772,8 @@ mod tests {
             .run();
         assert!(r.shed_sessions > 0, "overload must shed");
         assert!(reg.counter("serve.shed") == r.shed_sessions);
-        let first_shed = r.first_shed_s.expect("shed recorded");
-        // Holds trivially if the ladder never left rung 0.
-        if let Some(s) = r.cluster.samples.iter().find(|s| s.degrade_level > 0) {
-            let t = s.time_s;
-            assert!(
-                first_shed < t,
-                "shed at {first_shed} must precede degrade at {t}"
-            );
-        }
-        // The same ordering is visible in telemetry: the first
-        // serve.shed trace event precedes the first nonzero point of
-        // the cluster's degrade-level series.
+        // The first serve.shed trace event precedes the first nonzero
+        // point of the cluster's degrade-level series.
         let shed_events = reg.events_named("serve.shed");
         assert!(!shed_events.is_empty());
         let first_shed_ev = shed_events
@@ -833,10 +792,7 @@ mod tests {
         // Companion: admission off, same offered load → the ladder has
         // to engage instead, and harder than admission ever allowed.
         let r2 = ServeSim::new(ServeConfig {
-            admission: AdmissionPolicy {
-                enabled: false,
-                ..AdmissionPolicy::default()
-            },
+            admission: false,
             ..overload
         })
         .run();

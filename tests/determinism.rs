@@ -1059,7 +1059,7 @@ fn fault_campaign_is_deterministic() {
 
 /// The serve campaign pins like the fault campaign: two same-seed
 /// sweeps produce identical cells, the seed is load-bearing, and the
-/// result is invariant under the work-stealing pool's thread count.
+/// result is invariant under the `vcu-exec` pool's thread count.
 #[test]
 fn serve_campaign_is_deterministic() {
     use vcu_serve::{run_serve_campaign, ServeCampaignConfig, ServeCellSpec};
@@ -1157,7 +1157,7 @@ fn serve_telemetry_snapshot_is_byte_identical() {
 /// overflow/isolated counterfactual — produce identical cells, merge
 /// digest included, and the seed is load-bearing. The verify script
 /// runs this suite under VCU_THREADS=1 and VCU_THREADS=4; every planet
-/// advance fans out through the work-stealing pool, so those two runs
+/// advance fans out through the `vcu-exec` pool, so those two runs
 /// double as the thread-invariance check.
 #[test]
 fn region_campaign_is_deterministic() {

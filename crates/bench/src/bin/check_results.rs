@@ -1,8 +1,8 @@
-//! Gates the four committed campaign artifacts under `results/`
+//! Gates the five committed campaign artifacts under `results/`
 //! through the same `Campaign::check` their drivers run on fresh
 //! bytes. Reads only; exits non-zero naming each failed gate and cell.
 
-use vcu_bench::campaign::{report, results_path, Campaign, Dse, Fault, Region, Serve};
+use vcu_bench::campaign::{report, results_path, Campaign, Dse, Fault, Paper, Region, Serve};
 use vcu_telemetry::json::{parse, Value};
 
 fn load(path: &str) -> Result<Value, Vec<String>> {
@@ -22,6 +22,7 @@ fn main() {
         campaign::<Serve>(),
         campaign::<Region>(),
         campaign::<Dse>(),
+        campaign::<Paper>(),
     ];
     if passed.contains(&false) {
         eprintln!("check_results: FAILED");

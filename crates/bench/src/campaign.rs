@@ -1,5 +1,5 @@
 //! The one campaign harness behind `bench_fault_campaign`,
-//! `bench_serve`, `bench_region_campaign` and `bench_dse`.
+//! `bench_serve`, `bench_region_campaign`, `bench_dse` and `paper`.
 //!
 //! A deterministic campaign is [`drive`]n the same way whatever it
 //! sweeps: pick the smoke or full configuration, run it with the seed
@@ -12,6 +12,7 @@
 //! cell structs and `run_*`; the artifact format lives here, once.
 
 use crate::gates::{self, GateResult};
+use crate::paper::{self, PaperConfig};
 use vcu_cluster::{run_campaign, CampaignCell, CampaignConfig};
 use vcu_dse::{run_dse, DseCandidate, DseConfig, OFFERED_LOAD};
 use vcu_regions::{run_region_campaign, RegionCampaignCell, RegionCampaignConfig};
@@ -30,8 +31,10 @@ pub enum Field {
     Num(f64),
     /// An array of such floats.
     Nums(Vec<f64>),
+    /// A string.
+    Str(&'static str),
 }
-use Field::{Int, Num, Nums};
+use Field::{Int, Num, Nums, Str};
 
 /// The cell → record mapping: key and value of each field, in order.
 pub type Fields<Cell> = &'static [(&'static str, fn(&Cell) -> Field)];
@@ -70,6 +73,7 @@ pub trait Campaign {
                     Int(i) => row.u64(key, i),
                     Num(x) => row.fixed(key, x, DECIMALS),
                     Nums(xs) => row.fixed_array(key, &xs, DECIMALS),
+                    Str(text) => row.str(key, text),
                 })
         });
         render_table(
@@ -340,6 +344,48 @@ impl Campaign for Dse {
     }
 }
 
+/// Every paper number beside its measurement → `fidelity.json`.
+pub struct Paper;
+
+impl Campaign for Paper {
+    type Config = PaperConfig;
+    type Cell = paper::Row;
+    const NAME: &'static str = "fidelity";
+    const ROWS: &'static str = "rows";
+    const GATE: fn(&Value, bool) -> GateResult = gates::fidelity;
+    /// Seconds in a release build: two clips cut to four frames.
+    const SMOKE: fn(u64) -> PaperConfig = |_| PaperConfig {
+        clips: 2,
+        frames: Some(4),
+        fig8: (4, 300.0),
+        months: 7,
+    };
+    /// The whole 15-clip suite.
+    const FULL: fn(u64) -> PaperConfig = |_| PaperConfig {
+        clips: 15,
+        frames: None,
+        fig8: (8, 1_200.0),
+        months: 12,
+    };
+    const RUN: fn(&PaperConfig) -> Vec<paper::Row> = paper::run;
+    const FIELDS: Fields<paper::Row> = &[
+        ("id", |r| Str(r.id)),
+        ("paper", |r| Num(r.paper.unwrap_or(f64::NAN))),
+        ("measured", |r| Num(r.measured)),
+        ("tolerance", |r| Num(r.tolerance)),
+        ("baseline", |r| Num(r.baseline)),
+        ("status", |r| Str(r.status)),
+        ("reason", |r| Str(r.reason)),
+    ];
+
+    fn header(cfg: &PaperConfig, rows: usize) -> JsonObj {
+        JsonObj::new()
+            .u64("clips", cfg.clips as u64)
+            .u64("months", cfg.months as u64)
+            .u64("rows", rows as u64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,6 +498,22 @@ mod tests {
         );
     }
 
+    #[test]
+    fn fidelity_artifact_is_byte_deterministic() {
+        let cfg = PaperConfig {
+            clips: 1,
+            frames: Some(1),
+            fig8: (2, 120.0),
+            months: 1,
+        };
+        let doc = rendered::<Paper>(&cfg, 0xDAB634AF914AA0A6);
+        let rows = doc.get("rows").unwrap().as_array().unwrap();
+        // An ablation has no paper value and renders it as null.
+        let last = &rows[rows.len() - 1];
+        assert_eq!(last.get("paper"), Some(&Value::Null));
+        assert!(last.get("reason").unwrap().as_str().is_some());
+    }
+
     fn committed<C: Campaign>() -> Value {
         let path = results_path(&format!("{}.json", C::NAME));
         parse(&std::fs::read_to_string(path).unwrap()).unwrap()
@@ -471,6 +533,7 @@ mod tests {
             Serve::NAME,
             Region::NAME,
             Dse::NAME,
+            Paper::NAME,
             "observe_telemetry_hw",
             "observe_telemetry_node",
             "observe_telemetry_sw_offload",
@@ -482,23 +545,58 @@ mod tests {
         Serve::check(&committed::<Serve>(), true).unwrap();
         Region::check(&committed::<Region>(), true).unwrap();
         Dse::check(&committed::<Dse>(), true).unwrap();
+        Paper::check(&committed::<Paper>(), true).unwrap();
+    }
+
+    /// Record `idx` of the `rows_key` array of `doc`, for editing.
+    fn record<'a>(doc: &'a mut Value, rows_key: &str, idx: usize) -> &'a mut Vec<(String, Value)> {
+        let Value::Obj(top) = doc else { panic!() };
+        let Value::Arr(rows) = &mut top.iter_mut().find(|f| f.0 == rows_key).unwrap().1 else {
+            panic!()
+        };
+        let Value::Obj(row) = &mut rows[idx] else {
+            panic!()
+        };
+        row
     }
 
     #[test]
     fn a_key_deleted_from_a_committed_artifact_fails_its_check() {
         // `egress_gb` is read by no gate: only the schema catches it.
         let mut doc = committed::<Serve>();
-        let Value::Obj(top) = &mut doc else { panic!() };
-        let Value::Arr(cells) = &mut top.iter_mut().find(|f| f.0 == "cells").unwrap().1 else {
-            panic!()
-        };
-        let Value::Obj(cell) = &mut cells[2] else {
-            panic!()
-        };
-        cell.retain(|f| f.0 != "egress_gb");
+        record(&mut doc, "cells", 2).retain(|f| f.0 != "egress_gb");
         assert_eq!(
             Serve::check(&doc, true).unwrap_err(),
             ["serve_campaign.keys: cell 2: \"egress_gb\" missing"]
+        );
+    }
+
+    #[test]
+    fn a_flipped_status_or_a_blank_reason_in_the_committed_fidelity_fails_its_check() {
+        let doc = committed::<Paper>();
+        let rows = doc.get("rows").unwrap().as_array().unwrap();
+        let id = "fig7.vcu_vp9_vs_sw_h264_pct";
+        let i = rows
+            .iter()
+            .position(|r| r.get("id").unwrap().as_str() == Some(id))
+            .unwrap();
+        let edited = |key: &str, text: &str| {
+            let mut doc = doc.clone();
+            let field = record(&mut doc, "rows", i).iter_mut().find(|f| f.0 == key);
+            field.unwrap().1 = Value::Str(text.to_owned());
+            Paper::check(&doc, true).unwrap_err()
+        };
+        assert_eq!(
+            edited("status", "shape-only"),
+            [format!(
+                "fidelity.status: cell {i}: {id} is recorded shape-only, its numbers earn deviates"
+            )]
+        );
+        assert_eq!(
+            edited("reason", " "),
+            [format!(
+                "fidelity.reason: cell {i}: {id} is deviates with no reason"
+            )]
         );
     }
 }

@@ -27,6 +27,10 @@ const TTFF_CLIFF_SLACK_S: f64 = 0.05;
 const FULL_PEAK_FLOOR: u64 = 1_000_000;
 /// Region: fleet size the full sweep's largest planet must reach.
 const FULL_FLEET_FLOOR: u64 = 100_000;
+/// Fidelity: the three statuses a `fidelity.json` row can hold.
+pub const MATCH: &str = "match";
+pub const SHAPE_ONLY: &str = "shape-only";
+pub const DEVIATES: &str = "deviates";
 
 /// One record of an artifact's array, with its index for messages.
 struct Row<'a> {
@@ -292,6 +296,57 @@ pub fn dse(doc: &Value, _full: bool) -> GateResult {
     finish(fails, summary)
 }
 
+/// The status a `fidelity.json` row's numbers earn: `match` while
+/// |measured − paper| ≤ tolerance × |paper|; otherwise `shape-only`
+/// when measured and paper lie strictly on the same side of the
+/// baseline or, with no paper value, when measured exceeds it;
+/// otherwise `deviates`.
+pub fn fidelity_status(
+    paper: Option<f64>,
+    measured: f64,
+    tolerance: f64,
+    baseline: f64,
+) -> &'static str {
+    match paper {
+        Some(p) if (measured - p).abs() <= tolerance * p.abs() => MATCH,
+        Some(p) if (measured - baseline) * (p - baseline) > 0.0 => SHAPE_ONLY,
+        None if measured > baseline => SHAPE_ONLY,
+        _ => DEVIATES,
+    }
+}
+
+/// `fidelity.json`: any row short of a match gives its reason; full runs
+/// also recompute each status with [`fidelity_status`] and fail where
+/// the recorded one differs (smoke-sized numbers earn no paper status).
+pub fn fidelity(doc: &Value, full: bool) -> GateResult {
+    let rows = read_rows("fidelity", doc, "rows", |r| {
+        let paper = r.read("paper", |v| match v {
+            Value::Null => Some(None),
+            v => v.as_f64().map(Some),
+        })?;
+        let [measured, tolerance, baseline] = r.nums(["measured", "tolerance", "baseline"])?;
+        let [id, status, reason] = ["id", "status", "reason"].map(|k| r.read(k, Value::as_str));
+        let earned = fidelity_status(paper, measured, tolerance, baseline);
+        Ok((id?, status?, reason?, earned))
+    })?;
+    let mut fails = Vec::new();
+    for (i, &(id, status, reason, earned)) in rows.iter().enumerate() {
+        if full && status != earned {
+            fails.push(format!(
+                "fidelity.status: cell {i}: {id} is recorded {status}, its numbers earn {earned}"
+            ));
+        }
+        if status != MATCH && reason.trim().is_empty() {
+            fails.push(format!(
+                "fidelity.reason: cell {i}: {id} is {status} with no reason"
+            ));
+        }
+    }
+    let deviate = rows.iter().filter(|r| r.1 == DEVIATES).count();
+    let summary = format!("fidelity: {} rows, {deviate} deviate", rows.len());
+    finish(fails, summary)
+}
+
 #[cfg(test)]
 mod tests {
     //! Every gate is shown a passing artifact and then the same
@@ -515,6 +570,58 @@ mod tests {
     }
 
     #[test]
+    fn fidelity_status_is_one_rule() {
+        // (paper, measured, tolerance, baseline) → the status earned.
+        let table = [
+            (Some(100.0), 110.0, 0.1, 0.0, MATCH),
+            (Some(100.0), 111.0, 0.1, 0.0, SHAPE_ONLY),
+            // Fig. 7's VCU-VP9 vs sw-H.264: a saving measured as a cost.
+            (Some(-30.0), 12.1, 0.25, 0.0, DEVIATES),
+            (Some(-40.0), -14.3, 0.25, 0.0, SHAPE_ONLY),
+            // A ratio on the far side of 1, and one on the line itself.
+            (Some(1.6), 0.9, 0.1, 1.0, DEVIATES),
+            (Some(1.6), 1.0, 0.1, 1.0, DEVIATES),
+            // A zero paper value matches only exactly.
+            (Some(0.0), 0.0, 0.25, 32.5, MATCH),
+            (Some(0.0), 0.8, 0.25, 32.5, SHAPE_ONLY),
+            (None, 6.5, 0.1, 1.0, SHAPE_ONLY),
+            (None, 1.0, 0.1, 1.0, DEVIATES),
+            (Some(100.0), f64::NAN, 0.1, 0.0, DEVIATES),
+        ];
+        for (paper, measured, tolerance, baseline, want) in table {
+            let got = fidelity_status(paper, measured, tolerance, baseline);
+            assert_eq!(
+                got, want,
+                "{paper:?} vs {measured} (tol {tolerance}, base {baseline})"
+            );
+        }
+    }
+
+    #[test]
+    fn fidelity_gate_checks_reasons_always_and_statuses_in_full_runs() {
+        let doc = |status: &str, reason: &str| {
+            let text = |s: &str| Value::Str(s.to_owned());
+            let fields = [
+                ("id", text("fig7.x")),
+                ("paper", Value::Num(-30.0)),
+                ("measured", Value::Num(12.1)),
+                ("tolerance", Value::Num(0.25)),
+                ("baseline", Value::Int(0)),
+                ("status", text(status)),
+                ("reason", text(reason)),
+            ];
+            let row = Value::Obj(fields.map(|(k, v)| (k.to_owned(), v)).to_vec());
+            Value::Obj(vec![("rows".to_owned(), Value::Arr(vec![row]))])
+        };
+        assert!(fidelity(&doc(DEVIATES, "wrong sign"), true).is_ok());
+        assert_fails(fidelity(&doc(SHAPE_ONLY, "x"), true), &["fidelity.status"]);
+        // Smoke-sized numbers earn no paper status; the reason still counts.
+        assert!(fidelity(&doc(SHAPE_ONLY, "x"), false).is_ok());
+        assert_fails(fidelity(&doc(DEVIATES, ""), false), &["fidelity.reason"]);
+        assert_fails(fidelity(&doc("close", "x"), true), &["fidelity.status"]);
+    }
+
+    #[test]
     fn a_missing_key_or_an_empty_table_fails_every_gate() {
         let mut rows = serve_cells();
         rows[1].retain(|f| f.0 != "hit_ratio");
@@ -524,6 +631,7 @@ mod tests {
             ("fault", fault as Gate),
             ("serve", serve),
             ("region", region),
+            ("fidelity", fidelity),
         ] {
             assert_fails(
                 gate(&table("cells", &Vec::new()), true),

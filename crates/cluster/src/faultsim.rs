@@ -261,17 +261,14 @@ pub fn cell_cluster_config(vcus: usize, seed: u64) -> ClusterConfig {
         detection_rate: 0.9,
         retry: RetryPolicy {
             base_s: 5.0,
-            factor: 2.0,
             max_attempts: 5,
             jitter_frac: 0.1,
-            ..RetryPolicy::default()
         },
         watchdog: WatchdogPolicy {
             grace_s: 10.0,
             service_factor: 4.0,
         },
         health: HealthPolicy {
-            strike_threshold: 3,
             max_recoveries: 1,
             golden_period_s: 60.0,
         },

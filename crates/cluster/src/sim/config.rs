@@ -156,8 +156,6 @@ impl ClusterConfig {
         for (field, v) in [
             ("sample_period_s", self.sample_period_s),
             ("service_time_factor", self.service_time_factor),
-            ("retry.factor", retry.factor),
-            ("retry.max_delay_s", retry.max_delay_s),
         ] {
             rule(v.is_finite() && v > 0.0, field, "finite and > 0")?;
         }
@@ -193,7 +191,7 @@ mod tests {
     #[test]
     fn each_bad_field_is_rejected_by_name() {
         type Break = fn(&mut ClusterConfig);
-        let table: [(&str, Break); 17] = [
+        let table: [(&str, Break); 15] = [
             ("vcus", |c| c.vcus = 0),
             ("sample_period_s", |c| c.sample_period_s = 0.0),
             ("sample_period_s", |c| c.sample_period_s = f64::NAN),
@@ -201,8 +199,6 @@ mod tests {
             ("detection_rate", |c| c.detection_rate = 1.5),
             ("detection_rate", |c| c.detection_rate = f64::NAN),
             ("retry.max_attempts", |c| c.retry.max_attempts = 0),
-            ("retry.factor", |c| c.retry.factor = 0.0),
-            ("retry.max_delay_s", |c| c.retry.max_delay_s = f64::INFINITY),
             ("retry.base_s", |c| c.retry.base_s = -0.5),
             ("retry.jitter_frac", |c| c.retry.jitter_frac = f64::NAN),
             ("watchdog.grace_s", |c| c.watchdog.grace_s = f64::INFINITY),

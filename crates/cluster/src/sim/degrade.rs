@@ -7,6 +7,11 @@
 
 use vcu_chip::ResourceDemand;
 
+/// Service-time multiplier of a software-encode attempt (level ≥ 1).
+const SW_ENCODE_SERVICE_FACTOR: f64 = 2.5;
+/// Service-time multiplier of a full-software attempt (level ≥ 2).
+const SW_FULL_SERVICE_FACTOR: f64 = 4.0;
+
 /// Which codec path an attempt ran on — the rungs of the
 /// graceful-degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,10 +75,6 @@ pub struct DegradePolicy {
     /// Backlog-per-usable-worker thresholds that arm levels 1..=3.
     /// Must be non-decreasing.
     pub backlog_per_worker: [f64; 3],
-    /// Service-time multiplier for SW-encode attempts (level ≥ 1).
-    pub sw_encode_service_factor: f64,
-    /// Service-time multiplier for full-SW attempts (level ≥ 2).
-    pub sw_full_service_factor: f64,
 }
 
 impl Default for DegradePolicy {
@@ -81,8 +82,6 @@ impl Default for DegradePolicy {
         DegradePolicy {
             enabled: false,
             backlog_per_worker: [4.0, 8.0, 16.0],
-            sw_encode_service_factor: 2.5,
-            sw_full_service_factor: 4.0,
         }
     }
 }
@@ -164,8 +163,8 @@ impl Ladder {
     pub(super) fn service_factor(&self, mode: AttemptMode) -> f64 {
         match mode {
             AttemptMode::Hw | AttemptMode::SwDecode => 1.0,
-            AttemptMode::SwEncode => self.policy.sw_encode_service_factor,
-            AttemptMode::SwFull => self.policy.sw_full_service_factor,
+            AttemptMode::SwEncode => SW_ENCODE_SERVICE_FACTOR,
+            AttemptMode::SwFull => SW_FULL_SERVICE_FACTOR,
         }
     }
 }

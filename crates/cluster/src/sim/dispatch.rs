@@ -1162,7 +1162,6 @@ mod tests {
             degrade: DegradePolicy {
                 enabled: true,
                 backlog_per_worker: [2.0, 6.0, 12.0],
-                ..DegradePolicy::default()
             },
             ..ClusterConfig::default()
         };
@@ -1221,7 +1220,6 @@ mod tests {
             degrade: DegradePolicy {
                 enabled: true,
                 backlog_per_worker: [2.0, 6.0, 12.0],
-                ..DegradePolicy::default()
             },
             ..ClusterConfig::default()
         };
@@ -1330,7 +1328,6 @@ mod tests {
             degrade: DegradePolicy {
                 enabled: true,
                 backlog_per_worker: [1.0, 100.0, 100.0],
-                ..DegradePolicy::default()
             },
             ..ClusterConfig::default()
         };
@@ -1410,7 +1407,6 @@ mod tests {
             degrade: DegradePolicy {
                 enabled: true,
                 backlog_per_worker: [1.0, 1.0, 1.0],
-                ..DegradePolicy::default()
             },
             ..ClusterConfig::default()
         };

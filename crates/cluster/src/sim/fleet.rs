@@ -10,6 +10,10 @@
 
 use vcu_chip::faults::{golden, FaultyVcu};
 
+/// Strikes (watchdog timeouts + crash aborts) before an active worker
+/// is demoted to draining.
+pub(crate) const STRIKE_THRESHOLD: u32 = 3;
+
 /// Per-job watchdog deadline: an attempt that has not completed by
 /// `grace_s + nominal_service * service_factor` is declared lost, its
 /// resources reclaimed, and the job retried. This is the only
@@ -37,9 +41,6 @@ impl Default for WatchdogPolicy {
 /// and either returns to service (bounded times) or is quarantined.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthPolicy {
-    /// Strikes (watchdog timeouts + crash aborts) before an active
-    /// worker is demoted to draining.
-    pub strike_threshold: u32,
     /// How many times a worker may pass its post-drain screen and
     /// return to service before strikes quarantine it for good.
     pub max_recoveries: u32,
@@ -51,7 +52,6 @@ pub struct HealthPolicy {
 impl Default for HealthPolicy {
     fn default() -> Self {
         HealthPolicy {
-            strike_threshold: 3,
             max_recoveries: 2,
             golden_period_s: 0.0,
         }
@@ -226,7 +226,7 @@ impl Fleet {
     pub(super) fn strike(&mut self, w: usize, idle: bool) -> [Option<WorkerEvent>; 2] {
         let wk = &mut self.workers[w];
         wk.strikes += 1;
-        if wk.mgmt != WorkerMgmtState::Active || wk.strikes < self.policy.strike_threshold {
+        if wk.mgmt != WorkerMgmtState::Active || wk.strikes < STRIKE_THRESHOLD {
             return [None, None];
         }
         wk.mgmt = WorkerMgmtState::Draining;
@@ -370,7 +370,6 @@ mod tests {
             2,
             1,
             HealthPolicy {
-                strike_threshold: 3,
                 max_recoveries,
                 golden_period_s: 0.0,
             },

@@ -5,8 +5,19 @@
 
 use vcu_rng::Rng;
 
+/// Multiplier applied to the backoff delay per additional attempt.
+pub const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Ceiling on the pre-jitter delay, seconds: one simulated hour, far
+/// above any delay the default 5-attempt budget can reach. `base_s *
+/// BACKOFF_FACTOR^k` grows without bound (`2^1024` is already
+/// `f64::INFINITY`), and an infinite or astronomically late retry event
+/// would wedge or corrupt the DES clock; the clamp keeps every backoff
+/// finite no matter how liberal the attempt budget is.
+pub(crate) const MAX_DELAY_S: f64 = 3_600.0;
+
 /// Exponential-backoff retry policy: attempt `k`'s re-enqueue is
-/// delayed by `base_s * factor^(k-1)`, jittered by up to
+/// delayed by `base_s * BACKOFF_FACTOR^(k-1)`, jittered by up to
 /// `jitter_frac` from the simulation's own RNG stream (so backoff
 /// stays byte-deterministic). `base_s == 0` retries immediately,
 /// reproducing the pre-backoff cluster exactly.
@@ -14,48 +25,35 @@ use vcu_rng::Rng;
 pub struct RetryPolicy {
     /// Delay before the first retry, seconds (0 = immediate).
     pub base_s: f64,
-    /// Multiplier applied per additional attempt.
-    pub factor: f64,
     /// Total attempt budget per job (first run included). A job whose
     /// attempt count reaches this fails permanently.
     pub max_attempts: u32,
     /// Uniform jitter fraction in `[0, jitter_frac)` added to each
     /// delay, drawn from the sim RNG.
     pub jitter_frac: f64,
-    /// Ceiling on the pre-jitter delay, seconds. `base_s * factor^k`
-    /// grows without bound (`2^1024` is already `f64::INFINITY`), and
-    /// an infinite or astronomically late retry event would wedge or
-    /// corrupt the DES clock; the clamp keeps every backoff finite no
-    /// matter how liberal the attempt budget is.
-    pub max_delay_s: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             base_s: 0.0,
-            factor: 2.0,
             max_attempts: 5,
             jitter_frac: 0.0,
-            // One simulated hour: far above any delay the default
-            // 5-attempt budget can reach (so existing artifacts are
-            // byte-unchanged), yet finite for any attempt count.
-            max_delay_s: 3_600.0,
         }
     }
 }
 
 impl RetryPolicy {
     /// Backoff delay before retrying a job that has already made
-    /// `attempts` attempts, clamped to `max_delay_s` before jitter.
+    /// `attempts` attempts, clamped to one simulated hour before jitter.
     /// Draws jitter from `rng` only when both the base and the jitter
     /// are live, so disabling backoff leaves the RNG stream untouched.
     pub fn delay_s(&self, attempts: u32, rng: &mut Rng) -> f64 {
         if self.base_s <= 0.0 {
             return 0.0;
         }
-        let d = (self.base_s * self.factor.powi(attempts.saturating_sub(1) as i32))
-            .min(self.max_delay_s);
+        let d =
+            (self.base_s * BACKOFF_FACTOR.powi(attempts.saturating_sub(1) as i32)).min(MAX_DELAY_S);
         if self.jitter_frac > 0.0 {
             d * (1.0 + self.jitter_frac * rng.f64())
         } else {
@@ -72,10 +70,8 @@ mod tests {
     fn backoff_delays_are_deterministic_and_bounded() {
         let p = RetryPolicy {
             base_s: 2.0,
-            factor: 2.0,
             max_attempts: 5,
             jitter_frac: 0.25,
-            ..RetryPolicy::default()
         };
         let seq = |seed| {
             let mut rng = Rng::seed_from_u64(seed);
@@ -116,17 +112,18 @@ mod tests {
         // schedule a retry at t = ∞ and wedge the DES.
         let p = RetryPolicy {
             base_s: 2.0,
-            factor: 2.0,
             max_attempts: u32::MAX,
             jitter_frac: 0.0,
-            max_delay_s: 900.0,
         };
         let mut rng = Rng::seed_from_u64(1);
-        for attempts in [10, 60, 1_076, 10_000, u32::MAX] {
+        for attempts in [12, 13, 60, 1_076, 10_000, u32::MAX] {
             let d = p.delay_s(attempts, &mut rng);
             assert!(d.is_finite(), "attempt {attempts}: delay {d} not finite");
-            assert!(d <= 900.0, "attempt {attempts}: delay {d} above cap");
+            assert!(d <= MAX_DELAY_S, "attempt {attempts}: delay {d} above cap");
         }
+        // 2 s × 2^11 = 4,096 s is the first delay the cap clips.
+        assert_eq!(p.delay_s(11, &mut rng), 2_048.0);
+        assert_eq!(p.delay_s(12, &mut rng), MAX_DELAY_S);
         // Below the cap the exponential is untouched.
         assert_eq!(p.delay_s(3, &mut rng), 8.0);
         // Jitter applies on top of the clamped value, not the raw one.
@@ -135,6 +132,9 @@ mod tests {
             ..p
         };
         let d = jittered.delay_s(10_000, &mut rng);
-        assert!((900.0..900.0 * 1.25).contains(&d), "jittered clamp: {d}");
+        assert!(
+            (MAX_DELAY_S..MAX_DELAY_S * 1.25).contains(&d),
+            "jittered clamp: {d}"
+        );
     }
 }

@@ -21,6 +21,11 @@ const MAGIC: &[u8; 4] = b"VCSM";
 const VERSION: u8 = 1;
 /// Size of the serialized container header in bytes.
 const HEADER_LEN: usize = 18;
+/// Largest frame width or height, in pixels, that [`encode`] accepts and
+/// [`decode`] allocates for (2160p's 3,840 fits). The decoder sizes its
+/// frame buffers from the header before reading a payload byte, so this
+/// bounds what a hostile 18-byte header can make it allocate.
+pub const MAX_DIM: usize = 4_096;
 
 /// Metadata for one coded frame in the container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,8 +136,8 @@ pub fn encode_traced(
     cfg.validate()?;
     let n = video.frames.len();
     let (w, h) = (video.width(), video.height());
-    if w > u16::MAX as usize || h > u16::MAX as usize {
-        return Err(CodecError::InvalidConfig("dimensions exceed u16"));
+    if w > MAX_DIM || h > MAX_DIM {
+        return Err(CodecError::InvalidConfig("dimensions exceed MAX_DIM"));
     }
 
     // First pass: needed for bitrate two-pass modes and adaptive GOP.
@@ -457,6 +462,9 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, CodecError> {
     let coded_frames = r.u32()? as usize;
     if w == 0 || h == 0 || !w.is_multiple_of(2) || !h.is_multiple_of(2) {
         return Err(CodecError::CorruptBitstream("invalid dimensions"));
+    }
+    if w > MAX_DIM || h > MAX_DIM {
+        return Err(CodecError::Unsupported("dimensions exceed MAX_DIM"));
     }
     if !(fps.is_finite() && fps > 0.0) {
         return Err(CodecError::CorruptBitstream("invalid fps"));
@@ -900,6 +908,20 @@ mod lagged_tests {
         bytes.extend_from_slice(&30.0f32.to_le_bytes());
         bytes.extend_from_slice(&0u32.to_le_bytes());
         assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn decoder_rejects_a_header_above_max_dim_before_allocating() {
+        let v = SynthSpec::new(Resolution::R144, 2, ContentClass::talking_head(), 6).generate();
+        let mut bytes = encode(&EncoderConfig::const_qp(Profile::H264Sim, Qp::new(30)), &v)
+            .unwrap()
+            .bytes;
+        // Width and height sit at bytes 6..10 of the header.
+        bytes[6..10].copy_from_slice(&[0xFE, 0xFF, 0xFE, 0xFF]); // 65534 × 65534
+        assert!(matches!(
+            decode(&bytes),
+            Err(CodecError::Unsupported("dimensions exceed MAX_DIM"))
+        ));
     }
 
     #[test]

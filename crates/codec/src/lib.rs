@@ -32,7 +32,7 @@ pub mod types;
 
 pub use api::{
     decode, encode, encode_batch, encode_parallel, encode_parallel_traced, encode_traced,
-    CodedFrameInfo, Decoded, Encoded,
+    CodedFrameInfo, Decoded, Encoded, MAX_DIM,
 };
 pub use config::{env_threads, EncoderConfig, PassMode, RateControl, Toolset, TuningLevel};
 pub use stats::CodingStats;

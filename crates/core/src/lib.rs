@@ -4,9 +4,9 @@
 //! This crate is the top of the stack: it turns platform requests into
 //! [`graph::TaskGraph`]s and chunk-level cluster jobs ([`platform`]),
 //! shards videos into closed GOPs and reassembles them with integrity
-//! checks ([`chunking`]), reproduces the Appendix-A provisioning math
-//! ([`balance`]), and drives the production experiments of §4
-//! ([`experiments`]).
+//! checks ([`chunking`]), and reproduces the Appendix-A provisioning
+//! math ([`balance`]). The experiments that measure it against the
+//! paper live in `vcu-bench`'s `paper` campaign.
 //!
 //! # Quickstart
 //!
@@ -29,7 +29,6 @@
 //! ```
 pub mod balance;
 pub mod chunking;
-pub mod experiments;
 pub mod graph;
 pub mod mot;
 pub mod platform;

@@ -18,5 +18,5 @@ pub mod viewing;
 pub use diurnal::{DiurnalCurve, DAY_S};
 pub use popularity::{PopularityBucket, PopularityModel, Treatment};
 pub use traffic::{LiveTraffic, Request, UploadTraffic, WorkloadFamily};
-pub use vbench::{suite, SuiteScale, VbenchClip};
+pub use vbench::{suite, VbenchClip};
 pub use viewing::{Catalog, CatalogVideo, ViewerSessions};

@@ -30,29 +30,12 @@ impl VbenchClip {
     }
 }
 
-/// Suite sizing knob: quality experiments encode every pixel, so CI
-/// runs use short clips while full runs use longer ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SuiteScale {
-    /// ~1 second per clip at 144p–240p (CI-friendly).
-    Quick,
-    /// ~2-3 seconds per clip at up to 360p.
-    Full,
-}
-
-/// Builds the 15-clip suite.
-pub fn suite(scale: SuiteScale) -> Vec<VbenchClip> {
-    let (frames_lo, frames_hi) = match scale {
-        SuiteScale::Quick => (24, 36),
-        SuiteScale::Full => (48, 72),
-    };
-    let res = |full: Resolution, quick: Resolution| match scale {
-        SuiteScale::Quick => quick,
-        SuiteScale::Full => full,
-    };
-    let r144 = res(Resolution::R240, Resolution::R144);
-    let r240 = res(Resolution::R360, Resolution::R144);
-    let r360 = res(Resolution::R360, Resolution::R240);
+/// Builds the 15-clip suite: ~1 second per clip at 144p–240p, short
+/// enough that the quality experiments can encode every pixel.
+pub fn suite() -> Vec<VbenchClip> {
+    let (frames_lo, frames_hi) = (24, 36);
+    // vbench's 240p-and-below clips at 144p, its 360p clips at 240p.
+    let (small, large) = (Resolution::R144, Resolution::R240);
 
     let mk = |name: &'static str,
               r: Resolution,
@@ -71,21 +54,21 @@ pub fn suite(scale: SuiteScale) -> Vec<VbenchClip> {
     let wild = ContentClass::high_motion();
 
     vec![
-        mk("presentation", r144, frames_lo, 24.0, screen, 101),
-        mk("desktop", r144, frames_lo, 24.0, screen, 102),
-        mk("bike", r240, frames_hi, 30.0, ugc, 103),
-        mk("funny", r144, frames_lo, 30.0, talk, 104),
-        mk("house", r240, frames_lo, 24.0, talk, 105),
-        mk("cricket", r360, frames_hi, 30.0, wild, 106),
-        mk("girl", r144, frames_lo, 24.0, talk, 107),
-        mk("game_1", r240, frames_hi, 60.0, game, 108),
-        mk("chicken", r240, frames_hi, 30.0, ugc, 109),
-        mk("hall", r144, frames_lo, 24.0, talk, 110),
-        mk("game_2", r360, frames_hi, 60.0, game, 111),
-        mk("cat", r144, frames_lo, 30.0, ugc, 112),
-        mk("landscape", r360, frames_lo, 24.0, ugc, 113),
-        mk("game_3", r240, frames_hi, 60.0, game, 114),
-        mk("holi", r360, frames_hi, 30.0, wild, 115),
+        mk("presentation", small, frames_lo, 24.0, screen, 101),
+        mk("desktop", small, frames_lo, 24.0, screen, 102),
+        mk("bike", small, frames_hi, 30.0, ugc, 103),
+        mk("funny", small, frames_lo, 30.0, talk, 104),
+        mk("house", small, frames_lo, 24.0, talk, 105),
+        mk("cricket", large, frames_hi, 30.0, wild, 106),
+        mk("girl", small, frames_lo, 24.0, talk, 107),
+        mk("game_1", small, frames_hi, 60.0, game, 108),
+        mk("chicken", small, frames_hi, 30.0, ugc, 109),
+        mk("hall", small, frames_lo, 24.0, talk, 110),
+        mk("game_2", large, frames_hi, 60.0, game, 111),
+        mk("cat", small, frames_lo, 30.0, ugc, 112),
+        mk("landscape", large, frames_lo, 24.0, ugc, 113),
+        mk("game_3", small, frames_hi, 60.0, game, 114),
+        mk("holi", large, frames_hi, 30.0, wild, 115),
     ]
 }
 
@@ -95,13 +78,12 @@ mod tests {
 
     #[test]
     fn suite_has_fifteen_clips() {
-        assert_eq!(suite(SuiteScale::Quick).len(), 15);
-        assert_eq!(suite(SuiteScale::Full).len(), 15);
+        assert_eq!(suite().len(), 15);
     }
 
     #[test]
     fn names_are_unique() {
-        let s = suite(SuiteScale::Quick);
+        let s = suite();
         let mut names: Vec<_> = s.iter().map(|c| c.name).collect();
         names.sort();
         names.dedup();
@@ -110,7 +92,7 @@ mod tests {
 
     #[test]
     fn axes_are_spread() {
-        let s = suite(SuiteScale::Full);
+        let s = suite();
         let fps: std::collections::BTreeSet<_> = s.iter().map(|c| c.spec.fps as u32).collect();
         assert!(fps.len() >= 3, "frame-rate axis collapsed: {fps:?}");
         let res: std::collections::BTreeSet<_> = s.iter().map(|c| c.spec.resolution).collect();
@@ -119,15 +101,15 @@ mod tests {
 
     #[test]
     fn clips_generate() {
-        let c = &suite(SuiteScale::Quick)[0];
+        let c = &suite()[0];
         let v = c.video();
         assert_eq!(v.frames.len(), c.spec.frames);
     }
 
     #[test]
     fn deterministic_suite() {
-        let a = suite(SuiteScale::Quick)[5].video();
-        let b = suite(SuiteScale::Quick)[5].video();
+        let a = suite()[5].video();
+        let b = suite()[5].video();
         assert_eq!(a, b);
     }
 }

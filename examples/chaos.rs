@@ -94,17 +94,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         detection_rate: 0.9,
         retry: RetryPolicy {
             base_s: 2.0,
-            factor: 2.0,
             max_attempts: 5,
             jitter_frac: 0.1,
-            ..RetryPolicy::default()
         },
         watchdog: WatchdogPolicy {
             grace_s: 5.0,
             service_factor: 4.0,
         },
         health: HealthPolicy {
-            strike_threshold: 3,
             max_recoveries: 1,
             golden_period_s: 30.0,
         },

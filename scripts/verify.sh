@@ -68,21 +68,21 @@ stage_examples() {
         results/observe_utilization.txt
 }
 
-# Smoke-run the four deterministic campaigns through the one harness
+# Smoke-run the five deterministic campaigns through the one harness
 # (vcu_bench::campaign): each renders its artifact, parses the bytes
 # back and runs the artifact's gate on them before writing to the temp
 # directory, so a campaign whose fresh output would fail check_results
 # fails here.
 stage_campaign_smoke() {
     local bin
-    for bin in bench_fault_campaign bench_serve bench_region_campaign bench_dse; do
+    for bin in bench_fault_campaign bench_serve bench_region_campaign bench_dse paper; do
         echo "--> $bin"
         VCU_BENCH_SMOKE=1 cargo run -q -p vcu-bench --release --offline --bin "$bin" \
             | tail -n 2
     done
 }
 
-# Gate the committed results/: check_results runs the four campaign
+# Gate the committed results/: check_results runs the five campaign
 # artifacts through the same gates their drivers run on fresh bytes.
 # Reads results/, never writes it.
 stage_results_gate() {

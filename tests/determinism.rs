@@ -399,14 +399,12 @@ fn chaos_run_is_pinned() {
             service_factor: 4.0,
         },
         health: HealthPolicy {
-            strike_threshold: 3,
             max_recoveries: 1,
             golden_period_s: 30.0,
         },
         degrade: DegradePolicy {
             enabled: true,
             backlog_per_worker: [1.0, 2.0, 4.0],
-            ..DegradePolicy::default()
         },
         sample_period_s: 10.0,
         seed: 11,
@@ -514,7 +512,6 @@ fn saturated_mix_run(
         degrade: DegradePolicy {
             enabled: true,
             backlog_per_worker: [2.0, 4.0, 8.0],
-            ..DegradePolicy::default()
         },
         sample_period_s: 5.0,
         seed: 15,
@@ -921,7 +918,6 @@ fn interleaved_shapes_in_an_open_world_are_pinned() {
         degrade: DegradePolicy {
             enabled: true,
             backlog_per_worker: [1.0, 2.0, 6.0],
-            ..DegradePolicy::default()
         },
         sample_period_s: 2.5,
         seed: 23,

@@ -7,15 +7,13 @@ use vcu_cluster::{
     ClusterConfig, ClusterSim, FaultInjection, FaultKind, JobSpec, Priority, SchedulerKind,
 };
 use vcu_codec::{decode, encode, encode_batch, EncoderConfig, PassMode, Profile, Qp, TuningLevel};
-use vcu_media::bdrate::bd_rate;
 use vcu_media::quality::psnr_y_video;
 use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::Resolution;
 use vcu_system::chunking::{assemble, split, ChunkPlan};
-use vcu_system::experiments::{clip_rd_curve, fig8, mean, tuning_schedule};
 use vcu_system::platform::{live_latency_s, Platform};
 use vcu_telemetry::Registry;
-use vcu_workloads::{suite, PopularityBucket, Request, SuiteScale, WorkloadFamily};
+use vcu_workloads::{PopularityBucket, Request, WorkloadFamily};
 
 /// The headline claim: 20-33x perf/TCO over the CPU baseline.
 #[test]
@@ -84,74 +82,6 @@ fn platform_to_cluster_pipeline() {
     let report = ClusterSim::new(cfg, jobs, vec![]).run();
     assert_eq!(report.failed, 0);
     assert!(report.completed > 0);
-}
-
-/// Fig. 7 band: VP9 software beats H.264 software on predictable
-/// content by a healthy BD-rate margin.
-#[test]
-fn vp9_bd_rate_win_on_predictable_content() {
-    let clip = &suite(SuiteScale::Quick)[0]; // presentation
-    let v = clip.video();
-    let qps = [18u8, 26, 34, 42];
-    let h = clip_rd_curve(
-        EncoderConfig::const_qp(Profile::H264Sim, Qp::new(30)),
-        &v,
-        &qps,
-    )
-    .expect("h264 curve");
-    let g = clip_rd_curve(
-        EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30)),
-        &v,
-        &qps,
-    )
-    .expect("vp9 curve");
-    let d = bd_rate(&h, &g).expect("bd-rate");
-    assert!(d < -25.0, "VP9 should save >25% on screen content: {d:.1}%");
-}
-
-/// Fig. 10 mechanism: hardware tuning monotonically closes the gap.
-#[test]
-fn tuning_closes_hardware_gap() {
-    let v = SynthSpec::new(Resolution::R144, 16, ContentClass::talking_head(), 77).generate();
-    let qps = [20u8, 28, 36, 44];
-    let sw = clip_rd_curve(
-        EncoderConfig::const_qp(Profile::H264Sim, Qp::new(30)),
-        &v,
-        &qps,
-    )
-    .expect("sw curve");
-    let gap = |level: TuningLevel| {
-        let hw = clip_rd_curve(
-            EncoderConfig::const_qp(Profile::H264Sim, Qp::new(30)).with_hardware(level),
-            &v,
-            &qps,
-        )
-        .expect("hw curve");
-        bd_rate(&sw, &hw).expect("bd")
-    };
-    let launch = gap(TuningLevel::LAUNCH);
-    let mature = gap(TuningLevel::MATURE);
-    assert!(
-        launch > mature,
-        "tuning must reduce the gap: launch {launch:.1}% vs mature {mature:.1}%"
-    );
-    assert!(
-        launch > 0.0,
-        "launch hardware should trail software: {launch:.1}%"
-    );
-    assert_eq!(tuning_schedule(16).level(), 6);
-}
-
-/// Fig. 8 shape at integration scale.
-#[test]
-fn mot_beats_sot_at_fleet_scale() {
-    let d = fig8(4, 300.0, 3);
-    assert!(
-        mean(&d.mot) > mean(&d.sot),
-        "{} vs {}",
-        mean(&d.mot),
-        mean(&d.sot)
-    );
 }
 
 /// §4.5 live latency claims.

@@ -625,17 +625,14 @@ mod fault_paths {
                 detection_rate: rng.gen_range(0.0..1.0),
                 retry: RetryPolicy {
                     base_s: rng.gen_range(0.0..5.0),
-                    factor: rng.gen_range(1.0..3.0),
                     max_attempts: rng.gen_range(1u32..6),
                     jitter_frac: rng.gen_range(0.0..0.3),
-                    ..RetryPolicy::default()
                 },
                 watchdog: WatchdogPolicy {
                     grace_s: rng.gen_range(1.0..30.0),
                     service_factor: rng.gen_range(2.0..8.0),
                 },
                 health: HealthPolicy {
-                    strike_threshold: rng.gen_range(1u32..5),
                     max_recoveries: rng.gen_range(0u32..3),
                     golden_period_s: if rng.gen_bool(0.5) {
                         rng.gen_range(10.0..120.0)
@@ -664,16 +661,14 @@ mod fault_paths {
 
         /// Backoff delays are a pure function of (policy, attempt,
         /// RNG state): same seed gives the identical sequence, and
-        /// every delay is bounded by base * factor^(attempt-1) *
+        /// every delay is bounded by base * BACKOFF_FACTOR^(attempt-1) *
         /// (1 + jitter_frac).
         #[cases(64)]
         fn backoff_is_deterministic_and_bounded(rng) {
             let policy = RetryPolicy {
                 base_s: rng.gen_range(0.1..10.0),
-                factor: rng.gen_range(1.0..4.0),
                 max_attempts: rng.gen_range(1u32..8),
                 jitter_frac: rng.gen_range(0.0..0.5),
-                ..RetryPolicy::default()
             };
             let seed = rng.next_u64();
             let mut a = vcu_rng::Rng::seed_from_u64(seed);
@@ -683,7 +678,7 @@ mod fault_paths {
                 let db = policy.delay_s(attempt, &mut b);
                 assert_eq!(da.to_bits(), db.to_bits(), "same-seed delays must match");
                 let cap = policy.base_s
-                    * policy.factor.powi(attempt.saturating_sub(1) as i32)
+                    * vcu_cluster::BACKOFF_FACTOR.powi(attempt.saturating_sub(1) as i32)
                     * (1.0 + policy.jitter_frac);
                 assert!(da >= 0.0 && da <= cap, "delay {da} exceeds cap {cap}");
             }

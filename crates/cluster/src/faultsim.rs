@@ -11,8 +11,8 @@
 //! the byte-pinned `results/fault_campaign.json`.
 
 use crate::sim::{
-    ClusterConfig, ClusterSim, DegradePolicy, FaultInjection, FaultKind, HealthPolicy, JobSpec,
-    Priority, RetryPolicy, WatchdogPolicy,
+    ClusterConfig, ClusterReport, ClusterSim, DegradePolicy, FaultInjection, FaultKind,
+    HealthPolicy, JobSpec, Priority, RetryPolicy, WatchdogPolicy,
 };
 use vcu_chip::{TranscodeJob, VcuModel};
 use vcu_codec::Profile;
@@ -47,7 +47,8 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Metrics of one (fault-rate, MTTR) campaign cell.
+/// One (fault-rate, MTTR) campaign cell: the sweep point and the
+/// simulator's report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCell {
     /// Fraction of the fleet faulted.
@@ -56,31 +57,8 @@ pub struct CampaignCell {
     pub mttr_s: f64,
     /// Jobs submitted.
     pub jobs: u64,
-    /// (completed − escaped-corrupt) / submitted: the fraction of work
-    /// that came back *and was correct*.
-    pub goodput_frac: f64,
-    /// Corrupted chunks that shipped undetected (black-holed work).
-    pub black_holed: u64,
-    /// Mean distinct VCUs per video (§4.4 blast radius).
-    pub blast_radius: f64,
-    /// Mean queueing wait, seconds.
-    pub mean_wait_s: f64,
-    /// p99 queueing wait, seconds.
-    pub p99_wait_s: f64,
-    /// Jobs failed with no usable worker left.
-    pub stranded: u64,
-    /// Batch jobs shed by the degradation ladder.
-    pub shed: u64,
-    /// Watchdog deadlines fired.
-    pub watchdog_fired: u64,
-    /// Crash-loop aborts.
-    pub crash_aborts: u64,
-    /// Field repairs applied.
-    pub repairs: u64,
-    /// Workers quarantined by the end of the cell.
-    pub quarantined_workers: u64,
-    /// Fraction of samples at each degradation rung.
-    pub degrade_time_frac: [f64; 4],
+    /// The cell's cluster report.
+    pub report: ClusterReport,
 }
 
 /// The fault kinds a campaign cycles through, in severity-mixed order
@@ -282,32 +260,19 @@ pub fn cell_cluster_config(vcus: usize, seed: u64) -> ClusterConfig {
     }
 }
 
-/// Runs one campaign cell and reduces its report to [`CampaignCell`].
-pub fn run_cell(cfg: &CampaignConfig, fault_rate: f64, mttr_s: f64, cell: u64) -> CampaignCell {
+/// Runs one campaign cell.
+fn run_cell(cfg: &CampaignConfig, fault_rate: f64, mttr_s: f64, cell: u64) -> CampaignCell {
     let cell_seed = mix64(cfg.seed, cell);
     let mut rng = Rng::seed_from_u64(cell_seed);
     let span_s = arrival_span_s(cfg.jobs_per_vcu);
     let jobs = uniform_stream(&[campaign_job()], cfg.vcus * cfg.jobs_per_vcu, span_s);
     let n_jobs = jobs.len() as u64;
     let faults = fault_schedule(cfg.vcus, span_s, fault_rate, mttr_s, &mut rng);
-    let report = ClusterSim::new(cell_cluster_config(cfg.vcus, cell_seed), jobs, faults).run();
     CampaignCell {
         fault_rate,
         mttr_s,
         jobs: n_jobs,
-        goodput_frac: (report.completed.saturating_sub(report.escaped_corruptions)) as f64
-            / n_jobs.max(1) as f64,
-        black_holed: report.escaped_corruptions,
-        blast_radius: report.mean_vcus_per_video,
-        mean_wait_s: report.mean_wait_s,
-        p99_wait_s: report.p99_wait_s,
-        stranded: report.stranded,
-        shed: report.shed,
-        watchdog_fired: report.watchdog_fired,
-        crash_aborts: report.crash_aborts,
-        repairs: report.repairs,
-        quarantined_workers: report.quarantined_workers,
-        degrade_time_frac: report.degrade_time_frac,
+        report: ClusterSim::new(cell_cluster_config(cfg.vcus, cell_seed), jobs, faults).run(),
     }
 }
 
@@ -377,10 +342,14 @@ mod tests {
         let cells = run_campaign(&cfg);
         assert_eq!(cells.len(), 1);
         let c = &cells[0];
-        assert_eq!(c.goodput_frac, 1.0, "healthy fleet completes everything");
-        assert_eq!(c.black_holed, 0);
-        assert_eq!(c.watchdog_fired, 0);
-        assert_eq!(c.quarantined_workers, 0);
+        assert_eq!(
+            c.report.goodput_frac(c.jobs),
+            1.0,
+            "healthy fleet completes everything"
+        );
+        assert_eq!(c.report.escaped_corruptions, 0);
+        assert_eq!(c.report.watchdog_fired, 0);
+        assert_eq!(c.report.quarantined_workers, 0);
     }
 
     #[test]
@@ -397,7 +366,8 @@ mod tests {
             // goodput + failures account for everything; nothing hangs
             // the DES loop (termination is the property test's job —
             // this is the smoke version).
-            assert!(c.goodput_frac >= 0.0 && c.goodput_frac <= 1.0);
+            let goodput = c.report.goodput_frac(c.jobs);
+            assert!((0.0..=1.0).contains(&goodput));
         }
     }
 

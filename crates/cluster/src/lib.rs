@@ -23,8 +23,8 @@ pub mod tco;
 
 pub use des::{EventQueue, ShardedEventQueue};
 pub use faultsim::{
-    cell_cluster_config, correlated_domain_faults, fault_schedule, run_campaign, run_cell,
-    slots_per_worker, uniform_stream, upgrade_wave_faults, CampaignCell, CampaignConfig,
+    cell_cluster_config, correlated_domain_faults, fault_schedule, run_campaign, slots_per_worker,
+    uniform_stream, upgrade_wave_faults, CampaignCell, CampaignConfig,
 };
 pub use scheduler::{PlacementMode, Scheduler, SchedulerKind};
 pub use sim::{

@@ -37,7 +37,7 @@ pub struct Sample {
 }
 
 /// Results of a simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterReport {
     /// Periodic samples.
     pub samples: Vec<Sample>,
@@ -101,6 +101,12 @@ impl ClusterReport {
             return 0.0;
         }
         self.total_output_mpix / self.horizon_s / vcus as f64
+    }
+
+    /// (completed − escaped-corrupt) / `offered`: the fraction of the
+    /// offered work that came back *and was correct*.
+    pub fn goodput_frac(&self, offered: u64) -> f64 {
+        self.completed.saturating_sub(self.escaped_corruptions) as f64 / offered.max(1) as f64
     }
 }
 

@@ -154,7 +154,6 @@ pub fn encode_traced(
     };
 
     let kinds = plan_frame_kinds(
-        cfg,
         n,
         if adaptive_gop && !fp_stats.is_empty() {
             Some(&fp_stats)

@@ -187,6 +187,9 @@ pub enum RateControl {
     },
 }
 
+/// Maximum keyframe interval in frames.
+pub const KEYFRAME_INTERVAL: usize = 150;
+
 /// Full encoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncoderConfig {
@@ -196,8 +199,6 @@ pub struct EncoderConfig {
     pub toolset: Toolset,
     /// Rate control.
     pub rc: RateControl,
-    /// Maximum keyframe interval in frames.
-    pub keyframe_interval: usize,
     /// Frames between altref insertions (0 disables; only effective
     /// for profiles/toolsets that support altref).
     pub altref_period: usize,
@@ -214,7 +215,6 @@ impl EncoderConfig {
             profile,
             toolset: Toolset::Software,
             rc: RateControl::ConstQp(qp),
-            keyframe_interval: 150,
             altref_period: 16,
             threads: 1,
         }
@@ -226,7 +226,6 @@ impl EncoderConfig {
             profile,
             toolset: Toolset::Software,
             rc: RateControl::Bitrate { bps, pass },
-            keyframe_interval: 150,
             altref_period: 16,
             threads: 1,
         }
@@ -249,12 +248,8 @@ impl EncoderConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError::InvalidConfig`] for zero keyframe interval
-    /// or zero-bitrate targets.
+    /// Returns [`CodecError::InvalidConfig`] for a zero-bitrate target.
     pub fn validate(&self) -> Result<(), CodecError> {
-        if self.keyframe_interval == 0 {
-            return Err(CodecError::InvalidConfig("keyframe interval must be > 0"));
-        }
         if let RateControl::Bitrate { bps, .. } = self.rc {
             if bps == 0 {
                 return Err(CodecError::InvalidConfig("bitrate target must be > 0"));
@@ -323,10 +318,8 @@ mod tests {
 
     #[test]
     fn validation() {
-        let mut c = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30));
+        let c = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30));
         assert!(c.validate().is_ok());
-        c.keyframe_interval = 0;
-        assert!(c.validate().is_err());
         let b = EncoderConfig::bitrate(Profile::H264Sim, 0, PassMode::TwoPassOffline);
         assert!(b.validate().is_err());
     }

@@ -7,7 +7,7 @@
 //! of those statistics the latency mode permits to place keyframes and
 //! allocate bits, with a feedback loop absorbing model error.
 
-use crate::config::{EncoderConfig, PassMode, RateControl};
+use crate::config::{EncoderConfig, PassMode, RateControl, KEYFRAME_INTERVAL};
 use crate::types::{FrameKind, Qp};
 use vcu_media::{Frame, Video};
 
@@ -101,18 +101,14 @@ const CUT_THRESHOLD: f64 = 0.9;
 
 /// Plans the frame kind for every source frame.
 ///
-/// Keyframes are forced at frame 0 and every `keyframe_interval`;
+/// Keyframes are forced at frame 0 and every [`KEYFRAME_INTERVAL`];
 /// adaptive scene-cut keyframes additionally fire when first-pass
 /// statistics are available and show an unpredictable frame.
-pub fn plan_frame_kinds(
-    cfg: &EncoderConfig,
-    n_frames: usize,
-    stats: Option<&[FrameStats]>,
-) -> Vec<FrameKind> {
+pub fn plan_frame_kinds(n_frames: usize, stats: Option<&[FrameStats]>) -> Vec<FrameKind> {
     let mut kinds = Vec::with_capacity(n_frames);
     let mut since_key = 0usize;
     for i in 0..n_frames {
-        let forced = i == 0 || since_key >= cfg.keyframe_interval;
+        let forced = i == 0 || since_key >= KEYFRAME_INTERVAL;
         let cut = stats
             .and_then(|s| s.get(i))
             .map(|s| s.cut_score() > CUT_THRESHOLD)
@@ -243,8 +239,7 @@ mod tests {
     fn plan_places_key_at_cut() {
         let v = video_with_cut();
         let stats = first_pass(&v);
-        let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30));
-        let kinds = plan_frame_kinds(&cfg, v.frames.len(), Some(&stats));
+        let kinds = plan_frame_kinds(v.frames.len(), Some(&stats));
         assert_eq!(kinds[0], FrameKind::Key);
         assert_eq!(kinds[6], FrameKind::Key, "kinds: {kinds:?}");
         assert_eq!(kinds[3], FrameKind::Inter);
@@ -252,12 +247,10 @@ mod tests {
 
     #[test]
     fn plan_respects_max_interval() {
-        let mut cfg = EncoderConfig::const_qp(Profile::H264Sim, Qp::new(30));
-        cfg.keyframe_interval = 5;
-        let kinds = plan_frame_kinds(&cfg, 12, None);
+        let kinds = plan_frame_kinds(2 * KEYFRAME_INTERVAL + 2, None);
         assert_eq!(kinds[0], FrameKind::Key);
-        assert_eq!(kinds[5], FrameKind::Key);
-        assert_eq!(kinds[10], FrameKind::Key);
+        assert_eq!(kinds[KEYFRAME_INTERVAL], FrameKind::Key);
+        assert_eq!(kinds[2 * KEYFRAME_INTERVAL], FrameKind::Key);
         assert_eq!(kinds.iter().filter(|k| **k == FrameKind::Key).count(), 3);
     }
 

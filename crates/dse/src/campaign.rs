@@ -28,7 +28,7 @@ use vcu_chip::{DesignPoint, ResourceDemand, TranscodeJob, VcuModel};
 use vcu_cluster::tco::OPEX_PER_WATT_3YR;
 use vcu_cluster::{
     cell_cluster_config, fault_schedule, uniform_stream, vcu_host_tco_for, ClusterConfig,
-    ClusterReport, ClusterSim, FaultInjection, JobSpec,
+    ClusterSim, FaultInjection, JobSpec,
 };
 use vcu_codec::Profile;
 use vcu_media::Resolution;
@@ -268,10 +268,6 @@ fn candidate_config(cfg: &DseConfig, design: DesignPoint, leg_seed: u64) -> Clus
     }
 }
 
-fn goodput(report: &ClusterReport, offered: u64) -> f64 {
-    (report.completed.saturating_sub(report.escaped_corruptions)) as f64 / offered as f64
-}
-
 /// Quantizes a metric to the artifact's published 6-decimal precision
 /// (the exact value a reader parses back out of the JSON). Every
 /// candidate metric is quantized *before* frontier and anchor
@@ -329,8 +325,8 @@ fn evaluate_candidate(
         traffic_factor: q6(design.refstore_traffic_factor()),
         bandwidth_pressure: q6(design.bandwidth_pressure(true)),
         util_steady: q6(util_steady),
-        goodput_steady: q6(goodput(&steady, offered)),
-        goodput_fault: q6(goodput(&faulted, offered)),
+        goodput_steady: q6(steady.goodput_frac(offered)),
+        goodput_fault: q6(faulted.goodput_frac(offered)),
         p99_wait_s: q6(steady.p99_wait_s),
         perf_mpix_s_per_vcu: q6(perf_mpix_s_per_vcu),
         perf_per_tco: q6(perf_mpix_s_per_vcu * cfg.vcus as f64 / (fleet_tco_usd / 1_000.0)),

@@ -16,7 +16,7 @@ use vcu_cluster::slots_per_worker;
 use vcu_rng::mix64;
 
 /// One cell of the sweep: a planet shape plus a traffic multiplier.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionCellSpec {
     /// Regions on the planet.
     pub regions: usize,
@@ -162,7 +162,6 @@ impl RegionCampaignConfig {
             overflow: OverflowPolicy {
                 enabled: overflow_enabled,
                 pressure_threshold: 0.2,
-                ..OverflowPolicy::default()
             },
             upgrades: true,
             domain_failures: true,
@@ -180,77 +179,35 @@ impl RegionCampaignConfig {
     }
 }
 
-/// Reduced metrics of one campaign cell: the overflow-enabled planet
-/// plus the isolated counterfactual from the same seed.
+/// One campaign cell: the sweep point, the overflow-enabled planet and
+/// the isolated counterfactual from the same seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionCampaignCell {
-    /// Regions on the planet.
-    pub regions: u64,
-    /// Cells per region.
-    pub cells_per_region: u64,
-    /// VCUs per cell.
-    pub vcus_per_cell: u64,
-    /// Fleet size.
-    pub total_vcus: u64,
-    /// Traffic multiplier.
-    pub traffic_scale: f64,
-    /// Jobs offered (identical in both runs by construction).
-    pub jobs: u64,
-    /// Jobs moved cross-region by the overflow router.
-    pub routed_jobs: u64,
-    /// routed / jobs.
-    pub routed_frac: f64,
-    /// Planet goodput with overflow routing.
-    pub goodput_overflow: f64,
-    /// Planet goodput with isolated regions.
-    pub goodput_isolated: f64,
-    /// Worst-region p99 queueing wait with overflow routing, seconds.
-    pub p99_wait_overflow_s: f64,
-    /// Worst-region p99 queueing wait isolated, seconds.
-    pub p99_wait_isolated_s: f64,
-    /// Job-weighted §4.4 blast radius (overflow run).
-    pub blast_radius: f64,
-    /// Delivered Mpix/s (overflow run).
-    pub perf_mpix_per_s: f64,
-    /// 3-year fleet TCO, USD.
-    pub tco_usd: f64,
-    /// Delivered Mpix/s per TCO dollar — the frontier axis.
-    pub perf_per_tco: f64,
-    /// Cross-shard merge digest of the overflow run.
-    pub merge_digest: u64,
+    /// The cell's sweep point.
+    pub spec: RegionCellSpec,
+    /// The planet with overflow routing.
+    pub overflow: PlanetReport,
+    /// The same planet with isolated regions.
+    pub isolated: PlanetReport,
 }
 
 /// Runs one campaign cell: the same planet seed with overflow routing
 /// on, then off.
-pub fn run_region_cell(
+fn run_region_cell(
     cfg: &RegionCampaignConfig,
     spec: &RegionCellSpec,
     cell: u64,
 ) -> RegionCampaignCell {
-    let overflow: PlanetReport = PlanetSim::new(cfg.planet_config(spec, cell, true)).run();
-    let isolated: PlanetReport = PlanetSim::new(cfg.planet_config(spec, cell, false)).run();
+    let overflow = PlanetSim::new(cfg.planet_config(spec, cell, true)).run();
+    let isolated = PlanetSim::new(cfg.planet_config(spec, cell, false)).run();
     assert_eq!(
         overflow.jobs, isolated.jobs,
         "both runs draw the same arrival streams"
     );
     RegionCampaignCell {
-        regions: spec.regions as u64,
-        cells_per_region: spec.cells_per_region as u64,
-        vcus_per_cell: spec.vcus_per_cell as u64,
-        total_vcus: spec.total_vcus() as u64,
-        traffic_scale: spec.traffic_scale,
-        jobs: overflow.jobs,
-        routed_jobs: overflow.routed_jobs,
-        routed_frac: overflow.routed_frac,
-        goodput_overflow: overflow.goodput_frac,
-        goodput_isolated: isolated.goodput_frac,
-        p99_wait_overflow_s: overflow.p99_wait_s,
-        p99_wait_isolated_s: isolated.p99_wait_s,
-        blast_radius: overflow.blast_radius,
-        perf_mpix_per_s: overflow.perf_mpix_per_s,
-        tco_usd: overflow.tco_usd,
-        perf_per_tco: overflow.perf_per_tco,
-        merge_digest: overflow.merge_digest,
+        spec: *spec,
+        overflow,
+        isolated,
     }
 }
 
@@ -305,28 +262,24 @@ mod tests {
     fn overflow_never_reduces_goodput() {
         for c in run_region_campaign(&tiny()) {
             assert!(
-                c.goodput_overflow >= c.goodput_isolated,
-                "cell {}x{}x{} t={}: overflow {} < isolated {}",
-                c.regions,
-                c.cells_per_region,
-                c.vcus_per_cell,
-                c.traffic_scale,
-                c.goodput_overflow,
-                c.goodput_isolated
+                c.overflow.goodput_frac >= c.isolated.goodput_frac,
+                "cell {:?}: overflow {} < isolated {}",
+                c.spec,
+                c.overflow.goodput_frac,
+                c.isolated.goodput_frac
             );
-            assert!(c.jobs > 0);
-            assert!(c.perf_per_tco > 0.0);
+            assert!(c.overflow.jobs > 0);
+            assert!(c.overflow.perf_per_tco > 0.0);
         }
     }
 
     #[test]
     fn traffic_growth_raises_offered_load() {
         let cells = run_region_campaign(&tiny());
+        let (base, grown) = (cells[0].overflow.jobs, cells[1].overflow.jobs);
         assert!(
-            cells[1].jobs > cells[0].jobs,
-            "1.3x traffic must offer more jobs: {} vs {}",
-            cells[1].jobs,
-            cells[0].jobs
+            grown > base,
+            "1.3x traffic must offer more jobs: {grown} vs {base}"
         );
     }
 }

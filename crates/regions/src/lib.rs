@@ -22,8 +22,6 @@ pub mod campaign;
 pub mod planet;
 pub mod region;
 
-pub use campaign::{
-    run_region_campaign, run_region_cell, RegionCampaignCell, RegionCampaignConfig, RegionCellSpec,
-};
+pub use campaign::{run_region_campaign, RegionCampaignCell, RegionCampaignConfig, RegionCellSpec};
 pub use planet::{OverflowPolicy, PlanetConfig, PlanetReport, PlanetSim};
 pub use region::{region_job, RegionReport, RegionSim, RegionSpec};

@@ -19,6 +19,13 @@ use vcu_cluster::{correlated_domain_faults, system_tco, upgrade_wave_faults, Fau
 use vcu_rng::{mix64, Rng};
 use vcu_workloads::DiurnalCurve;
 
+/// Hard cap on the fraction of an epoch's arrivals routed away.
+const MAX_ROUTED_FRAC: f64 = 0.5;
+
+/// Cross-region transfer latency added to a routed job's arrival,
+/// seconds.
+const ROUTE_RTT_S: f64 = 0.15;
+
 /// Cross-region overflow routing policy.
 #[derive(Debug, Clone, Copy)]
 pub struct OverflowPolicy {
@@ -27,10 +34,6 @@ pub struct OverflowPolicy {
     /// Backlog-per-usable-worker pressure above which a region routes
     /// part of its new arrivals away.
     pub pressure_threshold: f64,
-    /// Hard cap on the fraction of an epoch's arrivals routed away.
-    pub max_fraction: f64,
-    /// Cross-region transfer latency added to a routed job's arrival.
-    pub rtt_s: f64,
 }
 
 impl Default for OverflowPolicy {
@@ -38,8 +41,6 @@ impl Default for OverflowPolicy {
         OverflowPolicy {
             enabled: true,
             pressure_threshold: 4.0,
-            max_fraction: 0.5,
-            rtt_s: 0.15,
         }
     }
 }
@@ -244,7 +245,7 @@ impl PlanetSim {
                         let routed: Vec<f64> = local
                             .split_off(local.len() - n_route)
                             .into_iter()
-                            .map(|t| t + self.cfg.overflow.rtt_s)
+                            .map(|t| t + ROUTE_RTT_S)
                             .collect();
                         routed_jobs += routed.len() as u64;
                         self.regions[r].note_routed_out(routed.len() as u64);
@@ -273,13 +274,13 @@ impl PlanetSim {
 
     /// Fraction of region `r`'s epoch arrivals to route away, from the
     /// pressure cut: proportional to the excess over the threshold,
-    /// capped by policy.
+    /// capped at [`MAX_ROUTED_FRAC`].
     fn route_fraction(&self, r: usize, pressures: &[f64]) -> f64 {
         let pol = &self.cfg.overflow;
         if !pol.enabled || pressures[r] <= pol.pressure_threshold {
             return 0.0;
         }
-        ((pressures[r] - pol.pressure_threshold) / pressures[r]).min(pol.max_fraction)
+        ((pressures[r] - pol.pressure_threshold) / pressures[r]).min(MAX_ROUTED_FRAC)
     }
 
     /// Overflow destination for region `r`: the lowest-pressure region
@@ -372,7 +373,6 @@ mod tests {
             overflow: OverflowPolicy {
                 enabled: overflow,
                 pressure_threshold: 1.0,
-                ..OverflowPolicy::default()
             },
             upgrades: true,
             domain_failures: true,

@@ -15,11 +15,11 @@
 //! - **scale sweep** (growing everything): does the co-designed stack
 //!   hold TTFF and rebuffer rate at ≥ 1M concurrent viewers?
 
-use crate::sim::{ServeConfig, ServeSim};
+use crate::sim::{ServeConfig, ServeReport, ServeSim};
 use vcu_rng::mix64;
 
 /// One cell of the sweep: a viewer population against a fleet + cache.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeCellSpec {
     /// Target steady-state concurrent viewers.
     pub viewers: usize,
@@ -107,52 +107,13 @@ impl ServeCampaignConfig {
     }
 }
 
-/// Reduced metrics of one serve cell.
+/// One serve cell: the sweep point and the simulator's report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeCampaignCell {
-    /// Target concurrent viewers of the cell.
-    pub viewers: u64,
-    /// Fleet size.
-    pub vcus: u64,
-    /// Cache capacity, segments.
-    pub cache_segments: u64,
-    /// Sessions that arrived.
-    pub arrivals: u64,
-    /// Sessions admitted.
-    pub admitted: u64,
-    /// Sessions shed by admission control.
-    pub shed: u64,
-    /// Sessions that watched to the end.
-    pub completed: u64,
-    /// Sessions aborted on permanent transcode failure.
-    pub aborted: u64,
-    /// Peak concurrent in-playback sessions.
-    pub peak_concurrent: u64,
-    /// TTFF p50, seconds.
-    pub ttff_p50_s: f64,
-    /// TTFF p99, seconds.
-    pub ttff_p99_s: f64,
-    /// Stall time / watch time.
-    pub rebuffer_ratio: f64,
-    /// Late mid-stream deliveries.
-    pub rebuffer_events: u64,
-    /// Cache hits / lookups.
-    pub hit_ratio: f64,
-    /// On-demand transcodes injected.
-    pub transcodes: u64,
-    /// Transcodes that failed permanently.
-    pub transcode_failures: u64,
-    /// Segments delivered.
-    pub segments_served: u64,
-    /// Delivered bytes, GB.
-    pub egress_gb: f64,
-    /// Egress cost, USD.
-    pub egress_cost_usd: f64,
-    /// Amortized transcode cost, USD.
-    pub transcode_cost_usd: f64,
-    /// Fraction of cluster samples above degradation rung 0 (admission
-    /// should keep this at zero).
-    pub degraded_frac: f64,
+    /// The cell's sweep point.
+    pub spec: ServeCellSpec,
+    /// The cell's serving report.
+    pub report: ServeReport,
 }
 
 /// Runs one cell; everything derives from `mix64(cfg.seed, cell)`.
@@ -172,27 +133,8 @@ pub fn run_serve_cell(
     })
     .run();
     ServeCampaignCell {
-        viewers: spec.viewers as u64,
-        vcus: spec.vcus as u64,
-        cache_segments: spec.cache_segments as u64,
-        arrivals: report.arrivals,
-        admitted: report.admitted,
-        shed: report.shed_sessions,
-        completed: report.completed_sessions,
-        aborted: report.aborted_sessions,
-        peak_concurrent: report.peak_concurrent,
-        ttff_p50_s: report.ttff_p50_s,
-        ttff_p99_s: report.ttff_p99_s,
-        rebuffer_ratio: report.rebuffer_ratio,
-        rebuffer_events: report.rebuffer_events,
-        hit_ratio: report.hit_ratio,
-        transcodes: report.transcodes,
-        transcode_failures: report.transcode_failures,
-        segments_served: report.segments_served,
-        egress_gb: report.egress_gb,
-        egress_cost_usd: report.egress_cost_usd,
-        transcode_cost_usd: report.transcode_cost_usd,
-        degraded_frac: 1.0 - report.cluster.degrade_time_frac[0],
+        spec: *spec,
+        report,
     }
 }
 
@@ -245,21 +187,23 @@ mod tests {
     #[test]
     fn cells_account_exactly() {
         for c in run_serve_campaign(&tiny()) {
-            assert_eq!(c.arrivals, c.admitted + c.shed);
-            assert_eq!(c.admitted, c.completed + c.aborted);
-            assert!(c.segments_served > 0);
-            assert!(c.peak_concurrent > 0);
+            let r = &c.report;
+            assert_eq!(r.arrivals, r.admitted + r.shed_sessions);
+            assert_eq!(r.admitted, r.completed_sessions + r.aborted_sessions);
+            assert!(r.segments_served > 0);
+            assert!(r.peak_concurrent > 0);
         }
     }
 
     #[test]
     fn hit_ratio_rises_across_the_cache_sweep() {
         let cells = run_serve_campaign(&tiny());
+        let (small, large) = (&cells[0].report, &cells[1].report);
         assert!(
-            cells[1].hit_ratio >= cells[0].hit_ratio,
+            large.hit_ratio >= small.hit_ratio,
             "4x cache should not hit less: {} vs {}",
-            cells[1].hit_ratio,
-            cells[0].hit_ratio
+            large.hit_ratio,
+            small.hit_ratio
         );
     }
 }

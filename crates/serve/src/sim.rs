@@ -52,6 +52,18 @@ const BITS_PER_PIXEL: f64 = 0.09;
 /// Edge delivery latency on a cache hit, seconds.
 const HIT_LATENCY_S: f64 = 0.05;
 
+/// Segment duration, seconds.
+const SEGMENT_S: f64 = 4.0;
+
+/// Fraction of the segment cache reserved for popularity-head segments.
+const PROTECTED_FRAC: f64 = 0.2;
+
+/// Output resolution of on-demand transcodes.
+const OUTPUT_RESOLUTION: Resolution = Resolution::R720;
+
+/// Output frame rate of on-demand transcodes.
+const OUTPUT_FPS: f64 = 30.0;
+
 /// Outstanding transcodes allowed per VCU *beyond* its concurrent slots
 /// before admission control sheds arrivals. Must sit below the
 /// degradation ladder's first backlog rung (4.0 queued per worker by
@@ -67,8 +79,6 @@ pub struct ServeConfig {
     /// Arrival window, seconds: sessions arrive in `[0, horizon_s)`
     /// and the sim drains every admitted session afterwards.
     pub horizon_s: f64,
-    /// Segment duration, seconds.
-    pub segment_s: f64,
     /// Catalog size in videos.
     pub catalog_videos: usize,
     /// Segment count per video, inclusive range.
@@ -77,18 +87,12 @@ pub struct ServeConfig {
     pub seg_max: u32,
     /// Segment-cache capacity in segments.
     pub cache_segments: usize,
-    /// Fraction of the cache reserved for popularity-head segments.
-    pub protected_frac: f64,
     /// Transcode fleet size (VCUs).
     pub vcus: usize,
     /// Admission control: shed arriving sessions while the transcode
     /// backlog exceeds what the fleet can clear promptly. Off, overload
     /// falls through to the cluster's degradation ladder instead.
     pub admission: bool,
-    /// Output resolution of on-demand transcodes.
-    pub resolution: Resolution,
-    /// Output frame rate.
-    pub fps: f64,
     /// Telemetry sampling period, seconds.
     pub sample_period_s: f64,
     /// Seed; catalog, arrivals, and cluster all derive from it.
@@ -100,16 +104,12 @@ impl Default for ServeConfig {
         ServeConfig {
             viewers: 10_000,
             horizon_s: 60.0,
-            segment_s: 4.0,
             catalog_videos: 2_000,
             seg_min: 4,
             seg_max: 8,
             cache_segments: 4_096,
-            protected_frac: 0.2,
             vcus: 64,
             admission: true,
-            resolution: Resolution::R720,
-            fps: 30.0,
             sample_period_s: 5.0,
             seed: 42,
         }
@@ -119,12 +119,12 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// The uniform on-demand transcode job a cache miss injects.
     pub fn transcode_job(&self) -> TranscodeJob {
-        TranscodeJob::mot(self.resolution, Profile::Vp9Sim, self.fps, self.segment_s)
+        TranscodeJob::mot(OUTPUT_RESOLUTION, Profile::Vp9Sim, OUTPUT_FPS, SEGMENT_S)
     }
 }
 
 /// End-of-run report.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Sessions that arrived during the window.
     pub arrivals: u64,
@@ -252,7 +252,6 @@ impl ServeSim {
     pub fn new(cfg: ServeConfig) -> Self {
         assert!(cfg.viewers > 0, "no viewers");
         assert!(cfg.horizon_s > 0.0, "empty horizon");
-        assert!(cfg.segment_s > 0.0, "zero-length segments");
         let catalog = Catalog::generate(
             cfg.catalog_videos,
             &PopularityModel::default(),
@@ -262,7 +261,7 @@ impl ServeSim {
         );
         let arrivals_model = ViewerSessions {
             target_concurrent: cfg.viewers as f64,
-            mean_session_s: catalog.mean_segments() * cfg.segment_s,
+            mean_session_s: catalog.mean_segments() * SEGMENT_S,
         };
         let cluster = ClusterSim::new(
             ClusterConfig {
@@ -279,7 +278,7 @@ impl ServeSim {
             Vec::new(),
         )
         .open_world();
-        let cache = SegmentCache::new(cfg.cache_segments, cfg.protected_frac);
+        let cache = SegmentCache::new(cfg.cache_segments, PROTECTED_FRAC);
         let rng = Rng::seed_from_u64(mix64(cfg.seed, 3));
         let job = cfg.transcode_job();
         let slots = slots_per_worker(&job) as f64;
@@ -478,7 +477,7 @@ impl ServeSim {
         let s = &mut self.sessions[sid as usize];
         if segment == 0 {
             let ttff = now - s.arrival_s;
-            s.next_due_s = now + self.cfg.segment_s;
+            s.next_due_s = now + SEGMENT_S;
             self.ttff.push(ttff);
             if self.telemetry.is_enabled() {
                 self.telemetry.observe("serve.ttff_s", ttff);
@@ -494,7 +493,7 @@ impl ServeSim {
                     self.telemetry.observe("serve.rebuffer_s", stall);
                 }
             }
-            s.next_due_s = now.max(s.next_due_s) + self.cfg.segment_s;
+            s.next_due_s = now.max(s.next_due_s) + SEGMENT_S;
         }
         s.delivered = segment + 1;
         if s.delivered == s.total {
@@ -510,7 +509,7 @@ impl ServeSim {
 
     fn handle_finish(&mut self, sid: u32) {
         let s = self.sessions[sid as usize];
-        self.watch_s_total += s.total as f64 * self.cfg.segment_s;
+        self.watch_s_total += s.total as f64 * SEGMENT_S;
         self.stall_s_total += s.stall_s;
         self.completed += 1;
         self.active -= 1;
@@ -560,7 +559,7 @@ impl ServeSim {
     /// watch still counts toward watch time (its stalls were real).
     fn abort_session(&mut self, now: f64, sid: u32) {
         let s = self.sessions[sid as usize];
-        self.watch_s_total += s.delivered as f64 * self.cfg.segment_s;
+        self.watch_s_total += s.delivered as f64 * SEGMENT_S;
         self.stall_s_total += s.stall_s;
         self.aborted += 1;
         self.active -= 1;
@@ -632,9 +631,8 @@ impl ServeSim {
         .total()
             / vcus_per_host as f64
             / THREE_YEARS_S;
-        let transcode_cost_usd = self.transcodes as f64 * self.cfg.segment_s
-            / slots_per_worker(&self.job) as f64
-            * usd_per_vcu_s;
+        let transcode_cost_usd =
+            self.transcodes as f64 * SEGMENT_S / slots_per_worker(&self.job) as f64 * usd_per_vcu_s;
         if self.telemetry.is_enabled() {
             self.telemetry
                 .counter_add("serve.cache.hits", self.cache.hits());

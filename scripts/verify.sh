@@ -89,6 +89,21 @@ stage_results_gate() {
     cargo run -q -p vcu-bench --release --offline --bin check_results
 }
 
+# Regenerate the three full campaigns that take seconds (fault, region,
+# design-space sweep) with their built-in seed; each gates its fresh
+# artifact and rewrites it under results/, which must come out
+# byte-identical. serve and paper take minutes and stay weekly.
+stage_results_drift() {
+    local bin
+    for bin in bench_fault_campaign bench_region_campaign bench_dse; do
+        echo "--> $bin (full)"
+        env -u VCU_SEED -u VCU_BENCH_SMOKE cargo run -q -p vcu-bench --release --offline \
+            --bin "$bin" | tail -n 2
+    done
+    git diff --exit-code -- results/fault_campaign.json results/region_campaign.json \
+        results/dse_frontier.json
+}
+
 # benchmark/ is a separate package with its own lockfile, which records
 # each workspace crate's dependency list; a crate-graph change here
 # would stale it, and a change to the public surface it consumes would
@@ -154,6 +169,7 @@ run_stage clippy stage_clippy
 run_stage examples stage_examples
 run_stage campaign_smoke stage_campaign_smoke
 run_stage results_gate stage_results_gate
+run_stage results_drift stage_results_drift
 run_stage benchmark_lock stage_benchmark_lock
 run_stage benchmark_smoke stage_benchmark_smoke
 run_stage determinism stage_determinism

@@ -6,6 +6,7 @@
 //! `results/fidelity.json`; and [`gates`], the CI gates over the
 //! campaign artifacts under `results/`. Host timings live in
 //! `benchmark/`, not here.
+#![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod gates;

@@ -17,6 +17,8 @@
 //! cores × decoder cores × DRAM bandwidth × reference-store SRAM,
 //! plus a cost/area/power model), so `vcu-dse` can sweep the design
 //! space while the shipped configuration stays bit-identical.
+#![forbid(unsafe_code)]
+
 pub mod calib;
 pub mod design;
 pub mod devices;

@@ -15,6 +15,8 @@
 //!   load),
 //! - [`tco`]: the capex + 3-year-opex cost model behind Table 1's
 //!   perf/TCO column.
+#![forbid(unsafe_code)]
+
 pub mod des;
 pub mod faultsim;
 pub mod scheduler;

@@ -25,10 +25,13 @@
 //!
 //! Each dispatched kernel also has a `*_with(backend, ...)` variant so
 //! tests and micro-benches can exercise a specific backend without
-//! mutating process-global state. The `_with` wrappers are the safety
-//! boundary for the `unsafe` AVX2 arms: they assert, in every build
-//! profile, that the CPU has AVX2 and that the slices cover every
-//! element the kernel reads or writes through raw pointers.
+//! mutating process-global state. The AVX2 kernels are safe functions
+//! over slices, bounds-checked like any other; what is `unsafe` is
+//! calling a `#[target_feature(enable = "avx2")]` function from code
+//! built without AVX2, so every AVX2 arm runs only after its `_with`
+//! wrapper has asserted that the CPU has the feature. The wrappers also
+//! assert every slice length, in every build profile, so a short
+//! operand panics with the same message in both backends.
 
 pub(crate) mod scalar;
 #[cfg(target_arch = "x86_64")]
@@ -81,8 +84,8 @@ fn cpu_has(b: Backend) -> bool {
 }
 
 /// Panics unless the CPU runs `b`. Every `_with` wrapper below calls
-/// this on entry: it is the CPU-feature half of each `unsafe` block's
-/// precondition (the slice lengths the wrapper asserts are the other).
+/// this on entry: it is the whole precondition of each `unsafe` call
+/// into an AVX2 kernel.
 #[inline]
 fn assert_supported(b: Backend) {
     assert!(cpu_has(b), "backend {} not supported by this CPU", b.name());
@@ -151,7 +154,7 @@ pub fn sad_slice_with(bk: Backend, a: &[u8], b: &[u8]) -> u64 {
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; `b` is as long as `a`, the extent loaded from both.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::sad_slice_avx2(a, b) }
         }
         _ => scalar::sad_slice(a, b),
@@ -179,7 +182,7 @@ pub fn sad_rows_thresholded_with(
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; rows are `chunks_exact(bw)` of both slices, equal length.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::sad_rows_thresholded_avx2(a, b, bw, threshold) }
         }
         _ => scalar::sad_rows_thresholded(a, b, bw, threshold),
@@ -227,7 +230,7 @@ pub fn plane_sad_block_thresholded_with(
         // right border, so the AVX2 backend stays exact here too.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 if !in_bounds => {
-            // SAFETY: AVX2 asserted; every row and block slice is taken with checked indexing.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe {
                 x86::sad_block_clamped_avx2(
                     plane.data(),
@@ -244,7 +247,7 @@ pub fn plane_sad_block_thresholded_with(
         }
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; every row and block slice is taken with checked indexing.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe {
                 x86::sad_block_thresholded_avx2(
                     plane.data(),
@@ -279,7 +282,7 @@ pub fn satd_with(bk: Backend, cur: &[u8], pred: &[u8], bw: usize, bh: usize) -> 
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; both slices hold `bw * bh`, every 8×8 cell the kernel loads.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::satd_avx2(cur, pred, bw, bh) }
         }
         _ => scalar::satd(cur, pred, bw, bh),
@@ -334,7 +337,7 @@ pub fn plane_copy_block_hpel_with(
             && (x as usize) + need_w <= plane.width()
             && (y as usize) + need_h <= plane.height();
         if interior {
-            // SAFETY: AVX2 asserted; rows are checked slices of the plane, `dst` is `bw * bh`.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             return unsafe {
                 x86::hpel_avx2(
                     plane.data(),
@@ -360,7 +363,7 @@ pub fn plane_copy_block_hpel_with(
         }
         let mut support = [0u8; MAX_SUPPORT];
         plane.copy_block_clamped(x, y, need_w, need_h, &mut support[..need_w * need_h]);
-        // SAFETY: AVX2 asserted; rows are checked slices of `support`, `dst` is `bw * bh`.
+        // SAFETY: `assert_supported` checked that this CPU has AVX2.
         unsafe {
             x86::hpel_avx2(
                 &support[..need_w * need_h],
@@ -391,7 +394,7 @@ pub fn compute_residual_with(bk: Backend, cur: &[u8], pred: &[u8], out: &mut [i1
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; `pred` and `out` are as long as `cur`, the extent touched.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::compute_residual_avx2(cur, pred, out) }
         }
         _ => scalar::compute_residual(cur, pred, out),
@@ -412,7 +415,7 @@ pub fn add_residual_clamp_with(bk: Backend, pred: &[u8], resid: &[i16], out: &mu
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; `resid` and `out` are as long as `pred`, the extent touched.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::add_residual_clamp_avx2(pred, resid, out) }
         }
         _ => scalar::add_residual_clamp(pred, resid, out),
@@ -432,7 +435,7 @@ pub fn avg_u8_inplace_with(bk: Backend, a: &mut [u8], b: &[u8]) {
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; `b` is as long as `a`, the extent loaded and stored.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::avg_u8_inplace_avx2(a, b) }
         }
         _ => scalar::avg_u8_inplace(a, b),
@@ -453,7 +456,7 @@ pub fn blend_accumulate_with(bk: Backend, acc: &mut [f64], src: &[u8], weight: f
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; `src` is as long as `acc`, the extent loaded and stored.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::blend_accumulate_avx2(acc, src, weight) }
         }
         _ => scalar::blend_accumulate(acc, src, weight),
@@ -486,9 +489,9 @@ pub fn tx_pass_strided_with(
     assert_tx_lengths(m_rows, m_cols, input, n, out);
     match bk {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if n.is_multiple_of(4) => {
-            // SAFETY: AVX2 asserted, 4 divides `n` (guard), every operand holds `n * n` (asserted).
-            unsafe { x86::tx_pass_strided_avx2(m_cols, input, n, out) }
+        Backend::Avx2 if matches!(n, 4 | 8 | 16 | 32) => {
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
+            unsafe { x86::tx_pass_avx2::<true>(m_cols, input, n, out) }
         }
         _ => scalar::tx_pass_strided(m_rows, input, n, out),
     }
@@ -516,9 +519,9 @@ pub fn tx_pass_contig_with(
     assert_tx_lengths(m_rows, m_cols, input, n, out);
     match bk {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if n.is_multiple_of(4) => {
-            // SAFETY: AVX2 asserted, 4 divides `n` (guard), every operand holds `n * n` (asserted).
-            unsafe { x86::tx_pass_contig_avx2(m_cols, input, n, out) }
+        Backend::Avx2 if matches!(n, 4 | 8 | 16 | 32) => {
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
+            unsafe { x86::tx_pass_avx2::<false>(m_cols, input, n, out) }
         }
         _ => scalar::tx_pass_contig(m_rows, input, n, out),
     }
@@ -547,7 +550,7 @@ pub fn round_clamp_i16_with(bk: Backend, src: &[f64], out: &mut [i16]) {
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; `out` is as long as `src`, the extent loaded and stored.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::round_clamp_i16_avx2(src, out) }
         }
         _ => scalar::round_clamp_i16(src, out),
@@ -578,7 +581,7 @@ pub fn quantize_levels_with(
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; `levels` is as long as `coeffs`, the extent loaded and stored.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::quantize_levels_avx2(coeffs, step, deadzone, levels) }
         }
         _ => scalar::quantize_levels(coeffs, step, deadzone, levels),
@@ -600,7 +603,7 @@ pub fn dequantize_coeffs_with(bk: Backend, levels: &[i32], step: f64, coeffs: &m
     match bk {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            // SAFETY: AVX2 asserted; `coeffs` is as long as `levels`, the extent loaded and stored.
+            // SAFETY: `assert_supported` checked that this CPU has AVX2.
             unsafe { x86::dequantize_coeffs_avx2(levels, step, coeffs) }
         }
         _ => scalar::dequantize_coeffs(levels, step, coeffs),

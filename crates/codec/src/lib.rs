@@ -12,6 +12,7 @@
 //! so the chip/CPU timing models in `vcu-chip` can price software and
 //! hardware transcodes from the same measured operation counts.
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(clippy::multiple_unsafe_ops_per_block)]
 
 pub mod api;
 pub(crate) mod block;

@@ -27,6 +27,8 @@
 //! let jobs = platform.jobs_for(&req);
 //! assert!(!jobs.is_empty());
 //! ```
+#![forbid(unsafe_code)]
+
 pub mod balance;
 pub mod chunking;
 pub mod graph;

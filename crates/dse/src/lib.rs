@@ -26,6 +26,7 @@
 //! candidate fan-out over [`vcu_exec::pool`] reassembles in index
 //! order and every simulation seed derives from the campaign seed, not
 //! from which thread ran the cell.
+#![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod pareto;

@@ -28,6 +28,7 @@
 //! let p = psnr_y(&video.frames[0], &video.frames[0]);
 //! assert!(p.is_infinite()); // identical frames
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod bdrate;
 pub mod frame;

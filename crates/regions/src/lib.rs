@@ -17,6 +17,7 @@
 //! - [`campaign`]: the regions × fleet × traffic sweep behind
 //!   `results/region_campaign.json`, including the isolated-regions
 //!   counterfactual the overflow-routing CI gate compares against.
+#![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod planet;

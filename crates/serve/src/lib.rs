@@ -19,6 +19,7 @@
 //!
 //! Everything is a function of the seed: same seed → byte-identical
 //! campaign JSON and telemetry snapshots, for any `VCU_THREADS`.
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod campaign;

@@ -15,6 +15,7 @@
 //! used (`gen_range`, `gen_bool`, `seed_from_u64`) plus the
 //! distribution samplers the workload models need (uniform f64,
 //! normal, exponential) and Fisher–Yates `shuffle`.
+#![forbid(unsafe_code)]
 
 pub mod prop;
 

@@ -43,6 +43,7 @@
 //! off.counter_add("jobs.completed", 1);
 //! assert_eq!(off.counter("jobs.completed"), 0);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod json;
 pub mod metrics;

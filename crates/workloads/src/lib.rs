@@ -9,6 +9,8 @@
 //! arrivals) feeding the online serving layer, and [`diurnal`]
 //! time-of-day demand curves that phase-shift per region for the
 //! multi-region simulation.
+#![forbid(unsafe_code)]
+
 pub mod diurnal;
 pub mod popularity;
 pub mod traffic;

@@ -153,9 +153,10 @@ stage_determinism() {
 # dispatcher pinned to the scalar reference (VCU_SIMD=off), the golden
 # bitstream hashes and the scalar<->AVX2 differential suite must pass
 # exactly as they do under the best backend (the plain test stage).
-# A release build on purpose: the kernel wrappers' slice-length and
-# CPU-feature asserts guard raw-pointer AVX2 code, so the short-slice
-# test in tests/simd.rs must see them live where debug_assert! is not.
+# A release build on purpose: the kernel wrappers' slice-length asserts
+# are the cross-backend contract the short-slice test in tests/simd.rs
+# pins, so it must see them live where debug_assert! is not. The same
+# file's hostile-container decode test runs here on the scalar kernels.
 stage_simd_off() {
     echo "--> VCU_SIMD=off (release build)"
     VCU_SIMD=off cargo test -q -p vcu-system --release --offline --test golden --test simd \

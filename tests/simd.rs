@@ -11,14 +11,20 @@
 //! planes, and block widths one byte either side of a 16- or 32-byte
 //! vector.
 //!
+//! The file also holds the decoder's hostile-input test, so it runs
+//! under both backends too (`auto` in the test stage, `off` in the
+//! release `simd_off` stage).
+//!
 //! A failing case prints the exact seed; replay it with
 //! `VCU_PROP_SEED=<seed> cargo test <name>`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use vcu_codec::kernels::{self, Backend};
-use vcu_codec::{encode, encode_parallel, EncoderConfig, Profile, Qp};
+use vcu_codec::{decode, encode, encode_parallel, CodecError, EncoderConfig, Profile, Qp};
+use vcu_media::scale::scale_frame;
 use vcu_media::synth::{ContentClass, SynthSpec};
-use vcu_media::{Plane, Resolution};
+use vcu_media::{Plane, Resolution, Video};
 use vcu_rng::{prop_cases, Rng};
 
 /// Random pixel with the saturating edges oversampled: roughly a
@@ -429,11 +435,12 @@ fn encode_is_byte_identical_across_backends() {
     }
 }
 
-/// The safe `_with` wrappers are what stands between a caller and the
-/// AVX2 kernels' raw-pointer loads and stores, so each must reject an
-/// input or output one element short on every backend — in release
-/// builds too (the `simd_off` verify stage runs this file with
-/// `--release`), where a `debug_assert!` would not.
+/// The cross-backend length contract: every `_with` wrapper rejects an
+/// input or output one element short, on every backend, before any
+/// kernel runs — in release builds too (the `simd_off` verify stage
+/// runs this file with `--release`), where a `debug_assert!` would not.
+/// The AVX2 kernels' own bounds, without the wrappers in front, are
+/// pinned by `kernels_panic_on_a_short_operand` in `x86.rs`.
 #[test]
 fn short_slices_panic_in_every_backend() {
     // An 8×8 transform operand, and one a single element short.
@@ -529,5 +536,103 @@ fn short_slices_panic_in_every_backend() {
             let outcome = catch_unwind(AssertUnwindSafe(|| case(bk)));
             assert!(outcome.is_err(), "{bk:?} {name}: short slice accepted");
         }
+    }
+}
+
+/// FNV-1a32, the container's per-frame payload checksum.
+fn fnv1a32(bytes: &[u8]) -> u32 {
+    bytes
+        .iter()
+        .fold(0x811C_9DC5, |h, &b| (h ^ b as u32).wrapping_mul(16_777_619))
+}
+
+/// Container header length; frame records follow it. Each record is
+/// kind (1 byte), qp (1), payload length (u32 LE), payload, FNV-1a32 of
+/// the payload (u32 LE).
+const HEADER_LEN: usize = 18;
+
+/// `(record start, payload length)` of every frame record.
+fn records(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut at = HEADER_LEN;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at + 2..at + 6].try_into().unwrap()) as usize;
+        out.push((at, len));
+        at += 10 + len;
+    }
+    assert_eq!(at, bytes.len(), "records must tile the container");
+    out
+}
+
+/// A 6-frame 144p clip scaled to 96×56, per profile: encoded whole,
+/// and as a spliced `encode_parallel` stream of two 3-frame chunks.
+fn hostile_bases() -> &'static [[Vec<u8>; 2]; 2] {
+    static BASES: OnceLock<[[Vec<u8>; 2]; 2]> = OnceLock::new();
+    BASES.get_or_init(|| {
+        let v = SynthSpec::new(Resolution::R144, 6, ContentClass::ugc(), 33).generate();
+        let frames = v.frames.iter().map(|f| scale_frame(f, 96, 56)).collect();
+        let v = Video::new(frames, v.fps);
+        [Profile::H264Sim, Profile::Vp9Sim].map(|p| {
+            let cfg = EncoderConfig::const_qp(p, Qp::new(36));
+            let whole = encode(&cfg, &v).unwrap().bytes;
+            [whole, encode_parallel(&cfg, &v, 3).unwrap().bytes]
+        })
+    })
+}
+
+prop_cases! {
+    /// The decoder survives hostile containers: `decode` returns `Ok`
+    /// or `Err` and never panics. Each case takes one of the four base
+    /// streams (both profiles, whole and spliced) and either flips 1–3
+    /// bits of one frame payload and re-stamps that record's checksum,
+    /// so the corruption reaches the frame decoder instead of stopping
+    /// at the checksum; or overwrites a header field (width, height,
+    /// fps, frame count); or truncates at a record boundary ±1 byte.
+    #[cases(60)]
+    fn decode_survives_hostile_payloads(rng) {
+        let base = &hostile_bases()[rng.gen_range(0usize..2)][rng.gen_range(0usize..2)];
+        let recs = records(base);
+        let mut bytes = base.clone();
+        let pick = |rng: &mut Rng, vals: &[u64]| vals[rng.gen_range(0..vals.len())];
+        match rng.gen_range(0u32..3) {
+            0 => {
+                let (at, len) = recs[rng.gen_range(0..recs.len())];
+                let payload = &mut bytes[at + 6..at + 6 + len];
+                for _ in 0..rng.gen_range(1u32..=3) {
+                    payload[rng.gen_range(0..len)] ^= 1 << rng.gen_range(0u32..8);
+                }
+                let sum = fnv1a32(payload).to_le_bytes();
+                bytes[at + 6 + len..at + 10 + len].copy_from_slice(&sum);
+                let got = decode(&bytes);
+                let checksum = CodecError::CorruptBitstream("frame checksum mismatch");
+                assert_ne!(got.err(), Some(checksum), "re-stamped payload hit the checksum");
+                return;
+            }
+            1 => match rng.gen_range(0u32..4) {
+                field @ (0 | 1) => {
+                    let at = 6 + 2 * field as usize;
+                    let orig = u16::from_le_bytes([bytes[at], bytes[at + 1]]) as u64;
+                    let even = 2 * rng.gen_range(1u64..=256);
+                    let dims = [0, 1, orig - 2, orig + 1, orig + 2, orig / 2, 2 * orig, even, 4098, 65535];
+                    bytes[at..at + 2].copy_from_slice(&(pick(rng, &dims) as u16).to_le_bytes());
+                }
+                2 => {
+                    let fps = [0.0, -30.0, f32::NAN, f32::INFINITY, 1e-30, 1e30, 7.5];
+                    let f = fps[rng.gen_range(0..fps.len())];
+                    bytes[10..14].copy_from_slice(&f.to_le_bytes());
+                }
+                _ => {
+                    let n = recs.len() as u64;
+                    let counts = [0, 1, n - 1, n + 1, 2 * n, u32::MAX as u64];
+                    bytes[14..18].copy_from_slice(&(pick(rng, &counts) as u32).to_le_bytes());
+                }
+            },
+            _ => {
+                let bounds: Vec<usize> = recs.iter().map(|r| r.0).chain([bytes.len()]).collect();
+                let cut = bounds[rng.gen_range(0..bounds.len())] + rng.gen_range(0usize..3);
+                bytes.truncate((cut - 1).min(bytes.len()));
+            }
+        }
+        let _ = decode(&bytes);
     }
 }

@@ -1019,6 +1019,50 @@ fn chunk_parallel_encode_honors_vcu_threads_deterministically() {
     assert!(snap_a.contains("\"codec.chunks\""));
 }
 
+/// Every job the platform emits, for each workload family and at two
+/// resolutions: the per-family priority, the Live/Gaming arrival
+/// staggering and `low_latency_two_pass`, and the formats each request
+/// fans out to. `UploadTraffic` above reaches only `Upload`.
+#[test]
+fn platform_jobs_for_every_family_are_pinned() {
+    use vcu_media::Resolution;
+    use vcu_workloads::{PopularityBucket, Request, WorkloadFamily};
+    let mut reqs = Vec::new();
+    for (i, family) in [
+        WorkloadFamily::Upload,
+        WorkloadFamily::Archival,
+        WorkloadFamily::Live,
+        WorkloadFamily::Gaming,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for (j, (resolution, popularity)) in [
+            (Resolution::R720, PopularityBucket::Tail),
+            (Resolution::R2160, PopularityBucket::Head),
+            (Resolution::R1080, PopularityBucket::Middle),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            reqs.push(Request {
+                arrival_s: 3.0 * (4 - i) as f64 + 0.5 * j as f64,
+                family,
+                resolution,
+                fps: if j == 1 { 60.0 } else { 30.0 },
+                duration_s: 4.0 + 7.5 * j as f64,
+                popularity,
+            });
+        }
+    }
+    let jobs = Platform::default().jobs_for_all(&reqs);
+    assert_eq!(
+        fnv1a64(format!("{jobs:?}").as_bytes()),
+        869018936743261611,
+        "platform jobs moved"
+    );
+}
+
 #[test]
 fn traffic_generation_is_deterministic() {
     let a = UploadTraffic::new(3.0, 7).generate(200.0);

@@ -30,43 +30,43 @@ use vcu_codec::Profile;
 /// cheap but not free) are what shape the frontier.
 mod area {
     /// Control processor, firmware SRAM, host interface, I/O ring.
-    pub const BASE_MM2: f64 = 30.0;
+    pub(super) const BASE_MM2: f64 = 30.0;
     /// One encoder core (motion search arrays dominate; Figure 5a).
-    pub const ENCODER_CORE_MM2: f64 = 6.0;
+    pub(super) const ENCODER_CORE_MM2: f64 = 6.0;
     /// One decoder core (~10× cheaper than encode; §3.3.1).
-    pub const DECODER_CORE_MM2: f64 = 2.0;
+    pub(super) const DECODER_CORE_MM2: f64 = 2.0;
     /// One shipped-size (144K-pixel) reference store, per encoder core.
-    pub const REFSTORE_MM2: f64 = 1.0;
+    pub(super) const REFSTORE_MM2: f64 = 1.0;
     /// One 32-bit LPDDR4 channel PHY + controller.
-    pub const DRAM_CHANNEL_MM2: f64 = 4.0;
+    pub(super) const DRAM_CHANNEL_MM2: f64 = 4.0;
 }
 
 /// Power model, watts per VCU under transcode load.
 mod power {
     /// Control, firmware CPU, I/O.
-    pub const BASE_W: f64 = 9.0;
+    pub(super) const BASE_W: f64 = 9.0;
     /// One encoder core, active.
-    pub const ENCODER_CORE_W: f64 = 3.0;
+    pub(super) const ENCODER_CORE_W: f64 = 3.0;
     /// One decoder core, active.
-    pub const DECODER_CORE_W: f64 = 1.0;
+    pub(super) const DECODER_CORE_W: f64 = 1.0;
     /// One LPDDR4 channel (PHY + device).
-    pub const DRAM_CHANNEL_W: f64 = 2.0;
+    pub(super) const DRAM_CHANNEL_W: f64 = 2.0;
 }
 
 /// Cost model, dollars per card.
 mod cost {
     /// Board, packaging, passives, host interface — per card (2 VCUs).
-    pub const CARD_BOARD_USD: f64 = 376.0;
+    pub(super) const CARD_BOARD_USD: f64 = 376.0;
     /// One LPDDR4 channel's DRAM devices.
-    pub const DRAM_CHANNEL_USD: f64 = 45.0;
+    pub(super) const DRAM_CHANNEL_USD: f64 = 45.0;
     /// Die cost of the shipped 122 mm² VCU — chosen so a shipped card
     /// prices at exactly the $2,200 `VCU_CARD_CAPEX` in
     /// `vcu-cluster::tco`: 376 + 2×732 + 2×4×$45 = 2,200.
-    pub const SHIPPED_DIE_USD: f64 = 732.0;
+    pub(super) const SHIPPED_DIE_USD: f64 = 732.0;
     /// Yield roll-off scale: die cost grows ∝ area·e^(Δarea/A₀)
     /// (Poisson defect yield), so big dies cost superlinearly — the
     /// pressure that keeps "just add cores" from dominating.
-    pub const YIELD_AREA_MM2: f64 = 60.0;
+    pub(super) const YIELD_AREA_MM2: f64 = 60.0;
 }
 
 /// Raw bandwidth of one 32-bit LPDDR4-3200 channel in GiB/s (§3.3.1:
@@ -220,29 +220,25 @@ impl DesignPoint {
     }
 
     /// Worst-case DRAM demand in GiB/s (the §3.3.1 envelope): every
-    /// encoder core streaming a 2160p60 worst case (scaled by this
-    /// store's traffic factor) plus every decoder core at 2.2 GiB/s.
-    pub fn dram_demand_gib_s(&self, refcomp: bool) -> f64 {
-        let enc_anchor = if refcomp {
-            dram::ENCODE_2160P60_REFCOMP_GIB_S
-        } else {
-            dram::ENCODE_2160P60_GIB_S
-        };
-        self.encoder_cores as f64 * enc_anchor * self.traffic_factor
+    /// encoder core streaming a reference-compressed 2160p60 worst case
+    /// (scaled by this store's traffic factor) plus every decoder core
+    /// at 2.2 GiB/s.
+    pub fn dram_demand_gib_s(&self) -> f64 {
+        self.encoder_cores as f64 * dram::ENCODE_2160P60_REFCOMP_GIB_S * self.traffic_factor
             + self.decoder_cores as f64 * dram::DECODE_2160P60_GIB_S
     }
 
     /// Worst-case demand over usable bandwidth. The shipped point sits
-    /// just under 1.0 with reference compression on — the paper sized
-    /// four channels to exactly this envelope.
-    pub fn bandwidth_pressure(&self, refcomp: bool) -> f64 {
-        self.dram_demand_gib_s(refcomp) / (self.dram_raw_gib_s * dram::EFFICIENCY)
+    /// just under 1.0 — the paper sized four channels to exactly this
+    /// envelope.
+    pub fn bandwidth_pressure(&self) -> f64 {
+        self.dram_demand_gib_s() / (self.dram_raw_gib_s * dram::EFFICIENCY)
     }
 
     /// How much slower each DMA transfer runs than on the shipped
     /// design (≥ 1; exactly 1 when pressure is at or below shipped).
     fn dma_slowdown(&self) -> f64 {
-        (self.bandwidth_pressure(true) / Self::shipped().bandwidth_pressure(true)).max(1.0)
+        (self.bandwidth_pressure() / Self::shipped().bandwidth_pressure()).max(1.0)
     }
 
     /// Chip-level memory stall derate in (0, 1]: when this design's
@@ -250,9 +246,9 @@ impl DesignPoint {
     /// `SYSTEM_DERATE` already absorbs, cross-stream contention eats
     /// sustained throughput proportionally. Extra bandwidth beyond the
     /// envelope buys nothing (exactly the §3.3.1 sizing argument).
-    pub fn mem_stall_factor(&self, refcomp: bool) -> f64 {
-        let shipped = Self::shipped().bandwidth_pressure(refcomp);
-        (shipped / self.bandwidth_pressure(refcomp)).min(1.0)
+    pub fn mem_stall_factor(&self) -> f64 {
+        let shipped = Self::shipped().bandwidth_pressure();
+        (shipped / self.bandwidth_pressure()).min(1.0)
     }
 
     /// Closed-form single-core one-pass rate in Mpix/s for this design:
@@ -336,8 +332,7 @@ mod tests {
         assert_eq!(s.dram_channels(), 4);
         // All derates are exactly 1 — the shipped point is the anchor.
         assert_eq!(s.refstore_traffic_factor(), 1.0);
-        assert_eq!(s.mem_stall_factor(true), 1.0);
-        assert_eq!(s.mem_stall_factor(false), 1.0);
+        assert_eq!(s.mem_stall_factor(), 1.0);
     }
 
     #[test]
@@ -355,17 +350,14 @@ mod tests {
     fn shipped_sits_at_the_envelope_knee() {
         // §3.3.1: the envelope (~27 GiB/s typical demand) fits in four
         // channels' usable bandwidth, with little to spare.
-        let p = DesignPoint::shipped().bandwidth_pressure(true);
+        let p = DesignPoint::shipped().bandwidth_pressure();
         assert!((0.75..1.0).contains(&p), "shipped pressure {p}");
-        // Without reference compression the same chip would be over
-        // budget — the paper's argument for building refcomp at all.
-        assert!(DesignPoint::shipped().bandwidth_pressure(false) > 1.0);
     }
 
     #[test]
     fn starved_bandwidth_derates_smoothly() {
         let half = DesignPoint::new(10, 3, 18.0, STORE_PIXELS);
-        let stall = half.mem_stall_factor(true);
+        let stall = half.mem_stall_factor();
         assert!((0.3..0.8).contains(&stall), "stall {stall}");
         // Sustained rate scales with the stall; the per-core closed
         // form also feels DMA pressure once it exceeds the bottleneck.
@@ -381,7 +373,7 @@ mod tests {
     fn extra_bandwidth_buys_nothing_but_costs() {
         let fat = DesignPoint::new(10, 3, 54.0, STORE_PIXELS);
         let s = DesignPoint::shipped();
-        assert_eq!(fat.mem_stall_factor(true), 1.0);
+        assert_eq!(fat.mem_stall_factor(), 1.0);
         assert_eq!(
             fat.core_rate_mpix_s(Profile::Vp9Sim),
             s.core_rate_mpix_s(Profile::Vp9Sim)
@@ -400,9 +392,9 @@ mod tests {
             small.refstore_traffic_factor()
         );
         assert!(big.refstore_traffic_factor() <= 1.0);
-        assert!(small.bandwidth_pressure(true) > big.bandwidth_pressure(true));
+        assert!(small.bandwidth_pressure() > big.bandwidth_pressure());
         // More misses → more demand → deeper stall on the same DRAM.
-        assert!(small.mem_stall_factor(true) < 1.0);
+        assert!(small.mem_stall_factor() < 1.0);
     }
 
     #[test]

@@ -45,9 +45,6 @@ pub struct DramModel {
     /// Whether reference-frame compression is enabled (ablation knob;
     /// production hardware always enables it).
     pub refcomp: bool,
-    /// Raw DRAM bandwidth in GiB/s (shipped: 36.0; design-space
-    /// candidates vary the channel count).
-    pub raw_gib_s: f64,
     streams_bw_gib_s: f64,
     used_mib: f64,
     /// Observability sink (disabled by default: zero cost).
@@ -57,19 +54,8 @@ pub struct DramModel {
 impl DramModel {
     /// A fresh DRAM model with the shipped four-channel bandwidth.
     pub fn new(refcomp: bool) -> Self {
-        Self::with_bandwidth(refcomp, dram::RAW_GIB_S)
-    }
-
-    /// A DRAM model with an explicit raw bandwidth (design-space
-    /// candidates with more or fewer LPDDR4 channels).
-    pub fn with_bandwidth(refcomp: bool, raw_gib_s: f64) -> Self {
-        assert!(
-            raw_gib_s > 0.0 && raw_gib_s.is_finite(),
-            "raw bandwidth must be positive and finite, got {raw_gib_s}"
-        );
         DramModel {
             refcomp,
-            raw_gib_s,
             streams_bw_gib_s: 0.0,
             used_mib: 0.0,
             telemetry: Registry::disabled(),
@@ -97,7 +83,7 @@ impl DramModel {
 
     /// Usable bandwidth budget in GiB/s.
     pub fn bandwidth_budget_gib_s(&self) -> f64 {
-        self.raw_gib_s * dram::EFFICIENCY
+        dram::RAW_GIB_S * dram::EFFICIENCY
     }
 
     /// Capacity budget in MiB.

@@ -7,7 +7,7 @@
 
 use crate::calib::{self, millicores};
 use crate::design::DesignPoint;
-use crate::dram::{job_footprint_mib, DramModel};
+use crate::dram::job_footprint_mib;
 use crate::job::TranscodeJob;
 use vcu_codec::Profile;
 
@@ -43,8 +43,6 @@ impl WorkloadShape {
 /// Static capacity model of one VCU.
 #[derive(Debug, Clone)]
 pub struct VcuModel {
-    /// Reference-frame compression enabled (ablation knob).
-    pub refcomp: bool,
     /// Stateless core dispatch (ablation knob): stateless cores let
     /// firmware run any stream on any idle core; sticky cores strand
     /// capacity when their stream stalls (§3.2 "Control and Stateless
@@ -59,7 +57,6 @@ pub struct VcuModel {
 impl Default for VcuModel {
     fn default() -> Self {
         VcuModel {
-            refcomp: true,
             stateless: true,
             design: DesignPoint::shipped(),
         }
@@ -91,7 +88,7 @@ impl VcuModel {
     pub fn decode_capacity_mpix_s(&self) -> f64 {
         self.design.decoder_cores as f64
             * calib::DECODER_CORE_MPIX_S
-            * self.design.mem_stall_factor(self.refcomp)
+            * self.design.mem_stall_factor()
     }
 
     /// Sustained system-level encode rate in Mpix/s of output for a
@@ -103,7 +100,7 @@ impl VcuModel {
         self.peak_encode_mpix_s(profile)
             * calib::SYSTEM_DERATE
             * stateless_factor
-            * self.design.mem_stall_factor(self.refcomp)
+            * self.design.mem_stall_factor()
             / shape.passes_per_output_pixel()
     }
 
@@ -129,11 +126,6 @@ impl VcuModel {
             dram_mib: job_footprint_mib(job).ceil() as u32,
             host_mcpu: (job.output_mpix_s() * 0.15).ceil() as u32,
         }
-    }
-
-    /// A DRAM model matching this VCU's configuration.
-    pub fn dram(&self) -> DramModel {
-        DramModel::with_bandwidth(self.refcomp, self.design.dram_raw_gib_s)
     }
 }
 

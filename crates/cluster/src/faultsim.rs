@@ -239,7 +239,6 @@ pub fn cell_cluster_config(vcus: usize, seed: u64) -> ClusterConfig {
         detection_rate: 0.9,
         retry: RetryPolicy {
             base_s: 5.0,
-            max_attempts: 5,
             jitter_frac: 0.1,
         },
         watchdog: WatchdogPolicy {

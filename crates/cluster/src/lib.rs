@@ -32,6 +32,6 @@ pub use scheduler::{PlacementMode, Scheduler, SchedulerKind};
 pub use sim::{
     AttemptMode, ClusterConfig, ClusterReport, ClusterSim, ConfigError, DegradePolicy,
     FaultInjection, FaultKind, HealthPolicy, JobResolution, JobSpec, Priority, RetryPolicy, Sample,
-    WatchdogPolicy, WorkerMgmtState, BACKOFF_FACTOR,
+    WatchdogPolicy, WorkerMgmtState, BACKOFF_FACTOR, MAX_ATTEMPTS,
 };
 pub use tco::{perf_per_tco, perf_per_tco_normalized, system_tco, vcu_host_tco_for, Tco};

@@ -57,14 +57,14 @@ pub struct ClusterConfig {
     /// §4.4 black-holing mitigation: on a detected hardware failure the
     /// worker aborts and the VCU must pass a golden test before reuse.
     pub blackhole_mitigation: bool,
-    /// High-level integrity checks on outputs (detect most corruption).
-    pub integrity_checks: bool,
     /// Fig. 9c: shift decode to host CPU when hardware decode blocks
     /// placement.
     pub opportunistic_sw_decode: bool,
-    /// Probability an integrity check catches a corrupted chunk.
+    /// Probability the high-level integrity check on a chunk's outputs
+    /// catches its corruption; 0 runs no check.
     pub detection_rate: f64,
-    /// Exponential-backoff retry policy with a per-job attempt budget.
+    /// Exponential-backoff retry policy; every job gets
+    /// [`MAX_ATTEMPTS`](super::MAX_ATTEMPTS) attempts.
     pub retry: RetryPolicy,
     /// Per-job watchdog timeouts (§4.4: a hung firmware never reports
     /// completion — only a deadline notices).
@@ -98,7 +98,6 @@ impl Default for ClusterConfig {
             scheduler: SchedulerKind::MultiDim,
             placement: PlacementMode::Indexed,
             blackhole_mitigation: true,
-            integrity_checks: true,
             opportunistic_sw_decode: false,
             detection_rate: 0.9,
             retry: RetryPolicy::default(),
@@ -150,7 +149,6 @@ impl ClusterConfig {
         };
         let (retry, watchdog) = (&self.retry, &self.watchdog);
         rule(self.vcus >= 1, "vcus", "at least 1")?;
-        rule(retry.max_attempts >= 1, "retry.max_attempts", "at least 1")?;
         let detection_ok = (0.0..=1.0).contains(&self.detection_rate);
         rule(detection_ok, "detection_rate", "in [0, 1]")?;
         for (field, v) in [
@@ -191,14 +189,13 @@ mod tests {
     #[test]
     fn each_bad_field_is_rejected_by_name() {
         type Break = fn(&mut ClusterConfig);
-        let table: [(&str, Break); 15] = [
+        let table: [(&str, Break); 14] = [
             ("vcus", |c| c.vcus = 0),
             ("sample_period_s", |c| c.sample_period_s = 0.0),
             ("sample_period_s", |c| c.sample_period_s = f64::NAN),
             ("service_time_factor", |c| c.service_time_factor = -1.0),
             ("detection_rate", |c| c.detection_rate = 1.5),
             ("detection_rate", |c| c.detection_rate = f64::NAN),
-            ("retry.max_attempts", |c| c.retry.max_attempts = 0),
             ("retry.base_s", |c| c.retry.base_s = -0.5),
             ("retry.jitter_frac", |c| c.retry.jitter_frac = f64::NAN),
             ("watchdog.grace_s", |c| c.watchdog.grace_s = f64::INFINITY),

@@ -11,7 +11,10 @@
 use super::degrade::AttemptMode;
 use super::fleet::{FaultKind, WorkerEvent};
 use super::tally::{Incident, Sample};
-use super::{Attempt, ClusterSim, Event, JobResolution, Priority, COMPLETION_LANE, WATCHDOG_LANE};
+use super::{
+    Attempt, ClusterSim, Event, JobResolution, Priority, COMPLETION_LANE, MAX_ATTEMPTS,
+    WATCHDOG_LANE,
+};
 use std::collections::VecDeque;
 use vcu_chip::faults::HealthState;
 use vcu_chip::ResourceDemand;
@@ -498,7 +501,7 @@ impl ClusterSim {
     /// attempt budget is spent. `w` is the worker of the failing
     /// attempt.
     fn retry_or_fail(&mut self, now: f64, j: usize, w: usize) {
-        if self.jobs[j].attempts >= self.cfg.retry.max_attempts {
+        if self.jobs[j].attempts >= MAX_ATTEMPTS {
             self.resolve_job(now, j, Some(w), true, false);
             return;
         }
@@ -579,8 +582,8 @@ impl ClusterSim {
     }
 
     fn handle_completion(&mut self, now: f64, j: usize, w: usize, corrupted: bool) {
-        let detected =
-            corrupted && self.cfg.integrity_checks && self.rng.gen_bool(self.cfg.detection_rate);
+        let rate = self.cfg.detection_rate;
+        let detected = corrupted && rate > 0.0 && self.rng.gen_bool(rate);
         if !detected {
             // Clean — or undetected corruption, which ships (the paper
             // admits "the system will have bad video chunks escape").
@@ -652,10 +655,6 @@ mod tests {
                 vcus: 4,
                 blackhole_mitigation: mitigate,
                 detection_rate: 1.0,
-                retry: RetryPolicy {
-                    max_attempts: 11,
-                    ..RetryPolicy::default()
-                },
                 seed: 7,
                 ..ClusterConfig::default()
             };
@@ -689,7 +688,7 @@ mod tests {
     fn corruption_escapes_without_integrity_checks() {
         let cfg = ClusterConfig {
             vcus: 4,
-            integrity_checks: false,
+            detection_rate: 0.0,
             blackhole_mitigation: false,
             ..ClusterConfig::default()
         };
@@ -1107,7 +1106,7 @@ mod tests {
         let run = |golden_period_s: f64| {
             let cfg = ClusterConfig {
                 vcus: 4,
-                integrity_checks: false,
+                detection_rate: 0.0,
                 health: HealthPolicy {
                     golden_period_s,
                     ..HealthPolicy::default()

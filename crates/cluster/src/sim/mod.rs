@@ -43,7 +43,7 @@ mod tally;
 pub use config::{ClusterConfig, ConfigError, JobSpec, Priority};
 pub use degrade::{AttemptMode, DegradePolicy};
 pub use fleet::{FaultInjection, FaultKind, HealthPolicy, WatchdogPolicy, WorkerMgmtState};
-pub use retry::{RetryPolicy, BACKOFF_FACTOR};
+pub use retry::{RetryPolicy, BACKOFF_FACTOR, MAX_ATTEMPTS};
 pub use tally::{ClusterReport, Sample};
 
 use crate::des::EventQueue;

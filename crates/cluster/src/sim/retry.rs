@@ -8,12 +8,16 @@ use vcu_rng::Rng;
 /// Multiplier applied to the backoff delay per additional attempt.
 pub const BACKOFF_FACTOR: f64 = 2.0;
 
+/// Total attempt budget per job, first run included. A job whose
+/// attempt count reaches this fails permanently.
+pub const MAX_ATTEMPTS: u32 = 5;
+
 /// Ceiling on the pre-jitter delay, seconds: one simulated hour, far
-/// above any delay the default 5-attempt budget can reach. `base_s *
+/// above any delay the [`MAX_ATTEMPTS`] budget can reach. `base_s *
 /// BACKOFF_FACTOR^k` grows without bound (`2^1024` is already
 /// `f64::INFINITY`), and an infinite or astronomically late retry event
 /// would wedge or corrupt the DES clock; the clamp keeps every backoff
-/// finite no matter how liberal the attempt budget is.
+/// finite for any attempt count.
 pub(crate) const MAX_DELAY_S: f64 = 3_600.0;
 
 /// Exponential-backoff retry policy: attempt `k`'s re-enqueue is
@@ -25,9 +29,6 @@ pub(crate) const MAX_DELAY_S: f64 = 3_600.0;
 pub struct RetryPolicy {
     /// Delay before the first retry, seconds (0 = immediate).
     pub base_s: f64,
-    /// Total attempt budget per job (first run included). A job whose
-    /// attempt count reaches this fails permanently.
-    pub max_attempts: u32,
     /// Uniform jitter fraction in `[0, jitter_frac)` added to each
     /// delay, drawn from the sim RNG.
     pub jitter_frac: f64,
@@ -37,7 +38,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             base_s: 0.0,
-            max_attempts: 5,
             jitter_frac: 0.0,
         }
     }
@@ -70,7 +70,6 @@ mod tests {
     fn backoff_delays_are_deterministic_and_bounded() {
         let p = RetryPolicy {
             base_s: 2.0,
-            max_attempts: 5,
             jitter_frac: 0.25,
         };
         let seq = |seed| {
@@ -112,7 +111,6 @@ mod tests {
         // schedule a retry at t = ∞ and wedge the DES.
         let p = RetryPolicy {
             base_s: 2.0,
-            max_attempts: u32::MAX,
             jitter_frac: 0.0,
         };
         let mut rng = Rng::seed_from_u64(1);

@@ -7,7 +7,7 @@
 //! radius mitigation relies on), and reproduces the encoder's
 //! reconstructions exactly.
 
-use crate::config::{EncoderConfig, PassMode, RateControl};
+use crate::config::{EncoderConfig, PassMode, RateControl, ALTREF_PERIOD};
 use crate::frame_coder::{decode_frame, encode_frame, RefSlots};
 use crate::rc::{first_pass, plan_frame_kinds, RateController};
 use crate::stats::CodingStats;
@@ -186,8 +186,8 @@ pub fn encode_traced(
 
         // Altref insertion: a temporally filtered future frame, coded
         // hidden at a lower QP, refreshing the ALTREF slot.
-        if altref_active && kind == FrameKind::Inter && since_altref >= cfg.altref_period {
-            let center = (i + cfg.altref_period / 2).min(n - 1);
+        if altref_active && kind == FrameKind::Inter && since_altref >= ALTREF_PERIOD {
+            let center = (i + ALTREF_PERIOD / 2).min(n - 1);
             let lookahead = pass.lookahead(i, n);
             if center > i && center - i <= lookahead {
                 let window: Vec<&Frame> =
@@ -554,14 +554,13 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip_vp9_with_altref() {
-        let v = clip(10, ContentClass::talking_head());
-        let mut cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(28));
-        cfg.altref_period = 4;
+        let v = clip(20, ContentClass::talking_head());
+        let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(28));
         let e = encode(&cfg, &v).unwrap();
-        // Altref frames are hidden: decode returns exactly 10 frames.
+        // Altref frames are hidden: decode returns exactly 20 frames.
         assert!(e.frames.iter().any(|f| f.kind == FrameKind::AltRef));
         let d = decode(&e.bytes).unwrap();
-        assert_eq!(d.video.frames.len(), 10);
+        assert_eq!(d.video.frames.len(), 20);
     }
 
     #[test]
@@ -871,8 +870,7 @@ mod lagged_tests {
     #[test]
     fn lagged_two_pass_allows_bounded_altrefs() {
         let v = SynthSpec::new(Resolution::R144, 20, ContentClass::talking_head(), 6).generate();
-        let mut cfg = EncoderConfig::bitrate(Profile::Vp9Sim, 700_000, PassMode::TwoPassLagged(12));
-        cfg.altref_period = 8;
+        let cfg = EncoderConfig::bitrate(Profile::Vp9Sim, 700_000, PassMode::TwoPassLagged(12));
         let e = encode(&cfg, &v).unwrap();
         // A 12-frame lag window covers the altref lookahead (period/2),
         // so altrefs appear; decode still yields exactly 20 frames.
@@ -886,9 +884,8 @@ mod lagged_tests {
 
     #[test]
     fn zero_lookahead_suppresses_altrefs() {
-        let v = SynthSpec::new(Resolution::R144, 16, ContentClass::talking_head(), 6).generate();
-        let mut cfg = EncoderConfig::bitrate(Profile::Vp9Sim, 700_000, PassMode::TwoPassLowLatency);
-        cfg.altref_period = 8;
+        let v = SynthSpec::new(Resolution::R144, 20, ContentClass::talking_head(), 6).generate();
+        let cfg = EncoderConfig::bitrate(Profile::Vp9Sim, 700_000, PassMode::TwoPassLowLatency);
         let e = encode(&cfg, &v).unwrap();
         assert!(
             e.frames.iter().all(|f| f.kind != FrameKind::AltRef),

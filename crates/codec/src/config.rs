@@ -190,6 +190,10 @@ pub enum RateControl {
 /// Maximum keyframe interval in frames.
 pub const KEYFRAME_INTERVAL: usize = 150;
 
+/// Frames between altref insertions, for configurations whose
+/// [`EncoderConfig::altref_active`] holds.
+pub const ALTREF_PERIOD: usize = 16;
+
 /// Full encoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncoderConfig {
@@ -199,9 +203,6 @@ pub struct EncoderConfig {
     pub toolset: Toolset,
     /// Rate control.
     pub rc: RateControl,
-    /// Frames between altref insertions (0 disables; only effective
-    /// for profiles/toolsets that support altref).
-    pub altref_period: usize,
     /// Worker threads for chunk-parallel encoding (see
     /// `encode_parallel`). `1` encodes chunks sequentially; the output
     /// bitstream is byte-identical for every thread count.
@@ -215,7 +216,6 @@ impl EncoderConfig {
             profile,
             toolset: Toolset::Software,
             rc: RateControl::ConstQp(qp),
-            altref_period: 16,
             threads: 1,
         }
     }
@@ -226,7 +226,6 @@ impl EncoderConfig {
             profile,
             toolset: Toolset::Software,
             rc: RateControl::Bitrate { bps, pass },
-            altref_period: 16,
             threads: 1,
         }
     }
@@ -262,7 +261,6 @@ impl EncoderConfig {
     pub fn altref_active(&self) -> bool {
         self.profile.supports_altref()
             && self.toolset.altref_enabled()
-            && self.altref_period > 0
             && match self.rc {
                 // Altrefs need future frames: not in one-pass low latency.
                 RateControl::Bitrate {

@@ -2,7 +2,7 @@
 //! reproduction) — the paper's contribution as a public API.
 //!
 //! This crate is the top of the stack: it turns platform requests into
-//! [`graph::TaskGraph`]s and chunk-level cluster jobs ([`platform`]),
+//! chunk-level cluster jobs ([`platform`]),
 //! shards videos into closed GOPs and reassembles them with integrity
 //! checks ([`chunking`]), and reproduces the Appendix-A provisioning
 //! math ([`balance`]). The experiments that measure it against the
@@ -31,10 +31,8 @@
 
 pub mod balance;
 pub mod chunking;
-pub mod graph;
 pub mod mot;
 pub mod platform;
 
 pub use chunking::ChunkPlan;
-pub use graph::{StepKind, TaskGraph};
-pub use platform::{Platform, PlatformConfig};
+pub use platform::Platform;

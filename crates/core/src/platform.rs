@@ -1,63 +1,29 @@
-//! The video processing platform: requests → task graphs → cluster jobs.
+//! The video processing platform: requests → cluster jobs.
 //!
-//! Ties the stack together the way §2.2/§3.1 describe: an arriving
-//! video is analyzed (popularity → treatment, formats, ladder), chunked
-//! into closed GOPs, expressed as a task graph, and the VCU-eligible
-//! steps become [`vcu_cluster::JobSpec`]s for the cluster simulator.
+//! Ties the stack together the way §2.2/§3.1 and §4.5 describe: an
+//! arriving video is chunked into closed GOPs, and every chunk becomes
+//! one MOT [`vcu_cluster::JobSpec`] per format. VCUs make H.264 and VP9
+//! at upload affordable for every video, whatever its popularity, so
+//! each chunk yields both.
 
-use crate::graph::TaskGraph;
 use vcu_chip::TranscodeJob;
 use vcu_cluster::{JobSpec, Priority};
 use vcu_codec::Profile;
-use vcu_workloads::{PopularityModel, Request, WorkloadFamily};
+use vcu_workloads::{Request, WorkloadFamily};
 
 /// Chunk length used by the platform, in seconds (the paper's examples
 /// use 2–5 s chunks).
 pub const CHUNK_SECONDS: f64 = 5.0;
 
-/// Platform-level policy configuration.
-#[derive(Debug, Clone)]
-pub struct PlatformConfig {
-    /// Produce MOT jobs (true, the VCU-era default) or per-rung SOTs
-    /// (the legacy CPU-era shape).
-    pub mot: bool,
-    /// Produce VP9 in addition to H.264 where treatment allows.
-    pub vp9_enabled: bool,
-    /// Popularity model used for treatment decisions.
-    pub popularity: PopularityModel,
-}
+/// The formats every chunk is transcoded to.
+const PROFILES: [Profile; 2] = [Profile::H264Sim, Profile::Vp9Sim];
 
-impl Default for PlatformConfig {
-    fn default() -> Self {
-        PlatformConfig {
-            mot: true,
-            vp9_enabled: true,
-            popularity: PopularityModel::default(),
-        }
-    }
-}
-
-/// The platform front-end.
+/// The platform front-end. It holds no state; callers build it with
+/// `Platform::default()`, which clippy would flag on a unit struct.
 #[derive(Debug, Clone, Default)]
-pub struct Platform {
-    /// Policy knobs.
-    pub cfg: PlatformConfig,
-}
+pub struct Platform {}
 
 impl Platform {
-    /// A platform with default policy.
-    pub fn new(cfg: PlatformConfig) -> Self {
-        Platform { cfg }
-    }
-
-    /// Task graph for a request (used by tests and the scheduler's
-    /// step accounting).
-    pub fn graph_for(&self, req: &Request) -> TaskGraph {
-        let chunks = self.chunk_count(req);
-        let outputs = req.resolution.ladder().len();
-        TaskGraph::upload(chunks, self.cfg.mot, outputs)
-    }
-
     fn chunk_count(&self, req: &Request) -> usize {
         (req.duration_s / CHUNK_SECONDS).ceil().max(1.0) as usize
     }
@@ -79,17 +45,11 @@ impl Platform {
         a.rotate_left(21) ^ r.wrapping_mul(0x9E3779B97F4A7C15) ^ (req.duration_s.to_bits() >> 1)
     }
 
-    /// Expands a request into chunk-level cluster jobs. Each chunk
-    /// becomes one MOT job per enabled format (or a fan of SOT jobs in
-    /// legacy mode).
+    /// Expands a request into chunk-level cluster jobs: one MOT job
+    /// per chunk per format.
     pub fn jobs_for(&self, req: &Request) -> Vec<JobSpec> {
         let chunks = self.chunk_count(req);
         let chunk_s = req.duration_s / chunks as f64;
-        let treatment = self.cfg.popularity.treatment_with_vcu(req.popularity);
-        let mut profiles = vec![Profile::H264Sim];
-        if self.cfg.vp9_enabled && treatment.vp9 {
-            profiles.push(Profile::Vp9Sim);
-        }
         let priority = Self::priority_for(req.family);
         let video_id = Self::video_id(req);
         let live = matches!(req.family, WorkloadFamily::Live | WorkloadFamily::Gaming);
@@ -103,33 +63,17 @@ impl Platform {
             } else {
                 req.arrival_s
             };
-            for &profile in &profiles {
-                if self.cfg.mot {
-                    let mut job = TranscodeJob::mot(req.resolution, profile, req.fps, chunk_s);
-                    if live {
-                        job = job.low_latency_two_pass();
-                    }
-                    out.push(JobSpec {
-                        arrival_s: arrival,
-                        job,
-                        priority,
-                        video_id,
-                    });
-                } else {
-                    for rung in req.resolution.ladder() {
-                        let mut job =
-                            TranscodeJob::sot(req.resolution, rung, profile, req.fps, chunk_s);
-                        if live {
-                            job = job.low_latency_two_pass();
-                        }
-                        out.push(JobSpec {
-                            arrival_s: arrival,
-                            job,
-                            priority,
-                            video_id,
-                        });
-                    }
+            for profile in PROFILES {
+                let mut job = TranscodeJob::mot(req.resolution, profile, req.fps, chunk_s);
+                if live {
+                    job = job.low_latency_two_pass();
                 }
+                out.push(JobSpec {
+                    arrival_s: arrival,
+                    job,
+                    priority,
+                    video_id,
+                });
             }
         }
         out
@@ -159,7 +103,6 @@ pub fn live_latency_s(chunk_s: f64, encode_speed_factor: f64, buffer_chunks: f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::StepKind;
     use vcu_media::Resolution;
     use vcu_workloads::PopularityBucket;
 
@@ -185,15 +128,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_sot_mode_fans_out() {
-        let p = Platform::new(PlatformConfig {
-            mot: false,
-            ..PlatformConfig::default()
-        });
-        let jobs = p.jobs_for(&upload_req(4.0)); // 1 chunk
-                                                 // 1 chunk × 2 formats × 6 ladder rungs.
-        assert_eq!(jobs.len(), 12);
-        assert!(jobs.iter().all(|j| !j.job.is_mot()));
+    fn every_popularity_bucket_gets_h264_and_vp9() {
+        // §4.5: VCUs make VP9 at upload affordable for every video, not
+        // only the popular head.
+        for popularity in [
+            PopularityBucket::Head,
+            PopularityBucket::Middle,
+            PopularityBucket::Tail,
+        ] {
+            let req = Request {
+                popularity,
+                ..upload_req(4.0)
+            };
+            let profiles: Vec<Profile> = Platform::default()
+                .jobs_for(&req)
+                .iter()
+                .map(|j| j.job.outputs[0].profile)
+                .collect();
+            assert_eq!(profiles, [Profile::H264Sim, Profile::Vp9Sim]);
+        }
     }
 
     #[test]
@@ -208,18 +161,6 @@ mod tests {
         let arrivals: Vec<f64> = jobs.iter().map(|j| j.arrival_s).collect();
         assert!(arrivals.iter().any(|&a| a > req.arrival_s));
         assert!(jobs.iter().all(|j| j.priority == Priority::Critical));
-    }
-
-    #[test]
-    fn graph_matches_job_fanout() {
-        let p = Platform::default();
-        let req = upload_req(12.0);
-        let g = p.graph_for(&req);
-        let steps = g.steps().iter();
-        let transcode_steps = steps
-            .filter(|s| matches!(s.kind, StepKind::TranscodeChunk { .. }))
-            .count();
-        assert_eq!(transcode_steps, 3, "3 chunks → 3 MOT steps");
     }
 
     #[test]

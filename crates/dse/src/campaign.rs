@@ -323,7 +323,7 @@ fn evaluate_candidate(
         card_capex_usd: q6(design.card_capex_usd()),
         fleet_tco_usd: q6(fleet_tco_usd),
         traffic_factor: q6(design.refstore_traffic_factor()),
-        bandwidth_pressure: q6(design.bandwidth_pressure(true)),
+        bandwidth_pressure: q6(design.bandwidth_pressure()),
         util_steady: q6(util_steady),
         goodput_steady: q6(steady.goodput_frac(offered)),
         goodput_fault: q6(faulted.goodput_frac(offered)),

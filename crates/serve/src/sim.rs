@@ -89,10 +89,6 @@ pub struct ServeConfig {
     pub cache_segments: usize,
     /// Transcode fleet size (VCUs).
     pub vcus: usize,
-    /// Admission control: shed arriving sessions while the transcode
-    /// backlog exceeds what the fleet can clear promptly. Off, overload
-    /// falls through to the cluster's degradation ladder instead.
-    pub admission: bool,
     /// Telemetry sampling period, seconds.
     pub sample_period_s: f64,
     /// Seed; catalog, arrivals, and cluster all derive from it.
@@ -109,7 +105,6 @@ impl Default for ServeConfig {
             seg_max: 8,
             cache_segments: 4_096,
             vcus: 64,
-            admission: true,
             sample_period_s: 5.0,
             seed: 42,
         }
@@ -391,7 +386,7 @@ impl ServeSim {
         }
         // Admission control: shed before the fleet's own ladder would
         // have to react.
-        if self.cfg.admission && self.outstanding as f64 > self.admit_limit {
+        if self.outstanding as f64 > self.admit_limit {
             self.shed += 1;
             if self.telemetry.is_enabled() {
                 self.telemetry.counter_inc("serve.shed");
@@ -765,9 +760,7 @@ mod tests {
             seed: 17,
             ..ServeConfig::default()
         };
-        let r = ServeSim::new(overload.clone())
-            .with_telemetry(reg.clone())
-            .run();
+        let r = ServeSim::new(overload).with_telemetry(reg.clone()).run();
         assert!(r.shed_sessions > 0, "overload must shed");
         assert!(reg.counter("serve.shed") == r.shed_sessions);
         // The first serve.shed trace event precedes the first nonzero
@@ -786,26 +779,6 @@ mod tests {
                 );
             }
         }
-
-        // Companion: admission off, same offered load → the ladder has
-        // to engage instead, and harder than admission ever allowed.
-        let r2 = ServeSim::new(ServeConfig {
-            admission: false,
-            ..overload
-        })
-        .run();
-        assert_eq!(r2.shed_sessions, 0);
-        let degraded_with_admission: f64 = r.cluster.degrade_time_frac[1..].iter().sum();
-        let degraded_without: f64 = r2.cluster.degrade_time_frac[1..].iter().sum();
-        assert!(
-            degraded_without > 0.0,
-            "without admission the ladder must engage: {:?}",
-            r2.cluster.degrade_time_frac
-        );
-        assert!(
-            degraded_with_admission < degraded_without,
-            "admission must keep the fleet healthier: {degraded_with_admission} vs {degraded_without}"
-        );
     }
 
     #[test]

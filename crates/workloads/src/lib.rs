@@ -18,7 +18,7 @@ pub mod vbench;
 pub mod viewing;
 
 pub use diurnal::{DiurnalCurve, DAY_S};
-pub use popularity::{PopularityBucket, PopularityModel, Treatment};
+pub use popularity::{PopularityBucket, PopularityModel};
 pub use traffic::{LiveTraffic, Request, UploadTraffic, WorkloadFamily};
 pub use vbench::{suite, VbenchClip};
 pub use viewing::{Catalog, CatalogVideo, ViewerSessions};

@@ -3,9 +3,7 @@
 //! §2.2: "video popularity follows a stretched power law distribution,
 //! with three broad buckets" — the very popular head (worth extra
 //! compute to save egress), a modestly-watched middle, and the long
-//! tail (minimize processing, keep playable). Popularity decides the
-//! *treatment*: which formats and how much encoding effort a video
-//! receives.
+//! tail (minimize processing, keep playable).
 
 use vcu_rng::Rng;
 
@@ -18,17 +16,6 @@ pub enum PopularityBucket {
     Middle,
     /// The majority of uploads, watched rarely.
     Tail,
-}
-
-/// Treatment assigned to a video based on popularity (§4.5: without
-/// VCUs, VP9 was only produced for the most popular videos; with VCUs
-/// both formats are produced at upload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Treatment {
-    /// Produce VP9 outputs (in addition to H.264).
-    pub vp9: bool,
-    /// Run the expensive multi-operating-point analysis pass.
-    pub premium_analysis: bool,
 }
 
 /// Heavy-tailed popularity distribution over expected views:
@@ -73,15 +60,6 @@ impl PopularityModel {
             PopularityBucket::Middle
         } else {
             PopularityBucket::Tail
-        }
-    }
-
-    /// Treatment in the *accelerated* world: VCUs make VP9-at-upload
-    /// affordable for everything (§4.5).
-    pub fn treatment_with_vcu(&self, bucket: PopularityBucket) -> Treatment {
-        Treatment {
-            vp9: true,
-            premium_analysis: bucket == PopularityBucket::Head,
         }
     }
 }
@@ -138,17 +116,5 @@ mod tests {
             "head watch share {}",
             head_views / total_views
         );
-    }
-
-    #[test]
-    fn vcu_extends_vp9_to_everything() {
-        let m = PopularityModel::default();
-        for b in [
-            PopularityBucket::Head,
-            PopularityBucket::Middle,
-            PopularityBucket::Tail,
-        ] {
-            assert!(m.treatment_with_vcu(b).vp9);
-        }
     }
 }

@@ -94,7 +94,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         detection_rate: 0.9,
         retry: RetryPolicy {
             base_s: 2.0,
-            max_attempts: 5,
             jitter_frac: 0.1,
         },
         watchdog: WatchdogPolicy {

@@ -10,9 +10,7 @@
 //! (set `VCU_SEED` to vary detection coin-flips).
 
 use vcu_chip::TranscodeJob;
-use vcu_cluster::{
-    ClusterConfig, ClusterSim, FaultInjection, FaultKind, JobSpec, Priority, RetryPolicy,
-};
+use vcu_cluster::{ClusterConfig, ClusterSim, FaultInjection, FaultKind, JobSpec, Priority};
 use vcu_codec::Profile;
 use vcu_media::Resolution;
 use vcu_telemetry::json::JsonObj;
@@ -40,12 +38,7 @@ fn run(seed: u64, mitigation: bool, integrity: bool) -> vcu_cluster::ClusterRepo
     let cfg = ClusterConfig {
         vcus: 4,
         blackhole_mitigation: mitigation,
-        integrity_checks: integrity,
-        detection_rate: 0.9,
-        retry: RetryPolicy {
-            max_attempts: 11,
-            ..RetryPolicy::default()
-        },
+        detection_rate: if integrity { 0.9 } else { 0.0 },
         seed,
         ..ClusterConfig::default()
     };

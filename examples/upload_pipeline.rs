@@ -2,11 +2,10 @@
 //! assemble, with the cluster simulator carrying the fleet-scale view.
 //!
 //! Mirrors §2.2/§3.1: an upload is split into closed GOPs, each chunk
-//! becomes a MOT step in a task graph, VCU workers process chunks in
-//! parallel, and the platform reassembles and integrity-checks the
-//! result. The pixel-level path runs the real codec; the fleet-scale
-//! path runs the discrete-event cluster simulation on the same job
-//! shapes.
+//! becomes a MOT job, VCU workers process chunks in parallel, and the
+//! platform reassembles and integrity-checks the result. The
+//! pixel-level path runs the real codec; the fleet-scale path runs the
+//! discrete-event cluster simulation on the same job shapes.
 //!
 //! Run with: `cargo run --release --example upload_pipeline`
 //! (set `VCU_SEED` to vary the generated content, `VCU_THREADS` to
@@ -72,13 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         duration_s: 60.0,
         popularity: PopularityBucket::Middle,
     };
-    let graph = platform.graph_for(&request);
-    println!(
-        "task graph: {} steps, {} parallel transcode waves",
-        graph.len(),
-        graph.waves().len()
-    );
-
     let jobs = platform.jobs_for(&request);
     println!(
         "expanded into {} chunk-level VCU jobs (MOT, H.264+VP9)",

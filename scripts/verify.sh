@@ -47,7 +47,7 @@ stage_test() {
 }
 
 stage_clippy() {
-    cargo clippy --workspace --all-targets --offline -q -- -D warnings
+    cargo clippy --workspace --all-targets --offline -q -- -D warnings -D unreachable_pub
 }
 
 # Smoke-run every example with its built-in fixed seed (VCU_SEED

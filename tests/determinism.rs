@@ -392,7 +392,6 @@ fn chaos_run_is_pinned() {
         retry: RetryPolicy {
             base_s: 2.0,
             jitter_frac: 0.1,
-            ..RetryPolicy::default()
         },
         watchdog: WatchdogPolicy {
             grace_s: 5.0,
@@ -507,7 +506,6 @@ fn saturated_mix_run(
         retry: RetryPolicy {
             base_s: 2.0,
             jitter_frac: 0.1,
-            ..RetryPolicy::default()
         },
         degrade: DegradePolicy {
             enabled: true,
@@ -913,7 +911,6 @@ fn interleaved_shapes_in_an_open_world_are_pinned() {
         retry: RetryPolicy {
             base_s: 1.0,
             jitter_frac: 0.1,
-            ..RetryPolicy::default()
         },
         degrade: DegradePolicy {
             enabled: true,

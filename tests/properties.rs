@@ -625,7 +625,6 @@ mod fault_paths {
                 detection_rate: rng.gen_range(0.0..1.0),
                 retry: RetryPolicy {
                     base_s: rng.gen_range(0.0..5.0),
-                    max_attempts: rng.gen_range(1u32..6),
                     jitter_frac: rng.gen_range(0.0..0.3),
                 },
                 watchdog: WatchdogPolicy {
@@ -667,13 +666,12 @@ mod fault_paths {
         fn backoff_is_deterministic_and_bounded(rng) {
             let policy = RetryPolicy {
                 base_s: rng.gen_range(0.1..10.0),
-                max_attempts: rng.gen_range(1u32..8),
                 jitter_frac: rng.gen_range(0.0..0.5),
             };
             let seed = rng.next_u64();
             let mut a = vcu_rng::Rng::seed_from_u64(seed);
             let mut b = vcu_rng::Rng::seed_from_u64(seed);
-            for attempt in 1..=policy.max_attempts {
+            for attempt in 1..=vcu_cluster::MAX_ATTEMPTS {
                 let da = policy.delay_s(attempt, &mut a);
                 let db = policy.delay_s(attempt, &mut b);
                 assert_eq!(da.to_bits(), db.to_bits(), "same-seed delays must match");

@@ -58,7 +58,8 @@ fn word(s: &str) -> &str {
     &s[..end]
 }
 
-/// Each `VCU_[A-Z0-9_]+` token in `text`, with the character before it.
+/// Each `VCU_[A-Z0-9_]+` token in `text`, with the character before
+/// it. A bare `VCU_` (as in the glob `VCU_*`) names nothing.
 fn vcu_tokens(text: &str) -> Vec<(Option<char>, &str)> {
     let mut out = Vec::new();
     for (i, _) in text.match_indices("VCU_") {
@@ -69,7 +70,9 @@ fn vcu_tokens(text: &str) -> Vec<(Option<char>, &str)> {
         let end = text[i..]
             .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
             .map_or(text.len(), |n| i + n);
-        out.push((before, &text[i..end]));
+        if end > i + "VCU_".len() {
+            out.push((before, &text[i..end]));
+        }
     }
     out
 }
@@ -187,7 +190,7 @@ fn a_doc_naming_missing_things_fails() {
     let known = Known::scan(&root());
     let fixture = "Run `cargo run --release --bin paper` and `--example quickstart`, \
         then `VCU_VERIFY_STAGE=clippy scripts/verify.sh` with `VCU_SEED=3`; \
-        `for b in x; do cargo run --bin $b; done`. \
+        `for b in x; do cargo run --bin $b; done`; any `VCU_*` variable. \
         Stale: `cargo run --bin table1`, `--example upload_graph`, \
         `VCU_VERIFY_STAGE=lint`, `VCU_FULL=1`.";
     assert_eq!(

@@ -1,65 +1,20 @@
-//! `vcu-faultsim`: the deterministic fault-campaign harness.
+//! Seeded fault generators and the cluster configuration every fault
+//! sweep runs under.
 //!
-//! A *campaign* sweeps fault rate × mean-time-to-repair over a fleet
-//! and measures how the §4.4 failure-management machinery holds up:
-//! goodput (completed minus corrupt-escaped work), black-holed chunks,
-//! blast radius, tail waits, and time spent on each rung of the
-//! graceful-degradation ladder. Every cell derives its RNG stream,
-//! fault schedule, and cluster seed from the campaign seed through
-//! [`vcu_rng::mix64`], so a campaign is a replayable artifact: the
-//! same seed produces identical cells, which `vcu-bench` renders into
-//! the byte-pinned `results/fault_campaign.json`.
+//! The fault campaign, the design-space sweep, the planet and the
+//! serving layer all stress a fleet the same way: a uniform job stream
+//! sized against [`slots_per_worker`], a seeded [`fault_schedule`] (or
+//! correlated domain outages and upgrade waves), and the armed
+//! [`cell_cluster_config`]. Every generator takes its RNG from the
+//! caller, so a sweep that seeds cell `i` with `mix64(seed, i)` is a
+//! replayable artifact.
 
 use crate::sim::{
-    ClusterConfig, ClusterReport, ClusterSim, DegradePolicy, FaultInjection, FaultKind,
-    HealthPolicy, JobSpec, Priority, RetryPolicy, WatchdogPolicy,
+    ClusterConfig, DegradePolicy, FaultInjection, FaultKind, HealthPolicy, JobSpec, Priority,
+    RetryPolicy, WatchdogPolicy,
 };
 use vcu_chip::{TranscodeJob, VcuModel};
-use vcu_codec::Profile;
-use vcu_media::Resolution;
-use vcu_rng::{mix64, Rng};
-
-/// Campaign sweep configuration.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Fleet size (workers).
-    pub vcus: usize,
-    /// Jobs submitted per VCU over the run.
-    pub jobs_per_vcu: usize,
-    /// Campaign seed; every cell mixes its own stream out of this.
-    pub seed: u64,
-    /// Fraction of the fleet hit by a fault, one cell per value.
-    pub fault_rates: Vec<f64>,
-    /// Mean time to repair (seconds) sweep; `f64::INFINITY` means
-    /// faults are never repaired within the run.
-    pub mttr_s: Vec<f64>,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            vcus: 1000,
-            jobs_per_vcu: 240,
-            seed: 42,
-            fault_rates: vec![0.0, 0.02, 0.05, 0.10],
-            mttr_s: vec![60.0, f64::INFINITY],
-        }
-    }
-}
-
-/// One (fault-rate, MTTR) campaign cell: the sweep point and the
-/// simulator's report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignCell {
-    /// Fraction of the fleet faulted.
-    pub fault_rate: f64,
-    /// Mean time to repair, seconds (infinite = never).
-    pub mttr_s: f64,
-    /// Jobs submitted.
-    pub jobs: u64,
-    /// The cell's cluster report.
-    pub report: ClusterReport,
-}
+use vcu_rng::Rng;
 
 /// The fault kinds a campaign cycles through, in severity-mixed order
 /// so every rate bucket gets a representative mix.
@@ -74,32 +29,11 @@ const CAMPAIGN_FAULTS: [FaultKind; 6] = [
     FaultKind::Dead,
 ];
 
-/// Fleet utilization the offered load targets: high enough that
-/// faulting 10% of the fleet pushes it just past saturation (the
-/// regime where the degradation ladder and shedding earn their keep),
-/// low enough that a healthy fleet keeps up with slack.
-const TARGET_UTIL: f64 = 0.97;
-
-/// The uniform campaign chunk: 1080p30, 5 s, VP9 MOT — heavy enough
-/// that one worker holds only a few concurrently and losing workers
-/// moves the needle.
-pub fn campaign_job() -> TranscodeJob {
-    TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0)
-}
-
 /// Concurrent copies of `job` one healthy shipped VCU fits (the
 /// binding scheduler dimension) — what every campaign sizes its
 /// offered load against.
 pub fn slots_per_worker(job: &TranscodeJob) -> u64 {
     VcuModel::new().job_demand(job).slots_per_vcu()
-}
-
-/// Time span over which the cell's jobs arrive, seconds: the offered
-/// load holds the healthy fleet at [`TARGET_UTIL`] of its true
-/// multi-slot capacity.
-pub fn arrival_span_s(jobs_per_vcu: usize) -> f64 {
-    let job = campaign_job();
-    jobs_per_vcu as f64 * job.duration_s / (slots_per_worker(&job) as f64 * TARGET_UTIL)
 }
 
 /// Deterministic job list of a campaign: `total` jobs cycling through
@@ -259,116 +193,9 @@ pub fn cell_cluster_config(vcus: usize, seed: u64) -> ClusterConfig {
     }
 }
 
-/// Runs one campaign cell.
-fn run_cell(cfg: &CampaignConfig, fault_rate: f64, mttr_s: f64, cell: u64) -> CampaignCell {
-    let cell_seed = mix64(cfg.seed, cell);
-    let mut rng = Rng::seed_from_u64(cell_seed);
-    let span_s = arrival_span_s(cfg.jobs_per_vcu);
-    let jobs = uniform_stream(&[campaign_job()], cfg.vcus * cfg.jobs_per_vcu, span_s);
-    let n_jobs = jobs.len() as u64;
-    let faults = fault_schedule(cfg.vcus, span_s, fault_rate, mttr_s, &mut rng);
-    CampaignCell {
-        fault_rate,
-        mttr_s,
-        jobs: n_jobs,
-        report: ClusterSim::new(cell_cluster_config(cfg.vcus, cell_seed), jobs, faults).run(),
-    }
-}
-
-/// Runs the full sweep: one cell per (MTTR, fault-rate) pair.
-///
-/// Cells fan out across the process-wide `vcu-exec` pool at
-/// [`vcu_exec::env_threads`] parallelism. Each cell derives its RNG
-/// from `mix64(cfg.seed, cell_idx)` alone and the pool returns results
-/// in cell-index order, so the sweep is byte-identical to the
-/// sequential order for every `VCU_THREADS` value.
-pub fn run_campaign(cfg: &CampaignConfig) -> Vec<CampaignCell> {
-    let grid: Vec<(f64, f64)> = cfg
-        .mttr_s
-        .iter()
-        .flat_map(|&mttr| cfg.fault_rates.iter().map(move |&rate| (mttr, rate)))
-        .collect();
-    vcu_exec::pool().run_batch(
-        vcu_exec::env_threads(),
-        grid.iter()
-            .enumerate()
-            .map(|(cell_idx, &(mttr, rate))| move || run_cell(cfg, rate, mttr, cell_idx as u64))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> CampaignConfig {
-        CampaignConfig {
-            vcus: 8,
-            jobs_per_vcu: 4,
-            seed: 7,
-            fault_rates: vec![0.0, 0.25],
-            mttr_s: vec![60.0],
-        }
-    }
-
-    #[test]
-    fn different_seeds_produce_different_fault_schedules() {
-        // Aggregate cell metrics can coincide at toy scale, so the
-        // seed sensitivity is asserted where it is deterministic: the
-        // generated schedule (which workers fault, when).
-        let cfg = tiny();
-        let schedule = |seed: u64| {
-            let mut rng = Rng::seed_from_u64(mix64(seed, 1));
-            fault_schedule(
-                cfg.vcus,
-                arrival_span_s(cfg.jobs_per_vcu),
-                0.25,
-                60.0,
-                &mut rng,
-            )
-        };
-        let a = schedule(cfg.seed);
-        assert_eq!(a, schedule(cfg.seed), "same seed, same schedule");
-        assert_ne!(a, schedule(cfg.seed + 1), "seed must steer the schedule");
-    }
-
-    #[test]
-    fn zero_fault_rate_is_clean() {
-        let cfg = CampaignConfig {
-            fault_rates: vec![0.0],
-            ..tiny()
-        };
-        let cells = run_campaign(&cfg);
-        assert_eq!(cells.len(), 1);
-        let c = &cells[0];
-        assert_eq!(
-            c.report.goodput_frac(c.jobs),
-            1.0,
-            "healthy fleet completes everything"
-        );
-        assert_eq!(c.report.escaped_corruptions, 0);
-        assert_eq!(c.report.watchdog_fired, 0);
-        assert_eq!(c.report.quarantined_workers, 0);
-    }
-
-    #[test]
-    fn every_cell_resolves_all_jobs() {
-        let cfg = CampaignConfig {
-            vcus: 8,
-            jobs_per_vcu: 4,
-            seed: 3,
-            fault_rates: vec![0.0, 0.5],
-            mttr_s: vec![30.0, f64::INFINITY],
-        };
-        for c in run_campaign(&cfg) {
-            assert_eq!(c.jobs, 32);
-            // goodput + failures account for everything; nothing hangs
-            // the DES loop (termination is the property test's job —
-            // this is the smoke version).
-            let goodput = c.report.goodput_frac(c.jobs);
-            assert!((0.0..=1.0).contains(&goodput));
-        }
-    }
 
     #[test]
     fn correlated_domains_fault_together_and_repair() {

@@ -10,9 +10,9 @@
 //!   state-owning components for retry backoff, fleet health
 //!   (watchdog strikes, draining, golden screening, quarantine), the
 //!   graceful-degradation ladder, and accounting,
-//! - [`faultsim`]: the deterministic fault-campaign harness sweeping
-//!   fault rate × MTTR over a fleet (§4.4's failure management under
-//!   load),
+//! - [`faultsim`]: the seeded fault generators and the armed cluster
+//!   configuration every fault sweep shares (§4.4's failure
+//!   management under load),
 //! - [`tco`]: the capex + 3-year-opex cost model behind Table 1's
 //!   perf/TCO column.
 #![forbid(unsafe_code)]
@@ -25,8 +25,8 @@ pub mod tco;
 
 pub use des::{EventQueue, ShardedEventQueue};
 pub use faultsim::{
-    cell_cluster_config, correlated_domain_faults, fault_schedule, run_campaign, slots_per_worker,
-    uniform_stream, upgrade_wave_faults, CampaignCell, CampaignConfig,
+    cell_cluster_config, correlated_domain_faults, fault_schedule, slots_per_worker,
+    uniform_stream, upgrade_wave_faults,
 };
 pub use scheduler::{PlacementMode, Scheduler, SchedulerKind};
 pub use sim::{

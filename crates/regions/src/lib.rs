@@ -13,16 +13,15 @@
 //!   epochs over phase-shifted diurnal demand, routes overflow between
 //!   regions on backlog pressure, and schedules rolling
 //!   firmware-upgrade waves plus correlated rack/power failure domains
-//!   feeding the §4.4 blast-radius metric;
-//! - [`campaign`]: the regions × fleet × traffic sweep behind
-//!   `results/region_campaign.json`, including the isolated-regions
-//!   counterfactual the overflow-routing CI gate compares against.
+//!   feeding the §4.4 blast-radius metric.
+//!
+//! `vcu-bench` sweeps [`PlanetSim`] over regions × fleet × traffic,
+//! with the isolated-regions counterfactual, for
+//! `results/region_campaign.json`.
 #![forbid(unsafe_code)]
 
-pub mod campaign;
 pub mod planet;
 pub mod region;
 
-pub use campaign::{run_region_campaign, RegionCampaignCell, RegionCampaignConfig, RegionCellSpec};
 pub use planet::{OverflowPolicy, PlanetConfig, PlanetReport, PlanetSim};
 pub use region::{region_job, RegionReport, RegionSim, RegionSpec};

@@ -13,20 +13,15 @@
 //!   Zipf catalog, per-segment playback with deadline tracking,
 //!   deadline-class transcode priorities, miss coalescing, and
 //!   admission control that sheds load *before* the cluster's
-//!   graceful-degradation ladder arms,
-//! - [`campaign`]: the deterministic cache-size × fleet-scale sweep
-//!   behind `results/serve_campaign.json`.
+//!   graceful-degradation ladder arms.
 //!
 //! Everything is a function of the seed: same seed → byte-identical
-//! campaign JSON and telemetry snapshots, for any `VCU_THREADS`.
+//! reports and telemetry snapshots. `vcu-bench` sweeps [`ServeSim`]
+//! over cache size and fleet scale for `results/serve_campaign.json`.
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod campaign;
 pub mod sim;
 
 pub use cache::{key_video, seg_key, SegmentCache};
-pub use campaign::{
-    run_serve_campaign, run_serve_cell, ServeCampaignCell, ServeCampaignConfig, ServeCellSpec,
-};
 pub use sim::{ServeConfig, ServeReport, ServeSim};

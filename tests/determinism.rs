@@ -1077,8 +1077,10 @@ fn traffic_generation_is_deterministic() {
 /// cluster reports included, so it moves with the cell's layout.
 #[test]
 fn fault_campaign_is_deterministic() {
-    use vcu_cluster::{run_campaign, CampaignConfig};
-    let cfg = CampaignConfig {
+    use vcu_bench::campaign::{Campaign, Fault};
+    use vcu_bench::sweeps::FaultCampaignConfig;
+    let run_campaign = Fault::RUN;
+    let cfg = FaultCampaignConfig {
         vcus: 24,
         jobs_per_vcu: 16,
         seed: 1234,
@@ -1092,7 +1094,7 @@ fn fault_campaign_is_deterministic() {
         0xE98DF6D73024E728,
         "fault-campaign cells drifted from the pinned sweep"
     );
-    let c = run_campaign(&CampaignConfig { seed: 4321, ..cfg });
+    let c = run_campaign(&FaultCampaignConfig { seed: 4321, ..cfg });
     assert_ne!(a, c, "campaign seed must steer the fault schedule");
 }
 
@@ -1101,7 +1103,9 @@ fn fault_campaign_is_deterministic() {
 /// result is invariant under the `vcu-exec` pool's thread count.
 #[test]
 fn serve_campaign_is_deterministic() {
-    use vcu_serve::{run_serve_campaign, ServeCampaignConfig, ServeCellSpec};
+    use vcu_bench::campaign::{Campaign, Serve};
+    use vcu_bench::sweeps::{ServeCampaignConfig, ServeCellSpec};
+    let run_serve_campaign = Serve::RUN;
     let cfg = ServeCampaignConfig {
         seed: 1234,
         cells: vec![
@@ -1129,25 +1133,13 @@ fn serve_campaign_is_deterministic() {
 
 #[test]
 fn serve_campaign_is_thread_invariant() {
-    // run_serve_campaign fans cells out at `vcu_exec::env_threads()`
+    // The serve campaign fans cells out at `vcu_exec::env_threads()`
     // parallelism; pin the 1-thread and 4-thread fan-outs against each
     // other directly (the verify script additionally runs this suite
     // under VCU_THREADS=1 and VCU_THREADS=4).
-    use vcu_serve::{run_serve_cell, ServeCampaignConfig};
+    use vcu_bench::sweeps::{cells, run_serve_cell, ServeCampaignConfig};
     let cfg = ServeCampaignConfig::smoke(77);
-    let sweep = |threads: usize| {
-        vcu_exec::pool().run_batch(
-            threads,
-            cfg.cells
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| {
-                    let cfg = &cfg;
-                    move || run_serve_cell(cfg, spec, i as u64)
-                })
-                .collect(),
-        )
-    };
+    let sweep = |threads: usize| cells(cfg.seed, &cfg.cells, threads, run_serve_cell);
     assert_eq!(
         sweep(1),
         sweep(4),
@@ -1200,7 +1192,9 @@ fn serve_telemetry_snapshot_is_byte_identical() {
 /// double as the thread-invariance check.
 #[test]
 fn region_campaign_is_deterministic() {
-    use vcu_regions::{run_region_campaign, RegionCampaignConfig, RegionCellSpec};
+    use vcu_bench::campaign::{Campaign, Region};
+    use vcu_bench::sweeps::{RegionCampaignConfig, RegionCellSpec};
+    let run_region_campaign = Region::RUN;
     let cfg = RegionCampaignConfig {
         seed: 1234,
         horizon_s: 60.0,

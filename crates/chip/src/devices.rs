@@ -6,6 +6,7 @@
 //! system's rate comes out of the chip model in [`crate::vcu`].
 
 use crate::calib::{self, cpu, gpu};
+use crate::design::DesignPoint;
 use crate::vcu::{VcuModel, WorkloadShape};
 use vcu_codec::Profile;
 
@@ -98,7 +99,7 @@ impl System {
             System::GpuT4x4 => cpu::ACTIVE_POWER_W + 70.0 * gpu::GPUS_PER_SYSTEM as f64,
             System::VcuHost { vcus } => {
                 let cards = (*vcus as f64 / calib::VCUS_PER_CARD as f64).ceil();
-                calib::VCU_HOST_BASE_POWER_W + cards * calib::VCU_CARD_POWER_W
+                calib::VCU_HOST_BASE_POWER_W + cards * DesignPoint::shipped().card_power_w()
             }
         }
     }

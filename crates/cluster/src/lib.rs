@@ -34,4 +34,6 @@ pub use sim::{
     FaultInjection, FaultKind, HealthPolicy, JobResolution, JobSpec, Priority, RetryPolicy, Sample,
     WatchdogPolicy, WorkerMgmtState, BACKOFF_FACTOR, MAX_ATTEMPTS,
 };
-pub use tco::{perf_per_tco, perf_per_tco_normalized, system_tco, vcu_host_tco_for, Tco};
+pub use tco::{
+    fleet_tco_usd, perf_per_tco, perf_per_tco_normalized, system_tco, vcu_host_tco_for, Tco,
+};

@@ -8,6 +8,7 @@
 //! so the *ratios* between systems land near Table 1's implied values
 //! (CPU 1.0×, 4×T4 ≈ 2.3×, 8×VCU ≈ 1.9×, 20×VCU ≈ 3.0×).
 
+use vcu_chip::calib::{VCUS_PER_CARD, VCUS_PER_HOST, VCU_HOST_BASE_POWER_W};
 use vcu_chip::{DesignPoint, System, WorkloadShape};
 use vcu_codec::Profile;
 
@@ -35,55 +36,38 @@ pub const OPEX_PER_WATT_3YR: f64 = 5.0;
 const SERVER_CAPEX: f64 = 10_000.0;
 /// T4 GPU capex (card + integration).
 const T4_CAPEX: f64 = 3_800.0;
-/// VCU card (2 VCUs) capex — a lean single-purpose ASIC board.
-const VCU_CARD_CAPEX: f64 = 2_200.0;
 
-/// TCO of a system at the default data-center power price
-/// ([`OPEX_PER_WATT_3YR`]).
+/// TCO of a system at the data-center power price
+/// ([`OPEX_PER_WATT_3YR`]). A VCU host is priced by
+/// [`vcu_host_tco_for`] at the shipped design.
 pub fn system_tco(system: System) -> Tco {
-    system_tco_with(system, OPEX_PER_WATT_3YR)
-}
-
-/// TCO of a system at an explicit 3-year all-in power price in $/W —
-/// the sensitivity knob for "how do Table 1's ratios move in a cheap
-/// (or expensive) power region?".
-pub fn system_tco_with(system: System, opex_per_watt_3yr: f64) -> Tco {
-    assert!(
-        opex_per_watt_3yr >= 0.0,
-        "power price must be non-negative, got {opex_per_watt_3yr}"
-    );
-    let power = system.power_w();
     let capex = match system {
         System::SkylakeCpu => SERVER_CAPEX,
         System::GpuT4x4 => SERVER_CAPEX + 4.0 * T4_CAPEX,
-        System::VcuHost { vcus } => {
-            let cards = (vcus as f64 / 2.0).ceil();
-            SERVER_CAPEX + cards * VCU_CARD_CAPEX
-        }
+        System::VcuHost { vcus } => return vcu_host_tco_for(&DesignPoint::shipped(), vcus),
     };
     Tco {
         capex,
-        opex_3yr: power * opex_per_watt_3yr,
+        opex_3yr: system.power_w() * OPEX_PER_WATT_3YR,
     }
 }
 
-/// TCO of a VCU host whose cards carry an arbitrary chip design
-/// (the DSE driver's pricing hook): same structure as
-/// [`system_tco_with`] for `System::VcuHost`, but card capex and power
-/// come from the candidate's cost/area/power model instead of the
-/// shipped constants. With [`DesignPoint::shipped`] this reproduces
-/// `system_tco(System::VcuHost { vcus })` exactly.
-pub fn vcu_host_tco_for(design: &DesignPoint, vcus: usize, opex_per_watt_3yr: f64) -> Tco {
-    assert!(
-        opex_per_watt_3yr >= 0.0,
-        "power price must be non-negative, got {opex_per_watt_3yr}"
-    );
-    let cards = (vcus as f64 / vcu_chip::calib::VCUS_PER_CARD as f64).ceil();
-    let power = vcu_chip::calib::VCU_HOST_BASE_POWER_W + cards * design.card_power_w();
+/// TCO of a VCU host whose cards carry an arbitrary chip design: card
+/// capex and power come from the design's cost/area/power model.
+pub fn vcu_host_tco_for(design: &DesignPoint, vcus: usize) -> Tco {
+    let cards = (vcus as f64 / VCUS_PER_CARD as f64).ceil();
+    let power = VCU_HOST_BASE_POWER_W + cards * design.card_power_w();
     Tco {
         capex: SERVER_CAPEX + cards * design.card_capex_usd(),
-        opex_3yr: power * opex_per_watt_3yr,
+        opex_3yr: power * OPEX_PER_WATT_3YR,
     }
+}
+
+/// TCO of a fleet of `vcus` VCUs carrying `design`, priced as whole
+/// [`VCUS_PER_HOST`]-VCU hosts (the shipped packaging): a partial host
+/// rounds up.
+pub fn fleet_tco_usd(design: &DesignPoint, vcus: usize) -> f64 {
+    vcus.div_ceil(VCUS_PER_HOST) as f64 * vcu_host_tco_for(design, VCUS_PER_HOST).total()
 }
 
 /// Absolute perf/TCO in Mpix/s per dollar, if the workload runs.
@@ -147,77 +131,87 @@ mod tests {
         // 8 VCUs = 4 cards: capex is exactly server + 4 cards, and the
         // opex term is power × price with nothing else folded in.
         let sys = System::VcuHost { vcus: 8 };
-        let t = system_tco_with(sys, OPEX_PER_WATT_3YR);
-        assert_eq!(t.capex, SERVER_CAPEX + 4.0 * VCU_CARD_CAPEX);
+        let t = system_tco(sys);
+        assert_eq!(t.capex, SERVER_CAPEX + 4.0 * 2_200.0);
         assert_eq!(t.opex_3yr, sys.power_w() * OPEX_PER_WATT_3YR);
         assert_eq!(t.total(), t.capex + t.opex_3yr);
-        // Free power leaves pure capex.
-        assert_eq!(system_tco_with(sys, 0.0).total(), t.capex);
-        // The default-price wrapper is the same model.
-        assert_eq!(system_tco(sys), t);
     }
 
     vcu_rng::prop_cases! {
-        /// TCO is monotone non-decreasing in the power price, for every
-        /// system shape.
+        /// Every system pays the one power price: its opex is its
+        /// active power times [`OPEX_PER_WATT_3YR`], so TCO is monotone
+        /// in that price for every system shape, and a VCU host with
+        /// more VCUs never costs less.
         #[cases(128)]
         fn tco_monotone_in_power_price(rng) {
-            let a = rng.gen_range(0.0..20.0);
-            let b = rng.gen_range(0.0..20.0);
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             let vcus = rng.gen_range(1u32..33) as usize;
             for sys in [
                 System::SkylakeCpu,
                 System::GpuT4x4,
                 System::VcuHost { vcus },
             ] {
-                let cheap = system_tco_with(sys, lo).total();
-                let dear = system_tco_with(sys, hi).total();
-                assert!(
-                    cheap <= dear,
-                    "{sys:?}: total at ${lo}/W = {cheap} > total at ${hi}/W = {dear}"
-                );
+                let t = system_tco(sys);
+                assert!(sys.power_w() > 0.0, "{sys:?}");
+                assert_eq!(t.opex_3yr, sys.power_w() * OPEX_PER_WATT_3YR, "{sys:?}");
             }
+            let (small, large) = (
+                system_tco(System::VcuHost { vcus }),
+                system_tco(System::VcuHost { vcus: vcus + 1 }),
+            );
+            assert!(small.capex <= large.capex && small.opex_3yr <= large.opex_3yr);
         }
 
-        /// Opex is linear in the power price; capex is independent of it.
+        /// For any design, opex is linear in the number of cards over
+        /// the host's base power, and capex is the server plus whole
+        /// cards at the design's card price.
         #[cases(128)]
         fn tco_opex_linear_capex_fixed(rng) {
-            let price = rng.gen_range(0.0..20.0);
-            let k = rng.gen_range(0.0..8.0);
-            let vcus = rng.gen_range(1u32..33) as usize;
-            let sys = System::VcuHost { vcus };
-            let one = system_tco_with(sys, price);
-            let scaled = system_tco_with(sys, price * k);
-            assert_eq!(one.capex, scaled.capex);
+            let design = DesignPoint::new(
+                rng.gen_range(6u32..15) as usize,
+                rng.gen_range(2u32..5) as usize,
+                rng.gen_range(20.0..50.0),
+                147_456,
+            );
+            let cards = rng.gen_range(1u32..17) as usize;
+            let tco = |cards: usize| vcu_host_tco_for(&design, cards * VCUS_PER_CARD);
+            let (base, one, k) = (tco(0), tco(1), tco(cards));
+            assert_eq!(k.capex, SERVER_CAPEX + cards as f64 * design.card_capex_usd());
+            let per_card = one.opex_3yr - base.opex_3yr;
             assert!(
-                (scaled.opex_3yr - one.opex_3yr * k).abs() <= 1e-9 * (1.0 + scaled.opex_3yr.abs()),
-                "opex not linear: {} vs {}",
-                scaled.opex_3yr,
-                one.opex_3yr * k
+                (k.opex_3yr - base.opex_3yr - cards as f64 * per_card).abs()
+                    <= 1e-9 * k.opex_3yr,
+                "opex not linear in cards: {} vs {}",
+                k.opex_3yr - base.opex_3yr,
+                cards as f64 * per_card
             );
         }
     }
 
     #[test]
     fn shipped_design_prices_like_the_constant_card() {
-        // The design-parameterized host TCO must agree with the
-        // Table-1 pricing exactly at the shipped point — this is the
-        // calibration that lets the DSE frontier anchor on the same
+        // The design model must price the shipped card at exactly the
+        // Table-1 calibration ($2,200 and 100 W per two-VCU card) —
+        // this is what lets the DSE frontier anchor on the same
         // dollars the rest of the repo reports.
         let shipped = DesignPoint::shipped();
-        for vcus in [1, 8, 19, 20, 40] {
-            let by_design = vcu_host_tco_for(&shipped, vcus, OPEX_PER_WATT_3YR);
-            let by_constant = system_tco(System::VcuHost { vcus });
-            assert_eq!(by_design, by_constant, "vcus = {vcus}");
+        for vcus in [1usize, 8, 19, 20, 40] {
+            let cards = vcus.div_ceil(VCUS_PER_CARD) as f64;
+            let t = system_tco(System::VcuHost { vcus });
+            assert_eq!(t.capex, SERVER_CAPEX + cards * 2_200.0, "vcus = {vcus}");
+            assert_eq!(
+                t.opex_3yr,
+                (VCU_HOST_BASE_POWER_W + cards * 100.0) * OPEX_PER_WATT_3YR,
+                "vcus = {vcus}"
+            );
+            assert_eq!(vcu_host_tco_for(&shipped, vcus), t, "vcus = {vcus}");
         }
+        // A fleet is priced as whole 20-VCU hosts.
+        let host = system_tco(System::VcuHost { vcus: 20 }).total();
+        assert_eq!(fleet_tco_usd(&shipped, 20), host);
+        assert_eq!(fleet_tco_usd(&shipped, 21), 2.0 * host);
         // A beefier design strictly raises both cost terms.
-        let big = vcu_host_tco_for(
-            &DesignPoint::new(14, 4, 45.0, 2 * 147_456),
-            20,
-            OPEX_PER_WATT_3YR,
-        );
-        let base = vcu_host_tco_for(&shipped, 20, OPEX_PER_WATT_3YR);
+        let big = vcu_host_tco_for(&DesignPoint::new(14, 4, 45.0, 2 * 147_456), 20);
+        let base = vcu_host_tco_for(&shipped, 20);
         assert!(big.capex > base.capex && big.opex_3yr > base.opex_3yr);
     }
 

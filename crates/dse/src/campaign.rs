@@ -25,10 +25,9 @@
 
 use crate::pareto;
 use vcu_chip::{DesignPoint, ResourceDemand, TranscodeJob, VcuModel};
-use vcu_cluster::tco::OPEX_PER_WATT_3YR;
 use vcu_cluster::{
-    cell_cluster_config, fault_schedule, uniform_stream, vcu_host_tco_for, ClusterConfig,
-    ClusterSim, FaultInjection, JobSpec,
+    cell_cluster_config, fault_schedule, fleet_tco_usd, uniform_stream, ClusterConfig, ClusterSim,
+    FaultInjection, JobSpec,
 };
 use vcu_codec::Profile;
 use vcu_media::Resolution;
@@ -310,11 +309,7 @@ fn evaluate_candidate(
     } else {
         steady.samples.iter().map(|s| s.encode_util).sum::<f64>() / steady.samples.len() as f64
     };
-    // Fleets are priced as full 20-VCU hosts (the shipped packaging);
-    // partial hosts round up identically for every candidate.
-    let hosts = cfg.vcus.div_ceil(vcu_chip::calib::VCUS_PER_HOST);
-    let fleet_tco_usd = hosts as f64
-        * vcu_host_tco_for(&design, vcu_chip::calib::VCUS_PER_HOST, OPEX_PER_WATT_3YR).total();
+    let fleet_tco_usd = fleet_tco_usd(&design, cfg.vcus);
     let perf_mpix_s_per_vcu = steady.mean_mpix_s_per_vcu(cfg.vcus);
     DseCandidate {
         design,

@@ -14,8 +14,8 @@
 //! every `VCU_THREADS` value.
 
 use crate::region::{RegionReport, RegionSim, RegionSpec};
-use vcu_chip::System;
-use vcu_cluster::{correlated_domain_faults, system_tco, upgrade_wave_faults, FaultInjection};
+use vcu_chip::DesignPoint;
+use vcu_cluster::{correlated_domain_faults, fleet_tco_usd, upgrade_wave_faults, FaultInjection};
 use vcu_rng::{mix64, Rng};
 use vcu_workloads::DiurnalCurve;
 
@@ -110,9 +110,6 @@ pub struct PlanetReport {
     /// Digest folding every region's merge digest in region order.
     pub merge_digest: u64,
 }
-
-/// VCUs per host for fleet TCO (Table 1 row 4's 20-VCU machine).
-const VCUS_PER_HOST: usize = 20;
 
 /// Drain guard: a planet that has not resolved every job within this
 /// many demand-horizons after the demand stops is wedged — fail loud
@@ -330,12 +327,7 @@ impl PlanetSim {
                 / w
         };
         let merge_digest = reports.iter().fold(0u64, |h, r| mix64(h, r.merge_digest));
-        let hosts = (total_vcus as usize).div_ceil(VCUS_PER_HOST);
-        let tco_usd = system_tco(System::VcuHost {
-            vcus: VCUS_PER_HOST,
-        })
-        .total()
-            * hosts as f64;
+        let tco_usd = fleet_tco_usd(&DesignPoint::shipped(), total_vcus as usize);
         let perf_mpix_per_s = total_output_mpix / drained_at_s.max(1.0);
         PlanetReport {
             total_vcus,

@@ -27,13 +27,14 @@
 
 use crate::cache::{key_video, seg_key, SegmentCache};
 use std::collections::HashMap;
-use vcu_chip::{System, TranscodeJob};
+use vcu_chip::calib::VCUS_PER_HOST;
+use vcu_chip::{DesignPoint, TranscodeJob};
 use vcu_cluster::des::EventQueue;
 use vcu_cluster::faultsim::slots_per_worker;
 use vcu_cluster::sim::{
     ClusterConfig, ClusterReport, ClusterSim, JobResolution, JobSpec, Priority,
 };
-use vcu_cluster::tco::system_tco;
+use vcu_cluster::tco::fleet_tco_usd;
 use vcu_codec::Profile;
 use vcu_media::Resolution;
 use vcu_rng::{mix64, Rng};
@@ -381,26 +382,20 @@ impl ServeSim {
         } else {
             self.more_arrivals = false;
         }
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter_inc("serve.sessions.arrived");
-        }
+        self.telemetry.counter_inc("serve.sessions.arrived");
         // Admission control: shed before the fleet's own ladder would
         // have to react.
         if self.outstanding as f64 > self.admit_limit {
             self.shed += 1;
-            if self.telemetry.is_enabled() {
-                self.telemetry.counter_inc("serve.shed");
-                self.telemetry
-                    .event("serve.shed", Scope::none(), now, self.outstanding as f64);
-            }
+            self.telemetry.counter_inc("serve.shed");
+            self.telemetry
+                .event("serve.shed", Scope::none(), now, self.outstanding as f64);
             return;
         }
         self.admitted += 1;
         self.active += 1;
         self.peak_concurrent = self.peak_concurrent.max(self.active);
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter_inc("serve.sessions.admitted");
-        }
+        self.telemetry.counter_inc("serve.sessions.admitted");
         let video = self.catalog.sample(&mut self.rng);
         let session = Session {
             video,
@@ -462,9 +457,7 @@ impl ServeSim {
         self.job_seg.insert(job, key);
         self.outstanding += 1;
         self.transcodes += 1;
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter_inc("serve.transcodes");
-        }
+        self.telemetry.counter_inc("serve.transcodes");
     }
 
     fn handle_deliver(&mut self, now: f64, sid: u32, segment: u32) {
@@ -474,9 +467,7 @@ impl ServeSim {
             let ttff = now - s.arrival_s;
             s.next_due_s = now + SEGMENT_S;
             self.ttff.push(ttff);
-            if self.telemetry.is_enabled() {
-                self.telemetry.observe("serve.ttff_s", ttff);
-            }
+            self.telemetry.observe("serve.ttff_s", ttff);
         } else {
             // The segment was due when its predecessor finished
             // playing; a late delivery is a rebuffer stall.
@@ -484,9 +475,7 @@ impl ServeSim {
                 let stall = now - s.next_due_s;
                 s.stall_s += stall;
                 self.rebuffer_events += 1;
-                if self.telemetry.is_enabled() {
-                    self.telemetry.observe("serve.rebuffer_s", stall);
-                }
+                self.telemetry.observe("serve.rebuffer_s", stall);
             }
             s.next_due_s = now.max(s.next_due_s) + SEGMENT_S;
         }
@@ -509,9 +498,7 @@ impl ServeSim {
         self.completed += 1;
         self.active -= 1;
         self.free_slots.push(sid);
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter_inc("serve.sessions.completed");
-        }
+        self.telemetry.counter_inc("serve.sessions.completed");
     }
 
     /// Applies one cluster job resolution: cache + deliver to all
@@ -541,9 +528,7 @@ impl ServeSim {
             }
         } else {
             self.transcode_failures += 1;
-            if self.telemetry.is_enabled() {
-                self.telemetry.counter_inc("serve.transcode.failed");
-            }
+            self.telemetry.counter_inc("serve.transcode.failed");
             for sid in fl.waiters {
                 self.abort_session(r.time_s, sid);
             }
@@ -559,11 +544,9 @@ impl ServeSim {
         self.aborted += 1;
         self.active -= 1;
         self.free_slots.push(sid);
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter_inc("serve.sessions.aborted");
-            self.telemetry
-                .event("serve.session.aborted", Scope::none(), now, 1.0);
-        }
+        self.telemetry.counter_inc("serve.sessions.aborted");
+        self.telemetry
+            .event("serve.session.aborted", Scope::none(), now, 1.0);
     }
 
     fn handle_sample(&mut self, now: f64) {
@@ -619,28 +602,22 @@ impl ServeSim {
         let seg_bytes = self.job.output_pixels() * BITS_PER_PIXEL / 8.0;
         let egress_gb = self.segments_served as f64 * seg_bytes / 1e9;
         let egress_cost_usd = egress_gb * EGRESS_USD_PER_GB;
-        let vcus_per_host = 20usize;
-        let usd_per_vcu_s = system_tco(System::VcuHost {
-            vcus: vcus_per_host,
-        })
-        .total()
-            / vcus_per_host as f64
+        let usd_per_vcu_s = fleet_tco_usd(&DesignPoint::shipped(), VCUS_PER_HOST)
+            / VCUS_PER_HOST as f64
             / THREE_YEARS_S;
         let transcode_cost_usd =
             self.transcodes as f64 * SEGMENT_S / slots_per_worker(&self.job) as f64 * usd_per_vcu_s;
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter_add("serve.cache.hits", self.cache.hits());
-            self.telemetry
-                .counter_add("serve.cache.misses", self.cache.misses());
-            self.telemetry
-                .counter_add("serve.segments.served", self.segments_served);
-            self.telemetry
-                .counter_add("serve.rebuffer.events", self.rebuffer_events);
-            self.telemetry
-                .gauge_set("serve.peak_concurrent", self.peak_concurrent as f64);
-            self.telemetry.gauge_set("serve.egress_gb", egress_gb);
-        }
+        self.telemetry
+            .counter_add("serve.cache.hits", self.cache.hits());
+        self.telemetry
+            .counter_add("serve.cache.misses", self.cache.misses());
+        self.telemetry
+            .counter_add("serve.segments.served", self.segments_served);
+        self.telemetry
+            .counter_add("serve.rebuffer.events", self.rebuffer_events);
+        self.telemetry
+            .gauge_set("serve.peak_concurrent", self.peak_concurrent as f64);
+        self.telemetry.gauge_set("serve.egress_gb", egress_gb);
         ServeReport {
             arrivals: self.arrivals,
             admitted: self.admitted,

@@ -149,31 +149,21 @@ impl Registry {
 
     /// Records a point trace event at `time_s`.
     pub fn event(&self, name: &str, scope: Scope, time_s: f64, value: f64) {
-        self.push_trace(TraceEvent {
-            name: name.to_string(),
-            scope,
-            start_s: time_s,
-            end_s: time_s,
-            value,
-        });
+        self.span(name, scope, time_s, time_s, value);
     }
 
     /// Records a span from `start_s` to `end_s` carrying an arbitrary
     /// `value` payload (e.g. attempt count, bytes, quality score).
     pub fn span(&self, name: &str, scope: Scope, start_s: f64, end_s: f64, value: f64) {
-        self.push_trace(TraceEvent {
-            name: name.to_string(),
-            scope,
-            start_s,
-            end_s,
-            value,
-        });
-    }
-
-    fn push_trace(&self, ev: TraceEvent) {
         self.with_store(|s| {
             if s.events.len() < MAX_EVENTS {
-                s.events.push(ev);
+                s.events.push(TraceEvent {
+                    name: name.to_string(),
+                    scope,
+                    start_s,
+                    end_s,
+                    value,
+                });
             } else {
                 s.dropped_events += 1;
             }

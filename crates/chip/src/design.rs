@@ -319,6 +319,7 @@ impl DesignPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoder_core::Stage;
 
     #[test]
     fn shipped_reproduces_production_constants() {
@@ -339,9 +340,13 @@ mod tests {
     fn new_with_shipped_axes_is_bitwise_shipped() {
         let built = DesignPoint::new(10, 3, 36.0, STORE_PIXELS);
         assert_eq!(built, DesignPoint::shipped());
+        // The Figure 4 bottleneck stage at the core clock, 256 pixels
+        // per macroblock.
+        let bottleneck = Stage::ALL.iter().map(|s| s.mean_cycles()).max().unwrap();
+        let closed_form = calib::CORE_CLOCK_HZ / bottleneck as f64 * 256.0 / 1e6;
         assert_eq!(
             built.core_rate_mpix_s(Profile::Vp9Sim),
-            crate::encoder_core::core_rate_mpix_s(Profile::Vp9Sim),
+            closed_form * calib::VP9_HW_EFFICIENCY,
             "design-aware core rate must equal the production closed form"
         );
     }

@@ -7,7 +7,6 @@
 
 use crate::calib::{self, dram};
 use crate::job::TranscodeJob;
-use vcu_telemetry::Registry;
 
 /// Per-stream encoder DRAM bandwidth in GiB/s for a stream of
 /// `mpix_s` (output pixel rate), with or without reference-frame
@@ -47,8 +46,6 @@ pub struct DramModel {
     pub refcomp: bool,
     streams_bw_gib_s: f64,
     used_mib: f64,
-    /// Observability sink (disabled by default: zero cost).
-    telemetry: Registry,
 }
 
 impl DramModel {
@@ -58,26 +55,6 @@ impl DramModel {
             refcomp,
             streams_bw_gib_s: 0.0,
             used_mib: 0.0,
-            telemetry: Registry::disabled(),
-        }
-    }
-
-    /// Attaches a telemetry registry; admissions and releases then
-    /// keep `chip.dram.*` gauges/counters current.
-    pub fn with_telemetry(mut self, telemetry: Registry) -> Self {
-        self.telemetry = telemetry;
-        self.publish();
-        self
-    }
-
-    fn publish(&self) {
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .gauge_set("chip.dram.bandwidth_gib_s", self.streams_bw_gib_s);
-            self.telemetry
-                .gauge_set("chip.dram.bandwidth_util", self.bandwidth_utilization());
-            self.telemetry
-                .gauge_set("chip.dram.used_mib", self.used_mib);
         }
     }
 
@@ -100,21 +77,11 @@ impl DramModel {
         if self.streams_bw_gib_s + bw > self.bandwidth_budget_gib_s()
             || self.used_mib + mib > self.capacity_budget_mib()
         {
-            self.telemetry.counter_inc("chip.dram.rejected");
             return false;
         }
         self.streams_bw_gib_s += bw;
         self.used_mib += mib;
-        self.telemetry.counter_inc("chip.dram.admitted");
-        self.publish();
         true
-    }
-
-    /// Releases a previously admitted job.
-    pub fn release(&mut self, job: &TranscodeJob) {
-        self.streams_bw_gib_s = (self.streams_bw_gib_s - self.job_bandwidth_gib_s(job)).max(0.0);
-        self.used_mib = (self.used_mib - job_footprint_mib(job)).max(0.0);
-        self.publish();
     }
 
     /// Total DRAM bandwidth a job needs on this VCU.
@@ -127,11 +94,6 @@ impl DramModel {
             })
             .sum();
         enc + decode_stream_bw_gib_s(job.input_mpix_s())
-    }
-
-    /// Current bandwidth utilization in [0, 1].
-    pub fn bandwidth_utilization(&self) -> f64 {
-        self.streams_bw_gib_s / self.bandwidth_budget_gib_s()
     }
 }
 
@@ -189,10 +151,8 @@ mod tests {
             admitted >= 2,
             "should fit at least a couple of 2160p60 MOTs"
         );
-        assert!(d.bandwidth_utilization() <= 1.0);
-        // Releasing restores headroom.
-        d.release(&big);
-        assert!(d.admit(&big));
+        assert!(d.streams_bw_gib_s <= d.bandwidth_budget_gib_s());
+        assert!(d.used_mib <= d.capacity_budget_mib());
     }
 
     #[test]

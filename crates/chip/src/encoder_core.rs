@@ -1,18 +1,14 @@
 //! Encoder-core pipeline timing model.
 //!
-//! Two granularities:
-//!
-//! - [`core_rate_mpix_s`]: the closed-form rate (bottleneck stage of
-//!   the Figure 4 pipeline) used by system-level capacity math.
-//! - [`PipelineSim`]: a cycle-accurate-ish queue simulation of the
-//!   four pipeline stages with FIFO decoupling and backpressure,
-//!   exercising §3.2's claim that "the wide variety of blocks and
-//!   modes can lead to significant variability. To address this, the
-//!   pipeline stages are decoupled with FIFOs" — the ablation bench
-//!   measures exactly that effect.
+//! [`PipelineSim`] is a cycle-accurate-ish queue simulation of the
+//! four pipeline stages of Figure 4 with FIFO decoupling and
+//! backpressure, exercising §3.2's claim that "the wide variety of
+//! blocks and modes can lead to significant variability. To address
+//! this, the pipeline stages are decoupled with FIFOs" — the ablation
+//! bench measures exactly that effect. The closed-form core rate the
+//! capacity math uses is `DesignPoint::core_rate_mpix_s`.
 
-use crate::calib::{self, stage_cycles};
-use vcu_codec::Profile;
+use crate::calib::stage_cycles;
 use vcu_telemetry::Registry;
 
 /// Pipeline stages of Figure 4, in order.
@@ -47,16 +43,6 @@ impl Stage {
         }
     }
 
-    /// Telemetry-stable stage name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::MotionRdo => "motion_rdo",
-            Stage::Entropy => "entropy",
-            Stage::LoopFilter => "loop_filter",
-            Stage::Dma => "dma",
-        }
-    }
-
     /// Telemetry metric name for this stage's occupancy gauge.
     fn occupancy_metric(self) -> &'static str {
         match self {
@@ -65,20 +51,6 @@ impl Stage {
             Stage::LoopFilter => "chip.pipeline.occupancy.loop_filter",
             Stage::Dma => "chip.pipeline.occupancy.dma",
         }
-    }
-}
-
-/// Closed-form single-core throughput in Mpix/s for one-pass encoding.
-pub fn core_rate_mpix_s(profile: Profile) -> f64 {
-    let bottleneck = Stage::ALL
-        .iter()
-        .map(|s| s.mean_cycles())
-        .max()
-        .expect("stages non-empty") as f64;
-    let base = calib::CORE_CLOCK_HZ / bottleneck * 256.0 / 1e6;
-    match profile {
-        Profile::H264Sim => base,
-        Profile::Vp9Sim => base * calib::VP9_HW_EFFICIENCY,
     }
 }
 
@@ -231,6 +203,13 @@ struct PipelineOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calib;
+    use crate::design::DesignPoint;
+    use vcu_codec::Profile;
+
+    fn core_rate_mpix_s(profile: Profile) -> f64 {
+        DesignPoint::shipped().core_rate_mpix_s(profile)
+    }
 
     #[test]
     fn core_rate_covers_2160p60() {
@@ -293,8 +272,8 @@ mod tests {
         for st in Stage::ALL {
             let occ = reg
                 .gauge(st.occupancy_metric())
-                .unwrap_or_else(|| panic!("missing occupancy gauge for {}", st.name()));
-            assert!((0.0..=1.0).contains(&occ), "{}: {occ}", st.name());
+                .unwrap_or_else(|| panic!("missing occupancy gauge for {st:?}"));
+            assert!((0.0..=1.0).contains(&occ), "{st:?}: {occ}");
         }
         // The bottleneck stage (largest mean cycles) must show the
         // highest occupancy of the four.

@@ -11,9 +11,6 @@
 use crate::kernels;
 use std::sync::OnceLock;
 
-/// Transform sizes supported by the codec.
-pub const TX_SIZES: [usize; 4] = [4, 8, 16, 32];
-
 pub(crate) fn basis(n: usize) -> &'static [f64] {
     static BASES: OnceLock<[Vec<f64>; 4]> = OnceLock::new();
     let all = BASES.get_or_init(|| {
@@ -78,13 +75,6 @@ pub struct TxScratch {
     t1: Vec<f64>,
 }
 
-impl TxScratch {
-    /// An empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Forward 2-D DCT of an `n x n` residual block (row-major), with
 /// caller-provided scratch. Both passes run through
 /// the dispatched [`kernels::tx_pass_strided`] over a transposed
@@ -94,7 +84,7 @@ impl TxScratch {
 ///
 /// # Panics
 ///
-/// Panics if `n` is not one of [`TX_SIZES`] or `residual.len() != n*n`.
+/// Panics if `n` is not 4, 8, 16 or 32, or `residual.len() != n*n`.
 pub fn forward_with(residual: &[i16], n: usize, out: &mut [f64], scratch: &mut TxScratch) {
     assert_eq!(residual.len(), n * n, "residual size mismatch");
     assert_eq!(out.len(), n * n, "output size mismatch");
@@ -123,7 +113,7 @@ pub fn forward_with(residual: &[i16], n: usize, out: &mut [f64], scratch: &mut T
 ///
 /// # Panics
 ///
-/// Panics if `n` is not one of [`TX_SIZES`] or sizes mismatch.
+/// Panics if `n` is not 4, 8, 16 or 32, or sizes mismatch.
 pub fn inverse_with(coeffs: &[f64], n: usize, out: &mut [i16], scratch: &mut TxScratch) {
     assert_eq!(coeffs.len(), n * n, "coeff size mismatch");
     assert_eq!(out.len(), n * n, "output size mismatch");
@@ -181,12 +171,15 @@ pub fn zigzag(n: usize) -> &'static [usize] {
 mod tests {
     use super::*;
 
+    /// Transform sizes supported by the codec.
+    const TX_SIZES: [usize; 4] = [4, 8, 16, 32];
+
     fn forward(residual: &[i16], n: usize, out: &mut [f64]) {
-        forward_with(residual, n, out, &mut TxScratch::new());
+        forward_with(residual, n, out, &mut TxScratch::default());
     }
 
     fn inverse(coeffs: &[f64], n: usize, out: &mut [i16]) {
-        inverse_with(coeffs, n, out, &mut TxScratch::new());
+        inverse_with(coeffs, n, out, &mut TxScratch::default());
     }
 
     fn round_trip(n: usize) {
@@ -280,7 +273,7 @@ mod tests {
     /// these outputs.
     #[test]
     fn fast_path_bit_identical_to_naive() {
-        let mut scratch = TxScratch::new();
+        let mut scratch = TxScratch::default();
         for &n in &TX_SIZES {
             let residual: Vec<i16> = (0..n * n)
                 .map(|i| (((i * 97 + 31) % 511) as i16) - 255)

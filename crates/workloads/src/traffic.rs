@@ -1,10 +1,10 @@
-//! Upload and live-stream traffic generators.
+//! Upload traffic generator and the request shape of §2.2.
 //!
-//! Deterministic (seeded) synthetic stand-ins for the production
-//! workloads of §2.2: YouTube-style uploads ("multiple hundreds of
-//! hours of video every minute"), Photos/Drive archival, and YouTube
-//! Live ("hundreds of thousands of concurrent streams"). The cluster
-//! simulator consumes these request streams.
+//! A deterministic (seeded) synthetic stand-in for the production
+//! upload stream: YouTube-style uploads ("multiple hundreds of hours
+//! of video every minute"), tagged with the workload families the
+//! platform serves (uploads, Photos/Drive archival, live and gaming).
+//! The cluster simulator consumes these request streams.
 
 use crate::popularity::{PopularityBucket, PopularityModel};
 use vcu_media::Resolution;
@@ -115,61 +115,6 @@ fn pick_resolution(rng: &mut Rng) -> Resolution {
     Resolution::R360
 }
 
-/// Generator for concurrent live streams.
-#[derive(Debug, Clone)]
-pub struct LiveTraffic {
-    /// Concurrent streams to maintain.
-    pub concurrent: usize,
-    /// Mean stream length in seconds.
-    pub mean_length_s: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl LiveTraffic {
-    /// Creates a live-traffic generator.
-    pub fn new(concurrent: usize, mean_length_s: f64, seed: u64) -> Self {
-        LiveTraffic {
-            concurrent,
-            mean_length_s,
-            seed,
-        }
-    }
-
-    /// Generates the session start events for `horizon_s`: whenever a
-    /// stream ends another starts, keeping `concurrent` running.
-    pub fn generate(&self, horizon_s: f64) -> Vec<Request> {
-        let mut rng = Rng::seed_from_u64(self.seed ^ 0x11FE);
-        let mut out = Vec::new();
-        for slot in 0..self.concurrent {
-            let mut t = 0.0f64;
-            // Stagger initial starts.
-            t += rng.gen_range(0.0..self.mean_length_s * 0.1);
-            while t < horizon_s {
-                let len = rng
-                    .exponential(1.0 / self.mean_length_s)
-                    .clamp(30.0, horizon_s);
-                let resolution = if rng.gen_bool(0.3) {
-                    Resolution::R1080
-                } else {
-                    Resolution::R720
-                };
-                out.push(Request {
-                    arrival_s: t,
-                    family: WorkloadFamily::Live,
-                    resolution,
-                    fps: if slot % 5 == 0 { 60.0 } else { 30.0 },
-                    duration_s: len,
-                    popularity: PopularityBucket::Middle,
-                });
-                t += len;
-            }
-        }
-        out.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,17 +148,5 @@ mod tests {
         let frac = |r: Resolution| reqs.iter().filter(|q| q.resolution == r).count() as f64 / n;
         assert!(frac(Resolution::R1080) > 0.25, "1080p share");
         assert!(frac(Resolution::R2160) < 0.15, "4k share");
-    }
-
-    #[test]
-    fn live_maintains_concurrency() {
-        let g = LiveTraffic::new(10, 300.0, 3);
-        let reqs = g.generate(3600.0);
-        // At time 1800, roughly 10 streams should be active.
-        let active = reqs
-            .iter()
-            .filter(|r| r.arrival_s <= 1800.0 && r.arrival_s + r.duration_s > 1800.0)
-            .count();
-        assert!((7..=13).contains(&active), "active {active}");
     }
 }

@@ -4,7 +4,7 @@
 //! Each artifact has one gate, called from exactly two places: the
 //! campaign driver (on the bytes it just rendered, `full` only off
 //! smoke mode) and the `check_results` binary (on the committed files,
-//! `full = true`). A gate reads every value through [`Row`], so a
+//! `full = true`). A gate reads every value through `Row`, so a
 //! missing or mistyped key is a failure, never a default. A failure
 //! reads `<gate>.<check>: cell <n>: …`; every threshold is a constant
 //! in this file and nowhere else.
@@ -28,9 +28,9 @@ const FULL_PEAK_FLOOR: u64 = 1_000_000;
 /// Region: fleet size the full sweep's largest planet must reach.
 const FULL_FLEET_FLOOR: u64 = 100_000;
 /// Fidelity: the three statuses a `fidelity.json` row can hold.
-pub const MATCH: &str = "match";
-pub const SHAPE_ONLY: &str = "shape-only";
-pub const DEVIATES: &str = "deviates";
+pub(crate) const MATCH: &str = "match";
+pub(crate) const SHAPE_ONLY: &str = "shape-only";
+pub(crate) const DEVIATES: &str = "deviates";
 
 /// One record of an artifact's array, with its index for messages.
 struct Row<'a> {
@@ -121,7 +121,7 @@ pub fn fault(doc: &Value, _full: bool) -> GateResult {
 /// `serve_campaign.json`: exact session accounting in every cell; hit
 /// ratio monotone and no TTFF p99 cliff across each ascending-cache
 /// group (consecutive cells on one fleet), at least one such pair;
-/// full sweeps reach [`FULL_PEAK_FLOOR`] concurrent viewers.
+/// full sweeps reach `FULL_PEAK_FLOOR` concurrent viewers.
 pub fn serve(doc: &Value, full: bool) -> GateResult {
     const INTS: [&str; 9] = [
         "viewers",
@@ -183,7 +183,7 @@ pub fn serve(doc: &Value, full: bool) -> GateResult {
 
 /// `region_campaign.json`: overflow routing never loses goodput to the
 /// isolated-regions counterfactual, anti-phased regions actually route
-/// work, and full sweeps reach a [`FULL_FLEET_FLOOR`]-VCU planet.
+/// work, and full sweeps reach a `FULL_FLEET_FLOOR`-VCU planet.
 pub fn region(doc: &Value, full: bool) -> GateResult {
     let cells = read_rows("region", doc, "cells", |r| {
         let ints = r.ints(["regions", "total_vcus", "routed_jobs"])?;
@@ -301,7 +301,7 @@ pub fn dse(doc: &Value, _full: bool) -> GateResult {
 /// when measured and paper lie strictly on the same side of the
 /// baseline or, with no paper value, when measured exceeds it;
 /// otherwise `deviates`.
-pub fn fidelity_status(
+pub(crate) fn fidelity_status(
     paper: Option<f64>,
     measured: f64,
     tolerance: f64,
@@ -316,7 +316,7 @@ pub fn fidelity_status(
 }
 
 /// `fidelity.json`: any row short of a match gives its reason; full runs
-/// also recompute each status with [`fidelity_status`] and fail where
+/// also recompute each status with `fidelity_status` and fail where
 /// the recorded one differs (smoke-sized numbers earn no paper status).
 pub fn fidelity(doc: &Value, full: bool) -> GateResult {
     let rows = read_rows("fidelity", doc, "rows", |r| {

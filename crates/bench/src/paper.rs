@@ -54,7 +54,7 @@ pub struct Row {
     /// `shape-only`: 0 for a delta, 1 for a ratio, or the other arm of
     /// a paired comparison.
     pub baseline: f64,
-    /// The status the row table expects (see [`crate::gates::fidelity_status`]).
+    /// The status the row table expects (see `crate::gates::fidelity_status`).
     pub status: &'static str,
     /// Why the row is not a match, or what anchors it.
     pub reason: &'static str,

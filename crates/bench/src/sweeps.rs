@@ -127,7 +127,7 @@ pub(crate) fn arrival_span_s(jobs_per_vcu: usize) -> f64 {
 }
 
 /// Runs one fault-campaign cell from its cell seed.
-pub fn run_fault_cell(
+pub(crate) fn run_fault_cell(
     cfg: &FaultCampaignConfig,
     (mttr_s, fault_rate): (f64, f64),
     seed: u64,
@@ -447,7 +447,7 @@ pub struct RegionCampaignCell {
 /// Runs one region cell from its cell seed: the same planet with
 /// overflow routing on, then off (the counterfactual the overflow
 /// gate compares against).
-pub fn run_region_cell(
+pub(crate) fn run_region_cell(
     cfg: &RegionCampaignConfig,
     spec: &RegionCellSpec,
     seed: u64,

@@ -18,76 +18,76 @@
 //! - "3,000 millidecode cores and 10,000 milliencode cores" (§3.3.3).
 
 /// Encoder cores per VCU ASIC (§3.3.1, Figure 5a).
-pub const ENCODER_CORES_PER_VCU: usize = 10;
+pub(crate) const ENCODER_CORES_PER_VCU: usize = 10;
 
 /// Decoder cores per VCU ASIC (Figure 3b).
-pub const DECODER_CORES_PER_VCU: usize = 3;
+pub(crate) const DECODER_CORES_PER_VCU: usize = 3;
 
 /// VCUs per card (Figure 5b) and cards/hosts (§3.3.1).
 pub const VCUS_PER_CARD: usize = 2;
 /// Cards per accelerator tray.
-pub const CARDS_PER_TRAY: usize = 5;
+pub(crate) const CARDS_PER_TRAY: usize = 5;
 /// Trays per host machine.
-pub const TRAYS_PER_HOST: usize = 2;
+pub(crate) const TRAYS_PER_HOST: usize = 2;
 /// VCUs per host machine (= 2 trays × 5 cards × 2 VCUs).
 pub const VCUS_PER_HOST: usize = VCUS_PER_CARD * CARDS_PER_TRAY * TRAYS_PER_HOST;
 
 /// Encoder core clock in Hz (chosen so the cycle budget below hits the
 /// paper's real-time 2160p60 rate).
-pub const CORE_CLOCK_HZ: f64 = 800e6;
+pub(crate) const CORE_CLOCK_HZ: f64 = 800e6;
 
 /// Pipeline stage cycle budgets per 16×16 macroblock (H.264 profile).
 /// The bottleneck stage sets the core's throughput:
 /// 800 MHz / 410 cycles/MB × 256 px/MB ≈ 500 Mpix/s ≈ 2160p60.
-pub mod stage_cycles {
+pub(crate) mod stage_cycles {
     /// Motion estimation + partitioning + RDO (the memory-heavy first
     /// stage of Figure 4).
-    pub const MOTION_RDO: u32 = 410;
+    pub(crate) const MOTION_RDO: u32 = 410;
     /// Entropy coding + macroblock decode + temporal filter.
-    pub const ENTROPY: u32 = 360;
+    pub(crate) const ENTROPY: u32 = 360;
     /// Loop filter + lossless frame-buffer compression.
-    pub const LOOPFILTER: u32 = 240;
+    pub(crate) const LOOPFILTER: u32 = 240;
     /// DRAM reader/writer (hidden behind prefetch when bandwidth holds).
-    pub const DMA: u32 = 180;
+    pub(crate) const DMA: u32 = 180;
 }
 
 /// VP9 per-pixel cycle efficiency relative to H.264 on the VCU.
 /// Larger superblocks amortize control overhead, so the hardware
 /// encodes VP9 slightly *faster* per pixel (Table 1: 15,306 vs 14,932
 /// Mpix/s for the 20-VCU system).
-pub const VP9_HW_EFFICIENCY: f64 = 1.025;
+pub(crate) const VP9_HW_EFFICIENCY: f64 = 1.025;
 
 /// Fraction of peak core throughput reachable in a loaded system
 /// (queueing, stream switch overheads, host I/O) — calibrated so a
 /// 20-VCU host lands near Table 1's 14.9 Gpix/s for offline two-pass
 /// SOT vbench rather than the 50 Gpix/s silicon peak.
-pub const SYSTEM_DERATE: f64 = 0.30;
+pub(crate) const SYSTEM_DERATE: f64 = 0.30;
 
 /// Decoder core throughput in Mpix/s (a decoder core comfortably
 /// outruns an encoder core; decode is ~10× cheaper than encode).
-pub const DECODER_CORE_MPIX_S: f64 = 1100.0;
+pub(crate) const DECODER_CORE_MPIX_S: f64 = 1100.0;
 
 /// DRAM subsystem.
 pub mod dram {
     /// Raw LPDDR4-3200 bandwidth, 4 × 32-bit channels (§3.3.1).
-    pub const RAW_GIB_S: f64 = 36.0;
+    pub(crate) const RAW_GIB_S: f64 = 36.0;
     /// Usable fraction of raw bandwidth (refresh, bank conflicts).
-    pub const EFFICIENCY: f64 = 0.85;
+    pub(crate) const EFFICIENCY: f64 = 0.85;
     /// Usable VCU DRAM capacity in GiB (§3.3.1: "8 GiB usable").
     pub const CAPACITY_GIB: f64 = 8.0;
     /// Encoder stream bandwidth at 2160p60 with 3 refs, no reference
     /// compression (§3.3.1: "average DRAM bandwidth of 3.5 GiB/s").
-    pub const ENCODE_2160P60_GIB_S: f64 = 3.5;
+    pub(crate) const ENCODE_2160P60_GIB_S: f64 = 3.5;
     /// Same with lossless reference-frame compression ("typical
     /// bandwidth to 2 GiB/s").
-    pub const ENCODE_2160P60_REFCOMP_GIB_S: f64 = 2.0;
+    pub(crate) const ENCODE_2160P60_REFCOMP_GIB_S: f64 = 2.0;
     /// Decoder stream bandwidth ("the decoder consistently uses
     /// 2.2 GiB/s").
-    pub const DECODE_2160P60_GIB_S: f64 = 2.2;
+    pub(crate) const DECODE_2160P60_GIB_S: f64 = 2.2;
     /// DRAM footprint of a 2160p MOT job in MiB (Appendix A.4).
-    pub const MOT_2160P_FOOTPRINT_MIB: f64 = 700.0;
+    pub(crate) const MOT_2160P_FOOTPRINT_MIB: f64 = 700.0;
     /// DRAM footprint of a 2160p SOT job in MiB (Appendix A.4).
-    pub const SOT_2160P_FOOTPRINT_MIB: f64 = 500.0;
+    pub(crate) const SOT_2160P_FOOTPRINT_MIB: f64 = 500.0;
 }
 
 /// Reference pixel rate of a 2160p60 stream (Mpix/s) used to scale
@@ -97,42 +97,40 @@ pub const REF_STREAM_MPIX_S: f64 = 3840.0 * 2160.0 * 60.0 / 1e6;
 /// Scheduler resource dimensions (§3.3.3, Figure 6).
 pub mod millicores {
     /// Milli-decode cores per VCU.
-    pub const DECODE_PER_VCU: u32 = 3_000;
+    pub(crate) const DECODE_PER_VCU: u32 = 3_000;
     /// Milli-encode cores per VCU.
-    pub const ENCODE_PER_VCU: u32 = 10_000;
+    pub(crate) const ENCODE_PER_VCU: u32 = 10_000;
 }
 
 /// CPU baseline: dual-socket Skylake, both sockets (Table 1 note 8).
 pub mod cpu {
     /// Offline two-pass H.264 software encode throughput of the whole
     /// machine (Table 1: 714 Mpix/s).
-    pub const H264_MPIX_S: f64 = 714.0;
+    pub(crate) const H264_MPIX_S: f64 = 714.0;
     /// Offline two-pass VP9 software throughput (Table 1: 154 Mpix/s).
-    pub const VP9_MPIX_S: f64 = 154.0;
+    pub(crate) const VP9_MPIX_S: f64 = 154.0;
     /// CPU MOT derate: chunk-parallel MOT on CPU runs slower per pixel
     /// than SOT due to memory pressure and load imbalance (derived from
     /// the paper's 68.9× VP9-MOT perf/watt claim; §4.1).
-    pub const MOT_FACTOR: f64 = 0.56;
+    pub(crate) const MOT_FACTOR: f64 = 0.56;
     /// Active power draw of the dual-socket host under transcode load,
     /// watts (idle subtracted, as the paper's perf/W comparison does).
-    pub const ACTIVE_POWER_W: f64 = 400.0;
+    pub(crate) const ACTIVE_POWER_W: f64 = 400.0;
 }
 
 /// GPU baseline: Nvidia T4 with NVENC-style fixed-function encoders.
 pub mod gpu {
     /// H.264 encode throughput per T4 (Table 1: 4 GPUs = 2,484 Mpix/s).
-    pub const H264_MPIX_S_PER_GPU: f64 = 621.0;
+    pub(crate) const H264_MPIX_S_PER_GPU: f64 = 621.0;
     /// T4s per baseline system.
-    pub const GPUS_PER_SYSTEM: usize = 4;
+    pub(crate) const GPUS_PER_SYSTEM: usize = 4;
     /// VP9 encoding support: none (Table 1's dash).
-    pub const SUPPORTS_VP9_ENCODE: bool = false;
+    pub(crate) const SUPPORTS_VP9_ENCODE: bool = false;
 }
 
 /// VCU host power (active), watts: host CPU + trays; calibrated so the
 /// 20-VCU system reproduces the paper's 6.7× H.264-SOT perf/W claim.
 pub const VCU_HOST_BASE_POWER_W: f64 = 250.0;
-/// Active power per VCU card (2 VCUs), watts.
-pub const VCU_CARD_POWER_W: f64 = 100.0;
 
 /// Host network interface (Appendix A.2): 100 Gbps.
 pub const HOST_NIC_GBPS: f64 = 100.0;

@@ -71,7 +71,7 @@ mod cost {
 
 /// Raw bandwidth of one 32-bit LPDDR4-3200 channel in GiB/s (§3.3.1:
 /// four channels ≈ 36 GiB/s).
-pub const DRAM_CHANNEL_GIB_S: f64 = 9.0;
+pub(crate) const DRAM_CHANNEL_GIB_S: f64 = 9.0;
 
 /// FIFO depth / variability / blocks for the pipeline-interaction
 /// probe: the production FIFO depth with moderate content variability,
@@ -223,7 +223,7 @@ impl DesignPoint {
     /// encoder core streaming a reference-compressed 2160p60 worst case
     /// (scaled by this store's traffic factor) plus every decoder core
     /// at 2.2 GiB/s.
-    pub fn dram_demand_gib_s(&self) -> f64 {
+    pub(crate) fn dram_demand_gib_s(&self) -> f64 {
         self.encoder_cores as f64 * dram::ENCODE_2160P60_REFCOMP_GIB_S * self.traffic_factor
             + self.decoder_cores as f64 * dram::DECODE_2160P60_GIB_S
     }
@@ -246,7 +246,7 @@ impl DesignPoint {
     /// `SYSTEM_DERATE` already absorbs, cross-stream contention eats
     /// sustained throughput proportionally. Extra bandwidth beyond the
     /// envelope buys nothing (exactly the §3.3.1 sizing argument).
-    pub fn mem_stall_factor(&self) -> f64 {
+    pub(crate) fn mem_stall_factor(&self) -> f64 {
         let shipped = Self::shipped().bandwidth_pressure();
         (shipped / self.bandwidth_pressure()).min(1.0)
     }
@@ -254,7 +254,7 @@ impl DesignPoint {
     /// Closed-form single-core one-pass rate in Mpix/s for this design:
     /// the Figure 4 bottleneck stage with DMA under pressure, scaled by
     /// the FIFO-decoupled pipeline's efficiency relative to shipped.
-    pub fn core_rate_mpix_s(&self, profile: Profile) -> f64 {
+    pub(crate) fn core_rate_mpix_s(&self, profile: Profile) -> f64 {
         let dma = stage_cycles::DMA as f64 * self.dma_slowdown();
         let bottleneck = (stage_cycles::MOTION_RDO as f64)
             .max(stage_cycles::ENTROPY as f64)
@@ -269,7 +269,7 @@ impl DesignPoint {
     }
 
     /// LPDDR4 channels needed for this bandwidth (9 GiB/s each).
-    pub fn dram_channels(&self) -> usize {
+    pub(crate) fn dram_channels(&self) -> usize {
         (self.dram_raw_gib_s / DRAM_CHANNEL_GIB_S).ceil() as usize
     }
 
@@ -285,7 +285,7 @@ impl DesignPoint {
 
     /// Die cost in dollars: linear in area, times a Poisson-yield
     /// roll-off that makes large dies superlinearly expensive.
-    pub fn die_cost_usd(&self) -> f64 {
+    pub(crate) fn die_cost_usd(&self) -> f64 {
         let area = self.silicon_area_mm2();
         let shipped_area = Self::shipped().silicon_area_mm2();
         cost::SHIPPED_DIE_USD
@@ -302,7 +302,7 @@ impl DesignPoint {
     }
 
     /// Active power of one VCU in watts.
-    pub fn vcu_power_w(&self) -> f64 {
+    pub(crate) fn vcu_power_w(&self) -> f64 {
         power::BASE_W
             + self.encoder_cores as f64 * power::ENCODER_CORE_W
             + self.decoder_cores as f64 * power::DECODER_CORE_W
@@ -310,7 +310,7 @@ impl DesignPoint {
     }
 
     /// Active power of one card (2 VCUs) in watts. Exactly 100 W at
-    /// the shipped point — `calib::VCU_CARD_POWER_W`.
+    /// the shipped point, the card power Table 1's VCU systems draw.
     pub fn card_power_w(&self) -> f64 {
         calib::VCUS_PER_CARD as f64 * self.vcu_power_w()
     }
@@ -329,7 +329,7 @@ mod tests {
         assert_eq!(s.die_cost_usd(), cost::SHIPPED_DIE_USD);
         // The exact card constants the TCO model prices VcuHost with.
         assert_eq!(s.card_capex_usd(), 2_200.0);
-        assert_eq!(s.card_power_w(), calib::VCU_CARD_POWER_W);
+        assert_eq!(s.card_power_w(), 100.0, "Table 1's 100 W per two-VCU card");
         assert_eq!(s.dram_channels(), 4);
         // All derates are exactly 1 — the shipped point is the anchor.
         assert_eq!(s.refstore_traffic_factor(), 1.0);

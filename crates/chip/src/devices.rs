@@ -46,7 +46,7 @@ impl System {
 
     /// Whether the system can encode `profile` at all (the GPU's VP9
     /// encode gap is Table 1's dash).
-    pub fn supports_encode(&self, profile: Profile) -> bool {
+    pub(crate) fn supports_encode(&self, profile: Profile) -> bool {
         match (self, profile) {
             (System::GpuT4x4, Profile::Vp9Sim) => gpu::SUPPORTS_VP9_ENCODE,
             _ => true,

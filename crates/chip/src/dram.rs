@@ -11,7 +11,7 @@ use crate::job::TranscodeJob;
 /// Per-stream encoder DRAM bandwidth in GiB/s for a stream of
 /// `mpix_s` (output pixel rate), with or without reference-frame
 /// compression.
-pub fn encode_stream_bw_gib_s(mpix_s: f64, refcomp: bool) -> f64 {
+pub(crate) fn encode_stream_bw_gib_s(mpix_s: f64, refcomp: bool) -> f64 {
     let anchor = if refcomp {
         dram::ENCODE_2160P60_REFCOMP_GIB_S
     } else {
@@ -21,13 +21,13 @@ pub fn encode_stream_bw_gib_s(mpix_s: f64, refcomp: bool) -> f64 {
 }
 
 /// Per-stream decoder DRAM bandwidth in GiB/s.
-pub fn decode_stream_bw_gib_s(mpix_s: f64) -> f64 {
+pub(crate) fn decode_stream_bw_gib_s(mpix_s: f64) -> f64 {
     dram::DECODE_2160P60_GIB_S * mpix_s / calib::REF_STREAM_MPIX_S
 }
 
 /// DRAM footprint of a job in MiB (Appendix A.4: ~700 MiB per 2160p
 /// MOT, ~500 MiB per 2160p SOT, scaling with input resolution).
-pub fn job_footprint_mib(job: &TranscodeJob) -> f64 {
+pub(crate) fn job_footprint_mib(job: &TranscodeJob) -> f64 {
     let anchor = if job.is_mot() {
         dram::MOT_2160P_FOOTPRINT_MIB
     } else {
@@ -59,12 +59,12 @@ impl DramModel {
     }
 
     /// Usable bandwidth budget in GiB/s.
-    pub fn bandwidth_budget_gib_s(&self) -> f64 {
+    pub(crate) fn bandwidth_budget_gib_s(&self) -> f64 {
         dram::RAW_GIB_S * dram::EFFICIENCY
     }
 
     /// Capacity budget in MiB.
-    pub fn capacity_budget_mib(&self) -> f64 {
+    pub(crate) fn capacity_budget_mib(&self) -> f64 {
         dram::CAPACITY_GIB * 1024.0
     }
 
@@ -85,7 +85,7 @@ impl DramModel {
     }
 
     /// Total DRAM bandwidth a job needs on this VCU.
-    pub fn job_bandwidth_gib_s(&self, job: &TranscodeJob) -> f64 {
+    pub(crate) fn job_bandwidth_gib_s(&self, job: &TranscodeJob) -> f64 {
         let enc: f64 = job
             .outputs
             .iter()

@@ -13,7 +13,7 @@ use vcu_telemetry::Registry;
 
 /// Pipeline stages of Figure 4, in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
+pub(crate) enum Stage {
     /// Motion estimation, partitioning, rate-distortion optimization.
     MotionRdo,
     /// Entropy coding, macroblock decode, temporal filter.
@@ -26,7 +26,7 @@ pub enum Stage {
 
 impl Stage {
     /// All stages in pipeline order.
-    pub const ALL: [Stage; 4] = [
+    pub(crate) const ALL: [Stage; 4] = [
         Stage::MotionRdo,
         Stage::Entropy,
         Stage::LoopFilter,
@@ -34,7 +34,7 @@ impl Stage {
     ];
 
     /// Mean cycles per 16×16 macroblock for this stage.
-    pub fn mean_cycles(self) -> u32 {
+    pub(crate) fn mean_cycles(self) -> u32 {
         match self {
             Stage::MotionRdo => stage_cycles::MOTION_RDO,
             Stage::Entropy => stage_cycles::ENTROPY,
@@ -83,7 +83,11 @@ impl PipelineSim {
 
     /// A simulator whose DMA stage runs `dma_pressure`× slower than
     /// the calibrated budget (bandwidth-starved design candidates).
-    pub fn with_dma_pressure(fifo_depth: usize, variability: f64, dma_pressure: f64) -> Self {
+    pub(crate) fn with_dma_pressure(
+        fifo_depth: usize,
+        variability: f64,
+        dma_pressure: f64,
+    ) -> Self {
         assert!((0.0..1.0).contains(&variability), "variability in [0,1)");
         assert!(dma_pressure >= 1.0, "dma_pressure is a slowdown (≥ 1)");
         PipelineSim {

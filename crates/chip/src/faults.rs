@@ -52,9 +52,9 @@ pub struct FaultyVcu {
 /// Correctable-ECC threshold that trips the repair flow (§4.4: "high
 /// levels of correctable or uncorrectable faults will result in
 /// disabling the VCU").
-pub const CORRECTABLE_ECC_LIMIT: u64 = 1000;
+pub(crate) const CORRECTABLE_ECC_LIMIT: u64 = 1000;
 /// Uncorrectable-ECC threshold.
-pub const UNCORRECTABLE_ECC_LIMIT: u64 = 3;
+pub(crate) const UNCORRECTABLE_ECC_LIMIT: u64 = 3;
 
 impl FaultyVcu {
     /// A healthy VCU.

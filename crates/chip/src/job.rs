@@ -167,7 +167,7 @@ impl TranscodeJob {
     /// Input (decode) pixel rate in Mpix/s. SOT decodes the input once
     /// per output variant produced by separate tasks; within one job
     /// the input is decoded exactly once.
-    pub fn input_mpix_s(&self) -> f64 {
+    pub(crate) fn input_mpix_s(&self) -> f64 {
         self.input.pixels() as f64 * self.fps / 1e6
     }
 

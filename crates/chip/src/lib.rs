@@ -11,7 +11,7 @@
 //!   [`calib`] from numbers the paper states — encoder-core pipeline
 //!   ([`encoder_core`]), DRAM bandwidth/footprints ([`dram`]),
 //!   whole-chip capacity and the §3.3.3 millicore resource mapping
-//!   ([`vcu`]), and the Table-1 contender systems ([`devices`]).
+//!   ([`vcu`]), and the Table-1 contender systems (`devices`, re-exported as [`System`]).
 //!
 //! The timing layer is parameterized by a [`DesignPoint`] (encoder
 //! cores × decoder cores × DRAM bandwidth × reference-store SRAM,
@@ -21,7 +21,7 @@
 
 pub mod calib;
 pub mod design;
-pub mod devices;
+pub(crate) mod devices;
 pub mod dram;
 pub mod encoder_core;
 pub mod faults;

@@ -14,9 +14,9 @@ use std::collections::VecDeque;
 /// 144K pixels, covering a 512-pixel tile column plus a ±128 horizontal
 /// search margin, and a 64-pixel macroblock plus two 64-pixel vertical
 /// windows.
-pub const STORE_WIDTH: usize = 768;
+pub(crate) const STORE_WIDTH: usize = 768;
 /// Store height in pixels.
-pub const STORE_HEIGHT: usize = 192;
+pub(crate) const STORE_HEIGHT: usize = 192;
 /// Total capacity in pixels.
 pub const STORE_PIXELS: usize = STORE_WIDTH * STORE_HEIGHT;
 
@@ -25,7 +25,7 @@ pub const STORE_PIXELS: usize = STORE_WIDTH * STORE_HEIGHT;
 const LINE_W: usize = 64;
 const LINE_H: usize = 16;
 /// Pixels per cache line.
-pub const LINE_PIXELS: usize = LINE_W * LINE_H;
+pub(crate) const LINE_PIXELS: usize = LINE_W * LINE_H;
 
 /// A line address within the reference frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,7 +72,7 @@ impl RefStore {
     /// Touches the window of reference pixels needed to search a
     /// macroblock at `(x, y)` with a `±range` search window; counts
     /// hits/misses and DRAM traffic per missed line.
-    pub fn access_search_window(&mut self, x: usize, y: usize, mb: usize, range: usize) {
+    pub(crate) fn access_search_window(&mut self, x: usize, y: usize, mb: usize, range: usize) {
         let x0 = x.saturating_sub(range);
         let y0 = y.saturating_sub(range);
         let x1 = x + mb + range;

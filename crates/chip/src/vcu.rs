@@ -28,7 +28,7 @@ pub enum WorkloadShape {
 
 impl WorkloadShape {
     /// Encoder passes per output pixel for this shape.
-    pub fn passes_per_output_pixel(self) -> f64 {
+    pub(crate) fn passes_per_output_pixel(self) -> f64 {
         match self {
             WorkloadShape::SotTwoPass => 2.0,
             WorkloadShape::MotTwoPass => {
@@ -78,14 +78,14 @@ impl VcuModel {
     }
 
     /// Peak silicon encode rate (one-pass) in Mpix/s.
-    pub fn peak_encode_mpix_s(&self, profile: Profile) -> f64 {
+    pub(crate) fn peak_encode_mpix_s(&self, profile: Profile) -> f64 {
         self.design.encoder_cores as f64 * self.design.core_rate_mpix_s(profile)
     }
 
     /// Hardware decode capacity in Mpix/s (input pixels). Decoder
     /// cores share the DRAM bus, so a bandwidth-starved design stalls
     /// them by the same envelope factor as the encoders.
-    pub fn decode_capacity_mpix_s(&self) -> f64 {
+    pub(crate) fn decode_capacity_mpix_s(&self) -> f64 {
         self.design.decoder_cores as f64
             * calib::DECODER_CORE_MPIX_S
             * self.design.mem_stall_factor()

@@ -30,10 +30,8 @@ pub use faultsim::{
 };
 pub use scheduler::{PlacementMode, Scheduler, SchedulerKind};
 pub use sim::{
-    AttemptMode, ClusterConfig, ClusterReport, ClusterSim, ConfigError, DegradePolicy,
-    FaultInjection, FaultKind, HealthPolicy, JobResolution, JobSpec, Priority, RetryPolicy, Sample,
-    WatchdogPolicy, WorkerMgmtState, BACKOFF_FACTOR, MAX_ATTEMPTS,
+    ClusterConfig, ClusterReport, ClusterSim, ConfigError, DegradePolicy, FaultInjection,
+    FaultKind, HealthPolicy, JobResolution, JobSpec, Priority, RetryPolicy, Sample, WatchdogPolicy,
+    BACKOFF_FACTOR, MAX_ATTEMPTS,
 };
-pub use tco::{
-    fleet_tco_usd, perf_per_tco, perf_per_tco_normalized, system_tco, vcu_host_tco_for, Tco,
-};
+pub use tco::{fleet_tco_usd, perf_per_tco, perf_per_tco_normalized, system_tco, Tco};

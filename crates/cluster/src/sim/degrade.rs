@@ -15,7 +15,7 @@ const SW_FULL_SERVICE_FACTOR: f64 = 4.0;
 /// Which codec path an attempt ran on — the rungs of the
 /// graceful-degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptMode {
+pub(crate) enum AttemptMode {
     /// Full hardware path.
     Hw,
     /// Hardware encode, software (host CPU) decode — the Fig. 9c
@@ -89,7 +89,7 @@ impl Default for DegradePolicy {
 impl DegradePolicy {
     /// The rung the ladder is pulling toward for the observed backlog
     /// pressure. The ladder moves one step toward this per sample.
-    pub fn target_level(&self, backlog_per_worker: f64) -> u8 {
+    pub(crate) fn target_level(&self, backlog_per_worker: f64) -> u8 {
         if !self.enabled {
             return 0;
         }

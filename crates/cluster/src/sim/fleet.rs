@@ -62,7 +62,7 @@ impl Default for HealthPolicy {
 /// of view (orthogonal to the chip-level
 /// [`HealthState`](vcu_chip::faults::HealthState)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerMgmtState {
+pub(crate) enum WorkerMgmtState {
     /// In service, accepting placements.
     Active,
     /// Demoted by health scoring: finishes in-flight attempts, accepts

@@ -41,8 +41,9 @@ mod retry;
 mod tally;
 
 pub use config::{ClusterConfig, ConfigError, JobSpec, Priority};
-pub use degrade::{AttemptMode, DegradePolicy};
-pub use fleet::{FaultInjection, FaultKind, HealthPolicy, WatchdogPolicy, WorkerMgmtState};
+pub(crate) use degrade::AttemptMode;
+pub use degrade::DegradePolicy;
+pub use fleet::{FaultInjection, FaultKind, HealthPolicy, WatchdogPolicy};
 pub use retry::{RetryPolicy, BACKOFF_FACTOR, MAX_ATTEMPTS};
 pub use tally::{ClusterReport, Sample};
 

@@ -30,7 +30,7 @@ impl Tco {
 
 /// All-in data-center cost per watt over 3 years (energy + cooling +
 /// power provisioning amortization).
-pub const OPEX_PER_WATT_3YR: f64 = 5.0;
+pub(crate) const OPEX_PER_WATT_3YR: f64 = 5.0;
 
 /// Dual-socket Skylake server capex.
 const SERVER_CAPEX: f64 = 10_000.0;
@@ -38,8 +38,8 @@ const SERVER_CAPEX: f64 = 10_000.0;
 const T4_CAPEX: f64 = 3_800.0;
 
 /// TCO of a system at the data-center power price
-/// ([`OPEX_PER_WATT_3YR`]). A VCU host is priced by
-/// [`vcu_host_tco_for`] at the shipped design.
+/// (`OPEX_PER_WATT_3YR`). A VCU host is priced by
+/// `vcu_host_tco_for` at the shipped design.
 pub fn system_tco(system: System) -> Tco {
     let capex = match system {
         System::SkylakeCpu => SERVER_CAPEX,
@@ -54,7 +54,7 @@ pub fn system_tco(system: System) -> Tco {
 
 /// TCO of a VCU host whose cards carry an arbitrary chip design: card
 /// capex and power come from the design's cost/area/power model.
-pub fn vcu_host_tco_for(design: &DesignPoint, vcus: usize) -> Tco {
+pub(crate) fn vcu_host_tco_for(design: &DesignPoint, vcus: usize) -> Tco {
     let cards = (vcus as f64 / VCUS_PER_CARD as f64).ceil();
     let power = VCU_HOST_BASE_POWER_W + cards * design.card_power_w();
     Tco {

@@ -25,7 +25,7 @@ const HEADER_LEN: usize = 18;
 /// [`decode`] allocates for (2160p's 3,840 fits). The decoder sizes its
 /// frame buffers from the header before reading a payload byte, so this
 /// bounds what a hostile 18-byte header can make it allocate.
-pub const MAX_DIM: usize = 4_096;
+pub(crate) const MAX_DIM: usize = 4_096;
 
 /// Metadata for one coded frame in the container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -54,7 +54,7 @@ pub enum Toolset {
 
 impl Toolset {
     /// Search parameters for this toolset.
-    pub fn search_params(self) -> SearchParams {
+    pub(crate) fn search_params(self) -> SearchParams {
         match self {
             Toolset::Software => SearchParams::software(),
             Toolset::Hardware { .. } => SearchParams::hardware(),
@@ -83,7 +83,7 @@ impl Toolset {
     /// Keyframe QP offset — launch rate control *starves* keyframes
     /// (positive offset), degrading every frame predicted from them;
     /// GOP-structure tuning removes the misallocation.
-    pub fn keyframe_qp_boost(self) -> i32 {
+    pub(crate) fn keyframe_qp_boost(self) -> i32 {
         match self {
             Toolset::Software => 0,
             Toolset::Hardware { tuning } => match tuning.0 {
@@ -97,7 +97,7 @@ impl Toolset {
     /// Whether the GOP structure adapts to first-pass statistics
     /// ("improved group-of-pictures structure selection", §4.3, from
     /// level 1).
-    pub fn adaptive_gop(self) -> bool {
+    pub(crate) fn adaptive_gop(self) -> bool {
         match self {
             Toolset::Software => true,
             Toolset::Hardware { tuning } => tuning.0 >= 1,
@@ -107,7 +107,7 @@ impl Toolset {
     /// Whether mode decisions rank candidates by SATD (transform-domain
     /// cost, a better rate proxy) instead of plain SAD — "better use of
     /// hardware statistics" arrives with tuning (§4.3).
-    pub fn satd_ranking(self) -> bool {
+    pub(crate) fn satd_ranking(self) -> bool {
         match self {
             Toolset::Software => true,
             Toolset::Hardware { tuning } => tuning.0 >= 3,
@@ -119,7 +119,7 @@ impl Toolset {
     /// pre-silicon models; production tuning ("importing rate control
     /// ideas from the equivalent software encoders", §4.3) converges it
     /// to 1.0.
-    pub fn lambda_scale(self) -> f64 {
+    pub(crate) fn lambda_scale(self) -> f64 {
         match self {
             Toolset::Software => 1.0,
             Toolset::Hardware { tuning } => match tuning.0 {
@@ -135,7 +135,7 @@ impl Toolset {
 
     /// Whether altref frames are produced (profile permitting; level 2+
     /// on hardware).
-    pub fn altref_enabled(self) -> bool {
+    pub(crate) fn altref_enabled(self) -> bool {
         match self {
             Toolset::Software => true,
             Toolset::Hardware { tuning } => tuning.0 >= 2,
@@ -168,7 +168,7 @@ impl PassMode {
     }
 
     /// Whether a first pass runs at all.
-    pub fn has_first_pass(self) -> bool {
+    pub(crate) fn has_first_pass(self) -> bool {
         !matches!(self, PassMode::OnePassLowLatency)
     }
 }
@@ -188,11 +188,11 @@ pub enum RateControl {
 }
 
 /// Maximum keyframe interval in frames.
-pub const KEYFRAME_INTERVAL: usize = 150;
+pub(crate) const KEYFRAME_INTERVAL: usize = 150;
 
 /// Frames between altref insertions, for configurations whose
 /// [`EncoderConfig::altref_active`] holds.
-pub const ALTREF_PERIOD: usize = 16;
+pub(crate) const ALTREF_PERIOD: usize = 16;
 
 /// Full encoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -258,7 +258,7 @@ impl EncoderConfig {
     }
 
     /// Whether this configuration produces altref frames.
-    pub fn altref_active(&self) -> bool {
+    pub(crate) fn altref_active(&self) -> bool {
         self.profile.supports_altref()
             && self.toolset.altref_enabled()
             && match self.rc {

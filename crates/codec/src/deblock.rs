@@ -14,7 +14,7 @@ use vcu_media::Plane;
 /// Applies the deblocking filter to `plane` along a grid of `grid`
 /// pixel edges (typically the transform size), with strength derived
 /// from `qp`. Returns the number of pixels modified (for stats).
-pub fn deblock_plane(plane: &mut Plane, grid: usize, qp: Qp) -> u64 {
+pub(crate) fn deblock_plane(plane: &mut Plane, grid: usize, qp: Qp) -> u64 {
     assert!(grid >= 2, "grid must be at least 2");
     let alpha = (qp.step() * 2.0) as i32 + 2; // edge-detection threshold
     let beta = (qp.step() * 0.5) as i32 + 1; // gradient threshold

@@ -14,14 +14,14 @@
 //! motion vector components.
 
 /// Probability that a bit is 0, in `[1, 255]` out of 256.
-pub type Prob = u8;
+pub(crate) type Prob = u8;
 
 /// Probability adaptation rate shift: larger adapts slower.
 const ADAPT_SHIFT: u8 = 5;
 
 /// Adapts a probability towards an observed bit (VP8-style shift update).
 #[inline]
-pub fn adapt(p: Prob, bit: bool) -> Prob {
+pub(crate) fn adapt(p: Prob, bit: bool) -> Prob {
     if bit {
         // Bit was 1: probability of zero decreases.
         (p - (p >> ADAPT_SHIFT)).max(1)
@@ -116,12 +116,12 @@ impl BoolEncoder {
 
     /// Encodes a bit at probability 1/2 (no model).
     #[inline]
-    pub fn put_raw(&mut self, bit: bool) {
+    pub(crate) fn put_raw(&mut self, bit: bool) {
         self.put(bit, 128);
     }
 
     /// Encodes `n` raw bits of `v`, most significant first.
-    pub fn put_bits(&mut self, v: u32, n: u32) {
+    pub(crate) fn put_bits(&mut self, v: u32, n: u32) {
         for i in (0..n).rev() {
             self.put_raw((v >> i) & 1 == 1);
         }
@@ -191,12 +191,12 @@ impl<'a> BoolDecoder<'a> {
 
     /// Decodes a probability-1/2 bit.
     #[inline]
-    pub fn get_raw(&mut self) -> bool {
+    pub(crate) fn get_raw(&mut self) -> bool {
         self.get(128)
     }
 
     /// Decodes `n` raw bits, most significant first.
-    pub fn get_bits(&mut self, n: u32) -> u32 {
+    pub(crate) fn get_bits(&mut self, n: u32) -> u32 {
         let mut v = 0;
         for _ in 0..n {
             v = (v << 1) | self.get_raw() as u32;
@@ -214,7 +214,7 @@ impl<'a> BoolDecoder<'a> {
 /// A bank of adaptive binary probabilities indexed by context.
 ///
 /// Encoder and decoder each hold one and must apply identical updates;
-/// determinism of [`adapt`] guarantees they stay in lockstep.
+/// determinism of `adapt` guarantees they stay in lockstep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveModel {
     probs: Vec<Prob>,

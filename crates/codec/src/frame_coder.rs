@@ -27,19 +27,19 @@ use vcu_media::{Frame, Plane};
 
 /// Reference-slot file: LAST / GOLDEN / ALTREF.
 #[derive(Debug, Clone, Default)]
-pub struct RefSlots {
+pub(crate) struct RefSlots {
     slots: [Option<Frame>; 3],
 }
 
 impl RefSlots {
     /// Empty slot file.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RefSlots::default()
     }
 
     /// References available to `profile`, in slot order. The H.264-like
     /// profile sees at most one (LAST).
-    pub fn available(&self, profile: Profile) -> Vec<&Frame> {
+    pub(crate) fn available(&self, profile: Profile) -> Vec<&Frame> {
         self.slots
             .iter()
             .take(profile.max_references())
@@ -48,7 +48,7 @@ impl RefSlots {
     }
 
     /// Applies the refresh rule for a coded frame of `kind`.
-    pub fn apply_refresh(&mut self, kind: FrameKind, recon: &Frame) {
+    pub(crate) fn apply_refresh(&mut self, kind: FrameKind, recon: &Frame) {
         match kind {
             FrameKind::Key => {
                 self.slots = [
@@ -458,7 +458,7 @@ impl<'a> Recon<'a> {
 
 /// Encodes one frame. Returns the arithmetic payload and the
 /// reconstruction (post-deblock) that becomes reference state.
-pub fn encode_frame(
+pub(crate) fn encode_frame(
     cfg: &EncoderConfig,
     cur: &Frame,
     kind: FrameKind,
@@ -845,7 +845,7 @@ impl FrameEnc<'_> {
 /// Returns [`CodecError::CorruptBitstream`] if syntax elements are out
 /// of range (truncated/corrupted payloads). A payload that runs out
 /// stops decoding at the superblock where it ran out.
-pub fn decode_frame(
+pub(crate) fn decode_frame(
     profile: Profile,
     payload: &[u8],
     kind: FrameKind,

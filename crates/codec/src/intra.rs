@@ -9,7 +9,7 @@ use vcu_media::Plane;
 
 /// Available intra prediction modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IntraMode {
+pub(crate) enum IntraMode {
     /// Average of available neighbors.
     Dc,
     /// Copy the left column rightwards.
@@ -22,11 +22,11 @@ pub enum IntraMode {
 
 impl IntraMode {
     /// Modes available to the H.264-like profile.
-    pub const H264_MODES: [IntraMode; 3] =
+    pub(crate) const H264_MODES: [IntraMode; 3] =
         [IntraMode::Dc, IntraMode::Horizontal, IntraMode::Vertical];
 
     /// Modes available to the VP9-like profile.
-    pub const VP9_MODES: [IntraMode; 4] = [
+    pub(crate) const VP9_MODES: [IntraMode; 4] = [
         IntraMode::Dc,
         IntraMode::Horizontal,
         IntraMode::Vertical,
@@ -34,7 +34,7 @@ impl IntraMode {
     ];
 
     /// Compact index used in the bitstream.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             IntraMode::Dc => 0,
             IntraMode::Horizontal => 1,
@@ -44,7 +44,7 @@ impl IntraMode {
     }
 
     /// Inverse of [`IntraMode::index`]. Returns `None` for invalid indices.
-    pub fn from_index(i: usize) -> Option<IntraMode> {
+    pub(crate) fn from_index(i: usize) -> Option<IntraMode> {
         match i {
             0 => Some(IntraMode::Dc),
             1 => Some(IntraMode::Horizontal),
@@ -61,7 +61,7 @@ impl IntraMode {
 /// top-left corner pixel, each falling back to 128 where the frame
 /// border makes neighbors unavailable.
 #[derive(Debug, Clone)]
-pub struct IntraNeighbors {
+pub(crate) struct IntraNeighbors {
     top: Vec<u8>,
     left: Vec<u8>,
     top_left: u8,
@@ -72,7 +72,7 @@ pub struct IntraNeighbors {
 impl IntraNeighbors {
     /// Gathers neighbors from the reconstruction plane for a `bw x bh`
     /// block at `(x, y)`.
-    pub fn gather(recon: &Plane, x: usize, y: usize, bw: usize, bh: usize) -> Self {
+    pub(crate) fn gather(recon: &Plane, x: usize, y: usize, bw: usize, bh: usize) -> Self {
         let has_top = y > 0;
         let has_left = x > 0;
         let top = (0..bw)
@@ -112,7 +112,7 @@ impl IntraNeighbors {
     /// # Panics
     ///
     /// Panics if `out.len() != top.len() * left.len()`.
-    pub fn predict(&self, mode: IntraMode, out: &mut [u8]) {
+    pub(crate) fn predict(&self, mode: IntraMode, out: &mut [u8]) {
         let bw = self.top.len();
         let bh = self.left.len();
         assert_eq!(out.len(), bw * bh, "prediction buffer size mismatch");

@@ -14,17 +14,17 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(clippy::multiple_unsafe_ops_per_block)]
 
-pub mod api;
+pub(crate) mod api;
 pub(crate) mod block;
 pub mod config;
-pub mod deblock;
+pub(crate) mod deblock;
 pub mod entropy;
-pub mod frame_coder;
+pub(crate) mod frame_coder;
 pub mod intra;
 pub mod kernels;
 pub mod models;
 pub mod motion;
-pub mod quant;
+pub(crate) mod quant;
 pub mod rc;
 pub mod stats;
 pub mod tempfilter;
@@ -33,7 +33,7 @@ pub mod types;
 
 pub use api::{
     decode, encode, encode_batch, encode_parallel, encode_parallel_traced, encode_traced,
-    CodedFrameInfo, Decoded, Encoded, MAX_DIM,
+    CodedFrameInfo, Decoded, Encoded,
 };
 pub use config::{env_threads, EncoderConfig, PassMode, RateControl, Toolset, TuningLevel};
 pub use stats::CodingStats;

@@ -1,6 +1,6 @@
 //! Entropy-model bank shared by encoder and decoder.
 //!
-//! One [`Models`] instance is created per coded frame on each side;
+//! One `Models` instance is created per coded frame on each side;
 //! because [`crate::entropy::AdaptiveModel`] adapts deterministically,
 //! encoder and decoder stay in lockstep as long as they code the same
 //! symbol sequence — which the bitstream syntax guarantees.
@@ -8,14 +8,14 @@
 use crate::entropy::AdaptiveModel;
 
 /// Number of transform-size classes (4, 8, 16, 32).
-pub const TX_CLASSES: usize = 4;
+pub(crate) const TX_CLASSES: usize = 4;
 
 /// Maps a transform size to its class index.
 ///
 /// # Panics
 ///
 /// Panics on sizes other than 4/8/16/32.
-pub fn tx_class(n: usize) -> usize {
+pub(crate) fn tx_class(n: usize) -> usize {
     match n {
         4 => 0,
         8 => 1,
@@ -27,7 +27,7 @@ pub fn tx_class(n: usize) -> usize {
 
 /// All adaptive contexts used by the frame syntax.
 #[derive(Debug, Clone)]
-pub struct Models {
+pub(crate) struct Models {
     /// Partition-split flags, one context per depth (64→32, 32→16).
     pub partition: AdaptiveModel,
     /// Inter-vs-intra flag.
@@ -55,7 +55,7 @@ pub struct Models {
 
 impl Models {
     /// Creates a fresh model bank (all probabilities 1/2).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Models {
             partition: AdaptiveModel::new(2),
             is_inter: AdaptiveModel::new(1),

@@ -25,7 +25,7 @@ use vcu_media::Plane;
 /// # Panics
 ///
 /// Panics if `out.len() != bw * bh`.
-pub fn mc_block(
+pub(crate) fn mc_block(
     reference: &Plane,
     x: usize,
     y: usize,
@@ -92,14 +92,14 @@ pub struct SearchResult {
 /// the half-pel interpolation buffer. One instance threaded through a
 /// frame encode removes two heap allocations per searched block.
 #[derive(Debug, Default)]
-pub struct MotionScratch {
+pub(crate) struct MotionScratch {
     cur: Vec<u8>,
     buf: Vec<u8>,
 }
 
 impl MotionScratch {
     /// Empty scratch; buffers grow to the largest block searched.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -109,7 +109,7 @@ impl MotionScratch {
 /// SAD work is metered into `stats`.
 ///
 /// Allocates its scratch internally; hot paths should prefer
-/// [`search_scratch`] with a reused [`MotionScratch`].
+/// `search_scratch` with a reused `MotionScratch`.
 #[allow(clippy::too_many_arguments)]
 pub fn search(
     reference: &Plane,
@@ -149,7 +149,7 @@ pub fn search(
 /// SAD array would burn), while `sad_pixels_examined` records the
 /// pixels the host actually touched.
 #[allow(clippy::too_many_arguments)]
-pub fn search_scratch(
+pub(crate) fn search_scratch(
     reference: &Plane,
     current: &Plane,
     x: usize,

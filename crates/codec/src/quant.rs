@@ -18,7 +18,7 @@ use crate::types::Qp;
 /// # Panics
 ///
 /// Panics if output slice length differs from input.
-pub fn quantize(coeffs: &[f64], qp: Qp, deadzone: f64, levels: &mut [i32]) {
+pub(crate) fn quantize(coeffs: &[f64], qp: Qp, deadzone: f64, levels: &mut [i32]) {
     assert_eq!(coeffs.len(), levels.len(), "level buffer size mismatch");
     kernels::quantize_levels(coeffs, qp.step(), deadzone, levels);
 }
@@ -28,7 +28,7 @@ pub fn quantize(coeffs: &[f64], qp: Qp, deadzone: f64, levels: &mut [i32]) {
 /// # Panics
 ///
 /// Panics if output slice length differs from input.
-pub fn dequantize(levels: &[i32], qp: Qp, coeffs: &mut [f64]) {
+pub(crate) fn dequantize(levels: &[i32], qp: Qp, coeffs: &mut [f64]) {
     assert_eq!(levels.len(), coeffs.len(), "coeff buffer size mismatch");
     kernels::dequantize_coeffs(levels, qp.step(), coeffs);
 }
@@ -38,7 +38,7 @@ pub fn dequantize(levels: &[i32], qp: Qp, coeffs: &mut [f64]) {
 /// next-lower magnitude does not cost more distortion than
 /// `lambda * rate_per_level` justifies. A greedy approximation of
 /// trellis quantization, applied coefficient-by-coefficient.
-pub fn optimize_levels(coeffs: &[f64], qp: Qp, lambda: f64, levels: &mut [i32]) {
+pub(crate) fn optimize_levels(coeffs: &[f64], qp: Qp, lambda: f64, levels: &mut [i32]) {
     let step = qp.step();
     // Approximate rate cost of one unit of level magnitude, in bits.
     // Levels are coded with a unary/exp-Golomb hybrid; dropping a level

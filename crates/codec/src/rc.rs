@@ -13,7 +13,7 @@ use vcu_media::{Frame, Video};
 
 /// Per-frame first-pass statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrameStats {
+pub(crate) struct FrameStats {
     /// Mean absolute deviation from block means (intra complexity).
     pub intra_cost: f64,
     /// Mean absolute zero-motion difference from the previous frame
@@ -24,7 +24,7 @@ pub struct FrameStats {
 impl FrameStats {
     /// Ratio of inter to intra cost; near/above 1 means the previous
     /// frame does not predict this one (scene cut).
-    pub fn cut_score(&self) -> f64 {
+    pub(crate) fn cut_score(&self) -> f64 {
         if self.intra_cost <= 1e-9 {
             0.0
         } else {
@@ -37,7 +37,7 @@ impl FrameStats {
 const FP_GRID: usize = 16;
 
 /// Runs the (cheap) first pass over a video.
-pub fn first_pass(video: &Video) -> Vec<FrameStats> {
+pub(crate) fn first_pass(video: &Video) -> Vec<FrameStats> {
     let mut out = Vec::with_capacity(video.frames.len());
     let mut prev: Option<&Frame> = None;
     for f in &video.frames {
@@ -104,7 +104,7 @@ const CUT_THRESHOLD: f64 = 0.9;
 /// Keyframes are forced at frame 0 and every [`KEYFRAME_INTERVAL`];
 /// adaptive scene-cut keyframes additionally fire when first-pass
 /// statistics are available and show an unpredictable frame.
-pub fn plan_frame_kinds(n_frames: usize, stats: Option<&[FrameStats]>) -> Vec<FrameKind> {
+pub(crate) fn plan_frame_kinds(n_frames: usize, stats: Option<&[FrameStats]>) -> Vec<FrameKind> {
     let mut kinds = Vec::with_capacity(n_frames);
     let mut since_key = 0usize;
     for i in 0..n_frames {
@@ -126,7 +126,7 @@ pub fn plan_frame_kinds(n_frames: usize, stats: Option<&[FrameStats]>) -> Vec<Fr
 
 /// Stateful QP assigner for a single encode.
 #[derive(Debug)]
-pub struct RateController {
+pub(crate) struct RateController {
     mode: RateControl,
     /// Target bits per displayable frame (bitrate mode).
     target_bpf: f64,
@@ -142,7 +142,7 @@ pub struct RateController {
 
 impl RateController {
     /// Creates a controller for a video of `n_frames` at `fps`.
-    pub fn new(cfg: &EncoderConfig, fps: f64, stats: Vec<FrameStats>) -> Self {
+    pub(crate) fn new(cfg: &EncoderConfig, fps: f64, stats: Vec<FrameStats>) -> Self {
         match cfg.rc {
             RateControl::ConstQp(qp) => RateController {
                 mode: cfg.rc,
@@ -165,7 +165,7 @@ impl RateController {
     }
 
     /// QP for frame `i` of kind `kind` (before toolset offsets).
-    pub fn frame_qp(&self, i: usize, kind: FrameKind, n_frames: usize) -> Qp {
+    pub(crate) fn frame_qp(&self, i: usize, kind: FrameKind, n_frames: usize) -> Qp {
         let mut qp = self.base_qp;
         if let RateControl::Bitrate { .. } = self.mode {
             // Complexity-aware allocation: allocate more bits (lower
@@ -193,7 +193,7 @@ impl RateController {
     }
 
     /// Feedback after coding a displayable frame of `actual_bits`.
-    pub fn update(&mut self, actual_bits: u64) {
+    pub(crate) fn update(&mut self, actual_bits: u64) {
         if let RateControl::Bitrate { .. } = self.mode {
             self.excess += actual_bits as f64 - self.target_bpf;
             // Proportional controller: each frame of accumulated

@@ -70,7 +70,7 @@ pub(crate) fn basis_t(n: usize) -> &'static [f64] {
 /// per-tile transform does not heap-allocate. Buffers grow to the
 /// largest size used and are reused across calls.
 #[derive(Debug, Default)]
-pub struct TxScratch {
+pub(crate) struct TxScratch {
     t0: Vec<f64>,
     t1: Vec<f64>,
 }
@@ -85,7 +85,7 @@ pub struct TxScratch {
 /// # Panics
 ///
 /// Panics if `n` is not 4, 8, 16 or 32, or `residual.len() != n*n`.
-pub fn forward_with(residual: &[i16], n: usize, out: &mut [f64], scratch: &mut TxScratch) {
+pub(crate) fn forward_with(residual: &[i16], n: usize, out: &mut [f64], scratch: &mut TxScratch) {
     assert_eq!(residual.len(), n * n, "residual size mismatch");
     assert_eq!(out.len(), n * n, "output size mismatch");
     // `basis_t` is the transpose of `basis`, so it doubles as the
@@ -114,7 +114,7 @@ pub fn forward_with(residual: &[i16], n: usize, out: &mut [f64], scratch: &mut T
 /// # Panics
 ///
 /// Panics if `n` is not 4, 8, 16 or 32, or sizes mismatch.
-pub fn inverse_with(coeffs: &[f64], n: usize, out: &mut [i16], scratch: &mut TxScratch) {
+pub(crate) fn inverse_with(coeffs: &[f64], n: usize, out: &mut [i16], scratch: &mut TxScratch) {
     assert_eq!(coeffs.len(), n * n, "coeff size mismatch");
     assert_eq!(out.len(), n * n, "output size mismatch");
     // Both passes multiply by B^T, whose column-major view is `basis`.
@@ -142,7 +142,7 @@ pub fn inverse_with(coeffs: &[f64], n: usize, out: &mut [i16], scratch: &mut TxS
 
 /// Zigzag scan order for an `n x n` block: coefficients ordered by
 /// anti-diagonal, low frequencies first. Cached per size.
-pub fn zigzag(n: usize) -> &'static [usize] {
+pub(crate) fn zigzag(n: usize) -> &'static [usize] {
     static ZIGZAGS: OnceLock<[Vec<usize>; 4]> = OnceLock::new();
     let all = ZIGZAGS.get_or_init(|| {
         let make = |n: usize| {

@@ -23,7 +23,7 @@ pub enum Profile {
 impl Profile {
     /// Superblock size in luma pixels (the "basic element of the
     /// pipelined computation", paper §3.2).
-    pub const fn superblock_size(self) -> usize {
+    pub(crate) const fn superblock_size(self) -> usize {
         match self {
             Profile::H264Sim => 16,
             Profile::Vp9Sim => 64,
@@ -31,7 +31,7 @@ impl Profile {
     }
 
     /// Maximum number of reference frames searched.
-    pub const fn max_references(self) -> usize {
+    pub(crate) const fn max_references(self) -> usize {
         match self {
             Profile::H264Sim => 1,
             Profile::Vp9Sim => 3,
@@ -39,12 +39,12 @@ impl Profile {
     }
 
     /// Whether compound (two-reference averaged) prediction is available.
-    pub const fn supports_compound(self) -> bool {
+    pub(crate) const fn supports_compound(self) -> bool {
         matches!(self, Profile::Vp9Sim)
     }
 
     /// Whether temporal-filtered alternate reference frames are available.
-    pub const fn supports_altref(self) -> bool {
+    pub(crate) const fn supports_altref(self) -> bool {
         matches!(self, Profile::Vp9Sim)
     }
 
@@ -126,7 +126,7 @@ impl MotionVector {
     }
 
     /// Creates a full-pel motion vector.
-    pub fn full_pel(x: i16, y: i16) -> Self {
+    pub(crate) fn full_pel(x: i16, y: i16) -> Self {
         MotionVector { x: x * 2, y: y * 2 }
     }
 }

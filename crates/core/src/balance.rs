@@ -9,7 +9,7 @@ use vcu_chip::calib;
 
 /// Appendix A.2's upload-bitrate assumption: pixels per bit across the
 /// recommended upload ladder ("an average of 6.1 pixels-per-bit").
-pub const PIXELS_PER_BIT: f64 = 6.1;
+pub(crate) const PIXELS_PER_BIT: f64 = 6.1;
 
 /// Network-bound transcoding ceiling of a host in Gpix/s.
 ///

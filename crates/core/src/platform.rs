@@ -13,7 +13,7 @@ use vcu_workloads::{Request, WorkloadFamily};
 
 /// Chunk length used by the platform, in seconds (the paper's examples
 /// use 2–5 s chunks).
-pub const CHUNK_SECONDS: f64 = 5.0;
+pub(crate) const CHUNK_SECONDS: f64 = 5.0;
 
 /// The formats every chunk is transcoded to.
 const PROFILES: [Profile; 2] = [Profile::H264Sim, Profile::Vp9Sim];
@@ -29,7 +29,7 @@ impl Platform {
     }
 
     /// Priority for a workload family.
-    pub fn priority_for(family: WorkloadFamily) -> Priority {
+    pub(crate) fn priority_for(family: WorkloadFamily) -> Priority {
         match family {
             WorkloadFamily::Live | WorkloadFamily::Gaming => Priority::Critical,
             WorkloadFamily::Upload => Priority::Normal,

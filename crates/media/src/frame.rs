@@ -58,7 +58,7 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if the chroma planes are not exactly half the luma size.
-    pub fn from_planes(y: Plane, u: Plane, v: Plane) -> Self {
+    pub(crate) fn from_planes(y: Plane, u: Plane, v: Plane) -> Self {
         assert_eq!(u.width(), y.width() / 2, "u plane width");
         assert_eq!(u.height(), y.height() / 2, "u plane height");
         assert_eq!(v.width(), y.width() / 2, "v plane width");

@@ -83,7 +83,7 @@ impl Plane {
     }
 
     /// Mutably borrow the raw row-major pixel data.
-    pub fn data_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn data_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
 

@@ -12,14 +12,14 @@ use crate::plane::Plane;
 /// # Panics
 ///
 /// Panics if dimensions differ.
-pub fn mse_plane(a: &Plane, b: &Plane) -> f64 {
+pub(crate) fn mse_plane(a: &Plane, b: &Plane) -> f64 {
     let n = (a.width() * a.height()) as f64;
     a.sse(b) as f64 / n
 }
 
 /// PSNR in dB from an MSE value, for 8-bit content (peak 255).
 /// Returns `f64::INFINITY` for zero MSE.
-pub fn psnr_from_mse(mse: f64) -> f64 {
+pub(crate) fn psnr_from_mse(mse: f64) -> f64 {
     if mse <= 0.0 {
         f64::INFINITY
     } else {

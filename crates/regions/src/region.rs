@@ -197,7 +197,7 @@ impl RegionSim {
     }
 
     /// Records an epoch-boundary pressure reading into the peak.
-    pub fn note_pressure(&mut self, p: f64) {
+    pub(crate) fn note_pressure(&mut self, p: f64) {
         if p > self.peak_pressure {
             self.peak_pressure = p;
         }
@@ -232,7 +232,7 @@ impl RegionSim {
     }
 
     /// Records jobs handed away by the overflow router.
-    pub fn note_routed_out(&mut self, n: u64) {
+    pub(crate) fn note_routed_out(&mut self, n: u64) {
         self.routed_out += n;
     }
 

@@ -28,7 +28,7 @@ pub fn seg_key(video: u32, segment: u32) -> u64 {
 }
 
 /// Video id of a packed key.
-pub fn key_video(key: u64) -> u32 {
+pub(crate) fn key_video(key: u64) -> u32 {
     (key >> 32) as u32
 }
 

@@ -23,5 +23,5 @@
 pub mod cache;
 pub mod sim;
 
-pub use cache::{key_video, seg_key, SegmentCache};
+pub use cache::{seg_key, SegmentCache};
 pub use sim::{ServeConfig, ServeReport, ServeSim};

@@ -27,7 +27,7 @@ pub fn fmt_f64(v: f64) -> String {
 
 /// Renders an `f64` with a fixed number of decimals (byte-stable where
 /// shortest-round-trip `Display` would jitter), non-finite → `null`.
-pub fn fmt_fixed(v: f64, decimals: usize) -> String {
+pub(crate) fn fmt_fixed(v: f64, decimals: usize) -> String {
     if v.is_finite() {
         format!("{v:.decimals$}")
     } else {
@@ -91,14 +91,14 @@ impl JsonObj {
         self
     }
 
-    /// Adds a float field rendered through [`fmt_fixed`].
+    /// Adds a float field rendered through `fmt_fixed`.
     pub fn fixed(mut self, key: &str, value: f64, decimals: usize) -> Self {
         self.fields
             .push((key.to_string(), fmt_fixed(value, decimals)));
         self
     }
 
-    /// Adds an array-of-floats field, each through [`fmt_fixed`].
+    /// Adds an array-of-floats field, each through `fmt_fixed`.
     pub fn fixed_array(mut self, key: &str, values: &[f64], decimals: usize) -> Self {
         let items: Vec<String> = values.iter().map(|&v| fmt_fixed(v, decimals)).collect();
         self.fields
@@ -227,7 +227,7 @@ const MAX_DEPTH: usize = 32;
 /// Parses one JSON document. The text comes from files on disk, so
 /// this is input validation: malformed, truncated or trailing-garbage
 /// input is an `Err` carrying the byte offset, nesting is bounded by
-/// [`MAX_DEPTH`], and nothing panics.
+/// `MAX_DEPTH`, and nothing panics.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser { text, pos: 0 };
     let value = p.value(0)?;

@@ -52,7 +52,6 @@ pub mod series;
 pub mod snapshot;
 pub mod trace;
 
-pub use metrics::{Histogram, HistogramSummary};
+pub use metrics::HistogramSummary;
 pub use registry::Registry;
-pub use series::TimeSeries;
 pub use trace::{Scope, TraceEvent};

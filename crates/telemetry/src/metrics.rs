@@ -1,6 +1,6 @@
 //! Fixed-memory metric primitives: counters and gauges live as plain
 //! map entries in the registry; this module provides the log-bucketed
-//! [`Histogram`] behind `observe()`.
+//! `Histogram` behind `observe()`.
 
 /// Sub-buckets per power-of-two octave. More sub-buckets → tighter
 /// quantile error (relative error ≤ 1/SUB_BUCKETS within an octave).
@@ -18,7 +18,7 @@ const SCALE: f64 = 1e6;
 /// Memory is fixed at construction: 64 octaves × 8 sub-buckets of
 /// `u64` counts (4 KiB) regardless of how many values are recorded.
 #[derive(Debug, Clone)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     counts: Box<[u64; OCTAVES * SUB_BUCKETS]>,
     count: u64,
     sum: f64,
@@ -34,7 +34,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             counts: Box::new([0; OCTAVES * SUB_BUCKETS]),
             count: 0,
@@ -46,7 +46,7 @@ impl Histogram {
 
     /// Records one observation. Negative and non-finite values clamp
     /// to zero (observability must never panic a hot path).
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         let v = if value.is_finite() {
             value.max(0.0)
         } else {
@@ -91,19 +91,9 @@ impl Histogram {
         (base + sub * width) as f64 / SCALE
     }
 
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Approximate value at quantile `q` in `[0, 1]`; exact `min` /
     /// `max` are substituted at the extremes. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -126,7 +116,7 @@ impl Histogram {
     }
 
     /// The summary rendered into snapshots.
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count,
             sum: self.sum,
@@ -172,7 +162,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_sane() {
         let h = Histogram::new();
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.count, 0);
         assert_eq!(h.quantile(0.5), None);
         let s = h.summary();
         assert_eq!(s.count, 0);
@@ -229,7 +219,7 @@ mod tests {
         h.record(f64::INFINITY);
         h.record(-5.0);
         h.record(1e300);
-        assert_eq!(h.count(), 4);
+        assert_eq!(h.count, 4);
         assert!(h.quantile(0.5).is_some());
     }
 

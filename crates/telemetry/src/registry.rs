@@ -126,7 +126,7 @@ impl Registry {
     // ---- time series ----------------------------------------------
 
     /// Appends a `(time_s, value)` point to a sim-clock time-series
-    /// ring buffer (capacity [`DEFAULT_SERIES_CAPACITY`], oldest
+    /// ring buffer (capacity `DEFAULT_SERIES_CAPACITY`, oldest
     /// points dropped on overflow).
     pub fn series_record(&self, name: &str, time_s: f64, value: f64) {
         self.with_store(|s| match s.series.get_mut(name) {

@@ -29,7 +29,7 @@ use crate::json::{escape, fmt_f64};
 use crate::registry::Store;
 
 /// Schema version stamped into every snapshot.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 pub(crate) fn render(store: &Store, meta: &[(&str, &str)]) -> String {
     let mut out = String::with_capacity(4096);

@@ -14,7 +14,7 @@
 use vcu_rng::Rng;
 
 /// Seconds per simulated day.
-pub const DAY_S: f64 = 86_400.0;
+pub(crate) const DAY_S: f64 = 86_400.0;
 
 /// A raised-cosine diurnal rate curve:
 ///
@@ -54,19 +54,19 @@ impl DiurnalCurve {
     }
 
     /// Instantaneous arrival rate at sim time `t`, requests/second.
-    pub fn rate_at(&self, t: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t: f64) -> f64 {
         let peak_s = self.peak_hour / 24.0 * self.period_s;
         let phase = (t - peak_s) / self.period_s * std::f64::consts::TAU;
         self.mean_rate_per_s * (1.0 + self.amplitude * phase.cos())
     }
 
     /// Highest rate the curve reaches (the thinning envelope).
-    pub fn peak_rate(&self) -> f64 {
+    pub(crate) fn peak_rate(&self) -> f64 {
         self.mean_rate_per_s * (1.0 + self.amplitude)
     }
 
     /// Arrival times in `[t0, t1)` by thinning: candidates arrive as a
-    /// homogeneous Poisson process at [`DiurnalCurve::peak_rate`]; each
+    /// homogeneous Poisson process at `DiurnalCurve::peak_rate`; each
     /// survives with probability `rate(t) / peak`. Output is sorted
     /// and strictly inside the window. Deterministic in the RNG state,
     /// and windows chain: generating `[a, b)` then `[b, c)` from the

@@ -43,7 +43,7 @@ impl Default for PopularityModel {
 
 impl PopularityModel {
     /// Samples an expected view count.
-    pub fn sample_views(&self, rng: &mut Rng) -> f64 {
+    pub(crate) fn sample_views(&self, rng: &mut Rng) -> f64 {
         // Inverse CDF of the Pareto distribution.
         let u: f64 = rng.gen_range(1e-12..1.0);
         self.scale * u.powf(-1.0 / self.alpha)

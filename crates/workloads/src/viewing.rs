@@ -130,7 +130,7 @@ pub struct ViewerSessions {
 
 impl ViewerSessions {
     /// Little's law: sessions per second sustaining the target.
-    pub fn arrival_rate_per_s(&self) -> f64 {
+    pub(crate) fn arrival_rate_per_s(&self) -> f64 {
         assert!(self.mean_session_s > 0.0, "zero-length sessions");
         self.target_concurrent / self.mean_session_s
     }

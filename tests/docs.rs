@@ -4,7 +4,9 @@
 //! EXPERIMENTS.md, `results/README.md` or the verify skill mentions must
 //! be a cargo target, a `run_stage` in `scripts/verify.sh`, or a
 //! variable some code under `crates/`, `scripts/` or `benchmark/src`
-//! reads. CHANGES.md is history and may name what is gone.
+//! reads. Every inline-code repo path they mention must exist, and a
+//! glob must match a file. CHANGES.md is history and may name what is
+//! gone.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -161,6 +163,139 @@ impl Known {
         }
         out
     }
+}
+
+/// Top-level directories whose paths the docs are held to.
+const PATH_ROOTS: [&str; 7] = [
+    "crates/",
+    "tests/",
+    "examples/",
+    "scripts/",
+    "results/",
+    "benchmark/",
+    ".github/",
+];
+
+/// True when `name` matches `pattern`, in which `*` stands for any run
+/// of characters.
+fn glob_match(pattern: &str, name: &str) -> bool {
+    match pattern.split_once('*') {
+        None => pattern == name,
+        Some((head, tail)) => {
+            name.starts_with(head)
+                && (head.len()..=name.len())
+                    .any(|i| name.is_char_boundary(i) && glob_match(tail, &name[i..]))
+        }
+    }
+}
+
+/// True when some file or directory under `dir` matches the
+/// `/`-separated `segments`, each of which may hold `*`.
+fn matches_any(dir: &Path, segments: &[&str]) -> bool {
+    let Some((first, rest)) = segments.split_first() else {
+        return true;
+    };
+    if !first.contains('*') {
+        let path = dir.join(first);
+        return path.exists() && matches_any(&path, rest);
+    }
+    fs::read_dir(dir).is_ok_and(|entries| {
+        entries.filter_map(Result::ok).any(|entry| {
+            glob_match(first, &entry.file_name().to_string_lossy())
+                && matches_any(&entry.path(), rest)
+        })
+    })
+}
+
+/// Every inline-code path in `text` under one of [`PATH_ROOTS`] that
+/// names nothing in `root`. A span's first word is the path; fenced
+/// blocks are commands, not paths, and are skipped. A `<placeholder>`
+/// is a glob `*`, a `::item` suffix must name something in the file,
+/// and a path under a `.gitignore`d directory names a build output
+/// that need not exist yet.
+fn missing_paths(root: &Path, text: &str) -> Vec<String> {
+    let ignored: Vec<String> = read(&root.join(".gitignore"))
+        .lines()
+        .map(|l| l.trim().trim_start_matches('/').to_string())
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let mut fenced = false;
+    let prose: String = text
+        .lines()
+        .filter(|line| {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                return false;
+            }
+            !fenced
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    let mut out = Vec::new();
+    for span in prose.split('`').skip(1).step_by(2) {
+        let Some(path) = span.split_whitespace().next() else {
+            continue;
+        };
+        if !PATH_ROOTS.iter().any(|r| path.starts_with(r))
+            || ignored.iter().any(|dir| path.starts_with(dir.as_str()))
+        {
+            continue;
+        }
+        let (file, item) = path.split_once("::").unwrap_or((path, ""));
+        let mut pattern = String::new();
+        for (i, piece) in file.split('<').enumerate() {
+            match piece.split_once('>') {
+                Some((_, after)) if i > 0 => pattern.extend(["*", after]),
+                _ => pattern.push_str(piece),
+            }
+        }
+        let segments: Vec<&str> = pattern.split('/').filter(|s| !s.is_empty()).collect();
+        let found = if item.is_empty() {
+            matches_any(root, &segments)
+        } else {
+            fs::read_to_string(root.join(file)).is_ok_and(|src| src.contains(item))
+        };
+        if !found {
+            out.push(path.to_string());
+        }
+    }
+    out
+}
+
+#[test]
+fn docs_name_only_paths_that_exist() {
+    let root = root();
+    let missing: Vec<String> = DOCS
+        .iter()
+        .flat_map(|doc| {
+            missing_paths(&root, &read(&root.join(doc)))
+                .into_iter()
+                .map(move |p| format!("{doc}: {p}"))
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "docs name paths that do not exist: {missing:#?}"
+    );
+}
+
+#[test]
+fn a_doc_naming_missing_paths_fails() {
+    let fixture = "See `crates/bench/src/campaign.rs`, `results/*_campaign.json`, \
+        `results/<name>.json`, `tests/docs.rs::missing_paths`, `benchmark/run.sh --smoke` \
+        and `benchmark/out/smoke/` (a build output); `cargo test` is no path.\n\
+        ```\nexamples/not_a_path_in_a_fence.rs\n```\n\
+        Stale: `examples/chaos`, `results/*_campagin.json`, `crates/serve/src/campaign.rs`, \
+        `tests/golden.rs::no_such_item`.";
+    assert_eq!(
+        missing_paths(&root(), fixture),
+        [
+            "examples/chaos",
+            "results/*_campagin.json",
+            "crates/serve/src/campaign.rs",
+            "tests/golden.rs::no_such_item",
+        ]
+    );
 }
 
 #[test]

@@ -31,7 +31,7 @@ const DECIMALS: usize = 6;
 pub enum Field {
     /// An exact integer (counts, sizes, digests, 0/1 flags).
     Int(u64),
-    /// A float, rendered at `DECIMALS`; non-finite becomes `null`.
+    /// A float, rendered at [`DECIMALS`]; non-finite becomes `null`.
     Num(f64),
     /// An array of such floats.
     Nums(Vec<f64>),

@@ -158,7 +158,7 @@ pub struct ServeReport {
     pub segments_served: u64,
     /// Delivered bytes, GB.
     pub egress_gb: f64,
-    /// Egress cost at `EGRESS_USD_PER_GB`.
+    /// Egress cost at [`EGRESS_USD_PER_GB`].
     pub egress_cost_usd: f64,
     /// VCU time spent transcoding, amortized against the fleet's TCO.
     pub transcode_cost_usd: f64,

@@ -227,7 +227,7 @@ const MAX_DEPTH: usize = 32;
 /// Parses one JSON document. The text comes from files on disk, so
 /// this is input validation: malformed, truncated or trailing-garbage
 /// input is an `Err` carrying the byte offset, nesting is bounded by
-/// `MAX_DEPTH`, and nothing panics.
+/// [`MAX_DEPTH`], and nothing panics.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser { text, pos: 0 };
     let value = p.value(0)?;

@@ -61,7 +61,7 @@ pub struct FaultCampaignConfig {
 
 impl FaultCampaignConfig {
     /// The full sweep behind `results/fault_campaign.json`.
-    pub fn full(seed: u64) -> Self {
+    pub(crate) fn full(seed: u64) -> Self {
         FaultCampaignConfig {
             vcus: 1000,
             jobs_per_vcu: 240,
@@ -72,7 +72,7 @@ impl FaultCampaignConfig {
     }
 
     /// A seconds-scale sweep for CI smoke.
-    pub fn smoke(seed: u64) -> Self {
+    pub(crate) fn smoke(seed: u64) -> Self {
         FaultCampaignConfig {
             vcus: 64,
             jobs_per_vcu: 60,
@@ -83,7 +83,7 @@ impl FaultCampaignConfig {
     }
 
     /// The sweep points, `(mttr_s, fault_rate)`, MTTR-major.
-    pub fn grid(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn grid(&self) -> Vec<(f64, f64)> {
         self.mttr_s
             .iter()
             .flat_map(|&mttr| self.fault_rates.iter().map(move |&rate| (mttr, rate)))
@@ -177,7 +177,7 @@ impl ServeCampaignConfig {
     /// sweep at fixed scale (TTFF p99 and the egress-vs-transcode cost
     /// split as the hit ratio climbs), then a scale sweep up to 1.2M
     /// target concurrent viewers (≥ 1M observed peak).
-    pub fn full(seed: u64) -> Self {
+    pub(crate) fn full(seed: u64) -> Self {
         let cache_sweep = [8_192usize, 32_768, 131_072]
             .into_iter()
             .map(|cache| ServeCellSpec {
@@ -284,7 +284,7 @@ pub struct RegionCellSpec {
 
 impl RegionCellSpec {
     /// Total VCUs on the planet.
-    pub fn total_vcus(&self) -> usize {
+    pub(crate) fn total_vcus(&self) -> usize {
         self.regions * self.cells_per_region * self.vcus_per_cell
     }
 }
@@ -315,7 +315,7 @@ impl RegionCampaignConfig {
     /// fleet size × traffic growth, topping out at a 102,400-VCU
     /// four-region planet (the ≥100k end-to-end cell). Long chunks
     /// keep the job count tractable at that scale.
-    pub fn full(seed: u64) -> Self {
+    pub(crate) fn full(seed: u64) -> Self {
         RegionCampaignConfig {
             seed,
             horizon_s: 600.0,
@@ -360,7 +360,7 @@ impl RegionCampaignConfig {
 
     /// A seconds-scale sweep with the same shape (multi-region, one
     /// traffic-growth cell) for CI smoke and tests.
-    pub fn smoke(seed: u64) -> Self {
+    pub(crate) fn smoke(seed: u64) -> Self {
         RegionCampaignConfig {
             seed,
             horizon_s: 120.0,
@@ -389,7 +389,7 @@ impl RegionCampaignConfig {
     /// spread evenly around the (compressed) clock, so the planet's
     /// total demand is flatter than any one region's — the premise of
     /// overflow routing.
-    pub fn planet_config(
+    pub(crate) fn planet_config(
         &self,
         spec: &RegionCellSpec,
         seed: u64,

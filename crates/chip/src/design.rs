@@ -60,8 +60,8 @@ mod cost {
     /// One LPDDR4 channel's DRAM devices.
     pub(super) const DRAM_CHANNEL_USD: f64 = 45.0;
     /// Die cost of the shipped 122 mm² VCU — chosen so a shipped card
-    /// prices at exactly the $2,200 `VCU_CARD_CAPEX` in
-    /// `vcu-cluster::tco`: 376 + 2×732 + 2×4×$45 = 2,200.
+    /// prices at exactly the $2,200 card of Table 1's TCO calibration
+    /// (`vcu-cluster::tco`): 376 + 2×732 + 2×4×$45 = 2,200.
     pub(super) const SHIPPED_DIE_USD: f64 = 732.0;
     /// Yield roll-off scale: die cost grows ∝ area·e^(Δarea/A₀)
     /// (Poisson defect yield), so big dies cost superlinearly — the

@@ -286,15 +286,15 @@ pub fn encode_traced(
     })
 }
 
-/// Encodes several independent videos with one configuration on the
-/// process-wide worker pool ([`vcu_exec::pool`]), at most
-/// `cfg.threads` of them concurrently.
+/// Encodes several independent videos with one configuration as one
+/// scoped fork-join batch ([`vcu_exec::pool`]), at most `cfg.threads`
+/// of them concurrently.
 ///
 /// Results come back in input order and each is byte-identical to a
 /// sequential [`encode`] of that video, for every thread count —
-/// workers share nothing, the per-video pipeline is deterministic, and
-/// the pool returns index-ordered result slots whichever worker ran
-/// which video.
+/// threads share nothing, the per-video pipeline is deterministic, and
+/// the batch returns results in index order whichever thread ran which
+/// video.
 ///
 /// # Errors
 ///

@@ -272,11 +272,6 @@ impl EncoderConfig {
     }
 }
 
-/// `VCU_THREADS`, the fleet-style knob for chunk-parallel encoding, as
-/// read by the executor that honors it — re-exported so codec callers
-/// keep a local name for it.
-pub use vcu_exec::env_threads;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,13 +7,13 @@
 //! cells have reached the boundary, so the router reads backlog
 //! pressure at a consistent cut, decides overflow routing for the
 //! epoch's arrivals, injects them, and releases all cells to run the
-//! epoch in parallel. All randomness comes from per-region streams
-//! split out of the planet seed with [`vcu_rng::mix64`], routing is a
-//! pure function of the pressure readings, and cell advancement
-//! reassembles in index order — so a planet run is byte-identical for
-//! every `VCU_THREADS` value.
+//! epoch in parallel, as one batch across every region. All randomness
+//! comes from per-region streams split out of the planet seed with
+//! [`vcu_rng::mix64`], routing is a pure function of the pressure
+//! readings, and cell advancement reassembles in index order — so a
+//! planet run is byte-identical for every `VCU_THREADS` value.
 
-use crate::region::{RegionReport, RegionSim, RegionSpec};
+use crate::region::{advance_regions, RegionReport, RegionSim, RegionSpec};
 use vcu_chip::DesignPoint;
 use vcu_cluster::{correlated_domain_faults, fleet_tco_usd, upgrade_wave_faults, FaultInjection};
 use vcu_rng::{mix64, Rng};
@@ -251,7 +251,7 @@ impl PlanetSim {
                 }
                 self.regions[r].inject_epoch(&local, false);
             }
-            self.advance_all(t1);
+            advance_regions(&mut self.regions, t1);
         }
         // Drain: demand is over; step epochs until every cell resolves
         // its backlog (Repair events revive upgraded/faulted workers,
@@ -264,7 +264,7 @@ impl PlanetSim {
                 "planet failed to drain by {deadline}s — jobs wedged"
             );
             t += self.cfg.epoch_s;
-            self.advance_all(t);
+            advance_regions(&mut self.regions, t);
         }
         self.reduce(t, routed_jobs)
     }
@@ -290,25 +290,6 @@ impl PlanetSim {
             .filter(|&(i, &p)| i != r && p < pol.pressure_threshold)
             .min_by(|(_, a), (_, b)| a.total_cmp(b))
             .map(|(i, _)| i)
-    }
-
-    /// Advances every region to `t`. Regions fan out across the pool;
-    /// each region fans its cells out as a nested batch. Results
-    /// reassemble in region order, keeping the run thread-invariant.
-    fn advance_all(&mut self, t: f64) {
-        let regions = std::mem::take(&mut self.regions);
-        self.regions = vcu_exec::pool().run_batch(
-            vcu_exec::env_threads(),
-            regions
-                .into_iter()
-                .map(|mut r| {
-                    move || {
-                        r.advance_to(t);
-                        r
-                    }
-                })
-                .collect(),
-        );
     }
 
     fn reduce(self, drained_at_s: f64, routed_jobs: u64) -> PlanetReport {

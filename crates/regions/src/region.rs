@@ -4,8 +4,9 @@
 //! A region's fleet is sharded into cells (one `ClusterSim` each — the
 //! pool/cell sharding of the event queue: each cell owns its own DES
 //! heap instead of one planet-wide heap). Cells advance independently
-//! — in parallel across the `vcu-exec` pool — and their job
-//! resolutions are merged back into one region timeline through a
+//! — every cell of every region as one task of a single `vcu-exec`
+//! batch per epoch (`advance_regions`) — and their job resolutions
+//! are merged back into one region timeline through a
 //! [`ShardedEventQueue`] keyed by cell index. The merge uses the same
 //! tie-breaking discipline as the serve/cluster lockstep merge:
 //! global `(time, seq)` order, seq assigned in cell-index push order.
@@ -112,6 +113,36 @@ struct Cell {
     /// In injection order; the cell's own thread injects them, just
     /// before it next runs.
     staged: Vec<JobSpec>,
+}
+
+/// Advances every cell of every region to sim time `t` as one
+/// `vcu-exec` batch at `VCU_THREADS`, then merges each region's
+/// resolutions, region by region. Cells come back in order, so the
+/// outcome is thread-invariant. A cell first injects what was staged
+/// for it, in staging order: the calls it sees are the ones a serial
+/// injection would have made, off the submitting thread.
+pub(crate) fn advance_regions(regions: &mut [RegionSim], t: f64) {
+    let mut counts = Vec::with_capacity(regions.len());
+    let mut tasks = Vec::new();
+    for r in regions.iter_mut() {
+        counts.push(r.cells.len());
+        tasks.extend(r.cells.drain(..).map(|mut c| {
+            move || {
+                for spec in c.staged.drain(..) {
+                    c.sim.inject_job(spec);
+                }
+                c.sim.run_until(t);
+                c
+            }
+        }));
+    }
+    let mut cells = vcu_exec::pool()
+        .run_batch(vcu_exec::env_threads(), tasks)
+        .into_iter();
+    for (r, n) in regions.iter_mut().zip(counts) {
+        r.cells.extend(cells.by_ref().take(n));
+        r.merge_resolutions();
+    }
 }
 
 /// One region at runtime: cell shards plus the cross-shard merge.
@@ -236,31 +267,11 @@ impl RegionSim {
         self.routed_out += n;
     }
 
-    /// Advances every cell to sim time `t` — in parallel across the
-    /// `vcu-exec` pool (results reassemble in cell-index order, so
-    /// the outcome is `VCU_THREADS`-invariant) — then merges the
-    /// resolutions that surfaced into the region timeline. A cell
-    /// first injects what was staged for it, in staging order: the
-    /// calls it sees are the ones a serial injection would have made,
-    /// off the submitting thread.
+    /// Advances every cell to sim time `t`, then merges the
+    /// resolutions that surfaced into the region timeline (see
+    /// `advance_regions`).
     pub fn advance_to(&mut self, t: f64) {
-        let cells = std::mem::take(&mut self.cells);
-        self.cells = vcu_exec::pool().run_batch(
-            vcu_exec::env_threads(),
-            cells
-                .into_iter()
-                .map(|mut c| {
-                    move || {
-                        for spec in c.staged.drain(..) {
-                            c.sim.inject_job(spec);
-                        }
-                        c.sim.run_until(t);
-                        c
-                    }
-                })
-                .collect(),
-        );
-        self.merge_resolutions();
+        advance_regions(std::slice::from_mut(self), t);
     }
 
     /// Feeds each cell's drained resolutions through the sharded

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.len()
     );
 
-    let threads = vcu_codec::env_threads();
+    let threads = vcu_exec::env_threads();
     let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30))
         .with_hardware(TuningLevel::MATURE)
         .with_threads(threads);

@@ -46,7 +46,18 @@ stage_test() {
     cargo test -q --workspace --offline
 }
 
+# `unsafe` lives in vcu-codec's SIMD layer only: every other crate
+# root must forbid it.
 stage_clippy() {
+    local lib missing=0
+    for lib in crates/*/src/lib.rs; do
+        [[ "$lib" == crates/codec/src/lib.rs ]] && continue
+        if ! grep -qxF '#![forbid(unsafe_code)]' "$lib"; then
+            echo "$lib lacks #![forbid(unsafe_code)]" >&2
+            missing=1
+        fi
+    done
+    [[ $missing == 0 ]]
     cargo clippy --workspace --all-targets --offline -q -- -D warnings -D unreachable_pub
 }
 

@@ -987,11 +987,11 @@ fn chunk_parallel_encode_honors_vcu_threads_deterministically() {
     // and its telemetry snapshot must be byte-identical. The encoder is
     // the one pipeline stage with real thread parallelism, so this is
     // where scheduling nondeterminism would leak in if it could.
-    use vcu_codec::{encode_parallel_traced, env_threads, EncoderConfig, Qp};
+    use vcu_codec::{encode_parallel_traced, EncoderConfig, Qp};
     use vcu_media::synth::{ContentClass, SynthSpec};
     use vcu_media::Resolution;
 
-    let threads = env_threads();
+    let threads = vcu_exec::env_threads();
     let video = SynthSpec::new(Resolution::R144, 8, ContentClass::ugc(), 42).generate();
     let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(32)).with_threads(threads);
     let encode_once = || {

@@ -10,6 +10,7 @@ use vcu_codec::{decode, encode, encode_batch, EncoderConfig, PassMode, Profile, 
 use vcu_media::quality::psnr_y_video;
 use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::Resolution;
+use vcu_rng::Rng;
 use vcu_system::chunking::{assemble, split, ChunkPlan};
 use vcu_system::platform::{live_latency_s, Platform};
 use vcu_telemetry::Registry;
@@ -143,6 +144,85 @@ fn bin_packing_outperforms_single_slot() {
         multi.mean_wait_s,
         single.mean_wait_s
     );
+}
+
+/// The DES against a closed form: one VCU that takes one job at a
+/// time (`SingleSlot { slots: 1 }`), every job a fixed `D`-second
+/// chunk, Poisson arrivals at rate ρ/D — an M/D/1 queue, whose mean
+/// wait is ρD / (2(1 − ρ)) (Pollaczek–Khinchine). The tolerance is
+/// statistical: waits in arrival order form 20 batches of 2,000, and
+/// the report's mean must sit within 4 standard errors of the batch
+/// means (t with 19 degrees of freedom: 99.9 % two-sided is 3.88),
+/// with that error under 5 % of the theory so the check has teeth.
+#[test]
+fn single_slot_cell_matches_md1_mean_wait() {
+    const D: f64 = 2.0;
+    const BATCHES: usize = 20;
+    const PER_BATCH: usize = 2_000;
+    let jobs = BATCHES * PER_BATCH;
+    for (rho, seed) in [(0.5, 51), (0.8, 52)] {
+        let cfg = ClusterConfig {
+            vcus: 1,
+            scheduler: SchedulerKind::SingleSlot { slots: 1 },
+            seed,
+            ..ClusterConfig::default()
+        };
+        let mut sim = ClusterSim::new(cfg, Vec::new(), Vec::new()).open_world();
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut t = 0.0;
+        let arrivals: Vec<f64> = (0..jobs)
+            .map(|_| {
+                t += rng.exponential(rho / D);
+                t
+            })
+            .collect();
+        let job = TranscodeJob::sot(
+            Resolution::R720,
+            Resolution::R720,
+            Profile::H264Sim,
+            30.0,
+            D,
+        );
+        for &arrival_s in &arrivals {
+            sim.inject_job(JobSpec {
+                arrival_s,
+                job: job.clone(),
+                priority: Priority::Normal,
+                video_id: 0,
+            });
+        }
+        sim.run_until(t + jobs as f64 * D);
+        let resolutions = sim.drain_resolutions();
+        let report = sim.finish();
+        assert_eq!((report.completed, report.failed), (jobs as u64, 0));
+
+        // One server, fixed service: a job waited its completion time
+        // less its arrival less D.
+        let mut waits = vec![f64::NAN; jobs];
+        for r in resolutions {
+            waits[r.job] = r.time_s - arrivals[r.job] - D;
+        }
+        let means: Vec<f64> = waits
+            .chunks(PER_BATCH)
+            .map(|b| b.iter().sum::<f64>() / PER_BATCH as f64)
+            .collect();
+        let grand = means.iter().sum::<f64>() / BATCHES as f64;
+        assert!(
+            (grand - report.mean_wait_s).abs() < 1e-9 * D,
+            "per-job waits {grand} disagree with the report {}",
+            report.mean_wait_s
+        );
+        let var = means.iter().map(|m| (m - grand).powi(2)).sum::<f64>() / (BATCHES - 1) as f64;
+        let se = (var / BATCHES as f64).sqrt();
+        let theory = rho * D / (2.0 * (1.0 - rho));
+        assert!(se < 0.05 * theory, "ρ={rho}: standard error {se} too wide");
+        assert!(
+            (report.mean_wait_s - theory).abs() <= 4.0 * se,
+            "ρ={rho}: mean wait {} vs M/D/1 {theory} (4 SE = {})",
+            report.mean_wait_s,
+            4.0 * se
+        );
+    }
 }
 
 /// One-pass low-latency encodes hit bitrate targets without altrefs —

@@ -1016,6 +1016,68 @@ fn chunk_parallel_encode_honors_vcu_threads_deterministically() {
     assert!(snap_a.contains("\"codec.chunks\""));
 }
 
+/// Every plane `SynthSpec::generate` emits, for each content class at
+/// two resolutions plus one custom class whose pan hits the
+/// background-margin cap and whose scene cuts rebuild the background
+/// twice. The golden rows reach only three classes at 144p.
+#[test]
+fn synth_clips_are_pinned() {
+    use vcu_media::synth::{ContentClass, SynthSpec};
+    use vcu_media::Resolution;
+    let fast_cuts = ContentClass {
+        spatial_detail: 0.6,
+        pan_speed: 48.0,
+        objects: 10,
+        object_speed: 5.0,
+        noise_sigma: 3.0,
+        scene_cut_period: Some(4),
+    };
+    let clips = [
+        ("screen_content", ContentClass::screen_content()),
+        ("talking_head", ContentClass::talking_head()),
+        ("ugc", ContentClass::ugc()),
+        ("gaming", ContentClass::gaming()),
+        ("high_motion", ContentClass::high_motion()),
+    ]
+    .into_iter()
+    .flat_map(|(name, class)| {
+        [(Resolution::R144, 8), (Resolution::R240, 4)]
+            .map(|(res, frames)| (name, class, res, frames))
+    })
+    .chain([("fast_cuts", fast_cuts, Resolution::R144, 12)]);
+    let got: Vec<(String, u64)> = clips
+        .enumerate()
+        .map(|(i, (name, class, res, frames))| {
+            let video = SynthSpec::new(res, frames, class, 100 + i as u64).generate();
+            let planes: Vec<u64> = video
+                .frames
+                .iter()
+                .flat_map(|f| [f.y(), f.u(), f.v()])
+                .map(|p| fnv1a64(p.data()))
+                .collect();
+            (
+                format!("{name}@{res}"),
+                fnv1a64(format!("{planes:?}").as_bytes()),
+            )
+        })
+        .collect();
+    let want: [(&str, u64); 11] = [
+        ("screen_content@144p", 12512241244190234929),
+        ("screen_content@240p", 6044075069788937841),
+        ("talking_head@144p", 14266613468424083682),
+        ("talking_head@240p", 2514435083477474353),
+        ("ugc@144p", 6636131072018388551),
+        ("ugc@240p", 3934339841925134973),
+        ("gaming@144p", 10939920033194333217),
+        ("gaming@240p", 17247903484548362468),
+        ("high_motion@144p", 1304660960017741883),
+        ("high_motion@240p", 9725168920069612936),
+        ("fast_cuts@144p", 14102636158145628832),
+    ];
+    let want: Vec<(String, u64)> = want.iter().map(|&(c, h)| (c.to_string(), h)).collect();
+    assert_eq!(got, want, "synth clips moved");
+}
+
 /// Every job the platform emits, for each workload family and at two
 /// resolutions: the per-family priority, the Live/Gaming arrival
 /// staggering and `low_latency_two_pass`, and the formats each request

@@ -99,6 +99,24 @@ fn container_header(profile: Profile, w: u16, h: u16, fps: f32, count: u32) -> V
     bytes
 }
 
+/// `fps` as the container header stores it: an `f32` the decoder
+/// accepts, so finite and positive.
+///
+/// # Errors
+///
+/// Returns [`CodecError::InvalidConfig`] if `fps` overflows or
+/// underflows to a value the decoder would reject.
+fn container_fps(fps: f64) -> Result<f32, CodecError> {
+    let narrowed = fps as f32;
+    if narrowed.is_finite() && narrowed > 0.0 {
+        Ok(narrowed)
+    } else {
+        Err(CodecError::InvalidConfig(
+            "fps does not fit the container's f32",
+        ))
+    }
+}
+
 fn fnv1a(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811C9DC5;
     for &b in bytes {
@@ -127,13 +145,15 @@ pub fn encode(cfg: &EncoderConfig, video: &Video) -> Result<Encoded, CodecError>
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::InvalidConfig`] for invalid configurations.
+/// Returns [`CodecError::InvalidConfig`] for invalid configurations,
+/// or for an `fps` the container's `f32` cannot carry.
 pub fn encode_traced(
     cfg: &EncoderConfig,
     video: &Video,
     telemetry: &Registry,
 ) -> Result<Encoded, CodecError> {
     cfg.validate()?;
+    let fps = container_fps(video.fps)?;
     let n = video.frames.len();
     let (w, h) = (video.width(), video.height());
     if w > MAX_DIM || h > MAX_DIM {
@@ -259,13 +279,7 @@ pub fn encode_traced(
     }
 
     // Serialize container.
-    let mut bytes = container_header(
-        cfg.profile,
-        w as u16,
-        h as u16,
-        video.fps as f32,
-        payloads.len() as u32,
-    );
+    let mut bytes = container_header(cfg.profile, w as u16, h as u16, fps, payloads.len() as u32);
     for (kind, qp, payload) in &payloads {
         bytes.push(match kind {
             FrameKind::Key => 0,
@@ -368,8 +382,8 @@ pub fn encode_parallel(
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::InvalidConfig`] for invalid configurations or
-/// `chunk_frames == 0`.
+/// Returns [`CodecError::InvalidConfig`] for invalid configurations,
+/// `chunk_frames == 0`, or an `fps` the container's `f32` cannot carry.
 pub fn encode_parallel_traced(
     cfg: &EncoderConfig,
     video: &Video,
@@ -380,6 +394,7 @@ pub fn encode_parallel_traced(
     if chunk_frames == 0 {
         return Err(CodecError::InvalidConfig("chunk_frames must be at least 1"));
     }
+    let fps = container_fps(video.fps)?;
     let n = video.frames.len();
     if n == 0 {
         return encode_traced(cfg, video, telemetry);
@@ -402,7 +417,7 @@ pub fn encode_parallel_traced(
         cfg.profile,
         video.width() as u16,
         video.height() as u16,
-        video.fps as f32,
+        fps,
         coded_frames as u32,
     );
     let mut infos = Vec::with_capacity(coded_frames);
@@ -918,6 +933,37 @@ mod lagged_tests {
             decode(&bytes),
             Err(CodecError::Unsupported("dimensions exceed MAX_DIM"))
         ));
+    }
+
+    #[test]
+    fn encode_rejects_an_fps_the_container_cannot_carry() {
+        let frames = SynthSpec::new(Resolution::R144, 2, ContentClass::talking_head(), 6)
+            .generate()
+            .frames;
+        let cfg = EncoderConfig::const_qp(Profile::H264Sim, Qp::new(30));
+        // 1e300 overflows f32 to infinity; 1e-300 underflows it to 0.
+        for fps in [1e300, 1e-300] {
+            let v = Video::new(frames.clone(), fps);
+            assert!(
+                matches!(encode(&cfg, &v), Err(CodecError::InvalidConfig(_))),
+                "fps {fps}"
+            );
+            assert!(
+                matches!(
+                    encode_parallel(&cfg, &v, 1),
+                    Err(CodecError::InvalidConfig(_))
+                ),
+                "fps {fps}"
+            );
+        }
+        // The largest finite f32 fits, and survives the round trip.
+        let v = Video::new(frames, f32::MAX as f64);
+        for e in [
+            encode(&cfg, &v).unwrap(),
+            encode_parallel(&cfg, &v, 1).unwrap(),
+        ] {
+            assert_eq!(decode(&e.bytes).unwrap().video.fps, f32::MAX as f64);
+        }
     }
 
     #[test]

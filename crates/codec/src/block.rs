@@ -155,6 +155,11 @@ pub(crate) fn decode_tile(
 }
 
 /// Shared reconstruction: dequantize + inverse transform + crop.
+///
+/// A tile whose levels are all zero dequantizes to zero coefficients,
+/// and the inverse of those rounds to an all-zero residual, so that
+/// tile is written as zeros without running either. It is billed
+/// `transform_pixels` all the same: the count is the device charge.
 #[allow(clippy::too_many_arguments)]
 fn reconstruct_tile(
     levels: &[i32],
@@ -169,13 +174,16 @@ fn reconstruct_tile(
     out: &mut Vec<i16>,
 ) {
     let n = t * t;
+    stats.transform_pixels += n as u64;
+    out.clear();
+    out.resize(tw * th, 0);
+    if levels[..n].iter().all(|&l| l == 0) {
+        return;
+    }
     coeffs.resize(n, 0.0);
     dequantize(&levels[..n], qp, &mut coeffs[..n]);
     spatial.resize(n, 0);
     inverse_with(&coeffs[..n], t, &mut spatial[..n], tx);
-    stats.transform_pixels += n as u64;
-    out.clear();
-    out.resize(tw * th, 0);
     for y in 0..th {
         out[y * tw..(y + 1) * tw].copy_from_slice(&spatial[y * t..y * t + tw]);
     }

@@ -23,12 +23,17 @@ use crate::motion::{mc_block, search_scratch, MotionScratch, SearchParams, Searc
 use crate::stats::CodingStats;
 use crate::types::{CodecError, FrameKind, MotionVector, Profile, Qp};
 use std::collections::HashMap;
+use std::rc::Rc;
 use vcu_media::{Frame, Plane};
 
 /// Reference-slot file: LAST / GOLDEN / ALTREF.
+///
+/// Slots share frames: a keyframe refresh points all three at one
+/// reconstruction, so the encoder can tell an aliased slot from its
+/// address and replay the search it already ran on the lower slot.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RefSlots {
-    slots: [Option<Frame>; 3],
+    slots: [Option<Rc<Frame>>; 3],
 }
 
 impl RefSlots {
@@ -43,22 +48,18 @@ impl RefSlots {
         self.slots
             .iter()
             .take(profile.max_references())
-            .filter_map(|s| s.as_ref())
+            .filter_map(|s| s.as_deref())
             .collect()
     }
 
-    /// Applies the refresh rule for a coded frame of `kind`.
+    /// Applies the refresh rule for a coded frame of `kind`, copying
+    /// `recon` once however many slots it refreshes.
     pub(crate) fn apply_refresh(&mut self, kind: FrameKind, recon: &Frame) {
+        let recon = Some(Rc::new(recon.clone()));
         match kind {
-            FrameKind::Key => {
-                self.slots = [
-                    Some(recon.clone()),
-                    Some(recon.clone()),
-                    Some(recon.clone()),
-                ];
-            }
-            FrameKind::Inter => self.slots[0] = Some(recon.clone()),
-            FrameKind::AltRef => self.slots[2] = Some(recon.clone()),
+            FrameKind::Key => self.slots = [recon.clone(), recon.clone(), recon],
+            FrameKind::Inter => self.slots[0] = recon,
+            FrameKind::AltRef => self.slots[2] = recon,
         }
     }
 }
@@ -494,16 +495,29 @@ struct FrameEnc<'a> {
     /// Per-frame motion-search memo for reference slot 0. The split
     /// heuristic and the leaf mode decision run the identical search;
     /// the cache stores the result *and* the exact `CodingStats` delta
-    /// the live search charged, replaying it on a hit so metering (and
-    /// thus the chip timing model) is byte-identical to searching twice.
+    /// the live search charged, replaying it on a hit (see [`replay`])
+    /// so the device charge, and thus the chip timing model, is
+    /// byte-identical to searching twice.
     search_cache: HashMap<SearchKey, (SearchResult, CodingStats), SearchKeyHash>,
     rc: Recon<'a>,
 }
 
+/// Charges a search that is replayed rather than run: every field of
+/// its recorded `delta` except `sad_pixels_examined`, because a replay
+/// touches no pixels. The device charge then matches a second search
+/// exactly, and `sad_pixels_examined` stays the host's real work.
+fn replay(stats: &mut CodingStats, delta: CodingStats) {
+    *stats += CodingStats {
+        sad_pixels_examined: 0,
+        ..delta
+    };
+}
+
 impl FrameEnc<'_> {
-    /// Motion search through the per-frame memo. Cache hits replay the
-    /// recorded stats delta; misses run the real search and record it.
-    /// Only reference slot 0 participates — other slots always search.
+    /// Motion search through the per-frame memo, returning the result
+    /// and the stats delta the search charged. Cache hits replay the
+    /// recorded delta; misses run the real search and record it. Only
+    /// reference slot 0 participates — other slots always search.
     fn cached_search(
         &mut self,
         ref_idx: usize,
@@ -512,12 +526,12 @@ impl FrameEnc<'_> {
         bw: usize,
         bh: usize,
         params: &SearchParams,
-    ) -> SearchResult {
+    ) -> (SearchResult, CodingStats) {
         let key = (x, y, bw, bh, self.rc.last_mv.x, self.rc.last_mv.y, *params);
         if ref_idx == 0 {
             if let Some(&(r, delta)) = self.search_cache.get(&key) {
-                *self.rc.stats += delta;
-                return r;
+                replay(self.rc.stats, delta);
+                return (r, delta);
             }
         }
         let before = *self.rc.stats;
@@ -533,10 +547,11 @@ impl FrameEnc<'_> {
             self.rc.stats,
             &mut self.scratch.motion,
         );
+        let delta = *self.rc.stats - before;
         if ref_idx == 0 {
-            self.search_cache.insert(key, (r, *self.rc.stats - before));
+            self.search_cache.insert(key, (r, delta));
         }
-        r
+        (r, delta)
     }
 
     fn code_block(&mut self, x: usize, y: usize, size: usize, depth: usize) {
@@ -593,7 +608,7 @@ impl FrameEnc<'_> {
         // the next partition level (and ultimately the leaf mode
         // decision) re-requests.
         let bounded = SearchParams::hardware();
-        let whole = self.cached_search(0, x, y, bw, bh, &bounded).sad;
+        let whole = self.cached_search(0, x, y, bw, bh, &bounded).0.sad;
         let half = size / 2;
         let mut subs = 0u64;
         for (qx, qy) in [(x, y), (x + half, y), (x, y + half), (x + half, y + half)] {
@@ -602,7 +617,7 @@ impl FrameEnc<'_> {
             }
             let sbw = half.min(w - qx);
             let sbh = half.min(h - qy);
-            subs += self.cached_search(0, qx, qy, sbw, sbh, &bounded).sad;
+            subs += self.cached_search(0, qx, qy, sbw, sbh, &bounded).0.sad;
         }
         let lambda_sad = 0.9 * self.rc.qp.step() * self.cfg.toolset.lambda_scale();
         let split_overhead_bits = 36.0; // three extra mode/MV sets
@@ -766,11 +781,24 @@ impl FrameEnc<'_> {
         }
 
         // Inter candidates: one search per reference (slot 0 through
-        // the memo, where the split heuristic usually primed it).
+        // the memo, where the split heuristic usually primed it). A slot
+        // holding the same frame as a lower slot would repeat that
+        // slot's search exactly — same pixels, predictor and window — so
+        // its result and charge are replayed instead.
         let sp = self.search;
         let mut per_ref = Vec::with_capacity(self.rc.refs.len());
+        let mut deltas = [CodingStats::new(); 3];
         for ri in 0..self.rc.refs.len() {
-            per_ref.push(self.cached_search(ri, x, y, bw, bh, &sp));
+            let refs = &self.rc.refs;
+            let (r, delta) = match (0..ri).find(|&j| std::ptr::eq(refs[j], refs[ri])) {
+                Some(j) => {
+                    replay(self.rc.stats, deltas[j]);
+                    (per_ref[j], deltas[j])
+                }
+                None => self.cached_search(ri, x, y, bw, bh, &sp),
+            };
+            per_ref.push(r);
+            deltas[ri] = delta;
         }
         let (best_ri, best_r) = per_ref
             .iter()
@@ -1157,6 +1185,51 @@ mod tests {
         );
     }
 
+    /// Slots that share one frame must code exactly like slots holding
+    /// separate copies of it: the alias replay charges what a second
+    /// search would, and only `sad_pixels_examined` falls.
+    #[test]
+    fn aliased_slots_code_like_separate_copies() {
+        let video = SynthSpec::new(Resolution::R144, 3, ContentClass::gaming(), 5).generate();
+        let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30));
+        let mut shared = RefSlots::new();
+        let mut separate = RefSlots::new();
+        let mut examined = (0, 0);
+        for (i, f) in video.frames.iter().enumerate() {
+            let kind = if i == 0 {
+                FrameKind::Key
+            } else {
+                FrameKind::Inter
+            };
+            let (mut a, mut b) = (CodingStats::new(), CodingStats::new());
+            let (pa, ra) = encode_frame(&cfg, f, kind, Qp::new(30), &shared, &mut a);
+            let (pb, rb) = encode_frame(&cfg, f, kind, Qp::new(30), &separate, &mut b);
+            assert_eq!((&pa, &ra), (&pb, &rb), "frame {i}");
+            let without_examined = |s: CodingStats| CodingStats {
+                sad_pixels_examined: 0,
+                ..s
+            };
+            assert_eq!(without_examined(a), without_examined(b), "frame {i}");
+            examined = (
+                examined.0 + a.sad_pixels_examined,
+                examined.1 + b.sad_pixels_examined,
+            );
+            shared.apply_refresh(kind, &ra);
+            // Refresh as a plain copy per slot would: no slot aliases.
+            let slots = match kind {
+                FrameKind::Key => 0..3,
+                _ => 0..1,
+            };
+            for slot in slots {
+                separate.slots[slot] = Some(Rc::new(rb.clone()));
+            }
+        }
+        assert!(
+            examined.0 < examined.1,
+            "no search was replayed: {examined:?}"
+        );
+    }
+
     #[test]
     fn ref_slots_refresh_rules() {
         let f = Frame::new(16, 16);
@@ -1171,5 +1244,7 @@ mod tests {
         let avail = slots.available(Profile::Vp9Sim);
         assert_eq!(avail[2].y().get(0, 0), 9);
         assert_eq!(avail[0].y().get(0, 0), 0);
+        // The keyframe's copy is shared by LAST and GOLDEN.
+        assert!(std::ptr::eq(avail[0], avail[1]));
     }
 }

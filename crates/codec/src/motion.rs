@@ -137,6 +137,36 @@ pub fn search(
     )
 }
 
+/// Half-width of the window [`Visited`] tracks, in full pels.
+const VISITED_RANGE: i16 = 32;
+const VISITED_SIDE: usize = 2 * VISITED_RANGE as usize + 1;
+const VISITED_WORDS: usize = (VISITED_SIDE * VISITED_SIDE).div_ceil(64);
+
+/// The full-pel vectors one search has scored: one bit per vector with
+/// both components within ±[`VISITED_RANGE`]. A vector outside the
+/// window is never recorded, so it is always scored. At 67 words it
+/// lives on the stack, and a one-shot [`search`] pays only for zeroing
+/// it.
+struct Visited([u64; VISITED_WORDS]);
+
+impl Visited {
+    fn new() -> Self {
+        Visited([0; VISITED_WORDS])
+    }
+
+    /// Records `(mx, my)`; returns `false` if it was already recorded.
+    fn insert(&mut self, mx: i16, my: i16) -> bool {
+        if mx.abs() > VISITED_RANGE || my.abs() > VISITED_RANGE {
+            return true;
+        }
+        let bit = (my + VISITED_RANGE) as usize * VISITED_SIDE + (mx + VISITED_RANGE) as usize;
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        let fresh = self.0[word] & mask == 0;
+        self.0[word] |= mask;
+        fresh
+    }
+}
+
 /// [`search`] with caller-provided scratch buffers (zero allocations).
 ///
 /// Candidate SADs use [`Plane::sad_block_thresholded`] with the
@@ -144,10 +174,18 @@ pub fn search(
 /// abandoned row-by-row. Because a pruned candidate's partial sum is
 /// `>= best_sad`, every `sad < best_sad` comparison — and therefore the
 /// returned vector and SAD — is identical to the unthresholded search.
+///
+/// A full-pel candidate the search already scored is not scored again:
+/// its SAD (or pruned partial sum) was no better than the best at the
+/// time, and the best only improves, so it cannot win now either.
+///
 /// Metering policy: `sad_pixels`/`ref_bytes_read` keep charging the
-/// full `bw * bh` per candidate (the device timing charge a hardware
-/// SAD array would burn), while `sad_pixels_examined` records the
-/// pixels the host actually touched.
+/// full `bw * bh` per candidate, rescored ones included (the device
+/// timing charge a hardware SAD array would burn), while
+/// `sad_pixels_examined` records the pixels the host actually touched.
+/// A caller that replays a recorded search instead of running it (the
+/// frame coder's memo and aliased reference slots) replays the charge
+/// but adds no examined pixels.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search_scratch(
     reference: &Plane,
@@ -168,9 +206,13 @@ pub(crate) fn search_scratch(
     let cur: &[u8] = cur;
 
     let clamp_mv = |v: i16| v.clamp(-params.max_range, params.max_range);
-    let eval_full = |mx: i16, my: i16, threshold: u64, stats: &mut CodingStats| -> u64 {
+    let mut visited = Visited::new();
+    let mut eval_full = |mx: i16, my: i16, threshold: u64, stats: &mut CodingStats| -> u64 {
         stats.sad_pixels += (bw * bh) as u64;
         stats.ref_bytes_read += (bw * bh) as u64;
+        if !visited.insert(mx, my) {
+            return u64::MAX;
+        }
         let (sad, examined) = kernels::plane_sad_block_thresholded(
             reference,
             x as isize + mx as isize,
@@ -420,6 +462,259 @@ mod tests {
             &mut stats,
         );
         assert!(r.mv.x.abs() <= 4 * 2 + 1, "mv beyond range: {:?}", r.mv);
+    }
+}
+
+/// Differential test: the search against the search as it was before
+/// the visited set, which scores every candidate it meets.
+#[cfg(test)]
+mod differential {
+    use super::*;
+
+    /// Every candidate scored, rescored ones included.
+    #[allow(clippy::too_many_arguments)]
+    fn rescoring_search(
+        reference: &Plane,
+        current: &Plane,
+        x: usize,
+        y: usize,
+        bw: usize,
+        bh: usize,
+        predictor: MotionVector,
+        params: &SearchParams,
+        stats: &mut CodingStats,
+    ) -> SearchResult {
+        let mut cur = vec![0; bw * bh];
+        current.copy_block_clamped(x as isize, y as isize, bw, bh, &mut cur);
+        let clamp_mv = |v: i16| v.clamp(-params.max_range, params.max_range);
+        let eval_full = |mx: i16, my: i16, threshold: u64, stats: &mut CodingStats| -> u64 {
+            stats.sad_pixels += (bw * bh) as u64;
+            stats.ref_bytes_read += (bw * bh) as u64;
+            let (sad, examined) = kernels::plane_sad_block_thresholded(
+                reference,
+                x as isize + mx as isize,
+                y as isize + my as isize,
+                bw,
+                bh,
+                &cur,
+                threshold,
+            );
+            stats.sad_pixels_examined += examined;
+            sad
+        };
+        let mut best = (0i16, 0i16);
+        let mut best_sad = eval_full(0, 0, u64::MAX, stats);
+        let pred = (clamp_mv(predictor.x / 2), clamp_mv(predictor.y / 2));
+        if pred != (0, 0) {
+            let s = eval_full(pred.0, pred.1, best_sad, stats);
+            if s < best_sad {
+                best_sad = s;
+                best = pred;
+            }
+        }
+        let large: [(i16, i16); 8] = [
+            (0, -2),
+            (1, -1),
+            (2, 0),
+            (1, 1),
+            (0, 2),
+            (-1, 1),
+            (-2, 0),
+            (-1, -1),
+        ];
+        let small: [(i16, i16); 4] = [(0, -1), (1, 0), (0, 1), (-1, 0)];
+        let mut step_large = true;
+        for _ in 0..params.diamond_iters {
+            let pattern: &[(i16, i16)] = if step_large { &large } else { &small };
+            let mut improved = false;
+            for &(dx, dy) in pattern {
+                let cand = (clamp_mv(best.0 + dx), clamp_mv(best.1 + dy));
+                if cand == best {
+                    continue;
+                }
+                let s = eval_full(cand.0, cand.1, best_sad, stats);
+                if s < best_sad {
+                    best_sad = s;
+                    best = cand;
+                    improved = true;
+                }
+            }
+            if !improved {
+                if step_large {
+                    step_large = false;
+                } else {
+                    break;
+                }
+            }
+        }
+        let r = params.exhaustive_radius;
+        if r > 0 {
+            for dy in -r..=r {
+                for dx in -r..=r {
+                    let cand = (clamp_mv(best.0 + dx), clamp_mv(best.1 + dy));
+                    let s = eval_full(cand.0, cand.1, best_sad, stats);
+                    if s < best_sad {
+                        best_sad = s;
+                        best = cand;
+                    }
+                }
+            }
+        }
+        let mut best_mv = MotionVector::full_pel(best.0, best.1);
+        if params.half_pel {
+            let mut buf = vec![0; bw * bh];
+            for dy in -1i16..=1 {
+                for dx in -1i16..=1 {
+                    if dx == 0 && dy == 0 {
+                        continue;
+                    }
+                    let cand = MotionVector::new(best_mv.x + dx, best_mv.y + dy);
+                    mc_block(reference, x, y, cand, bw, bh, &mut buf);
+                    stats.sad_pixels += (bw * bh) as u64;
+                    stats.ref_bytes_read += (bw * bh * 2) as u64;
+                    let (s, examined) = kernels::sad_rows_thresholded(&buf, &cur, bw, best_sad);
+                    stats.sad_pixels_examined += examined;
+                    if s < best_sad {
+                        best_sad = s;
+                        best_mv = cand;
+                    }
+                }
+            }
+        }
+        SearchResult {
+            mv: best_mv,
+            sad: best_sad,
+        }
+    }
+
+    /// SplitMix64 step, for seeded test inputs.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(state: &mut u64, lo: i64, hi: i64) -> i64 {
+        lo + (next(state) % (hi - lo + 1) as u64) as i64
+    }
+
+    /// A smooth random texture with grain, so the diamond has slopes
+    /// to walk, and a copy of it moved by up to ±48 pels (past the
+    /// visited window) with fresh grain.
+    fn planes(state: &mut u64) -> (Plane, Plane) {
+        let (w, h) = (96, 80);
+        let (a, b) = (
+            range(state, 5, 40) as f64 / 100.0,
+            range(state, 5, 40) as f64 / 100.0,
+        );
+        let (p, q) = (
+            range(state, 0, 628) as f64 / 100.0,
+            range(state, 0, 628) as f64 / 100.0,
+        );
+        let grain = range(state, 0, 12) as u64;
+        let seed = next(state);
+        let texture = |x: isize, y: isize, salt: u64| {
+            let mut g = seed ^ salt ^ ((x as u64) << 20) ^ (y as u64);
+            let n = (next(&mut g) % (grain + 1)) as f64;
+            ((x as f64 * a + p).sin() * 50.0 + (y as f64 * b + q).cos() * 50.0 + 128.0 + n) as u8
+        };
+        let (sx, sy) = (
+            range(state, -48, 48) as isize,
+            range(state, -24, 24) as isize,
+        );
+        let reference = Plane::from_fn(w, h, |x, y| texture(x as isize, y as isize, 0));
+        let current = Plane::from_fn(w, h, |x, y| texture(x as isize + sx, y as isize + sy, 1));
+        (reference, current)
+    }
+
+    #[test]
+    fn search_matches_the_rescoring_reference() {
+        let presets = [
+            SearchParams::hardware(),
+            SearchParams::software(),
+            // A tight window clamps many candidates onto one vector.
+            SearchParams {
+                max_range: 3,
+                ..SearchParams::software()
+            },
+        ];
+        let mut state = 0x5EED;
+        let (mut examined, mut reference_examined) = (0u64, 0u64);
+        let mut scratch = MotionScratch::new();
+        for case in 0..360 {
+            let (reference, current) = planes(&mut state);
+            let params = presets[case % presets.len()];
+            let size = [8, 16, 32, 64][range(&mut state, 0, 3) as usize];
+            // Positions up to the last pixel: blocks straddle the edge.
+            let (x, y) = (
+                range(&mut state, 0, 95) as usize,
+                range(&mut state, 0, 79) as usize,
+            );
+            let (bw, bh) = if case % 2 == 0 {
+                (size, size)
+            } else {
+                (size.min(96 - x), size.min(80 - y))
+            };
+            // Predictors in half-pels, out to twice the widest window.
+            let reach = 2 * 2 * params.max_range as i64;
+            let predictor = MotionVector::new(
+                range(&mut state, -reach, reach) as i16,
+                range(&mut state, -reach, reach) as i16,
+            );
+            let mut got_stats = CodingStats::new();
+            let got = search_scratch(
+                &reference,
+                &current,
+                x,
+                y,
+                bw,
+                bh,
+                predictor,
+                &params,
+                &mut got_stats,
+                &mut scratch,
+            );
+            let mut want_stats = CodingStats::new();
+            let want = rescoring_search(
+                &reference,
+                &current,
+                x,
+                y,
+                bw,
+                bh,
+                predictor,
+                &params,
+                &mut want_stats,
+            );
+            let at = format!("case {case}: {bw}x{bh} at ({x}, {y}), {predictor:?}, {params:?}");
+            assert_eq!(got, want, "{at}");
+            assert_eq!(got_stats.sad_pixels, want_stats.sad_pixels, "{at}");
+            assert_eq!(got_stats.ref_bytes_read, want_stats.ref_bytes_read, "{at}");
+            assert_eq!(
+                CodingStats {
+                    sad_pixels_examined: 0,
+                    ..got_stats
+                },
+                CodingStats {
+                    sad_pixels_examined: 0,
+                    ..want_stats
+                },
+                "{at}"
+            );
+            assert!(
+                got_stats.sad_pixels_examined <= want_stats.sad_pixels_examined,
+                "{at}"
+            );
+            examined += got_stats.sad_pixels_examined;
+            reference_examined += want_stats.sad_pixels_examined;
+        }
+        assert!(
+            examined < reference_examined,
+            "no candidate was skipped: examined {examined} vs {reference_examined}"
+        );
     }
 }
 

@@ -23,9 +23,11 @@ pub struct CodingStats {
     /// independent of host-side search optimizations.
     pub sad_pixels: u64,
     /// SAD pixels actually examined by the host implementation after
-    /// early-exit thresholding — the honest CPU-side work metric. Always
-    /// `<= sad_pixels`; excluded from [`CodingStats::work_units`] so the
-    /// device models keep billing the fixed-function cost above.
+    /// early-exit thresholding — the honest CPU-side work metric. A
+    /// candidate or search the encoder skips or replays adds nothing
+    /// here. Always `<= sad_pixels`; excluded from
+    /// [`CodingStats::work_units`] so the device models keep billing
+    /// the fixed-function cost above.
     pub sad_pixels_examined: u64,
     /// Pixels run through forward+inverse transform pairs.
     pub transform_pixels: u64,

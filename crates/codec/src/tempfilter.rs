@@ -7,7 +7,7 @@
 //! added given the more relaxed die-area constraints in a data center
 //! use case" (§3.2).
 
-use crate::motion::{mc_block, search, SearchParams};
+use crate::motion::{mc_block, search_scratch, MotionScratch, SearchParams};
 use crate::stats::CodingStats;
 use crate::types::MotionVector;
 use vcu_media::Frame;
@@ -62,6 +62,7 @@ pub fn temporal_filter_with_stats(
     *out.v_mut() = base.v().clone();
 
     let params = SearchParams::hardware();
+    let mut scratch = MotionScratch::new();
     let mut cur = vec![0u8; FILTER_BLOCK * FILTER_BLOCK];
     let mut aligned = vec![0u8; FILTER_BLOCK * FILTER_BLOCK];
     let mut acc = vec![0.0f64; FILTER_BLOCK * FILTER_BLOCK];
@@ -86,7 +87,7 @@ pub fn temporal_filter_with_stats(
                 if fi == center {
                     continue;
                 }
-                let r = search(
+                let r = search_scratch(
                     f.y(),
                     base.y(),
                     x,
@@ -96,6 +97,7 @@ pub fn temporal_filter_with_stats(
                     MotionVector::ZERO,
                     &params,
                     stats,
+                    &mut scratch,
                 );
                 mc_block(f.y(), x, y, r.mv, bw, bh, &mut aligned[..bw * bh]);
                 // Similarity weight: 1 for near-identical blocks,

@@ -16,6 +16,14 @@
 //!
 //! Everything is deterministic in the seed, so tests and benches are
 //! reproducible.
+//!
+//! Generation is separable where the maths is: the noise octaves'
+//! lattice cell and smoothstep weight, and the pan's floor, clamped
+//! index and fraction, each depend on one axis, so they are computed
+//! once per column and once per row, and each lattice value once per
+//! lattice row. Every pixel then runs the same f64 operations, in the
+//! same order, as a per-pixel evaluation would, so the bytes do not
+//! depend on the hoisting. Transient buffers are one row long.
 
 use crate::frame::{Frame, Video};
 use crate::plane::Plane;
@@ -226,18 +234,10 @@ impl SceneGen {
         let ox = pan_x.rem_euclid(max_x.max(1.0));
         let oy = pan_y.rem_euclid(max_y.max(1.0));
 
-        let mut y = Plane::from_fn(self.w, self.h, |x, yy| {
-            self.background
-                .sample_bilinear(x as f64 + ox, yy as f64 + oy)
-        });
-        let u = Plane::from_fn(self.w / 2, self.h / 2, |x, yy| {
-            self.bg_u
-                .sample_bilinear(x as f64 + ox / 2.0, yy as f64 + oy / 2.0)
-        });
-        let v = Plane::from_fn(self.w / 2, self.h / 2, |x, yy| {
-            self.bg_v
-                .sample_bilinear(x as f64 + ox / 2.0, yy as f64 + oy / 2.0)
-        });
+        let mut y = sample_panned(&self.background, self.w, self.h, ox, oy);
+        let (cw, ch) = (self.w / 2, self.h / 2);
+        let u = sample_panned(&self.bg_u, cw, ch, ox / 2.0, oy / 2.0);
+        let v = sample_panned(&self.bg_v, cw, ch, ox / 2.0, oy / 2.0);
 
         // Moving objects: textured rectangles on deterministic orbits.
         for i in 0..c.objects {
@@ -288,7 +288,40 @@ impl Plane {
     }
 }
 
+/// A `w x h` window of `src` at offset `(ox, oy)`: pixel `(x, y)` is
+/// [`Plane::sample_bilinear`] at `(x + ox, y + oy)`. The floor, clamped
+/// indices and fraction are computed once per column and once per row;
+/// the per-pixel lerp is `sample_bilinear`'s, operation for operation.
+fn sample_panned(src: &Plane, w: usize, h: usize, ox: f64, oy: f64) -> Plane {
+    // Clamped taps `floor(v)` and `floor(v) + 1` and the weights
+    // `(1 - f, f)` of the fraction `f`.
+    let taps = |v: f64, len: usize| {
+        let v0 = v.floor() as isize;
+        let f = v - v0 as f64;
+        let clamp = |i: isize| i.clamp(0, len as isize - 1) as usize;
+        (clamp(v0), clamp(v0 + 1), 1.0 - f, f)
+    };
+    let cols: Vec<_> = (0..w).map(|x| taps(x as f64 + ox, src.width())).collect();
+    let mut p = Plane::new(w, h);
+    for (y, row) in p.data_mut().chunks_exact_mut(w.max(1)).enumerate() {
+        let (y0, y1, gy, fy) = taps(y as f64 + oy, src.height());
+        let (r0, r1) = (src.row(y0), src.row(y1));
+        for (px, &(x0, x1, gx, fx)) in row.iter_mut().zip(&cols) {
+            let top = r0[x0] as f64 * gx + r0[x1] as f64 * fx;
+            let bot = r1[x0] as f64 * gx + r1[x1] as f64 * fx;
+            *px = (top * gy + bot * fy).round().clamp(0.0, 255.0) as u8;
+        }
+    }
+    p
+}
+
 /// Multi-octave value noise: smooth at low detail, busy at high detail.
+///
+/// Pixel `(x, y)` is `128 + Σ amp · noise(x / cell, y / cell)` over the
+/// octaves from coarse to fine, where `noise` is the smoothstep-weighted
+/// bilinear blend of the four surrounding lattice values in [-1, 1].
+/// The sum runs a row at a time, octave by octave, so each pixel still
+/// adds its octaves in ascending order.
 fn value_noise_plane(w: usize, h: usize, detail: f64, seed: u64) -> Plane {
     let detail = detail.clamp(0.0, 1.0);
     // Octave cell sizes from coarse to fine; amplitude of fine octaves
@@ -299,33 +332,94 @@ fn value_noise_plane(w: usize, h: usize, detail: f64, seed: u64) -> Plane {
         (8, 25.0 * detail),
         (4, 18.0 * detail * detail),
     ];
-    Plane::from_fn(w, h, |x, y| {
-        let mut acc = 128.0;
-        for (k, &(cell, amp)) in octaves.iter().enumerate() {
-            if amp <= 0.0 {
-                continue;
-            }
-            let oseed = seed ^ ((k as u64 + 1) << 48);
-            acc += amp * lattice_noise(x as f64 / cell as f64, y as f64 / cell as f64, oseed);
+    let mut octaves: Vec<Octave> = octaves
+        .iter()
+        .enumerate()
+        .filter(|&(_, &(_, amp))| amp > 0.0)
+        .map(|(k, &(cell, amp))| Octave::new(cell, amp, seed ^ ((k as u64 + 1) << 48), w))
+        .collect();
+    let mut p = Plane::new(w, h);
+    let mut acc = vec![0.0f64; w];
+    for (y, row) in p.data_mut().chunks_exact_mut(w.max(1)).enumerate() {
+        acc.fill(128.0);
+        for o in &mut octaves {
+            o.add_row(y, &mut acc);
         }
-        acc.round().clamp(0.0, 255.0) as u8
-    })
+        for (px, &a) in row.iter_mut().zip(&acc) {
+            *px = a.round().clamp(0.0, 255.0) as u8;
+        }
+    }
+    p
 }
 
-/// Bilinear-interpolated lattice noise in [-1, 1].
-fn lattice_noise(x: f64, y: f64, seed: u64) -> f64 {
-    let x0 = x.floor();
-    let y0 = y.floor();
-    let fx = smooth(x - x0);
-    let fy = smooth(y - y0);
-    let (ix, iy) = (x0 as i64 as u64, y0 as i64 as u64);
-    let v00 = lattice_value(ix, iy, seed);
-    let v10 = lattice_value(ix.wrapping_add(1), iy, seed);
-    let v01 = lattice_value(ix, iy.wrapping_add(1), seed);
-    let v11 = lattice_value(ix.wrapping_add(1), iy.wrapping_add(1), seed);
-    let top = v00 * (1.0 - fx) + v10 * fx;
-    let bot = v01 * (1.0 - fx) + v11 * fx;
-    top * (1.0 - fy) + bot * fy
+/// One octave of lattice noise, evaluated a row at a time.
+struct Octave {
+    cell: usize,
+    amp: f64,
+    seed: u64,
+    /// Per column: lattice column and the smoothstep weights `(1 - fx, fx)`.
+    cols: Vec<(usize, f64, f64)>,
+    /// Lattice row whose values `top` holds (`bot` holds the next).
+    iy: Option<u64>,
+    top: Vec<f64>,
+    bot: Vec<f64>,
+}
+
+impl Octave {
+    fn new(cell: usize, amp: f64, seed: u64, w: usize) -> Self {
+        let cols: Vec<(usize, f64, f64)> = (0..w)
+            .map(|x| {
+                let (ix, fx) = lattice_coord(x, cell);
+                (ix as usize, 1.0 - fx, fx)
+            })
+            .collect();
+        let lattice_w = cols.last().map_or(0, |&(ix, ..)| ix + 2);
+        Octave {
+            cell,
+            amp,
+            seed,
+            cols,
+            iy: None,
+            top: vec![0.0; lattice_w],
+            bot: vec![0.0; lattice_w],
+        }
+    }
+
+    /// Adds this octave's `amp * noise` for pixel row `y` into `acc`.
+    fn add_row(&mut self, y: usize, acc: &mut [f64]) {
+        let (iy, fy) = lattice_coord(y, self.cell);
+        if self.iy != Some(iy) {
+            if self.iy.map(|prev| prev + 1) == Some(iy) {
+                std::mem::swap(&mut self.top, &mut self.bot);
+            } else {
+                lattice_row(&mut self.top, iy, self.seed);
+            }
+            lattice_row(&mut self.bot, iy + 1, self.seed);
+            self.iy = Some(iy);
+        }
+        let gy = 1.0 - fy;
+        let (top, bot) = (&self.top, &self.bot);
+        for (a, &(ix, gx, fx)) in acc.iter_mut().zip(&self.cols) {
+            let t = top[ix] * gx + top[ix + 1] * fx;
+            let b = bot[ix] * gx + bot[ix + 1] * fx;
+            *a += self.amp * (t * gy + b * fy);
+        }
+    }
+}
+
+/// Fills `row` with the lattice values of lattice row `iy`.
+fn lattice_row(row: &mut [f64], iy: u64, seed: u64) {
+    for (ix, v) in row.iter_mut().enumerate() {
+        *v = lattice_value(ix as u64, iy, seed);
+    }
+}
+
+/// Lattice index `floor(i / cell)` and smoothstep weight of the
+/// fraction, from the same f64 quotient a per-pixel evaluation takes.
+fn lattice_coord(i: usize, cell: usize) -> (u64, f64) {
+    let v = i as f64 / cell as f64;
+    let v0 = v.floor();
+    (v0 as i64 as u64, smooth(v - v0))
 }
 
 fn smooth(t: f64) -> f64 {
@@ -336,10 +430,14 @@ fn lattice_value(x: u64, y: u64, seed: u64) -> f64 {
     (hash2(x, y, seed) as f64 / u64::MAX as f64) * 2.0 - 1.0
 }
 
+/// `hash2`'s per-axis multipliers.
+const HASH_X: u64 = 0x9E3779B97F4A7C15;
+const HASH_Y: u64 = 0xC2B2AE3D27D4EB4F;
+
 fn hash2(x: u64, y: u64, seed: u64) -> u64 {
     splitmix(
-        seed.wrapping_add(x.wrapping_mul(0x9E3779B97F4A7C15))
-            .wrapping_add(y.wrapping_mul(0xC2B2AE3D27D4EB4F)),
+        seed.wrapping_add(x.wrapping_mul(HASH_X))
+            .wrapping_add(y.wrapping_mul(HASH_Y)),
     )
 }
 
@@ -352,16 +450,24 @@ fn splitmix(mut z: u64) -> u64 {
 }
 
 /// Adds approximately-Gaussian noise (sum of 4 uniforms) to a plane.
+///
+/// Pixel `(x, y)` draws `hash2(x, y, seed)`. Wrapping addition is
+/// associative, so the key is the row's `seed + y * HASH_Y` plus
+/// `x * HASH_X`, stepped by `HASH_X` along the row.
 fn add_noise(p: &mut Plane, sigma: f64, seed: u64) {
     let w = p.width();
-    for (i, px) in p.data_mut().iter_mut().enumerate() {
-        let h = hash2((i % w) as u64, (i / w) as u64, seed);
-        // Four 8-bit lanes -> approx normal with sigma ~ sqrt(4*(1/12))*255...
-        let sum = (h & 0xFF) + ((h >> 8) & 0xFF) + ((h >> 16) & 0xFF) + ((h >> 24) & 0xFF);
-        // mean 510, std ~147.2
-        let n = (sum as f64 - 510.0) / 147.2;
-        let v = *px as f64 + n * sigma;
-        *px = v.round().clamp(0.0, 255.0) as u8;
+    for (y, row) in p.data_mut().chunks_exact_mut(w.max(1)).enumerate() {
+        let mut key = seed.wrapping_add((y as u64).wrapping_mul(HASH_Y));
+        for px in row {
+            let h = splitmix(key);
+            key = key.wrapping_add(HASH_X);
+            // Four 8-bit lanes -> approx normal with sigma ~ sqrt(4*(1/12))*255...
+            let sum = (h & 0xFF) + ((h >> 8) & 0xFF) + ((h >> 16) & 0xFF) + ((h >> 24) & 0xFF);
+            // mean 510, std ~147.2
+            let n = (sum as f64 - 510.0) / 147.2;
+            let v = *px as f64 + n * sigma;
+            *px = v.round().clamp(0.0, 255.0) as u8;
+        }
     }
 }
 
@@ -456,6 +562,71 @@ mod tests {
         let m = mse(&a, &b);
         // MSE should be near sigma^2 = 9.
         assert!((4.0..16.0).contains(&m), "mse {m}");
+    }
+
+    /// The per-pixel lattice noise the row-wise octaves replace.
+    fn lattice_noise(x: f64, y: f64, seed: u64) -> f64 {
+        let x0 = x.floor();
+        let y0 = y.floor();
+        let fx = smooth(x - x0);
+        let fy = smooth(y - y0);
+        let (ix, iy) = (x0 as i64 as u64, y0 as i64 as u64);
+        let v00 = lattice_value(ix, iy, seed);
+        let v10 = lattice_value(ix.wrapping_add(1), iy, seed);
+        let v01 = lattice_value(ix, iy.wrapping_add(1), seed);
+        let v11 = lattice_value(ix.wrapping_add(1), iy.wrapping_add(1), seed);
+        let top = v00 * (1.0 - fx) + v10 * fx;
+        let bot = v01 * (1.0 - fx) + v11 * fx;
+        top * (1.0 - fy) + bot * fy
+    }
+
+    #[test]
+    fn hoisted_passes_match_per_pixel_evaluation() {
+        for (w, h, detail, seed) in [(67, 35, 0.8, 3), (130, 9, 0.0, 4), (1, 70, 1.0, 5)] {
+            let octaves = [
+                (64, 60.0),
+                (16, 35.0 * detail + 8.0),
+                (8, 25.0 * detail),
+                (4, 18.0 * detail * detail),
+            ];
+            let want = Plane::from_fn(w, h, |x, y| {
+                let mut acc = 128.0;
+                for (k, &(cell, amp)) in octaves.iter().enumerate() {
+                    if amp <= 0.0 {
+                        continue;
+                    }
+                    let oseed = seed ^ ((k as u64 + 1) << 48);
+                    acc +=
+                        amp * lattice_noise(x as f64 / cell as f64, y as f64 / cell as f64, oseed);
+                }
+                acc.round().clamp(0.0, 255.0) as u8
+            });
+            let noise = value_noise_plane(w, h, detail, seed);
+            assert_eq!(noise, want, "value noise {w}x{h}");
+
+            // Offsets past either edge exercise the clamped taps.
+            for (ox, oy) in [(0.0, 0.0), (3.25, 17.5), (60.75, 0.125), (-2.5, -1.0)] {
+                let want = Plane::from_fn(w + 5, h + 3, |x, y| {
+                    noise.sample_bilinear(x as f64 + ox, y as f64 + oy)
+                });
+                let got = sample_panned(&noise, w + 5, h + 3, ox, oy);
+                assert_eq!(got, want, "pan ({ox}, {oy}) over {w}x{h}");
+            }
+
+            let mut want = noise.clone();
+            for (i, px) in want.data_mut().iter_mut().enumerate() {
+                let hash = hash2((i % w) as u64, (i / w) as u64, seed);
+                let sum = (hash & 0xFF)
+                    + ((hash >> 8) & 0xFF)
+                    + ((hash >> 16) & 0xFF)
+                    + ((hash >> 24) & 0xFF);
+                let n = (sum as f64 - 510.0) / 147.2;
+                *px = (*px as f64 + n * 2.5).round().clamp(0.0, 255.0) as u8;
+            }
+            let mut got = noise;
+            add_noise(&mut got, 2.5, seed);
+            assert_eq!(got, want, "grain {w}x{h}");
+        }
     }
 
     fn mse(a: &Plane, b: &Plane) -> f64 {

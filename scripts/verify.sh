@@ -172,6 +172,10 @@ stage_simd_off() {
     echo "--> VCU_SIMD=off (release build)"
     VCU_SIMD=off cargo test -q -p vcu-system --release --offline --test golden --test simd \
         | tail -n 4
+    # The motion search and its alias replay against their references,
+    # on the scalar kernels.
+    VCU_SIMD=off cargo test -q -p vcu-codec --release --offline --lib \
+        -- motion::differential aliased_slots_code_like_separate_copies | tail -n 3
 }
 
 run_stage fmt stage_fmt

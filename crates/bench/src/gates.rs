@@ -4,7 +4,7 @@
 //! Each artifact has one gate, called from exactly two places: the
 //! campaign driver (on the bytes it just rendered, `full` only off
 //! smoke mode) and the `check_results` binary (on the committed files,
-//! `full = true`). A gate reads every value through [`Row`], so a
+//! `full = true`). A gate reads every value through `Row`, so a
 //! missing or mistyped key is a failure, never a default. A failure
 //! reads `<gate>.<check>: cell <n>: …`; every threshold is a constant
 //! in this file and nowhere else.
@@ -121,7 +121,7 @@ pub fn fault(doc: &Value, _full: bool) -> GateResult {
 /// `serve_campaign.json`: exact session accounting in every cell; hit
 /// ratio monotone and no TTFF p99 cliff across each ascending-cache
 /// group (consecutive cells on one fleet), at least one such pair;
-/// full sweeps reach [`FULL_PEAK_FLOOR`] concurrent viewers.
+/// full sweeps reach `FULL_PEAK_FLOOR` concurrent viewers.
 pub fn serve(doc: &Value, full: bool) -> GateResult {
     const INTS: [&str; 9] = [
         "viewers",
@@ -183,7 +183,7 @@ pub fn serve(doc: &Value, full: bool) -> GateResult {
 
 /// `region_campaign.json`: overflow routing never loses goodput to the
 /// isolated-regions counterfactual, anti-phased regions actually route
-/// work, and full sweeps reach a [`FULL_FLEET_FLOOR`]-VCU planet.
+/// work, and full sweeps reach a `FULL_FLEET_FLOOR`-VCU planet.
 pub fn region(doc: &Value, full: bool) -> GateResult {
     let cells = read_rows("region", doc, "cells", |r| {
         let ints = r.ints(["regions", "total_vcus", "routed_jobs"])?;

@@ -225,8 +225,7 @@ fn fig9b(months: usize, seed: u64) -> Vec<f64> {
         let jobs: Vec<JobSpec> = (0..n_jobs)
             .map(|i| JobSpec {
                 arrival_s: i as f64 * spacing,
-                job: TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 4.0)
-                    .low_latency_two_pass(),
+                job: TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 4.0),
                 priority: Priority::Critical,
                 video_id: 0,
             })

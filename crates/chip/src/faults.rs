@@ -34,8 +34,6 @@ pub struct FaultyVcu {
     pub correctable_ecc: u64,
     /// Uncorrectable ECC errors observed.
     pub uncorrectable_ecc: u64,
-    /// Telemetry: resets performed.
-    pub resets: u64,
     /// Seed making this VCU's corruption pattern deterministic.
     corruption_seed: u64,
     /// Firmware wedged: accepted jobs never complete (only a watchdog
@@ -63,7 +61,6 @@ impl FaultyVcu {
             state: HealthState::Healthy,
             correctable_ecc: 0,
             uncorrectable_ecc: 0,
-            resets: 0,
             corruption_seed: seed,
             hung: false,
             slow_factor: 1.0,
@@ -105,7 +102,6 @@ impl FaultyVcu {
     /// a firmware hang clears, silent corruption / slow cores /
     /// crash-loops do not.
     pub fn functional_reset(&mut self) {
-        self.resets += 1;
         self.hung = false;
     }
 
@@ -329,7 +325,6 @@ mod tests {
         vcu.inject_silent_corruption();
         vcu.functional_reset();
         assert_eq!(vcu.state(), HealthState::SilentlyCorrupting);
-        assert_eq!(vcu.resets, 1);
     }
 
     #[test]

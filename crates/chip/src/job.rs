@@ -8,7 +8,7 @@
 
 use std::fmt;
 use std::ops::Deref;
-use vcu_codec::{PassMode, Profile};
+use vcu_codec::Profile;
 use vcu_media::Resolution;
 
 /// One output variant of a transcode.
@@ -85,8 +85,6 @@ pub struct TranscodeJob {
     pub outputs: Outputs,
     /// Whether a second encoding pass runs (offline/lagged two-pass).
     pub two_pass: bool,
-    /// Latency class of the request.
-    pub pass_mode: PassMode,
 }
 
 impl TranscodeJob {
@@ -110,7 +108,6 @@ impl TranscodeJob {
                 std::iter::empty(),
             ),
             two_pass: true,
-            pass_mode: PassMode::TwoPassOffline,
         }
     }
 
@@ -129,22 +126,12 @@ impl TranscodeJob {
                 input.rungs().skip(1),
             ),
             two_pass: true,
-            pass_mode: PassMode::TwoPassOffline,
         }
     }
 
     /// Sets one-pass low-latency mode (live/gaming).
     pub fn low_latency(mut self) -> Self {
         self.two_pass = false;
-        self.pass_mode = PassMode::OnePassLowLatency;
-        self
-    }
-
-    /// Sets low-latency two-pass mode (the Stadia/4K60 configuration,
-    /// §4.5).
-    pub fn low_latency_two_pass(mut self) -> Self {
-        self.two_pass = true;
-        self.pass_mode = PassMode::TwoPassLowLatency;
         self
     }
 
@@ -257,15 +244,13 @@ mod tests {
     fn latency_modes() {
         let j = TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 2.0).low_latency();
         assert!(!j.two_pass);
-        assert_eq!(j.pass_mode, PassMode::OnePassLowLatency);
         let s = TranscodeJob::sot(
             Resolution::R2160,
             Resolution::R2160,
             Profile::Vp9Sim,
             60.0,
             1.0,
-        )
-        .low_latency_two_pass();
+        );
         assert!(s.two_pass);
     }
 

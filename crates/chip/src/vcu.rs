@@ -272,8 +272,7 @@ mod tests {
     fn single_vcu_handles_1080p_mot_in_realtime() {
         // §4.5: "today, a single VCU can handle this MOT in real time".
         let v = VcuModel::new();
-        let job =
-            TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 2.0).low_latency_two_pass();
+        let job = TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 2.0);
         let d = v.job_demand(&job);
         assert!(
             d.fits_in(ResourceDemand::vcu_capacity()),

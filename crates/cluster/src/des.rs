@@ -18,7 +18,7 @@
 //!   order. A lane is a `VecDeque`: O(1) in and out, and an event that
 //!   does arrive out of order goes to the heap instead, so a lane is
 //!   always sorted;
-//! - the **caller's own sorted storage** ([`EventQueue::reserve`]), for
+//! - the **caller's own sorted storage** (`EventQueue::reserve`), for
 //!   events known up front, such as a simulator's vector of arrivals,
 //!   which the caller walks with a cursor.
 //!

@@ -739,7 +739,7 @@ mod tests {
     vcu_rng::prop_cases! {
         /// The memo is storage, never a different answer: over random
         /// streams of 1–6 shapes — runs, alternations, pairs that differ
-        /// only in `fps` or only in `pass_mode`, a per-job chunk length,
+        /// only in `fps` or only in `two_pass`, a per-job chunk length,
         /// and a NaN `fps` that is unequal even to itself — submitted
         /// partly as the batch vector and partly through `inject_job`,
         /// every job holds exactly the `Shape` computed for it alone.
@@ -749,7 +749,7 @@ mod tests {
             let mut pool = [
                 base(),
                 TranscodeJob { fps: 60.0, ..base() },
-                base().low_latency_two_pass(),
+                TranscodeJob { two_pass: false, ..base() },
                 TranscodeJob { fps: f64::NAN, ..base() },
                 TranscodeJob::sot(
                     Resolution::R1080,

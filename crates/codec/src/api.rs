@@ -27,6 +27,19 @@ const HEADER_LEN: usize = 18;
 /// bounds what a hostile 18-byte header can make it allocate.
 pub(crate) const MAX_DIM: usize = 4_096;
 
+/// Container byte of each profile: its index here.
+const PROFILES: [Profile; 2] = [Profile::H264Sim, Profile::Vp9Sim];
+/// Container byte of each frame kind: its index here.
+const FRAME_KINDS: [FrameKind; 3] = [FrameKind::Key, FrameKind::Inter, FrameKind::AltRef];
+
+/// The container byte of `v`: its index in `table`.
+fn byte_of<T: PartialEq>(table: &[T], v: T) -> u8 {
+    table
+        .iter()
+        .position(|t| *t == v)
+        .expect("every variant has a container byte") as u8
+}
+
 /// Metadata for one coded frame in the container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodedFrameInfo {
@@ -87,10 +100,7 @@ fn container_header(profile: Profile, w: u16, h: u16, fps: f32, count: u32) -> V
     let mut bytes = Vec::with_capacity(HEADER_LEN);
     bytes.extend_from_slice(MAGIC);
     bytes.push(VERSION);
-    bytes.push(match profile {
-        Profile::H264Sim => 0,
-        Profile::Vp9Sim => 1,
-    });
+    bytes.push(byte_of(&PROFILES, profile));
     bytes.extend_from_slice(&w.to_le_bytes());
     bytes.extend_from_slice(&h.to_le_bytes());
     bytes.extend_from_slice(&fps.to_le_bytes());
@@ -281,11 +291,7 @@ pub fn encode_traced(
     // Serialize container.
     let mut bytes = container_header(cfg.profile, w as u16, h as u16, fps, payloads.len() as u32);
     for (kind, qp, payload) in &payloads {
-        bytes.push(match kind {
-            FrameKind::Key => 0,
-            FrameKind::Inter => 1,
-            FrameKind::AltRef => 2,
-        });
+        bytes.push(byte_of(&FRAME_KINDS, *kind));
         bytes.push(qp.value());
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(payload);
@@ -465,11 +471,9 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, CodecError> {
     if r.u8()? != VERSION {
         return Err(CodecError::Unsupported("unknown container version"));
     }
-    let profile = match r.u8()? {
-        0 => Profile::H264Sim,
-        1 => Profile::Vp9Sim,
-        _ => return Err(CodecError::Unsupported("unknown profile")),
-    };
+    let profile = *PROFILES
+        .get(r.u8()? as usize)
+        .ok_or(CodecError::Unsupported("unknown profile"))?;
     let w = r.u16()? as usize;
     let h = r.u16()? as usize;
     let fps = r.f32()? as f64;
@@ -488,12 +492,9 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, CodecError> {
     let mut refs = RefSlots::new();
     let mut frames = Vec::new();
     for _ in 0..coded_frames {
-        let kind = match r.u8()? {
-            0 => FrameKind::Key,
-            1 => FrameKind::Inter,
-            2 => FrameKind::AltRef,
-            _ => return Err(CodecError::CorruptBitstream("unknown frame kind")),
-        };
+        let kind = *FRAME_KINDS
+            .get(r.u8()? as usize)
+            .ok_or(CodecError::CorruptBitstream("unknown frame kind"))?;
         let qp = Qp::new(r.u8()?);
         let len = r.u32()? as usize;
         let payload = r.take(len)?;

@@ -1,32 +1,45 @@
 //! Block/tile coding helpers shared by encoder and decoder.
 //!
-//! Residual tiles are transformed, quantized and entropy-coded here;
-//! both sides call the same dequantize→inverse→add reconstruction path,
-//! which is what makes encoder reconstruction and decoder output
-//! bit-exact.
+//! The encoder transforms and quantizes a residual tile into levels;
+//! both sides then call the same [`code_tile`]: it codes the levels and
+//! runs the dequantize→inverse→add reconstruction, so the encoder's
+//! reconstruction and the decoder's output are bit-exact.
 
-use crate::entropy::{read_int, read_uint, write_int, write_uint, BoolDecoder, BoolEncoder};
+use crate::entropy::BoolCoder;
 use crate::models::{tx_class, Models};
 use crate::quant::{dequantize, optimize_levels, quantize};
 use crate::stats::CodingStats;
 use crate::transform::{forward_with, inverse_with, zigzag, TxScratch};
 use crate::types::Qp;
 
-/// Reusable buffers for tile encode/decode so the per-tile hot path
-/// performs no heap allocation. One instance lives in the frame-level
-/// scratch arena; buffers grow to the largest tile seen and are reused.
+/// Reusable buffers for tile coding so the per-tile hot path performs
+/// no heap allocation. One instance lives in the frame-level scratch
+/// arena; buffers grow to the largest tile seen and are reused.
 ///
-/// After [`encode_tile`]/[`decode_tile`] return, `recon` holds the
-/// `tw x th` reconstructed residual.
+/// After [`code_tile`] returns, `recon` holds the `tw x th`
+/// reconstructed residual.
 #[derive(Debug, Default)]
 pub(crate) struct TileScratch {
     padded: Vec<i16>,
     coeffs: Vec<f64>,
+    /// The tile's levels in raster order: the encoder's quantized ones
+    /// going into [`code_tile`], the coded ones coming out.
     levels: Vec<i32>,
+    /// Zigzag index of the last nonzero level [`quantize_tile`] left.
+    last: Option<usize>,
     spatial: Vec<i16>,
     tx: TxScratch,
     /// Reconstructed residual of the last coded tile (`tw x th`).
     pub(crate) recon: Vec<i16>,
+}
+
+impl TileScratch {
+    /// Starts a `t x t` tile from all-zero levels, which [`code_tile`]
+    /// then fills from the payload (the decoder's half of a tile).
+    pub(crate) fn zero_levels(&mut self, t: usize) {
+        self.levels.clear();
+        self.levels.resize(t * t, 0);
+    }
 }
 
 /// Iterates tiles of granularity `t` covering a `bw x bh` block,
@@ -51,16 +64,16 @@ pub(crate) fn for_each_tile(
     }
 }
 
-/// Encodes one residual tile; the reconstruction lands in `ts.recon`.
+/// Transforms and quantizes one residual tile into the levels
+/// [`code_tile`] codes next (the encoder's half of a tile).
 ///
-/// `residual` is the `tw x th` spatial-domain residual (row-major),
-/// which is zero-padded to the full `t x t` transform internally for
-/// partial tiles at frame edges. The reconstruction is `tw x th`.
+/// The `tw x th` spatial-domain residual is read from rows `stride`
+/// apart starting at `residual[0]`, and zero-padded to the full `t x t`
+/// transform for partial tiles at frame edges.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_tile(
-    enc: &mut BoolEncoder,
-    models: &mut Models,
+pub(crate) fn quantize_tile(
     residual: &[i16],
+    stride: usize,
     tw: usize,
     th: usize,
     t: usize,
@@ -70,21 +83,19 @@ pub(crate) fn encode_tile(
     stats: &mut CodingStats,
     ts: &mut TileScratch,
 ) {
-    debug_assert_eq!(residual.len(), tw * th);
     let n = t * t;
     let TileScratch {
         padded,
         coeffs,
         levels,
-        spatial,
+        last,
         tx,
-        recon,
+        ..
     } = ts;
-    // Pad to full transform size.
     padded.clear();
     padded.resize(n, 0);
     for y in 0..th {
-        padded[y * t..y * t + tw].copy_from_slice(&residual[y * tw..(y + 1) * tw]);
+        padded[y * t..y * t + tw].copy_from_slice(&residual[y * stride..y * stride + tw]);
     }
     coeffs.resize(n, 0.0);
     forward_with(padded, t, &mut coeffs[..n], tx);
@@ -95,34 +106,20 @@ pub(crate) fn encode_tile(
     if trellis {
         optimize_levels(&coeffs[..n], qp, qp.lambda() * 0.15, &mut levels[..n]);
     }
-
-    // Zigzag order, scanned in place (no gather buffer).
     let zz = zigzag(t);
-    let cls = tx_class(t);
-    let last = (0..n).rev().find(|&i| levels[zz[i]] != 0);
-    match last {
-        None => {
-            models.has_coeffs.encode(enc, cls, false);
-        }
-        Some(last) => {
-            models.has_coeffs.encode(enc, cls, true);
-            write_uint(enc, &mut models.last_nz[cls], 0, last as u32);
-            for (i, &zi) in zz.iter().take(last + 1).enumerate() {
-                let base = if i == 0 { 0 } else { 4 };
-                write_int(enc, &mut models.level[cls], base, levels[zi]);
-            }
-        }
-    }
-
-    // Reconstruct exactly as the decoder will.
-    reconstruct_tile(levels, t, tw, th, qp, stats, coeffs, spatial, tx, recon);
+    *last = (0..n).rev().find(|&i| levels[zz[i]] != 0);
 }
 
-/// Decodes one residual tile; the `tw x th` reconstruction lands in
-/// `ts.recon`.
+/// Codes one tile's levels and reconstructs it; the `tw x th`
+/// reconstruction lands in `ts.recon`. The encoder codes the levels
+/// [`quantize_tile`] left in `ts`; the decoder reads them into the
+/// zeros [`TileScratch::zero_levels`] left.
+///
+/// Syntax, in zigzag order: a has-coefficients flag, the index of the
+/// last nonzero level, then every level up to it.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn decode_tile(
-    dec: &mut BoolDecoder<'_>,
+pub(crate) fn code_tile(
+    c: &mut impl BoolCoder,
     models: &mut Models,
     tw: usize,
     th: usize,
@@ -132,23 +129,21 @@ pub(crate) fn decode_tile(
     ts: &mut TileScratch,
 ) {
     let n = t * t;
-    let cls = tx_class(t);
+    let (zz, cls) = (zigzag(t), tx_class(t));
     let TileScratch {
         coeffs,
         levels,
+        last,
         spatial,
         tx,
         recon,
         ..
     } = ts;
-    levels.clear();
-    levels.resize(n, 0);
-    if models.has_coeffs.decode(dec, cls) {
-        let last = read_uint(dec, &mut models.last_nz[cls], 0) as usize;
-        let zz = zigzag(t);
-        for i in 0..=last.min(n - 1) {
+    if models.has_coeffs.code(c, cls, last.is_some()) {
+        let last = models.last_nz[cls].code_uint(c, 0, last.unwrap_or(0) as u32) as usize;
+        for (i, &zi) in zz[..=last.min(n - 1)].iter().enumerate() {
             let base = if i == 0 { 0 } else { 4 };
-            levels[zz[i]] = read_int(dec, &mut models.level[cls], base);
+            levels[zi] = models.level[cls].code_int(c, base, levels[zi]);
         }
     }
     reconstruct_tile(levels, t, tw, th, qp, stats, coeffs, spatial, tx, recon);
@@ -192,7 +187,46 @@ fn reconstruct_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entropy::BoolDecoder;
+    use crate::entropy::{BoolDecoder, BoolEncoder};
+
+    /// Encodes one `tw x th` residual tile in an `t x t` transform at
+    /// `qp`; returns the payload and the encoder's reconstruction.
+    fn encode(residual: &[i16], tw: usize, th: usize, t: usize, qp: Qp) -> (Vec<u8>, Vec<i16>) {
+        let mut stats = CodingStats::new();
+        let mut enc = BoolEncoder::new();
+        let mut ts = TileScratch::default();
+        quantize_tile(residual, tw, tw, th, t, qp, 0.5, false, &mut stats, &mut ts);
+        code_tile(
+            &mut enc,
+            &mut Models::new(),
+            tw,
+            th,
+            t,
+            qp,
+            &mut stats,
+            &mut ts,
+        );
+        (enc.finish(), ts.recon)
+    }
+
+    /// Decodes what [`encode`] wrote, into a fresh scratch.
+    fn decode(bytes: &[u8], tw: usize, th: usize, t: usize, qp: Qp) -> Vec<i16> {
+        let mut ts = TileScratch::default();
+        ts.zero_levels(t);
+        let mut dec = BoolDecoder::new(bytes);
+        let mut stats = CodingStats::new();
+        code_tile(
+            &mut dec,
+            &mut Models::new(),
+            tw,
+            th,
+            t,
+            qp,
+            &mut stats,
+            &mut ts,
+        );
+        ts.recon
+    }
 
     #[test]
     fn tile_iteration_covers_block() {
@@ -210,26 +244,14 @@ mod tests {
 
     #[test]
     fn tile_round_trip_enc_dec() {
-        let tw = 8;
-        let th = 8;
-        let t = 8;
         let residual: Vec<i16> = (0..64).map(|i| ((i * 7) % 61) as i16 - 30).collect();
         let qp = Qp::new(20);
-        let mut stats = CodingStats::new();
-
-        let mut enc = BoolEncoder::new();
-        let mut me = Models::new();
-        let mut ts = TileScratch::default();
-        encode_tile(
-            &mut enc, &mut me, &residual, tw, th, t, qp, 0.5, false, &mut stats, &mut ts,
+        let (bytes, recon_e) = encode(&residual, 8, 8, 8, qp);
+        assert_eq!(
+            recon_e,
+            decode(&bytes, 8, 8, 8, qp),
+            "encoder/decoder reconstruction mismatch"
         );
-        let recon_e = ts.recon.clone();
-        let bytes = enc.finish();
-
-        let mut dec = BoolDecoder::new(&bytes);
-        let mut md = Models::new();
-        decode_tile(&mut dec, &mut md, tw, th, t, qp, &mut stats, &mut ts);
-        assert_eq!(recon_e, ts.recon, "encoder/decoder reconstruction mismatch");
     }
 
     #[test]
@@ -238,33 +260,24 @@ mod tests {
         let (tw, th, t) = (5, 3, 8);
         let residual: Vec<i16> = (0..15).map(|i| (i as i16) * 9 - 60).collect();
         let qp = Qp::new(8);
-        let mut stats = CodingStats::new();
-        let mut enc = BoolEncoder::new();
-        let mut me = Models::new();
-        let mut ts = TileScratch::default();
-        encode_tile(
-            &mut enc, &mut me, &residual, tw, th, t, qp, 0.5, false, &mut stats, &mut ts,
-        );
-        let recon_e = ts.recon.clone();
-        let bytes = enc.finish();
-        let mut dec = BoolDecoder::new(&bytes);
-        let mut md = Models::new();
-        decode_tile(&mut dec, &mut md, tw, th, t, qp, &mut stats, &mut ts);
-        assert_eq!(recon_e, ts.recon);
+        let (bytes, recon_e) = encode(&residual, tw, th, t, qp);
+        assert_eq!(recon_e, decode(&bytes, tw, th, t, qp));
         assert_eq!(recon_e.len(), tw * th);
     }
 
+    /// Decoding over a scratch that still holds another tile's levels
+    /// yields the same tile once `zero_levels` has cleared them.
     #[test]
-    fn low_qp_tile_is_near_lossless() {
+    fn zero_levels_clears_a_stale_tile() {
         let residual: Vec<i16> = (0..64).map(|i| ((i * 13) % 41) as i16 - 20).collect();
+        let qp = Qp::new(20);
+        let (bytes, recon_e) = encode(&residual, 8, 8, 8, qp);
         let mut stats = CodingStats::new();
-        let mut enc = BoolEncoder::new();
-        let mut me = Models::new();
         let mut ts = TileScratch::default();
-        encode_tile(
-            &mut enc,
-            &mut me,
-            &residual,
+        let noise: Vec<i16> = (0..64).map(|i| (i % 5) as i16 * 40 - 80).collect();
+        quantize_tile(
+            &noise,
+            8,
             8,
             8,
             8,
@@ -274,9 +287,28 @@ mod tests {
             &mut stats,
             &mut ts,
         );
+        ts.zero_levels(8);
+        let mut dec = BoolDecoder::new(&bytes);
+        code_tile(
+            &mut dec,
+            &mut Models::new(),
+            8,
+            8,
+            8,
+            qp,
+            &mut stats,
+            &mut ts,
+        );
+        assert_eq!(recon_e, ts.recon);
+    }
+
+    #[test]
+    fn low_qp_tile_is_near_lossless() {
+        let residual: Vec<i16> = (0..64).map(|i| ((i * 13) % 41) as i16 - 20).collect();
+        let (_, recon) = encode(&residual, 8, 8, 8, Qp::new(0));
         let max_err = residual
             .iter()
-            .zip(&ts.recon)
+            .zip(&recon)
             .map(|(a, b)| (a - b).abs())
             .max()
             .unwrap();
@@ -285,26 +317,9 @@ mod tests {
 
     #[test]
     fn zero_residual_codes_one_flag() {
-        let residual = vec![0i16; 64];
-        let mut stats = CodingStats::new();
-        let mut enc = BoolEncoder::new();
-        let mut me = Models::new();
-        let mut ts = TileScratch::default();
-        encode_tile(
-            &mut enc,
-            &mut me,
-            &residual,
-            8,
-            8,
-            8,
-            Qp::new(30),
-            0.5,
-            false,
-            &mut stats,
-            &mut ts,
-        );
+        let (bytes, _) = encode(&[0; 64], 8, 8, 8, Qp::new(30));
         // Flush dominates; payload must be tiny.
-        assert!(enc.finish().len() <= 6);
+        assert!(bytes.len() <= 6);
     }
 
     #[test]

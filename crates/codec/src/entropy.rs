@@ -8,10 +8,12 @@
 //! data into a genuinely compressed bitstream, so RD curves are real.
 //!
 //! Layout: [`BoolEncoder`] / [`BoolDecoder`] implement the arithmetic
-//! coding core; [`AdaptiveModel`] supplies per-context adaptive
-//! probabilities; the `write_*`/`read_*` helpers binarize small
-//! integers (unary + exp-Golomb hybrid) for coefficient magnitudes and
-//! motion vector components.
+//! coding core and the one [`BoolCoder`] trait the syntax is written
+//! against; [`AdaptiveModel`] supplies per-context adaptive
+//! probabilities and binarizes integers (unary + exp-Golomb hybrid) for
+//! coefficient magnitudes and motion vector components. Every syntax
+//! element is coded by one function both sides call: the encoder
+//! writes the value it passes, the decoder reads one and ignores it.
 
 /// Probability that a bit is 0, in `[1, 255]` out of 256.
 pub(crate) type Prob = u8;
@@ -27,6 +29,28 @@ pub(crate) fn adapt(p: Prob, bit: bool) -> Prob {
         (p - (p >> ADAPT_SHIFT)).max(1)
     } else {
         p + ((255 - p) >> ADAPT_SHIFT)
+    }
+}
+
+/// One side of the bool coder. The encoder writes the value it is
+/// given and returns it; the decoder reads a value and ignores the
+/// argument. Syntax written against this trait is the encoder and the
+/// decoder at once.
+pub trait BoolCoder {
+    /// Codes `bit` at probability `prob` (of the bit being 0).
+    fn bit(&mut self, bit: bool, prob: Prob) -> bool;
+
+    /// Codes a probability-1/2 bit (no model).
+    #[inline]
+    fn raw(&mut self, bit: bool) -> bool {
+        self.bit(bit, 128)
+    }
+
+    /// Codes the low `n` bits of `v` as raw bits, most significant first.
+    fn bits(&mut self, v: u32, n: u32) -> u32 {
+        (0..n)
+            .rev()
+            .fold(0, |acc, i| (acc << 1) | self.raw((v >> i) & 1 == 1) as u32)
     }
 }
 
@@ -114,19 +138,6 @@ impl BoolEncoder {
         self.low = ((self.low as u32) << 8) as u64;
     }
 
-    /// Encodes a bit at probability 1/2 (no model).
-    #[inline]
-    pub(crate) fn put_raw(&mut self, bit: bool) {
-        self.put(bit, 128);
-    }
-
-    /// Encodes `n` raw bits of `v`, most significant first.
-    pub(crate) fn put_bits(&mut self, v: u32, n: u32) {
-        for i in (0..n).rev() {
-            self.put_raw((v >> i) & 1 == 1);
-        }
-    }
-
     /// Flushes and returns the coded bytes.
     pub fn finish(mut self) -> Vec<u8> {
         for _ in 0..5 {
@@ -189,25 +200,25 @@ impl<'a> BoolDecoder<'a> {
         bit
     }
 
-    /// Decodes a probability-1/2 bit.
-    #[inline]
-    pub(crate) fn get_raw(&mut self) -> bool {
-        self.get(128)
-    }
-
-    /// Decodes `n` raw bits, most significant first.
-    pub(crate) fn get_bits(&mut self, n: u32) -> u32 {
-        let mut v = 0;
-        for _ in 0..n {
-            v = (v << 1) | self.get_raw() as u32;
-        }
-        v
-    }
-
     /// True if the decoder has consumed bytes beyond the input (a
     /// strong signal of truncation/corruption).
     pub fn overrun(&self) -> bool {
         self.pos > self.input.len().saturating_add(4)
+    }
+}
+
+impl BoolCoder for BoolEncoder {
+    #[inline]
+    fn bit(&mut self, bit: bool, prob: Prob) -> bool {
+        self.put(bit, prob);
+        bit
+    }
+}
+
+impl BoolCoder for BoolDecoder<'_> {
+    #[inline]
+    fn bit(&mut self, _: bool, prob: Prob) -> bool {
+        self.get(prob)
     }
 }
 
@@ -228,39 +239,65 @@ impl AdaptiveModel {
         }
     }
 
-    /// Number of contexts.
-    pub fn len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// True if the model has no contexts.
-    pub fn is_empty(&self) -> bool {
-        self.probs.is_empty()
-    }
-
-    /// Encodes `bit` in context `ctx`, adapting the model.
+    /// Codes `bit` in context `ctx`, adapting the model, and returns the
+    /// bit coded.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` is out of range.
     #[inline]
-    pub fn encode(&mut self, enc: &mut BoolEncoder, ctx: usize, bit: bool) {
+    pub fn code(&mut self, c: &mut impl BoolCoder, ctx: usize, bit: bool) -> bool {
         let p = self.probs[ctx];
-        enc.put(bit, p);
-        self.probs[ctx] = adapt(p, bit);
-    }
-
-    /// Decodes a bit in context `ctx`, adapting the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` is out of range.
-    #[inline]
-    pub fn decode(&mut self, dec: &mut BoolDecoder<'_>, ctx: usize) -> bool {
-        let p = self.probs[ctx];
-        let bit = dec.get(p);
+        let bit = c.bit(bit, p);
         self.probs[ctx] = adapt(p, bit);
         bit
+    }
+
+    /// [`AdaptiveModel::code`] on the encoder.
+    #[inline]
+    pub fn encode(&mut self, enc: &mut BoolEncoder, ctx: usize, bit: bool) {
+        self.code(enc, ctx, bit);
+    }
+
+    /// Codes a non-negative integer as a unary bucket (0, 1, 2, or 3+)
+    /// in contexts `base..base+3`, then for 3+ the exp-Golomb code of
+    /// `v - 3` with its prefix in context `base+3` and a raw suffix.
+    /// Every `u32` round-trips; a corrupt prefix longer than any `u32`
+    /// needs saturates to `u32::MAX` instead of panicking, and
+    /// downstream range checks reject it.
+    pub fn code_uint(&mut self, c: &mut impl BoolCoder, base: usize, v: u32) -> u32 {
+        let mut bucket = 0;
+        while bucket < 3 && self.code(c, base + bucket as usize, v > bucket) {
+            bucket += 1;
+        }
+        if bucket < 3 {
+            return bucket;
+        }
+        // `v - 3 + 1` has `nbits` significant bits: `nbits - 1` prefix
+        // ones, a zero, then its low `nbits - 1` bits.
+        let golomb = v.wrapping_sub(2);
+        let want = 32 - golomb.leading_zeros();
+        let mut nbits = 1;
+        while self.code(c, base + 3, nbits < want) {
+            nbits += 1;
+            if nbits > 32 {
+                return u32::MAX;
+            }
+        }
+        let suffix = c.bits(golomb, nbits - 1);
+        (((1u32 << (nbits - 1)) | suffix) - 1).saturating_add(3)
+    }
+
+    /// Codes a signed integer: its magnitude via
+    /// [`AdaptiveModel::code_uint`], then a raw sign bit when nonzero.
+    /// Every `i32` round-trips; a corrupt magnitude saturates.
+    pub fn code_int(&mut self, c: &mut impl BoolCoder, base: usize, v: i32) -> i32 {
+        let mag = self.code_uint(c, base, v.unsigned_abs()) as i64;
+        if mag == 0 {
+            return 0;
+        }
+        let v = if c.raw(v < 0) { -mag } else { mag };
+        v.clamp(i32::MIN as i64, i32::MAX as i64) as i32
     }
 
     /// Estimated cost in (1/256)-bit units of coding `bit` in `ctx`
@@ -269,74 +306,6 @@ impl AdaptiveModel {
         let p0 = self.probs[ctx] as f64 / 256.0;
         let p = if bit { 1.0 - p0 } else { p0 };
         (-(p.max(1e-6)).log2() * 256.0) as u32
-    }
-}
-
-/// Writes a non-negative integer with a unary prefix + exp-Golomb tail,
-/// using `model` contexts `base..base+8` for the prefix bits.
-pub fn write_uint(enc: &mut BoolEncoder, model: &mut AdaptiveModel, base: usize, v: u32) {
-    // Unary-coded bucket: 0, 1, 2, 3, then exp-Golomb remainder.
-    let bucket = (v.min(3)) as usize;
-    for i in 0..bucket {
-        model.encode(enc, base + i, true);
-    }
-    if v < 3 {
-        model.encode(enc, base + bucket, false);
-        return;
-    }
-    // v >= 3: encode v - 3 in exp-Golomb (raw bits).
-    let rem = v - 3;
-    let nbits = 32 - (rem + 1).leading_zeros();
-    for _ in 0..nbits - 1 {
-        model.encode(enc, base + 3, true);
-    }
-    model.encode(enc, base + 3, false);
-    // nbits-1 suffix bits of (rem+1).
-    enc.put_bits((rem + 1) & ((1 << (nbits - 1)) - 1), nbits - 1);
-}
-
-/// Reads an integer written by [`write_uint`].
-pub fn read_uint(dec: &mut BoolDecoder<'_>, model: &mut AdaptiveModel, base: usize) -> u32 {
-    let mut bucket = 0usize;
-    while bucket < 3 && model.decode(dec, base + bucket) {
-        bucket += 1;
-    }
-    if bucket < 3 {
-        return bucket as u32;
-    }
-    // Exp-Golomb remainder. A corrupt stream can present an absurdly
-    // long prefix; saturate instead of panicking — downstream range
-    // checks reject the value.
-    let mut nbits = 1u32;
-    while model.decode(dec, base + 3) {
-        nbits += 1;
-        if nbits >= 31 {
-            return u32::MAX;
-        }
-    }
-    let suffix = dec.get_bits(nbits - 1);
-    let rem = ((1u32 << (nbits - 1)) | suffix) - 1;
-    rem.saturating_add(3)
-}
-
-/// Writes a signed integer: magnitude via [`write_uint`], then a raw
-/// sign bit for nonzero values.
-pub fn write_int(enc: &mut BoolEncoder, model: &mut AdaptiveModel, base: usize, v: i32) {
-    write_uint(enc, model, base, v.unsigned_abs());
-    if v != 0 {
-        enc.put_raw(v < 0);
-    }
-}
-
-/// Reads an integer written by [`write_int`].
-pub fn read_int(dec: &mut BoolDecoder<'_>, model: &mut AdaptiveModel, base: usize) -> i32 {
-    let mag = read_uint(dec, model, base);
-    if mag == 0 {
-        0
-    } else if dec.get_raw() {
-        -(mag as i32)
-    } else {
-        mag as i32
     }
 }
 
@@ -349,15 +318,15 @@ mod tests {
         let mut enc = BoolEncoder::new();
         let pattern = [true, false, true, true, false, false, true, false];
         for &b in &pattern {
-            enc.put_raw(b);
+            enc.raw(b);
         }
-        enc.put_bits(0xABCD, 16);
+        enc.bits(0xABCD, 16);
         let bytes = enc.finish();
         let mut dec = BoolDecoder::new(&bytes);
         for &b in &pattern {
-            assert_eq!(dec.get_raw(), b);
+            assert_eq!(dec.raw(false), b);
         }
-        assert_eq!(dec.get_bits(16), 0xABCD);
+        assert_eq!(dec.bits(0, 16), 0xABCD);
     }
 
     #[test]
@@ -402,7 +371,7 @@ mod tests {
         let mut dec = BoolDecoder::new(&bytes);
         let mut m_dec = AdaptiveModel::new(4);
         for &(ctx, b) in &bits {
-            assert_eq!(m_dec.decode(&mut dec, ctx), b);
+            assert_eq!(m_dec.code(&mut dec, ctx, false), b);
         }
         assert_eq!(m_enc, m_dec, "models diverged");
     }
@@ -420,7 +389,7 @@ mod tests {
         let adaptive_len = enc_adapt.finish().len();
         let mut enc_flat = BoolEncoder::new();
         for &b in &bits {
-            enc_flat.put_raw(b);
+            enc_flat.raw(b);
         }
         let flat_len = enc_flat.finish().len();
         assert!(
@@ -435,13 +404,13 @@ mod tests {
         let mut enc = BoolEncoder::new();
         let mut me = AdaptiveModel::new(8);
         for &v in &values {
-            write_uint(&mut enc, &mut me, 0, v);
+            me.code_uint(&mut enc, 0, v);
         }
         let bytes = enc.finish();
         let mut dec = BoolDecoder::new(&bytes);
         let mut md = AdaptiveModel::new(8);
         for &v in &values {
-            assert_eq!(read_uint(&mut dec, &mut md, 0), v);
+            assert_eq!(md.code_uint(&mut dec, 0, 0), v);
         }
     }
 
@@ -451,14 +420,37 @@ mod tests {
         let mut enc = BoolEncoder::new();
         let mut me = AdaptiveModel::new(8);
         for &v in &values {
-            write_int(&mut enc, &mut me, 0, v);
+            me.code_int(&mut enc, 0, v);
         }
         let bytes = enc.finish();
         let mut dec = BoolDecoder::new(&bytes);
         let mut md = AdaptiveModel::new(8);
         for &v in &values {
-            assert_eq!(read_int(&mut dec, &mut md, 0), v);
+            assert_eq!(md.code_int(&mut dec, 0, 0), v);
         }
+    }
+
+    /// A prefix longer than any `u32` needs saturates the magnitude
+    /// rather than panicking, and the sign then picks the `i32` bound.
+    #[test]
+    fn hostile_prefix_saturates() {
+        let mut enc = BoolEncoder::new();
+        let mut me = AdaptiveModel::new(8);
+        for sign in [false, true] {
+            for ctx in 0..3 {
+                me.code(&mut enc, ctx, true);
+            }
+            for _ in 0..32 {
+                me.code(&mut enc, 3, true);
+            }
+            enc.raw(sign);
+        }
+        let bytes = enc.finish();
+        let mut dec = BoolDecoder::new(&bytes);
+        let mut md = AdaptiveModel::new(8);
+        assert_eq!(md.clone().code_uint(&mut dec.clone(), 0, 0), u32::MAX);
+        assert_eq!(md.code_int(&mut dec, 0, 0), i32::MAX);
+        assert_eq!(md.code_int(&mut dec, 0, 0), i32::MIN);
     }
 
     #[test]
@@ -486,7 +478,7 @@ mod tests {
     fn empty_input_decoder_yields_zeros() {
         let mut dec = BoolDecoder::new(&[]);
         // Must not panic; zero-fill behaviour.
-        let _ = dec.get_raw();
-        let _ = dec.get_bits(16);
+        let _ = dec.raw(false);
+        let _ = dec.bits(0, 16);
     }
 }

@@ -1,21 +1,21 @@
 //! Whole-frame encoding and decoding.
 //!
-//! [`encode_frame`] and [`decode_frame`] walk the identical superblock
-//! syntax; the encoder makes mode decisions and writes symbols, the
-//! decoder reads symbols. Everything that happens once a leaf's mode is
-//! known is one path both sides call, `Recon`: prediction (intra,
-//! inter and compound, with its metering), tile reconstruction, and the
-//! frame tail (in-loop deblocking, then frame metering). Only the tile
-//! coder differs — the encoder's closure calls `encode_tile`, the
-//! decoder's calls `decode_tile` — so the encoder's reconstruction (used
-//! as the next frame's reference) equals the decoder's output
-//! bit-for-bit — the determinism the paper's golden-transcode fault
-//! screening depends on (§4.4).
+//! The frame syntax is written once: [`encode_frame`] and
+//! [`decode_frame`] drive one generic `FrameCoder` walk, which codes
+//! every symbol through a [`BoolCoder`] (the encoder's writes, the
+//! decoder's reads) and asks its side's `Decisions` for the values to
+//! write (the encoder's choices; the decoder's placeholders, and zero
+//! levels for its payload to fill).
+//! What follows each symbol is one path, `Recon`: prediction, tile
+//! reconstruction and the frame tail (deblocking, then metering). So
+//! the encoder's reconstruction (the next frame's reference) equals the
+//! decoder's output bit-for-bit — the determinism the paper's
+//! golden-transcode fault screening depends on (§4.4).
 
-use crate::block::{decode_tile, encode_tile, for_each_tile, TileScratch};
+use crate::block::{code_tile, for_each_tile, quantize_tile, TileScratch};
 use crate::config::EncoderConfig;
 use crate::deblock::deblock_plane;
-use crate::entropy::{read_int, read_uint, write_int, write_uint, BoolDecoder, BoolEncoder};
+use crate::entropy::{BoolCoder, BoolDecoder, BoolEncoder};
 use crate::intra::{IntraMode, IntraNeighbors};
 use crate::kernels;
 use crate::models::{tx_class, Models};
@@ -176,29 +176,18 @@ fn mv_bits_estimate(mv: MotionVector, pred: MotionVector) -> f64 {
     4.0 + 2.0 * ((dx + 1.0).log2() + (dy + 1.0).log2())
 }
 
-/// Writes `mv` as its difference from `base` in context `ctx`.
-fn write_mv(
-    enc: &mut BoolEncoder,
+/// Codes `mv` as its difference from `base` in context `ctx`. A corrupt
+/// stream's vector saturates to the `i16` range.
+fn code_mv(
+    c: &mut impl BoolCoder,
     m: &mut Models,
     ctx: usize,
     mv: MotionVector,
     base: MotionVector,
-) {
-    write_int(enc, &mut m.mv_x, ctx, (mv.x - base.x) as i32);
-    write_int(enc, &mut m.mv_y, ctx, (mv.y - base.y) as i32);
-}
-
-/// Reads a motion vector coded as its difference from `base` in context
-/// `ctx`, saturating to the `i16` range a corrupt stream can overflow.
-fn read_mv(
-    dec: &mut BoolDecoder<'_>,
-    m: &mut Models,
-    ctx: usize,
-    base: MotionVector,
 ) -> MotionVector {
-    let dx = read_int(dec, &mut m.mv_x, ctx);
-    let dy = read_int(dec, &mut m.mv_y, ctx);
-    let add = |b: i16, d: i32| (b as i32 + d).clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+    let dx = m.mv_x.code_int(c, ctx, mv.x as i32 - base.x as i32);
+    let dy = m.mv_y.code_int(c, ctx, mv.y as i32 - base.y as i32);
+    let add = |b: i16, d: i32| (b as i64 + d as i64).clamp(i16::MIN as i64, i16::MAX as i64) as i16;
     MotionVector::new(add(base.x, dx), add(base.y, dy))
 }
 
@@ -208,7 +197,7 @@ fn read_mv(
 /// removes all heap allocation from the superblock walk.
 #[derive(Debug, Default)]
 struct EncScratch {
-    /// Current-block pixels (should_split / code_leaf / chroma).
+    /// Current-block pixels (split / mode decisions, then residuals).
     cur_blk: Vec<u8>,
     /// Mode-decision prediction candidates.
     mode_pred: Vec<u8>,
@@ -216,8 +205,6 @@ struct EncScratch {
     mode_p2: Vec<u8>,
     /// Spatial residual of the block.
     residual: Vec<i16>,
-    /// Residual gathered for one tile.
-    tile_res: Vec<i16>,
     /// Motion-search buffers.
     motion: MotionScratch,
 }
@@ -275,19 +262,10 @@ impl std::hash::Hasher for SearchKeyHasher {
     }
 }
 
-#[derive(Default, Clone)]
-struct SearchKeyHash;
-
-impl std::hash::BuildHasher for SearchKeyHash {
-    type Hasher = SearchKeyHasher;
-    #[inline]
-    fn build_hasher(&self) -> SearchKeyHasher {
-        SearchKeyHasher::default()
-    }
-}
+type SearchKeyHash = std::hash::BuildHasherDefault<SearchKeyHasher>;
 
 /// A leaf-block coding decision.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum BlockMode {
     Intra(IntraMode),
     Inter {
@@ -299,8 +277,8 @@ enum BlockMode {
 
 /// The reconstruction both sides share: the frame being rebuilt, the
 /// state its syntax adapts, and everything a leaf does once its mode is
-/// known. The encoder and decoder each drive one through the same
-/// calls, so the decoder cannot drift from the encoder's reference.
+/// known. The one `FrameCoder` walk drives it for either side, so the
+/// decoder cannot drift from the encoder's reference.
 struct Recon<'a> {
     profile: Profile,
     qp: Qp,
@@ -348,6 +326,62 @@ impl<'a> Recon<'a> {
             blk: Vec::new(),
             tile: TileScratch::default(),
         }
+    }
+
+    /// Codes a leaf's mode: the is-inter flag when the frame has
+    /// references, then the intra mode, or the reference, its vector
+    /// against `last_mv`, and — where compound prediction is allowed —
+    /// the compound flag with the second reference and its vector
+    /// against the first. The encoder passes the mode it chose and gets
+    /// it back; the decoder passes any mode and gets the one it read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::CorruptBitstream`] for an intra mode or a
+    /// reference index out of range.
+    fn code_mode(
+        &mut self,
+        c: &mut impl BoolCoder,
+        mode: BlockMode,
+    ) -> Result<BlockMode, CodecError> {
+        let (m, refs) = (&mut self.models, self.refs.len());
+        let compound = self.profile.supports_compound() && refs >= 2;
+        let (intra, ref_idx, mv, pair) = match mode {
+            BlockMode::Intra(im) => (Some(im), 0, MotionVector::ZERO, None),
+            BlockMode::Inter {
+                ref_idx,
+                mv,
+                compound,
+            } => (None, ref_idx, mv, compound),
+        };
+        if refs == 0 || !m.is_inter.code(c, 0, intra.is_none()) {
+            let idx = m
+                .intra_mode
+                .code_uint(c, 0, intra.map_or(0, IntraMode::index) as u32);
+            return IntraMode::from_index(idx as usize)
+                .map(BlockMode::Intra)
+                .ok_or(CodecError::CorruptBitstream("intra mode out of range"));
+        }
+        let ref_idx = m.ref_idx.code_uint(c, 0, ref_idx as u32) as usize;
+        if ref_idx >= refs {
+            return Err(CodecError::CorruptBitstream("reference index out of range"));
+        }
+        let mv = code_mv(c, m, 0, mv, self.last_mv);
+        let compound = if compound && m.compound.code(c, 0, pair.is_some()) {
+            let (r2, mv2) = pair.unwrap_or((0, MotionVector::ZERO));
+            let r2 = m.ref_idx.code_uint(c, 4, r2 as u32) as usize;
+            if r2 >= refs {
+                return Err(CodecError::CorruptBitstream("compound ref out of range"));
+            }
+            Some((r2, code_mv(c, m, 4, mv2, mv)))
+        } else {
+            None
+        };
+        Ok(BlockMode::Inter {
+            ref_idx,
+            mv,
+            compound,
+        })
     }
 
     /// Predicts block `a` of plane `p` (0 = Y, 1 = U, 2 = V; chroma
@@ -401,33 +435,148 @@ impl<'a> Recon<'a> {
         }
     }
 
-    /// Codes block `a` of plane `p` as `t x t` residual tiles and writes
-    /// prediction plus residual back into the frame. `code_tile` codes
-    /// one tile (its area relative to the block) at the plane's
-    /// quantizer and leaves the tile's reconstructed residual in the
-    /// scratch — the encoder's closure writes the tile, the decoder's
-    /// reads it.
-    fn reconstruct(
+    /// The frame tail: in-loop deblocking, then frame metering. Returns
+    /// the reconstruction that becomes reference state.
+    fn finish(self) -> Frame {
+        let mut frame = self.frame;
+        self.stats.deblock_pixels +=
+            deblock_plane(frame.y_mut(), deblock_grid(self.profile), self.qp);
+        self.stats.pixels += (frame.width() * frame.height()) as u64;
+        self.stats.frames += 1;
+        frame
+    }
+}
+
+/// What the encoder decides and the decoder reads: the walk asks a
+/// side for each value before coding it. The defaults decide nothing —
+/// they are the decoder's side: placeholders its coder ignores, and
+/// zero levels its payload fills in.
+trait Decisions {
+    /// Whether the `size` block at `(x, y)` splits into quadrants.
+    fn split(&mut self, _rc: &mut Recon<'_>, _x: usize, _y: usize, _size: usize) -> bool {
+        false
+    }
+    /// The prediction mode of leaf `a`.
+    fn mode(&mut self, _rc: &mut Recon<'_>, _a: Area) -> BlockMode {
+        BlockMode::Intra(IntraMode::Dc)
+    }
+    /// Block `a` of plane `p` is predicted into `rc.pred`.
+    fn predicted(&mut self, _rc: &Recon<'_>, _p: usize, _a: Area) {}
+    /// Whether leaf `a`'s luma residual uses `t/2` transforms, not `t`.
+    fn tx_split(&self, _a: Area, _t: usize, _qp: Qp) -> bool {
+        false
+    }
+    /// Leaves the quantized levels of tile `s` (`t x t` transform) of a
+    /// `stride`-wide block of plane `p` in `ts`.
+    #[allow(clippy::too_many_arguments)]
+    fn quantize(
         &mut self,
-        p: usize,
-        a: Area,
+        _p: usize,
+        _stride: usize,
+        _s: Area,
         t: usize,
-        mut code_tile: impl FnMut(&mut Models, &mut CodingStats, &mut TileScratch, Qp, Area),
+        _qp: Qp,
+        _stats: &mut CodingStats,
+        ts: &mut TileScratch,
     ) {
+        ts.zero_levels(t);
+    }
+}
+
+/// The frame syntax, walked once for either side: coder `C` writes or
+/// reads every symbol, side `D` supplies the values to write, and both
+/// rebuild the frame through the one `Recon`.
+struct FrameCoder<'a, C, D> {
+    coder: C,
+    side: D,
+    rc: Recon<'a>,
+}
+
+impl<C: BoolCoder, D: Decisions> FrameCoder<'_, C, D> {
+    /// Codes the `size` block at `(x, y)`: a partition flag above 16
+    /// pixels, then four quadrants or one leaf.
+    fn code_block(
+        &mut self,
+        x: usize,
+        y: usize,
+        size: usize,
+        depth: usize,
+    ) -> Result<(), CodecError> {
+        let (w, h) = (self.rc.frame.width(), self.rc.frame.height());
+        if x >= w || y >= h {
+            return Ok(());
+        }
+        if size > 16 {
+            let want = self.side.split(&mut self.rc, x, y, size);
+            let partition = &mut self.rc.models.partition;
+            if partition.code(&mut self.coder, depth.min(1), want) {
+                let half = size / 2;
+                for (qx, qy) in [(x, y), (x + half, y), (x, y + half), (x + half, y + half)] {
+                    self.code_block(qx, qy, half, depth + 1)?;
+                }
+                return Ok(());
+            }
+        }
+        self.code_leaf(x, y, size)
+    }
+
+    /// Codes a leaf: its mode, then luma with the adaptive transform-size
+    /// flag, then both chroma planes.
+    fn code_leaf(&mut self, x: usize, y: usize, size: usize) -> Result<(), CodecError> {
+        let (w, h) = (self.rc.frame.width(), self.rc.frame.height());
+        let a = Area {
+            x,
+            y,
+            w: size.min(w - x),
+            h: size.min(h - y),
+        };
+        let chosen = self.side.mode(&mut self.rc, a);
+        let mode = self.rc.code_mode(&mut self.coder, chosen)?;
+
+        // Luma residual with adaptive transform size: sharp, spatially
+        // concentrated residuals prefer the smaller transform (VP9's
+        // adaptive TX size; H.264 High's 8x8/4x4 choice).
+        self.rc.predict(0, &mode, a);
+        self.side.predicted(&self.rc, 0, a);
+        let t_full = size.min(max_tx(self.rc.profile));
+        let split = t_full > 4 && {
+            let want = self.side.tx_split(a, t_full, self.rc.qp);
+            let tx_split = &mut self.rc.models.tx_split;
+            tx_split.code(&mut self.coder, tx_class(t_full), want)
+        };
+        let t = if split { t_full / 2 } else { t_full };
+        self.code_residual(0, a, t);
+
+        // Chroma planes.
+        let (ca, ct) = (a.chroma(), chroma_tx(self.rc.profile, a));
+        for p in 1..3 {
+            self.rc.predict(p, &mode, ca);
+            self.side.predicted(&self.rc, p, ca);
+            self.code_residual(p, ca, ct);
+        }
+        Ok(())
+    }
+
+    /// Codes block `a` of plane `p` as `t x t` residual tiles and writes
+    /// prediction plus residual back into the frame.
+    fn code_residual(&mut self, p: usize, a: Area, t: usize) {
+        let FrameCoder { coder, side, rc } = self;
         // Chroma is quantized slightly coarser.
-        let qp = if p == 0 { self.qp } else { self.qp.offset(2) };
+        let qp = if p == 0 { rc.qp } else { rc.qp.offset(2) };
         let Recon {
+            frame,
             models,
             stats,
             pred,
             blk,
             tile,
             ..
-        } = self;
+        } = rc;
         blk.clear();
         blk.resize(a.w * a.h, 0);
         for_each_tile(a.w, a.h, t, |x, y, w, h| {
-            code_tile(models, stats, tile, qp, Area { x, y, w, h });
+            side.quantize(p, a.w, Area { x, y, w, h }, t, qp, stats, tile);
+            code_tile(coder, models, w, h, t, qp, stats, tile);
             for r in 0..h {
                 let row = (y + r) * a.w + x;
                 kernels::add_residual_clamp(
@@ -438,22 +587,11 @@ impl<'a> Recon<'a> {
             }
         });
         let out = match p {
-            0 => self.frame.y_mut(),
-            1 => self.frame.u_mut(),
-            _ => self.frame.v_mut(),
+            0 => frame.y_mut(),
+            1 => frame.u_mut(),
+            _ => frame.v_mut(),
         };
-        out.write_block(a.x, a.y, a.w, a.h, &self.blk);
-    }
-
-    /// The frame tail: in-loop deblocking, then frame metering. Returns
-    /// the reconstruction that becomes reference state.
-    fn finish(self) -> Frame {
-        let mut frame = self.frame;
-        self.stats.deblock_pixels +=
-            deblock_plane(frame.y_mut(), deblock_grid(self.profile), self.qp);
-        self.stats.pixels += (frame.width() * frame.height()) as u64;
-        self.stats.frames += 1;
-        frame
+        out.write_block(a.x, a.y, a.w, a.h, blk);
     }
 }
 
@@ -468,28 +606,32 @@ pub(crate) fn encode_frame(
     stats: &mut CodingStats,
 ) -> (Vec<u8>, Frame) {
     let (w, h) = (cur.width(), cur.height());
-    let mut fe = FrameEnc {
-        cfg,
-        cur,
-        enc: BoolEncoder::new(),
-        search: cfg.toolset.search_params(),
-        scratch: EncScratch::default(),
-        search_cache: HashMap::with_capacity_and_hasher(1024, SearchKeyHash),
+    let mut fc = FrameCoder {
+        coder: BoolEncoder::new(),
+        side: Encoder {
+            cfg,
+            cur,
+            search: cfg.toolset.search_params(),
+            scratch: EncScratch::default(),
+            search_cache: HashMap::with_capacity_and_hasher(1024, SearchKeyHash::default()),
+        },
         rc: Recon::new(cfg.profile, kind, qp, refs, (w, h), stats),
     };
     let sb = cfg.profile.superblock_size();
     for (x, y) in superblocks(w, h, sb) {
-        fe.code_block(x, y, sb, 0);
+        fc.code_block(x, y, sb, 0)
+            .expect("the encoder codes only in-range symbols");
     }
-    let payload = fe.enc.finish();
-    fe.rc.stats.bits += payload.len() as u64 * 8;
-    (payload, fe.rc.finish())
+    let payload = fc.coder.finish();
+    fc.rc.stats.bits += payload.len() as u64 * 8;
+    (payload, fc.rc.finish())
 }
 
-struct FrameEnc<'a> {
+/// The encoder's side of the walk: every decision, made on the source
+/// frame before the syntax codes it.
+struct Encoder<'a> {
     cfg: &'a EncoderConfig,
     cur: &'a Frame,
-    enc: BoolEncoder,
     search: SearchParams,
     scratch: EncScratch,
     /// Per-frame motion-search memo for reference slot 0. The split
@@ -499,7 +641,6 @@ struct FrameEnc<'a> {
     /// so the device charge, and thus the chip timing model, is
     /// byte-identical to searching twice.
     search_cache: HashMap<SearchKey, (SearchResult, CodingStats), SearchKeyHash>,
-    rc: Recon<'a>,
 }
 
 /// Charges a search that is replayed rather than run: every field of
@@ -513,73 +654,10 @@ fn replay(stats: &mut CodingStats, delta: CodingStats) {
     };
 }
 
-impl FrameEnc<'_> {
-    /// Motion search through the per-frame memo, returning the result
-    /// and the stats delta the search charged. Cache hits replay the
-    /// recorded delta; misses run the real search and record it. Only
-    /// reference slot 0 participates — other slots always search.
-    fn cached_search(
-        &mut self,
-        ref_idx: usize,
-        x: usize,
-        y: usize,
-        bw: usize,
-        bh: usize,
-        params: &SearchParams,
-    ) -> (SearchResult, CodingStats) {
-        let key = (x, y, bw, bh, self.rc.last_mv.x, self.rc.last_mv.y, *params);
-        if ref_idx == 0 {
-            if let Some(&(r, delta)) = self.search_cache.get(&key) {
-                replay(self.rc.stats, delta);
-                return (r, delta);
-            }
-        }
-        let before = *self.rc.stats;
-        let r = search_scratch(
-            self.rc.refs[ref_idx].y(),
-            self.cur.y(),
-            x,
-            y,
-            bw,
-            bh,
-            self.rc.last_mv,
-            params,
-            self.rc.stats,
-            &mut self.scratch.motion,
-        );
-        let delta = *self.rc.stats - before;
-        if ref_idx == 0 {
-            self.search_cache.insert(key, (r, delta));
-        }
-        (r, delta)
-    }
-
-    fn code_block(&mut self, x: usize, y: usize, size: usize, depth: usize) {
-        let (w, h) = (self.cur.width(), self.cur.height());
-        if x >= w || y >= h {
-            return;
-        }
-        if size > 16 {
-            let split = self.should_split(x, y, size);
-            self.rc
-                .models
-                .partition
-                .encode(&mut self.enc, depth.min(1), split);
-            if split {
-                let half = size / 2;
-                self.code_block(x, y, half, depth + 1);
-                self.code_block(x + half, y, half, depth + 1);
-                self.code_block(x, y + half, half, depth + 1);
-                self.code_block(x + half, y + half, half, depth + 1);
-                return;
-            }
-        }
-        self.code_leaf(x, y, size);
-    }
-
+impl Decisions for Encoder<'_> {
     /// Bounded recursive partition heuristic (paper §3.2): split when
     /// the whole-block match is poor relative to the quantizer scale.
-    fn should_split(&mut self, x: usize, y: usize, size: usize) -> bool {
+    fn split(&mut self, rc: &mut Recon<'_>, x: usize, y: usize, size: usize) -> bool {
         let (w, h) = (self.cur.width(), self.cur.height());
         let bw = size.min(w - x);
         let bh = size.min(h - y);
@@ -587,7 +665,7 @@ impl FrameEnc<'_> {
         if bw < size || bh < size {
             return true;
         }
-        if self.rc.refs.is_empty() {
+        if rc.refs.is_empty() {
             // Intra frame: split when spatial variance is high.
             self.load_cur(0, Area { x, y, w: bw, h: bh });
             let blk = &self.scratch.cur_blk;
@@ -596,7 +674,7 @@ impl FrameEnc<'_> {
                 .iter()
                 .map(|&v| (v as i64 - mean as i64).unsigned_abs())
                 .sum();
-            return mad as f64 / (bw * bh) as f64 > self.rc.qp.step() * 0.75;
+            return mad as f64 / (bw * bh) as f64 > rc.qp.step() * 0.75;
         }
         // Inter: the paper's "bounded recursive search" — compare the
         // whole-block motion-compensated SAD against the sum of the
@@ -608,7 +686,7 @@ impl FrameEnc<'_> {
         // the next partition level (and ultimately the leaf mode
         // decision) re-requests.
         let bounded = SearchParams::hardware();
-        let whole = self.cached_search(0, x, y, bw, bh, &bounded).0.sad;
+        let whole = self.cached_search(rc, 0, x, y, bw, bh, &bounded).0.sad;
         let half = size / 2;
         let mut subs = 0u64;
         for (qx, qy) in [(x, y), (x + half, y), (x, y + half), (x + half, y + half)] {
@@ -617,83 +695,103 @@ impl FrameEnc<'_> {
             }
             let sbw = half.min(w - qx);
             let sbh = half.min(h - qy);
-            subs += self.cached_search(0, qx, qy, sbw, sbh, &bounded).0.sad;
+            subs += self.cached_search(rc, 0, qx, qy, sbw, sbh, &bounded).0.sad;
         }
-        let lambda_sad = 0.9 * self.rc.qp.step() * self.cfg.toolset.lambda_scale();
+        let lambda_sad = 0.9 * rc.qp.step() * self.cfg.toolset.lambda_scale();
         let split_overhead_bits = 36.0; // three extra mode/MV sets
         (subs as f64 + lambda_sad * split_overhead_bits) < whole as f64
     }
 
-    fn code_leaf(&mut self, x: usize, y: usize, size: usize) {
-        let (w, h) = (self.cur.width(), self.cur.height());
-        let a = Area {
-            x,
-            y,
-            w: size.min(w - x),
-            h: size.min(h - y),
-        };
+    fn mode(&mut self, rc: &mut Recon<'_>, a: Area) -> BlockMode {
         // `cur_blk` crosses a `&mut self` call, so it is taken out of
-        // the arena and restored (no allocation either way).
+        // the arena and restored (no allocation either way). It stays
+        // loaded for the luma residual.
         self.load_cur(0, a);
         let cur_blk = std::mem::take(&mut self.scratch.cur_blk);
-        let mode = self.choose_mode(x, y, a.w, a.h, &cur_blk);
+        let mode = self.choose_mode(rc, a, &cur_blk);
         self.scratch.cur_blk = cur_blk;
+        mode
+    }
 
-        // Syntax: inter flag (when inter is possible), then mode details.
-        let (enc, m) = (&mut self.enc, &mut self.rc.models);
-        if !self.rc.refs.is_empty() {
-            let is_inter = matches!(mode, BlockMode::Inter { .. });
-            m.is_inter.encode(enc, 0, is_inter);
+    /// `scratch.residual = cur - pred` for the block just predicted.
+    fn predicted(&mut self, rc: &Recon<'_>, p: usize, a: Area) {
+        // Luma is still loaded from the mode decision.
+        if p > 0 {
+            self.load_cur(p, a);
         }
-        match &mode {
-            BlockMode::Intra(im) => write_uint(enc, &mut m.intra_mode, 0, im.index() as u32),
-            BlockMode::Inter {
-                ref_idx,
-                mv,
-                compound,
-            } => {
-                write_uint(enc, &mut m.ref_idx, 0, *ref_idx as u32);
-                write_mv(enc, m, 0, *mv, self.rc.last_mv);
-                if self.cfg.profile.supports_compound() && self.rc.refs.len() >= 2 {
-                    m.compound.encode(enc, 0, compound.is_some());
-                    if let Some((r2, mv2)) = compound {
-                        write_uint(enc, &mut m.ref_idx, 4, *r2 as u32);
-                        write_mv(enc, m, 4, *mv2, *mv);
-                    }
-                }
+        let EncScratch {
+            cur_blk, residual, ..
+        } = &mut self.scratch;
+        residual.clear();
+        residual.resize(cur_blk.len(), 0);
+        kernels::compute_residual(cur_blk, &rc.pred, residual);
+    }
+
+    fn tx_split(&self, a: Area, t: usize, qp: Qp) -> bool {
+        tx_split_heuristic(&self.scratch.residual, a.w, a.h, t, qp)
+    }
+
+    fn quantize(
+        &mut self,
+        p: usize,
+        stride: usize,
+        s: Area,
+        t: usize,
+        qp: Qp,
+        stats: &mut CodingStats,
+        ts: &mut TileScratch,
+    ) {
+        // The trellis runs on luma only.
+        let trellis = p == 0 && self.cfg.toolset.trellis();
+        let deadzone = self.cfg.toolset.deadzone();
+        let residual = &self.scratch.residual[s.y * stride + s.x..];
+        quantize_tile(
+            residual, stride, s.w, s.h, t, qp, deadzone, trellis, stats, ts,
+        );
+    }
+}
+
+impl Encoder<'_> {
+    /// Motion search through the per-frame memo, returning the result
+    /// and the stats delta the search charged. Cache hits replay the
+    /// recorded delta; misses run the real search and record it. Only
+    /// reference slot 0 participates — other slots always search.
+    #[allow(clippy::too_many_arguments)]
+    fn cached_search(
+        &mut self,
+        rc: &mut Recon<'_>,
+        ref_idx: usize,
+        x: usize,
+        y: usize,
+        bw: usize,
+        bh: usize,
+        params: &SearchParams,
+    ) -> (SearchResult, CodingStats) {
+        let key = (x, y, bw, bh, rc.last_mv.x, rc.last_mv.y, *params);
+        if ref_idx == 0 {
+            if let Some(&(r, delta)) = self.search_cache.get(&key) {
+                replay(rc.stats, delta);
+                return (r, delta);
             }
         }
-
-        // Luma residual with adaptive transform size: sharp, spatially
-        // concentrated residuals prefer the smaller transform (VP9's
-        // adaptive TX size; H.264 High's 8x8/4x4 choice).
-        self.rc.predict(0, &mode, a);
-        self.residual();
-        let t_full = size.min(max_tx(self.cfg.profile));
-        let t = if t_full > 4 {
-            let split_tx = tx_split_heuristic(&self.scratch.residual, a.w, a.h, t_full, self.rc.qp);
-            self.rc
-                .models
-                .tx_split
-                .encode(&mut self.enc, tx_class(t_full), split_tx);
-            if split_tx {
-                t_full / 2
-            } else {
-                t_full
-            }
-        } else {
-            t_full
-        };
-        self.code_residual(0, a, t);
-
-        // Chroma planes.
-        let (ca, ct) = (a.chroma(), chroma_tx(self.cfg.profile, a));
-        for p in 1..3 {
-            self.load_cur(p, ca);
-            self.rc.predict(p, &mode, ca);
-            self.residual();
-            self.code_residual(p, ca, ct);
+        let before = *rc.stats;
+        let r = search_scratch(
+            rc.refs[ref_idx].y(),
+            self.cur.y(),
+            x,
+            y,
+            bw,
+            bh,
+            rc.last_mv,
+            params,
+            rc.stats,
+            &mut self.scratch.motion,
+        );
+        let delta = *rc.stats - before;
+        if ref_idx == 0 {
+            self.search_cache.insert(key, (r, delta));
         }
+        (r, delta)
     }
 
     /// Copies block `a` of source plane `p` into `scratch.cur_blk`.
@@ -704,50 +802,11 @@ impl FrameEnc<'_> {
         plane(self.cur, p).copy_block_clamped(a.x as isize, a.y as isize, a.w, a.h, blk);
     }
 
-    /// `scratch.residual = scratch.cur_blk - pred` for the block just
-    /// predicted.
-    fn residual(&mut self) {
-        let EncScratch {
-            cur_blk, residual, ..
-        } = &mut self.scratch;
-        residual.clear();
-        residual.resize(cur_blk.len(), 0);
-        kernels::compute_residual(cur_blk, &self.rc.pred, residual);
-    }
-
-    /// Writes `scratch.residual` as the residual tiles of block `a` of
-    /// plane `p` and reconstructs the block.
-    fn code_residual(&mut self, p: usize, a: Area, t: usize) {
-        let deadzone = self.cfg.toolset.deadzone();
-        // The trellis runs on luma only.
-        let trellis = p == 0 && self.cfg.toolset.trellis();
-        let enc = &mut self.enc;
-        let EncScratch {
-            residual, tile_res, ..
-        } = &mut self.scratch;
-        self.rc.reconstruct(p, a, t, |models, stats, tile, qp, s| {
-            tile_res.clear();
-            tile_res.resize(s.w * s.h, 0);
-            for r in 0..s.h {
-                for c in 0..s.w {
-                    tile_res[r * s.w + c] = residual[(s.y + r) * a.w + s.x + c];
-                }
-            }
-            encode_tile(
-                enc, models, tile_res, s.w, s.h, t, qp, deadzone, trellis, stats, tile,
-            );
-        });
-    }
-
-    fn choose_mode(
-        &mut self,
-        x: usize,
-        y: usize,
-        bw: usize,
-        bh: usize,
-        cur_blk: &[u8],
-    ) -> BlockMode {
-        let lambda_sad = 0.9 * self.rc.qp.step() * self.cfg.toolset.lambda_scale();
+    /// Chooses leaf `a`'s mode: the cheapest of the intra modes, the
+    /// best single reference and, where allowed, the compound pair.
+    fn choose_mode(&mut self, rc: &mut Recon<'_>, a: Area, cur_blk: &[u8]) -> BlockMode {
+        let Area { x, y, w: bw, h: bh } = a;
+        let lambda_sad = 0.9 * rc.qp.step() * self.cfg.toolset.lambda_scale();
         let use_satd = self.cfg.toolset.satd_ranking();
         let metric = |cur: &[u8], pred: &[u8], stats: &mut CodingStats| -> u64 {
             if use_satd {
@@ -760,14 +819,14 @@ impl FrameEnc<'_> {
 
         // Intra candidates.
         let mut best_intra: Option<(IntraMode, u64)> = None;
-        let neighbors = IntraNeighbors::gather(self.rc.frame.y(), x, y, bw, bh);
+        let neighbors = IntraNeighbors::gather(rc.frame.y(), x, y, bw, bh);
         let mut pred_buf = std::mem::take(&mut self.scratch.mode_pred);
         pred_buf.clear();
         pred_buf.resize(bw * bh, 0);
         for &m in intra_modes(self.cfg.profile) {
             neighbors.predict(m, &mut pred_buf);
-            self.rc.stats.intra_pixels += (bw * bh) as u64;
-            let sad: u64 = metric(cur_blk, &pred_buf, self.rc.stats);
+            rc.stats.intra_pixels += (bw * bh) as u64;
+            let sad: u64 = metric(cur_blk, &pred_buf, rc.stats);
             if best_intra.is_none_or(|(_, s)| sad < s) {
                 best_intra = Some((m, sad));
             }
@@ -776,7 +835,7 @@ impl FrameEnc<'_> {
         let (intra_mode, intra_sad) = best_intra.expect("at least one intra mode");
         let intra_cost = intra_sad as f64 + lambda_sad * 4.0;
 
-        if self.rc.refs.is_empty() {
+        if rc.refs.is_empty() {
             return BlockMode::Intra(intra_mode);
         }
 
@@ -786,16 +845,16 @@ impl FrameEnc<'_> {
         // slot's search exactly — same pixels, predictor and window — so
         // its result and charge are replayed instead.
         let sp = self.search;
-        let mut per_ref = Vec::with_capacity(self.rc.refs.len());
+        let mut per_ref = Vec::with_capacity(rc.refs.len());
         let mut deltas = [CodingStats::new(); 3];
-        for ri in 0..self.rc.refs.len() {
-            let refs = &self.rc.refs;
+        for ri in 0..rc.refs.len() {
+            let refs = &rc.refs;
             let (r, delta) = match (0..ri).find(|&j| std::ptr::eq(refs[j], refs[ri])) {
                 Some(j) => {
-                    replay(self.rc.stats, deltas[j]);
+                    replay(rc.stats, deltas[j]);
                     (per_ref[j], deltas[j])
                 }
-                None => self.cached_search(ri, x, y, bw, bh, &sp),
+                None => self.cached_search(rc, ri, x, y, bw, bh, &sp),
             };
             per_ref.push(r);
             deltas[ri] = delta;
@@ -810,19 +869,19 @@ impl FrameEnc<'_> {
             let mut p = std::mem::take(&mut self.scratch.mode_p1);
             p.clear();
             p.resize(bw * bh, 0);
-            mc_block(self.rc.refs[best_ri].y(), x, y, best_r.mv, bw, bh, &mut p);
-            let m = metric(cur_blk, &p, self.rc.stats);
+            mc_block(rc.refs[best_ri].y(), x, y, best_r.mv, bw, bh, &mut p);
+            let m = metric(cur_blk, &p, rc.stats);
             self.scratch.mode_p1 = p;
             m
         } else {
             best_r.sad
         };
         let inter_cost =
-            inter_metric as f64 + lambda_sad * (2.0 + mv_bits_estimate(best_r.mv, self.rc.last_mv));
+            inter_metric as f64 + lambda_sad * (2.0 + mv_bits_estimate(best_r.mv, rc.last_mv));
 
         // Compound: average the two best references.
         let mut compound_choice: Option<((usize, MotionVector), f64)> = None;
-        if self.cfg.profile.supports_compound() && self.rc.refs.len() >= 2 {
+        if self.cfg.profile.supports_compound() && rc.refs.len() >= 2 {
             let mut order: Vec<usize> = (0..per_ref.len()).collect();
             order.sort_by_key(|&i| per_ref[i].sad);
             let (r1, r2) = (order[0], order[1]);
@@ -833,17 +892,17 @@ impl FrameEnc<'_> {
                 p1.resize(bw * bh, 0);
                 p2.clear();
                 p2.resize(bw * bh, 0);
-                mc_block(self.rc.refs[r1].y(), x, y, per_ref[r1].mv, bw, bh, &mut p1);
-                mc_block(self.rc.refs[r2].y(), x, y, per_ref[r2].mv, bw, bh, &mut p2);
-                self.rc.stats.mc_pixels += 2 * (bw * bh) as u64;
+                mc_block(rc.refs[r1].y(), x, y, per_ref[r1].mv, bw, bh, &mut p1);
+                mc_block(rc.refs[r2].y(), x, y, per_ref[r2].mv, bw, bh, &mut p2);
+                rc.stats.mc_pixels += 2 * (bw * bh) as u64;
                 kernels::avg_u8_inplace(&mut p1, &p2);
-                let sad: u64 = metric(cur_blk, &p1, self.rc.stats);
+                let sad: u64 = metric(cur_blk, &p1, rc.stats);
                 self.scratch.mode_p1 = p1;
                 self.scratch.mode_p2 = p2;
                 let cost = sad as f64
                     + lambda_sad
                         * (3.0
-                            + mv_bits_estimate(per_ref[r1].mv, self.rc.last_mv)
+                            + mv_bits_estimate(per_ref[r1].mv, rc.last_mv)
                             + mv_bits_estimate(per_ref[r2].mv, per_ref[r1].mv));
                 if best_ri == r1 && cost < inter_cost {
                     compound_choice = Some(((r2, per_ref[r2].mv), cost));
@@ -882,129 +941,29 @@ pub(crate) fn decode_frame(
     (width, height): (usize, usize),
     stats: &mut CodingStats,
 ) -> Result<Frame, CodecError> {
-    let mut fd = FrameDec {
-        dec: BoolDecoder::new(payload),
+    let mut fc = FrameCoder {
+        coder: BoolDecoder::new(payload),
+        side: Decoder,
         rc: Recon::new(profile, kind, qp, refs, (width, height), stats),
     };
     let sb = profile.superblock_size();
     for (x, y) in superblocks(width, height, sb) {
-        fd.code_block(x, y, sb, 0)?;
+        fc.code_block(x, y, sb, 0)?;
         // Past its end a payload reads as zero bytes forever, so without
         // this check a truncated frame costs what its declared size
         // says, not what its input holds.
-        if fd.dec.overrun() {
+        if fc.coder.overrun() {
             return Err(CodecError::CorruptBitstream("payload truncated"));
         }
     }
-    Ok(fd.rc.finish())
+    Ok(fc.rc.finish())
 }
 
-struct FrameDec<'a> {
-    dec: BoolDecoder<'a>,
-    rc: Recon<'a>,
-}
+/// The decoder's side of the walk: it decides nothing, so every value
+/// comes from the payload.
+struct Decoder;
 
-impl FrameDec<'_> {
-    fn code_block(
-        &mut self,
-        x: usize,
-        y: usize,
-        size: usize,
-        depth: usize,
-    ) -> Result<(), CodecError> {
-        let (w, h) = (self.rc.frame.width(), self.rc.frame.height());
-        if x >= w || y >= h {
-            return Ok(());
-        }
-        if size > 16 {
-            let split = self.rc.models.partition.decode(&mut self.dec, depth.min(1));
-            if split {
-                let half = size / 2;
-                self.code_block(x, y, half, depth + 1)?;
-                self.code_block(x + half, y, half, depth + 1)?;
-                self.code_block(x, y + half, half, depth + 1)?;
-                self.code_block(x + half, y + half, half, depth + 1)?;
-                return Ok(());
-            }
-        }
-        self.code_leaf(x, y, size)
-    }
-
-    fn code_leaf(&mut self, x: usize, y: usize, size: usize) -> Result<(), CodecError> {
-        let (w, h) = (self.rc.frame.width(), self.rc.frame.height());
-        let a = Area {
-            x,
-            y,
-            w: size.min(w - x),
-            h: size.min(h - y),
-        };
-        let (dec, m) = (&mut self.dec, &mut self.rc.models);
-        let n_refs = self.rc.refs.len();
-        let is_inter = n_refs > 0 && m.is_inter.decode(dec, 0);
-        let mode = if is_inter {
-            let ref_idx = read_uint(dec, &mut m.ref_idx, 0) as usize;
-            if ref_idx >= n_refs {
-                return Err(CodecError::CorruptBitstream("reference index out of range"));
-            }
-            let mv = read_mv(dec, m, 0, self.rc.last_mv);
-            let compound = if self.rc.profile.supports_compound()
-                && n_refs >= 2
-                && m.compound.decode(dec, 0)
-            {
-                let r2 = read_uint(dec, &mut m.ref_idx, 4) as usize;
-                if r2 >= n_refs {
-                    return Err(CodecError::CorruptBitstream("compound ref out of range"));
-                }
-                Some((r2, read_mv(dec, m, 4, mv)))
-            } else {
-                None
-            };
-            BlockMode::Inter {
-                ref_idx,
-                mv,
-                compound,
-            }
-        } else {
-            let idx = read_uint(dec, &mut m.intra_mode, 0) as usize;
-            let im = IntraMode::from_index(idx)
-                .ok_or(CodecError::CorruptBitstream("intra mode out of range"))?;
-            BlockMode::Intra(im)
-        };
-
-        // Luma: prediction, the adaptive transform-size flag, residual.
-        self.rc.predict(0, &mode, a);
-        let t_full = size.min(max_tx(self.rc.profile));
-        let t = if t_full > 4
-            && self
-                .rc
-                .models
-                .tx_split
-                .decode(&mut self.dec, tx_class(t_full))
-        {
-            t_full / 2
-        } else {
-            t_full
-        };
-        self.code_residual(0, a, t);
-
-        // Chroma.
-        let (ca, ct) = (a.chroma(), chroma_tx(self.rc.profile, a));
-        for p in 1..3 {
-            self.rc.predict(p, &mode, ca);
-            self.code_residual(p, ca, ct);
-        }
-        Ok(())
-    }
-
-    /// Reads the residual tiles of block `a` of plane `p` and
-    /// reconstructs the block.
-    fn code_residual(&mut self, p: usize, a: Area, t: usize) {
-        let dec = &mut self.dec;
-        self.rc.reconstruct(p, a, t, |models, stats, tile, qp, s| {
-            decode_tile(dec, models, s.w, s.h, t, qp, stats, tile);
-        });
-    }
-}
+impl Decisions for Decoder {}
 
 #[cfg(test)]
 mod tests {

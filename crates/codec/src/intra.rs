@@ -33,25 +33,16 @@ impl IntraMode {
         IntraMode::TrueMotion,
     ];
 
-    /// Compact index used in the bitstream.
+    /// Compact index used in the bitstream: the mode's place in
+    /// [`IntraMode::VP9_MODES`], which lists the modes in declaration
+    /// order.
     pub(crate) fn index(self) -> usize {
-        match self {
-            IntraMode::Dc => 0,
-            IntraMode::Horizontal => 1,
-            IntraMode::Vertical => 2,
-            IntraMode::TrueMotion => 3,
-        }
+        self as usize
     }
 
     /// Inverse of [`IntraMode::index`]. Returns `None` for invalid indices.
     pub(crate) fn from_index(i: usize) -> Option<IntraMode> {
-        match i {
-            0 => Some(IntraMode::Dc),
-            1 => Some(IntraMode::Horizontal),
-            2 => Some(IntraMode::Vertical),
-            3 => Some(IntraMode::TrueMotion),
-            _ => None,
-        }
+        Self::VP9_MODES.get(i).copied()
     }
 }
 

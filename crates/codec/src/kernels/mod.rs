@@ -5,7 +5,7 @@
 //! temporal-filter blending, and the separable transform passes — goes
 //! through this module. Each kernel has:
 //!
-//! - a portable scalar reference in [`scalar`] (the exact pre-kernel
+//! - a portable scalar reference in `scalar` (the exact pre-kernel
 //!   loop, moved not rewritten), and
 //! - an x86_64 AVX2 implementation in `x86` that is **bit-identical**
 //!   to the scalar reference (see the per-kernel proofs in `x86.rs`).

@@ -1,9 +1,13 @@
-//! Entropy-model bank shared by encoder and decoder.
+//! Entropy-model bank of the frame syntax.
 //!
-//! One `Models` instance is created per coded frame on each side;
-//! because [`crate::entropy::AdaptiveModel`] adapts deterministically,
-//! encoder and decoder stay in lockstep as long as they code the same
-//! symbol sequence — which the bitstream syntax guarantees.
+//! One `Models` instance is created per coded frame on each side. The
+//! syntax that codes through it is written once — `frame_coder`'s
+//! `FrameCoder` walk with `code_mode` and `code_mv`, and
+//! `block::code_tile` — generic over
+//! [`crate::entropy::BoolCoder`], so the encoder and the decoder code
+//! the same symbol sequence by construction, and because
+//! [`crate::entropy::AdaptiveModel`] adapts deterministically their
+//! models stay in lockstep.
 
 use crate::entropy::AdaptiveModel;
 
@@ -69,12 +73,6 @@ impl Models {
             last_nz: (0..TX_CLASSES).map(|_| AdaptiveModel::new(8)).collect(),
             level: (0..TX_CLASSES).map(|_| AdaptiveModel::new(8)).collect(),
         }
-    }
-}
-
-impl Default for Models {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -64,10 +64,7 @@ impl Platform {
                 req.arrival_s
             };
             for profile in PROFILES {
-                let mut job = TranscodeJob::mot(req.resolution, profile, req.fps, chunk_s);
-                if live {
-                    job = job.low_latency_two_pass();
-                }
+                let job = TranscodeJob::mot(req.resolution, profile, req.fps, chunk_s);
                 out.push(JobSpec {
                     arrival_s: arrival,
                     job,

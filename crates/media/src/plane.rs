@@ -192,40 +192,10 @@ impl Plane {
     }
 
     /// Sum of absolute differences between the block at `(x, y)` in
-    /// `self` (edge-clamped) and `other` (row-major `bw x bh`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other.len() != bw * bh`.
-    pub fn sad_block(&self, x: isize, y: isize, bw: usize, bh: usize, other: &[u8]) -> u64 {
-        assert_eq!(other.len(), bw * bh, "block length mismatch");
-        let mut sad = 0u64;
-        let in_bounds =
-            x >= 0 && y >= 0 && (x as usize) + bw <= self.width && (y as usize) + bh <= self.height;
-        if in_bounds {
-            let (x, y) = (x as usize, y as usize);
-            for by in 0..bh {
-                let row = &self.data[(y + by) * self.width + x..(y + by) * self.width + x + bw];
-                let oth = &other[by * bw..(by + 1) * bw];
-                for (a, b) in row.iter().zip(oth) {
-                    sad += (*a as i32 - *b as i32).unsigned_abs() as u64;
-                }
-            }
-        } else {
-            for by in 0..bh {
-                for bx in 0..bw {
-                    let a = self.get_clamped(x + bx as isize, y + by as isize) as i32;
-                    let b = other[by * bw + bx] as i32;
-                    sad += (a - b).unsigned_abs() as u64;
-                }
-            }
-        }
-        sad
-    }
-
-    /// Early-exit variant of [`Plane::sad_block`]: accumulates the SAD
-    /// row by row and stops as soon as the running sum reaches
-    /// `threshold`, returning `(sad, pixels_examined)`.
+    /// `self` (edge-clamped) and `other` (row-major `bw x bh`),
+    /// accumulated row by row, stopping as soon as the running sum
+    /// reaches `threshold`; returns `(sad, pixels_examined)`. A
+    /// `threshold` of `u64::MAX` gives the full SAD.
     ///
     /// Contract: if the returned SAD is `< threshold` it is the exact
     /// full-block SAD; otherwise it is a partial sum that is `>=
@@ -487,9 +457,10 @@ mod tests {
     fn sad_matches_manual() {
         let p = Plane::from_fn(4, 4, |x, _| (x * 10) as u8);
         let other = vec![0u8, 10, 20, 30];
-        assert_eq!(p.sad_block(0, 0, 4, 1, &other), 0);
+        let sad = |o: &[u8]| p.sad_block_thresholded(0, 0, 4, 1, o, u64::MAX).0;
+        assert_eq!(sad(&other), 0);
         let other2 = vec![5u8, 5, 25, 25];
-        assert_eq!(p.sad_block(0, 0, 4, 1, &other2), 5 + 5 + 5 + 5);
+        assert_eq!(sad(&other2), 5 + 5 + 5 + 5);
     }
 
     #[test]
@@ -497,7 +468,7 @@ mod tests {
         let p = Plane::from_fn(16, 16, |x, y| ((x * 7 + y * 13) % 251) as u8);
         let mut blk = vec![0u8; 16];
         p.copy_block_clamped(4, 4, 4, 4, &mut blk);
-        assert_eq!(p.sad_block(4, 4, 4, 4, &blk), 0);
+        assert_eq!(p.sad_block_thresholded(4, 4, 4, 4, &blk, u64::MAX), (0, 16));
     }
 
     #[test]
@@ -596,14 +567,21 @@ mod tests {
         let mut blk = vec![0u8; 16];
         p.copy_block_clamped(2, 2, 4, 4, &mut blk);
         blk[0] = blk[0].wrapping_add(10);
-        let full = p.sad_block(2, 2, 4, 4, &blk);
-        let (sad, examined) = p.sad_block_thresholded(2, 2, 4, 4, &blk, u64::MAX);
-        assert_eq!(sad, full);
+        // The full SAD, summed over a clamped copy of the block.
+        let full = |x: isize, y: isize| {
+            let mut at = vec![0u8; 16];
+            p.copy_block_clamped(x, y, 4, 4, &mut at);
+            at.iter()
+                .zip(&blk)
+                .map(|(a, b)| (*a as i32 - *b as i32).unsigned_abs() as u64)
+                .sum::<u64>()
+        };
+        let (sad, examined) = p.sad_block_thresholded(2, 2, 4, 4, &blk, full(2, 2) + 1);
+        assert_eq!(sad, full(2, 2));
         assert_eq!(examined, 16);
         // Same at a clamped (out-of-bounds) position.
-        let full_edge = p.sad_block(-2, -2, 4, 4, &blk);
-        let (sad_edge, _) = p.sad_block_thresholded(-2, -2, 4, 4, &blk, u64::MAX);
-        assert_eq!(sad_edge, full_edge);
+        let (sad_edge, _) = p.sad_block_thresholded(-2, -2, 4, 4, &blk, full(-2, -2) + 1);
+        assert_eq!(sad_edge, full(-2, -2));
     }
 
     #[test]
@@ -614,7 +592,7 @@ mod tests {
         assert!(sad >= 1);
         assert_eq!(examined, 8, "one row should be enough to cross threshold 1");
         let (sad2, examined2) = p.sad_block_thresholded(0, 0, 8, 8, &blk, u64::MAX);
-        assert_eq!(sad2, p.sad_block(0, 0, 8, 8, &blk));
+        assert_eq!(sad2, 200 * 64);
         assert_eq!(examined2, 64);
     }
 

@@ -150,7 +150,7 @@ impl Rng {
         range.sample(self)
     }
 
-    /// Bernoulli draw: `true` with probability `p` (clamped to [0,1]).
+    /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.f64() < p
     }

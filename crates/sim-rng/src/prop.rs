@@ -2,7 +2,7 @@
 //! replacement).
 //!
 //! [`crate::prop_cases!`] declares `#[test]` functions whose body runs
-//! N times, each with a fresh [`Rng`](crate::Rng) seeded from a
+//! N times, each with a fresh [`Rng`] seeded from a
 //! deterministic per-case seed. On failure the harness reports the
 //! exact seed so the case reproduces with
 //! `VCU_PROP_SEED=<seed> cargo test <name>`.

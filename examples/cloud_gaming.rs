@@ -27,8 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Profile::Vp9Sim,
         60.0,
         1.0,
-    )
-    .low_latency_two_pass();
+    );
     let demand = model.job_demand(&job);
     println!("Stadia stream demand on one VCU: {demand:?}");
     assert!(

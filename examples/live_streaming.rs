@@ -34,8 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A single VCU really does fit the whole 1080p live MOT (§4.5).
     let model = VcuModel::new();
-    let job =
-        TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, chunk_s).low_latency_two_pass();
+    let job = TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, chunk_s);
     let demand = model.job_demand(&job);
     let fits = demand.fits_in(vcu_chip::ResourceDemand::vcu_capacity());
     println!(

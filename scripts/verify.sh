@@ -61,6 +61,12 @@ stage_clippy() {
     cargo clippy --workspace --all-targets --offline -q -- -D warnings -D unreachable_pub
 }
 
+# Rustdoc must build warning-free: a broken or private intra-doc link
+# is an error, so the rendered API docs never point nowhere.
+stage_doc() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+}
+
 # Smoke-run every example with its built-in fixed seed (VCU_SEED
 # unset → defaults), offline; `set -e` fails the stage on any
 # non-zero exit. Each prints a one-line JSON summary at the end.
@@ -182,6 +188,7 @@ run_stage fmt stage_fmt
 run_stage build stage_build
 run_stage test stage_test
 run_stage clippy stage_clippy
+run_stage doc stage_doc
 run_stage examples stage_examples
 run_stage campaign_smoke stage_campaign_smoke
 run_stage results_gate stage_results_gate

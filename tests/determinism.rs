@@ -1080,8 +1080,8 @@ fn synth_clips_are_pinned() {
 
 /// Every job the platform emits, for each workload family and at two
 /// resolutions: the per-family priority, the Live/Gaming arrival
-/// staggering and `low_latency_two_pass`, and the formats each request
-/// fans out to. `UploadTraffic` above reaches only `Upload`.
+/// staggering, and the formats each request fans out to.
+/// `UploadTraffic` above reaches only `Upload`.
 #[test]
 fn platform_jobs_for_every_family_are_pinned() {
     use vcu_media::Resolution;
@@ -1117,7 +1117,7 @@ fn platform_jobs_for_every_family_are_pinned() {
     let jobs = Platform::default().jobs_for_all(&reqs);
     assert_eq!(
         fnv1a64(format!("{jobs:?}").as_bytes()),
-        869018936743261611,
+        5385235699001675223,
         "platform jobs moved"
     );
 }

@@ -98,8 +98,7 @@ fn live_latency_enables_new_use_cases() {
         Profile::Vp9Sim,
         60.0,
         1.0,
-    )
-    .low_latency_two_pass();
+    );
     assert!(model
         .job_demand(&stadia)
         .fits_in(vcu_chip::ResourceDemand::vcu_capacity()));

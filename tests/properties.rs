@@ -5,9 +5,7 @@
 
 use vcu_chip::ResourceDemand;
 use vcu_cluster::{PlacementMode, Scheduler, SchedulerKind};
-use vcu_codec::entropy::{
-    read_int, read_uint, write_int, write_uint, AdaptiveModel, BoolDecoder, BoolEncoder,
-};
+use vcu_codec::entropy::{AdaptiveModel, BoolDecoder, BoolEncoder};
 use vcu_codec::{decode, encode, encode_parallel_traced, CodingStats, EncoderConfig, Profile, Qp};
 use vcu_media::bdrate::{bd_rate, RdPoint};
 use vcu_media::scale::scale_plane;
@@ -35,39 +33,48 @@ prop_cases! {
         }
     }
 
-    /// Adaptive integer coding round-trips arbitrary values.
+    /// Adaptive integer coding round-trips arbitrary values, the ends
+    /// of the `i32` domain included, mixed in among the small ones so a
+    /// desync after a wide value shows in the values that follow it.
     #[cases(256)]
     fn adaptive_ints_round_trip(rng) {
         let n = rng.gen_range(1usize..200);
-        let values: Vec<i32> = (0..n).map(|_| rng.gen_range(-100_000i32..100_000)).collect();
+        let mut values: Vec<i32> = (0..n).map(|_| rng.gen_range(-100_000i32..100_000)).collect();
+        for edge in [i32::MIN, i32::MIN + 1, i32::MAX, (1 << 30) + 2, -(1 << 30) - 2] {
+            values.insert(rng.gen_range(0..values.len() + 1), edge);
+        }
         let mut enc = BoolEncoder::new();
         let mut me = AdaptiveModel::new(8);
         for v in &values {
-            write_int(&mut enc, &mut me, 0, *v);
+            me.code_int(&mut enc, 0, *v);
         }
         let bytes = enc.finish();
         let mut dec = BoolDecoder::new(&bytes);
         let mut md = AdaptiveModel::new(8);
         for v in &values {
-            assert_eq!(read_int(&mut dec, &mut md, 0), *v);
+            assert_eq!(md.code_int(&mut dec, 0, 0), *v);
         }
     }
 
-    /// Unsigned variant.
+    /// Unsigned variant, with values whose exp-Golomb prefix runs 29
+    /// to 31 ones (up to `u32::MAX`) mixed in.
     #[cases(256)]
     fn adaptive_uints_round_trip(rng) {
         let n = rng.gen_range(1usize..200);
-        let values: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..2_000_000)).collect();
+        let mut values: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..2_000_000)).collect();
+        for edge in [(1 << 30) - 2, (1 << 30) + 2, 1 << 31, u32::MAX - 1, u32::MAX] {
+            values.insert(rng.gen_range(0..values.len() + 1), edge);
+        }
         let mut enc = BoolEncoder::new();
         let mut me = AdaptiveModel::new(8);
         for v in &values {
-            write_uint(&mut enc, &mut me, 0, *v);
+            me.code_uint(&mut enc, 0, *v);
         }
         let bytes = enc.finish();
         let mut dec = BoolDecoder::new(&bytes);
         let mut md = AdaptiveModel::new(8);
         for v in &values {
-            assert_eq!(read_uint(&mut dec, &mut md, 0), *v);
+            assert_eq!(md.code_uint(&mut dec, 0, 0), *v);
         }
     }
 
@@ -266,7 +273,7 @@ prop_cases! {
     /// Early-exit SAD picks the same winner as exhaustive SAD: running
     /// a best-candidate scan with `sad_block_thresholded` (pruned at
     /// the running best) selects the identical candidate and cost that
-    /// unpruned `sad_block` does.
+    /// the unpruned sum (threshold `u64::MAX`) does.
     #[cases(256)]
     fn thresholded_sad_selects_same_winner(rng) {
         let w = rng.gen_range(8usize..40);
@@ -281,7 +288,7 @@ prop_cases! {
             .collect();
         let (mut best_ref, mut besti_ref) = (u64::MAX, 0usize);
         for (i, &(cx, cy)) in cands.iter().enumerate() {
-            let s = p.sad_block(cx, cy, bw, bh, &cur);
+            let s = p.sad_block_thresholded(cx, cy, bw, bh, &cur, u64::MAX).0;
             if s < best_ref {
                 best_ref = s;
                 besti_ref = i;

@@ -144,29 +144,14 @@ pub struct ResourceDemand {
 }
 
 impl ResourceDemand {
-    /// The all-zero demand: identity for [`ResourceDemand::plus`] and
-    /// [`ResourceDemand::component_max`], and the value a non-accepting
-    /// worker contributes to an availability index.
+    /// The all-zero demand: identity for [`ResourceDemand::plus`], and
+    /// what a worker holding no placement has used.
     pub const ZERO: ResourceDemand = ResourceDemand {
         millidecode: 0,
         milliencode: 0,
         dram_mib: 0,
         host_mcpu: 0,
     };
-
-    /// Component-wise maximum. The scheduler's segment-tree
-    /// availability index aggregates worker capacities with this: a
-    /// demand that does not fit a subtree's component-wise max cannot
-    /// fit any worker in that subtree, which is what lets `place_from`
-    /// prune whole subtrees instead of scanning workers one by one.
-    pub fn component_max(self, other: ResourceDemand) -> ResourceDemand {
-        ResourceDemand {
-            millidecode: self.millidecode.max(other.millidecode),
-            milliencode: self.milliencode.max(other.milliencode),
-            dram_mib: self.dram_mib.max(other.dram_mib),
-            host_mcpu: self.host_mcpu.max(other.host_mcpu),
-        }
-    }
 
     /// Component-wise sum.
     pub fn plus(self, other: ResourceDemand) -> ResourceDemand {
@@ -324,31 +309,6 @@ mod tests {
         };
         assert_eq!(d.slots_per_vcu(), 3, "encode millicores bind");
         assert_eq!(cap.plus(cap).slots_per_vcu(), 1, "oversized still gets 1");
-    }
-
-    #[test]
-    fn component_max_is_per_dimension() {
-        let a = ResourceDemand {
-            millidecode: 100,
-            milliencode: 5,
-            dram_mib: 50,
-            host_mcpu: 1,
-        };
-        let b = ResourceDemand {
-            millidecode: 2,
-            milliencode: 300,
-            dram_mib: 50,
-            host_mcpu: 9,
-        };
-        let m = a.component_max(b);
-        assert_eq!(m.millidecode, 100);
-        assert_eq!(m.milliencode, 300);
-        assert_eq!(m.dram_mib, 50);
-        assert_eq!(m.host_mcpu, 9);
-        // ZERO is the identity, and the max dominates both inputs —
-        // the pruning property the availability index relies on.
-        assert_eq!(a.component_max(ResourceDemand::ZERO), a);
-        assert!(a.fits_in(m) && b.fits_in(m));
     }
 
     #[test]

@@ -69,6 +69,23 @@ impl<E> PartialOrd for Scheduled<E> {
     }
 }
 
+/// Where the earliest stored event sits, and its key: what
+/// [`EventQueue::peek`] saw and [`EventQueue::take`] removes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Head {
+    /// `Some(lane)`, or `None` for the heap.
+    from: Option<usize>,
+    pub(crate) time: f64,
+    seq: u64,
+}
+
+impl Head {
+    /// Whether this event pops before one keyed `(time, seq)`.
+    pub(crate) fn before(&self, time: f64, seq: u64) -> bool {
+        self.time.total_cmp(&time).then(self.seq.cmp(&seq)).is_lt()
+    }
+}
+
 /// The event queue driving a simulation.
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -120,8 +137,8 @@ impl<E> EventQueue<E> {
     ///
     /// Called on its own it gives an event the caller stores itself
     /// its place in the order. The caller keeps such reserved events in
-    /// `(time, seq)` order and, when [`EventQueue::pop_before`] declines
-    /// to pop ahead of the earliest, calls [`EventQueue::advance_to`]
+    /// `(time, seq)` order and, when [`EventQueue::peek`] finds nothing
+    /// [`Head::before`] the earliest, calls [`EventQueue::advance_to`]
     /// and handles it.
     ///
     /// # Panics
@@ -194,22 +211,15 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest stored event, advancing the clock.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let from = self.head()?.0;
-        Some(self.take(from))
-    }
-
-    /// Pops the earliest stored event if it comes before the caller's
-    /// earliest reserved event, keyed `(time, seq)`.
-    pub(crate) fn pop_before(&mut self, time: f64, seq: u64) -> Option<Scheduled<E>> {
-        let (from, head) = self.head()?;
-        head.key_cmp(time, seq).is_lt().then(|| self.take(from))
+        let head = self.peek()?;
+        Some(self.take(head))
     }
 
     /// Time of the earliest stored event without popping it — the
     /// merge point when two queues (e.g. a serving front end and the
     /// cluster it feeds) advance in lockstep.
     pub fn next_time(&self) -> Option<f64> {
-        self.head().map(|(_, s)| s.time)
+        self.peek().map(|h| h.time)
     }
 
     /// Number of stored events.
@@ -222,27 +232,34 @@ impl<E> EventQueue<E> {
         self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
     }
 
-    /// The earliest stored event and where it sits: `Some(lane)`, or
-    /// `None` for the heap.
-    fn head(&self) -> Option<(Option<usize>, &Scheduled<E>)> {
-        let mut best = self.heap.peek().map(|s| (None, s));
+    /// The earliest stored event's place and key: one look at the heap
+    /// head and at each lane head.
+    pub(crate) fn peek(&self) -> Option<Head> {
+        let head = |from, s: &Scheduled<E>| Head {
+            from,
+            time: s.time,
+            seq: s.seq,
+        };
+        let mut best = self.heap.peek().map(|s| head(None, s));
         for (i, lane) in self.lanes.iter().enumerate() {
             if let Some(s) = lane.front() {
-                if best.is_none_or(|(_, b)| s.key_cmp(b.time, b.seq).is_lt()) {
-                    best = Some((Some(i), s));
+                if best.is_none_or(|b| s.key_cmp(b.time, b.seq).is_lt()) {
+                    best = Some(head(Some(i), s));
                 }
             }
         }
         best
     }
 
-    /// Removes the head of `from` (as [`EventQueue::head`] named it).
-    fn take(&mut self, from: Option<usize>) -> Scheduled<E> {
-        let s = match from {
+    /// Pops the event `head` names, advancing the clock; `head` must be
+    /// what [`EventQueue::peek`] returned with nothing scheduled since.
+    pub(crate) fn take(&mut self, head: Head) -> Scheduled<E> {
+        let s = match head.from {
             Some(lane) => self.lanes[lane].pop_front(),
             None => self.heap.pop(),
         }
-        .expect("head() saw an event there");
+        .expect("peek() saw an event there");
+        debug_assert_eq!(s.seq, head.seq, "the queue changed since peek()");
         self.advance_to(s.time, s.seq);
         s
     }
@@ -501,9 +518,10 @@ mod tests {
         assert_eq!(first, 0);
         // Stored events ahead of the reserved one pop; a tie goes to
         // the lower sequence number, which is the reserved event's.
-        assert_eq!(q.pop_before(2.0, first).map(|s| s.event), Some("early"));
-        assert!(q.pop_before(2.0, first).is_none());
-        assert_eq!(q.now(), 1.0, "declining to pop leaves the clock alone");
+        let head = q.peek().filter(|h| h.before(2.0, first)).unwrap();
+        assert_eq!(q.take(head).event, "early");
+        assert!(!q.peek().unwrap().before(2.0, first));
+        assert_eq!(q.now(), 1.0, "peeking leaves the clock alone");
         q.advance_to(2.0, first);
         assert_eq!(q.now(), 2.0);
         assert_eq!(q.pop().map(|s| s.event), Some("queued"));
@@ -546,8 +564,11 @@ mod tests {
             reserved.sort_by(|a, b| a.0.total_cmp(&b.0)); // stable
             let mut cursor = reserved.into_iter().peekable();
             let mut pop = |q: &mut EventQueue<u32>| match cursor.peek().copied() {
-                Some((t, seq, id)) => Some(match q.pop_before(t, seq) {
-                    Some(s) => (s.time, s.event),
+                Some((t, seq, id)) => Some(match q.peek().filter(|h| h.before(t, seq)) {
+                    Some(head) => {
+                        let s = q.take(head);
+                        (s.time, s.event)
+                    }
                     None => {
                         q.advance_to(t, seq);
                         cursor.next();

@@ -15,19 +15,19 @@
 //! cache of all workers" at warehouse scale. A naive first-fit picker
 //! scans workers linearly — O(n) per placement, quadratic collapse at
 //! the 10,000-VCU fleets the simulator targets. [`Scheduler`] instead
-//! maintains a segment tree over the worker array whose internal nodes
-//! hold the *component-wise maximum* of remaining capacity below them
-//! (plus a free-slot max for the single-slot ablation and an
-//! any-accepting bit). `place_from` descends the tree left-to-right:
-//! a subtree whose max cannot hold the demand is pruned wholesale, so
-//! the first fitting worker — in exactly linear first-fit order — is
-//! found in O(log n) on correlated capacities (worst case O(n) when
-//! per-dimension maxima come from different workers, which churny real
-//! loads rarely produce). The original scan is kept as
-//! [`PlacementMode::LinearScan`], the property-tested oracle: both
-//! modes must pick identical workers on identical request streams,
-//! because first-fit order is observable behaviour (black-holing and
-//! Figure 6 both depend on it).
+//! maintains a wide (8-ary) tree over the worker array whose internal
+//! nodes hold the *component-wise maximum* of remaining capacity below
+//! them (plus a free-slot max, zero where no worker below accepts).
+//! `place_from` descends it left to right, testing a node's `B`
+//! children in one pass: a subtree whose max cannot hold the demand is
+//! pruned wholesale, so the first fitting worker — in exactly linear
+//! first-fit order — is found in O(B log_B n) on correlated capacities
+//! (worst case O(n) when per-dimension maxima come from different
+//! workers, which churny real loads rarely produce). The original scan
+//! is kept as [`PlacementMode::LinearScan`], the property-tested
+//! oracle: both modes must pick identical workers on identical request
+//! streams, because first-fit order is observable behaviour
+//! (black-holing and Figure 6 both depend on it).
 
 use vcu_chip::ResourceDemand;
 
@@ -48,7 +48,7 @@ pub enum SchedulerKind {
 /// How [`Scheduler::place_from`] searches the availability cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementMode {
-    /// O(log n) segment-tree availability index (the production path).
+    /// The wide availability index (the production path).
     #[default]
     Indexed,
     /// The original O(n) linear scan, kept as the test/bench oracle.
@@ -74,116 +74,175 @@ pub struct WorkerAvailability {
     pub accepting: bool,
 }
 
-/// One segment-tree node: the component-wise max of remaining capacity
-/// over all *accepting* workers in its subtree, the max free slot count
-/// (single-slot ablation), and whether any worker below accepts work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IndexNode {
-    avail: ResourceDemand,
-    free_slots: u32,
-    accepting: bool,
-}
+/// Children per availability-index node: a node tests all of them
+/// with one straight-line compare per dimension.
+const B: usize = 8;
+const _: () = assert!(B.is_power_of_two() && B <= 32, "a lane mask is a u32");
 
-impl IndexNode {
-    const EMPTY: IndexNode = IndexNode {
-        avail: ResourceDemand::ZERO,
-        free_slots: 0,
-        accepting: false,
-    };
+/// Values an index entry holds: remaining decode, encode, DRAM and host
+/// capacity, then free slots.
+const DIMS: usize = 5;
 
-    fn merge(a: IndexNode, b: IndexNode) -> IndexNode {
-        IndexNode {
-            avail: a.avail.component_max(b.avail),
-            free_slots: a.free_slots.max(b.free_slots),
-            accepting: a.accepting || b.accepting,
+/// One index entry: a worker's remaining capacity and free slots, or
+/// the component-wise max of the entries below it. A non-accepting
+/// worker and padding are all zeros, and a search asks for at least one
+/// free slot, so a zero-slot entry never matches — not even a zero
+/// demand — and no separate accepting bit is kept.
+type Entry = [u32; DIMS];
+
+/// One level of the index: groups of `B` entries, each group stored
+/// structure-of-arrays — one `[u32; B]` per dimension — so entry `k` is
+/// lane `k % B` of group `k / B`. The last group is padded with zero
+/// entries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Level(Vec<[[u32; B]; DIMS]>);
+
+impl Level {
+    fn zeroed(entries: usize) -> Self {
+        Level(vec![[[0; B]; DIMS]; entries.div_ceil(B)])
+    }
+
+    fn get(&self, k: usize) -> Entry {
+        self.0[k / B].map(|dim| dim[k % B])
+    }
+
+    fn put(&mut self, k: usize, e: Entry) {
+        for (dim, v) in self.0[k / B].iter_mut().zip(e) {
+            dim[k % B] = v;
         }
+    }
+
+    /// The component-wise max of group `g`: what its parent holds.
+    fn group_max(&self, g: usize) -> Entry {
+        self.0[g].map(|dim| dim.into_iter().max().unwrap_or(0))
+    }
+
+    /// Bit `j` is set when lane `j` of group `g` holds at least `need`
+    /// in every dimension.
+    fn matches(&self, g: usize, need: &Entry) -> u32 {
+        let mut fits = [true; B];
+        for (dim, &n) in self.0[g].iter().zip(need) {
+            for (f, &v) in fits.iter_mut().zip(dim) {
+                *f &= v >= n;
+            }
+        }
+        fits.iter()
+            .enumerate()
+            .fold(0, |mask, (j, &f)| mask | (f as u32) << j)
     }
 }
 
-/// Segment tree over the worker array answering "first worker in
-/// `[lo, hi)` whose availability satisfies a monotone predicate".
+/// A `B`-ary max tree over the worker array answering "first worker in
+/// `[lo, hi)` holding at least `need` in every dimension".
 #[derive(Debug)]
 struct AvailabilityIndex {
-    /// Leaf count rounded up to a power of two (tree arithmetic).
-    size: usize,
-    /// `2 * size` nodes, leaves at `size..size + n`; padding leaves
-    /// stay `EMPTY` and are never returned (queries clamp to `n`).
-    tree: Vec<IndexNode>,
+    /// Leaves first; each level above holds one entry per group of the
+    /// level below, up to a single root.
+    levels: Vec<Level>,
 }
 
 impl AvailabilityIndex {
-    fn new(n: usize) -> Self {
-        let size = n.next_power_of_two().max(1);
-        AvailabilityIndex {
-            size,
-            tree: vec![IndexNode::EMPTY; 2 * size],
+    /// The index over `leaves`, built bottom-up.
+    fn build(leaves: impl ExactSizeIterator<Item = Entry>) -> Self {
+        let mut entries = leaves.len();
+        let mut level = Level::zeroed(entries);
+        for (w, leaf) in leaves.enumerate() {
+            level.put(w, leaf);
         }
+        let mut levels = vec![level];
+        while entries > 1 {
+            let below = &levels[levels.len() - 1];
+            entries = entries.div_ceil(B);
+            let mut up = Level::zeroed(entries);
+            for g in 0..entries {
+                up.put(g, below.group_max(g));
+            }
+            levels.push(up);
+        }
+        AvailabilityIndex { levels }
     }
 
-    /// What internal node `i` must hold: the merge of its children.
-    fn merged(&self, i: usize) -> IndexNode {
-        IndexNode::merge(self.tree[2 * i], self.tree[2 * i + 1])
-    }
-
-    /// Replaces worker `w`'s leaf and repairs its ancestors, stopping
-    /// at the first whose aggregate the new leaf does not move: a node
-    /// is a function of its two children, so above an unchanged node
-    /// every ancestor still holds what a walk to the root would write.
-    /// A leaf below its siblings' maximum costs one merge, not one per
-    /// level.
-    fn set(&mut self, w: usize, leaf: IndexNode) {
-        let mut i = self.size + w;
-        self.tree[i] = leaf;
-        while i > 1 {
-            i /= 2;
-            let merged = self.merged(i);
-            if self.tree[i] == merged {
+    /// Replaces worker `w`'s leaf and repairs its ancestors. Each
+    /// parent takes the max with its child's new value, and rescans its
+    /// `B` children only in a dimension where the child held the
+    /// maximum and fell. The repair stops at the first ancestor that
+    /// does not move: a node is a function of its children, so above
+    /// it every ancestor still holds what a walk to the root would
+    /// write.
+    fn set(&mut self, w: usize, leaf: Entry) {
+        let mut k = w;
+        let mut old = self.levels[0].get(k);
+        let mut new = leaf;
+        self.levels[0].put(k, new);
+        for level in 1..self.levels.len() {
+            if old == new {
                 debug_assert!(
-                    std::iter::successors(Some(i / 2), |&a| Some(a / 2))
-                        .take_while(|&a| a >= 1)
-                        .all(|a| self.tree[a] == self.merged(a)),
-                    "stale ancestor above node {i}"
+                    self.fixed_above(level - 1, k),
+                    "stale ancestor above entry {k} of level {}",
+                    level - 1
                 );
                 return;
             }
-            self.tree[i] = merged;
+            let held = self.levels[level].get(k / B);
+            let mut next = held;
+            for d in 0..DIMS {
+                if new[d] >= held[d] {
+                    next[d] = new[d];
+                } else if old[d] == held[d] {
+                    next[d] = self.levels[level - 1].0[k / B][d]
+                        .into_iter()
+                        .max()
+                        .unwrap_or(0);
+                }
+            }
+            k /= B;
+            self.levels[level].put(k, next);
+            (old, new) = (held, next);
         }
     }
 
-    /// First worker index in `[lo, hi)` whose leaf satisfies `pred`.
-    /// `pred` must be monotone under [`IndexNode::merge`]: if it holds
-    /// for any leaf it holds for every ancestor aggregate, so a subtree
-    /// whose aggregate fails can be pruned without visiting leaves.
-    fn find_first(
-        &self,
-        lo: usize,
-        hi: usize,
-        pred: &impl Fn(&IndexNode) -> bool,
-    ) -> Option<usize> {
+    /// Whether every ancestor of entry `k` of `level` is the max of its
+    /// children (the oracle of an early-exiting repair).
+    fn fixed_above(&self, level: usize, mut k: usize) -> bool {
+        (level + 1..self.levels.len()).all(|up| {
+            k /= B;
+            self.levels[up].get(k) == self.levels[up - 1].group_max(k)
+        })
+    }
+
+    /// First worker index in `[lo, hi)` whose leaf holds at least
+    /// `need` in every dimension. Holding `need` is monotone under the
+    /// max — if a leaf holds it, so does every ancestor — so a subtree
+    /// whose entry does not is pruned without visiting its leaves.
+    fn find_first(&self, lo: usize, hi: usize, need: &Entry) -> Option<usize> {
         if lo >= hi {
             return None;
         }
-        self.descend(1, 0, self.size, lo, hi, pred)
+        self.search(self.levels.len() - 1, 0, lo, hi, need)
     }
 
-    fn descend(
-        &self,
-        node: usize,
-        node_lo: usize,
-        node_hi: usize,
-        lo: usize,
-        hi: usize,
-        pred: &impl Fn(&IndexNode) -> bool,
-    ) -> Option<usize> {
-        if node_hi <= lo || hi <= node_lo || !pred(&self.tree[node]) {
-            return None;
+    /// First leaf in `[lo, hi)` that holds `need`, below the entries of
+    /// group `g` of `level`, visited left to right.
+    fn search(&self, level: usize, g: usize, lo: usize, hi: usize, need: &Entry) -> Option<usize> {
+        // Entry `k` of `level` spans leaves `[k << shift, (k + 1) << shift)`;
+        // keep the lanes whose span meets `[lo, hi)`.
+        let shift = level * B.trailing_zeros() as usize;
+        let first = g * B;
+        let a = (lo >> shift).saturating_sub(first);
+        let b = ((hi - 1) >> shift) - first;
+        let window = (u32::MAX << a) & (u32::MAX >> (31 - b.min(B - 1)));
+        let mut mask = self.levels[level].matches(g, need) & window;
+        while mask != 0 {
+            let k = first + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if level == 0 {
+                return Some(k);
+            }
+            if let Some(w) = self.search(level - 1, k, lo, hi, need) {
+                return Some(w);
+            }
         }
-        if node_hi - node_lo == 1 {
-            return Some(node_lo);
-        }
-        let mid = (node_lo + node_hi) / 2;
-        self.descend(2 * node, node_lo, mid, lo, hi, pred)
-            .or_else(|| self.descend(2 * node + 1, mid, node_hi, lo, hi, pred))
+        None
     }
 }
 
@@ -232,30 +291,27 @@ impl Scheduler {
     ) -> Self {
         assert!(shards > 0, "need at least one shard");
         let capacity = ResourceDemand::vcu_capacity();
-        let mut s = Scheduler {
+        let workers: Vec<_> = (0..n_workers)
+            .map(|_| WorkerAvailability {
+                available: capacity,
+                used: ResourceDemand::ZERO,
+                jobs: 0,
+                accepting: true,
+            })
+            .collect();
+        Scheduler {
             kind,
             placement,
             shards,
-            workers: (0..n_workers)
-                .map(|_| WorkerAvailability {
-                    available: capacity,
-                    used: ResourceDemand::ZERO,
-                    jobs: 0,
-                    accepting: true,
-                })
-                .collect(),
-            index: AvailabilityIndex::new(n_workers),
+            index: AvailabilityIndex::build(workers.iter().map(|wk| leaf(kind, wk))),
+            workers,
             capacity,
             used_encode: 0,
             used_decode: 0,
             capacity_epoch: 0,
             placements: 0,
             rejections: 0,
-        };
-        for w in 0..n_workers {
-            s.sync_index(w);
         }
-        s
     }
 
     /// Read a worker's availability.
@@ -283,26 +339,8 @@ impl Scheduler {
         self.capacity_epoch
     }
 
-    /// Worker `w`'s leaf in the availability index.
-    fn leaf_of(&self, w: usize) -> IndexNode {
-        let wk = &self.workers[w];
-        if !wk.accepting {
-            return IndexNode::EMPTY;
-        }
-        IndexNode {
-            avail: wk.available,
-            free_slots: match self.kind {
-                SchedulerKind::SingleSlot { slots } => slots.saturating_sub(wk.jobs),
-                // Unused by the multi-dim predicate; any nonzero value.
-                SchedulerKind::MultiDim => 1,
-            },
-            accepting: true,
-        }
-    }
-
     fn sync_index(&mut self, w: usize) {
-        let leaf = self.leaf_of(w);
-        self.index.set(w, leaf);
+        self.index.set(w, leaf(self.kind, &self.workers[w]));
     }
 
     /// Whether worker `w` can take `demand` under this scheduler's
@@ -378,20 +416,20 @@ impl Scheduler {
         let n = self.workers.len();
         let win = window.min(n);
         let lo = start % n;
+        // One free slot, and under the multi-dim policy the demand.
+        let need = match self.kind {
+            SchedulerKind::MultiDim => [
+                demand.millidecode,
+                demand.milliencode,
+                demand.dram_mib,
+                demand.host_mcpu,
+                1,
+            ],
+            SchedulerKind::SingleSlot { .. } => [0, 0, 0, 0, 1],
+        };
         // The wrapping window [lo, lo+win) splits into at most two
         // non-wrapping index queries.
-        let query = |a: usize, b: usize| -> Option<usize> {
-            match self.kind {
-                SchedulerKind::MultiDim => self.index.find_first(a, b.min(n), &|nd: &IndexNode| {
-                    nd.accepting && demand.fits_in(nd.avail)
-                }),
-                SchedulerKind::SingleSlot { .. } => {
-                    self.index.find_first(a, b.min(n), &|nd: &IndexNode| {
-                        nd.accepting && nd.free_slots > 0
-                    })
-                }
-            }
-        };
+        let query = |a: usize, b: usize| self.index.find_first(a, b.min(n), &need);
         if lo + win <= n {
             query(lo, lo + win)
         } else {
@@ -453,6 +491,21 @@ impl Scheduler {
         }
         self.used_decode as f64 / denom
     }
+}
+
+/// A worker's entry in the availability index under policy `kind`:
+/// zero when it does not accept work.
+fn leaf(kind: SchedulerKind, wk: &WorkerAvailability) -> Entry {
+    if !wk.accepting {
+        return [0; DIMS];
+    }
+    let a = wk.available;
+    let slots = match kind {
+        SchedulerKind::SingleSlot { slots } => slots.saturating_sub(wk.jobs),
+        // The multi-dim policy asks the dimensions; any nonzero value.
+        SchedulerKind::MultiDim => 1,
+    };
+    [a.millidecode, a.milliencode, a.dram_mib, a.host_mcpu, slots]
 }
 
 #[cfg(test)]
@@ -573,12 +626,14 @@ mod tests {
 
     /// Drives an indexed and a linear-scan scheduler through the same
     /// deterministic request/release/churn script and asserts they pick
-    /// identical workers and end in identical states.
+    /// identical workers and end in identical states; then asks both
+    /// about windows whose ends fall on, beside and between the group
+    /// boundaries of every level.
     fn assert_modes_agree(kind: SchedulerKind, n: usize) {
         let mut a = Scheduler::with_placement(kind, n, 2, PlacementMode::Indexed);
         let mut b = Scheduler::with_placement(kind, n, 2, PlacementMode::LinearScan);
         let mut placed: Vec<(usize, ResourceDemand)> = Vec::new();
-        for i in 0..400usize {
+        for i in 0..400.max(2 * n) {
             let d = demand((i as u32 * 613) % 1500, (i as u32 * 217) % 4000);
             let start = (i * 7) % (n + 3); // exercise start >= n wrapping
             let window = 1 + (i * 11) % n.max(1);
@@ -606,18 +661,38 @@ mod tests {
         }
         assert_eq!(a.placements, b.placements);
         assert_eq!(a.rejections, b.rejections);
+        let edges: Vec<usize> = [1, B, B * B, B * B * B]
+            .into_iter()
+            .flat_map(|span| [span - 1, span, span + 1, 3 * span - 1, 3 * span + 2])
+            .chain([0, n - 1, n, n + 1])
+            .collect();
+        for &start in &edges {
+            for &window in &edges {
+                for d in [demand(0, 0), demand(900, 2_500), demand(2_400, 7_000)] {
+                    let (wa, wb) = (
+                        a.probe_from(d, start, window),
+                        b.probe_from(d, start, window),
+                    );
+                    assert_eq!(wa, wb, "n={n} start={start} window={window} {d:?}");
+                }
+            }
+        }
     }
+
+    /// Sizes with one to five index levels, full and partial last
+    /// groups.
+    const SIZES: [usize; 10] = [1, 2, 7, 8, 9, 63, 64, 65, 600, 4_097];
 
     #[test]
     fn indexed_matches_linear_scan_multidim() {
-        for n in [1, 2, 3, 7, 16, 33] {
+        for n in SIZES {
             assert_modes_agree(SchedulerKind::MultiDim, n);
         }
     }
 
     #[test]
     fn indexed_matches_linear_scan_single_slot() {
-        for n in [1, 2, 5, 32] {
+        for n in SIZES {
             assert_modes_agree(SchedulerKind::SingleSlot { slots: 3 }, n);
         }
     }
@@ -626,11 +701,11 @@ mod tests {
         /// The index a stream of early-exiting repairs leaves behind is
         /// the one a bottom-up rebuild from the workers' leaves gives:
         /// after every `place_from` / `release` / `set_accepting` over
-        /// 1–300 workers, under both policies, each internal node is
-        /// the merge of its children, root included.
+        /// 1–1,000 workers (up to five levels), under both policies,
+        /// every level equals the rebuild's, root and padding included.
         #[cases(96)]
         fn repaired_index_equals_a_rebuild_from_the_leaves(rng) {
-            let n = rng.gen_range(1usize..=300);
+            let n = rng.gen_range(1usize..=1_000);
             let kind = if rng.gen_bool(0.5) {
                 SchedulerKind::MultiDim
             } else {
@@ -642,8 +717,8 @@ mod tests {
                 match rng.gen_range(0u32..10) {
                     0..=5 => {
                         // Every dimension free, zero included: an
-                        // ancestor's slot count or accepting bit can
-                        // then move while its capacity maxima do not.
+                        // ancestor's slot count can then move while its
+                        // capacity maxima do not.
                         let d = ResourceDemand {
                             millidecode: rng.gen_range(0u32..2_000),
                             milliencode: rng.gen_range(0u32..6_000),
@@ -660,14 +735,8 @@ mod tests {
                     }
                     _ => s.set_accepting(rng.gen_range(0usize..n), rng.gen_bool(0.5)),
                 }
-                let mut rebuilt = AvailabilityIndex::new(n);
-                for w in 0..n {
-                    rebuilt.tree[rebuilt.size + w] = s.leaf_of(w);
-                }
-                for i in (1..rebuilt.size).rev() {
-                    rebuilt.tree[i] = rebuilt.merged(i);
-                }
-                assert_eq!(s.index.tree, rebuilt.tree, "op {op} (n={n}, {kind:?})");
+                let rebuilt = AvailabilityIndex::build(s.workers.iter().map(|wk| leaf(kind, wk)));
+                assert_eq!(s.index.levels, rebuilt.levels, "op {op} (n={n}, {kind:?})");
             }
         }
     }

@@ -16,6 +16,7 @@ use super::{
     WATCHDOG_LANE,
 };
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 use vcu_chip::faults::HealthState;
 use vcu_chip::ResourceDemand;
 use vcu_telemetry::Scope;
@@ -124,7 +125,7 @@ impl ClusterSim {
 
     /// Whether `a` still holds its resources (no other event ended it).
     fn is_live(&self, a: Attempt) -> bool {
-        self.jobs[a.job].live_attempt == Some(a.number)
+        self.jobs[a.job].live_attempt.map(NonZeroU32::get) == Some(a.number)
     }
 
     /// Counts `incident` in the report and, under the same name, in
@@ -432,7 +433,7 @@ impl ClusterSim {
         // per-mode job tallies (taken at resolution from the *final*
         // attempt) over-count.
         job.mode = mode;
-        job.live_attempt = Some(job.attempts);
+        job.live_attempt = NonZeroU32::new(job.attempts);
         let a = Attempt {
             job: j,
             number: job.attempts,

@@ -47,12 +47,13 @@ pub use fleet::{FaultInjection, FaultKind, HealthPolicy, WatchdogPolicy};
 pub use retry::{RetryPolicy, BACKOFF_FACTOR, MAX_ATTEMPTS};
 pub use tally::{ClusterReport, Sample};
 
-use crate::des::EventQueue;
+use crate::des::{EventQueue, Head};
 use crate::scheduler::Scheduler;
 use degrade::Ladder;
 use dispatch::Blocked;
 use fleet::Fleet;
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 use tally::Tally;
 use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
 use vcu_rng::Rng;
@@ -152,7 +153,8 @@ struct JobState {
     /// Attempt number currently holding resources, if any. Completion,
     /// watchdog, and crash-abort events all race to resolve an attempt;
     /// whichever matches this number first wins and the rest are stale.
-    live_attempt: Option<u32>,
+    /// Attempts count from 1, so the niche keeps this at 4 bytes.
+    live_attempt: Option<NonZeroU32>,
     priority: Priority,
     /// Codec path of the *most recent* attempt — rewritten at every
     /// placement, so at resolution it reads as the final attempt's
@@ -220,6 +222,24 @@ impl Arrivals {
             Some(&j) => j as usize,
             None => self.next,
         })
+    }
+}
+
+/// The event [`ClusterSim::step`] handles next, as peeked.
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    /// Batch arrival of job `.0` at time `.1`.
+    Arrival(usize, f64),
+    /// The queue's head.
+    Queued(Head),
+}
+
+impl Next {
+    fn time(self) -> f64 {
+        match self {
+            Next::Arrival(_, time) => time,
+            Next::Queued(head) => head.time,
+        }
     }
 }
 
@@ -400,11 +420,45 @@ impl ClusterSim {
     /// Time of the next pending event, if any — the merge point for a
     /// driver interleaving this queue with its own.
     pub fn next_event_time(&self) -> Option<f64> {
-        let arrival = self.arrivals.peek().map(|j| self.jobs[j].arrival_s);
-        match (arrival, self.queue.next_time()) {
-            (Some(a), Some(q)) => Some(if q.total_cmp(&a).is_lt() { q } else { a }),
-            (a, q) => a.or(q),
+        self.peek_next().map(|next| next.time())
+    }
+
+    /// The next event: the earliest of the next batch arrival and the
+    /// queue's head.
+    fn peek_next(&self) -> Option<Next> {
+        let head = self.queue.peek();
+        match self.arrivals.peek() {
+            // Batch arrival `j` was reserved as `(arrival_s, j)`.
+            Some(j) => {
+                let time = self.jobs[j].arrival_s;
+                Some(match head {
+                    Some(h) if h.before(time, j as u64) => Next::Queued(h),
+                    _ => Next::Arrival(j, time),
+                })
+            }
+            None => head.map(Next::Queued),
         }
+    }
+
+    /// Handles the next event if there is one and `due` accepts its
+    /// time, looking at the lane heads once; returns whether it did.
+    fn step_if(&mut self, due: impl FnOnce(f64) -> bool) -> bool {
+        let Some(next) = self.peek_next().filter(|next| due(next.time())) else {
+            return false;
+        };
+        let (time, event) = match next {
+            Next::Arrival(j, time) => {
+                self.queue.advance_to(time, j as u64);
+                self.arrivals.next += 1;
+                (time, Event::Arrival(j))
+            }
+            Next::Queued(head) => {
+                let ev = self.queue.take(head);
+                (ev.time, ev.event)
+            }
+        };
+        self.handle_event(time, event);
+        true
     }
 
     /// Current sim time (time of the last processed event).
@@ -421,26 +475,7 @@ impl ClusterSim {
     /// arrival and the queue's head. Returns false when neither is
     /// left.
     pub fn step(&mut self) -> bool {
-        let (time, event) = match self.arrivals.peek() {
-            // Batch arrival `j` was reserved as `(arrival_s, j)`.
-            Some(j) => {
-                let (time, seq) = (self.jobs[j].arrival_s, j as u64);
-                match self.queue.pop_before(time, seq) {
-                    Some(ev) => (ev.time, ev.event),
-                    None => {
-                        self.queue.advance_to(time, seq);
-                        self.arrivals.next += 1;
-                        (time, Event::Arrival(j))
-                    }
-                }
-            }
-            None => match self.queue.pop() {
-                Some(ev) => (ev.time, ev.event),
-                None => return false,
-            },
-        };
-        self.handle_event(time, event);
-        true
+        self.step_if(|_| true)
     }
 
     /// Takes the job resolutions accumulated since the last call
@@ -454,9 +489,7 @@ impl ClusterSim {
     /// never passes `t`, so jobs injected afterwards may arrive at any
     /// time ≥ `t`.
     pub fn run_until(&mut self, t: f64) {
-        while self.next_event_time().is_some_and(|next| next <= t) {
-            self.step();
-        }
+        while self.step_if(|next| next <= t) {}
     }
 
     /// Jobs waiting across all priority classes (the backlog an
@@ -742,7 +775,8 @@ mod tests {
         /// only in `fps` or only in `two_pass`, a per-job chunk length,
         /// and a NaN `fps` that is unequal even to itself — submitted
         /// partly as the batch vector and partly through `inject_job`,
-        /// every job holds exactly the `Shape` computed for it alone.
+        /// every job holds exactly the `Shape` computed for it alone —
+        /// and, through the last-video memo, its video's slot.
         #[cases(128)]
         fn stored_shapes_match_fresh_ones(rng) {
             let base = || TranscodeJob::mot(Resolution::R1080, Profile::Vp9Sim, 30.0, 5.0);
@@ -792,7 +826,14 @@ mod tests {
                 sim.inject_job(spec.clone());
             }
             assert_eq!(sim.jobs.len(), stream.len());
+            // Video slots are dense, in order of first submission.
+            let mut videos: Vec<u64> = Vec::new();
             for (state, spec) in sim.jobs.iter().zip(&stream) {
+                let slot = videos.iter().position(|&v| v == spec.video_id).unwrap_or_else(|| {
+                    videos.push(spec.video_id);
+                    videos.len() - 1
+                });
+                assert_eq!(state.video_slot as usize, slot);
                 let Shape { duration_s, output_mpix, demand } = state.shape;
                 assert_eq!(duration_s.to_bits(), spec.job.duration_s.to_bits());
                 assert_eq!(
@@ -805,11 +846,22 @@ mod tests {
     }
 
     #[test]
-    fn a_job_state_fits_72_bytes() {
-        // 128 when it held the whole `JobSpec` (64 of them the
-        // `TranscodeJob` and its `Vec` header) and an
-        // `Option<ResourceDemand>`.
-        assert!(std::mem::size_of::<JobState>() <= 72);
+    fn a_job_state_has_a_job_specs_size_and_align() {
+        // 128 when it held the whole `JobSpec` and an
+        // `Option<ResourceDemand>`, 72 while `live_attempt` was an
+        // `Option<u32>`. Equal layouts are what let `ClusterSim::new`
+        // build the job table in the caller's `JobSpec` buffer.
+        use std::mem::{align_of, size_of};
+        assert_eq!(size_of::<JobState>(), size_of::<JobSpec>());
+        assert_eq!(align_of::<JobState>(), align_of::<JobSpec>());
+    }
+
+    #[test]
+    fn the_job_table_reuses_the_job_spec_buffer() {
+        let jobs = upload_jobs(100, 0.5, true);
+        let buffer = jobs.as_ptr().cast::<u8>();
+        let sim = ClusterSim::new(ClusterConfig::default(), jobs, vec![]);
+        assert_eq!(sim.jobs.as_ptr().cast::<u8>(), buffer);
     }
 
     #[test]

@@ -138,6 +138,8 @@ pub(super) struct Tally {
     last_resolution_s: f64,
     /// The dense slot [`Tally::submitted`] gave each video id.
     video_slots: HashMap<u64, u32>,
+    /// The last `(video, slot)` pair [`Tally::submitted`] returned.
+    last_video: Option<(u64, u32)>,
     /// Per video slot, the distinct VCUs that touched it (blast
     /// radius), sorted.
     touched: Vec<Vec<u32>>,
@@ -163,17 +165,25 @@ impl Tally {
     }
 
     /// A chunk of `video` was submitted; returns the video's slot, the
-    /// handle [`Tally::placed`] takes, so the id is hashed once per job
-    /// and never per placement. Every submitted video participates in
-    /// the blast-radius mean, even if none of its chunks ever reach a
-    /// VCU.
+    /// handle [`Tally::placed`] takes, so the id is hashed at most once
+    /// per job and never per placement — and not at all for a chunk of
+    /// the video submitted just before, since a video's chunks mostly
+    /// arrive together. Debug builds check every such answer against
+    /// the map. Every submitted video participates in the blast-radius
+    /// mean, even if none of its chunks ever reach a VCU.
     pub(super) fn submitted(&mut self, video: u64) -> u32 {
-        *self.video_slots.entry(video).or_insert_with(|| {
+        if let Some((_, slot)) = self.last_video.filter(|&(last, _)| last == video) {
+            debug_assert_eq!(self.video_slots.get(&video), Some(&slot));
+            return slot;
+        }
+        let slot = *self.video_slots.entry(video).or_insert_with(|| {
             let slot =
                 u32::try_from(self.touched.len()).expect("a run holds at most u32::MAX videos");
             self.touched.push(Vec::new());
             slot
-        })
+        });
+        self.last_video = Some((video, slot));
+        slot
     }
 
     /// An attempt of a chunk of the video in `slot` was placed on

@@ -301,7 +301,10 @@ impl AdaptiveModel {
     }
 
     /// Estimated cost in (1/256)-bit units of coding `bit` in `ctx`
-    /// *without* adapting — used by RDO to price candidate modes.
+    /// *without* adapting. Nothing outside this module's tests calls it
+    /// yet: mode and split decisions price syntax with fixed estimates
+    /// (`mv_bits_estimate`) until rate-priced decisions land (ROADMAP
+    /// items 11(a) and 16).
     pub fn cost(&self, ctx: usize, bit: bool) -> u32 {
         let p0 = self.probs[ctx] as f64 / 256.0;
         let p = if bit { 1.0 - p0 } else { p0 };

@@ -78,7 +78,7 @@ pub struct PaperConfig {
 /// workers over `horizon_s` seconds.
 ///
 /// Chunk jobs are emitted directly (rather than expanding full upload
-/// requests through `vcu_system::Platform`) so the simulated population
+/// requests through `vcu_system::platform`) so the simulated population
 /// stays bounded; the mix follows the upload resolution distribution.
 fn saturating_jobs(vcus: usize, horizon_s: f64, mot: bool, seed: u64) -> Vec<JobSpec> {
     // Offered load ≈ 1.3× the fleet's sustainable rate so queues stay

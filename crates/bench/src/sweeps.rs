@@ -273,7 +273,7 @@ pub fn run_serve_cell(spec: &ServeCellSpec, seed: u64) -> ServeCampaignCell {
 pub struct RegionCellSpec {
     /// Regions on the planet.
     pub regions: usize,
-    /// Cluster cells (event-queue shards) per region.
+    /// Cluster cells per region (each its own `ClusterSim`).
     pub cells_per_region: usize,
     /// VCUs per cell.
     pub vcus_per_cell: usize,
@@ -406,7 +406,7 @@ impl RegionCampaignConfig {
             period_s: self.horizon_s,
             chunk_s: self.chunk_s,
             traffic_scale: spec.traffic_scale,
-            merge_shards: 4,
+            merge_shards: 1,
             // At fleet scale a diurnal peak plateaus well under one
             // backlog job per worker (queueing wait ~ a fraction of a
             // chunk), so the campaign arms the router at 0.2 rather

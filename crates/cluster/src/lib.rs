@@ -3,8 +3,9 @@
 //!
 //! - [`des`]: deterministic discrete-event core,
 //! - [`scheduler`]: the §3.3.3 multi-dimensional bin-packing work
-//!   scheduler with a sharded availability cache (plus the legacy
-//!   single-slot baseline for ablations),
+//!   scheduler over one availability cache (the paper shards it to
+//!   scale out; one shard is all a simulated cell needs), plus the
+//!   legacy single-slot baseline for ablations,
 //! - [`sim`]: the cluster simulator — a dispatch core (event loop,
 //!   pending queues, placement, the open-world stepping API) over
 //!   state-owning components for retry backoff, fleet health
@@ -23,7 +24,7 @@ pub mod scheduler;
 pub mod sim;
 pub mod tco;
 
-pub use des::{EventQueue, ShardedEventQueue};
+pub use des::EventQueue;
 pub use faultsim::{
     cell_cluster_config, correlated_domain_faults, fault_schedule, slots_per_worker,
     uniform_stream, upgrade_wave_faults,

@@ -2,18 +2,20 @@
 //!
 //! The production design is an online multi-dimensional bin-packing
 //! scheduler: each worker advertises capacity in named scalar resource
-//! dimensions (millidecode, milliencode, DRAM bytes, host mCPU); a
-//! sharded in-memory availability cache is consulted by a worker
-//! picker that places each request first-fit by worker number. The
-//! paper contrasts this with the prior "uniform CPU cost model (fixed
-//! CPU-seconds/seconds per graph step)" — provided here as
+//! dimensions (millidecode, milliencode, DRAM bytes, host mCPU); an
+//! in-memory availability cache is consulted by a worker picker that
+//! places each request first-fit by worker number. The paper contrasts
+//! this with the prior "uniform CPU cost model (fixed CPU-seconds/
+//! seconds per graph step)" — provided here as
 //! [`SchedulerKind::SingleSlot`] for the ablation experiment.
 //!
 //! # The availability index
 //!
 //! The paper's scheduler serves "a sharded, in-memory availability
-//! cache of all workers" at warehouse scale. A naive first-fit picker
-//! scans workers linearly — O(n) per placement, quadratic collapse at
+//! cache of all workers" at warehouse scale; it shards the cache to
+//! scale out horizontally. This model runs one shard per cell, which
+//! is all a simulated cell needs. A naive first-fit picker scans
+//! workers linearly — O(n) per placement, quadratic collapse at
 //! the 10,000-VCU fleets the simulator targets. [`Scheduler`] instead
 //! maintains a wide (8-ary) tree over the worker array whose internal
 //! nodes hold the *component-wise maximum* of remaining capacity below
@@ -246,17 +248,12 @@ impl AvailabilityIndex {
     }
 }
 
-/// The sharded availability cache + worker picker.
-///
-/// Sharding models the paper's horizontally-scaled scheduler: workers
-/// are partitioned across shards and a request only consults its
-/// shard's cache (consistent with "sharded, in-memory availability
-/// cache of all workers").
+/// The availability cache + worker picker: one shard of the paper's
+/// horizontally sharded cache, holding every worker of the cell.
 #[derive(Debug)]
 pub struct Scheduler {
     kind: SchedulerKind,
     placement: PlacementMode,
-    shards: usize,
     workers: Vec<WorkerAvailability>,
     index: AvailabilityIndex,
     capacity: ResourceDemand,
@@ -275,21 +272,17 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Creates a scheduler over `n_workers` workers, each with the
-    /// standard VCU worker capacity, in `shards` shards, using the
-    /// indexed placement path.
+    /// standard VCU worker capacity, using the indexed placement path.
+    /// `shards` must be 1, the only value any caller passes; the
+    /// argument stays until the benchmark's frozen API list drops it.
     pub fn new(kind: SchedulerKind, n_workers: usize, shards: usize) -> Self {
-        Self::with_placement(kind, n_workers, shards, PlacementMode::default())
+        assert_eq!(shards, 1, "the scheduler runs one shard");
+        Self::with_placement(kind, n_workers, PlacementMode::default())
     }
 
     /// Like [`Scheduler::new`] with an explicit placement mode (the
-    /// linear-scan oracle exists for differential tests and benches).
-    pub fn with_placement(
-        kind: SchedulerKind,
-        n_workers: usize,
-        shards: usize,
-        placement: PlacementMode,
-    ) -> Self {
-        assert!(shards > 0, "need at least one shard");
+    /// linear-scan oracle exists for differential tests).
+    pub fn with_placement(kind: SchedulerKind, n_workers: usize, placement: PlacementMode) -> Self {
         let capacity = ResourceDemand::vcu_capacity();
         let workers: Vec<_> = (0..n_workers)
             .map(|_| WorkerAvailability {
@@ -302,7 +295,6 @@ impl Scheduler {
         Scheduler {
             kind,
             placement,
-            shards,
             index: AvailabilityIndex::build(workers.iter().map(|wk| leaf(kind, wk))),
             workers,
             capacity,
@@ -354,15 +346,12 @@ impl Scheduler {
             }
     }
 
-    /// Places a request, returning the chosen worker index. First-fit
-    /// by worker number within the request's shard, then the other
-    /// shards (work spills when local capacity is unavailable, like
-    /// the paper's cross-cluster spill).
-    pub fn place(&mut self, demand: ResourceDemand, shard_hint: usize) -> Option<usize> {
-        let n = self.workers.len();
-        let shard_size = n.div_ceil(self.shards.max(1)).max(1);
-        let home = (shard_hint % self.shards.max(1)) * shard_size;
-        self.place_from(demand, home, n)
+    /// Places a request, returning the chosen worker index: first-fit
+    /// by worker number over every worker. With one shard every hint
+    /// starts at worker 0, so `_shard_hint` is ignored; it stays until
+    /// the benchmark's frozen API list drops it.
+    pub fn place(&mut self, demand: ResourceDemand, _shard_hint: usize) -> Option<usize> {
+        self.place_from(demand, 0, self.workers.len())
     }
 
     /// Places a request scanning at most `window` workers starting at
@@ -616,22 +605,14 @@ mod tests {
         assert!((s.decode_utilization() - 0.5).abs() < 1e-9);
     }
 
-    #[test]
-    fn sharding_spreads_home_workers() {
-        let mut s = Scheduler::new(SchedulerKind::MultiDim, 4, 2);
-        // Shard hint 1 starts scanning at worker 2.
-        assert_eq!(s.place(demand(100, 100), 1), Some(2));
-        assert_eq!(s.place(demand(100, 100), 0), Some(0));
-    }
-
     /// Drives an indexed and a linear-scan scheduler through the same
     /// deterministic request/release/churn script and asserts they pick
     /// identical workers and end in identical states; then asks both
     /// about windows whose ends fall on, beside and between the group
     /// boundaries of every level.
     fn assert_modes_agree(kind: SchedulerKind, n: usize) {
-        let mut a = Scheduler::with_placement(kind, n, 2, PlacementMode::Indexed);
-        let mut b = Scheduler::with_placement(kind, n, 2, PlacementMode::LinearScan);
+        let mut a = Scheduler::with_placement(kind, n, PlacementMode::Indexed);
+        let mut b = Scheduler::with_placement(kind, n, PlacementMode::LinearScan);
         let mut placed: Vec<(usize, ResourceDemand)> = Vec::new();
         for i in 0..400.max(2 * n) {
             let d = demand((i as u32 * 613) % 1500, (i as u32 * 217) % 4000);

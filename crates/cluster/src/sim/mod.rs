@@ -351,7 +351,7 @@ impl ClusterSim {
         ClusterSim {
             queue,
             arrivals,
-            scheduler: Scheduler::with_placement(cfg.scheduler, cfg.vcus, 1, cfg.placement),
+            scheduler: Scheduler::with_placement(cfg.scheduler, cfg.vcus, cfg.placement),
             fleet: Fleet::new(cfg.vcus, cfg.seed, cfg.health),
             ladder: Ladder::new(cfg.degrade.clone()),
             reviving_events: jobs.len() + faults.len(),

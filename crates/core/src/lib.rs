@@ -11,11 +11,10 @@
 //! # Quickstart
 //!
 //! ```
-//! use vcu_system::platform::Platform;
+//! use vcu_system::platform;
 //! use vcu_workloads::{Request, WorkloadFamily, PopularityBucket};
 //! use vcu_media::Resolution;
 //!
-//! let platform = Platform::default();
 //! let req = Request {
 //!     arrival_s: 0.0,
 //!     family: WorkloadFamily::Upload,
@@ -24,7 +23,7 @@
 //!     duration_s: 10.0,
 //!     popularity: PopularityBucket::Middle,
 //! };
-//! let jobs = platform.jobs_for(&req);
+//! let jobs = platform::jobs_for(&req);
 //! assert!(!jobs.is_empty());
 //! ```
 #![forbid(unsafe_code)]
@@ -35,4 +34,3 @@ pub mod mot;
 pub mod platform;
 
 pub use chunking::ChunkPlan;
-pub use platform::Platform;

@@ -18,70 +18,63 @@ pub(crate) const CHUNK_SECONDS: f64 = 5.0;
 /// The formats every chunk is transcoded to.
 const PROFILES: [Profile; 2] = [Profile::H264Sim, Profile::Vp9Sim];
 
-/// The platform front-end. It holds no state; callers build it with
-/// `Platform::default()`, which clippy would flag on a unit struct.
-#[derive(Debug, Clone, Default)]
-pub struct Platform {}
+fn chunk_count(req: &Request) -> usize {
+    (req.duration_s / CHUNK_SECONDS).ceil().max(1.0) as usize
+}
 
-impl Platform {
-    fn chunk_count(&self, req: &Request) -> usize {
-        (req.duration_s / CHUNK_SECONDS).ceil().max(1.0) as usize
+/// Priority for a workload family.
+fn priority_for(family: WorkloadFamily) -> Priority {
+    match family {
+        WorkloadFamily::Live | WorkloadFamily::Gaming => Priority::Critical,
+        WorkloadFamily::Upload => Priority::Normal,
+        WorkloadFamily::Archival => Priority::Batch,
     }
+}
 
-    /// Priority for a workload family.
-    pub(crate) fn priority_for(family: WorkloadFamily) -> Priority {
-        match family {
-            WorkloadFamily::Live | WorkloadFamily::Gaming => Priority::Critical,
-            WorkloadFamily::Upload => Priority::Normal,
-            WorkloadFamily::Archival => Priority::Batch,
+/// Stable video identifier for a request (used by consistent-hash
+/// placement and blast-radius accounting).
+pub fn video_id(req: &Request) -> u64 {
+    let a = req.arrival_s.to_bits();
+    let r = req.resolution.pixels();
+    a.rotate_left(21) ^ r.wrapping_mul(0x9E3779B97F4A7C15) ^ (req.duration_s.to_bits() >> 1)
+}
+
+/// Expands a request into chunk-level cluster jobs: one MOT job per
+/// chunk per format.
+pub fn jobs_for(req: &Request) -> Vec<JobSpec> {
+    let chunks = chunk_count(req);
+    let chunk_s = req.duration_s / chunks as f64;
+    let priority = priority_for(req.family);
+    let video_id = video_id(req);
+    let live = matches!(req.family, WorkloadFamily::Live | WorkloadFamily::Gaming);
+
+    let mut out = Vec::new();
+    for c in 0..chunks {
+        // Live chunks arrive as the stream progresses; uploads are all
+        // available at request arrival.
+        let arrival = if live {
+            req.arrival_s + c as f64 * chunk_s
+        } else {
+            req.arrival_s
+        };
+        for profile in PROFILES {
+            let job = TranscodeJob::mot(req.resolution, profile, req.fps, chunk_s);
+            out.push(JobSpec {
+                arrival_s: arrival,
+                job,
+                priority,
+                video_id,
+            });
         }
     }
+    out
+}
 
-    /// Stable video identifier for a request (used by consistent-hash
-    /// placement and blast-radius accounting).
-    pub fn video_id(req: &Request) -> u64 {
-        let a = req.arrival_s.to_bits();
-        let r = req.resolution.pixels();
-        a.rotate_left(21) ^ r.wrapping_mul(0x9E3779B97F4A7C15) ^ (req.duration_s.to_bits() >> 1)
-    }
-
-    /// Expands a request into chunk-level cluster jobs: one MOT job
-    /// per chunk per format.
-    pub fn jobs_for(&self, req: &Request) -> Vec<JobSpec> {
-        let chunks = self.chunk_count(req);
-        let chunk_s = req.duration_s / chunks as f64;
-        let priority = Self::priority_for(req.family);
-        let video_id = Self::video_id(req);
-        let live = matches!(req.family, WorkloadFamily::Live | WorkloadFamily::Gaming);
-
-        let mut out = Vec::new();
-        for c in 0..chunks {
-            // Live chunks arrive as the stream progresses; uploads are
-            // all available at request arrival.
-            let arrival = if live {
-                req.arrival_s + c as f64 * chunk_s
-            } else {
-                req.arrival_s
-            };
-            for profile in PROFILES {
-                let job = TranscodeJob::mot(req.resolution, profile, req.fps, chunk_s);
-                out.push(JobSpec {
-                    arrival_s: arrival,
-                    job,
-                    priority,
-                    video_id,
-                });
-            }
-        }
-        out
-    }
-
-    /// Expands a whole request stream.
-    pub fn jobs_for_all(&self, reqs: &[Request]) -> Vec<JobSpec> {
-        let mut jobs: Vec<JobSpec> = reqs.iter().flat_map(|r| self.jobs_for(r)).collect();
-        jobs.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
-        jobs
-    }
+/// Expands a whole request stream, sorted by arrival.
+pub fn jobs_for_all(reqs: &[Request]) -> Vec<JobSpec> {
+    let mut jobs: Vec<JobSpec> = reqs.iter().flat_map(jobs_for).collect();
+    jobs.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
+    jobs
 }
 
 /// End-to-end latency estimate for a live stream under a given
@@ -116,9 +109,8 @@ mod tests {
 
     #[test]
     fn mot_platform_emits_one_job_per_chunk_per_format() {
-        let p = Platform::default();
-        let jobs = p.jobs_for(&upload_req(12.0)); // 3 chunks
-                                                  // 3 chunks × 2 formats (H.264 + VP9).
+        let jobs = jobs_for(&upload_req(12.0));
+        // 3 chunks × 2 formats (H.264 + VP9).
         assert_eq!(jobs.len(), 6);
         assert!(jobs.iter().all(|j| j.job.is_mot()));
         assert!(jobs.iter().all(|j| j.arrival_s == 10.0));
@@ -137,8 +129,7 @@ mod tests {
                 popularity,
                 ..upload_req(4.0)
             };
-            let profiles: Vec<Profile> = Platform::default()
-                .jobs_for(&req)
+            let profiles: Vec<Profile> = jobs_for(&req)
                 .iter()
                 .map(|j| j.job.outputs[0].profile)
                 .collect();
@@ -148,13 +139,12 @@ mod tests {
 
     #[test]
     fn live_chunks_arrive_progressively() {
-        let p = Platform::default();
         let req = Request {
             family: WorkloadFamily::Live,
             duration_s: 15.0,
             ..upload_req(15.0)
         };
-        let jobs = p.jobs_for(&req);
+        let jobs = jobs_for(&req);
         let arrivals: Vec<f64> = jobs.iter().map(|j| j.arrival_s).collect();
         assert!(arrivals.iter().any(|&a| a > req.arrival_s));
         assert!(jobs.iter().all(|j| j.priority == Priority::Critical));
@@ -173,13 +163,12 @@ mod tests {
 
     #[test]
     fn jobs_for_all_sorted() {
-        let p = Platform::default();
         let reqs = vec![upload_req(6.0), {
             let mut r = upload_req(6.0);
             r.arrival_s = 1.0;
             r
         }];
-        let jobs = p.jobs_for_all(&reqs);
+        let jobs = jobs_for_all(&reqs);
         assert!(jobs.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
     }
 }

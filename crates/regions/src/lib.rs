@@ -6,9 +6,9 @@
 //! byte-identical replay:
 //!
 //! - [`region`]: one [`region::RegionSim`] runs N open-world cluster
-//!   cells (the event queue sharded by pool/cell) and merges their job
-//!   resolutions through a deterministic cross-shard merge whose order
-//!   is invariant in the shard count;
+//!   cells, each with its own event queue, and merges their job
+//!   resolutions into one timeline with a stable sort by time — the
+//!   order one event queue would pop them in;
 //! - [`planet`]: [`planet::PlanetSim`] steps regions in lockstep
 //!   epochs over phase-shifted diurnal demand, routes overflow between
 //!   regions on backlog pressure, and schedules rolling

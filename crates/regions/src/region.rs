@@ -1,23 +1,20 @@
-//! One region: N open-world cluster-cell shards behind a deterministic
-//! cross-shard merge.
+//! One region: N open-world cluster cells behind one deterministic
+//! merge.
 //!
-//! A region's fleet is sharded into cells (one `ClusterSim` each — the
-//! pool/cell sharding of the event queue: each cell owns its own DES
-//! heap instead of one planet-wide heap). Cells advance independently
-//! — every cell of every region as one task of a single `vcu-exec`
-//! batch per epoch (`advance_regions`) — and their job resolutions
-//! are merged back into one region timeline through a
-//! [`ShardedEventQueue`] keyed by cell index. The merge uses the same
-//! tie-breaking discipline as the serve/cluster lockstep merge:
-//! global `(time, seq)` order, seq assigned in cell-index push order.
-//! Because partitioning a total order never changes its minimum, the
-//! merged timeline is invariant in the number of merge shards — the
-//! property the planet-scale determinism tests pin.
+//! A region's fleet is split into cells (one `ClusterSim` each, so each
+//! cell owns its own DES heap instead of one planet-wide heap). Cells
+//! advance independently — every cell of every region as one task of a
+//! single `vcu-exec` batch per epoch (`advance_regions`) — and their
+//! job resolutions are merged back into one region timeline by
+//! `merge_batch`: a stable sort by time of every resolution, pushed in
+//! cell-index order. That is the `(time, seq)` order of one event queue
+//! that takes every push before any pop, and the planet-scale
+//! determinism tests pin it through the merge digest.
 
 use vcu_chip::TranscodeJob;
 use vcu_cluster::{
     cell_cluster_config, ClusterReport, ClusterSim, FaultInjection, JobResolution, JobSpec,
-    Priority, ShardedEventQueue,
+    Priority,
 };
 use vcu_codec::Profile;
 use vcu_media::Resolution;
@@ -28,7 +25,7 @@ use vcu_rng::mix64;
 pub struct RegionSpec {
     /// Region name (diagnostics and JSON only).
     pub name: String,
-    /// Cluster cells (event-queue shards) in the region.
+    /// Cluster cells in the region.
     pub cells: usize,
     /// Fleet size per cell.
     pub vcus_per_cell: usize,
@@ -105,7 +102,7 @@ pub struct RegionReport {
     pub merge_digest: u64,
 }
 
-/// One cell shard and the arrivals staged for it since it last
+/// One cell and the arrivals staged for it since it last
 /// advanced.
 #[derive(Debug)]
 struct Cell {
@@ -145,7 +142,34 @@ pub(crate) fn advance_regions(regions: &mut [RegionSim], t: f64) {
     }
 }
 
-/// One region at runtime: cell shards plus the cross-shard merge.
+/// One merge step: puts `batch`, every resolution drained since the
+/// last step in cell-index push order, into timeline order. The sort
+/// is stable, so equal times keep push order: the `(time, seq)` order
+/// an event queue gives when every push comes before every pop.
+/// `merged_s` is the time of the last resolution merged, and moves to
+/// this batch's last.
+///
+/// # Panics
+///
+/// Panics if a time is NaN or earlier than `merged_s`: either would
+/// corrupt the merged order.
+fn merge_batch(batch: &mut [(usize, JobResolution)], merged_s: &mut f64) {
+    assert!(
+        batch.iter().all(|(_, r)| !r.time_s.is_nan()),
+        "resolution time is NaN"
+    );
+    batch.sort_by(|(_, a), (_, b)| a.time_s.total_cmp(&b.time_s));
+    if let (Some((_, first)), Some((_, last))) = (batch.first(), batch.last()) {
+        assert!(
+            first.time_s >= *merged_s,
+            "cannot merge into the past: {} < {merged_s}",
+            first.time_s
+        );
+        *merged_s = last.time_s;
+    }
+}
+
+/// One region at runtime: its cells plus the resolution merge.
 #[derive(Debug)]
 pub struct RegionSim {
     spec: RegionSpec,
@@ -153,8 +177,11 @@ pub struct RegionSim {
     /// and cloned per job.
     job: TranscodeJob,
     cells: Vec<Cell>,
-    /// Cross-shard merge of cell resolutions, keyed by cell index.
-    merge: ShardedEventQueue<(usize, JobResolution)>,
+    /// The `(cell, resolution)` batch being merged, reused across
+    /// merges.
+    batch: Vec<(usize, JobResolution)>,
+    /// Time of the last resolution merged.
+    merged_s: f64,
     merge_digest: u64,
     merged: u64,
     injected: u64,
@@ -167,14 +194,11 @@ impl RegionSim {
     /// Builds the region: cell `i` is an open-world [`ClusterSim`]
     /// seeded `mix64(seed, i)` under the fault-campaign cluster
     /// policies, with `faults_per_cell[i]` pre-scheduled (upgrade
-    /// waves, domain outages). `merge_shards` sets the physical shard
-    /// count of the resolution merge — any value produces the same
-    /// merged order.
+    /// waves, domain outages).
     pub fn new(
         spec: RegionSpec,
         seed: u64,
         chunk_s: f64,
-        merge_shards: usize,
         mut faults_per_cell: Vec<Vec<FaultInjection>>,
     ) -> Self {
         assert!(spec.cells > 0, "a region needs at least one cell");
@@ -198,7 +222,8 @@ impl RegionSim {
             spec,
             job: region_job(chunk_s),
             cells,
-            merge: ShardedEventQueue::new(merge_shards),
+            batch: Vec::new(),
+            merged_s: 0.0,
             merge_digest: 0x9E37_79B9_7F4A_7C15,
             merged: 0,
             injected: 0,
@@ -274,22 +299,20 @@ impl RegionSim {
         advance_regions(std::slice::from_mut(self), t);
     }
 
-    /// Feeds each cell's drained resolutions through the sharded
-    /// merge. Push order is (cell index, within-cell resolution
-    /// order); pop order is global `(time, seq)` — the cross-shard
-    /// merge whose order the digest pins.
+    /// Merges each cell's drained resolutions into the region
+    /// timeline (pushed in cell-index order, then [`merge_batch`]) and
+    /// folds them, in merged order, into the digest that pins it.
     fn merge_resolutions(&mut self) {
-        for cell in 0..self.cells.len() {
-            for r in self.cells[cell].sim.drain_resolutions() {
-                self.merge.schedule(cell, r.time_s, (cell, r));
-            }
+        for (cell, c) in self.cells.iter_mut().enumerate() {
+            let drained = c.sim.drain_resolutions().into_iter();
+            self.batch.extend(drained.map(|r| (cell, r)));
         }
-        while let Some((_, ev)) = self.merge.pop() {
-            let (cell, r) = ev.event;
+        merge_batch(&mut self.batch, &mut self.merged_s);
+        for (cell, r) in self.batch.drain(..) {
             self.merged += 1;
             self.merge_digest = mix64(
                 self.merge_digest,
-                ev.time.to_bits()
+                r.time_s.to_bits()
                     ^ (r.job as u64).rotate_left(17)
                     ^ ((cell as u64) << 48)
                     ^ r.completed as u64,
@@ -352,7 +375,7 @@ impl RegionSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcu_cluster::FaultKind;
+    use vcu_cluster::{EventQueue, FaultKind};
 
     /// Three 2-VCU cells, one of which hangs a core and repairs it,
     /// offered more than they carry.
@@ -377,7 +400,7 @@ mod tests {
                 fault(70.0, FaultKind::Repair),
             ],
         ];
-        RegionSim::new(spec, 29, 10.0, 2, faults)
+        RegionSim::new(spec, 29, 10.0, faults)
     }
 
     /// Epoch `e`'s two injections, in the order the planet makes them
@@ -450,6 +473,67 @@ mod tests {
         assert_eq!(report, serial.finish());
         assert_eq!(report.completed + report.failed, report.jobs);
         assert!(report.watchdog_fired > 0 && report.repairs == 1);
+    }
+
+    vcu_rng::prop_cases! {
+        /// The merge against an independent reference: successive
+        /// tie-heavy batches over several cells — times drawn from a
+        /// handful of values, so ties fall inside and across cells, and
+        /// a batch may open at the last merged time —
+        /// leave `merge_batch` in the order one `EventQueue` pops them,
+        /// pushed all then popped all, one queue across every merge.
+        #[cases(48)]
+        fn merge_batch_pops_like_one_event_queue(rng) {
+            let cells = rng.gen_range(1usize..6);
+            let (mut merged_s, mut queue) = (0.0, EventQueue::new());
+            let mut job = 0;
+            for step in 0..rng.gen_range(1usize..6) {
+                let base = step as f64 * 2.0;
+                let mut batch = Vec::new();
+                for cell in 0..cells {
+                    for _ in 0..rng.gen_range(0usize..120) {
+                        let r = JobResolution {
+                            job,
+                            time_s: base + rng.gen_range(0u32..5) as f64 * 0.5,
+                            completed: rng.gen_bool(0.8),
+                        };
+                        job += 1;
+                        queue.schedule(r.time_s, (cell, r));
+                        batch.push((cell, r));
+                    }
+                }
+                merge_batch(&mut batch, &mut merged_s);
+                let popped: Vec<_> = std::iter::from_fn(|| queue.pop().map(|s| s.event)).collect();
+                assert_eq!(batch, popped, "step {step}: merge left queue order");
+                assert_eq!(merged_s, queue.now());
+            }
+        }
+    }
+
+    fn resolution(job: usize, time_s: f64) -> (usize, JobResolution) {
+        let r = JobResolution {
+            job,
+            time_s,
+            completed: true,
+        };
+        (0, r)
+    }
+
+    #[test]
+    #[should_panic(expected = "time is NaN")]
+    fn merge_batch_rejects_a_nan_time() {
+        merge_batch(&mut [resolution(0, 1.0), resolution(1, f64::NAN)], &mut 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn merge_batch_rejects_a_time_before_the_last_merged() {
+        let mut merged_s = 0.0;
+        merge_batch(&mut [resolution(0, 10.0)], &mut merged_s);
+        merge_batch(
+            &mut [resolution(1, 12.0), resolution(2, 5.0)],
+            &mut merged_s,
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use vcu_media::quality::psnr_y_video;
 use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::{Resolution, Video};
 use vcu_system::chunking::{assemble, chunks_are_independent, split, ChunkPlan};
-use vcu_system::platform::Platform;
+use vcu_system::platform;
 use vcu_telemetry::json::JsonObj;
 use vcu_workloads::{PopularityBucket, Request, WorkloadFamily};
 
@@ -62,7 +62,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("assembled output passes integrity check, Y-PSNR {psnr:.2} dB");
 
     // ---- Fleet-level path: the same request at warehouse scale ----
-    let platform = Platform::default();
     let request = Request {
         arrival_s: 0.0,
         family: WorkloadFamily::Upload,
@@ -71,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         duration_s: 60.0,
         popularity: PopularityBucket::Middle,
     };
-    let jobs = platform.jobs_for(&request);
+    let jobs = platform::jobs_for(&request);
     println!(
         "expanded into {} chunk-level VCU jobs (MOT, H.264+VP9)",
         jobs.len()

@@ -5,8 +5,9 @@
 //! be a cargo target, a `run_stage` in `scripts/verify.sh`, or a
 //! variable some code under `crates/`, `scripts/` or `benchmark/src`
 //! reads. Every inline-code repo path they mention must exist, and a
-//! glob must match a file. CHANGES.md is history and may name what is
-//! gone.
+//! glob must match a file, and every CamelCase Rust identifier in their
+//! inline code must occur in a `.rs` file. CHANGES.md is history and
+//! may name what is gone.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -49,6 +50,26 @@ struct Known {
     examples: BTreeSet<String>,
     stages: BTreeSet<String>,
     vars: BTreeSet<String>,
+    /// Every identifier in a `.rs` file under `crates/`,
+    /// `benchmark/src`, `tests/` or `examples/`, but this one, whose
+    /// fixtures name what does not exist.
+    idents: BTreeSet<String>,
+}
+
+/// The runs of identifier characters (`[A-Za-z0-9_]`) in `text`.
+fn idents(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// True for a CamelCase identifier: an upper-case letter first, then a
+/// lower-case letter and another upper-case one, and no `_`
+/// (`EventQueue`, `GpuT4x4`; not `Rust`, `FIFO` or `VCU_SEED`).
+fn camel_case(word: &str) -> bool {
+    word.starts_with(|c: char| c.is_ascii_uppercase())
+        && !word.contains('_')
+        && word.contains(|c: char| c.is_ascii_lowercase())
+        && word[1..].contains(|c: char| c.is_ascii_uppercase())
 }
 
 /// The word of identifier characters (`[A-Za-z0-9_-]`) at the start
@@ -123,6 +144,9 @@ impl Known {
         for path in sources {
             let text = read(&path);
             let shell = path.extension().is_some_and(|x| x == "sh");
+            if !shell {
+                known.idents.extend(idents(&text).map(String::from));
+            }
             for (before, var) in vcu_tokens(&text) {
                 // Rust reads a variable by its quoted name, the shell
                 // by expanding it.
@@ -136,11 +160,19 @@ impl Known {
                 }
             }
         }
+        let mut tests = Vec::new();
+        files(&root.join("tests"), &[".rs"], &mut tests);
+        files(&root.join("examples"), &[".rs"], &mut tests);
+        for path in tests.iter().filter(|p| !p.ends_with("tests/docs.rs")) {
+            known.idents.extend(idents(&read(path)).map(String::from));
+        }
         known
     }
 
     /// Every name in `text` that is not known, as `"<kind> <name>"`.
-    /// A `$`- or `<`-led placeholder after a flag names nothing.
+    /// A `$`- or `<`-led placeholder after a flag names nothing, and
+    /// only CamelCase identifiers in inline code are held to the Rust
+    /// sources.
     fn stale(&self, text: &str) -> Vec<String> {
         let mut out = Vec::new();
         for (flag, set) in [
@@ -159,6 +191,13 @@ impl Known {
         for (_, var) in vcu_tokens(text) {
             if !self.vars.contains(var) {
                 out.push(format!("variable {var}"));
+            }
+        }
+        for span in inline_code(text) {
+            for word in idents(&span).filter(|w| camel_case(w)) {
+                if !self.idents.contains(word) {
+                    out.push(format!("identifier {word}"));
+                }
             }
         }
         out
@@ -207,18 +246,9 @@ fn matches_any(dir: &Path, segments: &[&str]) -> bool {
     })
 }
 
-/// Every inline-code path in `text` under one of [`PATH_ROOTS`] that
-/// names nothing in `root`. A span's first word is the path; fenced
-/// blocks are commands, not paths, and are skipped. A `<placeholder>`
-/// is a glob `*`, a `::item` suffix must name something in the file,
-/// and a path under a `.gitignore`d directory names a build output
-/// that need not exist yet.
-fn missing_paths(root: &Path, text: &str) -> Vec<String> {
-    let ignored: Vec<String> = read(&root.join(".gitignore"))
-        .lines()
-        .map(|l| l.trim().trim_start_matches('/').to_string())
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
+/// The inline-code spans of `text`. Fenced blocks are commands, not
+/// prose, and are skipped.
+fn inline_code(text: &str) -> Vec<String> {
     let mut fenced = false;
     let prose: String = text
         .lines()
@@ -231,8 +261,27 @@ fn missing_paths(root: &Path, text: &str) -> Vec<String> {
         })
         .collect::<Vec<_>>()
         .join("\n");
+    prose
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .map(String::from)
+        .collect()
+}
+
+/// Every inline-code path in `text` under one of [`PATH_ROOTS`] that
+/// names nothing in `root`. A span's first word is the path. A
+/// `<placeholder>` is a glob `*`, a `::item` suffix must name something
+/// in the file, and a path under a `.gitignore`d directory names a
+/// build output that need not exist yet.
+fn missing_paths(root: &Path, text: &str) -> Vec<String> {
+    let ignored: Vec<String> = read(&root.join(".gitignore"))
+        .lines()
+        .map(|l| l.trim().trim_start_matches('/').to_string())
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
     let mut out = Vec::new();
-    for span in prose.split('`').skip(1).step_by(2) {
+    for span in inline_code(text) {
         let Some(path) = span.split_whitespace().next() else {
             continue;
         };
@@ -317,6 +366,24 @@ fn docs_name_only_targets_stages_and_variables_that_exist() {
     assert!(
         stale.is_empty(),
         "docs name what does not exist: {stale:#?}"
+    );
+}
+
+#[test]
+fn a_doc_naming_missing_identifiers_fails() {
+    let known = Known::scan(&root());
+    let fixture = "`vcu_cluster::EventQueue` pops `(time, seq)`; `System::GpuT4x4`, \
+        `Vec<JobSpec>` and `--example quickstart` exist; `FIFO`, `Rust` and \
+        `VCU_SEED=3` are no CamelCase; a KWayMerge outside inline code \
+        is prose.\n```\nlet q = FencedQueue::new();\n```\n\
+        Stale: `vcu_cluster::KWayMerge::new(4)`, `NvencSim`, `FrameEnc`.";
+    assert_eq!(
+        known.stale(fixture),
+        [
+            "identifier KWayMerge",
+            "identifier NvencSim",
+            "identifier FrameEnc",
+        ]
     );
 }
 

@@ -12,7 +12,7 @@ use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::Resolution;
 use vcu_rng::Rng;
 use vcu_system::chunking::{assemble, split, ChunkPlan};
-use vcu_system::platform::{live_latency_s, Platform};
+use vcu_system::platform::{jobs_for_all, live_latency_s};
 use vcu_telemetry::Registry;
 use vcu_workloads::{PopularityBucket, Request, WorkloadFamily};
 
@@ -63,7 +63,6 @@ fn upload_end_to_end_with_fault_screening() {
 /// The platform expansion feeds the cluster and everything completes.
 #[test]
 fn platform_to_cluster_pipeline() {
-    let platform = Platform::default();
     let reqs: Vec<Request> = (0..6)
         .map(|i| Request {
             arrival_s: i as f64 * 2.0,
@@ -74,7 +73,7 @@ fn platform_to_cluster_pipeline() {
             popularity: PopularityBucket::Tail,
         })
         .collect();
-    let jobs = platform.jobs_for_all(&reqs);
+    let jobs = jobs_for_all(&reqs);
     assert!(!jobs.is_empty());
     let cfg = ClusterConfig {
         vcus: 4,
@@ -244,7 +243,6 @@ fn low_latency_bitrate_mode() {
 /// bookkeeping that feeds the registry, so they can never disagree.
 #[test]
 fn report_agrees_with_telemetry_counters() {
-    let platform = Platform::default();
     let reqs: Vec<Request> = (0..8)
         .map(|i| Request {
             arrival_s: i as f64 * 1.5,
@@ -267,7 +265,7 @@ fn report_agrees_with_telemetry_counters() {
         worker: 2,
         kind: FaultKind::SilentCorruption,
     }];
-    let report = ClusterSim::new(cfg, platform.jobs_for_all(&reqs), faults)
+    let report = ClusterSim::new(cfg, jobs_for_all(&reqs), faults)
         .with_telemetry(reg.clone())
         .run();
 

@@ -11,12 +11,8 @@
 use super::degrade::AttemptMode;
 use super::fleet::{FaultKind, WorkerEvent};
 use super::tally::{Incident, Sample};
-use super::{
-    Attempt, ClusterSim, Event, JobResolution, Priority, COMPLETION_LANE, MAX_ATTEMPTS,
-    WATCHDOG_LANE,
-};
+use super::{Attempt, ClusterSim, Event, JobResolution, Priority, COMPLETION_LANE, MAX_ATTEMPTS};
 use std::collections::VecDeque;
-use std::num::NonZeroU32;
 use vcu_chip::faults::HealthState;
 use vcu_chip::ResourceDemand;
 use vcu_telemetry::Scope;
@@ -86,16 +82,15 @@ impl ClusterSim {
                 self.try_schedule(now);
             }
             Event::Completion(a, corrupted) => {
-                // Stale if a watchdog/abort already resolved the
-                // attempt. If the firmware wedged mid-flight this
-                // completion never actually reported: the still-pending
-                // watchdog reclaims the attempt.
-                if !self.is_live(a) || self.fleet.vcu(a.worker).is_hung() {
-                    return;
+                if self.fleet.vcu(a.worker).is_hung() {
+                    // The firmware wedged mid-flight, so this completion
+                    // never reported: only the deadline notices.
+                    self.queue.schedule(a.deadline_s, Event::Watchdog(a));
+                } else {
+                    self.end_attempt(now, a);
+                    self.handle_completion(now, a.job, a.worker, corrupted);
+                    self.try_schedule(now);
                 }
-                self.end_attempt(now, a);
-                self.handle_completion(now, a.job, a.worker, corrupted);
-                self.try_schedule(now);
             }
             Event::Watchdog(a) => self.attempt_lost(now, a, Incident::WatchdogFired),
             Event::CrashAbort(a) => self.attempt_lost(now, a, Incident::CrashAbort),
@@ -123,11 +118,6 @@ impl ClusterSim {
         }
     }
 
-    /// Whether `a` still holds its resources (no other event ended it).
-    fn is_live(&self, a: Attempt) -> bool {
-        self.jobs[a.job].live_attempt.map(NonZeroU32::get) == Some(a.number)
-    }
-
     /// Counts `incident` in the report and, under the same name, in
     /// telemetry.
     fn count(&mut self, incident: Incident) -> &'static str {
@@ -136,14 +126,10 @@ impl ClusterSim {
         name
     }
 
-    /// A live attempt ended without completing: its watchdog deadline
-    /// fired (stale if the attempt completed in time) or crash-looping
-    /// firmware aborted it. Reclaim the resources, strike the worker,
-    /// retry the job.
+    /// An attempt ended without completing: its watchdog deadline fired
+    /// or crash-looping firmware aborted it. Reclaim the resources,
+    /// strike the worker, retry the job.
     fn attempt_lost(&mut self, now: f64, a: Attempt, how: Incident) {
-        if !self.is_live(a) {
-            return;
-        }
         self.end_attempt(now, a);
         if matches!(how, Incident::CrashAbort) {
             // The firmware resets itself — that is the loop.
@@ -433,14 +419,20 @@ impl ClusterSim {
         // per-mode job tallies (taken at resolution from the *final*
         // attempt) over-count.
         job.mode = mode;
-        job.live_attempt = NonZeroU32::new(job.attempts);
+        let duration_s = job.shape.duration_s;
+        // A failing-but-fast VCU races through work (§4.4's black-hole
+        // hazard); healthy VCUs take the chunk's real-time duration,
+        // scaled by the codec path and any slow-core fault. The
+        // deadline reads the nominal time alone.
+        let nominal = duration_s * self.cfg.service_time_factor;
+        let watchdog = &self.cfg.watchdog;
         let a = Attempt {
             job: j,
             number: job.attempts,
             worker: w,
             demand,
+            deadline_s: now + watchdog.grace_s + nominal * watchdog.service_factor,
         };
-        let duration_s = job.shape.duration_s;
         let wait_s = (a.number == 1).then_some(now - job.arrival_s);
         self.tally.placed(w, job.video_slot, wait_s);
         self.running_per_pool[job.priority.index()] += 1;
@@ -451,44 +443,47 @@ impl ClusterSim {
 
         let vcu = self.fleet.vcu(w);
         let corrupting = vcu.state() == HealthState::SilentlyCorrupting;
-        // A failing-but-fast VCU races through work (§4.4's black-hole
-        // hazard); healthy VCUs take the chunk's real-time duration,
-        // scaled by the codec path and any slow-core fault.
-        let nominal = duration_s * self.cfg.service_time_factor;
         let base = if corrupting {
             duration_s * 0.2
         } else {
             nominal
         };
         let service = base * self.ladder.service_factor(mode) * vcu.slow_factor();
-        if vcu.is_crash_looping() {
+        // The attempt's outcome, and the lane it goes on if any.
+        let outcome = if vcu.is_crash_looping() {
             // The firmware gets partway in and crashes; the attempt
             // never completes cleanly.
             let abort_at = now + service.clamp(0.01, CRASH_ABORT_S);
-            self.queue.schedule(abort_at, Event::CrashAbort(a));
-        } else if !vcu.is_hung() {
-            let done_at = now + service.max(0.01);
-            let done = Event::Completion(a, corrupting);
-            if service == nominal {
-                self.queue.schedule_on(COMPLETION_LANE, done_at, done);
-            } else {
-                self.queue.schedule(done_at, done);
+            Some((abort_at, Event::CrashAbort(a), None))
+        } else if vcu.is_hung() {
+            None
+        } else {
+            let lane = (service == nominal).then_some(COMPLETION_LANE);
+            Some((
+                now + service.max(0.01),
+                Event::Completion(a, corrupting),
+                lane,
+            ))
+        };
+        // Exactly one pending event per attempt: the outcome if it comes
+        // by the deadline (on a tie it wins), else the deadline — also
+        // for a hung VCU, which has no outcome.
+        match outcome {
+            Some((at, event, Some(lane))) if at <= a.deadline_s => {
+                self.queue.schedule_on(lane, at, event);
             }
+            Some((at, event, None)) if at <= a.deadline_s => self.queue.schedule(at, event),
+            _ => self.queue.schedule(a.deadline_s, Event::Watchdog(a)),
         }
-        // A hung VCU schedules nothing: only this deadline notices.
-        let watchdog = &self.cfg.watchdog;
-        let deadline = now + watchdog.grace_s + nominal * watchdog.service_factor;
-        self.queue
-            .schedule_on(WATCHDOG_LANE, deadline, Event::Watchdog(a));
     }
 
-    /// Releases the resources of live attempt `a`; if that was a
-    /// draining worker's last in-flight attempt its drain completes
-    /// here. Exactly one of completion / watchdog / crash-abort reaches
-    /// this per attempt.
+    /// Releases the resources of attempt `a`; if that was a draining
+    /// worker's last in-flight attempt its drain completes here. Each
+    /// attempt has one pending event, a completion, watchdog or
+    /// crash-abort, so exactly one reaches this per attempt.
     fn end_attempt(&mut self, now: f64, a: Attempt) {
-        let job = &mut self.jobs[a.job];
-        job.live_attempt = None;
+        let job = &self.jobs[a.job];
+        debug_assert_eq!(a.number, job.attempts, "an attempt ends once, and last");
         self.running_per_pool[job.priority.index()] -= 1;
         self.scheduler.release(a.worker, a.demand);
         if self.scheduler.worker(a.worker).jobs == 0 {
@@ -948,7 +943,8 @@ mod tests {
     fn hang_mid_flight_suppresses_the_scheduled_completion() {
         // The job starts on a healthy worker 0, then the firmware
         // wedges mid-service: the already-scheduled completion must not
-        // count, and the watchdog rescues the attempt.
+        // count, and the watchdog it re-arms rescues the attempt at the
+        // deadline fixed at placement, 30 + 8 × 5 = 70 s.
         let cfg = ClusterConfig {
             vcus: 2,
             ..ClusterConfig::default()
@@ -964,7 +960,18 @@ mod tests {
             priority: Priority::Normal,
             video_id: 0,
         }];
-        let report = ClusterSim::new(cfg, jobs, faults).run();
+        let reg = Registry::new();
+        let mut sim = ClusterSim::new(cfg, jobs, faults).with_telemetry(reg.clone());
+        // Bounded: a lost attempt would keep the sampler going forever.
+        sim.run_until(1000.0);
+        assert_eq!(sim.unresolved_jobs(), 0, "the watchdog must rescue the job");
+        let fired = reg.events_named("cluster.watchdog.fired");
+        assert_eq!(
+            (fired[0].start_s, fired[0].value),
+            (70.0, 1.0),
+            "the first attempt's deadline fires where placement set it"
+        );
+        let report = sim.finish();
         assert_eq!(report.completed, 1);
         assert!(
             report.watchdog_fired >= 1,
@@ -974,6 +981,25 @@ mod tests {
             report.horizon_s > 30.0,
             "resolution waits for the watchdog deadline"
         );
+    }
+
+    #[test]
+    fn a_healthy_attempt_schedules_no_watchdog() {
+        // No faults: each job pops its arrival and its completion, and
+        // the run pops its samples; no deadline is scheduled where the
+        // completion comes first.
+        let cfg = ClusterConfig {
+            vcus: 4,
+            ..ClusterConfig::default()
+        };
+        let mut sim = ClusterSim::new(cfg, upload_jobs(200, 0.7, true), vec![]);
+        let mut steps = 0;
+        while sim.step() {
+            steps += 1;
+        }
+        let report = sim.finish();
+        assert_eq!(report.completed, 200);
+        assert_eq!(steps, 2 * 200 + report.samples.len());
     }
 
     #[test]

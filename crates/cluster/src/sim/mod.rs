@@ -53,22 +53,23 @@ use degrade::Ladder;
 use dispatch::Blocked;
 use fleet::Fleet;
 use std::collections::VecDeque;
-use std::num::NonZeroU32;
 use tally::Tally;
 use vcu_chip::{ResourceDemand, TranscodeJob, VcuModel};
 use vcu_rng::Rng;
 use vcu_telemetry::Registry;
 
-/// One placement of a job on a worker: what the events racing to end
-/// it (completion, watchdog, crash-abort) need to release it.
+/// One placement of a job on a worker: what the one pending event that
+/// ends it (completion, watchdog or crash-abort) needs to release it.
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
     job: usize,
-    /// 1-based attempt number; matched against
-    /// [`JobState::live_attempt`] to drop stale events.
+    /// 1-based attempt number.
     number: u32,
     worker: usize,
     demand: ResourceDemand,
+    /// The watchdog deadline, fixed at placement: where the attempt is
+    /// declared lost if no outcome ends it first.
+    deadline_s: f64,
 }
 
 #[derive(Debug, Clone)]
@@ -79,7 +80,8 @@ enum Event {
     /// An injected fault lands on a worker.
     Fault(usize, FaultKind),
     Sample,
-    /// Per-attempt deadline; a no-op if the attempt already resolved.
+    /// Per-attempt deadline, scheduled only where nothing ends the
+    /// attempt before it: no outcome by then, or a hung VCU.
     Watchdog(Attempt),
     /// Crash-looping firmware aborts the attempt partway through.
     CrashAbort(Attempt),
@@ -150,11 +152,6 @@ struct JobState {
     /// The blast-radius slot [`Tally::submitted`] gave this job's video.
     video_slot: u32,
     attempts: u32,
-    /// Attempt number currently holding resources, if any. Completion,
-    /// watchdog, and crash-abort events all race to resolve an attempt;
-    /// whichever matches this number first wins and the rest are stale.
-    /// Attempts count from 1, so the niche keeps this at 4 bytes.
-    live_attempt: Option<NonZeroU32>,
     priority: Priority,
     /// Codec path of the *most recent* attempt — rewritten at every
     /// placement, so at resolution it reads as the final attempt's
@@ -170,7 +167,6 @@ impl JobState {
             shape,
             video_slot,
             attempts: 0,
-            live_attempt: None,
             priority: spec.priority,
             mode: AttemptMode::Hw,
         }
@@ -246,12 +242,6 @@ impl Next {
 /// [`EventQueue`] lane for arrivals injected into an open world: drivers
 /// submit them in time order.
 const ARRIVAL_LANE: usize = 0;
-/// [`EventQueue`] lane for watchdog deadlines: a fixed grace plus a
-/// multiple of the service time past a clock that only rises, so they
-/// are in order whenever service times are alike — and each outlives
-/// its attempt's completion several times over, so they are most of
-/// what is pending.
-const WATCHDOG_LANE: usize = 1;
 /// [`EventQueue`] lane for completions at the nominal service time — a
 /// healthy core on the hardware path, which is nearly all of them: the
 /// chunk's length past a clock that only rises, in order whenever
@@ -259,7 +249,7 @@ const WATCHDOG_LANE: usize = 1;
 /// corrupting core at 0.2×, software rungs) goes to the heap: one
 /// slowed attempt on the lane would park a far-future tail there and
 /// send every nominal completion behind it to the heap anyway.
-const COMPLETION_LANE: usize = 2;
+const COMPLETION_LANE: usize = 1;
 
 /// One job reaching its terminal state, reported through
 /// [`ClusterSim::drain_resolutions`] so an open-world driver (the
@@ -848,9 +838,10 @@ mod tests {
     #[test]
     fn a_job_state_has_a_job_specs_size_and_align() {
         // 128 when it held the whole `JobSpec` and an
-        // `Option<ResourceDemand>`, 72 while `live_attempt` was an
-        // `Option<u32>`. Equal layouts are what let `ClusterSim::new`
-        // build the job table in the caller's `JobSpec` buffer.
+        // `Option<ResourceDemand>`, 72 while it also held a 1-based
+        // live-attempt token as an `Option<u32>`. Equal layouts are what
+        // let `ClusterSim::new` build the job table in the caller's
+        // `JobSpec` buffer.
         use std::mem::{align_of, size_of};
         assert_eq!(size_of::<JobState>(), size_of::<JobSpec>());
         assert_eq!(align_of::<JobState>(), align_of::<JobSpec>());

@@ -613,8 +613,9 @@ mod fault_paths {
     prop_cases! {
         /// Any random fault schedule — any mix of kinds, timings,
         /// repairs, and policy knobs — terminates with every job
-        /// accounted for: completed + failed == submitted, and the
-        /// failure sub-counters never exceed their parent.
+        /// accounted for: completed + failed == submitted, every attempt
+        /// ends exactly once, and the failure sub-counters never exceed
+        /// their parent.
         #[cases(48)]
         fn fault_schedules_always_terminate(rng) {
             let vcus = rng.gen_range(2usize..12);
@@ -663,6 +664,15 @@ mod fault_paths {
             );
             assert!(r.stranded <= r.failed, "stranded is a subset of failed");
             assert!(r.shed <= r.failed, "shed is a subset of failed");
+            // Every attempt ends exactly once: in a completion that
+            // ships, a caught corruption, a watchdog deadline or a
+            // crash-abort.
+            let ended = r.completed + r.caught_corruptions + r.watchdog_fired + r.crash_aborts;
+            assert_eq!(
+                r.attempts_per_worker.iter().sum::<u64>(),
+                ended,
+                "attempts must each end once"
+            );
         }
 
         /// Backoff delays are a pure function of (policy, attempt,

@@ -14,8 +14,8 @@
 //! - the **heap**, for anything ([`EventQueue::schedule`]);
 //! - **FIFO lanes** ([`EventQueue::schedule_on`]), for a stream of
 //!   events whose times the caller expects to be non-decreasing — a
-//!   fixed timeout added to a rising clock, arrivals submitted in time
-//!   order. A lane is a `VecDeque`: O(1) in and out, and an event that
+//!   fixed service time added to a rising clock, arrivals submitted in
+//!   time order. A lane is a `VecDeque`: O(1) in and out, and an event that
 //!   does arrive out of order goes to the heap instead, so a lane is
 //!   always sorted;
 //! - the **caller's own sorted storage** (`EventQueue::reserve`), for

@@ -420,10 +420,7 @@ impl ClusterSim {
         // attempt) over-count.
         job.mode = mode;
         let duration_s = job.shape.duration_s;
-        // A failing-but-fast VCU races through work (§4.4's black-hole
-        // hazard); healthy VCUs take the chunk's real-time duration,
-        // scaled by the codec path and any slow-core fault. The
-        // deadline reads the nominal time alone.
+        // The deadline reads the nominal service time alone.
         let nominal = duration_s * self.cfg.service_time_factor;
         let watchdog = &self.cfg.watchdog;
         let a = Attempt {
@@ -443,36 +440,36 @@ impl ClusterSim {
 
         let vcu = self.fleet.vcu(w);
         let corrupting = vcu.state() == HealthState::SilentlyCorrupting;
+        // A failing-but-fast VCU races through work (§4.4's black-hole
+        // hazard); healthy VCUs take the chunk's real-time duration,
+        // scaled by the codec path and any slow-core fault.
         let base = if corrupting {
             duration_s * 0.2
         } else {
             nominal
         };
         let service = base * self.ladder.service_factor(mode) * vcu.slow_factor();
-        // The attempt's outcome, and the lane it goes on if any.
         let outcome = if vcu.is_crash_looping() {
             // The firmware gets partway in and crashes; the attempt
             // never completes cleanly.
             let abort_at = now + service.clamp(0.01, CRASH_ABORT_S);
-            Some((abort_at, Event::CrashAbort(a), None))
+            Some((abort_at, Event::CrashAbort(a)))
         } else if vcu.is_hung() {
             None
         } else {
-            let lane = (service == nominal).then_some(COMPLETION_LANE);
-            Some((
-                now + service.max(0.01),
-                Event::Completion(a, corrupting),
-                lane,
-            ))
+            Some((now + service.max(0.01), Event::Completion(a, corrupting)))
         };
         // Exactly one pending event per attempt: the outcome if it comes
         // by the deadline (on a tie it wins), else the deadline — also
         // for a hung VCU, which has no outcome.
         match outcome {
-            Some((at, event, Some(lane))) if at <= a.deadline_s => {
-                self.queue.schedule_on(lane, at, event);
+            Some((at, event)) if at <= a.deadline_s => {
+                if service == nominal && matches!(event, Event::Completion(..)) {
+                    self.queue.schedule_on(COMPLETION_LANE, at, event);
+                } else {
+                    self.queue.schedule(at, event);
+                }
             }
-            Some((at, event, None)) if at <= a.deadline_s => self.queue.schedule(at, event),
             _ => self.queue.schedule(a.deadline_s, Event::Watchdog(a)),
         }
     }

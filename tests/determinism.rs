@@ -710,8 +710,8 @@ fn tie_heavy_cluster() -> (ClusterConfig, Vec<FaultInjection>) {
 }
 
 /// Job `i` of the tie-heavy pins: three shapes with three service times
-/// (so watchdog deadlines are not monotone in placement order) over the
-/// three priority classes.
+/// (so completions are not monotone in placement order, and some leave
+/// the completion lane for the heap) over the three priority classes.
 fn tie_heavy_job(i: usize, arrival_s: f64) -> JobSpec {
     use vcu_chip::TranscodeJob;
     use vcu_cluster::Priority;

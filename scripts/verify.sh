@@ -6,7 +6,8 @@
 # The pipeline is split into named stages, each timed. Run one stage in
 # isolation with VCU_VERIFY_STAGE=<name> (e.g.
 # `VCU_VERIFY_STAGE=clippy scripts/verify.sh`); unknown names run
-# nothing and fail, so typos can't silently pass.
+# nothing and fail, so typos can't silently pass. Stages listed in
+# ON_REQUEST run only when named.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,7 @@ STAGE_FILTER="${VCU_VERIFY_STAGE:-}"
 CURRENT_STAGE=""
 STAGES_RUN=0
 STAGE_NAMES=()
+ON_REQUEST=(mutants)
 trap '[[ -n "$CURRENT_STAGE" ]] && echo "stage $CURRENT_STAGE: FAILED" >&2' ERR
 
 run_stage() {
@@ -23,6 +25,9 @@ run_stage() {
     shift
     STAGE_NAMES+=("$name")
     if [[ -n "$STAGE_FILTER" && "$STAGE_FILTER" != "$name" ]]; then
+        return 0
+    fi
+    if [[ -z "$STAGE_FILTER" && " ${ON_REQUEST[*]} " == *" $name "* ]]; then
         return 0
     fi
     echo "==> stage $name"
@@ -185,6 +190,63 @@ stage_simd_off() {
         -- motion::differential aliased_slots_code_like_separate_copies | tail -n 3
 }
 
+# Every row of scripts/mutants.tsv is a mutation a named test must
+# catch: file, exact search string, replacement, and the `cargo test`
+# arguments expected to go red. Each row is applied alone to a scratch
+# copy of the tree (target/mutants/tree, rebuilt into
+# target/mutants/target; both ignored). Fails if a row's tests fail
+# without its mutation, on a search string that does not match exactly
+# once, on a mutant that does not compile, and on a surviving mutant.
+# A debug build, so the debug oracles can be what goes red; a test run
+# cut off after 15 minutes counts as red. Weekly in CI, and on request
+# only.
+stage_mutants() {
+    local copy=target/mutants/tree
+    local file search replace args text after n=0
+    rm -rf "$copy"
+    mkdir -p "$copy"
+    tar -cf - --exclude=./target --exclude=./.git --exclude=./benchmark/target \
+        --exclude=./benchmark/out . | tar -xf - -C "$copy"
+    # $args is word-split on purpose: it is a cargo argument list.
+    # shellcheck disable=SC2086
+    while IFS=$'\t' read -r file search replace args; do
+        [[ -z "$file" || "$file" == \#* ]] && continue
+        if ! (cd "$copy" && CARGO_TARGET_DIR=../target cargo test -q --offline $args \
+            >/dev/null 2>&1); then
+            echo "cargo test $args fails without any mutation" >&2
+            return 1
+        fi
+    done < <(sort -t $'\t' -k4,4 -u scripts/mutants.tsv)
+    while IFS=$'\t' read -r file search replace args; do
+        [[ -z "$file" || "$file" == \#* ]] && continue
+        n=$((n + 1))
+        search=$(printf '%b' "$search")
+        replace=$(printf '%b' "$replace")
+        text=$(<"$file")
+        after=${text#*"$search"}
+        if [[ "$after" == "$text" || "$after" == *"$search"* ]]; then
+            echo "mutant $n: its search string must match $file exactly once" >&2
+            return 1
+        fi
+        printf '%s\n' "${text/"$search"/"$replace"}" >"$copy/$file"
+        echo "--> mutant $n: $file; cargo test $args"
+        # shellcheck disable=SC2086
+        if ! (cd "$copy" && CARGO_TARGET_DIR=../target cargo test -q --offline --no-run $args \
+            >/dev/null 2>&1); then
+            echo "mutant $n does not compile" >&2
+            return 1
+        fi
+        # shellcheck disable=SC2086
+        if (cd "$copy" && CARGO_TARGET_DIR=../target timeout 900 cargo test -q --offline $args \
+            >/dev/null 2>&1); then
+            echo "mutant $n survived: cargo test $args passes with it" >&2
+            return 1
+        fi
+        cp "$file" "$copy/$file"
+    done <scripts/mutants.tsv
+    echo "all $n mutants red"
+}
+
 run_stage fmt stage_fmt
 run_stage build stage_build
 run_stage test stage_test
@@ -198,6 +260,7 @@ run_stage benchmark_lock stage_benchmark_lock
 run_stage benchmark_smoke stage_benchmark_smoke
 run_stage determinism stage_determinism
 run_stage simd_off stage_simd_off
+run_stage mutants stage_mutants
 
 if [[ "$STAGES_RUN" -eq 0 ]]; then
     echo "no stage named '$STAGE_FILTER' (stages: ${STAGE_NAMES[*]})" >&2

@@ -837,11 +837,8 @@ mod tests {
 
     #[test]
     fn a_job_state_has_a_job_specs_size_and_align() {
-        // 128 when it held the whole `JobSpec` and an
-        // `Option<ResourceDemand>`, 72 while it also held a 1-based
-        // live-attempt token as an `Option<u32>`. Equal layouts are what
-        // let `ClusterSim::new` build the job table in the caller's
-        // `JobSpec` buffer.
+        // Equal layouts are what let `ClusterSim::new` build the job
+        // table in the caller's `JobSpec` buffer.
         use std::mem::{align_of, size_of};
         assert_eq!(size_of::<JobState>(), size_of::<JobSpec>());
         assert_eq!(align_of::<JobState>(), align_of::<JobSpec>());

@@ -121,7 +121,7 @@ impl PipelineSim {
     /// (1.0 = ideal: the pipeline sustains the bottleneck stage's mean
     /// rate despite variability).
     pub fn relative_throughput(&self, blocks: u64) -> f64 {
-        self.simulate::<false>(blocks).relative_throughput
+        self.simulate(blocks).relative_throughput
     }
 
     /// Like [`PipelineSim::relative_throughput`], additionally
@@ -129,7 +129,7 @@ impl PipelineSim {
     /// and throughput into `telemetry` — the encoder-core half of the
     /// Fig. 9-style fleet dashboards.
     pub fn relative_throughput_traced(&self, blocks: u64, telemetry: &Registry) -> f64 {
-        let outcome = self.simulate::<true>(blocks);
+        let outcome = self.simulate(blocks);
         if telemetry.is_enabled() {
             for (si, st) in Stage::ALL.iter().enumerate() {
                 telemetry.gauge_set(
@@ -146,9 +146,8 @@ impl PipelineSim {
         outcome.relative_throughput
     }
 
-    /// `TRACK_BUSY` gates the per-stage occupancy accumulation so the
-    /// untraced hot path keeps the original inner loop bit-for-bit.
-    fn simulate<const TRACK_BUSY: bool>(&self, blocks: u64) -> PipelineOutcome {
+    /// Runs `blocks` macroblocks through the four stages.
+    fn simulate(&self, blocks: u64) -> PipelineOutcome {
         assert!(blocks > 0, "must simulate at least one block");
         let stages = Stage::ALL;
         let n = blocks as usize;
@@ -176,9 +175,7 @@ impl PipelineSim {
                 }
                 let service = self.service_cycles(*st, b as u64);
                 let done = start + service;
-                if TRACK_BUSY {
-                    busy[si] += service;
-                }
+                busy[si] += service;
                 starts[si].push(start);
                 finish[si] = done;
                 t_avail = done;

@@ -329,22 +329,17 @@ impl ClusterSim {
                     placed
                 };
                 match placed {
-                    Some((w, mode, demand)) if self.fleet.usable(w) => {
+                    Some((w, mode, demand)) => {
+                        // `worker_event` and `apply_fault` mirror every
+                        // change to `Fleet::usable` into
+                        // `Scheduler::set_accepting`, so the index
+                        // places only on usable workers.
+                        debug_assert!(self.fleet.usable(w), "placed on unusable worker {w}");
                         // `i` is bounded by the miss cap, so this
                         // removal shifts at most `max_misses` entries.
                         self.pending[class].remove(i);
                         self.start_job(now, j, w, demand, mode);
                         decode_hot = None;
-                    }
-                    Some((w, _, demand)) => {
-                        // Worker exists but its VCU is quarantined or
-                        // disabled; release and stop it from accepting
-                        // further work. Retry the same job in the next
-                        // loop iteration. The release moved the
-                        // capacity epoch: forget what was learned.
-                        self.scheduler.release(w, demand);
-                        self.scheduler.set_accepting(w, false);
-                        self.blocked.sync(self.blocked_key());
                     }
                     None => {
                         // Job stays queued; try the next one.

@@ -15,7 +15,7 @@ use crate::tempfilter::temporal_filter_with_stats;
 use crate::types::{CodecError, FrameKind, Profile, Qp};
 use vcu_media::quality::psnr_y;
 use vcu_media::{Frame, Video};
-use vcu_telemetry::{Registry, Scope};
+use vcu_telemetry::Registry;
 
 const MAGIC: &[u8; 4] = b"VCSM";
 const VERSION: u8 = 1;
@@ -92,10 +92,8 @@ pub struct Decoded {
     pub stats: CodingStats,
 }
 
-/// Serializes the fixed-size container header. Frame records follow it
-/// directly, which is what lets chunk containers be spliced by
-/// rewriting the header and concatenating everything past byte
-/// [`HEADER_LEN`].
+/// Serializes the fixed-size container header; frame records follow it
+/// directly.
 fn container_header(profile: Profile, w: u16, h: u16, fps: f32, count: u32) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(HEADER_LEN);
     bytes.extend_from_slice(MAGIC);
@@ -348,115 +346,6 @@ fn encode_batch_with(
         .collect()
 }
 
-/// Chunk-parallel encoding: splits `video` into closed-GOP chunks of
-/// `chunk_frames` frames, encodes each chunk independently on
-/// `cfg.threads` worker threads, and splices the chunk containers back
-/// into one stream (header rewrite + payload concatenation, stats
-/// merged in chunk order).
-///
-/// Each chunk is encoded as its own short video, so it opens with a
-/// keyframe and references nothing outside itself — the fleet-style
-/// chunked transcode of §3, where independent chunks fan out across
-/// VCUs. Because chunk boundaries depend only on `chunk_frames` and
-/// splicing is ordered, the output is **byte-identical for every
-/// `cfg.threads` value**; `threads` trades wall-clock for parallelism,
-/// never output. More keyframes than whole-video [`encode`] is the
-/// expected compression cost of chunk independence.
-///
-/// # Errors
-///
-/// Returns [`CodecError::InvalidConfig`] for invalid configurations or
-/// `chunk_frames == 0`.
-pub fn encode_parallel(
-    cfg: &EncoderConfig,
-    video: &Video,
-    chunk_frames: usize,
-) -> Result<Encoded, CodecError> {
-    encode_parallel_traced(cfg, video, chunk_frames, &Registry::disabled())
-}
-
-/// Like [`encode_parallel`], additionally recording chunk-level
-/// observability: a `codec.chunks` counter, per-chunk
-/// `codec.chunk.encode` spans (media-time coordinates, scoped to
-/// job = chunk index), and a `codec.chunk.bits` histogram.
-///
-/// Workers themselves run untraced and telemetry is recorded on the
-/// calling thread in chunk order afterwards; nothing in the snapshot
-/// mentions thread counts or worker identities, so same-seed runs
-/// produce byte-identical telemetry snapshots for **every**
-/// `cfg.threads` value, not just across schedules at one value.
-///
-/// # Errors
-///
-/// Returns [`CodecError::InvalidConfig`] for invalid configurations,
-/// `chunk_frames == 0`, or an `fps` the container's `f32` cannot carry.
-pub fn encode_parallel_traced(
-    cfg: &EncoderConfig,
-    video: &Video,
-    chunk_frames: usize,
-    telemetry: &Registry,
-) -> Result<Encoded, CodecError> {
-    cfg.validate()?;
-    if chunk_frames == 0 {
-        return Err(CodecError::InvalidConfig("chunk_frames must be at least 1"));
-    }
-    let fps = container_fps(video.fps)?;
-    let n = video.frames.len();
-    if n == 0 {
-        return encode_traced(cfg, video, telemetry);
-    }
-    let ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk_frames)
-        .map(|s| (s, (s + chunk_frames).min(n)))
-        .collect();
-    let chunks: Vec<Video> = ranges
-        .iter()
-        .map(|&(a, b)| Video::new(video.frames[a..b].to_vec(), video.fps))
-        .collect();
-    let encoded = encode_batch(cfg, &chunks)?;
-
-    // Splice in chunk order: one rewritten header, then every chunk's
-    // frame records verbatim. Frame checksums are per-payload, so they
-    // survive the concatenation untouched.
-    let coded_frames: usize = encoded.iter().map(|c| c.frames.len()).sum();
-    let mut bytes = container_header(
-        cfg.profile,
-        video.width() as u16,
-        video.height() as u16,
-        fps,
-        coded_frames as u32,
-    );
-    let mut infos = Vec::with_capacity(coded_frames);
-    let mut stats = CodingStats::new();
-    for c in &encoded {
-        bytes.extend_from_slice(&c.bytes[HEADER_LEN..]);
-        infos.extend_from_slice(&c.frames);
-        stats += c.stats;
-    }
-
-    if telemetry.is_enabled() {
-        for (i, (c, &(a, b))) in encoded.iter().zip(&ranges).enumerate() {
-            let chunk_bits: f64 = c.frames.iter().map(|f| f.bytes as f64 * 8.0).sum();
-            telemetry.counter_inc("codec.chunks");
-            telemetry.observe("codec.chunk.bits", chunk_bits);
-            telemetry.span(
-                "codec.chunk.encode",
-                Scope::job(i as u64),
-                a as f64 / video.fps,
-                b as f64 / video.fps,
-                chunk_bits,
-            );
-        }
-    }
-
-    Ok(Encoded {
-        fps: video.fps,
-        bytes,
-        frames: infos,
-        stats,
-    })
-}
-
 /// Decodes a container produced by [`encode`].
 ///
 /// # Errors
@@ -702,62 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_encode_is_thread_count_invariant() {
-        let v = clip(10, ContentClass::ugc());
-        let base = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30));
-        let seq = encode_parallel(&base.with_threads(1), &v, 4).unwrap();
-        for threads in [2usize, 4] {
-            let par = encode_parallel(&base.with_threads(threads), &v, 4).unwrap();
-            assert_eq!(
-                seq.bytes, par.bytes,
-                "threads={threads} changed the bitstream"
-            );
-            assert_eq!(
-                seq.stats, par.stats,
-                "threads={threads} changed merged stats"
-            );
-            assert_eq!(seq.frames, par.frames);
-        }
-    }
-
-    #[test]
-    fn parallel_encode_decodes_to_all_frames() {
-        let v = clip(11, ContentClass::talking_head());
-        let cfg = EncoderConfig::const_qp(Profile::H264Sim, Qp::new(28)).with_threads(3);
-        let e = encode_parallel(&cfg, &v, 4).unwrap();
-        let d = decode(&e.bytes).unwrap();
-        assert_eq!(d.video.frames.len(), 11);
-        // Three chunks (4+4+3): each opens with its own keyframe.
-        assert_eq!(
-            e.frames.iter().filter(|f| f.kind == FrameKind::Key).count(),
-            3
-        );
-        let p = psnr_y_video(&v, &d.video);
-        assert!(p > 28.0, "chunked qp28 psnr too low: {p}");
-    }
-
-    #[test]
-    fn parallel_encode_merges_stats_and_sizes() {
-        // Splice bookkeeping: merged stats and container size must equal
-        // the per-chunk sums (minus the extra chunk headers).
-        let v = clip(8, ContentClass::ugc());
-        let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(32)).with_threads(2);
-        let chunks: Vec<Video> = [(0usize, 4usize), (4, 8)]
-            .iter()
-            .map(|&(a, b)| Video::new(v.frames[a..b].to_vec(), v.fps))
-            .collect();
-        let per = encode_batch(&cfg, &chunks).unwrap();
-        let whole = encode_parallel(&cfg, &v, 4).unwrap();
-        let mut sum = CodingStats::new();
-        for c in &per {
-            sum += c.stats;
-        }
-        assert_eq!(whole.stats, sum);
-        let per_bytes: usize = per.iter().map(|c| c.bytes.len() - HEADER_LEN).sum();
-        assert_eq!(whole.bytes.len(), HEADER_LEN + per_bytes);
-    }
-
-    #[test]
     fn unbalanced_batch_is_thread_count_invariant() {
         // One clip four times its siblings' length: the small clips
         // finish on whichever worker is free, in any order.
@@ -815,38 +648,6 @@ mod tests {
             4,
             "all non-panicking siblings must run to completion first"
         );
-    }
-
-    #[test]
-    fn parallel_encode_rejects_zero_chunk_frames() {
-        let v = clip(2, ContentClass::talking_head());
-        let cfg = EncoderConfig::const_qp(Profile::H264Sim, Qp::new(30));
-        assert!(matches!(
-            encode_parallel(&cfg, &v, 0),
-            Err(CodecError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn traced_parallel_encode_records_chunk_spans() {
-        let v = clip(9, ContentClass::talking_head());
-        let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(30)).with_threads(2);
-        let reg = Registry::new();
-        let traced = encode_parallel_traced(&cfg, &v, 3, &reg).unwrap();
-        let plain = encode_parallel(&cfg, &v, 3).unwrap();
-        assert_eq!(traced.bytes, plain.bytes, "tracing must not perturb output");
-        assert_eq!(reg.counter("codec.chunks"), 3);
-        // The snapshot must stay thread-count-invariant, so nothing in
-        // it may mention thread counts or worker identities.
-        assert_eq!(reg.gauge("codec.encode.threads"), None);
-        let spans = reg.events_named("codec.chunk.encode");
-        assert_eq!(spans.len(), 3);
-        // Spans carry media-time coordinates in chunk order.
-        assert_eq!(spans[0].start_s, 0.0);
-        assert!((spans[2].end_s - 9.0 / v.fps).abs() < 1e-9);
-        let bits = reg.histogram("codec.chunk.bits").unwrap();
-        assert_eq!(bits.count, 3);
-        assert!(bits.sum > 0.0);
     }
 
     #[test]
@@ -949,22 +750,11 @@ mod lagged_tests {
                 matches!(encode(&cfg, &v), Err(CodecError::InvalidConfig(_))),
                 "fps {fps}"
             );
-            assert!(
-                matches!(
-                    encode_parallel(&cfg, &v, 1),
-                    Err(CodecError::InvalidConfig(_))
-                ),
-                "fps {fps}"
-            );
         }
         // The largest finite f32 fits, and survives the round trip.
         let v = Video::new(frames, f32::MAX as f64);
-        for e in [
-            encode(&cfg, &v).unwrap(),
-            encode_parallel(&cfg, &v, 1).unwrap(),
-        ] {
-            assert_eq!(decode(&e.bytes).unwrap().video.fps, f32::MAX as f64);
-        }
+        let e = encode(&cfg, &v).unwrap();
+        assert_eq!(decode(&e.bytes).unwrap().video.fps, f32::MAX as f64);
     }
 
     #[test]

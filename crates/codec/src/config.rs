@@ -203,8 +203,8 @@ pub struct EncoderConfig {
     pub toolset: Toolset,
     /// Rate control.
     pub rc: RateControl,
-    /// Worker threads for chunk-parallel encoding (see
-    /// `encode_parallel`). `1` encodes chunks sequentially; the output
+    /// Worker threads for a batch of chunks (see
+    /// [`crate::encode_batch`]). `1` encodes them sequentially; every
     /// bitstream is byte-identical for every thread count.
     pub threads: usize,
 }

@@ -31,10 +31,7 @@ pub mod tempfilter;
 pub mod transform;
 pub mod types;
 
-pub use api::{
-    decode, encode, encode_batch, encode_parallel, encode_parallel_traced, encode_traced,
-    CodedFrameInfo, Decoded, Encoded,
-};
+pub use api::{decode, encode, encode_batch, encode_traced, CodedFrameInfo, Decoded, Encoded};
 pub use config::{EncoderConfig, PassMode, RateControl, Toolset, TuningLevel};
 pub use stats::CodingStats;
 pub use types::{CodecError, FrameKind, MotionVector, Profile, Qp};

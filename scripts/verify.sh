@@ -152,7 +152,7 @@ stage_benchmark_smoke() {
 # sequential and once with 4 encode workers. Byte-identical bitstreams
 # and telemetry snapshots are asserted inside the tests. This is a
 # debug build on purpose (no --release), so the simulator pins run
-# with all six debug oracles on: ClusterSim re-checks every placement
+# with all seven debug oracles on: ClusterSim re-checks every placement
 # the blocked-placement memo skips against the real availability index;
 # EventQueue checks every event that leaves it — from the heap, a FIFO
 # lane or the batch-arrival cursor — against a shadow heap of all
@@ -161,12 +161,15 @@ stage_benchmark_smoke() {
 # AvailabilityIndex::set, where its repair of the 8-ary index stops at
 # the first unchanged ancestor, checks every ancestor above is the max
 # of its 8 children; ClusterSim checks every demand its job-shape memo
-# hands out against a fresh VcuModel::job_demand; and Tally::submitted
-# checks every video slot its last-video memo reuses against its map.
+# hands out against a fresh VcuModel::job_demand; Tally::submitted
+# checks every video slot its last-video memo reuses against its map;
+# and ClusterSim checks every worker the index places on is usable,
+# which holds because every change to Fleet::usable is mirrored into
+# Scheduler::set_accepting.
 stage_determinism() {
     local t
     for t in 1 4; do
-        echo "--> VCU_THREADS=$t (debug build: memo, event-order, screen, index-repair, job-shape and video-slot oracles on)"
+        echo "--> VCU_THREADS=$t (debug build: memo, event-order, screen, index-repair, job-shape, video-slot and usable-placement oracles on)"
         VCU_THREADS=$t cargo test -q -p vcu-system --offline --test determinism \
             | tail -n 2
     done

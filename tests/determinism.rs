@@ -984,36 +984,32 @@ fn interleaved_shapes_in_an_open_world_are_pinned() {
 fn chunk_parallel_encode_honors_vcu_threads_deterministically() {
     // The verify script runs this suite under VCU_THREADS=1 and
     // VCU_THREADS=4: whatever the knob says, chunk-parallel encoding
-    // and its telemetry snapshot must be byte-identical. The encoder is
-    // the one pipeline stage with real thread parallelism, so this is
-    // where scheduling nondeterminism would leak in if it could.
-    use vcu_codec::{encode_parallel_traced, EncoderConfig, Qp};
+    // must be byte-identical. The encoder is the one pipeline stage
+    // with real thread parallelism, so this is where scheduling
+    // nondeterminism would leak in if it could.
+    use vcu_codec::{encode, encode_batch, EncoderConfig, Qp};
     use vcu_media::synth::{ContentClass, SynthSpec};
     use vcu_media::Resolution;
+    use vcu_system::chunking::{split, ChunkPlan};
 
     let threads = vcu_exec::env_threads();
     let video = SynthSpec::new(Resolution::R144, 8, ContentClass::ugc(), 42).generate();
+    let chunks = split(&video, &ChunkPlan::uniform(8, 3));
     let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(32)).with_threads(threads);
-    let encode_once = || {
-        let reg = Registry::new();
-        let e = encode_parallel_traced(&cfg, &video, 3, &reg).expect("encode");
-        (e, reg.snapshot_json(&[("threads", &threads.to_string())]))
-    };
-    let (a, snap_a) = encode_once();
-    let (b, snap_b) = encode_once();
-    assert_eq!(a.bytes, b.bytes, "same-seed encodes must be byte-identical");
-    assert_eq!(a.stats, b.stats);
-    assert_eq!(snap_a, snap_b, "telemetry snapshots must be byte-identical");
-    // The bitstream is also invariant across thread counts, not just
-    // across runs: pin against a single-threaded reference encode.
-    let seq = vcu_codec::encode_parallel(&cfg.with_threads(1), &video, 3).expect("t1");
-    assert_eq!(
-        a.bytes, seq.bytes,
-        "VCU_THREADS={threads} changed the bitstream"
-    );
-    // The snapshot is substantive: chunk spans and counters landed.
-    assert!(snap_a.contains("codec.chunk.encode"));
-    assert!(snap_a.contains("\"codec.chunks\""));
+    let a = encode_batch(&cfg, &chunks).expect("encode");
+    let b = encode_batch(&cfg, &chunks).expect("encode");
+    assert_eq!(a.len(), chunks.len());
+    for (i, ((x, y), chunk)) in a.iter().zip(&b).zip(&chunks).enumerate() {
+        assert_eq!(x.bytes, y.bytes, "same-seed encodes must be byte-identical");
+        assert_eq!(x.stats, y.stats);
+        // The bitstream is also invariant across thread counts, not
+        // just across runs: pin against a single-threaded encode.
+        let seq = encode(&cfg.with_threads(1), chunk).expect("t1");
+        assert_eq!(
+            x.bytes, seq.bytes,
+            "VCU_THREADS={threads} changed chunk {i}'s bitstream"
+        );
+    }
 }
 
 /// Every plane `SynthSpec::generate` emits, for each content class at

@@ -6,12 +6,13 @@
 use vcu_chip::ResourceDemand;
 use vcu_cluster::{PlacementMode, Scheduler, SchedulerKind};
 use vcu_codec::entropy::{AdaptiveModel, BoolDecoder, BoolEncoder};
-use vcu_codec::{decode, encode, encode_parallel_traced, CodingStats, EncoderConfig, Profile, Qp};
+use vcu_codec::{decode, encode, encode_batch, CodingStats, EncoderConfig, Profile, Qp};
 use vcu_media::bdrate::{bd_rate, RdPoint};
 use vcu_media::scale::scale_plane;
 use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::{Frame, Plane, Resolution, Video};
 use vcu_rng::prop_cases;
+use vcu_system::chunking::{assemble, split, ChunkPlan};
 
 prop_cases! {
     /// The arithmetic coder round-trips any bit sequence at any
@@ -349,12 +350,12 @@ prop_cases! {
 
 prop_cases! {
     /// Chunk-parallel encoding is pool-width invariant: for arbitrary
-    /// content, chunk size, and clip length, every `VCU_THREADS`-style
-    /// width in {1, 2, 3, 4, 8} produces a byte-identical container,
-    /// identical merged stats and frame records, and a byte-identical
-    /// telemetry snapshot. Widths exceed the chunk count on most cases
-    /// (<= 6 chunks vs 8 lanes), so surplus workers must idle rather
-    /// than perturb anything.
+    /// content, chunk size, and clip length, `split` + `encode_batch` at
+    /// every `VCU_THREADS`-style width in {1, 2, 3, 4, 8} returns, in
+    /// chunk order, each chunk's sequential `encode`: the same bytes,
+    /// stats and frame records. Widths exceed the chunk count on most
+    /// cases (<= 6 chunks vs 8 lanes), so surplus workers must idle
+    /// rather than perturb anything.
     #[cases(4)]
     fn parallel_encode_thread_invariant(rng) {
         let seed = rng.gen_range(0u64..1000);
@@ -363,26 +364,21 @@ prop_cases! {
         let profile = if rng.gen_bool(0.5) { Profile::Vp9Sim } else { Profile::H264Sim };
         let qp = rng.gen_range(20u8..45);
         let video = SynthSpec::new(Resolution::R144, frames, ContentClass::ugc(), seed).generate();
+        let chunks = split(&video, &ChunkPlan::uniform(frames, chunk));
         let base = EncoderConfig::const_qp(profile, Qp::new(qp));
-        let seq_reg = vcu_telemetry::Registry::new();
-        let seq = encode_parallel_traced(&base.with_threads(1), &video, chunk, &seq_reg)
-            .expect("t1 encode");
-        let seq_snap = seq_reg.snapshot_json(&[]);
-        for threads in [2usize, 3, 4, 8] {
-            let reg = vcu_telemetry::Registry::new();
-            let par = encode_parallel_traced(&base.with_threads(threads), &video, chunk, &reg)
-                .expect("parallel encode");
-            assert_eq!(seq.bytes, par.bytes, "threads={threads} changed the bitstream");
-            assert_eq!(seq.stats, par.stats, "threads={threads} changed merged stats");
-            assert_eq!(seq.frames, par.frames, "threads={threads} changed frame records");
-            assert_eq!(
-                seq_snap,
-                reg.snapshot_json(&[]),
-                "threads={threads} changed the telemetry snapshot"
-            );
+        let want: Vec<_> = chunks.iter().map(|c| encode(&base, c).expect("encode")).collect();
+        for threads in [1usize, 2, 3, 4, 8] {
+            let got = encode_batch(&base.with_threads(threads), &chunks).expect("batch encode");
+            assert_eq!(got.len(), want.len(), "threads={threads} changed the chunk count");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.bytes, w.bytes, "threads={threads} changed chunk {i}'s bitstream");
+                assert_eq!(g.stats, w.stats, "threads={threads} changed chunk {i}'s stats");
+                assert_eq!(g.frames, w.frames, "threads={threads} changed chunk {i}'s frame records");
+            }
         }
-        // And the spliced stream actually decodes to every frame.
-        assert_eq!(decode(&seq.bytes).expect("decode").video.frames.len(), frames);
+        // And the chunks decode and assemble to every frame.
+        let decoded = want.iter().map(|e| decode(&e.bytes).expect("decode").video).collect();
+        assert_eq!(assemble(decoded, frames).expect("assemble").frames.len(), frames);
     }
 }
 
@@ -579,6 +575,12 @@ mod fault_paths {
     use vcu_media::Resolution;
     use vcu_rng::prop_cases;
 
+    /// Steps `fault_schedules_always_terminate` allows one run: about
+    /// 500× the 202 its longest case takes. A run that loses an
+    /// attempt's pending event samples forever, so it fails here
+    /// instead of hanging.
+    const STEP_CAP: u64 = 100_000;
+
     fn random_fault_kind(rng: &mut vcu_rng::Rng) -> FaultKind {
         match rng.gen_range(0u32..8) {
             0 => FaultKind::SilentCorruption,
@@ -654,7 +656,17 @@ mod fault_paths {
                 seed: rng.next_u64(),
                 ..ClusterConfig::default()
             };
-            let r = ClusterSim::new(cfg, jobs, faults).run();
+            let mut sim = ClusterSim::new(cfg, jobs, faults);
+            let mut steps = 0u64;
+            while steps < STEP_CAP && sim.step() {
+                steps += 1;
+            }
+            assert_eq!(
+                sim.unresolved_jobs(),
+                0,
+                "jobs still unresolved after STEP_CAP = {STEP_CAP} steps: an attempt lost its pending event"
+            );
+            let r = sim.finish();
             assert_eq!(
                 r.completed + r.failed,
                 n as u64,

@@ -21,11 +21,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use vcu_codec::kernels::{self, Backend};
-use vcu_codec::{decode, encode, encode_parallel, CodecError, EncoderConfig, Profile, Qp};
+use vcu_codec::{decode, encode, encode_batch, CodecError, EncoderConfig, Profile, Qp};
 use vcu_media::scale::scale_frame;
 use vcu_media::synth::{ContentClass, SynthSpec};
 use vcu_media::{Plane, Resolution, Video};
 use vcu_rng::{prop_cases, Rng};
+use vcu_system::chunking::{split, ChunkPlan};
 
 /// Random pixel with the saturating edges oversampled: roughly a
 /// quarter of samples are exactly 0 or 255, where `packus`/`pavgb`
@@ -409,25 +410,26 @@ fn early_exit_metering_is_row_granular_and_backend_invariant() {
 #[test]
 fn encode_is_byte_identical_across_backends() {
     let v = SynthSpec::new(Resolution::R144, 4, ContentClass::ugc(), 21).generate();
+    let chunks = split(&v, &ChunkPlan::uniform(4, 2));
     let cfg = EncoderConfig::const_qp(Profile::Vp9Sim, Qp::new(32));
+    let chunked = |threads: usize| -> Vec<Vec<u8>> {
+        let batch = encode_batch(&cfg.with_threads(threads), &chunks).unwrap();
+        batch.into_iter().map(|e| e.bytes).collect()
+    };
     let mut reference = None;
     for bk in kernels::available_backends() {
         kernels::set_backend(bk);
         let serial = encode(&cfg, &v).unwrap();
-        let chunked1 = encode_parallel(&cfg.with_threads(1), &v, 2).unwrap();
-        let chunked4 = encode_parallel(&cfg.with_threads(4), &v, 2).unwrap();
-        assert_eq!(
-            chunked1.bytes, chunked4.bytes,
-            "{bk:?}: thread count changed bytes"
-        );
+        let chunked4 = chunked(4);
+        assert!(chunked(1) == chunked4, "{bk:?}: thread count changed bytes");
         match &reference {
             None => reference = Some((serial, chunked4)),
             Some((want, want_chunked)) => {
                 assert_eq!(serial.bytes, want.bytes, "{bk:?}: bitstream differs");
                 assert_eq!(serial.frames, want.frames, "{bk:?}: frame records differ");
                 assert_eq!(serial.stats, want.stats, "{bk:?}: stats differ");
-                assert_eq!(
-                    chunked4.bytes, want_chunked.bytes,
+                assert!(
+                    chunked4 == *want_chunked,
                     "{bk:?}: chunked bitstream differs"
                 );
             }
@@ -564,8 +566,14 @@ fn records(bytes: &[u8]) -> Vec<(usize, usize)> {
     out
 }
 
+/// Container bytes of the Key and Inter frame kinds.
+const KEY: u8 = 0;
+const INTER: u8 = 1;
+
 /// A 6-frame 144p clip scaled to 96×56, per profile: encoded whole,
-/// and as a spliced `encode_parallel` stream of two 3-frame chunks.
+/// and as two 3-frame chunks encoded apart whose frame records follow
+/// one header with the summed frame count, so the decoder meets a Key
+/// record after an Inter one.
 fn hostile_bases() -> &'static [[Vec<u8>; 2]; 2] {
     static BASES: OnceLock<[[Vec<u8>; 2]; 2]> = OnceLock::new();
     BASES.get_or_init(|| {
@@ -575,7 +583,19 @@ fn hostile_bases() -> &'static [[Vec<u8>; 2]; 2] {
         [Profile::H264Sim, Profile::Vp9Sim].map(|p| {
             let cfg = EncoderConfig::const_qp(p, Qp::new(36));
             let whole = encode(&cfg, &v).unwrap().bytes;
-            [whole, encode_parallel(&cfg, &v, 3).unwrap().bytes]
+            let halves = encode_batch(&cfg, &split(&v, &ChunkPlan::uniform(6, 3))).unwrap();
+            let mut joined = halves[0].bytes.clone();
+            joined.extend_from_slice(&halves[1].bytes[HEADER_LEN..]);
+            let count = (halves[0].frames.len() + halves[1].frames.len()) as u32;
+            joined[14..18].copy_from_slice(&count.to_le_bytes());
+            let kinds: Vec<u8> = records(&joined).iter().map(|&(at, _)| joined[at]).collect();
+            let first_inter = kinds.iter().position(|&k| k == INTER);
+            let last_key = kinds.iter().rposition(|&k| k == KEY);
+            assert!(
+                matches!((first_inter, last_key), (Some(i), Some(k)) if i < k),
+                "{p:?}: the joined base needs a Key record after an Inter one: {kinds:?}"
+            );
+            [whole, joined]
         })
     })
 }
@@ -583,7 +603,7 @@ fn hostile_bases() -> &'static [[Vec<u8>; 2]; 2] {
 prop_cases! {
     /// The decoder survives hostile containers: `decode` returns `Ok`
     /// or `Err` and never panics. Each case takes one of the four base
-    /// streams (both profiles, whole and spliced) and either flips 1–3
+    /// streams (both profiles, whole and joined) and either flips 1–3
     /// bits of one frame payload and re-stamps that record's checksum,
     /// so the corruption reaches the frame decoder instead of stopping
     /// at the checksum; or overwrites a header field (width, height,

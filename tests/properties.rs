@@ -762,6 +762,7 @@ mod fault_paths {
 // capacity, head segments scan-resistant), and the serving simulator
 // must account for every session it admits.
 mod serving {
+    use std::collections::VecDeque;
     use vcu_rng::prop_cases;
     use vcu_serve::{seg_key, SegmentCache, ServeConfig, ServeSim};
 
@@ -825,6 +826,74 @@ mod serving {
                 "capacity {} hit {} times but capacity {} only {}",
                 small, a.hits(), big, b.hits()
             );
+        }
+
+        /// `SegmentCache` answers exactly like a naive two-tier LRU —
+        /// two `VecDeque`s, front = most recent, split by the same
+        /// capacity rule — over random popularity-skewed traces of
+        /// lookups and inserts (re-inserts of present keys included):
+        /// every lookup answer, the hit and miss counts, and presence
+        /// of every key seen so far, after every step.
+        #[cases(48)]
+        fn cache_matches_a_naive_two_tier_lru(rng) {
+            let capacity = rng.gen_range(0usize..120);
+            let frac = rng.f64();
+            let videos = rng.gen_range(8u32..200);
+            let heads = rng.gen_range(0..videos / 2);
+            let mut cache = SegmentCache::new(capacity, frac);
+            let protected_cap =
+                ((capacity as f64 * frac).ceil() as usize).min(capacity.saturating_sub(1));
+            let caps = [capacity - protected_cap, protected_cap];
+            let mut tiers: [VecDeque<u64>; 2] = Default::default();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            let mut seen: Vec<u64> = Vec::new();
+            for _ in 0..500 {
+                // Cubing a uniform draw skews requests to low video ids.
+                let video = (rng.f64().powi(3) * videos as f64) as u32;
+                let key = seg_key(video, rng.gen_range(0u32..4));
+                let head = video < heads;
+                if !seen.contains(&key) {
+                    seen.push(key);
+                }
+                let found = tiers
+                    .iter()
+                    .enumerate()
+                    .find_map(|(t, q)| q.iter().position(|&k| k == key).map(|i| (t, i)));
+                if let Some((t, i)) = found {
+                    tiers[t].remove(i);
+                    tiers[t].push_front(key);
+                }
+                if rng.gen_bool(0.7) {
+                    let hit = found.is_some();
+                    if hit {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                    assert_eq!(cache.lookup(key), hit, "lookup of {key:#x}");
+                } else {
+                    if found.is_none() {
+                        let t = usize::from(head && caps[1] > 0);
+                        if caps[t] > 0 {
+                            if tiers[t].len() >= caps[t] {
+                                tiers[t].pop_back();
+                            }
+                            tiers[t].push_front(key);
+                        }
+                    }
+                    cache.insert(key, head);
+                }
+                assert_eq!((cache.hits(), cache.misses()), (hits, misses));
+                assert_eq!(cache.len(), tiers[0].len() + tiers[1].len());
+                assert_eq!(cache.protected_len(), tiers[1].len());
+                for &k in &seen {
+                    assert_eq!(
+                        cache.contains(k),
+                        tiers.iter().any(|q| q.contains(&k)),
+                        "presence of {k:#x}"
+                    );
+                }
+            }
         }
 
         /// A scan of one-shot cold keys cannot evict the protected

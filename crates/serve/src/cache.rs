@@ -41,10 +41,11 @@ struct Node {
     next: u32,
 }
 
-/// One slab-backed LRU list: head = most recent, tail = eviction
-/// candidate.
-#[derive(Debug, Default)]
+/// One slab-backed LRU list with room for `cap` keys: head = most
+/// recent, tail = eviction candidate.
+#[derive(Debug)]
 struct Lru {
+    cap: usize,
     nodes: Vec<Node>,
     free: Vec<u32>,
     head: u32,
@@ -53,8 +54,9 @@ struct Lru {
 }
 
 impl Lru {
-    fn new() -> Self {
+    fn new(cap: usize) -> Self {
         Lru {
+            cap,
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -64,24 +66,30 @@ impl Lru {
     }
 
     fn push_front(&mut self, key: u64) -> u32 {
+        let node = Node {
+            key,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = match self.free.pop() {
             Some(i) => {
-                self.nodes[i as usize] = Node {
-                    key,
-                    prev: NIL,
-                    next: self.head,
-                };
+                self.nodes[i as usize] = node;
                 i
             }
             None => {
-                self.nodes.push(Node {
-                    key,
-                    prev: NIL,
-                    next: self.head,
-                });
+                self.nodes.push(node);
                 (self.nodes.len() - 1) as u32
             }
         };
+        self.link_front(idx);
+        idx
+    }
+
+    /// Links the detached node `idx` in as the most recent entry.
+    fn link_front(&mut self, idx: u32) {
+        let node = &mut self.nodes[idx as usize];
+        node.prev = NIL;
+        node.next = self.head;
         if self.head != NIL {
             self.nodes[self.head as usize].prev = idx;
         }
@@ -90,7 +98,6 @@ impl Lru {
             self.tail = idx;
         }
         self.len += 1;
-        idx
     }
 
     fn unlink(&mut self, idx: u32) {
@@ -110,24 +117,10 @@ impl Lru {
 
     /// Moves `idx` to the front (most-recently-used position).
     fn touch(&mut self, idx: u32) {
-        if self.head == idx {
-            return;
+        if self.head != idx {
+            self.unlink(idx);
+            self.link_front(idx);
         }
-        self.unlink(idx);
-        let key = self.nodes[idx as usize].key;
-        self.nodes[idx as usize] = Node {
-            key,
-            prev: NIL,
-            next: self.head,
-        };
-        if self.head != NIL {
-            self.nodes[self.head as usize].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-        self.len += 1;
     }
 
     /// Evicts the least-recently-used entry, returning its key.
@@ -142,16 +135,20 @@ impl Lru {
     }
 }
 
+/// Index of the main tier in [`SegmentCache`]'s tiers.
+const MAIN: usize = 0;
+/// Index of the protected tier.
+const PROTECTED: usize = 1;
+
 /// The segment cache. Capacity is in segments (uniform-duration
 /// segments make bytes proportional to count).
 #[derive(Debug)]
 pub struct SegmentCache {
-    protected_cap: usize,
-    main_cap: usize,
-    protected: Lru,
-    main: Lru,
-    /// key → (is_protected_tier, node index within that tier).
-    map: HashMap<u64, (bool, u32)>,
+    /// The main and the protected tier, indexed by [`MAIN`] and
+    /// [`PROTECTED`].
+    tiers: [Lru; 2],
+    /// key → (tier, node index within that tier).
+    map: HashMap<u64, (usize, u32)>,
     hits: u64,
     misses: u64,
 }
@@ -172,10 +169,7 @@ impl SegmentCache {
         let protected_cap =
             ((capacity as f64 * protected_frac).ceil() as usize).min(capacity.saturating_sub(1));
         SegmentCache {
-            protected_cap,
-            main_cap: capacity - protected_cap,
-            protected: Lru::new(),
-            main: Lru::new(),
+            tiers: [Lru::new(capacity - protected_cap), Lru::new(protected_cap)],
             map: HashMap::new(),
             hits: 0,
             misses: 0,
@@ -186,12 +180,8 @@ impl SegmentCache {
     /// on hit.
     pub fn lookup(&mut self, key: u64) -> bool {
         match self.map.get(&key) {
-            Some(&(protected, idx)) => {
-                if protected {
-                    self.protected.touch(idx);
-                } else {
-                    self.main.touch(idx);
-                }
+            Some(&(t, idx)) => {
+                self.tiers[t].touch(idx);
                 self.hits += 1;
                 true
             }
@@ -207,43 +197,25 @@ impl SegmentCache {
     /// evicted if it is full. Re-inserting a present key only
     /// refreshes its recency.
     pub fn insert(&mut self, key: u64, head: bool) {
-        if let Some(&(protected, idx)) = self.map.get(&key) {
-            if protected {
-                self.protected.touch(idx);
-            } else {
-                self.main.touch(idx);
-            }
+        if let Some(&(t, idx)) = self.map.get(&key) {
+            self.tiers[t].touch(idx);
             return;
         }
-        let protected = head && self.protected_cap > 0;
-        let cap = if protected {
-            self.protected_cap
+        let t = if head && self.tiers[PROTECTED].cap > 0 {
+            PROTECTED
         } else {
-            self.main_cap
+            MAIN
         };
-        if cap == 0 {
+        let tier = &mut self.tiers[t];
+        if tier.cap == 0 {
             return; // zero-capacity tier: uncacheable
         }
-        let tier_len = if protected {
-            self.protected.len
-        } else {
-            self.main.len
-        };
-        if tier_len >= cap {
-            let evicted = if protected {
-                self.protected.pop_back()
-            } else {
-                self.main.pop_back()
-            }
-            .expect("full tier has a tail");
+        if tier.len >= tier.cap {
+            let evicted = tier.pop_back().expect("full tier has a tail");
             self.map.remove(&evicted);
         }
-        let idx = if protected {
-            self.protected.push_front(key)
-        } else {
-            self.main.push_front(key)
-        };
-        self.map.insert(key, (protected, idx));
+        let idx = tier.push_front(key);
+        self.map.insert(key, (t, idx));
     }
 
     /// Presence check without touching recency or counters.
@@ -253,7 +225,7 @@ impl SegmentCache {
 
     /// Cached segments across both tiers.
     pub fn len(&self) -> usize {
-        self.protected.len + self.main.len
+        self.tiers[MAIN].len + self.tiers[PROTECTED].len
     }
 
     /// True when nothing is cached.
@@ -263,17 +235,17 @@ impl SegmentCache {
 
     /// Total capacity in segments.
     pub fn capacity(&self) -> usize {
-        self.protected_cap + self.main_cap
+        self.tiers[MAIN].cap + self.tiers[PROTECTED].cap
     }
 
     /// Protected-tier capacity.
     pub fn protected_capacity(&self) -> usize {
-        self.protected_cap
+        self.tiers[PROTECTED].cap
     }
 
     /// Segments currently in the protected tier.
     pub fn protected_len(&self) -> usize {
-        self.protected.len
+        self.tiers[PROTECTED].len
     }
 
     /// Lookup hits so far.

@@ -120,7 +120,7 @@ impl ServeConfig {
 }
 
 /// End-of-run report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// Sessions that arrived during the window.
     pub arrivals: u64,
@@ -194,13 +194,6 @@ struct Session {
     stall_s: f64,
 }
 
-/// A transcode in flight for one segment; later misses for the same
-/// segment coalesce here instead of injecting duplicate jobs.
-#[derive(Debug)]
-struct InFlight {
-    waiters: Vec<u32>,
-}
-
 /// The serving simulator. Build with [`ServeSim::new`], optionally
 /// attach telemetry, then [`ServeSim::run`].
 pub struct ServeSim {
@@ -216,29 +209,22 @@ pub struct ServeSim {
     rng: Rng,
     sessions: Vec<Session>,
     free_slots: Vec<u32>,
-    in_flight: HashMap<u64, InFlight>,
-    /// Cluster job index → segment key.
+    /// Segment key → sessions waiting on its transcode, one entry per
+    /// transcode injected and not yet resolved: later misses for the
+    /// same segment coalesce here instead of injecting duplicate jobs.
+    in_flight: HashMap<u64, Vec<u32>>,
+    /// Cluster job index → segment key, for the jobs in flight.
     job_seg: HashMap<usize, u64>,
-    /// Transcodes injected but not yet resolved.
-    outstanding: u64,
     /// Admission threshold in absolute outstanding transcodes.
     admit_limit: f64,
     more_arrivals: bool,
-    // Tallies.
-    arrivals: u64,
-    admitted: u64,
-    shed: u64,
-    completed: u64,
-    aborted: u64,
+    /// The counted fields of the report, accumulated in place;
+    /// [`ServeSim::finish`] fills in the derived ones.
+    report: ServeReport,
     active: u64,
-    peak_concurrent: u64,
     ttff: Vec<f64>,
-    rebuffer_events: u64,
     stall_s_total: f64,
     watch_s_total: f64,
-    segments_served: u64,
-    transcodes: u64,
-    transcode_failures: u64,
     telemetry: Registry,
 }
 
@@ -292,23 +278,13 @@ impl ServeSim {
             free_slots: Vec::new(),
             in_flight: HashMap::new(),
             job_seg: HashMap::new(),
-            outstanding: 0,
             admit_limit,
             more_arrivals: true,
-            arrivals: 0,
-            admitted: 0,
-            shed: 0,
-            completed: 0,
-            aborted: 0,
+            report: ServeReport::default(),
             active: 0,
-            peak_concurrent: 0,
             ttff: Vec::new(),
-            rebuffer_events: 0,
             stall_s_total: 0.0,
             watch_s_total: 0.0,
-            segments_served: 0,
-            transcodes: 0,
-            transcode_failures: 0,
             telemetry: Registry::disabled(),
         }
     }
@@ -347,7 +323,7 @@ impl ServeSim {
                 (Some(s), Some(c)) => c <= s,
                 // Only the cluster's recurring samples remain; step it
                 // only while it still owes us resolutions.
-                (None, Some(_)) => self.outstanding > 0,
+                (None, Some(_)) => !self.in_flight.is_empty(),
                 (Some(_), None) => false,
                 (None, None) => false,
             };
@@ -373,7 +349,7 @@ impl ServeSim {
     }
 
     fn handle_arrival(&mut self, now: f64) {
-        self.arrivals += 1;
+        self.report.arrivals += 1;
         // Chain the next arrival first so the arrival process never
         // depends on admission state.
         let gap = self.arrivals_model.next_interarrival_s(&mut self.rng);
@@ -385,16 +361,17 @@ impl ServeSim {
         self.telemetry.counter_inc("serve.sessions.arrived");
         // Admission control: shed before the fleet's own ladder would
         // have to react.
-        if self.outstanding as f64 > self.admit_limit {
-            self.shed += 1;
+        let outstanding = self.in_flight.len() as f64;
+        if outstanding > self.admit_limit {
+            self.report.shed_sessions += 1;
             self.telemetry.counter_inc("serve.shed");
             self.telemetry
-                .event("serve.shed", Scope::none(), now, self.outstanding as f64);
+                .event("serve.shed", Scope::none(), now, outstanding);
             return;
         }
-        self.admitted += 1;
+        self.report.admitted += 1;
         self.active += 1;
-        self.peak_concurrent = self.peak_concurrent.max(self.active);
+        self.report.peak_concurrent = self.report.peak_concurrent.max(self.active);
         self.telemetry.counter_inc("serve.sessions.admitted");
         let video = self.catalog.sample(&mut self.rng);
         let session = Session {
@@ -435,8 +412,8 @@ impl ServeSim {
             );
             return;
         }
-        if let Some(fl) = self.in_flight.get_mut(&key) {
-            fl.waiters.push(sid);
+        if let Some(waiters) = self.in_flight.get_mut(&key) {
+            waiters.push(sid);
             return;
         }
         // Deadline classes: the first segment gates TTFF (Critical);
@@ -453,15 +430,14 @@ impl ServeSim {
             priority,
             video_id: video as u64,
         });
-        self.in_flight.insert(key, InFlight { waiters: vec![sid] });
+        self.in_flight.insert(key, vec![sid]);
         self.job_seg.insert(job, key);
-        self.outstanding += 1;
-        self.transcodes += 1;
+        self.report.transcodes += 1;
         self.telemetry.counter_inc("serve.transcodes");
     }
 
     fn handle_deliver(&mut self, now: f64, sid: u32, segment: u32) {
-        self.segments_served += 1;
+        self.report.segments_served += 1;
         let s = &mut self.sessions[sid as usize];
         if segment == 0 {
             let ttff = now - s.arrival_s;
@@ -474,7 +450,7 @@ impl ServeSim {
             if now > s.next_due_s {
                 let stall = now - s.next_due_s;
                 s.stall_s += stall;
-                self.rebuffer_events += 1;
+                self.report.rebuffer_events += 1;
                 self.telemetry.observe("serve.rebuffer_s", stall);
             }
             s.next_due_s = now.max(s.next_due_s) + SEGMENT_S;
@@ -495,7 +471,7 @@ impl ServeSim {
         let s = self.sessions[sid as usize];
         self.watch_s_total += s.total as f64 * SEGMENT_S;
         self.stall_s_total += s.stall_s;
-        self.completed += 1;
+        self.report.completed_sessions += 1;
         self.active -= 1;
         self.free_slots.push(sid);
         self.telemetry.counter_inc("serve.sessions.completed");
@@ -509,14 +485,13 @@ impl ServeSim {
             .job_seg
             .remove(&r.job)
             .expect("every cluster job is injected by request_segment");
-        self.outstanding -= 1;
-        let fl = self
+        let waiters = self
             .in_flight
             .remove(&key)
             .expect("resolution without in-flight entry");
         if r.completed {
             self.cache.insert(key, self.catalog.is_head(key_video(key)));
-            for sid in fl.waiters {
+            for sid in waiters {
                 self.queue.schedule_on(
                     DELIVER_LANE,
                     r.time_s + HIT_LATENCY_S,
@@ -527,9 +502,9 @@ impl ServeSim {
                 );
             }
         } else {
-            self.transcode_failures += 1;
+            self.report.transcode_failures += 1;
             self.telemetry.counter_inc("serve.transcode.failed");
-            for sid in fl.waiters {
+            for sid in waiters {
                 self.abort_session(r.time_s, sid);
             }
         }
@@ -541,7 +516,7 @@ impl ServeSim {
         let s = self.sessions[sid as usize];
         self.watch_s_total += s.delivered as f64 * SEGMENT_S;
         self.stall_s_total += s.stall_s;
-        self.aborted += 1;
+        self.report.aborted_sessions += 1;
         self.active -= 1;
         self.free_slots.push(sid);
         self.telemetry.counter_inc("serve.sessions.aborted");
@@ -557,7 +532,7 @@ impl ServeSim {
         self.telemetry.series_record(
             "serve.backlog_per_worker",
             now,
-            self.outstanding as f64 / self.cfg.vcus.max(1) as f64,
+            self.in_flight.len() as f64 / self.cfg.vcus.max(1) as f64,
         );
         if self.more_arrivals || self.active > 0 {
             self.queue.schedule_in(self.cfg.sample_period_s, Ev::Sample);
@@ -565,21 +540,25 @@ impl ServeSim {
     }
 
     fn finish(mut self) -> ServeReport {
+        let r = &self.report;
         assert_eq!(
-            self.arrivals,
-            self.admitted + self.shed,
+            r.arrivals,
+            r.admitted + r.shed_sessions,
             "arrival accounting broke"
         );
         assert_eq!(
-            self.admitted,
-            self.completed + self.aborted,
+            r.admitted,
+            r.completed_sessions + r.aborted_sessions,
             "session accounting broke: {} admitted vs {} completed + {} aborted",
-            self.admitted,
-            self.completed,
-            self.aborted
+            r.admitted,
+            r.completed_sessions,
+            r.aborted_sessions
         );
         assert_eq!(self.active, 0, "sessions still live at drain");
-        assert_eq!(self.outstanding, 0, "transcodes still in flight at drain");
+        assert!(
+            self.in_flight.is_empty(),
+            "transcodes still in flight at drain"
+        );
         self.ttff.sort_by(f64::total_cmp);
         let pct = |v: &[f64], p: f64| -> f64 {
             if v.is_empty() {
@@ -600,45 +579,37 @@ impl ServeSim {
         // for the segment's real-time duration; a VCU-second costs its
         // share of the host's 3-year TCO.
         let seg_bytes = self.job.output_pixels() * BITS_PER_PIXEL / 8.0;
-        let egress_gb = self.segments_served as f64 * seg_bytes / 1e9;
+        let egress_gb = self.report.segments_served as f64 * seg_bytes / 1e9;
         let egress_cost_usd = egress_gb * EGRESS_USD_PER_GB;
         let usd_per_vcu_s = fleet_tco_usd(&DesignPoint::shipped(), VCUS_PER_HOST)
             / VCUS_PER_HOST as f64
             / THREE_YEARS_S;
-        let transcode_cost_usd =
-            self.transcodes as f64 * SEGMENT_S / slots_per_worker(&self.job) as f64 * usd_per_vcu_s;
+        let transcode_cost_usd = self.report.transcodes as f64 * SEGMENT_S
+            / slots_per_worker(&self.job) as f64
+            * usd_per_vcu_s;
         self.telemetry
             .counter_add("serve.cache.hits", self.cache.hits());
         self.telemetry
             .counter_add("serve.cache.misses", self.cache.misses());
         self.telemetry
-            .counter_add("serve.segments.served", self.segments_served);
+            .counter_add("serve.segments.served", self.report.segments_served);
         self.telemetry
-            .counter_add("serve.rebuffer.events", self.rebuffer_events);
+            .counter_add("serve.rebuffer.events", self.report.rebuffer_events);
         self.telemetry
-            .gauge_set("serve.peak_concurrent", self.peak_concurrent as f64);
+            .gauge_set("serve.peak_concurrent", self.report.peak_concurrent as f64);
         self.telemetry.gauge_set("serve.egress_gb", egress_gb);
         ServeReport {
-            arrivals: self.arrivals,
-            admitted: self.admitted,
-            shed_sessions: self.shed,
-            completed_sessions: self.completed,
-            aborted_sessions: self.aborted,
-            peak_concurrent: self.peak_concurrent,
             ttff_p50_s,
             ttff_p99_s,
-            rebuffer_events: self.rebuffer_events,
             rebuffer_ratio,
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             hit_ratio: self.cache.hit_ratio(),
-            transcodes: self.transcodes,
-            transcode_failures: self.transcode_failures,
-            segments_served: self.segments_served,
             egress_gb,
             egress_cost_usd,
             transcode_cost_usd,
             cluster: self.cluster.finish(),
+            ..self.report
         }
     }
 }

@@ -948,6 +948,13 @@ mod serving {
             // Misses can coalesce onto an in-flight transcode, so
             // misses bound transcodes from above.
             assert!(report.cache_misses >= report.transcodes);
+            // Every transcode the sim injected resolved in the cluster
+            // exactly once, and only the cluster's failures failed one.
+            assert_eq!(
+                report.transcodes,
+                report.cluster.completed + report.cluster.failed
+            );
+            assert_eq!(report.transcode_failures, report.cluster.failed);
         }
     }
 }

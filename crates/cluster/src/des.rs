@@ -232,6 +232,14 @@ impl<E> EventQueue<E> {
         self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
     }
 
+    /// Every stored event, heap and lanes, in no particular order;
+    /// events reserved with the caller are not here. For debug oracles
+    /// that count what is pending.
+    pub(crate) fn events(&self) -> impl Iterator<Item = &E> {
+        let lanes = self.lanes.iter().flatten();
+        self.heap.iter().chain(lanes).map(|s| &s.event)
+    }
+
     /// The earliest stored event's place and key: one look at the heap
     /// head and at each lane head.
     pub(crate) fn peek(&self) -> Option<Head> {

@@ -190,6 +190,20 @@ impl ClusterSim {
     /// One metrics sample: advance the degradation ladder, record, and
     /// run the stranded-jobs guard.
     fn handle_sample(&mut self, now: f64) {
+        // Oracle: each attempt in flight has exactly one pending
+        // completion, watchdog or crash-abort (`start_job`), so an
+        // outcome lost or doubled anywhere shows at the next sample.
+        debug_assert_eq!(
+            self.queue
+                .events()
+                .filter(|e| matches!(
+                    e,
+                    Event::Completion(..) | Event::Watchdog(_) | Event::CrashAbort(_)
+                ))
+                .count() as u64,
+            self.in_flight(),
+            "pending attempt outcomes disagree with the attempts in flight"
+        );
         let dt = self.cfg.sample_period_s;
         let usable_workers = self.fleet.usable_count();
         let backlog = self.backlog_jobs() as f64 / usable_workers.max(1) as f64;

@@ -233,11 +233,6 @@ impl RegionSim {
         }
     }
 
-    /// The static spec.
-    pub fn spec(&self) -> &RegionSpec {
-        &self.spec
-    }
-
     /// Jobs injected so far.
     pub fn injected(&self) -> u64 {
         self.injected

@@ -147,8 +147,9 @@ pub struct SegmentCache {
     /// The main and the protected tier, indexed by [`MAIN`] and
     /// [`PROTECTED`].
     tiers: [Lru; 2],
-    /// key → (tier, node index within that tier).
-    map: HashMap<u64, (usize, u32)>,
+    /// key → (tier, node index within that tier). A `u8` tier keeps an
+    /// entry at 16 bytes, not 24: less memory for each lookup to miss in.
+    map: HashMap<u64, (u8, u32)>,
     hits: u64,
     misses: u64,
 }
@@ -181,7 +182,7 @@ impl SegmentCache {
     pub fn lookup(&mut self, key: u64) -> bool {
         match self.map.get(&key) {
             Some(&(t, idx)) => {
-                self.tiers[t].touch(idx);
+                self.tiers[usize::from(t)].touch(idx);
                 self.hits += 1;
                 true
             }
@@ -198,7 +199,7 @@ impl SegmentCache {
     /// refreshes its recency.
     pub fn insert(&mut self, key: u64, head: bool) {
         if let Some(&(t, idx)) = self.map.get(&key) {
-            self.tiers[t].touch(idx);
+            self.tiers[usize::from(t)].touch(idx);
             return;
         }
         let t = if head && self.tiers[PROTECTED].cap > 0 {
@@ -215,7 +216,7 @@ impl SegmentCache {
             self.map.remove(&evicted);
         }
         let idx = tier.push_front(key);
-        self.map.insert(key, (t, idx));
+        self.map.insert(key, (t as u8, idx));
     }
 
     /// Presence check without touching recency or counters.

@@ -208,7 +208,9 @@ stage_simd_off() {
 stage_mutants() {
     local copy=target/mutants/tree
     local file search replace args text after n=0
-    rm -rf "$copy"
+    # The build goes too: tar keeps the sources' old mtimes, so cargo
+    # would take the last run's build of its last mutant as current.
+    rm -rf target/mutants
     mkdir -p "$copy"
     tar -cf - --exclude=./target --exclude=./.git --exclude=./benchmark/target \
         --exclude=./benchmark/out . | tar -xf - -C "$copy"

@@ -34,7 +34,7 @@ impl AttemptMode {
     /// encoder capacity); software encode trades the scarce encoder
     /// millicores for host CPU (a full VCU's 10k milliencode maps onto
     /// one 5k-mCPU host); full software takes both conversions.
-    fn demand(self, hw: ResourceDemand) -> ResourceDemand {
+    pub(super) fn demand(self, hw: ResourceDemand) -> ResourceDemand {
         let (sw_decode, sw_encode) = match self {
             AttemptMode::Hw => (false, false),
             AttemptMode::SwDecode => (true, false),

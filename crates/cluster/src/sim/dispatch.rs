@@ -11,7 +11,9 @@
 use super::degrade::AttemptMode;
 use super::fleet::{FaultKind, WorkerEvent};
 use super::tally::{Incident, Sample};
-use super::{Attempt, ClusterSim, Event, JobResolution, Priority, COMPLETION_LANE, MAX_ATTEMPTS};
+use super::{
+    Attempt, ClusterSim, Event, JobResolution, JobState, Priority, COMPLETION_LANE, MAX_ATTEMPTS,
+};
 use std::collections::VecDeque;
 use vcu_chip::faults::HealthState;
 use vcu_chip::ResourceDemand;
@@ -77,18 +79,21 @@ impl ClusterSim {
     pub(super) fn handle_event(&mut self, now: f64, event: Event) {
         match event {
             Event::Arrival(j) | Event::Retry(j) => {
+                self.debug_assert_live(j);
                 self.reviving_events -= 1;
                 self.enqueue_pending(now, j);
                 self.try_schedule(now);
             }
             Event::Completion(a, corrupted) => {
-                if self.fleet.vcu(a.worker).is_hung() {
+                self.debug_assert_live(a.job as usize);
+                if self.fleet.vcu(a.worker as usize).is_hung() {
                     // The firmware wedged mid-flight, so this completion
                     // never reported: only the deadline notices.
                     self.queue.schedule(a.deadline_s, Event::Watchdog(a));
                 } else {
                     self.end_attempt(now, a);
-                    self.handle_completion(now, a.job, a.worker, corrupted);
+                    let (j, w) = (a.job as usize, a.worker as usize);
+                    self.handle_completion(now, j, w, corrupted);
                     self.try_schedule(now);
                 }
             }
@@ -130,19 +135,21 @@ impl ClusterSim {
     /// or crash-looping firmware aborted it. Reclaim the resources,
     /// strike the worker, retry the job.
     fn attempt_lost(&mut self, now: f64, a: Attempt, how: Incident) {
+        self.debug_assert_live(a.job as usize);
         self.end_attempt(now, a);
+        let (j, w) = (a.job as usize, a.worker as usize);
         if matches!(how, Incident::CrashAbort) {
             // The firmware resets itself — that is the loop.
-            self.fleet.crash_reset(a.worker);
+            self.fleet.crash_reset(w);
         }
         let name = self.count(how);
-        let scope = self.job_scope(a.job, Some(a.worker));
+        let scope = self.job_scope(j, Some(w));
         self.telemetry.event(name, scope, now, a.number as f64);
-        let idle = self.scheduler.worker(a.worker).jobs == 0;
-        for ev in self.fleet.strike(a.worker, idle).into_iter().flatten() {
-            self.worker_event(now, a.worker, ev);
+        let idle = self.scheduler.worker(w).jobs == 0;
+        for ev in self.fleet.strike(w, idle).into_iter().flatten() {
+            self.worker_event(now, w, ev);
         }
-        self.retry_or_fail(now, a.job, a.worker);
+        self.retry_or_fail(now, j, w);
         self.try_schedule(now);
     }
 
@@ -322,6 +329,7 @@ impl ClusterSim {
                     break 'classes;
                 }
                 let j = self.pending[class][i];
+                self.debug_assert_live(j);
                 let hw_demand = self.jobs[j].shape.demand;
                 let (start, window) = self.placement_window(j);
                 let full_window = window >= self.cfg.vcus;
@@ -349,10 +357,13 @@ impl ClusterSim {
                         // `Scheduler::set_accepting`, so the index
                         // places only on usable workers.
                         debug_assert!(self.fleet.usable(w), "placed on unusable worker {w}");
+                        // `end_attempt` releases what the mode makes
+                        // of the shape's demand, not a stored copy.
+                        debug_assert_eq!(demand, mode.demand(hw_demand));
                         // `i` is bounded by the miss cap, so this
                         // removal shifts at most `max_misses` entries.
                         self.pending[class].remove(i);
-                        self.start_job(now, j, w, demand, mode);
+                        self.start_job(now, j, w, mode);
                         decode_hot = None;
                     }
                     None => {
@@ -413,14 +424,7 @@ impl ClusterSim {
         }
     }
 
-    fn start_job(
-        &mut self,
-        now: f64,
-        j: usize,
-        w: usize,
-        demand: ResourceDemand,
-        mode: AttemptMode,
-    ) {
+    fn start_job(&mut self, now: f64, j: usize, w: usize, mode: AttemptMode) {
         let job = &mut self.jobs[j];
         job.attempts += 1;
         // Per-attempt, not sticky: a retry that lands on hardware
@@ -432,11 +436,11 @@ impl ClusterSim {
         // The deadline reads the nominal service time alone.
         let nominal = duration_s * self.cfg.service_time_factor;
         let watchdog = &self.cfg.watchdog;
+        // Slots and workers fit: `inject_job` and `Tally::new` check.
         let a = Attempt {
-            job: j,
+            job: j as u32,
             number: job.attempts,
-            worker: w,
-            demand,
+            worker: w as u32,
             deadline_s: now + watchdog.grace_s + nominal * watchdog.service_factor,
         };
         let wait_s = (a.number == 1).then_some(now - job.arrival_s);
@@ -488,13 +492,16 @@ impl ClusterSim {
     /// attempt has one pending event, a completion, watchdog or
     /// crash-abort, so exactly one reaches this per attempt.
     fn end_attempt(&mut self, now: f64, a: Attempt) {
-        let job = &self.jobs[a.job];
+        let job = &self.jobs[a.job as usize];
         debug_assert_eq!(a.number, job.attempts, "an attempt ends once, and last");
+        // The job's latest attempt, so its mode is this attempt's.
+        let demand = job.mode.demand(job.shape.demand);
+        let w = a.worker as usize;
         self.running_per_pool[job.priority.index()] -= 1;
-        self.scheduler.release(a.worker, a.demand);
-        if self.scheduler.worker(a.worker).jobs == 0 {
-            if let Some(ev) = self.fleet.idle(a.worker) {
-                self.worker_event(now, a.worker, ev);
+        self.scheduler.release(w, demand);
+        if self.scheduler.worker(w).jobs == 0 {
+            if let Some(ev) = self.fleet.idle(w) {
+                self.worker_event(now, w, ev);
             }
         }
     }
@@ -520,7 +527,8 @@ impl ClusterSim {
     /// Telemetry scope for job `j`, optionally pinned to the worker `w`
     /// that ran its final attempt (stranded jobs never had one).
     fn job_scope(&self, j: usize, w: Option<usize>) -> Scope {
-        let scope = Scope::job(j as u64).with_video(self.jobs[j].video_id);
+        let job = &self.jobs[j];
+        let scope = Scope::job(job.ordinal as u64).with_video(job.video_id);
         match w {
             Some(w) => scope.with_vcu(w as u32),
             None => scope,
@@ -532,14 +540,15 @@ impl ClusterSim {
     /// `w` is the worker of the final attempt, `None` for never-placed
     /// (shed or stranded) jobs.
     fn resolve_job(&mut self, now: f64, j: usize, w: Option<usize>, failed: bool, escaped: bool) {
+        self.debug_assert_live(j);
+        let job = &self.jobs[j];
         if self.open_world {
             self.resolutions.push(JobResolution {
-                job: j,
+                job: job.ordinal as usize,
                 time_s: now,
                 completed: !failed,
             });
         }
-        let job = &self.jobs[j];
         let sw_path = self
             .tally
             .resolve(now, failed, escaped, job.mode, job.shape.output_mpix);
@@ -562,6 +571,23 @@ impl ClusterSim {
             self.telemetry
                 .span(span, scope, job.arrival_s, now, job.attempts as f64);
         }
+        if self.open_world {
+            // Nothing names the slot any more: no event, attempt or
+            // pending entry. Poisoned, so debug builds catch one that
+            // does before `inject_job` hands the slot out again.
+            self.jobs[j].ordinal = JobState::FREED;
+            self.free_slots.push(j as u32);
+        }
+    }
+
+    /// Oracle: an event or pending entry names job slot `j` only while
+    /// its job is unresolved, so the slot must not be on the free list.
+    fn debug_assert_live(&self, j: usize) {
+        debug_assert_ne!(
+            self.jobs[j].ordinal,
+            JobState::FREED,
+            "job slot {j} is named after its job resolved"
+        );
     }
 
     /// Stranded-jobs policy: every queued job is unplaceable (no usable
@@ -1267,6 +1293,30 @@ mod tests {
             "no Normal-priority collapse: {}",
             report.completed
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is named after its job resolved")]
+    fn the_slot_oracle_catches_an_event_naming_a_freed_slot() {
+        let mut sim = ClusterSim::new(ClusterConfig::default(), vec![], vec![]).open_world();
+        sim.inject_job(upload_jobs(1, 0.0, true).remove(0));
+        sim.run_until(10.0);
+        assert_eq!((sim.unresolved_jobs(), sim.free_slots.len()), (0, 1));
+        sim.reviving_events += 1;
+        sim.queue.schedule(11.0, Event::Retry(0));
+        sim.run_until(11.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is named after its job resolved")]
+    fn the_slot_oracle_catches_a_pending_entry_naming_a_freed_slot() {
+        let mut sim = ClusterSim::new(ClusterConfig::default(), vec![], vec![]).open_world();
+        sim.inject_job(upload_jobs(1, 0.0, true).remove(0));
+        sim.run_until(10.0);
+        sim.pending[1].push_back(0);
+        sim.try_schedule(10.0);
     }
 
     /// Placement questions the scheduler has been asked so far.

@@ -60,13 +60,15 @@ use vcu_telemetry::Registry;
 
 /// One placement of a job on a worker: what the one pending event that
 /// ends it (completion, watchdog or crash-abort) needs to release it.
+/// The demand it holds is not stored: an attempt ends only as its job's
+/// latest, whose mode and shape give it back (`end_attempt`).
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
-    job: usize,
+    /// The job's slot in `ClusterSim::jobs`.
+    job: u32,
     /// 1-based attempt number.
     number: u32,
-    worker: usize,
-    demand: ResourceDemand,
+    worker: u32,
     /// The watchdog deadline, fixed at placement: where the attempt is
     /// declared lost if no outcome ends it first.
     deadline_s: f64,
@@ -152,6 +154,11 @@ struct JobState {
     /// The blast-radius slot [`Tally::submitted`] gave this job's video.
     video_slot: u32,
     attempts: u32,
+    /// Submission ordinal: the handle [`ClusterSim::inject_job`]
+    /// returned and [`JobResolution::job`] reports. It sits in what
+    /// would be padding, and it is the slot's index only until an
+    /// open world reuses the slot; [`JobState::FREED`] marks a free one.
+    ordinal: u32,
     priority: Priority,
     /// Codec path of the *most recent* attempt — rewritten at every
     /// placement, so at resolution it reads as the final attempt's
@@ -160,17 +167,31 @@ struct JobState {
 }
 
 impl JobState {
-    fn new(spec: &JobSpec, shape: Shape, video_slot: u32) -> Self {
+    /// The ordinal of a slot on the free list. No job is given it, so
+    /// debug builds can tell a freed slot from a live one.
+    const FREED: u32 = u32::MAX;
+
+    fn new(spec: &JobSpec, shape: Shape, video_slot: u32, ordinal: u32) -> Self {
         JobState {
             arrival_s: spec.arrival_s,
             video_id: spec.video_id,
             shape,
             video_slot,
             attempts: 0,
+            ordinal,
             priority: spec.priority,
             mode: AttemptMode::Hw,
         }
     }
+}
+
+/// The next submission ordinal after `submitted` jobs; one below
+/// [`JobState::FREED`] at most.
+fn ordinal(submitted: usize) -> u32 {
+    u32::try_from(submitted)
+        .ok()
+        .filter(|&n| n != JobState::FREED)
+        .expect("a run submits fewer than u32::MAX jobs")
 }
 
 /// The batch arrivals still to come: a cursor over the job vector the
@@ -256,8 +277,10 @@ const COMPLETION_LANE: usize = 1;
 /// serving front end) can react to transcode outcomes as they happen.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobResolution {
-    /// Index returned by [`ClusterSim::inject_job`] (or the position in
-    /// the up-front job vector).
+    /// The job's submission ordinal: the handle
+    /// [`ClusterSim::inject_job`] returned, or the position in the
+    /// up-front job vector. Ordinals are never reused, although an
+    /// open world reuses the storage of resolved jobs.
     pub job: usize,
     /// Sim time of the resolution, seconds.
     pub time_s: f64,
@@ -278,7 +301,15 @@ pub struct ClusterSim {
     fleet: Fleet,
     ladder: Ladder,
     tally: Tally,
+    /// Job slots. A batch run keeps one per job, at its position in the
+    /// vector; an open world frees a slot when its job resolves and
+    /// reuses it, so the table grows with work in flight, not with work
+    /// submitted.
     jobs: Vec<JobState>,
+    /// Freed slots, reused last in, first out (open-world mode only).
+    free_slots: Vec<u32>,
+    /// Jobs submitted so far; the next one's ordinal.
+    submitted: usize,
     shapes: ShapeMemo,
     /// Pending job indices, one FIFO ring per priority class (indexed
     /// by [`Priority::index`]): O(1) enqueue and O(1) per-class depth.
@@ -334,9 +365,13 @@ impl ClusterSim {
         }
         let mut tally = Tally::new(cfg.vcus);
         let mut shapes = ShapeMemo::default();
+        let submitted = jobs.len();
+        let mut next = 0;
         let submit = |spec: JobSpec| {
             let shape = shapes.shape_of(&spec.job, &cfg.model);
-            JobState::new(&spec, shape, tally.submitted(spec.video_id))
+            let state = JobState::new(&spec, shape, tally.submitted(spec.video_id), ordinal(next));
+            next += 1;
+            state
         };
         ClusterSim {
             queue,
@@ -346,6 +381,8 @@ impl ClusterSim {
             ladder: Ladder::new(cfg.degrade.clone()),
             reviving_events: jobs.len() + faults.len(),
             jobs: jobs.into_iter().map(submit).collect(),
+            free_slots: Vec::new(),
+            submitted,
             shapes,
             tally,
             pending: Default::default(),
@@ -394,17 +431,29 @@ impl ClusterSim {
     }
 
     /// Submits one more job to an open-world simulator. `arrival_s`
-    /// must not precede the current sim time. Returns the job index
-    /// used in [`JobResolution::job`].
+    /// must not precede the current sim time. Returns the job's
+    /// submission ordinal — `0, 1, 2, …` in submission order, counting
+    /// the up-front job vector first — which [`JobResolution::job`]
+    /// reports. The job's storage is freed when it resolves, so an
+    /// open world holds state for the work in flight only.
     pub fn inject_job(&mut self, spec: JobSpec) -> usize {
-        let j = self.jobs.len();
+        let ordinal = ordinal(self.submitted);
+        let j = match self.free_slots.pop() {
+            Some(slot) => slot as usize,
+            None => self.jobs.len(),
+        };
         self.queue
             .schedule_on(ARRIVAL_LANE, spec.arrival_s, Event::Arrival(j));
         self.reviving_events += 1;
+        self.submitted += 1;
         let shape = self.shapes.shape_of(&spec.job, &self.cfg.model);
         let video_slot = self.tally.submitted(spec.video_id);
-        self.jobs.push(JobState::new(&spec, shape, video_slot));
-        j
+        let state = JobState::new(&spec, shape, video_slot, ordinal);
+        match self.jobs.get_mut(j) {
+            Some(slot) => *slot = state,
+            None => self.jobs.push(state),
+        }
+        ordinal as usize
     }
 
     /// Time of the next pending event, if any — the merge point for a
@@ -458,7 +507,7 @@ impl ClusterSim {
 
     /// Jobs submitted so far whose terminal state is still open.
     pub fn unresolved_jobs(&self) -> u64 {
-        self.jobs.len() as u64 - self.tally.resolved()
+        self.submitted as u64 - self.tally.resolved()
     }
 
     /// Processes exactly one event, the earliest of the next batch
@@ -469,9 +518,11 @@ impl ClusterSim {
     }
 
     /// Takes the job resolutions accumulated since the last call
-    /// (open-world mode; empty otherwise), in resolution order.
-    pub fn drain_resolutions(&mut self) -> Vec<JobResolution> {
-        std::mem::take(&mut self.resolutions)
+    /// (open-world mode; empty otherwise), in resolution order. The
+    /// buffer keeps its capacity, so draining after every step costs no
+    /// allocation.
+    pub fn drain_resolutions(&mut self) -> std::vec::Drain<'_, JobResolution> {
+        self.resolutions.drain(..)
     }
 
     /// Processes every event with time ≤ `t` (epoch-stepping for
@@ -754,7 +805,7 @@ mod tests {
         };
         let mut sim = ClusterSim::new(cfg, upload_jobs(10, 0.5, true), vec![]);
         while sim.step() {}
-        assert!(sim.drain_resolutions().is_empty());
+        assert_eq!(sim.drain_resolutions().len(), 0);
         let report = sim.finish();
         assert_eq!(report.completed, 10);
     }
@@ -842,6 +893,110 @@ mod tests {
         use std::mem::{align_of, size_of};
         assert_eq!(size_of::<JobState>(), size_of::<JobSpec>());
         assert_eq!(align_of::<JobState>(), align_of::<JobSpec>());
+    }
+
+    #[test]
+    fn attempts_and_events_are_small() {
+        // Every pending event is one of these, on a lane or the heap.
+        use std::mem::size_of;
+        assert!(size_of::<Attempt>() <= 24, "{}", size_of::<Attempt>());
+        assert!(size_of::<Event>() <= 32, "{}", size_of::<Event>());
+        let queued = size_of::<crate::des::Scheduled<Event>>();
+        assert!(queued <= 48, "{queued}");
+    }
+
+    #[test]
+    fn an_open_world_job_table_holds_only_the_jobs_in_flight() {
+        // Waves of 40 jobs, 40 s apart, on four VCUs, one hung and one
+        // corrupting, so watchdogs and retries carry jobs of one wave
+        // into the next: the table grows to the peak of unresolved
+        // jobs and no further, although 400 jobs pass through it.
+        let cfg = ClusterConfig {
+            vcus: 4,
+            detection_rate: 0.5,
+            ..ClusterConfig::default()
+        };
+        let fault = |worker, kind| FaultInjection {
+            time_s: 0.0,
+            worker,
+            kind,
+        };
+        let faults = vec![
+            fault(0, FaultKind::FirmwareHang),
+            fault(1, FaultKind::SilentCorruption),
+        ];
+        let mut sim = ClusterSim::new(cfg, vec![], faults).open_world();
+        let mut peak = 0;
+        let mut resolved = 0;
+        for wave in 0..10 {
+            let t = wave as f64 * 40.0;
+            for mut spec in upload_jobs(40, 0.25, true) {
+                spec.arrival_s += t;
+                sim.inject_job(spec);
+            }
+            peak = peak.max(sim.unresolved_jobs());
+            sim.run_until(t + 40.0);
+            resolved += sim.drain_resolutions().len();
+        }
+        while sim.unresolved_jobs() > 0 {
+            assert!(sim.step());
+        }
+        resolved += sim.drain_resolutions().len();
+        assert_eq!(resolved, 400);
+        assert!(peak > 40 && peak < 400, "the waves overlap: {peak}");
+        assert_eq!(sim.jobs.len() as u64, peak);
+        assert_eq!(
+            sim.free_slots.len() as u64,
+            peak,
+            "every slot is free again"
+        );
+        let report = sim.finish();
+        assert!(report.watchdog_fired > 0 && report.retries > 0);
+    }
+
+    #[test]
+    fn ordinals_count_submissions_and_each_resolves_once() {
+        // Five batch jobs, then 200 injected in bursts on reused slots:
+        // handles run 5, 6, 7, … and every one resolves exactly once,
+        // in the resolution log and as a telemetry span's job.
+        let reg = Registry::new();
+        let mut sim = ClusterSim::new(
+            ClusterConfig {
+                vcus: 2,
+                ..ClusterConfig::default()
+            },
+            upload_jobs(5, 0.5, true),
+            vec![],
+        )
+        .open_world()
+        .with_telemetry(reg.clone());
+        let mut seen = vec![0u32; 205];
+        for burst in 0..20 {
+            let t = burst as f64 * 12.0;
+            for (i, mut spec) in upload_jobs(10, 0.1, true).into_iter().enumerate() {
+                spec.arrival_s += t;
+                assert_eq!(sim.inject_job(spec), 5 + burst * 10 + i);
+            }
+            sim.run_until(t + 12.0);
+            for r in sim.drain_resolutions() {
+                seen[r.job] += 1;
+            }
+        }
+        while sim.unresolved_jobs() > 0 {
+            assert!(sim.step());
+        }
+        for r in sim.drain_resolutions() {
+            seen[r.job] += 1;
+        }
+        assert!(sim.jobs.len() < 50, "slots were reused: {}", sim.jobs.len());
+        assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
+        let mut spans: Vec<u64> = reg
+            .events_named("cluster.job")
+            .iter()
+            .map(|e| e.scope.job.expect("a job span names its job"))
+            .collect();
+        spans.sort_unstable();
+        assert_eq!(spans, (0..205).collect::<Vec<u64>>());
     }
 
     #[test]

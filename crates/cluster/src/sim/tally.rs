@@ -141,12 +141,20 @@ pub(super) struct Tally {
     /// The last `(video, slot)` pair [`Tally::submitted`] returned.
     last_video: Option<(u64, u32)>,
     /// Per video slot, the distinct VCUs that touched it (blast
-    /// radius), sorted.
-    touched: Vec<Vec<u32>>,
-    /// Distinct (video, VCU) pairs: the sum of `touched`'s lengths,
-    /// kept so samples can expose the mean as a time series in O(1).
+    /// radius): `[first VCU, spill index]`, either [`NONE`] until used.
+    /// Most videos are touched by one VCU, so only the rest own a
+    /// `spills` entry.
+    touched: Vec<[u32; 2]>,
+    /// The VCUs after the first that touched a video, in first-touch
+    /// order, for the videos touched by more than one.
+    spills: Vec<Vec<u32>>,
+    /// Distinct (video, VCU) pairs, kept so samples can expose the mean
+    /// as a time series in O(1).
     pairs: u64,
 }
+
+/// An unused half of a [`Tally::touched`] entry.
+const NONE: u32 = u32::MAX;
 
 impl Tally {
     /// Accounts for `workers` workers.
@@ -179,7 +187,7 @@ impl Tally {
         let slot = *self.video_slots.entry(video).or_insert_with(|| {
             let slot =
                 u32::try_from(self.touched.len()).expect("a run holds at most u32::MAX videos");
-            self.touched.push(Vec::new());
+            self.touched.push([NONE; 2]);
             slot
         });
         self.last_video = Some((video, slot));
@@ -197,13 +205,24 @@ impl Tally {
             self.wait_sum += wait;
             self.waits.push(wait);
         }
-        // `new` checked that every worker index fits.
+        // `new` checked that every worker index fits, below `NONE`.
         let w = w as u32;
-        let touched = &mut self.touched[slot as usize];
-        if let Err(at) = touched.binary_search(&w) {
-            touched.insert(at, w);
-            self.pairs += 1;
+        let [first, spill] = &mut self.touched[slot as usize];
+        if *first == NONE {
+            *first = w;
+        } else if *first == w {
+            return;
+        } else if *spill == NONE {
+            *spill = u32::try_from(self.spills.len()).expect("fewer spills than videos");
+            self.spills.push(vec![w]);
+        } else {
+            let others = &mut self.spills[*spill as usize];
+            if others.contains(&w) {
+                return;
+            }
+            others.push(w);
         }
+        self.pairs += 1;
     }
 
     /// Counts one incident; returns its telemetry counter name.
@@ -504,6 +523,35 @@ mod tests {
                 let sizes = model.values().map(|s| s.len() as f64);
                 let expected = sizes.sum::<f64>() / model.len() as f64;
                 assert_eq!(t.mean_blast_radius().to_bits(), expected.to_bits());
+            }
+        }
+
+        /// The first-VCU-plus-spill layout counts what a sorted `Vec`
+        /// per video counts: on placement streams over few workers and
+        /// few videos, so most videos spill and most placements repeat
+        /// a (video, VCU) pair already seen, `pairs` and the mean equal
+        /// those of a `Vec<Vec<u32>>` kept sorted by binary search.
+        #[cases(128)]
+        fn compact_touched_counts_like_a_sorted_vec_per_video(rng) {
+            let workers = rng.gen_range(1usize..=6);
+            let mut t = Tally::new(workers);
+            let mut sorted: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..rng.gen_range(1usize..300) {
+                if sorted.is_empty() || rng.gen_bool(0.1) {
+                    assert_eq!(t.submitted(sorted.len() as u64) as usize, sorted.len());
+                    sorted.push(Vec::new());
+                } else {
+                    let slot = rng.gen_range(0usize..sorted.len());
+                    let w = rng.gen_range(0usize..workers);
+                    t.placed(w, slot as u32, None);
+                    if let Err(at) = sorted[slot].binary_search(&(w as u32)) {
+                        sorted[slot].insert(at, w as u32);
+                    }
+                }
+                let pairs: usize = sorted.iter().map(Vec::len).sum();
+                assert_eq!(t.pairs, pairs as u64);
+                let mean = pairs as f64 / sorted.len() as f64;
+                assert_eq!(t.mean_blast_radius().to_bits(), mean.to_bits());
             }
         }
     }

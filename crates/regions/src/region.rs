@@ -299,7 +299,7 @@ impl RegionSim {
     /// folds them, in merged order, into the digest that pins it.
     fn merge_resolutions(&mut self) {
         for (cell, c) in self.cells.iter_mut().enumerate() {
-            let drained = c.sim.drain_resolutions().into_iter();
+            let drained = c.sim.drain_resolutions();
             self.batch.extend(drained.map(|r| (cell, r)));
         }
         merge_batch(&mut self.batch, &mut self.merged_s);

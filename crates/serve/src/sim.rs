@@ -213,8 +213,11 @@ pub struct ServeSim {
     /// transcode injected and not yet resolved: later misses for the
     /// same segment coalesce here instead of injecting duplicate jobs.
     in_flight: HashMap<u64, Vec<u32>>,
-    /// Cluster job index → segment key, for the jobs in flight.
+    /// Cluster job ordinal → segment key, for the jobs in flight.
     job_seg: HashMap<usize, u64>,
+    /// The resolutions of the last cluster step, being applied: a
+    /// buffer kept across steps so draining allocates nothing.
+    resolved: Vec<JobResolution>,
     /// Admission threshold in absolute outstanding transcodes.
     admit_limit: f64,
     more_arrivals: bool,
@@ -278,6 +281,7 @@ impl ServeSim {
             free_slots: Vec::new(),
             in_flight: HashMap::new(),
             job_seg: HashMap::new(),
+            resolved: Vec::new(),
             admit_limit,
             more_arrivals: true,
             report: ServeReport::default(),
@@ -329,9 +333,12 @@ impl ServeSim {
             };
             if step_cluster {
                 self.cluster.step();
-                for r in self.cluster.drain_resolutions() {
+                let mut resolved = std::mem::take(&mut self.resolved);
+                resolved.extend(self.cluster.drain_resolutions());
+                for r in resolved.drain(..) {
                     self.on_resolution(r);
                 }
+                self.resolved = resolved;
             } else if let Some(ev) = self.queue.pop() {
                 match ev.event {
                     Ev::Arrival => self.handle_arrival(ev.time),

@@ -152,7 +152,7 @@ stage_benchmark_smoke() {
 # sequential and once with 4 encode workers. Byte-identical bitstreams
 # and telemetry snapshots are asserted inside the tests. This is a
 # debug build on purpose (no --release), so the simulator pins run
-# with all eight debug oracles on: ClusterSim re-checks every placement
+# with all nine debug oracles on: ClusterSim re-checks every placement
 # the blocked-placement memo skips against the real availability index;
 # EventQueue checks every event that leaves it — from the heap, a FIFO
 # lane or the batch-arrival cursor — against a shadow heap of all
@@ -167,11 +167,14 @@ stage_benchmark_smoke() {
 # which holds because every change to Fleet::usable is mirrored into
 # Scheduler::set_accepting; and at every sample ClusterSim counts the
 # completions, watchdogs and crash-aborts pending in its queue, which
-# must equal the attempts in flight.
+# must equal the attempts in flight; and an open-world ClusterSim
+# poisons a resolved job's slot until it is reused, so an event or a
+# pending entry that still names it fails, and checks at placement
+# that the demand it will release is the one placed.
 stage_determinism() {
     local t
     for t in 1 4; do
-        echo "--> VCU_THREADS=$t (debug build: memo, event-order, screen, index-repair, job-shape, video-slot, usable-placement and pending-outcome oracles on)"
+        echo "--> VCU_THREADS=$t (debug build: memo, event-order, screen, index-repair, job-shape, video-slot, usable-placement, pending-outcome and freed-slot oracles on)"
         VCU_THREADS=$t cargo test -q -p vcu-system --offline --test determinism \
             | tail -n 2
     done

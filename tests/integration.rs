@@ -190,7 +190,7 @@ fn single_slot_cell_matches_md1_mean_wait() {
             });
         }
         sim.run_until(t + jobs as f64 * D);
-        let resolutions = sim.drain_resolutions();
+        let resolutions: Vec<_> = sim.drain_resolutions().collect();
         let report = sim.finish();
         assert_eq!((report.completed, report.failed), (jobs as u64, 0));
 

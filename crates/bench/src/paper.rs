@@ -1,7 +1,7 @@
 //! The paper's evaluation as one campaign: every number EXPERIMENTS.md
-//! quotes from Table 1, §4.1, Figs. 7–10, Table 2 and the DESIGN.md
-//! ablations, measured and set beside the paper's value as one row of
-//! `results/fidelity.json`.
+//! quotes from Table 1, §4.1, Figs. 7–10, Table 2 and the ablations of
+//! DESIGN.md "Experiment index", measured and set beside the paper's
+//! value as one row of `results/fidelity.json`.
 //!
 //! [`run`] holds the row table. A row carries the paper's value (`None`
 //! where the paper gives no number), the measurement, a relative
@@ -42,7 +42,7 @@ const FIG10_MONTHS: [usize; 4] = [1, 5, 9, 13];
 /// One paper number: a record of `fidelity.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
-    /// Stable name, cited by EXPERIMENTS.md and DESIGN.md.
+    /// Stable name, cited by EXPERIMENTS.md and DESIGN.md "Experiment index".
     pub id: &'static str,
     /// The paper's value; `None` where it gives none (the ablations).
     pub paper: Option<f64>,

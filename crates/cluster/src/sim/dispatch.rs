@@ -592,7 +592,7 @@ impl ClusterSim {
 
     /// Stranded-jobs policy: every queued job is unplaceable (no usable
     /// worker, nothing in flight, no future events), so resolve them
-    /// all as failed rather than sampling forever. See DESIGN.md.
+    /// all as failed rather than sampling forever. See DESIGN.md "vcu-cluster".
     fn strand_pending(&mut self, now: f64) {
         let mut count: u64 = 0;
         for class in 0..self.pending.len() {

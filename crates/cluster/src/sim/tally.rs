@@ -46,8 +46,8 @@ pub struct ClusterReport {
     /// Permanently failed jobs.
     pub failed: u64,
     /// Jobs failed because no usable worker remained to ever run them
-    /// (a subset of `failed`; see the stranded-jobs policy in
-    /// DESIGN.md).
+    /// (a subset of `failed`; see the stranded-jobs invariant in
+    /// DESIGN.md "vcu-cluster").
     pub stranded: u64,
     /// Total retries performed.
     pub retries: u64,

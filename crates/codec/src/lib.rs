@@ -2,7 +2,7 @@
 //!
 //! Implements the transcoding substrate the VCU accelerates: a real
 //! (simplified) hybrid video codec — motion-compensated prediction,
-//! integer transform, scalar quantization, adaptive binary arithmetic
+//! an f64 DCT-II transform, scalar quantization, adaptive binary arithmetic
 //! entropy coding, in-loop deblocking — with an [`types::Profile`] axis
 //! mirroring the H.264 vs VP9 tool gap and full encode/decode
 //! round-trip fidelity (the decoder reproduces the encoder's

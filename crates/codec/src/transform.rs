@@ -1,8 +1,7 @@
 //! Separable 2-D DCT-II transforms for residual coding.
 //!
-//! Sizes 4/8/16/32 are supported, covering the H.264-like profile's
-//! 8×8 transform and the VP9-like profile's up-to-32×32 transforms.
-//! The transform is orthonormal, computed in `f64` with precomputed
+//! Sizes 4/8/16/32 are supported: every size either profile uses
+//! (see [`Profile`](crate::Profile)). The transform is orthonormal, computed in `f64` with precomputed
 //! basis matrices; encoder and decoder share the identical inverse
 //! path, so reconstruction is deterministic and bit-exact between the
 //! two (the property the paper's "golden transcode" fault screening

@@ -12,11 +12,18 @@ use std::fmt;
 /// compute, exactly the relationship the paper's results depend on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Profile {
-    /// H.264-like: 16×16 macroblocks, 8×8 transform, 1 reference frame.
+    /// H.264-like: 16×16 macroblocks, each one leaf; an 8×8 luma
+    /// transform, 1 reference frame.
     H264Sim,
-    /// VP9-like: 64×64 superblocks, recursive partitioning to 16×16,
-    /// 16×16/8×8 transforms, up to 3 reference frames, compound
-    /// prediction, temporal-filter altref.
+    /// VP9-like: 64×64 superblocks, partitioned recursively down to
+    /// 16×16 leaves; a luma transform the leaf's size up to 32×32 (so
+    /// 32×32 or 16×16), up to 3 reference frames, compound prediction,
+    /// temporal-filter altref.
+    ///
+    /// In both profiles a leaf may split its luma transform once, to
+    /// half that size (down to 4×4 in `H264Sim`, 8×8 in `Vp9Sim`),
+    /// and codes its chroma with transforms half the luma leaf's size
+    /// within the profile's maximum, at least 4×4.
     Vp9Sim,
 }
 

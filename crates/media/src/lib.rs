@@ -15,7 +15,7 @@
 //!   controllable spatial detail, motion and noise. The paper evaluates
 //!   on vbench and proprietary uploads; we have neither, so synthetic
 //!   content with matched *entropy/motion spread* stands in (see
-//!   DESIGN.md, substitution table).
+//!   DESIGN.md "Substitutions").
 //!
 //! # Example
 //!

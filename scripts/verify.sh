@@ -152,25 +152,9 @@ stage_benchmark_smoke() {
 # sequential and once with 4 encode workers. Byte-identical bitstreams
 # and telemetry snapshots are asserted inside the tests. This is a
 # debug build on purpose (no --release), so the simulator pins run
-# with all nine debug oracles on: ClusterSim re-checks every placement
-# the blocked-placement memo skips against the real availability index;
-# EventQueue checks every event that leaves it — from the heap, a FIFO
-# lane or the batch-arrival cursor — against a shadow heap of all
-# pending (time, seq) keys; FaultyVcu::screen still copies, taints and
-# hashes the golden clip for every VCU it answers for in O(1);
-# AvailabilityIndex::set, where its repair of the 8-ary index stops at
-# the first unchanged ancestor, checks every ancestor above is the max
-# of its 8 children; ClusterSim checks every demand its job-shape memo
-# hands out against a fresh VcuModel::job_demand; Tally::submitted
-# checks every video slot its last-video memo reuses against its map;
-# ClusterSim checks every worker the index places on is usable,
-# which holds because every change to Fleet::usable is mirrored into
-# Scheduler::set_accepting; and at every sample ClusterSim counts the
-# completions, watchdogs and crash-aborts pending in its queue, which
-# must equal the attempts in flight; and an open-world ClusterSim
-# poisons a resolved job's slot until it is reused, so an event or a
-# pending entry that still names it fails, and checks at placement
-# that the demand it will release is the one placed.
+# with every debug oracle on. The oracles are listed once, as the
+# `# oracle:` lines of scripts/mutants.tsv, each above a mutation that
+# goes red through it; tests/docs.rs checks the echo line against them.
 stage_determinism() {
     local t
     for t in 1 4; do

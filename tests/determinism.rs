@@ -1412,6 +1412,33 @@ fn dse_sweep_is_deterministic() {
     );
 }
 
+/// The sweep at the `dse` benchmark workload's per-candidate shape —
+/// 32 VCUs, 120 jobs per VCU, fault rate 0.3, MTTR 600 s — over its
+/// 3×3 slice through the shipped point: 18 saturated `ClusterSim` runs
+/// whose passes lean on the blocked-placement memo, pinned bit for bit
+/// (every field of every candidate, through `{:?}`).
+#[test]
+fn dse_sweep_at_the_benchmark_shape_is_pinned() {
+    let cfg = vcu_dse::DseConfig {
+        seed: 1,
+        vcus: 32,
+        jobs_per_vcu: 120,
+        fault_rate: 0.30,
+        mttr_s: 600.0,
+        encoder_cores: vec![8, 10, 12],
+        decoder_cores: vec![3],
+        dram_gib_s: vec![27.0, 36.0, 45.0],
+        refstore_pixels: vec![147_456],
+    };
+    let sweep = vcu_dse::run_dse(&cfg, vcu_exec::env_threads());
+    assert_eq!(sweep.len(), 9);
+    assert_eq!(
+        fnv1a64(format!("{sweep:?}").as_bytes()),
+        0x84163F0908FB35E2,
+        "the benchmark-shaped sweep drifted from the pinned run"
+    );
+}
+
 #[test]
 fn dse_sweep_is_thread_invariant() {
     // run_dse fans candidates out over the shared worker pool and

@@ -85,6 +85,10 @@ const _: () = assert!(B.is_power_of_two() && B <= 32, "a lane mask is a u32");
 /// capacity, then free slots.
 const DIMS: usize = 5;
 
+/// Workers the growth log holds ([`Scheduler::grown`]); one more
+/// overflows it.
+const GROWN_LOG: usize = 8;
+
 /// One index entry: a worker's remaining capacity and free slots, or
 /// the component-wise max of the entries below it. A non-accepting
 /// worker and padding are all zeros, and a search asks for at least one
@@ -262,8 +266,11 @@ pub struct Scheduler {
     used_encode: u64,
     /// Cluster-wide placed decode millicores.
     used_decode: u64,
-    /// See [`Scheduler::capacity_epoch`].
-    capacity_epoch: u64,
+    /// The growth log [`Scheduler::grown`] reads: its first
+    /// `grown_len` entries, each worker once.
+    grown: [usize; GROWN_LOG],
+    /// Entries logged; past `GROWN_LOG` once the log overflowed.
+    grown_len: usize,
     /// Statistics: placements attempted/succeeded.
     pub placements: u64,
     /// Requests that found no worker.
@@ -300,7 +307,8 @@ impl Scheduler {
             capacity,
             used_encode: 0,
             used_decode: 0,
-            capacity_epoch: 0,
+            grown: [0; GROWN_LOG],
+            grown_len: 0,
             placements: 0,
             rejections: 0,
         }
@@ -316,19 +324,38 @@ impl Scheduler {
     pub fn set_accepting(&mut self, w: usize, accepting: bool) {
         self.workers[w].accepting = accepting;
         if accepting {
-            self.capacity_epoch += 1;
+            self.log_growth(w);
         }
         self.sync_index(w);
     }
 
-    /// Counts the operations that can turn a rejection into a
-    /// placement: [`Scheduler::release`] and re-accepting a worker.
-    /// Everything else only takes capacity away, so while this stands
-    /// still a demand that [`Scheduler::place_from`] rejected over some
-    /// window is still rejected over it — and so is any demand at
-    /// least as large in every dimension.
-    pub fn capacity_epoch(&self) -> u64 {
-        self.capacity_epoch
+    /// The workers that may have gained capacity since
+    /// [`Scheduler::clear_grown`] last ran, each once, in the order
+    /// logged: each one a [`Scheduler::release`] or a re-accept named.
+    /// `None` once more than `GROWN_LOG` (eight) did. Nothing else adds
+    /// capacity, so every worker not listed can take at most what it
+    /// could at the last clear: a demand it rejected since is still
+    /// rejected there — and so is any demand at least as large in every
+    /// dimension.
+    pub fn grown(&self) -> Option<&[usize]> {
+        self.grown.get(..self.grown_len)
+    }
+
+    /// Empties the log [`Scheduler::grown`] reads.
+    pub fn clear_grown(&mut self) {
+        self.grown_len = 0;
+    }
+
+    fn log_growth(&mut self, w: usize) {
+        let Some(logged) = self.grown() else {
+            return;
+        };
+        if !logged.contains(&w) {
+            if let Some(free) = self.grown.get_mut(self.grown_len) {
+                *free = w;
+            }
+            self.grown_len += 1;
+        }
     }
 
     fn sync_index(&mut self, w: usize) {
@@ -337,7 +364,7 @@ impl Scheduler {
 
     /// Whether worker `w` can take `demand` under this scheduler's
     /// policy (the predicate both placement modes search with).
-    fn can_place(&self, w: usize, demand: ResourceDemand) -> bool {
+    pub fn can_place(&self, w: usize, demand: ResourceDemand) -> bool {
         let wk = &self.workers[w];
         wk.accepting
             && match self.kind {
@@ -380,6 +407,35 @@ impl Scheduler {
                 None
             }
         }
+    }
+
+    /// Places a request on the lowest worker in the growth log
+    /// ([`Scheduler::grown`]) that can take it, counted as
+    /// [`Scheduler::place_from`] counts. For a demand no worker could
+    /// take when the log was last cleared, or that every worker has
+    /// rejected since, only a logged worker can take it now, so this is
+    /// the worker `place_from(demand, 0, n)` would choose, found without
+    /// searching the index; debug builds check that it is.
+    pub fn place_grown(&mut self, demand: ResourceDemand) -> Option<usize> {
+        let grown = self.grown().expect("the growth log has not overflowed");
+        let w = grown
+            .iter()
+            .copied()
+            .filter(|&w| self.can_place(w, demand))
+            .min();
+        debug_assert_eq!(
+            w,
+            self.probe_from(demand, 0, self.workers.len()),
+            "a grown-worker placement is not the first fit"
+        );
+        match w {
+            Some(w) => {
+                self.commit_place(w, demand);
+                self.placements += 1;
+            }
+            None => self.rejections += 1,
+        }
+        w
     }
 
     /// The worker [`Scheduler::place_from`] would choose, without
@@ -455,7 +511,7 @@ impl Scheduler {
         wk.jobs = wk.jobs.saturating_sub(1);
         self.used_encode = self.used_encode.saturating_sub(demand.milliencode as u64);
         self.used_decode = self.used_decode.saturating_sub(demand.millidecode as u64);
-        self.capacity_epoch += 1;
+        self.log_growth(w);
         self.sync_index(w);
     }
 

@@ -8,12 +8,13 @@
 //! Byte-identity of a run therefore depends on the order of statements
 //! in this file alone.
 
-use super::degrade::AttemptMode;
+use super::degrade::{AttemptMode, Ladder};
 use super::fleet::{FaultKind, WorkerEvent};
 use super::tally::{Incident, Sample};
 use super::{
     Attempt, ClusterSim, Event, JobResolution, JobState, Priority, COMPLETION_LANE, MAX_ATTEMPTS,
 };
+use crate::scheduler::Scheduler;
 use std::collections::VecDeque;
 use vcu_chip::faults::HealthState;
 use vcu_chip::ResourceDemand;
@@ -23,55 +24,174 @@ use vcu_telemetry::Scope;
 /// aborting, seconds (capped at the attempt's own service time).
 const CRASH_ABORT_S: f64 = 2.0;
 
-/// What the scheduling passes since capacity last grew have learned
-/// cannot be placed, so a saturated cluster does not re-ask the
-/// scheduler the same unanswerable question on every event.
+/// What the scheduling passes have learned cannot be placed, so a
+/// saturated cluster asks the scheduler only what a release could have
+/// changed, not the same unanswerable question on every event.
 ///
-/// A failed placement is monotone. Until capacity is freed
-/// ([`Scheduler::capacity_epoch`](crate::scheduler::Scheduler::capacity_epoch)
-/// moves) or the ladder changes rung (a different candidate set), a
-/// job that missed still misses — and so does any job whose hardware
-/// demand is at least as large in every dimension, asked over the same
-/// workers: each [`AttemptMode`]'s demand is monotone in the hardware
+/// A failed placement is monotone. A job that missed over the whole
+/// fleet still misses there until a worker grows (the scheduler logs
+/// each one: [`Scheduler::grown`](crate::scheduler::Scheduler::grown))
+/// or the ladder changes rung (a different candidate set) — and so does
+/// any job whose hardware demand is at least as large in every
+/// dimension: each [`AttemptMode`]'s demand is monotone in the hardware
 /// demand, and `decode_hot` reorders the candidates without changing
-/// the set. Release builds trust this; debug builds re-check every
-/// skipped job against the real index (`ClusterSim::still_misses`).
+/// the set. So at the start of a pass a fact stays a miss unless a
+/// candidate of it fits a logged worker; one that does is voided, and
+/// its jobs can place only on a logged worker, the lowest that fits
+/// ([`Scheduler::place_grown`](crate::scheduler::Scheduler::place_grown)).
+/// Release builds trust this; debug builds re-check every skipped job
+/// against the real index (`ClusterSim::still_misses`) and every
+/// grown-worker placement against a full search.
 #[derive(Debug, Default)]
 pub(super) struct Blocked {
-    /// `(capacity epoch, ladder level)` the facts below hold under.
-    key: (u64, u8),
-    /// Hardware demands that missed over the whole fleet, none at
-    /// least as large as another. Bounded windows (consistent-hash
-    /// placement) look at different workers and are never generalised.
-    demands: Vec<ResourceDemand>,
+    /// The ladder rung the facts below hold under.
+    level: u8,
+    /// Hardware demands that miss over the whole fleet, none at least
+    /// as large as another. Bounded windows (consistent-hash placement)
+    /// look at different workers and are never generalised.
+    missed: Vec<ResourceDemand>,
+    /// Facts a logged worker may now take. This pass asks their jobs at
+    /// the logged workers only; the next one forgets them.
+    voided: Vec<ResourceDemand>,
     /// Per priority class, how many jobs at the head of the pending
     /// queue are known to miss, whatever their window. Entries only
     /// leave a pending queue from behind this prefix, or all at once
     /// through `ClusterSim::drain_pending`, which resets it.
     prefix: [usize; 3],
+    /// Per priority class, the hardware demands queued.
+    queued: [Queued; 3],
+}
+
+/// What [`Blocked`] knows of a job asked over the whole fleet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Known {
+    /// It misses.
+    Miss,
+    /// Only a logged worker can take it.
+    GrownOnly,
+    /// Nothing.
+    Unknown,
 }
 
 impl Blocked {
-    /// Forgets everything unless `key` is the one the facts were
-    /// learned under.
-    fn sync(&mut self, key: (u64, u8)) {
-        if self.key != key {
-            self.key = key;
-            self.demands.clear();
+    /// Brings the facts up to the start of a pass. Everything is
+    /// forgotten if the ladder moved, if the growth log overflowed, or
+    /// if anything grew under consistent-hash windows (whose first fit
+    /// starts anywhere); otherwise each fact a logged worker may now
+    /// take is voided, and so are the queue prefixes, which may hold
+    /// its jobs. Last pass's voided facts are dropped first.
+    fn sync(&mut self, scheduler: &Scheduler, ladder: &Ladder, sw_decode: bool, hashed: bool) {
+        self.voided.clear();
+        let grown = scheduler
+            .grown()
+            .filter(|grown| ladder.level() == self.level && (grown.is_empty() || !hashed));
+        let Some(grown) = grown else {
+            self.level = ladder.level();
+            self.missed.clear();
+            self.prefix = [0; 3];
+            return;
+        };
+        if grown.is_empty() {
+            return;
+        }
+        let voided = &mut self.voided;
+        self.missed.retain(|&hw| {
+            let candidates = ladder.candidates(hw, sw_decode, false);
+            let fits = candidates
+                .into_iter()
+                .flatten()
+                .any(|(_, demand)| grown.iter().any(|&w| scheduler.can_place(w, demand)));
+            if fits {
+                voided.push(hw);
+            }
+            !fits
+        });
+        if !self.voided.is_empty() {
             self.prefix = [0; 3];
         }
     }
 
-    /// Whether a job with hardware demand `hw`, asked over the whole
-    /// fleet, is known to miss.
-    fn covers(&self, hw: ResourceDemand) -> bool {
-        self.demands.iter().any(|blocked| blocked.fits_in(hw))
+    /// What is known of a job with hardware demand `hw`, asked over the
+    /// whole fleet.
+    fn known(&self, hw: ResourceDemand) -> Known {
+        let covers = |facts: &[ResourceDemand]| facts.iter().any(|f| f.fits_in(hw));
+        if covers(&self.missed) {
+            Known::Miss
+        } else if covers(&self.voided) {
+            Known::GrownOnly
+        } else {
+            Known::Unknown
+        }
     }
 
-    /// Records that `hw` (not yet covered) missed over the whole fleet.
+    /// Records that `hw` (not known to miss) missed over the whole
+    /// fleet.
     fn record(&mut self, hw: ResourceDemand) {
-        self.demands.retain(|&larger| !hw.fits_in(larger));
-        self.demands.push(hw);
+        self.missed.retain(|&larger| !hw.fits_in(larger));
+        self.voided.retain(|&larger| !hw.fits_in(larger));
+        self.missed.push(hw);
+    }
+
+    /// Whether every job queued in `class` is known to miss.
+    #[inline]
+    fn all_queued_miss(&self, class: usize) -> bool {
+        let Queued::Kinds(kinds) = &self.queued[class] else {
+            return false;
+        };
+        kinds
+            .iter()
+            .all(|&(hw, n)| n == 0 || self.known(hw) == Known::Miss)
+    }
+}
+
+/// The distinct hardware demands queued in one priority class, each
+/// with how many queued jobs hold it. Counted from a class's first miss
+/// until its queue next empties, so a cluster that never misses pays
+/// nothing to keep it.
+#[derive(Debug, Clone, Copy, Default)]
+enum Queued {
+    /// Not counted.
+    #[default]
+    Uncounted,
+    /// At most four demands; an entry with a zero count is free.
+    Kinds([(ResourceDemand, usize); 4]),
+    /// More than four.
+    Many,
+}
+
+impl Queued {
+    /// The count of `queue`'s demands.
+    fn count(queue: impl Iterator<Item = ResourceDemand>) -> Self {
+        let mut queued = Queued::Kinds([(ResourceDemand::ZERO, 0); 4]);
+        for hw in queue {
+            queued.add(hw);
+            if let Queued::Many = queued {
+                break;
+            }
+        }
+        queued
+    }
+
+    #[inline]
+    fn add(&mut self, hw: ResourceDemand) {
+        let Queued::Kinds(kinds) = self else {
+            return;
+        };
+        if let Some(kind) = kinds.iter_mut().find(|&&mut (d, n)| n > 0 && d == hw) {
+            kind.1 += 1;
+        } else if let Some(free) = kinds.iter_mut().find(|&&mut (_, n)| n == 0) {
+            *free = (hw, 1);
+        } else {
+            *self = Queued::Many;
+        }
+    }
+
+    #[inline]
+    fn remove(&mut self, hw: ResourceDemand) {
+        if let Queued::Kinds(kinds) = self {
+            let kind = kinds.iter_mut().find(|&&mut (d, n)| n > 0 && d == hw);
+            kind.expect("a queued demand is counted").1 -= 1;
+        }
     }
 }
 
@@ -284,7 +404,32 @@ impl ClusterSim {
         if self.ladder.level() == 3 && priority == Priority::Batch {
             self.shed_job(now, j);
         } else {
-            self.pending[priority.index()].push_back(j);
+            self.push_pending(priority.index(), j);
+        }
+    }
+
+    /// Appends job `j` to `class`'s pending queue.
+    fn push_pending(&mut self, class: usize, j: usize) {
+        self.pending[class].push_back(j);
+        self.blocked.queued[class].add(self.jobs[j].shape.demand);
+    }
+
+    /// Counts `class`'s queued demands, unless they are counted.
+    fn count_queued(&mut self, class: usize) {
+        if let Queued::Uncounted = self.blocked.queued[class] {
+            let queue = self.pending[class].iter();
+            let count = Queued::count(queue.map(|&j| self.jobs[j].shape.demand));
+            self.blocked.queued[class] = count;
+        }
+    }
+
+    /// Takes the job at position `i` out of `class`'s pending queue.
+    fn take_pending(&mut self, class: usize, i: usize) {
+        let j = self.pending[class].remove(i).expect("a queued position");
+        if self.pending[class].is_empty() {
+            self.blocked.queued[class] = Queued::Uncounted;
+        } else {
+            self.blocked.queued[class].remove(self.jobs[j].shape.demand);
         }
     }
 
@@ -311,7 +456,10 @@ impl ClusterSim {
         // float divide, and only a placement moves it: worked out when
         // a job is first asked about and again after each placement.
         let mut decode_hot: Option<bool> = None;
-        self.blocked.sync(self.blocked_key());
+        let sw_decode = self.cfg.opportunistic_sw_decode;
+        let hashed = self.cfg.consistent_hash_window > 0;
+        self.blocked
+            .sync(&self.scheduler, &self.ladder, sw_decode, hashed);
         let mut misses = 0;
         'classes: for class in 0..self.pending.len() {
             // Remembered misses count toward the cap exactly as if they
@@ -324,29 +472,56 @@ impl ClusterSim {
                 .all(|&j| self.still_misses(j)));
             misses += known;
             let mut i = known;
+            // Whether the facts or the queue changed since the class
+            // was last checked for being all misses.
+            let mut changed = true;
             while i < self.pending[class].len() {
                 if misses >= max_misses {
                     break 'classes;
+                }
+                if std::mem::take(&mut changed) && self.blocked.all_queued_miss(class) {
+                    // Every job left misses: count them as the visits
+                    // below would, without visiting.
+                    let rest = (self.pending[class].len() - i).min(max_misses - misses);
+                    debug_assert!(self.pending[class]
+                        .range(i..i + rest)
+                        .all(|&j| self.still_misses(j)));
+                    if i == self.blocked.prefix[class] {
+                        self.blocked.prefix[class] += rest;
+                    }
+                    i += rest;
+                    misses += rest;
+                    continue;
                 }
                 let j = self.pending[class][i];
                 self.debug_assert_live(j);
                 let hw_demand = self.jobs[j].shape.demand;
                 let (start, window) = self.placement_window(j);
                 let full_window = window >= self.cfg.vcus;
-                let placed = if full_window && self.blocked.covers(hw_demand) {
+                let fact = if full_window {
+                    self.blocked.known(hw_demand)
+                } else {
+                    Known::Unknown
+                };
+                let placed = if fact == Known::Miss {
                     debug_assert!(self.still_misses(j));
                     None
                 } else {
-                    let sw_decode = self.cfg.opportunistic_sw_decode;
                     let hot = *decode_hot
                         .get_or_insert_with(|| self.scheduler.decode_utilization() > 0.9);
                     let candidates = self.ladder.candidates(hw_demand, sw_decode, hot);
                     let placed = candidates.into_iter().flatten().find_map(|(mode, demand)| {
-                        let w = self.scheduler.place_from(demand, start, window)?;
+                        let w = if fact == Known::GrownOnly {
+                            self.scheduler.place_grown(demand)
+                        } else {
+                            self.scheduler.place_from(demand, start, window)
+                        }?;
                         Some((w, mode, demand))
                     });
                     if placed.is_none() && full_window {
                         self.blocked.record(hw_demand);
+                        self.count_queued(class);
+                        changed = true;
                     }
                     placed
                 };
@@ -362,9 +537,10 @@ impl ClusterSim {
                         debug_assert_eq!(demand, mode.demand(hw_demand));
                         // `i` is bounded by the miss cap, so this
                         // removal shifts at most `max_misses` entries.
-                        self.pending[class].remove(i);
+                        self.take_pending(class, i);
                         self.start_job(now, j, w, mode);
                         decode_hot = None;
+                        changed = true;
                     }
                     None => {
                         // Job stays queued; try the next one.
@@ -377,17 +553,16 @@ impl ClusterSim {
                 }
             }
         }
-    }
-
-    /// What [`Blocked`]'s facts are valid under.
-    fn blocked_key(&self) -> (u64, u8) {
-        (self.scheduler.capacity_epoch(), self.ladder.level())
+        // Every fact left holds now, so growth from here on is what the
+        // next pass must check.
+        self.scheduler.clear_grown();
     }
 
     /// Debug oracle for [`Blocked`]: asks the real availability index,
     /// read-only, whether queued job `j` still has no candidate that
     /// places.
     fn still_misses(&self, j: usize) -> bool {
+        self.debug_assert_live(j);
         let hw_demand = self.jobs[j].shape.demand;
         let (start, window) = self.placement_window(j);
         // `decode_hot` orders the candidates; it never changes the set.
@@ -402,6 +577,7 @@ impl ClusterSim {
     /// Takes every queued job of `class` out of its pending queue.
     fn drain_pending(&mut self, class: usize) -> VecDeque<usize> {
         self.blocked.prefix[class] = 0;
+        self.blocked.queued[class] = Queued::Uncounted;
         std::mem::take(&mut self.pending[class])
     }
 
@@ -643,6 +819,7 @@ const POOL_SERIES: [[&str; 2]; 3] = [
 mod tests {
     use super::super::tests::upload_jobs;
     use super::super::*;
+    use super::Queued;
     use vcu_chip::TranscodeJob;
     use vcu_codec::Profile;
     use vcu_media::Resolution;
@@ -1315,7 +1492,7 @@ mod tests {
         let mut sim = ClusterSim::new(ClusterConfig::default(), vec![], vec![]).open_world();
         sim.inject_job(upload_jobs(1, 0.0, true).remove(0));
         sim.run_until(10.0);
-        sim.pending[1].push_back(0);
+        sim.push_pending(1, 0);
         sim.try_schedule(10.0);
     }
 
@@ -1477,6 +1654,161 @@ mod tests {
             queued >= 48 && placed == 0,
             "{queued} queued, {placed} placed"
         );
+    }
+
+    #[test]
+    fn a_release_too_small_for_any_fact_keeps_the_memo() {
+        // The small job runs beside a VCU full of long jobs; when it
+        // ends, what it frees still holds no long job, so the queue's
+        // fact stays a miss and the next pass asks nothing.
+        let cfg = ClusterConfig {
+            vcus: 1,
+            ..ClusterConfig::default()
+        };
+        let mut jobs = vec![small_job(0.0, Priority::Normal)];
+        jobs.extend(long_jobs(12, 0.0, Priority::Normal));
+        let mut sim = ClusterSim::new(cfg, jobs, vec![]);
+        sim.run_until(0.0);
+        let queued = sim.pending[1].len();
+        assert!(queued >= 3, "the VCU must saturate: {queued} queued");
+        assert_eq!(sim.blocked.prefix, [0, queued, 0]);
+        let (asked, missed) = (asks(&sim), sim.blocked.missed.clone());
+        sim.run_until(1.0);
+        assert_eq!(sim.tally.resolved(), 1, "the small job completed");
+        assert_eq!(asks(&sim), asked, "the pass after its release asks nothing");
+        assert_eq!(sim.blocked.missed, missed);
+        assert_eq!(sim.blocked.prefix, [0, queued, 0]);
+    }
+
+    #[test]
+    fn a_release_that_voids_a_fact_asks_only_the_grown_worker() {
+        // Two VCUs full of long jobs; the last one placed, on worker 1,
+        // ends first. Its release voids the queue's fact: the head job
+        // is placed there, the next one asked there misses, and the rest
+        // are counted without asking.
+        let cfg = ClusterConfig {
+            vcus: 2,
+            ..ClusterConfig::default()
+        };
+        let mut sim = ClusterSim::new(cfg.clone(), long_jobs(40, 0.0, Priority::Normal), vec![]);
+        sim.run_until(0.0);
+        let running = sim.scheduler.placements as usize;
+        let mut jobs = long_jobs(40, 0.0, Priority::Normal);
+        jobs[running - 1].job.duration_s = 5.0;
+        let mut sim = ClusterSim::new(cfg, jobs, vec![]);
+        sim.run_until(0.0);
+        assert_eq!(sim.scheduler.worker(1).jobs as usize, running / 2);
+        let queued = sim.pending[1].len();
+        let asked = asks(&sim);
+        sim.run_until(5.0);
+        assert_eq!(sim.scheduler.worker(1).jobs as usize, running / 2);
+        assert_eq!(sim.pending[1].len(), queued - 1);
+        assert_eq!(asks(&sim), asked + 2, "one placement and one miss");
+        assert_eq!(sim.blocked.prefix, [0, queued - 1, 0]);
+        // The fact was voided, and the miss on worker 1 made it a miss
+        // again.
+        assert_eq!(sim.blocked.missed.len(), 1);
+        assert!(sim.blocked.voided.is_empty());
+        assert_eq!(sim.scheduler.grown(), Some(&[][..]));
+    }
+
+    #[test]
+    fn a_covered_mixed_demand_class_counts_toward_the_head_of_line_cap() {
+        // The lone VCU is dead until a repair at 50 s. Behind it queue
+        // `blocked` Normal jobs of two long shapes, the H.264 one larger
+        // in every dimension, and one small Batch job, which misses too,
+        // so its demand is the one fact. The repair voids it: the Normal
+        // head fills the VCU, the next job (of the smaller shape)
+        // misses, and the rest of the class — every queued demand now a
+        // known miss — is counted in one step. The Batch job is tried
+        // when fewer than 48 misses precede it, never once 48 do.
+        let run = |blocked: usize| {
+            let cfg = ClusterConfig {
+                vcus: 1,
+                ..ClusterConfig::default()
+            };
+            let fault = |time_s, kind| FaultInjection {
+                time_s,
+                worker: 0,
+                kind,
+            };
+            let faults = vec![fault(0.0, FaultKind::Dead), fault(50.0, FaultKind::Repair)];
+            let mut jobs = long_jobs(blocked, 1.0, Priority::Normal);
+            for spec in jobs.iter_mut().skip(1).step_by(2) {
+                spec.job = TranscodeJob::mot(Resolution::R1080, Profile::H264Sim, 30.0, 100.0);
+            }
+            jobs.push(small_job(1.0, Priority::Batch));
+            let mut sim = ClusterSim::new(cfg, jobs, faults);
+            sim.run_until(49.0);
+            assert_eq!(
+                sim.blocked.missed.len(),
+                1,
+                "the small demand covers both shapes"
+            );
+            let asked = asks(&sim);
+            sim.run_until(50.0);
+            let running = sim.scheduler.placements as usize;
+            let queued = sim.pending[1].len();
+            assert_eq!(
+                running + queued,
+                blocked + sim.pending[2].is_empty() as usize
+            );
+            assert!(matches!(sim.blocked.queued[1], Queued::Kinds(_)));
+            // Every placement and the one miss are asked; no other job.
+            assert_eq!(asks(&sim), asked + running as u64 + 1);
+            (queued, sim.pending[2].is_empty())
+        };
+        // 55 and 56 put the 47th and the 48th miss on the last Normal
+        // job, so the one-step count must end exactly at the cap.
+        for (blocked, queued_below_cap) in [(50, true), (55, true), (56, false), (70, false)] {
+            let (queued, placed) = run(blocked);
+            assert_eq!(
+                queued < 48,
+                queued_below_cap,
+                "{blocked} blocked: {queued} queued"
+            );
+            assert_eq!(
+                placed, queued_below_cap,
+                "{queued} queued, small job placed: {placed}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_class_summary_counts_what_is_queued() {
+        // Saturate two VCUs with three shapes, then let completions place
+        // and misses re-count the queue: at every step the summary, once
+        // counted, holds exactly the queued demands and their number.
+        let cfg = ClusterConfig {
+            vcus: 2,
+            ..ClusterConfig::default()
+        };
+        let mut jobs = long_jobs(60, 0.0, Priority::Normal);
+        for (i, spec) in jobs.iter_mut().enumerate() {
+            spec.job.duration_s = [20.0, 30.0, 45.0][i % 3];
+            if i % 3 == 1 {
+                spec.job = TranscodeJob::mot(Resolution::R1080, Profile::H264Sim, 30.0, 30.0);
+            }
+        }
+        let mut sim = ClusterSim::new(cfg, jobs, vec![]);
+        let mut counted = 0;
+        while sim.step() {
+            let Queued::Kinds(kinds) = sim.blocked.queued[1] else {
+                continue;
+            };
+            counted += 1;
+            let queue = sim.pending[1].iter().map(|&j| sim.jobs[j].shape.demand);
+            let Queued::Kinds(recount) = Queued::count(queue) else {
+                panic!("three shapes fit the summary");
+            };
+            let held = |k: [(ResourceDemand, usize); 4]| {
+                let mut held: Vec<_> = k.into_iter().filter(|&(_, n)| n > 0).collect();
+                held.sort_by_key(|&(d, _)| (d.millidecode, d.milliencode, d.dram_mib, d.host_mcpu));
+                held
+            };
+            assert_eq!(held(kinds), held(recount), "at {}", sim.now());
+        }
+        assert!(counted > 10, "the summary was counted at {counted} steps");
     }
 
     #[test]

@@ -118,29 +118,32 @@ impl Shape {
     }
 }
 
-/// The last job submitted and its [`Shape`]. Streams are mostly runs of
-/// one shape (a campaign's uniform chunk, a video's chunks), so one
-/// entry turns a run into one [`VcuModel::job_demand`]; a stream where
-/// every job differs computes one per job, as it would without the
-/// memo, and nothing grows with the number of shapes. Debug builds
-/// check every remembered shape against a fresh one.
+/// The last four distinct jobs submitted and their [`Shape`]s. Streams
+/// mostly cycle a few shapes (a campaign's uniform chunk, a video's
+/// chunks, the DSE's four-job mix), so four entries turn such a stream
+/// into one [`VcuModel::job_demand`] per shape; a stream where every job
+/// differs computes one per job, as it would without the memo, and
+/// nothing grows with the number of shapes. Debug builds check every
+/// remembered shape against a fresh one.
 #[derive(Debug, Default)]
-struct ShapeMemo(Option<(TranscodeJob, Shape)>);
+struct ShapeMemo {
+    recent: [Option<(TranscodeJob, Shape)>; 4],
+    /// The entry the next new job replaces, oldest first.
+    next: usize,
+}
 
 impl ShapeMemo {
     fn shape_of(&mut self, job: &TranscodeJob, model: &VcuModel) -> Shape {
-        match &self.0 {
-            // A NaN field is unequal to itself and simply recomputes.
-            Some((last, shape)) if last == job => {
-                debug_assert_eq!(*shape, Shape::of(job, model));
-                *shape
-            }
-            _ => {
-                let shape = Shape::of(job, model);
-                self.0 = Some((job.clone(), shape));
-                shape
-            }
+        // A NaN field is unequal to itself and simply recomputes.
+        let hit = self.recent.iter().flatten().find(|(seen, _)| seen == job);
+        if let Some((_, shape)) = hit {
+            debug_assert_eq!(*shape, Shape::of(job, model));
+            return *shape;
         }
+        let shape = Shape::of(job, model);
+        self.recent[self.next] = Some((job.clone(), shape));
+        self.next = (self.next + 1) % self.recent.len();
+        shape
     }
 }
 
@@ -317,8 +320,9 @@ pub struct ClusterSim {
     /// cross-class order is positional and within-class order is
     /// enqueue order.
     pending: [VecDeque<usize>; 3],
-    /// Placements known to fail until capacity grows or the ladder
-    /// moves (see [`dispatch::Blocked`]).
+    /// Placements known to fail until a worker grows or the ladder
+    /// moves, and the demands queued per class (see
+    /// [`dispatch::Blocked`]).
     blocked: Blocked,
     rng: Rng,
     /// Events still in the queue that can hand work to the cluster

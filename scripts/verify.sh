@@ -158,7 +158,7 @@ stage_benchmark_smoke() {
 stage_determinism() {
     local t
     for t in 1 4; do
-        echo "--> VCU_THREADS=$t (debug build: memo, event-order, screen, index-repair, job-shape, video-slot, usable-placement, pending-outcome and freed-slot oracles on)"
+        echo "--> VCU_THREADS=$t (debug build: memo, grown-worker, event-order, screen, index-repair, job-shape, video-slot, usable-placement, pending-outcome and freed-slot oracles on)"
         VCU_THREADS=$t cargo test -q -p vcu-system --offline --test determinism \
             | tail -n 2
     done

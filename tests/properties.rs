@@ -441,13 +441,15 @@ prop_cases! {
         }
     }
 
-    /// The two facts `ClusterSim`'s blocked-placement memo rests on,
-    /// in both placement modes, over random place / release /
-    /// `set_accepting` streams: (a) a demand rejected over the whole
-    /// fleet stays rejected, from any start, until the capacity epoch
-    /// moves — which only a release or a re-accept does; (b) in that
-    /// state every demand at least as large in each dimension is
-    /// rejected too.
+    /// The facts `ClusterSim`'s blocked-placement memo rests on, in
+    /// both placement modes, over random place / release /
+    /// `set_accepting` / clear streams: (a) asking logs nothing, and a
+    /// release or a re-accept logs its worker (or overflows the log);
+    /// (b) until the log is cleared, a demand rejected over the whole
+    /// fleet, from any start — or any demand at least as large in each
+    /// dimension — is placeable only on a logged worker, and the lowest
+    /// such worker is `probe_from(d, 0, n)`'s answer, which
+    /// `place_grown` gives.
     #[cases(96)]
     fn rejections_are_monotone_until_capacity_grows(rng) {
         for placement in [PlacementMode::Indexed, PlacementMode::LinearScan] {
@@ -459,12 +461,29 @@ prop_cases! {
             };
             let mut s = Scheduler::with_placement(kind, n, placement);
             let mut live: Vec<(usize, ResourceDemand)> = Vec::new();
-            // Demands rejected since the capacity epoch last moved.
+            // Demands rejected since the log was last cleared.
             let mut rejected: Vec<ResourceDemand> = Vec::new();
             for _ in 0..rng.gen_range(1usize..300) {
-                let epoch = s.capacity_epoch();
-                match rng.gen_range(0u32..10) {
-                    0..=6 => {
+                let before = s.grown().map(<[usize]>::to_vec);
+                // Checks the log after worker `w` grew: `w` joined it,
+                // or it overflowed, and an overflowed log stays so.
+                let grown_by = |w: usize, after: Option<&[usize]>| match (&before, after) {
+                    (Some(before), Some(after)) => {
+                        let mut want = before.clone();
+                        if !want.contains(&w) {
+                            want.push(w);
+                        }
+                        assert_eq!(after, want, "worker {w} is logged");
+                    }
+                    (Some(before), None) => {
+                        assert!(!before.contains(&w), "a logged worker overflowed");
+                    }
+                    (None, after) => {
+                        assert_eq!(after, None, "an overflowed log stays so until cleared");
+                    }
+                };
+                match rng.gen_range(0u32..12) {
+                    0..=5 => {
                         let mut d = ResourceDemand {
                             millidecode: rng.gen_range(0u32..2_000),
                             milliencode: rng.gen_range(0u32..6_000),
@@ -477,32 +496,65 @@ prop_cases! {
                         let covered = rejected.iter().any(|r| r.fits_in(d));
                         match s.place_from(d, rng.gen_range(0usize..3 * n), n) {
                             Some(w) => {
-                                assert!(!covered, "{d:?} placed past a smaller rejection");
+                                if let (true, Some(grown)) = (covered, &before) {
+                                    assert!(grown.contains(&w), "{d:?} placed on unlogged {w}");
+                                }
                                 live.push((w, d));
                             }
                             None => rejected.push(d),
                         }
-                        assert_eq!(s.capacity_epoch(), epoch, "asking frees nothing");
+                        assert_eq!(s.grown().map(<[usize]>::to_vec), before, "asking logs nothing");
                     }
-                    7 => {
+                    6..=7 => {
+                        if !rejected.is_empty() && before.is_some() {
+                            let mut d = rejected[rng.gen_range(0usize..rejected.len())];
+                            if rng.gen_bool(0.3) {
+                                d.host_mcpu += rng.gen_range(0u32..500);
+                            }
+                            let first = s.probe_from(d, 0, n);
+                            let placed = s.place_grown(d);
+                            assert_eq!(placed, first, "{d:?}: grown-worker placement vs first fit");
+                            live.extend(placed.map(|w| (w, d)));
+                            assert_eq!(s.grown().map(<[usize]>::to_vec), before, "asking logs nothing");
+                        }
+                    }
+                    8 => {
                         if !live.is_empty() {
                             let (w, d) = live.swap_remove(rng.gen_range(0usize..live.len()));
                             s.release(w, d);
-                            assert!(s.capacity_epoch() > epoch);
+                            grown_by(w, s.grown());
+                        }
+                    }
+                    9..=10 => {
+                        let w = rng.gen_range(0usize..n);
+                        let on = rng.gen_bool(0.5);
+                        s.set_accepting(w, on);
+                        if on {
+                            grown_by(w, s.grown());
+                        } else {
+                            assert_eq!(s.grown().map(<[usize]>::to_vec), before, "draining logs nothing");
                         }
                     }
                     _ => {
-                        let on = rng.gen_bool(0.5);
-                        s.set_accepting(rng.gen_range(0usize..n), on);
-                        assert_eq!(s.capacity_epoch() > epoch, on);
+                        s.clear_grown();
+                        assert_eq!(s.grown(), Some(&[][..]));
+                        rejected.clear();
                     }
                 }
-                if s.capacity_epoch() != epoch {
-                    rejected.clear();
-                }
+                let Some(grown) = s.grown() else {
+                    continue;
+                };
                 for &r in &rejected {
+                    let fits: Vec<usize> = (0..n).filter(|&w| s.can_place(w, r)).collect();
+                    assert!(
+                        fits.iter().all(|w| grown.contains(w)),
+                        "{r:?} placeable on {fits:?}, logged {grown:?}"
+                    );
+                    assert_eq!(fits.first().copied(), s.probe_from(r, 0, n));
                     let start = rng.gen_range(0usize..3 * n);
-                    assert_eq!(s.probe_from(r, start, n), None, "{r:?} un-rejected itself");
+                    if grown.is_empty() {
+                        assert_eq!(s.probe_from(r, start, n), None, "{r:?} un-rejected itself");
+                    }
                 }
             }
         }
